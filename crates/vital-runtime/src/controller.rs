@@ -281,6 +281,11 @@ impl Drop for TeardownGuard<'_> {
     }
 }
 
+/// How many times [`SystemController::place`] plans one placement before
+/// giving up: each further attempt means yet another concurrent request
+/// took a planned block in the microseconds between plan and claim.
+const PLACE_ATTEMPTS: usize = 8;
+
 /// The ViTAL system controller.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
@@ -890,22 +895,14 @@ impl SystemController {
         let needed = bitstream.block_count();
         span.field("needed", needed);
 
-        let alloc = self.allocate_or_explain(needed)?;
+        let tenant = TenantId::new(self.next_tenant.fetch_add(1, Ordering::Relaxed));
+        let mut guard = TeardownGuard::new(self, tenant);
+        let alloc = self.place(tenant, needed)?;
+        guard.blocks_claimed = true;
         // The §3.4 policy's round number equals the FPGAs admitted.
         span.field("round", alloc.fpgas_used);
         span.field("fpgas_used", alloc.fpgas_used);
         span.field("hop_cost", alloc.hop_cost);
-
-        let tenant = TenantId::new(self.next_tenant.fetch_add(1, Ordering::Relaxed));
-        let mut guard = TeardownGuard::new(self, tenant);
-        if !self.resources.claim(tenant, &alloc.blocks) {
-            // Racy claim lost; report as pressure.
-            return Err(RuntimeError::InsufficientResources {
-                needed,
-                free: self.resources.total_free(),
-            });
-        }
-        guard.blocks_claimed = true;
 
         let targets: Vec<RelocationTarget> = alloc
             .blocks
@@ -967,16 +964,31 @@ impl SystemController {
         Ok(handle)
     }
 
-    /// Runs the §3.4 allocator over the current free lists. On failure,
-    /// tells a genuinely full cluster ([`RuntimeError::InsufficientResources`])
-    /// apart from capacity parked on a [`Draining`](FpgaHealth::Draining)
-    /// device ([`RuntimeError::Draining`], a typed retry-after rejection).
-    fn allocate_or_explain(&self, needed: usize) -> Result<AllocationOutcome, RuntimeError> {
-        let free_lists: Vec<_> = (0..self.resources.fpga_count())
-            .map(|f| self.resources.free_blocks_of(f))
-            .collect();
-        if let Some(alloc) = allocate_blocks_on(&self.topology, &free_lists, needed) {
-            return Ok(alloc);
+    /// Plans `needed` blocks for `tenant` with the §3.4 allocator and makes
+    /// them its holdings. Blocks the tenant already holds on Online
+    /// devices count as free for the plan and are released by the commit
+    /// (a tenant being deployed or restored holds none).
+    ///
+    /// Plan and claim are two steps under two lock acquisitions, so a
+    /// concurrent request can take a planned block in between. That lost
+    /// claim is not the cluster being full: the old holdings are restored
+    /// and the plan is made again over the new free lists. On failure the
+    /// allocator's verdict tells a genuinely full cluster
+    /// ([`RuntimeError::InsufficientResources`]) apart from capacity
+    /// parked on a [`Draining`](FpgaHealth::Draining) device
+    /// ([`RuntimeError::Draining`], a typed retry-after rejection).
+    fn place(&self, tenant: TenantId, needed: usize) -> Result<AllocationOutcome, RuntimeError> {
+        for _ in 0..PLACE_ATTEMPTS {
+            let (free_lists, held) = self.free_lists_for(tenant);
+            let Some(alloc) = allocate_blocks_on(&self.topology, &free_lists, needed) else {
+                break;
+            };
+            self.resources.release(tenant);
+            if self.resources.claim(tenant, &alloc.blocks) {
+                return Ok(alloc);
+            }
+            self.telemetry.inc_counter("runtime.claim_replans", 1);
+            let _ = self.resources.claim(tenant, &held);
         }
         let draining = (0..self.resources.fpga_count()).find(|&f| {
             self.resources.health_of(f) == FpgaHealth::Draining
@@ -989,6 +1001,32 @@ impl SystemController {
                 free: self.resources.total_free(),
             },
         })
+    }
+
+    /// What the allocator may give `tenant`: every device's free blocks
+    /// plus the blocks the tenant itself holds on Online devices (also
+    /// returned on their own).
+    fn free_lists_for(
+        &self,
+        tenant: TenantId,
+    ) -> (
+        Vec<Vec<vital_fabric::BlockAddr>>,
+        Vec<vital_fabric::BlockAddr>,
+    ) {
+        let mut free_lists: Vec<_> = (0..self.resources.fpga_count())
+            .map(|f| self.resources.free_blocks_of(f))
+            .collect();
+        let mut held = self.resources.holdings(tenant);
+        held.retain(|b| self.resources.health_of(b.fpga.index() as usize) == FpgaHealth::Online);
+        for b in &held {
+            free_lists[b.fpga.index() as usize].push(*b);
+        }
+        if !held.is_empty() {
+            for l in &mut free_lists {
+                l.sort();
+            }
+        }
+        (free_lists, held)
     }
 
     /// Primary FPGA = the one hosting the most blocks (lowest index wins
@@ -1273,18 +1311,7 @@ impl SystemController {
                 let current_hop = self.placement_hop_cost(&self.resources.holdings(tenant));
                 // What could this tenant get if its own blocks were free?
                 // Only blocks on Online devices participate.
-                let mut free_lists: Vec<_> = (0..self.resources.fpga_count())
-                    .map(|f| self.resources.free_blocks_of(f))
-                    .collect();
-                for b in self.resources.holdings(tenant) {
-                    let f = b.fpga.index() as usize;
-                    if self.resources.health_of(f) == FpgaHealth::Online {
-                        free_lists[f].push(b);
-                    }
-                }
-                for l in &mut free_lists {
-                    l.sort();
-                }
+                let (free_lists, _) = self.free_lists_for(tenant);
                 if let Some(alloc) = allocate_blocks_on(&self.topology, &free_lists, needed) {
                     if alloc.fpgas_used < current_fpgas
                         && alloc.hop_cost <= current_hop
@@ -1395,18 +1422,7 @@ impl SystemController {
                     None => continue,
                 }
             };
-            let mut free_lists: Vec<_> = (0..self.resources.fpga_count())
-                .map(|f| self.resources.free_blocks_of(f))
-                .collect();
-            for b in self.resources.holdings(tenant) {
-                let f = b.fpga.index() as usize;
-                if self.resources.health_of(f) == FpgaHealth::Online {
-                    free_lists[f].push(b);
-                }
-            }
-            for l in &mut free_lists {
-                l.sort();
-            }
+            let (free_lists, _) = self.free_lists_for(tenant);
             if allocate_blocks_on(&self.topology, &free_lists, needed).is_none() {
                 report.unmoved.push(tenant);
                 continue;
@@ -1447,8 +1463,9 @@ impl SystemController {
     /// the tenant's own still-online blocks) and commits the move. With
     /// `board_dead`, a DRAM space homed on a non-Online board is moved to
     /// the new primary (contents lost — the board crashed); otherwise the
-    /// DRAM stays where it is. Returns `None` if no placement fits (the
-    /// caller decides between tearing down and leaving the tenant put).
+    /// DRAM stays where it is. Returns `None` if no placement fits or the
+    /// new primary has no room for the DRAM space (the caller tears the
+    /// tenant down).
     fn relocate_tenant(&self, tenant: TenantId, board_dead: bool) -> Option<Migration> {
         let (needed, fpgas_before, old_primary) = {
             let tenants = self.tenants.lock();
@@ -1460,22 +1477,12 @@ impl SystemController {
             )
         };
         let hop_cost_before = self.placement_hop_cost(&self.resources.holdings(tenant));
-        let mut free_lists: Vec<_> = (0..self.resources.fpga_count())
-            .map(|f| self.resources.free_blocks_of(f))
-            .collect();
-        for b in self.resources.holdings(tenant) {
-            let f = b.fpga.index() as usize;
-            if self.resources.health_of(f) == FpgaHealth::Online {
-                free_lists[f].push(b);
-            }
-        }
-        for l in &mut free_lists {
-            l.sort();
-        }
-        let alloc = allocate_blocks_on(&self.topology, &free_lists, needed)?;
+        // Commit the block move first; everything below follows the
+        // placement it settled on.
+        let alloc = self.place(tenant, needed).ok()?;
         let new_primary = Self::primary_of(&alloc.blocks);
 
-        // Move the DRAM home first if its board died: quota carries over,
+        // Move the DRAM home if its board died: quota carries over,
         // contents cannot.
         let dram_moves = board_dead && self.resources.health_of(old_primary) != FpgaHealth::Online;
         let mut grant = None;
@@ -1487,7 +1494,8 @@ impl SystemController {
             let _ = self.memory[old_primary].destroy_space(tenant);
             if let Err(e) = self.memory[new_primary].create_space(tenant, quota) {
                 // No room for the space: restore the old record so the
-                // caller's teardown finds a consistent tenant.
+                // caller's teardown finds a consistent tenant (it releases
+                // whatever blocks the tenant holds by then).
                 debug_assert!(matches!(e, vital_periph::PeriphError::OutOfMemory { .. }));
                 let _ = self.memory[old_primary].create_space(tenant, quota);
                 return None;
@@ -1496,18 +1504,6 @@ impl SystemController {
             grant = Some(self.arbiters[new_primary].request(tenant, self.config.dram_gbps / 4.0));
         }
 
-        // Commit the block move: release, re-claim, rebind.
-        let old_blocks = self.resources.release(tenant);
-        if !self.resources.claim(tenant, &alloc.blocks) {
-            // Cannot happen single-threaded; salvage what is claimable.
-            let salvage: Vec<_> = old_blocks
-                .iter()
-                .copied()
-                .filter(|b| self.resources.health_of(b.fpga.index() as usize) == FpgaHealth::Online)
-                .collect();
-            let _ = self.resources.claim(tenant, &salvage);
-            return None;
-        }
         let reconfig = self.reconfig_of(&alloc.blocks);
         let mut tenants = self.tenants.lock();
         let state = tenants.get_mut(&tenant)?;
@@ -1763,18 +1759,11 @@ impl SystemController {
         let bitstream = self.bitstreams.get(&checkpoint.placement.app)?;
         let needed = bitstream.block_count();
 
-        let alloc = self.allocate_or_explain(needed)?;
+        let mut guard = TeardownGuard::new(self, tenant);
+        let alloc = self.place(tenant, needed)?;
+        guard.blocks_claimed = true;
         span.field("fpgas_used", alloc.fpgas_used);
         span.field("hop_cost", alloc.hop_cost);
-
-        let mut guard = TeardownGuard::new(self, tenant);
-        if !self.resources.claim(tenant, &alloc.blocks) {
-            return Err(RuntimeError::InsufficientResources {
-                needed,
-                free: self.resources.total_free(),
-            });
-        }
-        guard.blocks_claimed = true;
 
         let targets: Vec<RelocationTarget> = alloc
             .blocks

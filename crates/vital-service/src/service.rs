@@ -11,9 +11,12 @@
 //!
 //! Submission is non-blocking: [`ServiceClient::submit`] returns a
 //! [`PendingCall`] immediately, which the caller may poll
-//! ([`PendingCall::poll`]) or block on ([`PendingCall::wait`]). The TCP
-//! reactor multiplexes thousands of connections by polling pending calls
-//! between I/O sweeps; [`ServiceClient::call`] is submit-then-wait.
+//! ([`PendingCall::poll`]) or block on ([`PendingCall::wait`]);
+//! [`ServiceClient::call`] is submit-then-wait. A TCP reactor multiplexes
+//! thousands of connections without doing either in a loop: each
+//! connection's client carries the reactor's [`Waker`], every submission
+//! leaves it in the completion slot, and the worker that publishes the
+//! answer ends the reactor's `poll(2)` wait (DESIGN.md §13.2).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -27,7 +30,7 @@ use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::queue::Job;
 use crate::shard::ShardSet;
-use crate::slot::{SlotHandle, SlotPool};
+use crate::slot::{SlotHandle, SlotPool, Waker};
 
 /// Per-endpoint latency histogram name (telemetry metric names must be
 /// `'static`).
@@ -85,14 +88,19 @@ impl ServiceInner {
     /// submission the client remembers its shard and skips the shared
     /// pin table entirely — the hot path costs one shard-queue lock, no
     /// global state. A rejection clears both the cache and the table pin
-    /// so the session is not nailed to a full shard.
+    /// so the session is not nailed to a full shard. `waker` is the
+    /// submitting reactor's, woken when the answer is published.
     fn submit(
         &self,
         session: u64,
         pinned: &AtomicUsize,
+        waker: Option<&Arc<Waker>>,
         req: ControlRequest,
     ) -> Result<SlotHandle, ServiceError> {
         let slot = self.slots.acquire();
+        if let Some(waker) = waker {
+            slot.set_waker(Arc::clone(waker));
+        }
         let now = Instant::now();
         let job = Job {
             req,
@@ -148,7 +156,8 @@ impl ServiceInner {
     }
 
     /// Delivers every queued completion: one pass of slot publishes (each
-    /// signalling its condvar only if a waiter is parked).
+    /// signalling its condvar only if a waiter is parked, and its reactor
+    /// only if that is blocked).
     fn flush_completions(&self, done: &mut CompletionBatch) {
         for (slot, resp) in done.drain(..) {
             slot.complete(resp);
@@ -289,11 +298,7 @@ impl Vitald {
     /// A new session: requests submitted through the returned client get
     /// their own fairness allowance in the admission queue.
     pub fn client(&self) -> ServiceClient {
-        ServiceClient {
-            inner: Arc::clone(&self.inner),
-            session: self.inner.next_session.fetch_add(1, Ordering::Relaxed),
-            pinned: AtomicUsize::new(usize::MAX),
-        }
+        ServiceClient::new(&self.inner, None)
     }
 
     /// The controller behind the service.
@@ -353,14 +358,24 @@ impl PendingCall {
         if let Some(resp) = self.slot.try_take() {
             return Some(resp);
         }
-        let grace = self.timeout / 4;
-        if Instant::now() >= self.deadline + grace {
+        if Instant::now() >= self.expires_at() {
             let e = ServiceError::Timeout {
                 after: self.timeout,
             };
             return Some(ControlResponse::Err((&e).into()));
         }
         None
+    }
+
+    /// `true` if the next [`poll`](PendingCall::poll) would take a
+    /// worker's answer.
+    pub(crate) fn is_published(&self) -> bool {
+        self.slot.is_complete()
+    }
+
+    /// When [`poll`](PendingCall::poll) starts synthesizing `Timeout`.
+    pub(crate) fn expires_at(&self) -> Instant {
+        self.deadline + self.timeout / 4
     }
 
     /// Blocks until the answer arrives; a deadline miss is the same typed
@@ -392,6 +407,8 @@ pub struct ServiceClient {
     /// the first request the client bypasses the shared pin table — the
     /// submit hot path touches only its own shard's queue lock.
     pinned: AtomicUsize,
+    /// Set on the clients a TCP reactor mints for its connections.
+    waker: Option<Arc<Waker>>,
 }
 
 impl ServiceClient {
@@ -404,11 +421,27 @@ impl ServiceClient {
     /// sibling gets its own fairness allowance (and its own
     /// power-of-two-choices shard), exactly like [`Vitald::client`].
     pub fn sibling(&self) -> ServiceClient {
+        ServiceClient::new(&self.inner, None)
+    }
+
+    /// A [`sibling`](ServiceClient::sibling) for one TCP connection: every
+    /// answer to its submissions wakes the reactor behind `waker`.
+    pub(crate) fn sibling_waking(&self, waker: Arc<Waker>) -> ServiceClient {
+        ServiceClient::new(&self.inner, Some(waker))
+    }
+
+    fn new(inner: &Arc<ServiceInner>, waker: Option<Arc<Waker>>) -> ServiceClient {
         ServiceClient {
-            inner: Arc::clone(&self.inner),
-            session: self.inner.next_session.fetch_add(1, Ordering::Relaxed),
+            inner: Arc::clone(inner),
+            session: inner.next_session.fetch_add(1, Ordering::Relaxed),
             pinned: AtomicUsize::new(usize::MAX),
+            waker,
         }
+    }
+
+    /// The telemetry handle of the controller behind the service.
+    pub(crate) fn telemetry(&self) -> &Telemetry {
+        self.inner.telemetry()
     }
 
     /// Submits a request without waiting for it: the returned
@@ -416,7 +449,9 @@ impl ServiceClient {
     /// rejections (`Overloaded`, `Draining`) surface immediately as the
     /// `Err` arm — nothing was enqueued.
     pub fn submit(&self, req: ControlRequest) -> Result<PendingCall, ServiceError> {
-        let slot = self.inner.submit(self.session, &self.pinned, req)?;
+        let slot = self
+            .inner
+            .submit(self.session, &self.pinned, self.waker.as_ref(), req)?;
         Ok(PendingCall {
             slot,
             deadline: Instant::now() + self.inner.config.request_timeout,
@@ -439,7 +474,9 @@ impl ServiceClient {
     /// Like [`ServiceClient::call`], with service-layer failures as a
     /// typed [`ServiceError`] instead of a response value.
     pub fn try_call(&self, req: ControlRequest) -> Result<ControlResponse, ServiceError> {
-        let slot = self.inner.submit(self.session, &self.pinned, req)?;
+        let slot = self
+            .inner
+            .submit(self.session, &self.pinned, self.waker.as_ref(), req)?;
         let grace = self.inner.config.request_timeout / 4;
         slot.wait(self.inner.config.request_timeout + grace)
             .ok_or(ServiceError::Timeout {

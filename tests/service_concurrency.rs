@@ -454,3 +454,114 @@ fn four_thousand_sessions_all_get_typed_answers() {
         .unwrap_or_else(|_| panic!("vitald still shared"))
         .shutdown();
 }
+
+/// Remote clients deploying at once on a cluster with room to spare are
+/// never refused: plan and claim are separate steps, and a deploy that
+/// loses its planned block to a neighbour in between re-plans instead of
+/// answering `InsufficientResources` with hundreds of blocks free. Both
+/// connections share one reactor, which has to keep waking for either.
+#[test]
+fn concurrent_deploys_on_a_roomy_cluster_are_never_refused() {
+    let controller = controller();
+    let baseline = Baseline::capture(&controller);
+    let vitald = Vitald::spawn(
+        Arc::clone(&controller),
+        ServiceConfig::default()
+            .with_io_threads(1)
+            .with_batch_max(1),
+    );
+    let server = ServiceServer::serve(&vitald, "127.0.0.1:0").expect("bind loopback");
+    let addr = server.local_addr().to_string();
+
+    let clients = 4;
+    let start = Arc::new(std::sync::Barrier::new(clients));
+    let handles: Vec<_> = (0..clients)
+        .map(|_| {
+            let (addr, start) = (addr.clone(), Arc::clone(&start));
+            std::thread::spawn(move || {
+                let remote = RemoteClient::connect(&addr).expect("connect");
+                start.wait();
+                for round in 0..400 {
+                    let resp = remote
+                        .call(ControlRequest::deploy("small"))
+                        .expect("wire call");
+                    let ControlResponse::Deployed(s) = resp else {
+                        panic!("deploy {round} refused on a roomy cluster: {resp:?}");
+                    };
+                    let resp = remote
+                        .call(ControlRequest::undeploy(TenantId::new(s.tenant)))
+                        .expect("wire call");
+                    assert!(matches!(resp, ControlResponse::Undeployed { .. }));
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("remote client thread panicked");
+    }
+
+    server.stop();
+    baseline.assert_restored(&controller);
+    vitald.shutdown();
+}
+
+/// Stopping the server with requests still executing (held inside the
+/// app resolver by the test) returns without waiting for them, and the
+/// workers that then complete those requests for a reactor that no longer
+/// exists harm nothing: the clients see a transport error, the daemon
+/// still drains and shuts down.
+#[test]
+fn stop_with_requests_in_flight_returns_and_leaks_nothing() {
+    use std::sync::{mpsc, Mutex};
+
+    let controller = controller();
+    let baseline = Baseline::capture(&controller);
+    let (entered_tx, entered) = mpsc::channel::<()>();
+    let (release, released) = mpsc::channel::<()>();
+    let (entered_tx, released) = (Mutex::new(entered_tx), Mutex::new(released));
+    controller.set_app_resolver(Box::new(move |name: &str| {
+        entered_tx.lock().unwrap().send(()).unwrap();
+        released.lock().unwrap().recv().unwrap();
+        Err(vital::runtime::RuntimeError::UnknownApp(name.to_string()))
+    }));
+    // One shard drained by four workers taking one job per sweep: all
+    // four requests execute at once.
+    let vitald = Vitald::spawn(
+        Arc::clone(&controller),
+        ServiceConfig::default()
+            .with_workers(4)
+            .with_shards(1)
+            .with_batch_max(1),
+    );
+    let server = ServiceServer::serve(&vitald, "127.0.0.1:0").expect("bind loopback");
+    let addr = server.local_addr().to_string();
+
+    let handles: Vec<_> = (0..4)
+        .map(|i| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let remote = RemoteClient::connect(&addr).expect("connect");
+                let app = format!("unknown-{i}");
+                // Cut off mid-call: the transport fails, typed.
+                assert!(remote.call(ControlRequest::Prepare { app }).is_err());
+            })
+        })
+        .collect();
+    for _ in 0..4 {
+        entered.recv().expect("a request reached the resolver");
+    }
+
+    let t0 = std::time::Instant::now();
+    server.stop();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(1), "stop() took {took:?}");
+    for h in handles {
+        h.join().expect("remote client thread panicked");
+    }
+
+    for _ in 0..4 {
+        release.send(()).unwrap();
+    }
+    vitald.shutdown();
+    baseline.assert_restored(&controller);
+}
