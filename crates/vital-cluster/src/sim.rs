@@ -9,8 +9,7 @@ use vital_telemetry::Telemetry;
 
 use crate::{
     AppRequest, ClusterConfig, ClusterError, ClusterView, Deployment, FailedOutcome, FaultEvent,
-    FaultPlan, FaultSpec, InstanceId, PendingRequest, ReconfigKind, RequestOutcome, Scheduler,
-    SimReport,
+    FaultPlan, InstanceId, PendingRequest, ReconfigKind, RequestOutcome, Scheduler, SimReport,
 };
 
 /// Converts sim seconds to the microsecond timeline the telemetry
@@ -345,25 +344,6 @@ impl ClusterSim {
             .unwrap_or_else(|e| panic!("scheduling policy returned an invalid deployment: {e}"))
     }
 
-    /// Like [`ClusterSim::run`] with injected FPGA failures: at each fault's
-    /// `fail_at_s` the device goes offline, every instance touching it is
-    /// killed and its request re-queued (the relocatable bitstream redeploys
-    /// on surviving FPGAs without recompilation); at `repair_at_s` the
-    /// device returns to the pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid policy deployments, like [`ClusterSim::run`].
-    pub fn run_with_faults(
-        &self,
-        policy: &mut dyn Scheduler,
-        requests: Vec<AppRequest>,
-        faults: &[FaultSpec],
-    ) -> SimReport {
-        self.try_run_with_faults(policy, requests, faults)
-            .unwrap_or_else(|e| panic!("scheduling policy returned an invalid deployment: {e}"))
-    }
-
     /// Like [`ClusterSim::run`] under a scripted [`FaultPlan`]: FPGA
     /// crashes and ring-link cuts evict the instances they touch, evicted
     /// requests retry with the plan's backoff until its retry budget runs
@@ -395,20 +375,6 @@ impl ClusterSim {
         requests: Vec<AppRequest>,
     ) -> Result<SimReport, ClusterError> {
         self.try_run_with_plan(policy, requests, &FaultPlan::new())
-    }
-
-    /// Fallible variant of [`ClusterSim::run_with_faults`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ClusterError`] describing the first invalid deployment.
-    pub fn try_run_with_faults(
-        &self,
-        policy: &mut dyn Scheduler,
-        requests: Vec<AppRequest>,
-        faults: &[FaultSpec],
-    ) -> Result<SimReport, ClusterError> {
-        self.try_run_with_plan(policy, requests, &FaultPlan::from(faults))
     }
 
     /// Fallible variant of [`ClusterSim::run_with_plan`].
@@ -1334,17 +1300,12 @@ mod tests {
         // complete, with the restart recorded.
         let sim = ClusterSim::new(ClusterConfig::paper_cluster());
         let reqs = vec![AppRequest::new(0, "victim", 4, 10.0e9)];
-        let faults = [FaultSpec {
-            fpga: 0,
-            fail_at_s: 2.0,
-            repair_at_s: None,
-        }];
-        let report = sim.run_with_faults(
+        let report = sim.run_with_plan(
             &mut FirstFit {
                 whole_device: false,
             },
             reqs,
-            &faults,
+            &FaultPlan::new().fpga_crash(0, 2.0),
         );
         assert_eq!(report.completed(), 1);
         let o = &report.outcomes[0];
@@ -1408,19 +1369,15 @@ mod tests {
         let reqs: Vec<AppRequest> = (0..4)
             .map(|i| AppRequest::new(i, format!("j{i}"), 15, 4.0e9))
             .collect();
-        let faults: Vec<FaultSpec> = (1..4)
-            .map(|f| FaultSpec {
-                fpga: f,
-                fail_at_s: 0.0,
-                repair_at_s: Some(5.0),
-            })
-            .collect();
-        let report = sim.run_with_faults(
+        let plan = (1..4).fold(FaultPlan::new(), |plan, f| {
+            plan.fpga_crash(f, 0.0).fpga_recover(f, 5.0)
+        });
+        let report = sim.run_with_plan(
             &mut FirstFit {
                 whole_device: false,
             },
             reqs,
-            &faults,
+            &plan,
         );
         assert_eq!(report.completed(), 4);
         // At least one job had to wait for a repair.
@@ -1433,17 +1390,12 @@ mod tests {
         // still in flight (before DeployDone).
         let sim = ClusterSim::new(ClusterConfig::paper_cluster());
         let reqs = vec![AppRequest::new(0, "early", 5, 1.0e9)];
-        let faults = [FaultSpec {
-            fpga: 0,
-            fail_at_s: 0.01, // < 5 x 12.3 ms reconfig
-            repair_at_s: None,
-        }];
-        let report = sim.run_with_faults(
+        let report = sim.run_with_plan(
             &mut FirstFit {
                 whole_device: false,
             },
             reqs,
-            &faults,
+            &FaultPlan::new().fpga_crash(0, 0.01), // < 5 x 12.3 ms reconfig
         );
         assert_eq!(report.completed(), 1);
         assert_eq!(report.outcomes[0].restarts, 1);
@@ -1732,17 +1684,12 @@ mod tests {
         let tel = Telemetry::sim();
         let sim = ClusterSim::new(ClusterConfig::paper_cluster()).with_telemetry(tel.clone());
         let reqs = vec![AppRequest::new(0, "victim", 4, 10.0e9)];
-        let faults = [FaultSpec {
-            fpga: 0,
-            fail_at_s: 2.0,
-            repair_at_s: Some(20.0),
-        }];
-        let report = sim.run_with_faults(
+        let report = sim.run_with_plan(
             &mut FirstFit {
                 whole_device: false,
             },
             reqs,
-            &faults,
+            &FaultPlan::new().fpga_crash(0, 2.0).fpga_recover(0, 20.0),
         );
         assert_eq!(report.completed(), 1);
         let records = tel.records();

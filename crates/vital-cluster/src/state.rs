@@ -101,23 +101,6 @@ pub struct PendingRequest {
     pub arrived_s: f64,
 }
 
-/// An injected FPGA failure: the device goes offline at `fail_at_s`
-/// (killing and re-queueing everything running on it) and, optionally,
-/// comes back at `repair_at_s`.
-///
-/// Failure injection exercises the elasticity the paper attributes to
-/// decoupled allocation: because bitstreams are relocatable, a policy can
-/// redeploy the victims onto the surviving FPGAs without recompilation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FaultSpec {
-    /// The failing FPGA.
-    pub fpga: u32,
-    /// When it fails (seconds).
-    pub fail_at_s: f64,
-    /// When it returns, if ever.
-    pub repair_at_s: Option<f64>,
-}
-
 /// One scripted fault-injection event.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum FaultEvent {
@@ -180,8 +163,7 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Unbounded immediate retries — the behaviour of the plain
-    /// [`FaultSpec`] API.
+    /// Unbounded immediate retries (the default).
     pub fn unbounded() -> Self {
         RetryPolicy {
             max_attempts: 0,
@@ -307,20 +289,6 @@ impl FaultPlan {
     pub fn with_portable_checkpoints(mut self) -> Self {
         self.portable_checkpoints = true;
         self
-    }
-}
-
-impl From<&[FaultSpec]> for FaultPlan {
-    /// The legacy crash/repair schedule as a plan with unbounded retry.
-    fn from(faults: &[FaultSpec]) -> Self {
-        let mut plan = FaultPlan::new();
-        for f in faults {
-            plan = plan.fpga_crash(f.fpga, f.fail_at_s);
-            if let Some(repair) = f.repair_at_s {
-                plan = plan.fpga_recover(f.fpga, repair);
-            }
-        }
-        plan
     }
 }
 

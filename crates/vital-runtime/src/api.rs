@@ -6,9 +6,7 @@
 //! answered by one typed [`ControlResponse`]. The enums (and the summary
 //! DTOs they carry) implement `Serialize`/`Deserialize`, so the same value
 //! travels the `vitald` wire protocol (DESIGN.md §12) and the in-process
-//! [`SystemController::execute`] path unchanged. Where the capsule-format
-//! redesign extended a payload, the `Deserialize` impls are hand-written to
-//! accept the pre-portable shapes too (see the type-level docs).
+//! [`SystemController::execute`] path unchanged.
 //!
 //! Tenants cross this boundary as raw `u64` ids rather than
 //! [`TenantId`] handles: the wire has no notion of a live handle, and a
@@ -22,7 +20,7 @@
 
 use std::time::Duration;
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use vital_interface::{ApiError, FormatVersion};
 use vital_periph::TenantId;
 
@@ -48,15 +46,9 @@ pub enum DeployBackend {
 /// or — when [`restore`](DeployRequest::restore) is set — which parked
 /// checkpoint capsule to re-admit.
 ///
-/// This builder consolidates what used to be three controller entry points
-/// (`deploy`, `deploy_with_quota`, `resume_from`) into one request shape:
-///
 /// ```
 /// use vital_runtime::DeployRequest;
 ///
-/// // Equivalent of `deploy("lenet")`:
-/// let r = DeployRequest::app("lenet");
-/// // Equivalent of `deploy_with_quota("lenet", 64 << 20)`:
 /// let r = DeployRequest::app("lenet").with_quota_bytes(64 << 20);
 /// assert_eq!(r.quota_bytes, 64 << 20);
 /// ```
@@ -69,7 +61,7 @@ pub struct DeployRequest {
     /// DRAM quota in bytes; `0` means the controller's configured default.
     pub quota_bytes: u64,
     /// When set, re-admit this checkpoint capsule instead of performing a
-    /// fresh placement (the `resume_from` path).
+    /// fresh placement.
     pub restore: Option<TenantCheckpoint>,
     /// Which backend places the app. Fabric (ViTAL spatial) unless the
     /// request opts into the ISA template pool.
@@ -150,18 +142,7 @@ pub enum MigratePolicy {
 /// ([`ControlRequest::deploy`] etc.), and executed by
 /// [`SystemController::execute`](crate::SystemController::execute) or
 /// submitted to a `vitald` service.
-///
-/// # Wire compatibility
-///
-/// The checkpoint/migration surface was renamed in capsule-format v1
-/// (`Suspend` → [`Checkpoint`](ControlRequest::Checkpoint), `Resume` →
-/// [`Restore`](ControlRequest::Restore), `Migrate` gained a
-/// [`MigratePolicy`]). The hand-written [`Deserialize`] impl still accepts
-/// the legacy tags and a policy-less `Migrate` payload, so requests from
-/// older clients keep working; the deprecated constructors
-/// ([`suspend`](ControlRequest::suspend), [`resume`](ControlRequest::resume))
-/// shim old call sites onto the new variants.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum ControlRequest {
     /// Place an application (or restore a checkpoint capsule).
@@ -171,14 +152,12 @@ pub enum ControlRequest {
         /// Raw id of the tenant to remove.
         tenant: u64,
     },
-    /// Quiesce a tenant and park its checkpoint capsule (the operation
-    /// formerly tagged `Suspend` on the wire).
+    /// Quiesce a tenant and park its checkpoint capsule.
     Checkpoint {
         /// Raw id of the tenant to checkpoint.
         tenant: u64,
     },
-    /// Re-admit a previously checkpointed tenant from its parked capsule
-    /// (formerly tagged `Resume` on the wire).
+    /// Re-admit a previously checkpointed tenant from its parked capsule.
     Restore {
         /// Raw id of the parked tenant.
         tenant: u64,
@@ -188,8 +167,7 @@ pub enum ControlRequest {
     Migrate {
         /// Raw id of the tenant to move.
         tenant: u64,
-        /// How the move is allowed to happen. Legacy payloads without this
-        /// field deserialize as [`MigratePolicy::SameGeometry`].
+        /// How the move is allowed to happen.
         policy: MigratePolicy,
     },
     /// Drain a device by live-migrating its tenants elsewhere.
@@ -255,20 +233,7 @@ impl ControlRequest {
         }
     }
 
-    /// Deprecated shim for the pre-portable API surface.
-    #[deprecated(note = "use `ControlRequest::checkpoint`")]
-    pub fn suspend(tenant: TenantId) -> Self {
-        Self::checkpoint(tenant)
-    }
-
-    /// Deprecated shim for the pre-portable API surface.
-    #[deprecated(note = "use `ControlRequest::restore`")]
-    pub fn resume(tenant: TenantId) -> Self {
-        Self::restore(tenant)
-    }
-
-    /// Live-migrate the tenant on the identical-geometry fast path (the
-    /// behavior the policy-less request always had).
+    /// Live-migrate the tenant on the identical-geometry fast path.
     pub fn migrate(tenant: TenantId) -> Self {
         Self::migrate_with(tenant, MigratePolicy::SameGeometry)
     }
@@ -307,84 +272,6 @@ impl ControlRequest {
             ControlRequest::Status => "status",
             ControlRequest::Prepare { .. } => "prepare",
             ControlRequest::Scale { .. } => "scale",
-        }
-    }
-
-    /// `true` for requests the service may batch into one allocator round
-    /// (fresh deployments and capsule restores).
-    pub fn is_batchable(&self) -> bool {
-        matches!(self, ControlRequest::Deploy(_))
-    }
-}
-
-fn tenant_of(v: &Value) -> Result<u64, DeError> {
-    Deserialize::from_value(v.field("tenant")?)
-}
-
-/// Hand-written so the wire stays compatible across the checkpoint-surface
-/// rename: the legacy `Suspend`/`Resume` tags map onto
-/// [`ControlRequest::Checkpoint`]/[`ControlRequest::Restore`], and a
-/// `Migrate` payload without a `policy` field (what pre-portable clients
-/// send) defaults to [`MigratePolicy::SameGeometry`].
-impl Deserialize for ControlRequest {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        if let Value::Str(tag) = v {
-            return match tag.as_str() {
-                "Defragment" => Ok(ControlRequest::Defragment),
-                "Status" => Ok(ControlRequest::Status),
-                other => Err(DeError(format!(
-                    "unknown variant {other} of ControlRequest"
-                ))),
-            };
-        }
-        let Value::Map(entries) = v else {
-            return Err(DeError(format!(
-                "expected string or single-entry map for ControlRequest, got {v:?}"
-            )));
-        };
-        let [(tag, inner)] = entries.as_slice() else {
-            return Err(DeError(format!(
-                "expected single-entry map for ControlRequest, got {} entries",
-                entries.len()
-            )));
-        };
-        match tag.as_str() {
-            "Deploy" => Ok(ControlRequest::Deploy(Deserialize::from_value(inner)?)),
-            "Undeploy" => Ok(ControlRequest::Undeploy {
-                tenant: tenant_of(inner)?,
-            }),
-            "Checkpoint" | "Suspend" => Ok(ControlRequest::Checkpoint {
-                tenant: tenant_of(inner)?,
-            }),
-            "Restore" | "Resume" => Ok(ControlRequest::Restore {
-                tenant: tenant_of(inner)?,
-            }),
-            "Migrate" => Ok(ControlRequest::Migrate {
-                tenant: tenant_of(inner)?,
-                policy: match inner.field("policy") {
-                    Ok(p) => Deserialize::from_value(p)?,
-                    Err(_) => MigratePolicy::SameGeometry,
-                },
-            }),
-            "Evacuate" => Ok(ControlRequest::Evacuate {
-                fpga: Deserialize::from_value(inner.field("fpga")?)?,
-            }),
-            "Fail" => Ok(ControlRequest::Fail {
-                fpga: Deserialize::from_value(inner.field("fpga")?)?,
-            }),
-            "Recover" => Ok(ControlRequest::Recover {
-                fpga: Deserialize::from_value(inner.field("fpga")?)?,
-            }),
-            "Prepare" => Ok(ControlRequest::Prepare {
-                app: Deserialize::from_value(inner.field("app")?)?,
-            }),
-            "Scale" => Ok(ControlRequest::Scale {
-                tenant: tenant_of(inner)?,
-                tiles: Deserialize::from_value(inner.field("tiles")?)?,
-            }),
-            other => Err(DeError(format!(
-                "unknown variant {other} of ControlRequest"
-            ))),
         }
     }
 }
@@ -438,7 +325,7 @@ pub struct ScaleSummary {
 }
 
 /// What checkpointing (suspending) a tenant captured.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SuspendSummary {
     /// Raw id of the suspended tenant.
     pub tenant: u64,
@@ -482,34 +369,8 @@ impl From<&TenantCheckpoint> for SuspendSummary {
     }
 }
 
-/// Hand-written so summaries from pre-portable builds (no
-/// `capsule_version`/`portable`/`scan_bits` fields) still parse: the new
-/// fields default instead of failing the strict field lookup.
-impl Deserialize for SuspendSummary {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(SuspendSummary {
-            tenant: Deserialize::from_value(v.field("tenant")?)?,
-            channels: Deserialize::from_value(v.field("channels")?)?,
-            flits: Deserialize::from_value(v.field("flits")?)?,
-            dram_bytes: Deserialize::from_value(v.field("dram_bytes")?)?,
-            capsule_version: match v.field("capsule_version") {
-                Ok(x) => Deserialize::from_value(x)?,
-                Err(_) => FormatVersion::CURRENT,
-            },
-            portable: match v.field("portable") {
-                Ok(x) => Deserialize::from_value(x)?,
-                Err(_) => false,
-            },
-            scan_bits: match v.field("scan_bits") {
-                Ok(x) => Deserialize::from_value(x)?,
-                Err(_) => 0,
-            },
-        })
-    }
-}
-
 /// One completed relocation, as reported over the control plane.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MigrationSummary {
     /// Raw id of the migrated tenant.
     pub tenant: u64,
@@ -548,25 +409,6 @@ impl From<&Migration> for MigrationSummary {
             hop_cost_after: m.hop_cost_after,
             policy: MigratePolicy::SameGeometry,
         }
-    }
-}
-
-/// Hand-written so summaries from pre-portable builds (no `policy` field)
-/// still parse as the fast path they were.
-impl Deserialize for MigrationSummary {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(MigrationSummary {
-            tenant: Deserialize::from_value(v.field("tenant")?)?,
-            fpgas_before: Deserialize::from_value(v.field("fpgas_before")?)?,
-            fpgas_after: Deserialize::from_value(v.field("fpgas_after")?)?,
-            reconfig_us: Deserialize::from_value(v.field("reconfig_us")?)?,
-            hop_cost_before: Deserialize::from_value(v.field("hop_cost_before")?)?,
-            hop_cost_after: Deserialize::from_value(v.field("hop_cost_after")?)?,
-            policy: match v.field("policy") {
-                Ok(x) => Deserialize::from_value(x)?,
-                Err(_) => MigratePolicy::SameGeometry,
-            },
-        })
     }
 }
 
@@ -841,6 +683,13 @@ mod tests {
             assert_eq!(back, req);
         }
         assert_eq!(
+            ControlRequest::migrate(TenantId::new(3)),
+            ControlRequest::Migrate {
+                tenant: 3,
+                policy: MigratePolicy::SameGeometry
+            }
+        );
+        assert_eq!(
             ControlRequest::checkpoint(TenantId::new(3)).endpoint(),
             "checkpoint"
         );
@@ -852,59 +701,6 @@ mod tests {
             ControlRequest::migrate(TenantId::new(3)).endpoint(),
             "migrate"
         );
-    }
-
-    #[test]
-    fn deprecated_constructors_map_to_the_new_surface() {
-        #[allow(deprecated)]
-        let suspend = ControlRequest::suspend(TenantId::new(9));
-        assert_eq!(suspend, ControlRequest::Checkpoint { tenant: 9 });
-        #[allow(deprecated)]
-        let resume = ControlRequest::resume(TenantId::new(9));
-        assert_eq!(resume, ControlRequest::Restore { tenant: 9 });
-        assert_eq!(
-            ControlRequest::migrate(TenantId::new(9)),
-            ControlRequest::Migrate {
-                tenant: 9,
-                policy: MigratePolicy::SameGeometry
-            }
-        );
-    }
-
-    #[test]
-    fn legacy_wire_tags_still_parse() {
-        // Requests serialized by pre-portable builds use the old variant
-        // names and carry no policy; they must keep working verbatim.
-        let back: ControlRequest = serde_json::from_str("{\"Suspend\":{\"tenant\":4}}").unwrap();
-        assert_eq!(back, ControlRequest::Checkpoint { tenant: 4 });
-        let back: ControlRequest = serde_json::from_str("{\"Resume\":{\"tenant\":4}}").unwrap();
-        assert_eq!(back, ControlRequest::Restore { tenant: 4 });
-        let back: ControlRequest = serde_json::from_str("{\"Migrate\":{\"tenant\":4}}").unwrap();
-        assert_eq!(
-            back,
-            ControlRequest::Migrate {
-                tenant: 4,
-                policy: MigratePolicy::SameGeometry
-            }
-        );
-    }
-
-    #[test]
-    fn legacy_summaries_parse_with_defaulted_fields() {
-        let json = "{\"tenant\":2,\"channels\":3,\"flits\":7,\"dram_bytes\":4096}";
-        let s: SuspendSummary = serde_json::from_str(json).unwrap();
-        assert_eq!(
-            (s.tenant, s.channels, s.flits, s.dram_bytes),
-            (2, 3, 7, 4096)
-        );
-        assert_eq!(s.capsule_version, FormatVersion::CURRENT);
-        assert!(!s.portable);
-        assert_eq!(s.scan_bits, 0);
-
-        let json = "{\"tenant\":2,\"fpgas_before\":2,\"fpgas_after\":1,\"reconfig_us\":80,\
-                    \"hop_cost_before\":3,\"hop_cost_after\":0}";
-        let m: MigrationSummary = serde_json::from_str(json).unwrap();
-        assert_eq!(m.policy, MigratePolicy::SameGeometry);
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! Context save/restore: [`SystemController::suspend`] quiesces a tenant's
 //! channels, exports its DRAM, and parks a
 //! [`TenantCheckpoint`] capsule; [`SystemController::resume`] re-admits it
-//! losslessly, and [`SystemController::migrate_live`] chains the two so
-//! `defragment`/`evacuate` move tenants without dropping state.
+//! losslessly, and [`SystemController::migrate_with_policy`] chains the
+//! two so `defragment`/`evacuate` move tenants without dropping state.
 //!
 //! # Example
 //!
@@ -73,11 +73,11 @@ pub use api::{
 };
 pub use bitstream_db::{BitstreamDatabase, CacheStats};
 pub use controller::{
-    AppResolver, CompileOutcome, DeployHandle, EvacuationReport, FailureReport, FailureStats,
-    Migration, RuntimeConfig, SystemController,
+    DeployHandle, EvacuationReport, FailureReport, FailureStats, Migration, RuntimeConfig,
+    SystemController,
 };
 pub use error::RuntimeError;
-pub use farm::FarmStats;
+pub use farm::{AppResolver, CompileOutcome, FarmStats};
 pub use policy::{allocate_blocks, allocate_blocks_on, AllocationOutcome};
 pub use resource_db::{BlockState, FpgaHealth, ResourceDatabase};
 pub use scheduler::{PodScheduler, VitalScheduler};

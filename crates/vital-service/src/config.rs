@@ -29,8 +29,9 @@ pub struct ServiceConfig {
     /// request that goes stale in the queue is answered `Timeout` without
     /// ever executing; a caller stops waiting after the same span.
     pub request_timeout: Duration,
-    /// Most compatible deploys batched into a single allocator round
-    /// (`1` disables batching).
+    /// Most jobs a worker takes from its shard's queue per lock
+    /// acquisition; they then execute one by one, in pop order, each
+    /// answered as soon as it finishes.
     pub batch_max: usize,
     /// Artificial pause before each executed request — a fault-injection
     /// knob for tests that need a provably full queue. Zero in production.
@@ -111,7 +112,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Override the deploy-batching limit (`1` disables batching).
+    /// Override the jobs taken per queue-lock acquisition (minimum 1).
     #[must_use]
     pub fn with_batch_max(mut self, batch_max: usize) -> Self {
         self.batch_max = batch_max.max(1);

@@ -19,17 +19,15 @@
 //!   and stay pinned there, so per-session ordering holds while load
 //!   spreads. Overload is a typed, side-effect-free rejection
 //!   ([`ServiceError::Overloaded`]) issued at push time; per-request
-//!   deadlines expire stale jobs unexecuted; compatible deploys at the
-//!   queue heads — across **all** shards — are batched into one
-//!   allocator round ([`ServiceConfig::batch_max`]).
+//!   deadlines expire stale jobs unexecuted.
 //! * **A wire protocol** — length-prefixed frames over TCP
 //!   ([`ServiceServer`] / [`RemoteClient`]) in a compact binary encoding
-//!   ([`WireFormat::Binary`]), with the PR 5 JSON frames still accepted
-//!   and answered in kind ([`WireFormat::Json`], used by
-//!   `vitalctl --connect`). The server is a readiness-driven reactor: a
-//!   few I/O threads ([`ServiceConfig::io_threads`]) each block in one
-//!   `poll(2)` over thousands of non-blocking connections, pipelining
-//!   requests per connection via [`PendingCall`].
+//!   ([`WireFormat::Binary`]) or as JSON text ([`WireFormat::Json`],
+//!   used by `vitalctl --connect`), answered in kind. The server is a
+//!   readiness-driven reactor: a few I/O threads
+//!   ([`ServiceConfig::io_threads`]) each block in one `poll(2)` over
+//!   thousands of non-blocking connections, pipelining requests per
+//!   connection via [`PendingCall`].
 //!
 //! Shutdown is graceful: [`Vitald::shutdown`] drains the queue (new
 //! submissions answered [`ServiceError::Draining`] with a retry hint)

@@ -146,43 +146,6 @@ impl FairQueue {
         }
     }
 
-    /// Takes up to `max` additional *batchable* head-of-queue jobs,
-    /// following the same rotation as [`FairQueue::pop`]. Only session
-    /// heads are taken, so per-session submission order is preserved.
-    /// Never blocks.
-    pub fn pop_batchable(&self, max: usize) -> Vec<Job> {
-        let mut batch = Vec::new();
-        if max == 0 {
-            return batch;
-        }
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
-        // Each session gets one look per sweep; stop when a full sweep
-        // yields nothing batchable.
-        let mut misses = 0;
-        while batch.len() < max && misses < inner.order.len() {
-            let Some(&session) = inner.order.front() else {
-                break;
-            };
-            let head_batchable = inner
-                .sessions
-                .get(&session)
-                .and_then(|q| q.front())
-                .is_some_and(|j| j.req.is_batchable() && j.deadline > Instant::now());
-            if head_batchable {
-                let job = Self::take_next(&mut inner).expect("head exists");
-                batch.push(job);
-                misses = 0;
-            } else {
-                inner.order.rotate_left(1);
-                misses += 1;
-            }
-        }
-        if !batch.is_empty() {
-            self.got_smaller.notify_all();
-        }
-        batch
-    }
-
     fn take_next(inner: &mut Inner) -> Option<Job> {
         let session = *inner.order.front()?;
         let q = inner
@@ -248,13 +211,6 @@ mod tests {
         }
     }
 
-    fn deploy_job(session: u64) -> Job {
-        Job {
-            req: ControlRequest::deploy("app"),
-            ..job(session)
-        }
-    }
-
     #[test]
     fn bounded_push_rejects_overloaded() {
         let q = FairQueue::new(2, 2);
@@ -316,16 +272,5 @@ mod tests {
         assert_eq!(rest.len(), 1, "takes what is there without blocking");
         q.drain();
         assert!(q.pop_many(8).is_none(), "drained and empty means stop");
-    }
-
-    #[test]
-    fn pop_batchable_takes_only_deploy_heads() {
-        let q = FairQueue::new(100, 10);
-        q.push(deploy_job(1), 10).unwrap();
-        q.push(job(1), 10).unwrap(); // status behind the deploy
-        q.push(deploy_job(2), 10).unwrap();
-        let batch = q.pop_batchable(8);
-        assert_eq!(batch.len(), 2, "one deploy head per session");
-        assert_eq!(q.len(), 1, "the status job stays queued");
     }
 }

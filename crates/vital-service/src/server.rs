@@ -12,10 +12,12 @@
 //! — non-blocking) and serialize finished responses in **request order**
 //! per connection, so requests from one connection pipeline.
 //!
-//! Error containment per connection: a malformed or oversized frame
-//! poisons only that connection (dropped without a reply); admission
-//! rejections (`Overloaded`, `Draining`) are answered inline as typed
-//! [`ControlResponse::Err`] frames without ever touching a worker.
+//! Error containment per connection: an oversized frame, or one whose
+//! envelope is garbage, poisons only that connection (dropped without a
+//! reply); a well-framed envelope whose request does not parse, and
+//! admission rejections (`Overloaded`, `Draining`), are answered inline
+//! as typed [`ControlResponse::Err`] frames without ever touching a
+//! worker.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -31,7 +33,7 @@ use vital_runtime::ControlResponse;
 use crate::poll::{self, PollFd, POLLGONE, POLLIN, POLLOUT};
 use crate::service::{PendingCall, ServiceClient, Vitald};
 use crate::slot::Waker;
-use crate::wire::{FrameDecoder, RequestEnvelope, ResponseEnvelope, WireFormat};
+use crate::wire::{FrameDecoder, IncomingRequest, ResponseEnvelope, WireFormat};
 use crate::ServiceError;
 
 /// Reads per sweep are bounded by this scratch size per connection.
@@ -304,13 +306,15 @@ impl Conn {
             }
         }
         while !self.dead {
-            match self.decoder.next_frame::<RequestEnvelope>() {
+            match self.decoder.next_frame::<IncomingRequest>() {
                 Ok(Some((env, format))) => {
                     self.format = format;
-                    self.owed.push_back(match self.client.submit(env.req) {
+                    let submitted = env.req.and_then(|req| self.client.submit(req));
+                    self.owed.push_back(match submitted {
                         Ok(pending) => Owed::InFlight(env.id, pending),
-                        // Typed admission rejection: answered in line,
-                        // in order, without a worker.
+                        // A request that does not parse, or a typed
+                        // admission rejection: answered in line, in
+                        // order, without a worker.
                         Err(e) => Owed::Ready(env.id, ControlResponse::Err((&e).into())),
                     });
                 }

@@ -4,10 +4,9 @@
 //! Request lifecycle (DESIGN.md §13): **queued** (admitted by
 //! [`ShardSet::push`] — power-of-two-choices picks the session's shard) →
 //! **admitted** (taken by the shard's worker; stale jobs are answered
-//! `Timeout` here without executing) → **executing** (a
-//! [`SystemController::execute`] call, or one `execute_round` for a batch
-//! of compatible deploys swept across shards) → **done** (the response
-//! lands in the caller's completion slot).
+//! `Timeout` here without executing) → **executing** (one
+//! [`SystemController::execute`] call) → **done** (the response lands in
+//! the caller's completion slot as soon as it exists).
 //!
 //! Submission is non-blocking: [`ServiceClient::submit`] returns a
 //! [`PendingCall`] immediately, which the caller may poll
@@ -40,8 +39,6 @@ fn latency_hist(endpoint: &str) -> &'static str {
         "restore" => "service.latency_us.restore",
         "undeploy" => "service.latency_us.undeploy",
         "checkpoint" => "service.latency_us.checkpoint",
-        "suspend" => "service.latency_us.suspend",
-        "resume" => "service.latency_us.resume",
         "migrate" => "service.latency_us.migrate",
         "evacuate" => "service.latency_us.evacuate",
         "fail" => "service.latency_us.fail",
@@ -64,12 +61,6 @@ struct ServiceInner {
     /// per worker).
     slots: Arc<SlotPool>,
 }
-
-/// Completions a worker has produced but not yet delivered. Wakeups are
-/// flushed once per sweep (or right before a simulated-work sleep), so one
-/// batch of answers costs one pass of slot signals after the executing is
-/// done, not a signal interleaved into every request.
-type CompletionBatch = Vec<(SlotHandle, ControlResponse)>;
 
 impl ServiceInner {
     fn telemetry(&self) -> &Telemetry {
@@ -132,125 +123,57 @@ impl ServiceInner {
         Ok(slot)
     }
 
-    /// Accounts one answered job and queues its completion for the next
-    /// flush. Latency is measured here (answer production), not at
-    /// delivery — the flush happens within the same sweep.
-    fn finish(&self, job: Job, resp: ControlResponse, done: &mut CompletionBatch) {
+    /// Executes one job and publishes its answer. The `service.request`
+    /// span is recorded before the answer is published, so whoever holds
+    /// the answer can already read the record of the request behind it.
+    fn run(&self, shard: usize, job: Job) {
         let endpoint = job.req.endpoint();
-        let elapsed_us = job.enqueued.elapsed().as_micros() as f64;
+        let mut span = self.telemetry().span("service.request");
+        span.field("endpoint", endpoint);
+        span.field("session", job.session);
+        span.field("shard", shard);
+        let resp = self.controller.execute(job.req);
+        span.finish();
         let telemetry = self.telemetry();
-        telemetry.record_hist(latency_hist(endpoint), elapsed_us);
+        telemetry.record_hist(
+            latency_hist(endpoint),
+            job.enqueued.elapsed().as_micros() as f64,
+        );
         telemetry.inc_counter("service.requests", 1);
         if !resp.is_ok() {
             telemetry.inc_counter("service.request_errors", 1);
         }
-        done.push((job.slot, resp));
+        job.slot.complete(resp);
     }
 
-    fn expire(&self, job: Job, done: &mut CompletionBatch) {
+    /// Answers a job that went stale in the queue, without executing it —
+    /// so the rejection provably acquired nothing.
+    fn expire(&self, job: Job) {
         let timeout = ServiceError::Timeout {
             after: self.config.request_timeout,
         };
         self.telemetry().inc_counter("service.timeouts", 1);
-        done.push((job.slot, ControlResponse::Err((&timeout).into())));
-    }
-
-    /// Delivers every queued completion: one pass of slot publishes (each
-    /// signalling its condvar only if a waiter is parked, and its reactor
-    /// only if that is blocked).
-    fn flush_completions(&self, done: &mut CompletionBatch) {
-        for (slot, resp) in done.drain(..) {
-            slot.complete(resp);
-        }
-    }
-
-    /// Executes one batch of compatible deploys as a single allocator
-    /// round, sweeping further batchable heads across the other shards
-    /// when there is room.
-    fn run_batch(&self, shard: usize, mut jobs: Vec<Job>, done: &mut CompletionBatch) {
-        let room = self.config.batch_max.saturating_sub(jobs.len());
-        let stolen_shards = if room > 0 {
-            let (extra, stolen) = self.shards.pop_batchable_across(shard, room);
-            jobs.extend(extra);
-            stolen
-        } else {
-            0
-        };
-        let mut span = self.telemetry().span("service.request");
-        span.field("endpoint", jobs[0].req.endpoint());
-        span.field("shard", shard);
-        span.field("batch", jobs.len());
-        if jobs.len() > 1 {
-            self.telemetry()
-                .inc_counter("service.batched_requests", jobs.len() as u64);
-        }
-        if stolen_shards > 0 {
-            self.telemetry()
-                .inc_counter("service.cross_shard_batches", 1);
-        }
-        let reqs: Vec<ControlRequest> = jobs.iter().map(|j| j.req.clone()).collect();
-        let resps = self.controller.execute_round(reqs, 1 + stolen_shards);
-        for (job, resp) in jobs.into_iter().zip(resps) {
-            self.finish(job, resp, done);
-        }
+        job.slot.complete(ControlResponse::Err((&timeout).into()));
     }
 
     /// One worker, bound to one shard. Jobs are taken in sweeps of up to
-    /// `batch_max` per lock acquisition and executed in pop order;
-    /// consecutive batchable jobs within a sweep — plus batchable heads
-    /// swept from the other shards — run as one allocator round, so one
-    /// admission round serves deploys cluster-wide.
+    /// `batch_max` per lock acquisition and executed one by one in pop
+    /// order; every answer is published the moment it exists, so a fast
+    /// response never waits out a slow neighbour (a `Prepare` runs a full
+    /// P&R compile on this thread).
     fn worker_loop(&self, shard: usize) {
         let sweep = self.config.batch_max.max(1);
-        let mut done: CompletionBatch = Vec::with_capacity(sweep);
         while let Some(jobs) = self.shards.shard(shard).pop_many(sweep) {
-            let mut jobs = jobs.into_iter().peekable();
-            while let Some(job) = jobs.next() {
+            for job in jobs {
                 if Instant::now() >= job.deadline {
-                    // Stale in the queue: answered without executing, so
-                    // the rejection provably acquired nothing.
-                    self.expire(job, &mut done);
+                    self.expire(job);
                     continue;
                 }
                 if !self.config.worker_delay.is_zero() {
-                    // Answers already produced must not wait out another
-                    // job's simulated work — deliver before sleeping.
-                    self.flush_completions(&mut done);
                     std::thread::sleep(self.config.worker_delay);
                 }
-                if job.req.is_batchable() && self.config.batch_max > 1 {
-                    // Group the maximal run of consecutive batchable jobs
-                    // (pop order is preserved, so per-session FIFO holds).
-                    let mut batch = vec![job];
-                    while batch.len() < self.config.batch_max
-                        && jobs
-                            .peek()
-                            .is_some_and(|j| j.req.is_batchable() && Instant::now() < j.deadline)
-                    {
-                        batch.push(jobs.next().expect("peeked"));
-                    }
-                    self.run_batch(shard, batch, &mut done);
-                } else {
-                    // A non-batch job can be arbitrarily slow (a Prepare
-                    // runs a full P&R compile on this thread): deliver
-                    // every answer already produced before starting it,
-                    // and its own answer as soon as it exists, so fast
-                    // responses never wait out a slow neighbour's compile.
-                    self.flush_completions(&mut done);
-                    let mut span = self.telemetry().span("service.request");
-                    span.field("endpoint", job.req.endpoint());
-                    span.field("session", job.session);
-                    span.field("shard", shard);
-                    let resp = self.controller.execute(job.req.clone());
-                    self.finish(job, resp, &mut done);
-                    self.flush_completions(&mut done);
-                }
+                self.run(shard, job);
             }
-            // One wakeup pass for the batched tail: every client whose
-            // answer was produced since the last flush is released
-            // together (per-sweep batching only ever spans the cheap
-            // batchable runs; non-batch jobs flush around themselves).
-            self.flush_completions(&mut done);
         }
     }
 }

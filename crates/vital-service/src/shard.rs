@@ -17,12 +17,6 @@
 //!   session's budget or reorders its requests.
 //! * **Bounded memory**: the pin table is pruned of idle sessions once it
 //!   grows past a threshold, so minting sessions forever cannot leak.
-//!
-//! Cross-shard batching: [`ShardSet::pop_batchable_across`] lets a worker
-//! that holds one batchable job sweep *other* shards' batchable heads
-//! into the same allocator round, so sharding does not fragment the
-//! deploy-batching win (each stolen job still respects its own session's
-//! FIFO order — only session heads are taken).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -151,27 +145,6 @@ impl ShardSet {
         }
     }
 
-    /// Sweeps batchable session heads from **other** shards (round-robin
-    /// from `origin + 1`) after the origin shard's own heads are
-    /// exhausted. Returns the jobs and the number of distinct non-origin
-    /// shards that contributed.
-    pub fn pop_batchable_across(&self, origin: usize, max: usize) -> (Vec<Job>, usize) {
-        let mut jobs = self.shards[origin].pop_batchable(max);
-        let mut extra_shards = 0;
-        let n = self.shards.len();
-        for off in 1..n {
-            if jobs.len() >= max {
-                break;
-            }
-            let stolen = self.shards[(origin + off) % n].pop_batchable(max - jobs.len());
-            if !stolen.is_empty() {
-                extra_shards += 1;
-                jobs.extend(stolen);
-            }
-        }
-        (jobs, extra_shards)
-    }
-
     /// Queued jobs across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(FairQueue::len).sum()
@@ -206,13 +179,6 @@ mod tests {
             enqueued: Instant::now(),
             deadline: Instant::now() + Duration::from_secs(60),
             slot: SlotHandle::new(),
-        }
-    }
-
-    fn deploy_job(session: u64) -> Job {
-        Job {
-            req: ControlRequest::deploy("app"),
-            ..job(session)
         }
     }
 
@@ -257,25 +223,6 @@ mod tests {
         assert!(set.shard(1).pop().is_some());
         set.push(job(3), 1)
             .expect("rejection did not poison the pin");
-    }
-
-    #[test]
-    fn cross_shard_sweep_takes_batchable_heads_from_every_shard() {
-        let set = ShardSet::new(4, 400, 100);
-        let mut pushed = 0;
-        for session in 0..12 {
-            set.push(deploy_job(session), 1).unwrap();
-            pushed += 1;
-        }
-        // Find a shard with work and sweep from it.
-        let origin = (0..4).find(|&i| set.shard(i).len() > 0).unwrap();
-        let (jobs, extra) = set.pop_batchable_across(origin, pushed);
-        assert_eq!(jobs.len(), pushed, "sweep reaches every shard");
-        assert!(
-            extra >= 1,
-            "with 12 sessions over 4 shards, others contribute"
-        );
-        assert_eq!(set.len(), 0);
     }
 
     proptest::proptest! {

@@ -8,9 +8,8 @@
 //!   (see [`codec`](crate::codec)). This is the default format; it is
 //!   roughly 2–3× smaller than JSON and parses without text scanning.
 //! * `b'{'` — a **JSON** envelope: the payload is the envelope rendered
-//!   as UTF-8 JSON, byte-compatible with the PR 5 protocol. `vitalctl
-//!   --connect` and any older tooling keep working unchanged; the server
-//!   answers each request in the format it arrived in.
+//!   as UTF-8 JSON (what `vitalctl --connect` speaks); the server answers
+//!   each request in the format it arrived in.
 //!
 //! Each request frame carries a [`RequestEnvelope`] (client-chosen
 //! correlation id plus the [`ControlRequest`]); the service answers with
@@ -22,10 +21,14 @@
 //! refused *before* any allocation, a partial frame (EOF or a slow peer
 //! mid-frame) is a typed error or a "need more bytes" state — never a
 //! panic — and garbage payloads surface as [`ServiceError::Protocol`].
+//! The server reads requests as `IncomingRequest`s, so a well-framed
+//! envelope whose request it cannot parse (an unknown tag, a missing
+//! field) is answered at its id instead of costing the peer its
+//! connection.
 
 use std::io::{Read, Write};
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use vital_runtime::{ControlRequest, ControlResponse};
 
 use crate::codec::{decode_value, encode_value};
@@ -50,7 +53,7 @@ pub enum WireFormat {
     /// Compact tagged binary (length + opcode + payload); the default.
     #[default]
     Binary,
-    /// Length-prefixed JSON, byte-compatible with the PR 5 protocol.
+    /// Length-prefixed JSON text.
     Json,
 }
 
@@ -72,9 +75,28 @@ pub struct ResponseEnvelope {
     pub resp: ControlResponse,
 }
 
-/// An envelope kind that can travel the wire: ties a serializable type to
+/// A request envelope as the server reads it: the id decodes on its own,
+/// so a request that does not parse can still be answered — with a typed
+/// [`ServiceError::Protocol`] — at the id its sender is waiting on.
+pub(crate) struct IncomingRequest {
+    pub id: u64,
+    pub req: Result<ControlRequest, ServiceError>,
+}
+
+impl Deserialize for IncomingRequest {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(IncomingRequest {
+            id: Deserialize::from_value(v.field("id")?)?,
+            req: ControlRequest::from_value(v.field("req")?)
+                .map_err(|e| ServiceError::Protocol(format!("bad request: {e}"))),
+        })
+    }
+}
+
+/// An envelope kind that can travel the wire: ties a decodable type to
 /// its binary opcode so request and response frames cannot be confused.
-pub trait Envelope: Serialize + Deserialize {
+/// Sending one ([`encode_frame`]) also takes [`Serialize`].
+pub trait Envelope: Deserialize {
     /// The opcode identifying this envelope kind on the binary wire.
     const OPCODE: u8;
 }
@@ -87,9 +109,13 @@ impl Envelope for ResponseEnvelope {
     const OPCODE: u8 = OP_RESPONSE;
 }
 
+impl Envelope for IncomingRequest {
+    const OPCODE: u8 = OP_REQUEST;
+}
+
 /// Serializes one envelope into a complete frame (length prefix
 /// included), appended to `out`.
-pub fn encode_frame<T: Envelope>(
+pub fn encode_frame<T: Envelope + Serialize>(
     env: &T,
     format: WireFormat,
     max_frame_bytes: usize,
@@ -120,7 +146,7 @@ pub fn encode_frame<T: Envelope>(
 }
 
 /// Writes one framed envelope to a blocking writer.
-pub fn write_frame<W: Write, T: Envelope>(
+pub fn write_frame<W: Write, T: Envelope + Serialize>(
     w: &mut W,
     env: &T,
     format: WireFormat,
@@ -232,6 +258,12 @@ impl FrameDecoder {
     /// * `Err(_)` — the stream is poisoned (oversized announcement or a
     ///   malformed payload); the connection should be dropped.
     pub fn next_frame<T: Envelope>(&mut self) -> Result<Option<(T, WireFormat)>, ServiceError> {
+        self.next_payload()?.map(decode_payload).transpose()
+    }
+
+    /// Takes the next fully buffered payload off the stream (framing
+    /// only), consuming it whether or not it then decodes.
+    fn next_payload(&mut self) -> Result<Option<&[u8]>, ServiceError> {
         let pending = &self.buf[self.consumed..];
         if pending.len() < 4 {
             return Ok(None);
@@ -246,10 +278,9 @@ impl FrameDecoder {
         if pending.len() < 4 + len {
             return Ok(None);
         }
-        let payload = &pending[4..4 + len];
-        let result = decode_payload(payload);
-        self.consumed += 4 + len;
-        result.map(Some)
+        let start = self.consumed + 4;
+        self.consumed = start + len;
+        Ok(Some(&self.buf[start..start + len]))
     }
 }
 
@@ -319,38 +350,6 @@ mod tests {
                 assert_eq!(back.req, req);
                 assert_eq!(got, format);
             }
-        }
-    }
-
-    /// A policy-less `Migrate` frame from an old client — hand-built JSON
-    /// payload inside the 4-byte length framing — parses as the
-    /// same-geometry fast path.
-    #[test]
-    fn legacy_migrate_frames_parse_without_a_policy() {
-        let payload = "{\"id\":9,\"req\":{\"Migrate\":{\"tenant\":3}}}";
-        let mut buf = (payload.len() as u32).to_be_bytes().to_vec();
-        buf.extend_from_slice(payload.as_bytes());
-        let (env, format): (RequestEnvelope, _) =
-            read_frame(&mut buf.as_slice(), MAX_FRAME_BYTES).unwrap();
-        assert_eq!(format, WireFormat::Json);
-        assert_eq!(
-            env.req,
-            ControlRequest::Migrate {
-                tenant: 3,
-                policy: vital_runtime::MigratePolicy::SameGeometry,
-            }
-        );
-        // Same for the old Suspend/Resume tags.
-        for (tag, want) in [
-            ("Suspend", ControlRequest::Checkpoint { tenant: 3 }),
-            ("Resume", ControlRequest::Restore { tenant: 3 }),
-        ] {
-            let payload = format!("{{\"id\":9,\"req\":{{\"{tag}\":{{\"tenant\":3}}}}}}");
-            let mut buf = (payload.len() as u32).to_be_bytes().to_vec();
-            buf.extend_from_slice(payload.as_bytes());
-            let (env, _): (RequestEnvelope, _) =
-                read_frame(&mut buf.as_slice(), MAX_FRAME_BYTES).unwrap();
-            assert_eq!(env.req, want);
         }
     }
 

@@ -19,7 +19,6 @@
 //! checkpoint export <tenant-id> <file>  # write the portable capsule (local only)
 //! checkpoint import <file>   # restore a portable capsule (local only)
 //! restore  <tenant-id>       # re-admit a checkpointed tenant losslessly
-//! suspend/resume <tenant-id> # legacy aliases for checkpoint/restore
 //! migrate  <tenant-id> [--portable|--auto]  # live-migrate (checkpoint + restore)
 //! defrag                     # migrate spanning tenants onto fewer FPGAs
 //! fail     <fpga>            # crash an FPGA (tenants migrate or die)
@@ -398,7 +397,7 @@ fn main() {
                     continue;
                 }
             },
-            "checkpoint" | "suspend" => match tokens.next() {
+            "checkpoint" => match tokens.next() {
                 Some("export") => {
                     match (parse_tenant(tokens.next()), tokens.next()) {
                         (Some(tenant), Some(path)) => export_checkpoint(&backend, tenant, path),
@@ -421,7 +420,7 @@ fn main() {
                     }
                 },
             },
-            "restore" | "resume" => match parse_tenant(tokens.next()) {
+            "restore" => match parse_tenant(tokens.next()) {
                 Some(tenant) => ControlRequest::Restore { tenant },
                 None => {
                     println!("usage: restore <tenant-id>");

@@ -10,7 +10,9 @@ use vital::compiler::{Compiler, CompilerConfig};
 use vital::fabric::DeviceModel;
 use vital::netlist::hls::{AppSpec, Operator};
 use vital::prelude::*;
-use vital::runtime::{ControlRequest, ControlResponse, MigratePolicy, RuntimeConfig};
+use vital::runtime::{
+    ControlRequest, ControlResponse, DeployRequest, MigratePolicy, RuntimeConfig,
+};
 
 /// A chained accelerator cut across several virtual blocks, so the plan
 /// carries real inter-block channels for the quiesce protocol to drain.
@@ -66,8 +68,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Same geometry: restoring through the portable format must produce
-    /// a tenant whose next capsule is **bit-identical** to the one the
-    /// direct `resume_from` (PR 4) path produces — same digest, same
+    /// a tenant whose next capsule is **bit-identical** to the one a
+    /// direct restore of the raw capsule produces — same digest, same
     /// bytes.
     #[test]
     fn portable_restore_is_bit_identical_to_capsule_restore(
@@ -91,7 +93,9 @@ proptest! {
         // Twin A re-admits the raw capsule; twin B the portable form.
         let twin_a = controller_on(&device, width);
         let twin_b = controller_on(&device, width);
-        twin_a.resume_from(&capsule).unwrap();
+        let readmitted =
+            twin_a.execute(ControlRequest::Deploy(DeployRequest::restore(capsule)));
+        prop_assert!(readmitted.is_ok(), "{:?}", readmitted);
         twin_b.restore_portable(&portable).unwrap();
 
         let recheck_a = suspend_settled(&twin_a, tenant);

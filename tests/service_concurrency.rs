@@ -466,9 +466,7 @@ fn concurrent_deploys_on_a_roomy_cluster_are_never_refused() {
     let baseline = Baseline::capture(&controller);
     let vitald = Vitald::spawn(
         Arc::clone(&controller),
-        ServiceConfig::default()
-            .with_io_threads(1)
-            .with_batch_max(1),
+        ServiceConfig::default().with_io_threads(1),
     );
     let server = ServiceServer::serve(&vitald, "127.0.0.1:0").expect("bind loopback");
     let addr = server.local_addr().to_string();
@@ -499,6 +497,154 @@ fn concurrent_deploys_on_a_roomy_cluster_are_never_refused() {
     for h in handles {
         h.join().expect("remote client thread panicked");
     }
+
+    server.stop();
+    baseline.assert_restored(&controller);
+    vitald.shutdown();
+}
+
+/// Deploys of different sessions execute on their own shards' workers: a
+/// worker never pulls another shard's queued deploy onto itself, so two
+/// deploys in flight at once run on two threads. The interleaving is
+/// forced: both shards' workers are parked inside the app resolver, a
+/// deploy is queued behind each, and the workers are released one at a
+/// time.
+#[test]
+fn deploys_of_different_sessions_execute_on_different_workers() {
+    use std::collections::HashMap;
+    use std::sync::{mpsc, Mutex};
+    use vital::telemetry::{FieldValue, Telemetry};
+
+    let telemetry = Telemetry::recording();
+    let controller =
+        SystemController::new(RuntimeConfig::paper_cluster()).with_telemetry(telemetry.clone());
+    for bs in bitstreams() {
+        controller.register(bs.clone()).unwrap();
+    }
+    // The resolver parks each `Prepare` until the test releases its app.
+    let (entered_tx, entered) = mpsc::channel::<String>();
+    let mut release = HashMap::new();
+    let mut parked = HashMap::new();
+    for app in ["park-a", "park-b"] {
+        let (tx, rx) = mpsc::channel::<()>();
+        release.insert(app, tx);
+        parked.insert(app.to_string(), rx);
+    }
+    let (entered_tx, parked) = (Mutex::new(entered_tx), Mutex::new(parked));
+    controller.set_app_resolver(Box::new(move |name: &str| {
+        entered_tx.lock().unwrap().send(name.to_string()).unwrap();
+        let gate = parked.lock().unwrap().remove(name).expect("parks once");
+        let _ = gate.recv();
+        Err(vital::runtime::RuntimeError::UnknownApp(name.to_string()))
+    }));
+    let vitald = Vitald::spawn(Arc::new(controller), ServiceConfig::default());
+    // Declared after the daemon, so dropped before it: a failed assert
+    // below unparks the workers instead of deadlocking the daemon's drop.
+    let release = release;
+
+    // The shard each executed request of a session ran on, per endpoint.
+    let shards_of = |session: u64, endpoint: &str| -> Vec<u64> {
+        let field = |r: &vital::telemetry::TraceRecord, key: &str| {
+            r.fields
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.clone())
+        };
+        telemetry
+            .records()
+            .iter()
+            .filter(|r| r.name == "service.request")
+            .filter(|r| field(r, "session") == Some(FieldValue::U64(session)))
+            .filter(|r| field(r, "endpoint") == Some(FieldValue::Str(endpoint.to_string())))
+            .map(|r| match field(r, "shard") {
+                Some(FieldValue::U64(shard)) => shard,
+                other => panic!("service.request span without a shard: {other:?}"),
+            })
+            .collect()
+    };
+    // Two sessions pinned to different shards (placement is per session;
+    // a probe request reveals it).
+    let home_of = |client: &vital::service::ServiceClient| {
+        assert!(client.call(ControlRequest::Status).is_ok());
+        shards_of(client.session(), "status")[0]
+    };
+    let a = vitald.client();
+    let home_a = home_of(&a);
+    let (b, home_b) = (0..64)
+        .map(|_| vitald.client())
+        .map(|client| {
+            let home = home_of(&client);
+            (client, home)
+        })
+        .find(|(_, home)| *home != home_a)
+        .expect("64 sessions over 4 shards do not all share one");
+
+    // Park both workers, then queue a deploy behind each.
+    let prepare_a = a
+        .submit(ControlRequest::Prepare {
+            app: "park-a".into(),
+        })
+        .unwrap();
+    let prepare_b = b
+        .submit(ControlRequest::Prepare {
+            app: "park-b".into(),
+        })
+        .unwrap();
+    let mut entered_apps = vec![entered.recv().unwrap(), entered.recv().unwrap()];
+    entered_apps.sort();
+    assert_eq!(entered_apps, ["park-a", "park-b"]);
+    let deploy_a = a.submit(ControlRequest::deploy("small")).unwrap();
+    let deploy_b = b.submit(ControlRequest::deploy("small")).unwrap();
+
+    // Release A's worker only: it runs A's deploy and leaves B's queued.
+    release["park-a"].send(()).unwrap();
+    assert!(!prepare_a.wait().is_ok());
+    assert!(matches!(deploy_a.wait(), ControlResponse::Deployed(_)));
+    assert!(deploy_b.poll().is_none(), "B's deploy ran on A's worker");
+    assert_eq!(vitald.controller().live_tenants().len(), 1);
+
+    release["park-b"].send(()).unwrap();
+    assert!(!prepare_b.wait().is_ok());
+    assert!(matches!(deploy_b.wait(), ControlResponse::Deployed(_)));
+    assert_eq!(shards_of(a.session(), "deploy"), [home_a]);
+    assert_eq!(shards_of(b.session(), "deploy"), [home_b]);
+    vitald.shutdown();
+}
+
+/// A checkpointed tenant can be discarded: `Undeploy` of a parked tenant
+/// drops its capsule and answers `Undeployed`, over the wire as in
+/// process, and `Status` stops listing it as suspended.
+#[test]
+fn undeploy_over_tcp_discards_a_parked_capsule() {
+    let controller = controller();
+    let baseline = Baseline::capture(&controller);
+    let vitald = Vitald::spawn(Arc::clone(&controller), ServiceConfig::default());
+    let server = ServiceServer::serve(&vitald, "127.0.0.1:0").expect("bind loopback");
+    let remote = RemoteClient::connect(&server.local_addr().to_string()).expect("connect");
+    let suspended = |remote: &RemoteClient| match remote.call(ControlRequest::Status) {
+        Ok(ControlResponse::Status(s)) => s.suspended_tenants,
+        other => panic!("unexpected status answer: {other:?}"),
+    };
+
+    let tenant = match remote
+        .call(ControlRequest::deploy("small"))
+        .expect("wire call")
+    {
+        ControlResponse::Deployed(s) => s.tenant,
+        other => panic!("unexpected deploy answer: {other:?}"),
+    };
+    let parked = remote.call(ControlRequest::Checkpoint { tenant });
+    assert!(matches!(parked, Ok(ControlResponse::Suspended(_))));
+    assert_eq!(suspended(&remote), [tenant]);
+
+    let resp = remote.call(ControlRequest::Undeploy { tenant });
+    assert_eq!(resp, Ok(ControlResponse::Undeployed { tenant }));
+    assert!(suspended(&remote).is_empty(), "the capsule was dropped");
+    let code = |resp: ControlResponse| resp.err().map(|e| e.code);
+    let restore = remote.call(ControlRequest::Restore { tenant }).unwrap();
+    assert_eq!(code(restore), Some(ErrorCode::NotSuspended));
+    let again = remote.call(ControlRequest::Undeploy { tenant }).unwrap();
+    assert_eq!(code(again), Some(ErrorCode::UnknownTenant));
 
     server.stop();
     baseline.assert_restored(&controller);
