@@ -7,9 +7,9 @@ use vital_fabric::BlockAddr;
 
 use crate::RequestId;
 
-/// Errors raised when a scheduling policy returns an invalid deployment.
-/// These indicate a policy bug, so the simulator surfaces them instead of
-/// silently repairing the decision.
+/// Errors raised when a run's inputs are unusable or a scheduling policy
+/// returns an invalid deployment. The latter indicate a policy bug, so the
+/// simulator surfaces them instead of silently repairing the decision.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ClusterError {
@@ -50,6 +50,16 @@ pub enum ClusterError {
     /// a misconfigured fault scenario fails loudly instead of silently
     /// testing nothing.
     InvalidFault(String),
+    /// A request's numbers are unusable: a non-finite or negative arrival
+    /// time or amount of work, or a non-finite throughput or communication
+    /// intensity. Requests are checked before the first event fires, so a
+    /// malformed trace fails here instead of as NaN timestamps in a report.
+    InvalidRequest {
+        /// The offending request.
+        request: RequestId,
+        /// Which field, and the value it held.
+        reason: String,
+    },
 }
 
 impl fmt::Display for ClusterError {
@@ -76,6 +86,9 @@ impl fmt::Display for ClusterError {
             ClusterError::InvalidFault(reason) => {
                 write!(f, "invalid fault plan: {reason}")
             }
+            ClusterError::InvalidRequest { request, reason } => {
+                write!(f, "invalid request {request}: {reason}")
+            }
         }
     }
 }
@@ -86,15 +99,16 @@ impl ClusterError {
     /// The stable control-plane code of this error (shared taxonomy, see
     /// [`vital_interface::ErrorCode`]). Every simulator error indicates a
     /// policy handing back an invalid deployment — [`ErrorCode::PolicyBug`]
-    /// — except [`ClusterError::InvalidLayout`] and
-    /// [`ClusterError::InvalidFault`], which are configuration problems.
+    /// — except [`ClusterError::InvalidLayout`],
+    /// [`ClusterError::InvalidFault`] and [`ClusterError::InvalidRequest`],
+    /// which are problems with the run's inputs.
     ///
     /// [`ErrorCode::PolicyBug`]: vital_interface::ErrorCode::PolicyBug
     pub fn code(&self) -> vital_interface::ErrorCode {
         match self {
-            ClusterError::InvalidLayout(_) | ClusterError::InvalidFault(_) => {
-                vital_interface::ErrorCode::InvalidConfig
-            }
+            ClusterError::InvalidLayout(_)
+            | ClusterError::InvalidFault(_)
+            | ClusterError::InvalidRequest { .. } => vital_interface::ErrorCode::InvalidConfig,
             _ => vital_interface::ErrorCode::PolicyBug,
         }
     }
@@ -134,6 +148,12 @@ mod tests {
             ClusterError::InvalidFault("fpga 9 out of range".into()).code(),
             ErrorCode::InvalidConfig
         );
+        let bad_request = ClusterError::InvalidRequest {
+            request: RequestId(2),
+            reason: "arrival_s is NaN".into(),
+        };
+        assert_eq!(bad_request.code(), ErrorCode::InvalidConfig);
+        assert!(bad_request.to_string().contains("req2"), "{bad_request}");
         let api = vital_interface::ApiError::from(&ClusterError::InsufficientBlocks {
             request: RequestId(3),
             allocated: 1,

@@ -68,7 +68,7 @@ pub use error::ClusterError;
 pub use metrics::{CompileMetrics, FailedOutcome, RequestOutcome, SimReport};
 pub use request::{AppRequest, RequestId};
 pub use ring::RingNetwork;
-pub use sim::ClusterSim;
+pub use sim::{ClusterSim, INSTRUCTION_SWITCH_S};
 pub use state::{
     ClusterConfig, ClusterView, Deployment, FaultEvent, FaultPlan, InstanceId, PendingRequest,
     ReconfigKind, RetryPolicy, Scheduler,

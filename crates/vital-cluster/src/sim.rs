@@ -1,93 +1,43 @@
 //! The discrete-event engine.
+//!
+//! A run is a queue of timed events ([`queue`]) drained by a state machine
+//! ([`run`]) with one handler per event kind. What the order of events
+//! guarantees:
+//!
+//! * events fire in `(time, insertion sequence)` order — `f64::total_cmp`
+//!   on seconds, then first pushed, first popped — which is a total order,
+//!   so a run is a function of its inputs and of nothing else;
+//! * the queue is seeded with the arrivals (sorted by arrival time, ties in
+//!   input order), then the fault plan's events in plan order: at the same
+//!   instant an arrival is queued before a fault hits;
+//! * when a deployment finishes its `Complete` is pushed before its
+//!   `Quantum`, and a full-device pause re-arms the co-runners'
+//!   `Complete`s before the newcomer's `DeployDone`;
+//! * every table a handler walks is indexed or id-ordered: fault victims
+//!   are evicted, and paused co-runners re-armed, in ascending
+//!   [`InstanceId`](crate::InstanceId) (placement order). No hash-ordered
+//!   container exists in this crate (`tests/no_hash_order.rs` scans for
+//!   one), so a faulted run repeats byte for byte like a fault-free one.
+//!
+//! Time stays `f64` seconds: rounding to integer ticks would move every
+//! reported timestamp, and the order above is already total.
 
-use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap};
+mod queue;
+mod run;
 
-use vital_fabric::BlockAddr;
+use vital_fabric::{BlockAddr, FpgaId};
 use vital_telemetry::Telemetry;
 
 use crate::{
-    AppRequest, ClusterConfig, ClusterError, ClusterView, Deployment, FailedOutcome, FaultEvent,
-    FaultPlan, InstanceId, PendingRequest, ReconfigKind, RequestOutcome, Scheduler, SimReport,
+    AppRequest, ClusterConfig, ClusterError, ClusterView, Deployment, FaultEvent, FaultPlan,
+    ReconfigKind, Scheduler, SimReport,
 };
 
-/// Converts sim seconds to the microsecond timeline the telemetry
-/// timeline uses. Sim time is non-negative and finite — debug builds
-/// enforce the contract instead of silently saturating the cast.
-fn sim_us(t: f64) -> u64 {
-    debug_assert!(
-        t.is_finite() && t >= 0.0,
-        "sim time must be non-negative and finite, got {t}"
-    );
-    (t * 1e6).round() as u64
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum EventKind {
-    Arrival(usize),
-    DeployDone(InstanceId),
-    Complete(InstanceId, u32),
-    FpgaFail(usize),
-    FpgaRepair(usize),
-    LinkDown(usize),
-    LinkUp(usize),
-    /// A backoff expired: re-queue the request at this index.
-    Requeue(usize),
-    /// A time-slice quantum expired for an instance (generation-stamped,
-    /// like [`EventKind::Complete`], so evictions and pauses cancel it).
-    Quantum(InstanceId, u32),
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Event {
-    t: f64,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.t == other.t && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse order: BinaryHeap is a max-heap, we need earliest-first.
-        other
-            .t
-            .total_cmp(&self.t)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Instance {
-    request_idx: usize,
-    blocks: Vec<BlockAddr>,
-    scheduled_s: f64,
-    exec_start_s: f64,
-    completion_s: f64,
-    service_s: f64,
-    /// What a full run of the request would take under this placement —
-    /// the denominator for progress accounting when a time-slice quantum
-    /// swaps the instance out mid-run (`service_s` holds only the
-    /// *remaining* portion assigned to this stint).
-    full_service_s: f64,
-    interface_overhead_fraction: f64,
-    /// Primary FPGA and worst ring distance at schedule time — used to
-    /// decide whether a later link failure cuts this instance's traffic.
-    primary_fpga: u32,
-    ring_hops: usize,
-    generation: u32,
-    running: bool,
-}
+/// Time to repoint one template compute tile at another tenant's
+/// instruction stream: drain the in-flight instruction block and swap the
+/// stream pointer. What a [`ReconfigKind::Instruction`] deployment pays per
+/// block, and the value of `vital_isa::TILE_SWITCH_S`.
+pub const INSTRUCTION_SWITCH_S: f64 = 10.0e-6;
 
 /// Execution-time model output for one deployment.
 struct ServiceModel {
@@ -97,123 +47,17 @@ struct ServiceModel {
     max_hops: usize,
 }
 
-/// Kills `victims`, frees their blocks, and decides each victim's fate
-/// under `retry`: terminal failure, immediate re-queue, or a deferred
-/// re-queue returned as `(fire_at_s, request_idx)` pairs for the caller to
-/// schedule (the event queue cannot be borrowed here).
-///
-/// With `checkpoint` set ([`crate::FaultPlan::with_portable_checkpoints`])
-/// each running victim is suspended through the runtime's
-/// portable-checkpoint path first: its progress moves into
-/// `remaining`/`executed`, the re-queued request carries only the
-/// remainder, and nothing counts as wasted.
-#[allow(clippy::too_many_arguments)]
-fn evict_victims(
-    victims: Vec<InstanceId>,
-    now: f64,
-    requests: &[AppRequest],
-    retry: &crate::RetryPolicy,
-    checkpoint: bool,
-    instances: &mut HashMap<InstanceId, Instance>,
-    view: &mut ClusterView,
-    pending: &mut Vec<PendingRequest>,
-    restarts: &mut HashMap<crate::RequestId, u32>,
-    remaining: &mut HashMap<crate::RequestId, f64>,
-    executed: &mut HashMap<crate::RequestId, f64>,
-    failed: &mut Vec<FailedOutcome>,
-    running_apps: &mut usize,
-    busy_blocks: &mut usize,
-    needed_blocks: &mut usize,
-    interrupted_jobs: &mut u64,
-    wasted_block_s: &mut f64,
-    telemetry: &Telemetry,
-) -> Vec<(f64, usize)> {
-    let mut requeues = Vec::new();
-    for id in victims {
-        // Invariant: `victims` was collected from `instances` under the same
-        // borrow and contains each id at most once, so removal succeeds.
-        let Some(inst) = instances.remove(&id) else {
-            debug_assert!(
-                false,
-                "eviction victim {id:?} missing from the instance table"
-            );
-            continue;
-        };
-        if inst.running {
-            *running_apps -= 1;
-        }
-        for &b in &inst.blocks {
-            view.vacate(b);
-        }
-        *busy_blocks -= inst.blocks.len();
-        let req = &requests[inst.request_idx];
-        *needed_blocks -= req.blocks_needed as usize;
-        *interrupted_jobs += 1;
-        if checkpoint && inst.running {
-            // Portable checkpoint at the eviction boundary: the stint's
-            // progress survives, so the time spent is banked rather than
-            // wasted and the request re-queues with only the remainder.
-            let ran = now - inst.exec_start_s;
-            let done = (ran / inst.full_service_s.max(f64::MIN_POSITIVE)).clamp(0.0, 1.0);
-            let rem = remaining.entry(req.id).or_insert(1.0);
-            *rem = (*rem - done).max(0.0);
-            *executed.entry(req.id).or_insert(0.0) += ran;
-            telemetry.event_at(
-                sim_us(now),
-                "sim.checkpoint",
-                &[
-                    ("request", req.id.0.into()),
-                    ("remaining_fraction", (*rem).into()),
-                ],
-            );
-            telemetry.inc_counter("sim.checkpoints", 1);
-        } else {
-            // No checkpoint (or the victim never started executing): the
-            // partial run is lost.
-            *wasted_block_s += inst.blocks.len() as f64 * (now - inst.scheduled_s);
-        }
-        let evictions = restarts.entry(req.id).or_insert(0);
-        *evictions += 1;
-        // The attempt just interrupted is eviction number `evictions`.
-        let attempts = *evictions;
-        telemetry.event_at(
-            sim_us(now),
-            "sim.eviction",
-            &[
-                ("request", req.id.0.into()),
-                ("attempts", attempts.into()),
-                ("blocks_freed", inst.blocks.len().into()),
-            ],
-        );
-        telemetry.inc_counter("sim.evictions", 1);
-        if retry.gives_up_after(attempts) {
-            telemetry.event_at(
-                sim_us(now),
-                "sim.request_failed",
-                &[("request", req.id.0.into()), ("attempts", attempts.into())],
-            );
-            telemetry.inc_counter("sim.request_failures", 1);
-            failed.push(FailedOutcome {
-                id: req.id,
-                name: req.name.clone(),
-                arrival_s: req.arrival_s,
-                failed_s: now,
-                attempts,
-                blocks_needed: req.blocks_needed,
-            });
-        } else {
-            let backoff = retry.backoff_s(attempts);
-            if backoff > 0.0 {
-                requeues.push((now + backoff, inst.request_idx));
-            } else {
-                pending.push(PendingRequest {
-                    request: req.clone(),
-                    arrived_s: now,
-                });
-            }
+/// Blocks per FPGA, as `(fpga, count)` in ascending FPGA order.
+fn blocks_per_fpga(blocks: &[BlockAddr]) -> Vec<(u32, usize)> {
+    let mut tally: Vec<(u32, usize)> = Vec::new();
+    for b in blocks {
+        let fpga = b.fpga.index();
+        match tally.binary_search_by_key(&fpga, |&(f, _)| f) {
+            Ok(i) => tally[i].1 += 1,
+            Err(i) => tally.insert(i, (fpga, 1)),
         }
     }
-    requeues
+    tally
 }
 
 /// The discrete-event cluster simulator.
@@ -336,12 +180,13 @@ impl ClusterSim {
     ///
     /// # Panics
     ///
-    /// Panics if the policy returns an invalid deployment (see
-    /// [`ClusterError`]) — that is a bug in the policy, not a runtime
-    /// condition. Use [`ClusterSim::try_run`] to handle it as an error.
+    /// Panics if the policy returns an invalid deployment — a bug in the
+    /// policy, not a runtime condition — or a request is malformed (see
+    /// [`ClusterError`]). Use [`ClusterSim::try_run`] to handle either as
+    /// an error.
     pub fn run(&self, policy: &mut dyn Scheduler, requests: Vec<AppRequest>) -> SimReport {
         self.try_run(policy, requests)
-            .unwrap_or_else(|e| panic!("scheduling policy returned an invalid deployment: {e}"))
+            .unwrap_or_else(|e| panic!("cluster simulation failed: {e}"))
     }
 
     /// Like [`ClusterSim::run`] under a scripted [`FaultPlan`]: FPGA
@@ -353,7 +198,8 @@ impl ClusterSim {
     ///
     /// # Panics
     ///
-    /// Panics on invalid policy deployments, like [`ClusterSim::run`].
+    /// Panics on invalid policy deployments and malformed inputs, like
+    /// [`ClusterSim::run`].
     pub fn run_with_plan(
         &self,
         policy: &mut dyn Scheduler,
@@ -361,14 +207,17 @@ impl ClusterSim {
         plan: &FaultPlan,
     ) -> SimReport {
         self.try_run_with_plan(policy, requests, plan)
-            .unwrap_or_else(|e| panic!("scheduling policy returned an invalid deployment: {e}"))
+            .unwrap_or_else(|e| panic!("cluster simulation failed: {e}"))
     }
 
-    /// Like [`ClusterSim::run`], surfacing policy bugs as errors.
+    /// Like [`ClusterSim::run`], surfacing policy bugs and malformed
+    /// requests as errors.
     ///
     /// # Errors
     ///
-    /// Returns a [`ClusterError`] describing the first invalid deployment.
+    /// Returns [`ClusterError::InvalidRequest`] for the first malformed
+    /// request, else a [`ClusterError`] describing the first invalid
+    /// deployment.
     pub fn try_run(
         &self,
         policy: &mut dyn Scheduler,
@@ -381,513 +230,22 @@ impl ClusterSim {
     ///
     /// # Errors
     ///
-    /// Returns a [`ClusterError`] describing the first invalid deployment.
+    /// Returns [`ClusterError::InvalidRequest`] or
+    /// [`ClusterError::InvalidFault`] for the first malformed request or
+    /// plan event (both are checked before anything runs), else a
+    /// [`ClusterError`] describing the first invalid deployment.
     pub fn try_run_with_plan(
         &self,
         policy: &mut dyn Scheduler,
-        mut requests: Vec<AppRequest>,
+        requests: Vec<AppRequest>,
         plan: &FaultPlan,
     ) -> Result<SimReport, ClusterError> {
-        requests.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
-        let mut events = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut push = |events: &mut BinaryHeap<Event>, t: f64, kind: EventKind| {
-            events.push(Event { t, seq, kind });
-            seq += 1;
-        };
-        for (i, r) in requests.iter().enumerate() {
-            push(&mut events, r.arrival_s, EventKind::Arrival(i));
-        }
-        // Validate the whole plan up front: out-of-range indices used to be
-        // silently swallowed downstream, so a misconfigured fault scenario
-        // tested nothing.
+        // Validate the inputs up front: they arrive from outside (traces
+        // and plans are `Deserialize`), and a bad index or a NaN time used
+        // to be swallowed or to poison every later timestamp.
+        validate_requests(&requests)?;
         self.validate_plan(plan)?;
-        for ev in &plan.events {
-            let kind = match *ev {
-                FaultEvent::FpgaCrash { fpga, .. } => EventKind::FpgaFail(fpga as usize),
-                FaultEvent::FpgaRecover { fpga, .. } => EventKind::FpgaRepair(fpga as usize),
-                FaultEvent::RingLinkDown { link, .. } => EventKind::LinkDown(link as usize),
-                FaultEvent::RingLinkUp { link, .. } => EventKind::LinkUp(link as usize),
-            };
-            push(&mut events, ev.at_s(), kind);
-        }
-        let retry = plan.retry;
-        let checkpoint_evictions = plan.portable_checkpoints;
-        let mut restarts: HashMap<crate::RequestId, u32> = HashMap::new();
-        let mut failed: Vec<FailedOutcome> = Vec::new();
-        let mut interrupted_jobs = 0u64;
-        let mut wasted_block_s = 0.0f64;
-
-        // Time-slice mode (declared by the policy): fraction of each
-        // request's work still outstanding, execution time already banked
-        // across earlier stints, and the swap accounting.
-        let quantum = policy.quantum_s().filter(|q| q.is_finite() && *q > 0.0);
-        let mut remaining: HashMap<crate::RequestId, f64> = HashMap::new();
-        let mut executed: HashMap<crate::RequestId, f64> = HashMap::new();
-        let mut preemptions = 0u64;
-        let mut swap_reconfig_s = 0.0f64;
-        // First time each request was granted resources (time-sliced runs
-        // only): a preempted tenant's later stints are swaps, not waits, so
-        // its outcome reports the original admission.
-        let mut admitted_s: HashMap<crate::RequestId, f64> = HashMap::new();
-
-        let mut view = ClusterView::with_topology(self.config, &self.layout, self.topology.clone());
-        let mut pending: Vec<PendingRequest> = Vec::new();
-        let mut instances: HashMap<InstanceId, Instance> = HashMap::new();
-        let mut next_instance = 0u64;
-        let mut outcomes: Vec<RequestOutcome> = Vec::new();
-        // Request id -> input index, so applying a deployment is O(1)
-        // instead of an O(requests) scan (first occurrence wins, matching
-        // the linear scan this replaces).
-        let mut req_index: HashMap<crate::RequestId, usize> = HashMap::new();
-        for (i, r) in requests.iter().enumerate() {
-            req_index.entry(r.id).or_insert(i);
-        }
-
-        // Utilization / concurrency integrals.
-        let mut last_t = 0.0f64;
-        let mut busy_blocks = 0usize;
-        let mut needed_blocks = 0usize;
-        let mut running_apps = 0usize;
-        let mut busy_integral = 0.0f64;
-        let mut needed_integral = 0.0f64;
-        let mut conc_integral = 0.0f64;
-        let mut peak_concurrency = 0usize;
-        let mut active_time = 0.0f64;
-        let mut pressured_time = 0.0f64;
-        let mut pressured_busy_integral = 0.0f64;
-        let mut was_pending = false;
-
-        while let Some(ev) = events.pop() {
-            let now = ev.t;
-            // Advance the integrals.
-            let dt = now - last_t;
-            if dt > 0.0 {
-                busy_integral += dt * busy_blocks as f64;
-                needed_integral += dt * needed_blocks as f64;
-                conc_integral += dt * running_apps as f64;
-                if busy_blocks > 0 {
-                    active_time += dt;
-                }
-                if was_pending {
-                    pressured_time += dt;
-                    pressured_busy_integral += dt * busy_blocks as f64;
-                }
-                last_t = now;
-            }
-            view.set_now(now);
-
-            match ev.kind {
-                EventKind::Arrival(idx) => {
-                    self.telemetry.event_at(
-                        sim_us(now),
-                        "sim.arrival",
-                        &[
-                            ("request", requests[idx].id.0.into()),
-                            ("blocks_needed", requests[idx].blocks_needed.into()),
-                        ],
-                    );
-                    self.telemetry.inc_counter("sim.arrivals", 1);
-                    pending.push(PendingRequest {
-                        request: requests[idx].clone(),
-                        arrived_s: now,
-                    });
-                }
-                EventKind::DeployDone(id) => {
-                    // The instance may have been killed by a fault while its
-                    // reconfiguration was in flight.
-                    let Some(inst) = instances.get_mut(&id) else {
-                        continue;
-                    };
-                    self.telemetry.event_at(
-                        sim_us(now),
-                        "sim.exec_start",
-                        &[("request", requests[inst.request_idx].id.0.into())],
-                    );
-                    inst.exec_start_s = now;
-                    inst.completion_s = now + inst.service_s;
-                    inst.running = true;
-                    running_apps += 1;
-                    peak_concurrency = peak_concurrency.max(running_apps);
-                    let gen = inst.generation;
-                    let t = inst.completion_s;
-                    push(&mut events, t, EventKind::Complete(id, gen));
-                    if let Some(q) = quantum {
-                        push(&mut events, now + q, EventKind::Quantum(id, gen));
-                    }
-                    // Deployment finishing does not free resources, so the
-                    // scheduler is not re-invoked here.
-                    continue;
-                }
-                EventKind::Complete(id, gen) => {
-                    // A completion is stale if the instance was evicted or
-                    // its deadline moved (generation bump); remove-and-check
-                    // in one step so no panicking unwrap is needed.
-                    let inst = match instances.entry(id) {
-                        Entry::Occupied(e) if e.get().generation == gen => e.remove(),
-                        _ => continue,
-                    };
-                    running_apps -= 1;
-                    for &b in &inst.blocks {
-                        view.vacate(b);
-                    }
-                    busy_blocks -= inst.blocks.len();
-                    let req = &requests[inst.request_idx];
-                    needed_blocks -= req.blocks_needed as usize;
-                    let mut fpgas: Vec<_> = inst.blocks.iter().map(|b| b.fpga).collect();
-                    fpgas.sort_unstable();
-                    fpgas.dedup();
-                    // Execution time banked in earlier time-slice stints
-                    // (zero outside preemptive runs) plus the final stint.
-                    let service_s =
-                        executed.get(&req.id).copied().unwrap_or(0.0) + (now - inst.exec_start_s);
-                    self.telemetry.event_at(
-                        sim_us(now),
-                        "sim.completion",
-                        &[
-                            ("request", req.id.0.into()),
-                            ("service_s", service_s.into()),
-                            ("fpgas_used", fpgas.len().into()),
-                        ],
-                    );
-                    self.telemetry.inc_counter("sim.completions", 1);
-                    outcomes.push(RequestOutcome {
-                        id: req.id,
-                        name: req.name.clone(),
-                        arrival_s: req.arrival_s,
-                        scheduled_s: admitted_s.get(&req.id).copied().unwrap_or(inst.scheduled_s),
-                        exec_start_s: inst.exec_start_s,
-                        completion_s: now,
-                        service_s,
-                        blocks_needed: req.blocks_needed,
-                        blocks_allocated: inst.blocks.len() as u32,
-                        fpgas_used: fpgas.len() as u32,
-                        interface_overhead_fraction: inst.interface_overhead_fraction,
-                        restarts: restarts.get(&req.id).copied().unwrap_or(0),
-                    });
-                }
-                EventKind::FpgaFail(fpga) => {
-                    self.telemetry
-                        .event_at(sim_us(now), "sim.fpga_fail", &[("fpga", fpga.into())]);
-                    self.telemetry.inc_counter("sim.fpga_failures", 1);
-                    view.set_offline(fpga, true);
-                    // Kill every instance touching the failed device and
-                    // re-queue its request; its blocks everywhere are freed.
-                    let victims: Vec<InstanceId> = instances
-                        .iter()
-                        .filter(|(_, inst)| {
-                            inst.blocks.iter().any(|b| b.fpga.index() as usize == fpga)
-                        })
-                        .map(|(&id, _)| id)
-                        .collect();
-                    let requeues = evict_victims(
-                        victims,
-                        now,
-                        &requests,
-                        &retry,
-                        checkpoint_evictions,
-                        &mut instances,
-                        &mut view,
-                        &mut pending,
-                        &mut restarts,
-                        &mut remaining,
-                        &mut executed,
-                        &mut failed,
-                        &mut running_apps,
-                        &mut busy_blocks,
-                        &mut needed_blocks,
-                        &mut interrupted_jobs,
-                        &mut wasted_block_s,
-                        &self.telemetry,
-                    );
-                    for (t, idx) in requeues {
-                        push(&mut events, t, EventKind::Requeue(idx));
-                    }
-                }
-                EventKind::FpgaRepair(fpga) => {
-                    self.telemetry.event_at(
-                        sim_us(now),
-                        "sim.fpga_repair",
-                        &[("fpga", fpga.into())],
-                    );
-                    view.set_offline(fpga, false);
-                }
-                EventKind::LinkDown(link) => {
-                    self.telemetry
-                        .event_at(sim_us(now), "sim.link_down", &[("link", link.into())]);
-                    view.set_link(link, true);
-                    // A spanning instance whose traffic can no longer take
-                    // the path it was scheduled on loses its connection
-                    // mid-stream: evict it like a device failure. Instances
-                    // whose worst hop distance is unchanged keep running.
-                    let down = view.down_links();
-                    let victims: Vec<InstanceId> = instances
-                        .iter()
-                        .filter(|(_, inst)| {
-                            let fpgas = inst.blocks.iter().map(|b| b.fpga);
-                            self.topology.max_hops_from_avoiding(
-                                vital_fabric::FpgaId::new(inst.primary_fpga),
-                                fpgas,
-                                &down,
-                            ) != Some(inst.ring_hops)
-                        })
-                        .map(|(&id, _)| id)
-                        .collect();
-                    let requeues = evict_victims(
-                        victims,
-                        now,
-                        &requests,
-                        &retry,
-                        checkpoint_evictions,
-                        &mut instances,
-                        &mut view,
-                        &mut pending,
-                        &mut restarts,
-                        &mut remaining,
-                        &mut executed,
-                        &mut failed,
-                        &mut running_apps,
-                        &mut busy_blocks,
-                        &mut needed_blocks,
-                        &mut interrupted_jobs,
-                        &mut wasted_block_s,
-                        &self.telemetry,
-                    );
-                    for (t, idx) in requeues {
-                        push(&mut events, t, EventKind::Requeue(idx));
-                    }
-                }
-                EventKind::LinkUp(link) => {
-                    self.telemetry
-                        .event_at(sim_us(now), "sim.link_up", &[("link", link.into())]);
-                    view.set_link(link, false);
-                }
-                EventKind::Requeue(idx) => {
-                    self.telemetry.event_at(
-                        sim_us(now),
-                        "sim.requeue",
-                        &[("request", requests[idx].id.0.into())],
-                    );
-                    self.telemetry.inc_counter("sim.requeues", 1);
-                    pending.push(PendingRequest {
-                        request: requests[idx].clone(),
-                        arrived_s: now,
-                    });
-                }
-                EventKind::Quantum(id, gen) => {
-                    // Stale if the instance completed, was evicted, or had
-                    // its deadline moved (generation bump).
-                    let live = instances
-                        .get(&id)
-                        .is_some_and(|inst| inst.generation == gen && inst.running);
-                    let Some(q) = quantum else { continue };
-                    if !live {
-                        continue;
-                    }
-                    if pending.is_empty() {
-                        // Nobody is waiting: the tenant keeps the fabric
-                        // and the timer re-arms one quantum out.
-                        push(&mut events, now + q, EventKind::Quantum(id, gen));
-                        continue;
-                    }
-                    // Swap the tenant out. Its progress survives (the
-                    // runtime quiesces channels and checkpoints DRAM at
-                    // this boundary), so — unlike a fault eviction — the
-                    // request re-queues with only its remaining work and
-                    // nothing counts as wasted.
-                    let inst = instances
-                        .remove(&id)
-                        .expect("liveness was checked under the same borrow");
-                    running_apps -= 1;
-                    for &b in &inst.blocks {
-                        view.vacate(b);
-                    }
-                    busy_blocks -= inst.blocks.len();
-                    let req = &requests[inst.request_idx];
-                    needed_blocks -= req.blocks_needed as usize;
-                    let ran = now - inst.exec_start_s;
-                    let done = (ran / inst.full_service_s.max(f64::MIN_POSITIVE)).clamp(0.0, 1.0);
-                    let rem = remaining.entry(req.id).or_insert(1.0);
-                    *rem = (*rem - done).max(0.0);
-                    *executed.entry(req.id).or_insert(0.0) += ran;
-                    preemptions += 1;
-                    self.telemetry.event_at(
-                        sim_us(now),
-                        "sim.preempt",
-                        &[
-                            ("request", req.id.0.into()),
-                            ("remaining_fraction", (*rem).into()),
-                            ("blocks_freed", inst.blocks.len().into()),
-                        ],
-                    );
-                    self.telemetry.inc_counter("sim.preemptions", 1);
-                    pending.push(PendingRequest {
-                        request: req.clone(),
-                        arrived_s: now,
-                    });
-                }
-            }
-
-            // Resources or queue changed: let the policy act until it has
-            // nothing more to deploy. An empty queue short-circuits — at
-            // datacenter scale most events leave nothing to schedule.
-            while !pending.is_empty() {
-                let decisions = policy.schedule(&view, &pending);
-                if decisions.is_empty() {
-                    break;
-                }
-                for d in decisions {
-                    let pi = pending
-                        .iter()
-                        .position(|p| p.request.id == d.request)
-                        .ok_or(ClusterError::NotPending(d.request))?;
-                    self.validate(&view, &pending[pi].request, &d)?;
-                    // Invariant: every PendingRequest is cloned from
-                    // `requests` (arrivals and requeues alike), so its id
-                    // always resolves to an input index. Skip the decision
-                    // (leaving the request pending) rather than panic if the
-                    // invariant is ever broken.
-                    let Some(req_idx) = req_index.get(&pending[pi].request.id).copied() else {
-                        debug_assert!(
-                            false,
-                            "pending request {} is not in the input set",
-                            pending[pi].request.id
-                        );
-                        continue;
-                    };
-                    let p = pending.remove(pi);
-
-                    let id = InstanceId(next_instance);
-                    next_instance += 1;
-                    for &b in &d.blocks {
-                        view.occupy(b, id);
-                    }
-                    busy_blocks += d.blocks.len();
-                    needed_blocks += p.request.blocks_needed as usize;
-
-                    let model = self.service_time(&p.request, &d.blocks, &view.down_links());
-                    let reconfig_s = self.reconfig_time(&d);
-                    let rem_frac = remaining.get(&p.request.id).copied().unwrap_or(1.0);
-                    if quantum.is_some() || checkpoint_evictions {
-                        admitted_s.entry(p.request.id).or_insert(now);
-                    }
-                    if rem_frac < 1.0 {
-                        if quantum.is_some() {
-                            // Swap-in of a previously-preempted tenant: the PR
-                            // time just charged is the time-slice mode's cost.
-                            swap_reconfig_s += reconfig_s;
-                            self.telemetry.event_at(
-                                sim_us(now),
-                                "sim.swap_in",
-                                &[
-                                    ("request", p.request.id.0.into()),
-                                    ("remaining_fraction", rem_frac.into()),
-                                    ("reconfig_s", reconfig_s.into()),
-                                ],
-                            );
-                            self.telemetry.inc_counter("sim.swap_ins", 1);
-                        } else {
-                            // Resume from the portable checkpoint taken at
-                            // the eviction: only the remainder runs here.
-                            self.telemetry.event_at(
-                                sim_us(now),
-                                "sim.resume",
-                                &[
-                                    ("request", p.request.id.0.into()),
-                                    ("remaining_fraction", rem_frac.into()),
-                                    ("reconfig_s", reconfig_s.into()),
-                                ],
-                            );
-                            self.telemetry.inc_counter("sim.resumes", 1);
-                        }
-                    }
-                    {
-                        let mut fpgas: Vec<_> = d.blocks.iter().map(|b| b.fpga).collect();
-                        fpgas.sort_unstable();
-                        fpgas.dedup();
-                        self.telemetry.event_at(
-                            sim_us(now),
-                            "sim.placement",
-                            &[
-                                ("request", p.request.id.0.into()),
-                                ("blocks", d.blocks.len().into()),
-                                ("fpgas_used", fpgas.len().into()),
-                                ("ring_hops", model.max_hops.into()),
-                                ("reconfig_s", reconfig_s.into()),
-                            ],
-                        );
-                        self.telemetry.inc_counter("sim.placements", 1);
-                    }
-                    if d.reconfig == ReconfigKind::FullDevice {
-                        // Full-device programming pauses every co-running
-                        // instance on the touched FPGAs.
-                        let mut touched: Vec<_> = d.blocks.iter().map(|b| b.fpga).collect();
-                        touched.sort_unstable();
-                        touched.dedup();
-                        for (&iid, inst) in instances.iter_mut() {
-                            if iid == id || !inst.running {
-                                continue;
-                            }
-                            if inst.blocks.iter().any(|b| touched.contains(&b.fpga)) {
-                                inst.completion_s += reconfig_s;
-                                inst.service_s += reconfig_s;
-                                inst.generation += 1;
-                                let gen = inst.generation;
-                                let t = inst.completion_s;
-                                push(&mut events, t, EventKind::Complete(iid, gen));
-                            }
-                        }
-                    }
-                    instances.insert(
-                        id,
-                        Instance {
-                            request_idx: req_idx,
-                            blocks: d.blocks,
-                            scheduled_s: now,
-                            exec_start_s: now,
-                            completion_s: f64::INFINITY,
-                            service_s: model.service_s * rem_frac,
-                            full_service_s: model.service_s,
-                            interface_overhead_fraction: model.overhead_fraction,
-                            primary_fpga: model.primary_fpga,
-                            ring_hops: model.max_hops,
-                            generation: 0,
-                            running: false,
-                        },
-                    );
-                    push(&mut events, now + reconfig_s, EventKind::DeployDone(id));
-                }
-            }
-            was_pending = !pending.is_empty();
-        }
-
-        let makespan = last_t;
-        let total_blocks = self.layout.iter().sum::<usize>() as f64;
-        let denom = (active_time * total_blocks).max(f64::MIN_POSITIVE);
-        Ok(SimReport {
-            policy: policy.name().to_string(),
-            outcomes,
-            makespan_s: makespan,
-            block_utilization: busy_integral / denom,
-            effective_utilization: needed_integral / denom,
-            pressured_utilization: if pressured_time > 0.0 {
-                pressured_busy_integral / (pressured_time * total_blocks)
-            } else {
-                busy_integral / denom
-            },
-            avg_concurrency: if active_time > 0.0 {
-                conc_integral / active_time
-            } else {
-                0.0
-            },
-            peak_concurrency,
-            failed,
-            interrupted_jobs,
-            wasted_block_s,
-            busy_block_s: busy_integral,
-            preemptions,
-            swap_reconfig_s,
-        })
+        run::Run::new(self, policy, requests, plan).run()
     }
 
     /// Checks every [`FaultPlan`] event against the simulated cluster:
@@ -968,20 +326,17 @@ impl ClusterSim {
         blocks: &[BlockAddr],
         down: &[usize],
     ) -> ServiceModel {
-        let mut per_fpga: HashMap<u32, usize> = HashMap::new();
-        for b in blocks.iter().take(request.blocks_needed as usize) {
-            *per_fpga.entry(b.fpga.index()).or_insert(0) += 1;
-        }
+        let needed = (request.blocks_needed as usize).min(blocks.len());
+        let per_fpga = blocks_per_fpga(&blocks[..needed]);
         let used = request.blocks_needed.max(1) as f64;
-        // Tie-break equal block counts on the lowest FPGA id: `HashMap`
-        // iteration order is randomized per instance, and an
-        // order-dependent primary makes same-seed runs diverge whenever a
-        // span splits evenly.
+        // The primary is the FPGA holding the most blocks; equal counts
+        // tie-break on the lowest FPGA id.
         let (primary_fpga, primary) = per_fpga
             .iter()
-            .max_by_key(|&(&f, &n)| (n, std::cmp::Reverse(f)))
-            .map(|(&f, &n)| (f, n as f64))
-            .unwrap_or((0, 0.0));
+            .max_by_key(|&&(f, n)| (n, std::cmp::Reverse(f)))
+            .map_or((0, 0.0), |&(f, n)| (f, n as f64));
+        let primary_fpga_id = FpgaId::new(primary_fpga);
+        let spanned = || per_fpga.iter().map(|&(f, _)| FpgaId::new(f));
         let span = (1.0 - primary / used).max(0.0);
         // Traffic reroutes around down links (longer hops). A spanning set
         // cut in two by link failures gets the full cluster length as a
@@ -989,11 +344,7 @@ impl ClusterSim {
         // to span anyway.
         let max_hops = self
             .topology
-            .max_hops_from_avoiding(
-                vital_fabric::FpgaId::new(primary_fpga),
-                per_fpga.keys().map(|&f| vital_fabric::FpgaId::new(f)),
-                down,
-            )
+            .max_hops_from_avoiding(primary_fpga_id, spanned(), down)
             .unwrap_or(self.layout.len());
         // One hop = the calibrated penalty; further hops add 30% each (the
         // traffic occupies more interconnect segments). Spans crossing
@@ -1003,11 +354,9 @@ impl ClusterSim {
         let hop_factor = if max_hops == 0 {
             0.0
         } else {
-            let bw = self.topology.bandwidth_slowdown(
-                vital_fabric::FpgaId::new(primary_fpga),
-                per_fpga.keys().map(|&f| vital_fabric::FpgaId::new(f)),
-                self.config.ring_gbps,
-            );
+            let bw =
+                self.topology
+                    .bandwidth_slowdown(primary_fpga_id, spanned(), self.config.ring_gbps);
             (1.0 + 0.3 * (max_hops as f64 - 1.0)) * bw
         };
         let base = request.standalone_service_s();
@@ -1024,49 +373,55 @@ impl ClusterSim {
         }
     }
 
-    fn reconfig_time(&self, d: &Deployment) -> f64 {
-        match d.reconfig {
-            ReconfigKind::PartialPerBlock => {
-                // Per-FPGA ICAPs program their blocks sequentially; distinct
-                // FPGAs proceed in parallel.
-                let mut per_fpga: HashMap<u32, usize> = HashMap::new();
-                for b in &d.blocks {
-                    *per_fpga.entry(b.fpga.index()).or_insert(0) += 1;
-                }
-                per_fpga
-                    .values()
-                    .map(|&n| n as f64 * self.config.per_block_reconfig_s)
-                    .fold(0.0, f64::max)
-            }
-            ReconfigKind::FullDevice => self.config.full_reconfig_s,
-            ReconfigKind::Instruction => {
-                // The fabric already holds the static accelerator template;
-                // claiming a block only redirects its compute tile to the
-                // tenant's instruction stream. Tiles on one FPGA switch
-                // sequentially (one stream-pointer write each), so the cost
-                // mirrors the per-block arm at micro-second scale.
-                let mut per_fpga: HashMap<u32, usize> = HashMap::new();
-                for b in &d.blocks {
-                    *per_fpga.entry(b.fpga.index()).or_insert(0) += 1;
-                }
-                per_fpga
-                    .values()
-                    .map(|&n| n as f64 * INSTRUCTION_SWITCH_S)
-                    .fold(0.0, f64::max)
-            }
-        }
+    /// Programming time of a deployment with the given block tally (see
+    /// [`blocks_per_fpga`]). Blocks on one FPGA are
+    /// programmed one after another — by its ICAP under partial
+    /// reconfiguration, by one stream-pointer write per tile when the
+    /// fabric already holds the static accelerator template — and distinct
+    /// FPGAs proceed in parallel, so the busiest FPGA sets the time.
+    fn reconfig_time(&self, kind: ReconfigKind, per_fpga: &[(u32, usize)]) -> f64 {
+        let per_block_s = match kind {
+            ReconfigKind::FullDevice => return self.config.full_reconfig_s,
+            ReconfigKind::PartialPerBlock => self.config.per_block_reconfig_s,
+            ReconfigKind::Instruction => INSTRUCTION_SWITCH_S,
+        };
+        per_fpga
+            .iter()
+            .map(|&(_, n)| n as f64 * per_block_s)
+            .fold(0.0, f64::max)
     }
 }
 
-/// Time to repoint one template compute tile at another tenant's
-/// instruction stream (kept in sync with `vital_isa::TILE_SWITCH_S`;
-/// the crates cannot share the constant without a dependency cycle).
-pub(crate) const INSTRUCTION_SWITCH_S: f64 = 10.0e-6;
+/// Checks every request before the first event fires: arrival time and
+/// work must be finite and non-negative, throughput and communication
+/// intensity finite.
+fn validate_requests(requests: &[AppRequest]) -> Result<(), ClusterError> {
+    for r in requests {
+        // (field, value, least allowed value)
+        let fields = [
+            ("arrival_s", r.arrival_s, 0.0),
+            ("work_ops", r.work_ops, 0.0),
+            ("standalone_ops_per_sec", r.standalone_ops_per_sec, f64::MIN),
+            ("comm_intensity", r.comm_intensity, f64::MIN),
+        ];
+        let bad = fields
+            .iter()
+            .find(|&&(_, v, least)| !(v.is_finite() && v >= least));
+        if let Some((field, value, _)) = bad {
+            return Err(ClusterError::InvalidRequest {
+                request: r.id,
+                reason: format!("{field} is {value}"),
+            });
+        }
+    }
+    Ok(())
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vital_fabric::{FpgaId, PhysicalBlockId};
+    use crate::{PendingRequest, RequestOutcome};
+    use vital_fabric::PhysicalBlockId;
 
     /// Minimal policy: first-fit on one FPGA, optionally whole-device.
     struct FirstFit {
@@ -1615,6 +970,56 @@ mod tests {
         let report = sim
             .try_run_with_plan(&mut policy, requests(1, 1, 1.0e9), &ok)
             .expect("valid plan runs");
+        assert_eq!(report.completed(), 1);
+    }
+
+    #[test]
+    fn malformed_requests_are_rejected_not_simulated() {
+        // Regression: a NaN arrival or infinite work used to trip a debug
+        // assertion on the first timeline stamp, and in release came back
+        // as a report full of NaN/inf.
+        let ok = || AppRequest::new(7, "a", 2, 1.0e9);
+        let cases: [(&str, AppRequest); 9] = [
+            ("arrival_s", ok().arriving_at(f64::NAN)),
+            ("arrival_s", ok().arriving_at(f64::INFINITY)),
+            ("arrival_s", ok().arriving_at(-1.0)),
+            ("work_ops", AppRequest::new(7, "a", 2, f64::INFINITY)),
+            ("work_ops", AppRequest::new(7, "a", 2, f64::NAN)),
+            ("work_ops", AppRequest::new(7, "a", 2, -1.0)),
+            ("standalone_ops_per_sec", ok().with_throughput(f64::NAN)),
+            (
+                "standalone_ops_per_sec",
+                ok().with_throughput(f64::INFINITY),
+            ),
+            (
+                "comm_intensity",
+                AppRequest {
+                    comm_intensity: f64::NAN,
+                    ..ok()
+                },
+            ),
+        ];
+        let sim = ClusterSim::new(ClusterConfig::paper_cluster());
+        let mut policy = FirstFit {
+            whole_device: false,
+        };
+        for (field, bad) in cases {
+            // The bad request sits behind a good one: all are checked.
+            let err = sim
+                .try_run(&mut policy, vec![ok().arriving_at(1.0), bad.clone()])
+                .unwrap_err();
+            match &err {
+                ClusterError::InvalidRequest { request, reason } => {
+                    assert_eq!(request.0, 7);
+                    assert!(reason.starts_with(field), "{bad:?}: {reason}");
+                }
+                other => panic!("{bad:?} gave {other:?}"),
+            }
+        }
+        // Zero work and a zero arrival time are valid.
+        let report = sim
+            .try_run(&mut policy, vec![AppRequest::new(0, "idle", 1, 0.0)])
+            .expect("zero work is a valid request");
         assert_eq!(report.completed(), 1);
     }
 

@@ -59,11 +59,15 @@ mod template;
 
 pub use pool::{ShareChange, TilePool, TilesUnavailable};
 pub use program::{InstructionBlock, IsaProgram, UnknownIsaApp};
-pub use sched::{IsaJob, IsaOutcome, IsaReport, IsaSim};
+pub use sched::{IsaJob, IsaJobError, IsaOutcome, IsaReport, IsaSim};
 pub use template::IsaTemplate;
 
 /// Time to hand one compute tile to a different tenant's instruction
 /// stream: drain the in-flight instruction block and swap the stream
 /// pointer. Micro-seconds, vs milliseconds for partial reconfiguration —
-/// the core advantage of instruction-level virtualization.
-pub const TILE_SWITCH_S: f64 = 10.0e-6;
+/// the core advantage of instruction-level virtualization. Defined once,
+/// next to the cluster simulator's [`ReconfigKind::Instruction`] cost
+/// model that charges it per block.
+///
+/// [`ReconfigKind::Instruction`]: vital_cluster::ReconfigKind::Instruction
+pub const TILE_SWITCH_S: f64 = vital_cluster::INSTRUCTION_SWITCH_S;

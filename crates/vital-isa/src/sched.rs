@@ -14,6 +14,39 @@ use serde::{Deserialize, Serialize};
 
 use crate::{IsaProgram, IsaTemplate, TilePool, UnknownIsaApp, TILE_SWITCH_S};
 
+/// Why [`IsaSim::try_run`] refused a job set.
+#[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
+pub enum IsaJobError {
+    /// A job names an app that is not a DNN suite variant.
+    UnknownApp(UnknownIsaApp),
+    /// A job's work or arrival time is negative, infinite or NaN — the
+    /// quantum loop would never drain it.
+    InvalidJob {
+        /// The offending job's id.
+        id: u64,
+        /// Which field, and the value it held.
+        reason: String,
+    },
+}
+
+impl std::fmt::Display for IsaJobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            IsaJobError::UnknownApp(e) => e.fmt(f),
+            IsaJobError::InvalidJob { id, reason } => write!(f, "invalid ISA job {id}: {reason}"),
+        }
+    }
+}
+
+impl std::error::Error for IsaJobError {}
+
+impl From<UnknownIsaApp> for IsaJobError {
+    fn from(e: UnknownIsaApp) -> Self {
+        IsaJobError::UnknownApp(e)
+    }
+}
+
 /// Default scheduling quantum: 10 ms, three orders of magnitude finer
 /// than ViTAL's 0.5 s time-slice because an ISA-level switch costs µs
 /// instead of ms.
@@ -158,23 +191,40 @@ impl IsaSim {
 
     /// Run the scheduler over `jobs` until all complete.
     ///
-    /// Jobs whose app name does not resolve against the DNN suite abort
-    /// the run with [`UnknownIsaApp`] — submission is typed, not silently
-    /// dropped.
+    /// # Panics
+    ///
+    /// Panics if a job is refused (see [`IsaJobError`]) — submission is
+    /// typed, not silently dropped. Use [`IsaSim::try_run`] to handle that
+    /// as an error.
     pub fn run(&self, jobs: &[IsaJob]) -> IsaReport {
         self.try_run(jobs)
-            .expect("ISA app names must be suite variants")
+            .unwrap_or_else(|e| panic!("ISA job set refused: {e}"))
     }
 
-    /// Like [`IsaSim::run`] but surfaces unknown app names as an error.
-    pub fn try_run(&self, jobs: &[IsaJob]) -> Result<IsaReport, UnknownIsaApp> {
+    /// Like [`IsaSim::run`] but surfaces refused jobs as an error.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IsaJobError::InvalidJob`] for the first job whose work or
+    /// arrival time is not finite and non-negative, else
+    /// [`IsaJobError::UnknownApp`] for the first app name that does not
+    /// resolve against the DNN suite. Both are checked before the first
+    /// quantum.
+    pub fn try_run(&self, jobs: &[IsaJob]) -> Result<IsaReport, IsaJobError> {
+        for j in jobs {
+            let fields = [("work_ops", j.work_ops), ("arrival_s", j.arrival_s)];
+            if let Some((field, value)) = fields
+                .into_iter()
+                .find(|(_, v)| !(v.is_finite() && *v >= 0.0))
+            {
+                return Err(IsaJobError::InvalidJob {
+                    id: j.id,
+                    reason: format!("{field} is {value}"),
+                });
+            }
+        }
         let mut arrivals: Vec<IsaJob> = jobs.to_vec();
-        arrivals.sort_by(|a, b| {
-            a.arrival_s
-                .partial_cmp(&b.arrival_s)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.id.cmp(&b.id))
-        });
+        arrivals.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
         // Compile each tenant's instruction stream up front (level 2).
         let mut tenants: BTreeMap<u64, TenantQueue> = BTreeMap::new();
         for j in &arrivals {
@@ -353,8 +403,7 @@ fn proportional_shares(tenants: &BTreeMap<u64, TenantQueue>, pool: usize) -> BTr
     order.sort_by(|&a, &b| {
         shares[b]
             .2
-            .partial_cmp(&shares[a].2)
-            .unwrap_or(std::cmp::Ordering::Equal)
+            .total_cmp(&shares[a].2)
             .then(shares[a].0.cmp(&shares[b].0))
     });
     for i in order {
@@ -427,7 +476,48 @@ mod tests {
         let err = IsaSim::new(IsaTemplate::paper_pool())
             .try_run(&jobs)
             .unwrap_err();
-        assert_eq!(err.app, "resnet-S");
+        assert!(matches!(&err, IsaJobError::UnknownApp(e) if e.app == "resnet-S"));
+        assert!(err.to_string().contains("resnet-S"), "{err}");
+    }
+
+    #[test]
+    fn malformed_jobs_are_rejected_before_the_first_quantum() {
+        // Regression: a job with infinite work never drained, so the
+        // quantum loop never returned. Run under a deadline so a relapse
+        // fails the test instead of hanging it.
+        let cases = [
+            ("work_ops", IsaJob::new(9, 1, "lenet-S", f64::INFINITY, 0.0)),
+            ("work_ops", IsaJob::new(9, 1, "lenet-S", f64::NAN, 0.0)),
+            ("work_ops", IsaJob::new(9, 1, "lenet-S", -1.0, 0.0)),
+            ("arrival_s", IsaJob::new(9, 1, "lenet-S", 1.0e9, f64::NAN)),
+            (
+                "arrival_s",
+                IsaJob::new(9, 1, "lenet-S", 1.0e9, f64::INFINITY),
+            ),
+            ("arrival_s", IsaJob::new(9, 1, "lenet-S", 1.0e9, -0.5)),
+        ];
+        let (done, verdicts) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let sim = IsaSim::new(IsaTemplate::paper_pool());
+            for (field, bad) in cases {
+                let jobs = [IsaJob::new(0, 1, "lenet-S", 1.0e9, 0.0), bad];
+                done.send((field, sim.try_run(&jobs)))
+                    .expect("receiver alive");
+            }
+        });
+        for _ in 0..6 {
+            let (field, result) = verdicts
+                .recv_timeout(std::time::Duration::from_secs(20))
+                .expect("try_run must return, not spin on the job");
+            match result {
+                Err(IsaJobError::InvalidJob { id, reason }) => {
+                    assert_eq!(id, 9);
+                    assert!(reason.starts_with(field), "{reason}");
+                }
+                other => panic!("bad {field} gave {other:?}"),
+            }
+        }
+        worker.join().expect("worker finished");
     }
 
     #[test]
