@@ -58,6 +58,7 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 /// Returns [`Error`] on malformed JSON or a shape mismatch with `T`.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -163,6 +164,7 @@ fn write_string(s: &str, out: &mut String) {
 // ---- parser ----------------------------------------------------------
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -293,12 +295,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error("invalid utf-8 in string".to_string()))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next `"` or `\` in one slice:
+                    // both are ASCII, so the run ends on a char boundary.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -400,6 +403,34 @@ mod tests {
         let text = to_string(&s).unwrap();
         assert_eq!(from_str::<String>(&text).unwrap(), s);
         assert_eq!(from_str::<String>(r#""Aé""#).unwrap(), "Aé");
+    }
+
+    #[test]
+    fn multibyte_text_mixed_with_escapes_roundtrips() {
+        let mut m = HashMap::new();
+        m.insert(
+            "κλειδί\t\"ü\"".to_string(),
+            "日本\\語\né😀\u{1}x".to_string(),
+        );
+        let text = to_string(&m).unwrap();
+        assert_eq!(from_str::<HashMap<String, String>>(&text).unwrap(), m);
+        let s = from_str::<String>(r#""\u00e9日\"本\\😀\/""#).unwrap();
+        assert_eq!(s, "é日\"本\\😀/");
+    }
+
+    #[test]
+    fn string_parsing_is_linear_in_document_size() {
+        let best_of_3 = |kb: usize| {
+            let text = to_string(&vec!["abécd\\\"efgh"; kb * 60]).unwrap();
+            let time = |_| {
+                let t = std::time::Instant::now();
+                from_str::<Vec<String>>(&text).unwrap();
+                t.elapsed()
+            };
+            (0..3).map(time).min().unwrap().as_secs_f64()
+        };
+        let ratio = best_of_3(2_000) / best_of_3(200);
+        assert!(ratio < 30.0, "10x the document took {ratio:.0}x as long");
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! elimination — are reported by `fig8_compile_breakdown` and
 //! `fig7_partition_dse` respectively.)
 
-use std::time::Instant;
 use vital::cluster::{
     ClusterConfig, ClusterSim, ClusterView, Deployment, PendingRequest, ReconfigKind, Scheduler,
     SimReport,
@@ -19,7 +18,7 @@ use vital::cluster::{
 
 use vital::fabric::BlockAddr;
 use vital::runtime::VitalScheduler;
-use vital_bench::{fig9_workload, quick, write_bench_json, BenchRecord, FIG9_SEEDS};
+use vital_bench::{fig9_workload, FIG9_SEEDS};
 
 /// The anti-policy for ablation 3: allocates blocks round-robin across
 /// FPGAs, deliberately ignoring communication locality. Same admission
@@ -83,17 +82,8 @@ fn averaged(
 }
 
 fn main() {
-    let t0 = Instant::now();
-    let seeds: &[u64] = if quick() {
-        &FIG9_SEEDS[..1]
-    } else {
-        &FIG9_SEEDS
-    };
-    let sets: Vec<usize> = if quick() {
-        vec![3, 10]
-    } else {
-        vec![3, 6, 7, 10]
-    };
+    let seeds = &FIG9_SEEDS;
+    let sets = [3, 6, 7, 10];
     println!(
         "== Ablations (workload sets {sets:?}, {} seeds each) ==\n",
         seeds.len()
@@ -176,25 +166,4 @@ fn main() {
         base_r / n,
         (1.0 - (vital_r / base_r)) * 100.0
     );
-
-    // Samples: average response per ablation variant, in table order.
-    let rec = BenchRecord::new(
-        "ablations",
-        rows.iter().map(|(_, (resp, _))| *resp).collect(),
-        t0.elapsed().as_secs_f64(),
-    )
-    .with_config("seeds", seeds.len())
-    .with_config("sets", format!("{sets:?}"))
-    .with_config("quick", quick())
-    .with_config(
-        "variants",
-        rows.iter().map(|(l, _)| *l).collect::<Vec<_>>().join(" | "),
-    );
-    match write_bench_json(&rec) {
-        Ok(path) => println!("\nbench json -> {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write bench json: {e}");
-            std::process::exit(1);
-        }
-    }
 }

@@ -4,13 +4,11 @@
 //! spanning rate (5–40 %), interface overhead (<0.03 %), and block
 //! utilization under load (>93 %).
 
-use std::time::Instant;
-
 use vital::baselines::{AmorphOsHighThroughput, PerDeviceBaseline};
 use vital::cluster::{ClusterConfig, ClusterSim, Scheduler, SimReport};
 use vital::prelude::*;
 use vital::workloads::benchmarks;
-use vital_bench::{fig10_workload, quick, write_bench_json, BenchRecord, FIG9_SEEDS};
+use vital_bench::{fig10_workload, fig9_workload, FIG9_SEEDS};
 
 fn averaged(policy: &mut dyn Scheduler, sets: &[usize], seeds: &[u64]) -> Vec<SimReport> {
     let sim = ClusterSim::new(ClusterConfig::paper_cluster());
@@ -33,12 +31,7 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
 }
 
 fn main() {
-    let t0 = Instant::now();
-    let seeds: &[u64] = if quick() {
-        &FIG9_SEEDS[..1]
-    } else {
-        &FIG9_SEEDS
-    };
+    let seeds = &FIG9_SEEDS;
     // Part 1: the Fig. 10 relocation illustration, on the real controller.
     println!("== Fig. 10: flexible sharing through relocation ==\n");
     let stack = VitalStack::new();
@@ -127,20 +120,12 @@ fn main() {
     // Spanning rate measured per workload set at the Fig. 9 load (the
     // paper's 5-40% band comes from the response-time experiment).
     let sim = ClusterSim::new(ClusterConfig::paper_cluster());
-    let span_sets: Vec<usize> = if quick() {
-        vec![1, 3]
-    } else {
-        (1..=10).collect()
-    };
     let mut spans = Vec::new();
-    for &set in &span_sets {
+    for set in 1..=10 {
         let mut frac = 0.0;
         for &seed in seeds {
             frac += sim
-                .run(
-                    &mut VitalScheduler::new(),
-                    vital_bench::fig9_workload(set, seed),
-                )
+                .run(&mut VitalScheduler::new(), fig9_workload(set, seed))
                 .spanning_fraction();
         }
         spans.push(frac / seeds.len() as f64);
@@ -165,25 +150,4 @@ fn main() {
         "block utilization while demand is queued: {:.1}% (paper: above 93% under load)",
         block_util * 100.0
     );
-
-    // Samples: ViTAL's effective utilization per saturating run; the other
-    // headline scalars ride along as config entries.
-    let rec = BenchRecord::new(
-        "fig10_sharing_metrics",
-        vital_runs.iter().map(|r| r.effective_utilization).collect(),
-        t0.elapsed().as_secs_f64(),
-    )
-    .with_config("seeds", seeds.len())
-    .with_config("sets", format!("{sets:?}"))
-    .with_config("quick", quick())
-    .with_config("util_vs_amorphos", format!("{:+.3}", v_util / h_util - 1.0))
-    .with_config("concurrency_x", format!("{:.2}", v_conc / b_conc))
-    .with_config("block_util_pressured", format!("{block_util:.3}"));
-    match write_bench_json(&rec) {
-        Ok(path) => println!("\nbench json -> {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write bench json: {e}");
-            std::process::exit(1);
-        }
-    }
 }

@@ -8,10 +8,9 @@
 
 use vital::fabric::{device_generations, DeviceModel, ResourceKind};
 use vital::workloads::{benchmarks, Size};
-use vital_bench::{bar, quick, write_bench_json, BenchRecord};
+use vital_bench::bar;
 
 fn main() {
-    let t0 = std::time::Instant::now();
     let vu13p = DeviceModel::vu13p();
     let capacity = vu13p.total_resources();
 
@@ -68,25 +67,4 @@ fn main() {
     let growth = gens.last().map(|g| g.logic_cells_k).unwrap_or(0) as f64
         / gens.first().map(|g| g.logic_cells_k).unwrap_or(1) as f64;
     println!("\ncapacity grew ~{growth:.0}x from the first to the last generation listed");
-
-    // Samples: per-application bottleneck utilization of the VU13P.
-    let samples: Vec<f64> = benchmarks()
-        .iter()
-        .map(|b| {
-            b.expected_resources(Size::Small)
-                .utilization_of(&capacity)
-                .bottleneck()
-        })
-        .collect();
-    let rec = BenchRecord::new("fig1_motivation", samples, t0.elapsed().as_secs_f64())
-        .with_config("device", vu13p.name())
-        .with_config("quick", quick())
-        .with_config("capacity_growth_x", format!("{growth:.0}"));
-    match write_bench_json(&rec) {
-        Ok(path) => println!("bench json -> {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write bench json: {e}");
-            std::process::exit(1);
-        }
-    }
 }

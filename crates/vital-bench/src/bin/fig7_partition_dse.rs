@@ -6,10 +6,8 @@
 
 use vital::fabric::{explore_partitions, DeviceModel, PartitionObjective, RegionKind};
 use vital::interface::{BufferPolicy, CommRegionModel};
-use vital_bench::{quick, write_bench_json, BenchRecord};
 
 fn main() {
-    let t0 = std::time::Instant::now();
     let device = DeviceModel::xcvu37p();
     println!("== Fig. 7: partitioning the {} ==\n", device.name());
 
@@ -47,8 +45,6 @@ fn main() {
         }
     }
 
-    // Captured before the periodic-layout DSE shadows `ranked` below.
-    let dse_scores: Vec<f64> = ranked.iter().filter_map(|c| c.score).collect();
     let best = ranked
         .iter()
         .find(|c| c.feasible)
@@ -115,24 +111,4 @@ fn main() {
         best_p.user_blocks().len(),
         best_p.column_splits()
     );
-
-    // Samples: the DSE scores of the feasible candidates (best first).
-    let rec = BenchRecord::new("fig7_partition_dse", dse_scores, t0.elapsed().as_secs_f64())
-        .with_config("device", device.name())
-        .with_config("quick", quick())
-        .with_config(
-            "elimination_reduction",
-            format!("{:.3}", model.elimination_reduction()),
-        )
-        .with_config(
-            "reserved_fraction",
-            format!("{:.3}", best.reserved_fraction()),
-        );
-    match write_bench_json(&rec) {
-        Ok(path) => println!("bench json -> {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write bench json: {e}");
-            std::process::exit(1);
-        }
-    }
 }

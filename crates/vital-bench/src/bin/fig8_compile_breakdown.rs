@@ -10,13 +10,10 @@ use vital::netlist::hls::synthesize;
 use vital::placer::{cut_bits, random_assignment, Placer, PlacerConfig, VirtualGrid};
 use vital::runtime::{RuntimeConfig, SystemController};
 use vital::workloads::{benchmarks, Size};
-use vital_bench::{bar, quick, write_bench_json, BenchRecord};
+use vital_bench::bar;
 
 fn main() {
-    let t0 = std::time::Instant::now();
-    let sizes: Vec<Size> = if quick() {
-        vec![Size::Small]
-    } else if std::env::args().any(|a| a == "--full") {
+    let sizes: Vec<Size> = if std::env::args().any(|a| a == "--full") {
         Size::ALL.to_vec() // all 21 designs; takes minutes
     } else {
         vec![Size::Small, Size::Medium]
@@ -162,25 +159,4 @@ fn main() {
          {combos} combined images for the same suite (paper: \"hundreds of combinations\"),"
     );
     println!("and recompile all affected combinations whenever one application changes.");
-
-    // Samples: the naive/placed cut-ratio per multi-block design (§5.4
-    // partition quality); the breakdown headline rides in config.
-    let rec = BenchRecord::new(
-        "fig8_compile_breakdown",
-        cut_ratios,
-        t0.elapsed().as_secs_f64(),
-    )
-    .with_config("designs", compiled_count)
-    .with_config("quick", quick())
-    .with_config("commercial_pnr_frac", format!("{:.3}", b.commercial_pnr()))
-    .with_config("custom_tools_frac", format!("{:.3}", b.custom_tools()))
-    .with_config("workers", total.workers)
-    .with_config("cache_hit_rate", format!("{:.3}", stats.hit_rate()));
-    match write_bench_json(&rec) {
-        Ok(path) => println!("\nbench json -> {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write bench json: {e}");
-            std::process::exit(1);
-        }
-    }
 }

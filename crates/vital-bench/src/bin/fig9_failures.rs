@@ -7,12 +7,10 @@
 //! faults throw away (goodput) and whether bounded retry budgets give up
 //! on any request.
 
-use std::time::Instant;
-
 use vital::baselines::PerDeviceBaseline;
 use vital::cluster::{ClusterConfig, ClusterSim, FaultPlan, RetryPolicy, Scheduler, SimReport};
 use vital::runtime::VitalScheduler;
-use vital_bench::{fig9_workload, quick, write_bench_json, BenchRecord, FIG9_SEEDS};
+use vital_bench::{fig9_workload, FIG9_SEEDS};
 
 /// FPGA 1 dies at t = 4 s and is repaired at t = 12 s; ring link 2 is cut
 /// from 6 s to 10 s. Evicted requests retry up to 4 times with 0.5 s
@@ -55,17 +53,7 @@ fn run(policy: &mut dyn Scheduler, set: usize, faulted: bool, seeds: &[u64]) -> 
 }
 
 fn main() {
-    let t0 = Instant::now();
-    let seeds: &[u64] = if quick() {
-        &FIG9_SEEDS[..1]
-    } else {
-        &FIG9_SEEDS
-    };
-    let sets: Vec<usize> = if quick() {
-        vec![1, 3]
-    } else {
-        (1..=10).collect()
-    };
+    let seeds = &FIG9_SEEDS;
     println!("== Fig. 9 companion: fpga1 down 4s..12s, link2 cut 6s..10s ==");
     println!("   (3 seeds per set; interrupted/failed are totals across seeds)\n");
     println!(
@@ -83,7 +71,7 @@ fn main() {
     );
 
     let mut slowdowns = Vec::new();
-    for &set in &sets {
+    for set in 1..=10 {
         let healthy = run(&mut VitalScheduler::new(), set, false, seeds);
         let faulted = run(&mut VitalScheduler::new(), set, true, seeds);
         let base = run(&mut PerDeviceBaseline::new(), set, true, seeds);
@@ -110,17 +98,4 @@ fn main() {
          redeploy from the same relocatable bitstreams on the survivors, so \
          an 8-second device outage costs seconds, not a recompilation."
     );
-
-    // Samples: ViTAL's faulted-vs-healthy slowdown per workload set.
-    let rec = BenchRecord::new("fig9_failures", slowdowns, t0.elapsed().as_secs_f64())
-        .with_config("seeds", seeds.len())
-        .with_config("sets", sets.len())
-        .with_config("quick", quick());
-    match write_bench_json(&rec) {
-        Ok(path) => println!("bench json -> {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write bench json: {e}");
-            std::process::exit(1);
-        }
-    }
 }

@@ -5,15 +5,11 @@
 //! The paper's headline: ViTAL reduces response time by 82 % on average vs
 //! the per-device baseline and by 25 % vs AmorphOS high-throughput mode.
 
-use std::time::Instant;
-
 use vital::baselines::{AmorphOsHighThroughput, AmorphOsLowLatency, PerDeviceBaseline};
 use vital::cluster::{ClusterConfig, ClusterSim, Scheduler};
 use vital::runtime::VitalScheduler;
 use vital::telemetry::Telemetry;
-use vital_bench::{
-    bar, fig9_workload, quick, reports_dir, write_bench_json, BenchRecord, FIG9_SEEDS,
-};
+use vital_bench::{bar, fig9_workload, reports_dir, FIG9_SEEDS};
 
 fn avg_response(policy: &mut dyn Scheduler, set: usize, seeds: &[u64]) -> f64 {
     let sim = ClusterSim::new(ClusterConfig::paper_cluster());
@@ -33,23 +29,13 @@ fn write_sample_trace() {
     sim.run(&mut VitalScheduler::new(), fig9_workload(1, FIG9_SEEDS[0]));
     let path = reports_dir().join("TRACE_fig9_sample.json");
     match std::fs::write(&path, tel.export_chrome_trace()) {
-        Ok(()) => println!("\nsample sim trace -> {}", path.display()),
+        Ok(()) => println!("\nsample sim trace -> reports/TRACE_fig9_sample.json"),
         Err(e) => eprintln!("\nfailed to write sample trace: {e}"),
     }
 }
 
 fn main() {
-    let t0 = Instant::now();
-    let seeds: &[u64] = if quick() {
-        &FIG9_SEEDS[..1]
-    } else {
-        &FIG9_SEEDS
-    };
-    let sets: Vec<usize> = if quick() {
-        vec![1, 3]
-    } else {
-        (1..=10).collect()
-    };
+    let seeds = &FIG9_SEEDS;
     println!("== Fig. 9: normalized response time (baseline = 1.00) ==\n");
     println!(
         "{:<5} {:>9} {:>9} {:>9} {:>9}   ViTAL vs baseline / vs AmorphOS-HT",
@@ -58,8 +44,7 @@ fn main() {
 
     let mut vital_vs_base = Vec::new();
     let mut vital_vs_ht = Vec::new();
-    let mut normalized = Vec::new();
-    for &set in &sets {
+    for set in 1..=10 {
         let base = avg_response(&mut PerDeviceBaseline::new(), set, seeds);
         let slot = avg_response(&mut AmorphOsLowLatency::new(), set, seeds);
         let ht = avg_response(&mut AmorphOsHighThroughput::new(), set, seeds);
@@ -70,7 +55,6 @@ fn main() {
         let nv = vital / base;
         vital_vs_base.push(1.0 - nv);
         vital_vs_ht.push(1.0 - vital / ht);
-        normalized.push(nv);
         println!(
             "{:<5} {:>9.2} {:>9.2} {:>9.2} {:>9.2}   |{}| {:+.0}% / {:+.0}%",
             format!("#{set}"),
@@ -101,17 +85,4 @@ fn main() {
     );
 
     write_sample_trace();
-
-    // Samples: ViTAL's normalized response time per workload set.
-    let rec = BenchRecord::new("fig9_response_time", normalized, t0.elapsed().as_secs_f64())
-        .with_config("seeds", seeds.len())
-        .with_config("sets", sets.len())
-        .with_config("quick", quick());
-    match write_bench_json(&rec) {
-        Ok(path) => println!("bench json -> {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write bench json: {e}");
-            std::process::exit(1);
-        }
-    }
 }

@@ -13,11 +13,6 @@
 //!   headline `realloc.speedup_x` and the run fails if it falls under
 //!   100×,
 //! * **utilization** — busy fraction of the shared capacity.
-//!
-//! `BENCH_isa.json` archives the deterministic throughput and latency
-//! points; CI gates them against the committed `BASELINE_isa.json`.
-
-use std::time::Instant;
 
 use vital::baselines::IsaElastic;
 use vital::cluster::{ClusterConfig, ClusterSim};
@@ -26,7 +21,7 @@ use vital::runtime::VitalScheduler;
 use vital::workloads::{
     bursty_tenant_arrivals, tenant_arrivals_as_requests, SizingModel, TenantTrafficConfig,
 };
-use vital_bench::{bar, percentile, quick, write_bench_json, write_json_named, BenchRecord};
+use vital_bench::{bar, percentile};
 
 /// Quantum of the fabric time-slicing condition, in simulated seconds.
 /// Matches `fig_oversubscription`: small enough to round-robin 2 s-mean
@@ -52,16 +47,6 @@ struct Condition {
     units_moved: u64,
 }
 
-impl Condition {
-    fn req_per_s(&self) -> f64 {
-        if self.makespan_s > 0.0 {
-            self.completed as f64 / self.makespan_s
-        } else {
-            0.0
-        }
-    }
-}
-
 fn print_condition(c: &Condition, worst_p99: f64) {
     println!(
         "{:<14} {:>6} {:>9.3} {:>9.3} {:>9.3} {:>9.2} {:>6.2} {:>11.4} {:>7}   |{}|",
@@ -79,12 +64,7 @@ fn print_condition(c: &Condition, worst_p99: f64) {
 }
 
 fn main() {
-    let t0 = Instant::now();
-    let baseline_mode = std::env::args().any(|a| a == "--baseline");
-
-    // One seeded bursty trace shared by every condition. `--quick` runs
-    // the identical deterministic workload (the sims are cheap), so the
-    // CI gate compares the same points the full run archives.
+    // One seeded bursty trace shared by every condition.
     let cfg = TenantTrafficConfig::default();
     let trace = bursty_tenant_arrivals(&cfg);
 
@@ -199,58 +179,5 @@ fn main() {
     if isa.reconfigurations != 0 {
         eprintln!("FAIL: the static template must never reconfigure the fabric");
         std::process::exit(1);
-    }
-
-    let mut rec = BenchRecord::new("isa", isa_responses, t0.elapsed().as_secs_f64())
-        .with_config("tenants", cfg.tenants)
-        .with_config("horizon_s", cfg.horizon_s)
-        .with_config("seed", cfg.seed)
-        .with_config("tiles", template.tiles())
-        .with_config("isa_quantum_s", isa_sim.quantum_s())
-        .with_config("fabric_quantum_s", FABRIC_QUANTUM_S)
-        .with_config("quick", quick());
-    for c in &conditions {
-        rec = rec
-            .with_config(
-                &format!("{}.req_per_s", c.label),
-                format!("{:.4}", c.req_per_s()),
-            )
-            .with_config(
-                &format!("{}.p99_ms", c.label),
-                format!("{:.3}", c.p99_response_s * 1.0e3),
-            )
-            .with_config(
-                &format!("{}.util", c.label),
-                format!("{:.4}", c.utilization),
-            );
-    }
-    rec = rec
-        .with_config("realloc.speedup_x", format!("{speedup:.1}"))
-        .with_config(
-            "realloc.isa_us_per_unit",
-            format!("{:.1}", TILE_SWITCH_S * 1.0e6),
-        )
-        .with_config(
-            "realloc.fabric_ms_per_unit",
-            format!("{:.2}", per_block_pr_s * 1.0e3),
-        )
-        .with_config("isa.reallocations", isa.reallocations)
-        .with_config("isa.tiles_moved", isa.tiles_moved);
-
-    match write_bench_json(&rec) {
-        Ok(path) => println!("bench json -> {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write bench json: {e}");
-            std::process::exit(1);
-        }
-    }
-    if baseline_mode {
-        match write_json_named(&rec, "BASELINE_isa.json") {
-            Ok(path) => println!("baseline json -> {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to write baseline json: {e}");
-                std::process::exit(1);
-            }
-        }
     }
 }

@@ -11,17 +11,10 @@
 //! * **goodput** — fraction of executed block-seconds that ended in a
 //!   completion; preemption checkpoints progress, so it must stay 1.0,
 //! * **swap overhead** — PR seconds spent swapping tenants back in.
-//!
-//! Samples archived in `BENCH_fig_oversubscription.json` are the sliced
-//! p95 wait normalized to the baseline per workload set (< 1.0 = better).
-
-use std::time::Instant;
 
 use vital::cluster::{ClusterConfig, ClusterSim, SimReport};
 use vital::runtime::VitalScheduler;
-use vital_bench::{
-    bar, fig10_workload, percentile, quick, write_bench_json, BenchRecord, FIG9_SEEDS,
-};
+use vital_bench::{bar, fig10_workload, percentile, FIG9_SEEDS};
 
 /// The quantum used for the sliced condition, in simulated seconds. Small
 /// enough to round-robin 2 s-mean services, large enough that swap PR
@@ -72,17 +65,7 @@ fn run(policy_quantum: Option<f64>, set: usize, seeds: &[u64]) -> Condition {
 }
 
 fn main() {
-    let t0 = Instant::now();
-    let seeds: &[u64] = if quick() {
-        &FIG9_SEEDS[..1]
-    } else {
-        &FIG9_SEEDS
-    };
-    let sets: Vec<usize> = if quick() {
-        vec![1, 3]
-    } else {
-        (1..=10).collect()
-    };
+    let seeds = &FIG9_SEEDS;
 
     println!(
         "== Oversubscription: time-sliced ViTAL vs non-preemptive (quantum = {QUANTUM_S} s) ==\n"
@@ -95,7 +78,7 @@ fn main() {
     let mut normalized = Vec::new();
     let mut worst_goodput = 1.0f64;
     let mut total_preemptions = 0;
-    for &set in &sets {
+    for set in 1..=10 {
         let base = run(None, set, seeds);
         let sliced = run(Some(QUANTUM_S), set, seeds);
         assert_eq!(
@@ -133,23 +116,4 @@ fn main() {
         "worst-case goodput under preemption: {worst_goodput:.3} \
          (checkpointed swaps waste no executed block-seconds)"
     );
-
-    let rec = BenchRecord::new(
-        "fig_oversubscription",
-        normalized,
-        t0.elapsed().as_secs_f64(),
-    )
-    .with_config("quantum_s", QUANTUM_S)
-    .with_config("seeds", seeds.len())
-    .with_config("sets", sets.len())
-    .with_config("worst_goodput", format!("{worst_goodput:.3}"))
-    .with_config("preemptions", total_preemptions)
-    .with_config("quick", quick());
-    match write_bench_json(&rec) {
-        Ok(path) => println!("bench json -> {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write bench json: {e}");
-            std::process::exit(1);
-        }
-    }
 }

@@ -1,4 +1,4 @@
-//! Cluster-scale sweep: 4 → 64 → 1024 FPGAs (ISSUE 8).
+//! Cluster-scale sweep: 4 → 64 → 1024 FPGAs (DESIGN.md §15).
 //!
 //! The paper evaluates a 4-FPGA ring; this report stresses the pod
 //! generalization of the simulator on datacenter-shaped topologies
@@ -7,33 +7,18 @@
 //! point runs a seeded Table-3 workload at ~70 % of the point's block
 //! capacity and reports:
 //!
-//! * **goodput** — completed deploys per simulated second
-//!   (`point.f<N>.req_per_s`, gated against the committed baseline),
-//! * **allocation latency** — wall-clock p99 of one scheduler invocation
-//!   (`point.f<N>.alloc.p99_ms`, gated),
-//! * **fragmentation** — the fraction of deploys that had to span FPGAs
-//!   (`point.f<N>.spanning_frac`, report-only).
+//! * **goodput** — completed deploys per simulated second,
+//! * **fragmentation** — the fraction of deploys that had to span FPGAs.
 //!
-//! **Gate**: allocation cost per completed deploy at 1024 FPGAs must stay
-//! *sub-linear* in cluster size — under 64× the 4-FPGA point's cost
-//! (256× devices), which the pod-sharded scheduler achieves by routing
-//! each request through per-pod free counts instead of walking every
-//! free list. Every point must also complete its whole workload.
-//!
-//! With `--baseline` the record is also written to
-//! `reports/BASELINE_scale.json`, the reference `check_bench_json
-//! --compare` gates future runs against.
+//! Every point must complete its whole workload. Everything printed is
+//! simulated, so the output is deterministic; the scheduler's host cost
+//! is the benchmark's `cluster.sim.sched_self_s`.
 //!
 //! [`Topology::pods`]: vital::cluster::Topology::pods
 
-use std::time::Instant;
-
-use vital::cluster::{
-    ClusterConfig, ClusterSim, ClusterView, Deployment, PendingRequest, Scheduler, Topology,
-};
+use vital::cluster::{ClusterConfig, ClusterSim, Topology};
 use vital::runtime::{PodScheduler, VitalScheduler};
 use vital::workloads::{generate_workload_set, SizingModel, WorkloadComposition, WorkloadParams};
-use vital_bench::{percentile, quick, write_bench_json, write_json_named, BenchRecord};
 
 /// Mean service time the workload generator draws around (seconds).
 const MEAN_SERVICE_S: f64 = 2.0;
@@ -42,20 +27,6 @@ const MEAN_SERVICE_S: f64 = 2.0;
 const MEAN_BLOCKS_PER_REQ: f64 = 4.0;
 /// Offered load as a fraction of the point's block capacity.
 const LOAD_FRACTION: f64 = 0.7;
-/// The 1024-FPGA point's allocation cost per deploy may be at most this
-/// multiple of the 4-FPGA point's (the cluster is 256× larger).
-const SUBLINEAR_FACTOR: f64 = 64.0;
-/// Timer floor for the ratio (seconds per deploy): at microsecond scale
-/// the 4-FPGA point is dominated by clock noise, so the gate compares
-/// against at least this much work per deploy.
-const ALLOC_FLOOR_S: f64 = 0.5e-6;
-/// Noise floor for the *reported* allocation p99 (ms). The healthy
-/// scheduler allocates in single-digit microseconds, far below what a
-/// shared CI runner can time repeatably, so the baseline-gated figure is
-/// clamped up to this floor: real regressions (an O(cluster) walk costs
-/// hundreds of microseconds per call at 1024 FPGAs) still blow through
-/// it, while timer jitter cannot flake the +25 % gate.
-const ALLOC_P99_NOISE_FLOOR_MS: f64 = 0.1;
 
 /// One swept cluster size.
 struct Point {
@@ -67,50 +38,10 @@ struct Point {
     requests: usize,
 }
 
-/// Wraps a policy and records the wall-clock cost of every `schedule`
-/// invocation, so the report can quote allocation latency independently
-/// of simulated time.
-struct TimedScheduler<S> {
-    inner: S,
-    call_s: Vec<f64>,
-}
-
-impl<S: Scheduler> TimedScheduler<S> {
-    fn new(inner: S) -> Self {
-        TimedScheduler {
-            inner,
-            call_s: Vec::new(),
-        }
-    }
-
-    fn total_s(&self) -> f64 {
-        self.call_s.iter().sum()
-    }
-}
-
-impl<S: Scheduler> Scheduler for TimedScheduler<S> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn schedule(&mut self, view: &ClusterView, pending: &[PendingRequest]) -> Vec<Deployment> {
-        let t = Instant::now();
-        let out = self.inner.schedule(view, pending);
-        self.call_s.push(t.elapsed().as_secs_f64());
-        out
-    }
-
-    fn quantum_s(&self) -> Option<f64> {
-        self.inner.quantum_s()
-    }
-}
-
 /// Results of one point, already reduced to the reported figures.
 struct PointResult {
     fpgas: usize,
     req_per_s: f64,
-    alloc_p99_ms: f64,
-    alloc_per_deploy_s: f64,
     spanning_frac: f64,
     avg_wait_s: f64,
     utilization: f64,
@@ -144,16 +75,10 @@ fn run_point(point: &Point) -> PointResult {
             .expect("pod topology matches the layout")
     };
 
-    let (report, alloc_total_s, alloc_p99_ms) = if point.pods == 1 {
-        let mut policy = TimedScheduler::new(VitalScheduler::new());
-        let report = sim.run(&mut policy, reqs);
-        let p99 = percentile(&policy.call_s, 0.99) * 1e3;
-        (report, policy.total_s(), p99)
+    let report = if point.pods == 1 {
+        sim.run(&mut VitalScheduler::new(), reqs)
     } else {
-        let mut policy = TimedScheduler::new(PodScheduler::new());
-        let report = sim.run(&mut policy, reqs);
-        let p99 = percentile(&policy.call_s, 0.99) * 1e3;
-        (report, policy.total_s(), p99)
+        sim.run(&mut PodScheduler::new(), reqs)
     };
 
     assert_eq!(
@@ -168,8 +93,6 @@ fn run_point(point: &Point) -> PointResult {
     PointResult {
         fpgas: point.fpgas,
         req_per_s,
-        alloc_p99_ms,
-        alloc_per_deploy_s: alloc_total_s / completed.max(1.0),
         spanning_frac: report.spanning_fraction(),
         avg_wait_s: report.avg_wait_s(),
         utilization: report.block_utilization,
@@ -178,149 +101,27 @@ fn run_point(point: &Point) -> PointResult {
 }
 
 fn main() {
-    let t0 = Instant::now();
-    let baseline_mode = std::env::args().any(|a| a == "--baseline");
-    let quick_mode = quick();
+    println!("== cluster-scale sweep ==\n");
     // {paper ring, 4 pods x 16, 32 pods x 32}. Request counts keep the
-    // full sweep affordable while still pushing the 1024-point past a
+    // sweep affordable while still pushing the 1024-point past a
     // million deploys per simulated day (the rate, not the count, is the
     // claim: ~0.7 x 7680 blocks / 8 block-seconds ~ 672 req/s ~ 58M/day).
-    let points = if quick_mode {
-        vec![
-            Point {
-                fpgas: 4,
-                pods: 1,
-                requests: 300,
-            },
-            Point {
-                fpgas: 64,
-                pods: 4,
-                requests: 800,
-            },
-            Point {
-                fpgas: 1024,
-                pods: 32,
-                requests: 1500,
-            },
-        ]
-    } else {
-        vec![
-            Point {
-                fpgas: 4,
-                pods: 1,
-                requests: 2_000,
-            },
-            Point {
-                fpgas: 64,
-                pods: 4,
-                requests: 8_000,
-            },
-            Point {
-                fpgas: 1024,
-                pods: 32,
-                requests: 20_000,
-            },
-        ]
-    };
-
-    println!("== cluster-scale sweep (quick = {quick_mode}) ==\n");
-    let mut results = Vec::new();
-    for point in &points {
-        let r = run_point(point);
+    for (fpgas, pods, requests) in [(4, 1, 2_000), (64, 4, 8_000), (1024, 32, 20_000)] {
+        let r = run_point(&Point {
+            fpgas,
+            pods,
+            requests,
+        });
         println!(
-            "{:>5} FPGAs ({:>2} pod(s)): {:>8.1} req/s goodput, alloc p99 {:>7.3} ms \
-             ({:>7.2} us/deploy), spanning {:>5.1}%, wait {:>6.3}s, util {:>4.1}%, \
-             {:>5.1}M deploys/day",
+            "{:>5} FPGAs ({:>2} pod(s)): {:>8.1} req/s goodput, spanning {:>5.1}%, \
+             wait {:>6.3}s, util {:>4.1}%, {:>5.1}M deploys/day",
             r.fpgas,
-            point.pods,
+            pods,
             r.req_per_s,
-            r.alloc_p99_ms,
-            r.alloc_per_deploy_s * 1e6,
             r.spanning_frac * 100.0,
             r.avg_wait_s,
             r.utilization * 100.0,
             r.deploys_per_day / 1e6,
         );
-        results.push(r);
-    }
-
-    // Sub-linear allocation gate: scaling the cluster 256x may cost at
-    // most SUBLINEAR_FACTOR x more allocation work per deploy.
-    let mut gate_failures: Vec<String> = Vec::new();
-    let small = results.first().expect("sweep is non-empty");
-    let large = results.last().expect("sweep is non-empty");
-    let reference = small.alloc_per_deploy_s.max(ALLOC_FLOOR_S);
-    let ratio = large.alloc_per_deploy_s / reference;
-    println!(
-        "\nallocation cost per deploy: {:.2} us @ {} FPGAs -> {:.2} us @ {} FPGAs \
-         ({ratio:.1}x for a {}x larger cluster; floor {SUBLINEAR_FACTOR}x)",
-        small.alloc_per_deploy_s * 1e6,
-        small.fpgas,
-        large.alloc_per_deploy_s * 1e6,
-        large.fpgas,
-        large.fpgas / small.fpgas,
-    );
-    if ratio > SUBLINEAR_FACTOR {
-        gate_failures.push(format!(
-            "allocation cost per deploy grew {ratio:.1}x from {} to {} FPGAs \
-             (limit {SUBLINEAR_FACTOR}x for a {}x larger cluster)",
-            small.fpgas,
-            large.fpgas,
-            large.fpgas / small.fpgas,
-        ));
-    }
-
-    // Samples: per-point goodput (req/s).
-    let samples: Vec<f64> = results.iter().map(|r| r.req_per_s).collect();
-    let mut rec = BenchRecord::new("scale", samples, t0.elapsed().as_secs_f64())
-        .with_config("load_fraction", LOAD_FRACTION)
-        .with_config("workload_set", 7)
-        .with_config("quick", quick_mode);
-    for r in &results {
-        let f = r.fpgas;
-        rec = rec
-            .with_config(
-                &format!("point.f{f}.req_per_s"),
-                format!("{:.2}", r.req_per_s),
-            )
-            .with_config(
-                &format!("point.f{f}.alloc.p99_ms"),
-                format!("{:.4}", r.alloc_p99_ms.max(ALLOC_P99_NOISE_FLOOR_MS)),
-            )
-            .with_config(
-                &format!("point.f{f}.spanning_frac"),
-                format!("{:.4}", r.spanning_frac),
-            )
-            .with_config(
-                &format!("point.f{f}.avg_wait_s"),
-                format!("{:.4}", r.avg_wait_s),
-            )
-            .with_config(
-                &format!("point.f{f}.deploys_per_day"),
-                format!("{:.0}", r.deploys_per_day),
-            );
-    }
-    match write_bench_json(&rec) {
-        Ok(path) => println!("bench json -> {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write bench json: {e}");
-            std::process::exit(1);
-        }
-    }
-    if baseline_mode {
-        match write_json_named(&rec, "BASELINE_scale.json") {
-            Ok(path) => println!("baseline json -> {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to write baseline json: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if !gate_failures.is_empty() {
-        for f in &gate_failures {
-            eprintln!("GATE FAIL {f}");
-        }
-        std::process::exit(1);
     }
 }

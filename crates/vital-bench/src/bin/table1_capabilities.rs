@@ -5,7 +5,6 @@ use vital::baselines::{AmorphOsHighThroughput, AmorphOsLowLatency, PerDeviceBase
 use vital::cluster::{ClusterConfig, ClusterSim, Scheduler};
 use vital::prelude::*;
 use vital::workloads::{generate_workload_set, SizingModel, WorkloadParams};
-use vital_bench::{quick, write_bench_json, BenchRecord};
 
 struct Row {
     method: &'static str,
@@ -16,7 +15,6 @@ struct Row {
 }
 
 fn main() {
-    let t0 = std::time::Instant::now();
     // Probe the implemented systems on a mixed workload to verify the
     // qualitative entries empirically.
     let sim = ClusterSim::new(ClusterConfig::paper_cluster());
@@ -92,26 +90,4 @@ fn main() {
     assert!(vital.spanning_fraction() > 0.0 && ht.spanning_fraction() == 0.0);
     println!("\ncapability ordering verified: baseline < slot-based < AmorphOS-HT <= ViTAL,");
     println!("and only ViTAL scales out across FPGAs.");
-
-    // Samples: effective utilization per system, table order.
-    let samples = vec![
-        base.effective_utilization,
-        slot.effective_utilization,
-        ht.effective_utilization,
-        vital.effective_utilization,
-    ];
-    let rec = BenchRecord::new("table1_capabilities", samples, t0.elapsed().as_secs_f64())
-        .with_config("systems", "baseline | slot | amorphos-ht | vital")
-        .with_config("quick", quick())
-        .with_config(
-            "vital_spanning",
-            format!("{:.3}", vital.spanning_fraction()),
-        );
-    match write_bench_json(&rec) {
-        Ok(path) => println!("bench json -> {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write bench json: {e}");
-            std::process::exit(1);
-        }
-    }
 }

@@ -10,10 +10,8 @@ use vital::compiler::{Compiler, CompilerConfig};
 use vital::fabric::Resources;
 use vital::netlist::hls::synthesize;
 use vital::workloads::{benchmarks, Size};
-use vital_bench::{quick, write_bench_json, BenchRecord};
 
 fn main() {
-    let t0 = std::time::Instant::now();
     let full_compile = std::env::args().any(|a| a == "--compile");
     let compiler = Compiler::new(CompilerConfig::default());
     let block = compiler.config().block_resources;
@@ -31,7 +29,6 @@ fn main() {
         "{:<12} {:>4} {:>10} {:>10} {:>6} {:>9} {:>7} {:>12}",
         "benchmark", "size", "LUT", "DFF", "DSP", "BRAM(Mb)", "#Block", "paper#Block"
     );
-    let mut block_counts = Vec::new();
     for bench in benchmarks() {
         for size in Size::ALL {
             let spec = bench.spec(size);
@@ -46,7 +43,6 @@ fn main() {
             } else {
                 r.blocks_needed(&block, margin)
             };
-            block_counts.push(blocks as f64);
             println!(
                 "{:<12} {:>4} {:>10} {:>10} {:>6} {:>9.1} {:>7} {:>12}",
                 bench.name(),
@@ -66,20 +62,4 @@ fn main() {
         block,
         margin * 100.0
     );
-
-    // Samples: virtual-block count per design (21 designs, S/M/L order).
-    let rec = BenchRecord::new(
-        "table2_benchmarks",
-        block_counts,
-        t0.elapsed().as_secs_f64(),
-    )
-    .with_config("full_compile", full_compile)
-    .with_config("quick", quick());
-    match write_bench_json(&rec) {
-        Ok(path) => println!("bench json -> {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write bench json: {e}");
-            std::process::exit(1);
-        }
-    }
 }

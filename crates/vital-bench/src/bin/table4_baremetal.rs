@@ -6,10 +6,8 @@
 use vital::fabric::{DeviceModel, Floorplan};
 use vital::interface::{measure_channel, ActorKind, ChannelSpec, LinkClass, NetworkSim, CLOCK_MHZ};
 use vital::workloads::random_traffic_sinks;
-use vital_bench::{quick, write_bench_json, BenchRecord};
 
 fn main() {
-    let t0 = std::time::Instant::now();
     let device = DeviceModel::xcvu37p();
     let plan = Floorplan::optimal_for(&device).expect("XCVU37P has a feasible floorplan");
     let block = plan.block_resources();
@@ -48,11 +46,10 @@ fn main() {
     // Random-traffic sweep: throughput delivered under randomly stalling
     // consumers, confirming back-pressure never deadlocks and bandwidth
     // degrades gracefully (the "random data traffic" of §5.1).
-    let patterns = if quick() { 16 } else { 64 };
+    let patterns = 64;
     println!("\nrandom-traffic sweep over the inter-FPGA link ({patterns} random sink patterns):");
     let mut worst = f64::INFINITY;
     let mut best: f64 = 0.0;
-    let mut delivered = Vec::new();
     for (period, duty) in random_traffic_sinks(2020, patterns) {
         let mut sim = NetworkSim::new();
         let ch = sim.add_channel(ChannelSpec::saturating(LinkClass::InterFpga));
@@ -72,19 +69,6 @@ fn main() {
         let gbps = delivered_bits as f64 / (20_000.0 / (CLOCK_MHZ * 1.0e6)) / 1.0e9;
         worst = worst.min(gbps);
         best = best.max(gbps);
-        delivered.push(gbps);
     }
     println!("  delivered bandwidth range: {worst:.1} .. {best:.1} Gb/s, zero deadlocks");
-
-    // Samples: delivered Gb/s per random sink pattern.
-    let rec = BenchRecord::new("table4_baremetal", delivered, t0.elapsed().as_secs_f64())
-        .with_config("patterns", patterns)
-        .with_config("quick", quick());
-    match write_bench_json(&rec) {
-        Ok(path) => println!("bench json -> {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write bench json: {e}");
-            std::process::exit(1);
-        }
-    }
 }

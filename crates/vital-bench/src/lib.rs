@@ -1,5 +1,4 @@
-//! Shared harness code for the table/figure report binaries and Criterion
-//! micro-benchmarks.
+//! Shared harness code for the table/figure report binaries.
 //!
 //! Every table and figure of the paper's evaluation (§5) has a dedicated
 //! report binary in `src/bin/` that regenerates it on the reproduction's
@@ -13,98 +12,26 @@
 //! | `table4_baremetal` | Table 4 (block resources; link bandwidth/latency) |
 //! | `fig7_partition_dse` | Fig. 7 + §5.3 (partition DSE, reserved resources, buffer elimination) |
 //! | `fig8_compile_breakdown` | Fig. 8 + §5.4 (compile-time breakdown, partition quality, AmorphOS combinations) |
-//! | `compile_speedup` | serial-vs-parallel local P&R speedup + compile-cache hit rates |
 //! | `fig9_response_time` | Fig. 9 (normalized response time, 10 workload sets × 4 systems) |
 //! | `fig9_failures` | Fig. 9 companion (goodput + terminal failures under injected faults) |
 //! | `fig10_sharing_metrics` | Fig. 10 + §5.5 (relocation map, utilization, concurrency, spanning, overhead) |
 //! | `fig_oversubscription` | DESIGN.md §11 (preemptive time slicing vs non-preemptive on saturating workloads) |
 //! | `fig_isa_elastic` | DESIGN.md §16 (instruction-level tile pool vs spatial ViTAL on bursty multi-tenant DNN traffic) |
-//! | `fig_service_throughput` | DESIGN.md §12 (`vitald` admission pipeline under 64 concurrent client sessions) |
+//! | `fig_scale` | DESIGN.md §15 (pod-sharded cluster simulation from 4 to 1024 FPGAs) |
+//! | `fig_migration` | DESIGN.md §17 (same-geometry vs portable migration downtime) |
 //!
-//! Run them all with `cargo run -p vital-bench --bin <name> --release`.
+//! Run one with `cargo run -p vital-bench --bin <name> --release`. Stdout
+//! is the deterministic report and anything wall-clock goes to stderr, so
+//! `tests/reports.rs` compares every binary except
+//! `fig8_compile_breakdown` byte for byte with `reports/<name>.txt`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
 use vital::cluster::AppRequest;
 use vital::workloads::{generate_workload_set, SizingModel, WorkloadComposition, WorkloadParams};
-
-/// One machine-readable benchmark result, written as
-/// `reports/BENCH_<name>.json` next to the archived `.txt` report so the
-/// performance trajectory is tracked PR-over-PR.
-///
-/// The schema is deliberately flat: `name` identifies the binary, `config`
-/// records the knobs the run used (seed count, workload sets, `--quick`),
-/// `samples` holds the headline per-condition measurements the figure is
-/// built from, and `p50`/`p95`/`wall_s` summarize them. CI re-parses every
-/// file through this type, so a bin that stops emitting valid JSON fails
-/// the build.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchRecord {
-    /// Benchmark name; the file is `BENCH_<name>.json`.
-    pub name: String,
-    /// Free-form configuration knobs recorded as strings.
-    pub config: BTreeMap<String, String>,
-    /// Headline per-condition measurements (figure-specific units).
-    pub samples: Vec<f64>,
-    /// Median of `samples`.
-    pub p50: f64,
-    /// 95th percentile of `samples`.
-    pub p95: f64,
-    /// Wall-clock time of the whole report run, in seconds.
-    pub wall_s: f64,
-}
-
-impl BenchRecord {
-    /// Builds a record from raw samples, computing the summary quantiles.
-    pub fn new(name: impl Into<String>, samples: Vec<f64>, wall_s: f64) -> Self {
-        let p50 = percentile(&samples, 0.50);
-        let p95 = percentile(&samples, 0.95);
-        BenchRecord {
-            name: name.into(),
-            config: BTreeMap::new(),
-            samples,
-            p50,
-            p95,
-            wall_s,
-        }
-    }
-
-    /// Adds one configuration knob (builder style).
-    pub fn with_config(mut self, key: &str, value: impl ToString) -> Self {
-        self.config.insert(key.to_string(), value.to_string());
-        self
-    }
-
-    /// Checks the schema invariants CI relies on: a non-empty name, finite
-    /// samples, and finite non-negative summary statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first violation.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.name.is_empty() {
-            return Err("bench record has an empty name".to_string());
-        }
-        if let Some(s) = self.samples.iter().find(|s| !s.is_finite()) {
-            return Err(format!("bench {:?} has non-finite sample {s}", self.name));
-        }
-        for (label, v) in [
-            ("p50", self.p50),
-            ("p95", self.p95),
-            ("wall_s", self.wall_s),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("bench {:?} has invalid {label}: {v}", self.name));
-            }
-        }
-        Ok(())
-    }
-}
 
 /// Linear-interpolated quantile of `samples` (`q` in `[0, 1]`); 0 when
 /// empty.
@@ -123,44 +50,6 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
 /// The repo-level `reports/` directory the report binaries archive into.
 pub fn reports_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../reports")
-}
-
-/// Validates `record` and writes it to `reports/BENCH_<name>.json`,
-/// returning the path written.
-///
-/// # Errors
-///
-/// Returns an error if the record fails [`BenchRecord::validate`] or the
-/// file cannot be written.
-pub fn write_bench_json(record: &BenchRecord) -> std::io::Result<PathBuf> {
-    write_json_named(record, &format!("BENCH_{}.json", record.name))
-}
-
-/// Validates `record` and writes it to `reports/<file_name>` — the
-/// escape hatch for non-`BENCH_` artifacts such as the committed
-/// `BASELINE_service.json` the perf gate compares against.
-///
-/// # Errors
-///
-/// Returns an error if the record fails [`BenchRecord::validate`] or the
-/// file cannot be written.
-pub fn write_json_named(record: &BenchRecord, file_name: &str) -> std::io::Result<PathBuf> {
-    record
-        .validate()
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    let dir = reports_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(file_name);
-    let json = serde_json::to_string_pretty(record)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(&path, json + "\n")?;
-    Ok(path)
-}
-
-/// `true` when the process was invoked with `--quick`: report binaries
-/// then shrink their sweeps (fewer seeds / sets) so CI can afford them.
-pub fn quick() -> bool {
-    std::env::args().any(|a| a == "--quick")
 }
 
 /// Renders a simple ASCII bar (for figure-like console output).
@@ -243,30 +132,5 @@ mod tests {
         assert_eq!(percentile(&v, 1.0), 4.0);
         assert_eq!(percentile(&v, 0.5), 2.5);
         assert_eq!(percentile(&[], 0.5), 0.0);
-    }
-
-    #[test]
-    fn bench_record_roundtrips_through_json() {
-        let rec = BenchRecord::new("unit_test", vec![1.0, 2.0, 3.0], 0.25)
-            .with_config("seeds", 3)
-            .with_config("quick", false);
-        rec.validate().expect("valid record");
-        let json = serde_json::to_string_pretty(&rec).unwrap();
-        let back: BenchRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, rec);
-        assert_eq!(back.p50, 2.0);
-        assert_eq!(back.config["seeds"], "3");
-    }
-
-    #[test]
-    fn bench_record_validation_rejects_bad_values() {
-        let mut rec = BenchRecord::new("x", vec![1.0], 0.0);
-        rec.samples.push(f64::NAN);
-        assert!(rec.validate().is_err());
-        let rec = BenchRecord::new("", vec![1.0], 0.0);
-        assert!(rec.validate().is_err());
-        let mut rec = BenchRecord::new("x", vec![1.0], 0.0);
-        rec.wall_s = f64::INFINITY;
-        assert!(rec.validate().is_err());
     }
 }

@@ -42,15 +42,6 @@ pub enum PeriphError {
         /// Page size of the target manager.
         page_size: u64,
     },
-    /// A DMA descriptor's host range fell outside the host buffer.
-    BadDmaRange {
-        /// Byte offset into the host buffer.
-        offset: usize,
-        /// Transfer length.
-        len: usize,
-        /// Host buffer size.
-        buffer: usize,
-    },
 }
 
 impl fmt::Display for PeriphError {
@@ -76,14 +67,6 @@ impl fmt::Display for PeriphError {
             } => write!(
                 f,
                 "memory image page size {image_page_size} does not match board page size {page_size}"
-            ),
-            PeriphError::BadDmaRange {
-                offset,
-                len,
-                buffer,
-            } => write!(
-                f,
-                "DMA host range {offset}+{len} exceeds the {buffer}-byte buffer"
             ),
         }
     }

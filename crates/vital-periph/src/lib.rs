@@ -12,8 +12,6 @@
 //!   are divided among co-resident tenants with proportional shares.
 //! * **Ethernet** ([`VirtualSwitch`]): per-tenant virtual NICs behind one
 //!   physical port, with frames delivered only to their addressee.
-//! * **Host DMA** ([`DmaEngine`]): descriptor-based transfers between the
-//!   host and board DRAM that inherit the MMU's per-tenant protection.
 //!
 //! All types are thread-safe (`parking_lot` locks) because the service
 //! region is shared by every block of an FPGA and the runtime touches it
@@ -38,13 +36,11 @@
 #![warn(missing_docs)]
 
 mod arbiter;
-mod dma;
 mod error;
 mod ethernet;
 mod vmem;
 
 pub use arbiter::{BandwidthArbiter, ShareGrant};
-pub use dma::{DmaCompletion, DmaDescriptor, DmaDirection, DmaEngine};
 pub use error::PeriphError;
 pub use ethernet::{EthernetFrame, VirtualNic, VirtualSwitch};
 pub use vmem::{MemoryImage, MemoryManager, MemoryStats, PageImage, TenantId};

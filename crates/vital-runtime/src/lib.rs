@@ -9,7 +9,7 @@
 //!   relocatable [`vital_compiler::AppBitstream`] of every application.
 //!
 //! Deployment uses the **communication-aware multi-round policy**
-//! ([`allocate_blocks`]): round 1 looks for a single FPGA with enough free
+//! ([`allocate_blocks_on`]): round 1 looks for a single FPGA with enough free
 //! blocks (best-fit, to limit fragmentation); each following round admits
 //! one more FPGA, choosing the spanning set that is **adjacent on the
 //! ring** — the primary plus its nearest neighbours by hop distance — so
@@ -78,7 +78,7 @@ pub use controller::{
 };
 pub use error::RuntimeError;
 pub use farm::{AppResolver, CompileOutcome, FarmStats};
-pub use policy::{allocate_blocks, allocate_blocks_on, AllocationOutcome};
+pub use policy::{allocate_blocks_on, AllocationOutcome};
 pub use resource_db::{BlockState, FpgaHealth, ResourceDatabase};
 pub use scheduler::{PodScheduler, VitalScheduler};
 // The checkpoint capsule types appear in the controller's public API;

@@ -43,38 +43,14 @@ pub struct AllocationOutcome {
     pub hop_cost: usize,
 }
 
-impl AllocationOutcome {
-    /// The trivial outcome of a zero-block request.
-    fn empty() -> Self {
-        AllocationOutcome {
-            blocks: Vec::new(),
-            fpgas_used: 0,
-            primary: 0,
-            hop_cost: 0,
-        }
-    }
-}
-
 /// Allocates `needed` blocks from per-FPGA free lists using the multi-round
-/// policy. `free_lists[f]` must contain the free blocks of FPGA `f`, with
-/// the FPGAs arranged on a bidirectional ring in index order.
+/// policy. Hop costs come from the topology's shortest paths, so the same
+/// policy works on the paper's ring (`Topology::ring`) and on pod graphs.
+/// `free_lists[f]` must contain the free blocks of FPGA `f` of the
+/// topology.
 ///
 /// Returns `None` when the cluster does not have `needed` free blocks in
 /// total.
-pub fn allocate_blocks(free_lists: &[Vec<BlockAddr>], needed: usize) -> Option<AllocationOutcome> {
-    if free_lists.is_empty() {
-        // Preserve the pre-topology early returns without building a
-        // degenerate ring.
-        return (needed == 0).then(AllocationOutcome::empty);
-    }
-    allocate_blocks_on(&Topology::ring(free_lists.len()), free_lists, needed)
-}
-
-/// [`allocate_blocks`] generalized over an explicit cluster [`Topology`]:
-/// hop costs come from the topology's shortest paths instead of assuming
-/// a single ring, so the same multi-round policy works on pod graphs.
-/// `free_lists[f]` must contain the free blocks of FPGA `f` of the
-/// topology.
 pub fn allocate_blocks_on(
     topology: &Topology,
     free_lists: &[Vec<BlockAddr>],
@@ -273,6 +249,10 @@ mod tests {
     use super::*;
     use vital_fabric::{FpgaId, PhysicalBlockId};
 
+    fn allocate(lists: &[Vec<BlockAddr>], needed: usize) -> Option<AllocationOutcome> {
+        allocate_blocks_on(&Topology::ring(lists.len()), lists, needed)
+    }
+
     fn free(f: u32, blocks: &[u32]) -> Vec<BlockAddr> {
         blocks
             .iter()
@@ -284,7 +264,7 @@ mod tests {
     fn round_one_prefers_single_fpga_best_fit() {
         let lists = vec![free(0, &[0, 1, 2, 3, 4]), free(1, &[0, 1, 2])];
         // Needs 3: FPGA 1 is the tighter fit.
-        let out = allocate_blocks(&lists, 3).unwrap();
+        let out = allocate(&lists, 3).unwrap();
         assert_eq!(out.fpgas_used, 1);
         assert_eq!(out.primary, 1);
         assert_eq!(out.hop_cost, 0);
@@ -294,7 +274,7 @@ mod tests {
     #[test]
     fn spans_only_when_no_single_fpga_fits() {
         let lists = vec![free(0, &[0, 1, 2, 3]), free(1, &[0, 1, 2])];
-        let out = allocate_blocks(&lists, 6).unwrap();
+        let out = allocate(&lists, 6).unwrap();
         assert_eq!(out.fpgas_used, 2);
         assert_eq!(out.primary, 0);
         assert_eq!(out.hop_cost, 1);
@@ -316,7 +296,7 @@ mod tests {
             free(3, &[0, 1]),
         ];
         // Needs 5: the largest FPGA plus one neighbour suffice -> 2 FPGAs.
-        let out = allocate_blocks(&lists, 5).unwrap();
+        let out = allocate(&lists, 5).unwrap();
         assert_eq!(out.fpgas_used, 2);
         assert_eq!(out.hop_cost, 1);
     }
@@ -324,12 +304,12 @@ mod tests {
     #[test]
     fn fails_when_cluster_is_too_full() {
         let lists = vec![free(0, &[0]), free(1, &[])];
-        assert!(allocate_blocks(&lists, 2).is_none());
+        assert!(allocate(&lists, 2).is_none());
     }
 
     #[test]
     fn zero_need_is_trivially_satisfied() {
-        let out = allocate_blocks(&[], 0).unwrap();
+        let out = allocate(&[free(0, &[])], 0).unwrap();
         assert!(out.blocks.is_empty());
         assert_eq!(out.fpgas_used, 0);
         assert_eq!(out.hop_cost, 0);
@@ -347,7 +327,7 @@ mod tests {
             free(2, &[0, 1, 2]),
             free(3, &[]),
         ];
-        let out = allocate_blocks(&lists, 5).unwrap();
+        let out = allocate(&lists, 5).unwrap();
         assert_eq!(out.fpgas_used, 2);
         assert_eq!(out.hop_cost, 1, "must span an adjacent pair, not {{0, 2}}");
         let mut fpgas: Vec<u32> = out.blocks.iter().map(|b| b.fpga.index()).collect();
@@ -380,7 +360,7 @@ mod tests {
             free(3, &[0]),
         ];
         // Needs 8: only {0, 2} (2 hops) has the capacity at round 2.
-        let out = allocate_blocks(&lists, 8).unwrap();
+        let out = allocate(&lists, 8).unwrap();
         assert_eq!(out.fpgas_used, 2);
         assert_eq!(out.hop_cost, 2);
     }
@@ -396,7 +376,7 @@ mod tests {
         // Needs 6 -> three FPGAs. A contiguous arc (e.g. {3, 0, 1} around
         // primary 0) costs 2 hops; any set with an opposite-side member
         // costs 3.
-        let out = allocate_blocks(&lists, 6).unwrap();
+        let out = allocate(&lists, 6).unwrap();
         assert_eq!(out.fpgas_used, 3);
         assert_eq!(out.hop_cost, 2);
     }

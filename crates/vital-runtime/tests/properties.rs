@@ -3,9 +3,10 @@
 //! invariants under arbitrary request sequences.
 
 use proptest::prelude::*;
+use vital_cluster::Topology;
 use vital_fabric::{BlockAddr, FpgaId, PhysicalBlockId};
 use vital_periph::TenantId;
-use vital_runtime::{allocate_blocks, ResourceDatabase};
+use vital_runtime::{allocate_blocks_on, ResourceDatabase};
 
 fn free_lists_from(counts: &[usize]) -> Vec<Vec<BlockAddr>> {
     counts
@@ -30,7 +31,7 @@ proptest! {
     ) {
         let free_lists = free_lists_from(&counts);
         let total: usize = counts.iter().sum();
-        match allocate_blocks(&free_lists, needed) {
+        match allocate_blocks_on(&Topology::ring(counts.len()), &free_lists, needed) {
             Some(out) => {
                 prop_assert!(needed <= total);
                 prop_assert_eq!(out.blocks.len(), needed);

@@ -24,8 +24,8 @@
 //! A [`Telemetry`] handle is either *live* (backed by shared state) or
 //! *disabled* (`Telemetry::disabled()`, also the `Default`). Disabled
 //! handles hold no allocation and every operation is a single branch on an
-//! `Option` — the `telemetry_overhead` Criterion bench in `vital-bench`
-//! verifies the disabled path costs ≤ 1 % on a full compile.
+//! `Option`. The end-to-end benchmark (`benchmark/`) reports what live
+//! tracing costs as `bench.trace_overhead_frac`.
 //!
 //! # Deterministic in sim time
 //!

@@ -37,6 +37,10 @@ fn parallel_pnr_is_bit_identical_to_serial() {
     let spec = multi_block_spec("det");
     let serial = compiler_with_workers(1).compile(&spec).unwrap();
     let parallel = compiler_with_workers(8).compile(&spec).unwrap();
+    for workers in [2, 4] {
+        let other = compiler_with_workers(workers).compile(&spec).unwrap();
+        assert_eq!(serial.bitstream(), other.bitstream(), "{workers} workers");
+    }
     assert!(
         serial.bitstream().block_count() >= 4,
         "design must fan out, got {} blocks",
