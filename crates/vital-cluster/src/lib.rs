@@ -70,7 +70,7 @@ pub use request::{AppRequest, RequestId};
 pub use ring::RingNetwork;
 pub use sim::{ClusterSim, INSTRUCTION_SWITCH_S};
 pub use state::{
-    ClusterConfig, ClusterView, Deployment, FaultEvent, FaultPlan, InstanceId, PendingRequest,
-    ReconfigKind, RetryPolicy, Scheduler,
+    ClusterConfig, ClusterView, Deployment, FaultEvent, FaultPlan, FpgaHealth, InstanceId,
+    PendingRequest, ReconfigKind, RetryPolicy, Scheduler,
 };
 pub use topology::{LinkSpec, Topology};

@@ -443,7 +443,7 @@ mod tests {
                 for f in 0..free.len() {
                     let whole = self.whole_device;
                     let enough = if whole {
-                        free[f].len() == view.config().blocks_per_fpga
+                        free[f].len() == view.blocks_per_fpga_of(f)
                     } else {
                         free[f].len() >= need
                     };

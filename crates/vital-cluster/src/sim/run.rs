@@ -10,7 +10,8 @@ use super::queue::EventQueue;
 use super::{blocks_per_fpga, ClusterSim};
 use crate::{
     AppRequest, ClusterError, ClusterView, Deployment, FailedOutcome, FaultEvent, FaultPlan,
-    InstanceId, PendingRequest, ReconfigKind, RequestOutcome, RetryPolicy, Scheduler, SimReport,
+    FpgaHealth, InstanceId, PendingRequest, ReconfigKind, RequestOutcome, RetryPolicy, Scheduler,
+    SimReport,
 };
 
 #[derive(Debug, Clone, Copy)]
@@ -171,7 +172,7 @@ impl<'a> Run<'a> {
         };
         Run {
             quantum: policy.quantum_s().filter(|q| q.is_finite() && *q > 0.0),
-            view: ClusterView::with_topology(sim.config, &sim.layout, sim.topology.clone()),
+            view: ClusterView::new(&sim.layout, sim.topology.clone()),
             state: vec![fresh; requests.len()],
             sim,
             policy,
@@ -387,14 +388,20 @@ impl<'a> Run<'a> {
             Some("sim.fpga_failures"),
             &[("fpga", fpga.into())],
         );
-        self.view.set_offline(fpga, true);
-        self.evict(self.view.instances_on(fpga));
+        self.view.set_health(fpga, FpgaHealth::Offline);
+        let victims = self
+            .view
+            .owners_on(fpga)
+            .into_iter()
+            .map(InstanceId)
+            .collect();
+        self.evict(victims);
         true
     }
 
     fn on_fpga_repair(&mut self, fpga: usize) -> bool {
         self.emit("sim.fpga_repair", None, &[("fpga", fpga.into())]);
-        self.view.set_offline(fpga, false);
+        self.view.set_health(fpga, FpgaHealth::Online);
         true
     }
 
@@ -580,7 +587,7 @@ impl<'a> Run<'a> {
         let id = InstanceId(self.next_instance);
         self.next_instance += 1;
         for &b in &d.blocks {
-            self.view.occupy(b, id);
+            self.view.occupy(b, id.0);
         }
         self.usage.busy_blocks += d.blocks.len();
         self.usage.needed_blocks += req.blocks_needed as usize;

@@ -1,11 +1,12 @@
 //! Cluster configuration, observable state, and the scheduling interface.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use vital_fabric::{BlockAddr, FpgaId, PhysicalBlockId};
 
-use crate::{AppRequest, RequestId};
+use crate::{AppRequest, RequestId, Topology};
 
 /// Static parameters of the simulated cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -292,46 +293,60 @@ impl FaultPlan {
     }
 }
 
-/// The scheduler-visible state of the cluster.
+/// Operational health of one FPGA (the failure model's state machine).
+///
+/// `Online → Draining` (operator-initiated evacuation) and `Online →
+/// Offline` (crash) both stop new allocations; only `Offline` means the
+/// device — and any tenant logic still on it — is gone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+pub enum FpgaHealth {
+    /// Healthy: blocks are allocatable.
+    #[default]
+    Online,
+    /// Being evacuated: existing tenants keep running (and keep their
+    /// DRAM), but no new blocks are handed out.
+    Draining,
+    /// Crashed or removed: nothing on it is usable.
+    Offline,
+}
+
+/// The block table: who owns every physical block, the health of every
+/// FPGA, and the free-block counts per FPGA and per pod, kept current on
+/// every occupy, vacate and health change.
+///
+/// This is the one block table of the stack: the simulator runs its
+/// policies against one, and `vital-runtime`'s resource database is a
+/// lock around one. A slot holds an owner id — the simulator stores an
+/// [`InstanceId`] there, the runtime a tenant id.
 #[derive(Debug, Clone)]
 pub struct ClusterView {
-    config: ClusterConfig,
-    /// `busy[f][b]` = the instance occupying block `b` of FPGA `f`.
-    busy: Vec<Vec<Option<InstanceId>>>,
-    /// Vacant-slot count per FPGA (maintained incrementally so per-pod
-    /// summaries stay O(FPGAs), not O(blocks)). Counts vacancy regardless
-    /// of health; [`ClusterView::free_count_of`] masks offline devices.
-    free_counts: Vec<usize>,
-    offline: Vec<bool>,
+    /// `owner[f][b]` = the owner of block `b` of FPGA `f`.
+    owner: Vec<Vec<Option<u64>>>,
+    /// Vacant blocks per FPGA, whatever its health.
+    vacant: Vec<usize>,
+    /// Allocatable blocks per pod: the vacant blocks of its Online FPGAs.
+    pod_free: Vec<usize>,
+    health: Vec<FpgaHealth>,
     link_down: Vec<bool>,
-    topology: std::sync::Arc<crate::Topology>,
+    topology: Arc<Topology>,
     now_s: f64,
 }
 
 impl ClusterView {
-    #[cfg(test)]
-    pub(crate) fn new(config: ClusterConfig) -> Self {
-        Self::with_layout(config, &vec![config.blocks_per_fpga; config.fpgas])
-    }
-
-    #[cfg(test)]
-    pub(crate) fn with_layout(config: ClusterConfig, blocks_per_fpga: &[usize]) -> Self {
-        let topology = std::sync::Arc::new(crate::Topology::ring(blocks_per_fpga.len().max(1)));
-        Self::with_topology(config, blocks_per_fpga, topology)
-    }
-
-    pub(crate) fn with_topology(
-        config: ClusterConfig,
-        blocks_per_fpga: &[usize],
-        topology: std::sync::Arc<crate::Topology>,
-    ) -> Self {
+    /// An empty, all-Online table: one entry of `blocks_per_fpga` per FPGA
+    /// of `topology`, in FPGA order.
+    pub fn new(blocks_per_fpga: &[usize], topology: Arc<Topology>) -> Self {
+        let mut pod_free = vec![0; topology.pod_count()];
+        for (f, &n) in blocks_per_fpga.iter().enumerate() {
+            pod_free[topology.pod_of(f)] += n;
+        }
         ClusterView {
-            busy: blocks_per_fpga.iter().map(|&n| vec![None; n]).collect(),
-            free_counts: blocks_per_fpga.to_vec(),
-            offline: vec![false; blocks_per_fpga.len()],
+            owner: blocks_per_fpga.iter().map(|&n| vec![None; n]).collect(),
+            vacant: blocks_per_fpga.to_vec(),
+            pod_free,
+            health: vec![FpgaHealth::Online; blocks_per_fpga.len()],
             link_down: vec![false; topology.link_count()],
             topology,
-            config,
             now_s: 0.0,
         }
     }
@@ -343,60 +358,53 @@ impl ClusterView {
         &self.topology
     }
 
-    /// Number of interconnect pods (1 for the paper's single ring).
-    pub fn pod_count(&self) -> usize {
-        self.topology.pod_count()
-    }
-
-    /// FPGA members of one pod, in index order.
-    pub fn pod_members(&self, pod: usize) -> Vec<usize> {
-        self.topology.pod_members(pod)
-    }
-
-    /// Free blocks per pod, in one O(FPGAs) pass — the thin global layer
-    /// a sharded scheduler consults before materializing any per-FPGA
-    /// free list.
-    pub fn pod_free_counts(&self) -> Vec<usize> {
-        let mut free = vec![0; self.pod_count()];
-        for f in 0..self.fpga_count() {
-            free[self.topology.pod_of(f)] += self.free_count_of(f);
-        }
-        free
+    /// Free blocks per pod — the thin global layer a sharded scheduler
+    /// consults before materializing any per-FPGA free list. Kept current
+    /// by every change to the table, so reading it costs nothing.
+    pub fn pod_free_counts(&self) -> &[usize] {
+        &self.pod_free
     }
 
     /// Physical blocks of one FPGA (heterogeneous clusters may differ per
     /// device — the paper's §7 extension).
     pub fn blocks_per_fpga_of(&self, fpga: usize) -> usize {
-        self.busy.get(fpga).map(Vec::len).unwrap_or(0)
+        self.owner.get(fpga).map(Vec::len).unwrap_or(0)
     }
 
-    /// Total physical blocks across the (possibly heterogeneous) cluster.
-    pub fn total_blocks(&self) -> usize {
-        self.busy.iter().map(Vec::len).sum()
-    }
-
-    pub(crate) fn set_offline(&mut self, fpga: usize, offline: bool) {
-        if let Some(slot) = self.offline.get_mut(fpga) {
-            *slot = offline;
+    /// Sets the health of one FPGA; out-of-range indices are ignored.
+    /// Owners keep their blocks: evicting them is the caller's job.
+    pub fn set_health(&mut self, fpga: usize, health: FpgaHealth) {
+        let was_online = self.fpga_online(fpga);
+        let Some(slot) = self.health.get_mut(fpga) else {
+            return;
+        };
+        *slot = health;
+        let pod = &mut self.pod_free[self.topology.pod_of(fpga)];
+        match (was_online, health == FpgaHealth::Online) {
+            (true, false) => *pod -= self.vacant[fpga],
+            (false, true) => *pod += self.vacant[fpga],
+            _ => {}
         }
     }
 
-    /// `true` if the FPGA is currently online (failed devices expose no
-    /// free blocks and accept no deployments).
-    pub fn fpga_online(&self, fpga: usize) -> bool {
-        self.offline.get(fpga).is_some_and(|o| !o)
+    /// The health of one FPGA (`Offline` if out of range).
+    pub fn health_of(&self, fpga: usize) -> FpgaHealth {
+        self.health
+            .get(fpga)
+            .copied()
+            .unwrap_or(FpgaHealth::Offline)
+    }
+
+    /// `true` if the FPGA is [`Online`](FpgaHealth::Online): other devices
+    /// expose no free blocks and accept no deployments.
+    fn fpga_online(&self, fpga: usize) -> bool {
+        self.health_of(fpga) == FpgaHealth::Online
     }
 
     pub(crate) fn set_link(&mut self, link: usize, down: bool) {
         if let Some(slot) = self.link_down.get_mut(link) {
             *slot = down;
         }
-    }
-
-    /// `true` if ring link `link` (joining FPGA `link` and its clockwise
-    /// neighbour) is currently up. Out-of-range links read as up.
-    pub fn link_up(&self, link: usize) -> bool {
-        self.link_down.get(link).is_none_or(|d| !d)
     }
 
     /// Indices of the ring links currently down. Communication-aware
@@ -415,27 +423,40 @@ impl ClusterView {
         self.now_s = now_s;
     }
 
-    pub(crate) fn occupy(&mut self, addr: BlockAddr, inst: InstanceId) {
+    /// Gives block `addr` to `owner`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is out of range.
+    pub fn occupy(&mut self, addr: BlockAddr, owner: u64) {
         let fpga = addr.fpga.index() as usize;
-        let slot = &mut self.busy[fpga][addr.block.index() as usize];
-        if slot.is_none() {
-            self.free_counts[fpga] -= 1;
+        if self.owner[fpga][addr.block.index() as usize]
+            .replace(owner)
+            .is_none()
+        {
+            self.vacant[fpga] -= 1;
+            if self.fpga_online(fpga) {
+                self.pod_free[self.topology.pod_of(fpga)] -= 1;
+            }
         }
-        *slot = Some(inst);
     }
 
-    pub(crate) fn vacate(&mut self, addr: BlockAddr) {
+    /// Frees block `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is out of range.
+    pub fn vacate(&mut self, addr: BlockAddr) {
         let fpga = addr.fpga.index() as usize;
-        let slot = &mut self.busy[fpga][addr.block.index() as usize];
-        if slot.is_some() {
-            self.free_counts[fpga] += 1;
+        if self.owner[fpga][addr.block.index() as usize]
+            .take()
+            .is_some()
+        {
+            self.vacant[fpga] += 1;
+            if self.fpga_online(fpga) {
+                self.pod_free[self.topology.pod_of(fpga)] += 1;
+            }
         }
-        *slot = None;
-    }
-
-    /// The cluster configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
     }
 
     /// Current simulation time in seconds.
@@ -445,38 +466,35 @@ impl ClusterView {
 
     /// Number of FPGAs.
     pub fn fpga_count(&self) -> usize {
-        self.busy.len()
+        self.owner.len()
     }
 
     /// Is a specific block free (its FPGA online and the block vacant)?
     pub fn is_free(&self, addr: BlockAddr) -> bool {
         self.fpga_online(addr.fpga.index() as usize)
             && self
-                .busy
+                .owner
                 .get(addr.fpga.index() as usize)
                 .and_then(|f| f.get(addr.block.index() as usize))
-                .is_some_and(|b| b.is_none())
+                .is_some_and(Option::is_none)
     }
 
-    /// The occupant of a block, if any.
-    pub fn occupant(&self, addr: BlockAddr) -> Option<InstanceId> {
-        self.busy
+    /// The owner of a block, if any.
+    pub fn occupant(&self, addr: BlockAddr) -> Option<u64> {
+        self.owner
             .get(addr.fpga.index() as usize)
             .and_then(|f| f.get(addr.block.index() as usize))
             .copied()
             .flatten()
     }
 
-    /// Free block addresses of one FPGA, in index order (empty while the
-    /// FPGA is offline).
+    /// Free block addresses of one FPGA, in index order (empty unless the
+    /// FPGA is online).
     pub fn free_blocks_of(&self, fpga: usize) -> Vec<BlockAddr> {
         if !self.fpga_online(fpga) {
             return Vec::new();
         }
-        let Some(blocks) = self.busy.get(fpga) else {
-            return Vec::new();
-        };
-        blocks
+        self.owner[fpga]
             .iter()
             .enumerate()
             .filter(|(_, b)| b.is_none())
@@ -484,17 +502,25 @@ impl ClusterView {
             .collect()
     }
 
-    /// Number of free blocks on one FPGA (zero while offline).
+    /// Number of free blocks on one FPGA (zero unless online).
     pub fn free_count_of(&self, fpga: usize) -> usize {
-        if !self.fpga_online(fpga) {
-            return 0;
+        if self.fpga_online(fpga) {
+            self.vacant[fpga]
+        } else {
+            0
         }
-        self.free_counts.get(fpga).copied().unwrap_or(0)
+    }
+
+    /// Unowned blocks on one FPGA **whatever its health**: raw idle
+    /// capacity, where [`ClusterView::free_count_of`] is what is
+    /// allocatable right now.
+    pub fn vacant_count_of(&self, fpga: usize) -> usize {
+        self.vacant.get(fpga).copied().unwrap_or(0)
     }
 
     /// Total free blocks across the cluster.
     pub fn total_free(&self) -> usize {
-        (0..self.fpga_count()).map(|f| self.free_count_of(f)).sum()
+        self.pod_free.iter().sum()
     }
 
     /// `true` if the FPGA hosts no instance at all (an offline FPGA is
@@ -504,10 +530,10 @@ impl ClusterView {
             && self.free_count_of(fpga) == self.blocks_per_fpga_of(fpga)
     }
 
-    /// Distinct instances currently running on one FPGA.
-    pub fn instances_on(&self, fpga: usize) -> Vec<InstanceId> {
-        let mut v: Vec<InstanceId> = self
-            .busy
+    /// Distinct owners of blocks on one FPGA, ascending.
+    pub fn owners_on(&self, fpga: usize) -> Vec<u64> {
+        let mut v: Vec<u64> = self
+            .owner
             .get(fpga)
             .map(|f| f.iter().flatten().copied().collect())
             .unwrap_or_default();
@@ -557,16 +583,24 @@ pub trait Scheduler {
 mod tests {
     use super::*;
 
+    fn paper_view() -> ClusterView {
+        ClusterView::new(&[15; 4], Arc::new(Topology::ring(4)))
+    }
+
+    fn addr(f: u32, b: u32) -> BlockAddr {
+        BlockAddr::new(FpgaId::new(f), PhysicalBlockId::new(b))
+    }
+
     #[test]
     fn view_occupy_vacate_roundtrip() {
-        let mut v = ClusterView::new(ClusterConfig::paper_cluster());
-        let addr = BlockAddr::new(FpgaId::new(1), PhysicalBlockId::new(3));
+        let mut v = paper_view();
+        let addr = addr(1, 3);
         assert!(v.is_free(addr));
-        v.occupy(addr, InstanceId(7));
+        v.occupy(addr, 7);
         assert!(!v.is_free(addr));
-        assert_eq!(v.occupant(addr), Some(InstanceId(7)));
+        assert_eq!(v.occupant(addr), Some(7));
         assert_eq!(v.free_count_of(1), 14);
-        assert_eq!(v.instances_on(1), vec![InstanceId(7)]);
+        assert_eq!(v.owners_on(1), vec![7]);
         assert!(!v.fpga_idle(1));
         v.vacate(addr);
         assert!(v.fpga_idle(1));
@@ -575,11 +609,46 @@ mod tests {
 
     #[test]
     fn out_of_range_queries_are_safe() {
-        let v = ClusterView::new(ClusterConfig::paper_cluster());
-        let bad = BlockAddr::new(FpgaId::new(99), PhysicalBlockId::new(0));
+        let mut v = paper_view();
+        let bad = addr(99, 0);
         assert!(!v.is_free(bad));
         assert!(v.free_blocks_of(99).is_empty());
         assert_eq!(v.free_count_of(99), 0);
+        assert_eq!(v.vacant_count_of(99), 0);
+        assert_eq!(v.health_of(99), FpgaHealth::Offline);
+        v.set_health(99, FpgaHealth::Online); // ignored, no panic
+        assert_eq!(v.total_free(), 60);
+    }
+
+    /// The per-pod counts a scheduler reads without a pass over the FPGAs
+    /// must equal that pass after any mix of occupy, vacate and health
+    /// changes — including vacating a block on a device that is down.
+    #[test]
+    fn pod_counts_follow_every_change() {
+        let topology = Arc::new(Topology::pods(2, 2, 100.0, 25.0));
+        let mut v = ClusterView::new(&[4, 3, 4, 2], topology.clone());
+        let scan = |v: &ClusterView| {
+            let mut free = vec![0; topology.pod_count()];
+            for f in 0..v.fpga_count() {
+                free[topology.pod_of(f)] += v.free_blocks_of(f).len();
+            }
+            free
+        };
+        assert_eq!(v.pod_free_counts(), [7, 6]);
+        v.occupy(addr(0, 0), 1);
+        v.occupy(addr(0, 0), 2); // a re-owned block is not counted twice
+        v.occupy(addr(3, 1), 2);
+        assert_eq!(v.pod_free_counts(), scan(&v));
+        v.set_health(0, FpgaHealth::Draining);
+        v.set_health(0, FpgaHealth::Offline);
+        assert_eq!(v.pod_free_counts(), [3, 5]);
+        v.vacate(addr(0, 0));
+        v.vacate(addr(0, 1)); // already vacant
+        assert_eq!(v.pod_free_counts(), scan(&v));
+        assert_eq!(v.vacant_count_of(0), 4);
+        v.set_health(0, FpgaHealth::Online);
+        assert_eq!(v.pod_free_counts(), [7, 5]);
+        assert_eq!(v.total_free(), 12);
     }
 
     #[test]

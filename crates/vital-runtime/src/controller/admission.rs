@@ -16,7 +16,7 @@ use vital_interface::Channel;
 use vital_periph::{ShareGrant, TenantId, VirtualNic};
 use vital_telemetry::Span;
 
-use super::placement::targets_for;
+use super::placement::{fpgas_of, targets_for};
 use super::SystemController;
 use crate::{FpgaHealth, RuntimeError};
 
@@ -282,25 +282,27 @@ impl SystemController {
         let needed = bitstream.block_count();
         span.field("needed", needed);
         let mut guard = TeardownGuard::new(self, tenant);
-        let alloc = self.place(tenant, needed)?;
+        let blocks = self.place(tenant, needed)?;
         guard.blocks_claimed = true;
         // The §3.4 policy's round number equals the FPGAs admitted.
-        span.field("round", alloc.fpgas_used);
-        span.field("fpgas_used", alloc.fpgas_used);
-        span.field("hop_cost", alloc.hop_cost);
+        let fpgas_used = fpgas_of(&blocks);
+        let hop_cost = self.placement_hop_cost(&blocks);
+        span.field("round", fpgas_used);
+        span.field("fpgas_used", fpgas_used);
+        span.field("hop_cost", hop_cost);
 
         let placed = bitstream
-            .bind(&targets_for(&alloc.blocks))
+            .bind(&targets_for(&blocks))
             .map_err(RuntimeError::Relocation)?;
 
-        let primary_fpga = Self::primary_of(&alloc.blocks);
+        let primary_fpga = Self::primary_of(&blocks);
         let memory = &self.memory[primary_fpga];
         let (share, channels, clock) = match from {
             AdmitFrom::Scratch { quota_bytes } => {
                 memory
                     .create_space(tenant, quota_bytes)
                     .map_err(RuntimeError::Periph)?;
-                let channels = Self::channels_for(bitstream.channel_plan(), &alloc.blocks);
+                let channels = Self::channels_for(bitstream.channel_plan(), &blocks);
                 // A quarter of the channel: four blocks share one DIMM in
                 // the paper's service region.
                 (self.config.dram_gbps / 4.0, channels, 0)
@@ -309,7 +311,7 @@ impl SystemController {
                 memory
                     .restore_space(tenant, &checkpoint.memory)
                     .map_err(RuntimeError::Periph)?;
-                let (channels, clock) = Self::restored_channels(checkpoint, &alloc.blocks);
+                let (channels, clock) = Self::restored_channels(checkpoint, &blocks);
                 (checkpoint.placement.requested_gbps, channels, clock)
             }
         };
@@ -332,7 +334,7 @@ impl SystemController {
             placed,
             nic: self.switch.create_nic(tenant, 64),
             primary_fpga,
-            reconfig: self.reconfig_of(&alloc.blocks),
+            reconfig: self.reconfig_of(&blocks),
             bandwidth: grant,
         };
         self.tenants.lock().insert(
@@ -344,7 +346,7 @@ impl SystemController {
             },
         );
         guard.commit();
-        Ok((handle, alloc.hop_cost))
+        Ok((handle, hop_cost))
     }
 
     /// The record of one completed move of `tenant` onto `blocks_after`.
@@ -433,8 +435,8 @@ impl SystemController {
         let hop_cost_before = self.placement_hop_cost(&self.resources.holdings(tenant));
         // Commit the block move first; everything below follows the
         // placement it settled on.
-        let alloc = self.place(tenant, needed).ok()?;
-        let new_primary = Self::primary_of(&alloc.blocks);
+        let blocks = self.place(tenant, needed).ok()?;
+        let new_primary = Self::primary_of(&blocks);
 
         // Move the DRAM home if its board died: quota carries over,
         // contents cannot.
@@ -458,10 +460,10 @@ impl SystemController {
             grant = Some(self.arbiters[new_primary].request(tenant, self.config.dram_gbps / 4.0));
         }
 
-        let reconfig = self.reconfig_of(&alloc.blocks);
+        let reconfig = self.reconfig_of(&blocks);
         let mut tenants = self.tenants.lock();
         let state = tenants.get_mut(&tenant)?;
-        state.handle.placed.bindings = targets_for(&alloc.blocks);
+        state.handle.placed.bindings = targets_for(&blocks);
         state.handle.reconfig = reconfig;
         if dram_moves {
             state.handle.primary_fpga = new_primary;
@@ -473,14 +475,14 @@ impl SystemController {
         // placement: in-flight interface state died with the board (use
         // suspend/migrate_live for the state-preserving path).
         if let Ok(bitstream) = self.bitstreams().get(&state.handle.placed.app) {
-            state.channels = Self::channels_for(bitstream.channel_plan(), &alloc.blocks);
+            state.channels = Self::channels_for(bitstream.channel_plan(), &blocks);
         }
         Some(self.migration_record(
             tenant,
             (fpgas_before, hop_cost_before),
-            alloc.fpgas_used,
+            fpgas_of(&blocks),
             reconfig,
-            &alloc.blocks,
+            &blocks,
         ))
     }
 
@@ -501,11 +503,9 @@ mod tests {
     use vital_compiler::{Compiler, CompilerConfig};
     use vital_netlist::hls::{AppSpec, Operator};
 
-    #[test]
-    fn pod_topology_controller_deploys_and_accounts_hops() {
-        // 2 pods x 2 FPGAs, 4 blocks each. A 6-block app must span two
-        // FPGAs; the allocator should keep the span inside one pod (1 hop)
-        // rather than across the 3-hop pod boundary.
+    /// 2 pods x 2 FPGAs of 4 blocks, with a 1-block app "one" and a "wide"
+    /// app of 5..=8 blocks (returned) registered.
+    fn pod_controller() -> (SystemController, usize) {
         let mut cfg = RuntimeConfig::paper_cluster();
         cfg.fpgas = 4;
         cfg.blocks_per_fpga = 4;
@@ -521,7 +521,20 @@ mod tests {
             })
             .find(|b| b.block_count() > 4 && b.block_count() <= 8)
             .expect("some MAC size needs 5..=8 blocks");
+        let width = wide.block_count();
         c.register(wide).unwrap();
+        let mut one = AppSpec::new("one");
+        one.add_operator("m", Operator::MacArray { pes: 8 });
+        register_spec(&c, &one);
+        (c, width)
+    }
+
+    #[test]
+    fn pod_topology_controller_deploys_and_accounts_hops() {
+        // A 5..=8-block app must span two FPGAs; the placement keeps the
+        // span inside one pod (1 hop) rather than across the 3-hop pod
+        // boundary.
+        let (c, _) = pod_controller();
         let h = c.deploy("wide").unwrap();
         let holdings = c.resources().holdings(h.tenant());
         let mut fpgas: Vec<u32> = holdings.iter().map(|b| b.fpga.index()).collect();
@@ -533,6 +546,43 @@ mod tests {
             .map(|&f| c.topology().pod_of(f as usize))
             .collect();
         assert_eq!(pods.len(), 1, "span crossed a pod boundary: {fpgas:?}");
+    }
+
+    /// The controller runs the simulator's pod policy, which never spans
+    /// pods: with enough free blocks in the cluster but not in any one pod,
+    /// a deploy is refused rather than stretched across the uplinks.
+    #[test]
+    fn pod_topology_controller_refuses_a_cross_pod_span() {
+        let (c, width) = pod_controller();
+        let pods_of = |t: TenantId| -> Vec<usize> {
+            let holdings = c.resources().holdings(t);
+            holdings
+                .iter()
+                .map(|b| c.topology().pod_of(b.fpga.index() as usize))
+                .collect()
+        };
+        let (pod0, pod1): (Vec<TenantId>, Vec<TenantId>) = (0..16)
+            .map(|_| c.deploy("one").unwrap().tenant())
+            .partition(|&t| pods_of(t) == [0]);
+        // `width - 1` free blocks in pod 0 and one in pod 1.
+        for &t in pod0[..width - 1].iter().chain(&pod1[..1]) {
+            c.undeploy(t).unwrap();
+        }
+        let err = c.deploy("wide").unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::InsufficientResources { needed, free }
+                if needed == width && free == width),
+            "got {err}"
+        );
+        assert_eq!(
+            c.resources().total_free(),
+            width,
+            "the refusal held nothing"
+        );
+        // One more free block in pod 0 and the app fits there.
+        c.undeploy(pod0[width - 1]).unwrap();
+        let h = c.deploy("wide").unwrap();
+        assert!(pods_of(h.tenant()).iter().all(|&p| p == 0));
     }
 
     #[test]

@@ -4,9 +4,10 @@
 
 use vital_periph::TenantId;
 
+use super::placement::fpgas_of;
 use super::{Migration, SystemController};
 use crate::api::MigratePolicy;
-use crate::{allocate_blocks_on, FpgaHealth};
+use crate::FpgaHealth;
 
 /// What [`SystemController::fail_fpga`] did to the affected tenants.
 #[derive(Debug, Clone, Default)]
@@ -95,23 +96,23 @@ impl SystemController {
                 let current_hop = self.placement_hop_cost(&self.resources.holdings(tenant));
                 // What could this tenant get if its own blocks were free?
                 // Only blocks on Online devices participate.
-                let (free_lists, _) = self.free_lists_for(tenant);
-                if let Some(alloc) = allocate_blocks_on(&self.topology, &free_lists, needed) {
-                    if alloc.fpgas_used < current_fpgas
-                        && alloc.hop_cost <= current_hop
-                        && best_move
-                            .is_none_or(|(_, bf, bh)| (alloc.fpgas_used, alloc.hop_cost) < (bf, bh))
-                    {
-                        best_move = Some((tenant, alloc.fpgas_used, alloc.hop_cost));
-                    }
+                let Some(blocks) = self.probe(tenant, needed) else {
+                    continue;
+                };
+                let (fpgas, hop) = (fpgas_of(&blocks), self.placement_hop_cost(&blocks));
+                if fpgas < current_fpgas
+                    && hop <= current_hop
+                    && best_move.is_none_or(|(_, bf, bh)| (fpgas, hop) < (bf, bh))
+                {
+                    best_move = Some((tenant, fpgas, hop));
                 }
             }
             let Some((tenant, _, _)) = best_move else {
                 break;
             };
             // Suspending frees the tenant's own blocks, so the resume half
-            // of the live migration sees exactly the hypothetical free
-            // lists evaluated above and lands on the same allocation.
+            // of the live migration sees exactly the view probed above and
+            // lands on the same blocks.
             match self.migrate(tenant, MigratePolicy::SameGeometry) {
                 Ok(m) => migrated.push(m),
                 // A failed resume parks the tenant as suspended rather
@@ -206,8 +207,7 @@ impl SystemController {
                     None => continue,
                 }
             };
-            let (free_lists, _) = self.free_lists_for(tenant);
-            if allocate_blocks_on(&self.topology, &free_lists, needed).is_none() {
+            if self.probe(tenant, needed).is_none() {
                 report.unmoved.push(tenant);
                 continue;
             }

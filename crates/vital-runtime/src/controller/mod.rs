@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use vital_checkpoint::TenantCheckpoint;
 use vital_cluster::Topology;
 use vital_compiler::{AppBitstream, Compiler};
-use vital_fabric::FpgaId;
+use vital_fabric::{BlockAddr, FpgaId, PhysicalBlockId};
 use vital_interface::ApiError;
 use vital_netlist::hls::AppSpec;
 use vital_periph::{BandwidthArbiter, MemoryManager, TenantId, VirtualSwitch};
@@ -42,6 +42,7 @@ pub use health::{EvacuationReport, FailureReport, FailureStats};
 
 use admission::TenantState;
 use isa::IsaBackendState;
+use placement::{policy_for, Policy};
 
 /// Configuration of the runtime: cluster shape plus peripheral capacities.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,10 +98,12 @@ impl Default for RuntimeConfig {
 pub struct SystemController {
     config: RuntimeConfig,
     resources: ResourceDatabase,
-    /// Interconnect shape the allocator and hop-cost accounting consult.
-    /// Defaults to the paper's single ring over the cluster's FPGAs;
-    /// [`SystemController::with_topology`] swaps in a pod graph.
+    /// Interconnect shape the placement policy and hop-cost accounting
+    /// consult. Defaults to the paper's single ring over the cluster's
+    /// FPGAs; [`SystemController::with_topology`] swaps in a pod graph.
     topology: Arc<Topology>,
+    /// Picked from `topology` (see [`placement::policy_for`]).
+    policy: Policy,
     memory: Vec<MemoryManager>,
     arbiters: Vec<BandwidthArbiter>,
     switch: VirtualSwitch,
@@ -174,9 +177,11 @@ impl SystemController {
     /// Panics if `layout` is empty or contains a zero.
     pub fn with_layout(config: RuntimeConfig, layout: Vec<usize>) -> Self {
         let fpgas = layout.len();
+        let topology = Arc::new(Topology::ring(fpgas.max(1)));
         SystemController {
-            resources: ResourceDatabase::with_layout(layout),
-            topology: Arc::new(Topology::ring(fpgas)),
+            resources: ResourceDatabase::over(&layout, topology.clone()),
+            policy: policy_for(&topology),
+            topology,
             memory: (0..fpgas)
                 .map(|_| MemoryManager::new(config.dram_bytes_per_fpga, config.dram_page_bytes))
                 .collect(),
@@ -229,27 +234,39 @@ impl SystemController {
     }
 
     /// Swaps the default single-ring interconnect for an explicit
-    /// [`Topology`] (e.g. [`Topology::pods`]): the §3.4 allocator and all
-    /// hop-cost accounting then follow the graph's distances, so spans
-    /// prefer nearby devices in the *actual* interconnect.
+    /// [`Topology`] (e.g. [`Topology::pods`]): placement then runs the
+    /// policy the simulator runs on that topology — [`PodScheduler`],
+    /// which keeps every placement inside one pod, on a pod graph — and
+    /// hop-cost accounting follows the graph's distances.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidConfig`] if the topology's FPGA
-    /// count differs from the cluster layout's.
+    /// count differs from the cluster layout's, or once a fabric tenant is
+    /// deployed: the topology is set before the first deployment.
+    ///
+    /// [`PodScheduler`]: crate::PodScheduler
     pub fn with_topology(mut self, topology: Topology) -> Result<Self, RuntimeError> {
-        if topology.len() != self.resources.fpga_count() {
+        let fpgas = self.resources.fpga_count();
+        let layout: Vec<usize> = (0..fpgas).map(|f| self.resources.blocks_of(f)).collect();
+        if topology.len() != fpgas {
             return Err(RuntimeError::InvalidConfig(format!(
-                "topology covers {} FPGAs but the cluster has {}",
+                "topology covers {} FPGAs but the cluster has {fpgas}",
                 topology.len(),
-                self.resources.fpga_count()
             )));
         }
+        if !self.tenants.get_mut().is_empty() {
+            return Err(RuntimeError::InvalidConfig(
+                "the topology must be set before the first deployment".to_string(),
+            ));
+        }
         self.topology = Arc::new(topology);
+        self.resources = ResourceDatabase::over(&layout, self.topology.clone());
+        self.policy = policy_for(&self.topology);
         Ok(self)
     }
 
-    /// The interconnect topology the allocator consults.
+    /// The interconnect topology placement consults.
     pub fn topology(&self) -> &Topology {
         &self.topology
     }
@@ -496,39 +513,36 @@ impl SystemController {
     }
 
     fn build_status_summary(&self) -> StatusSummary {
-        let free_counts = self.resources.free_counts();
-        let fpgas = (0..self.resources.fpga_count())
-            .map(|f| {
-                let health = match self.resources.health_of(f) {
-                    FpgaHealth::Online => "Online",
-                    FpgaHealth::Draining => "Draining",
-                    FpgaHealth::Offline => "Offline",
-                };
-                let blocks = (0..self.resources.blocks_of(f))
-                    .map(|b| {
-                        let addr = vital_fabric::BlockAddr::new(
-                            FpgaId::new(f as u32),
-                            vital_fabric::PhysicalBlockId::new(b as u32),
-                        );
-                        match self.resources.state(addr) {
-                            Some(crate::BlockState::Active(t)) => t.raw(),
-                            _ => 0,
-                        }
-                    })
-                    .collect();
-                FpgaStatus {
+        // Every block row and free count from one guard, so the reply's
+        // `total_free` is the sum of its rows under any concurrent write.
+        let fpgas: Vec<FpgaStatus> = self.resources.read(|view| {
+            (0..view.fpga_count())
+                .map(|f| FpgaStatus {
                     fpga: f,
-                    health: health.to_string(),
-                    blocks,
-                    free: free_counts[f],
-                }
-            })
-            .collect();
+                    health: match view.health_of(f) {
+                        FpgaHealth::Online => "Online",
+                        FpgaHealth::Draining => "Draining",
+                        FpgaHealth::Offline => "Offline",
+                    }
+                    .to_string(),
+                    blocks: (0..view.blocks_per_fpga_of(f))
+                        .map(|b| {
+                            let addr = BlockAddr::new(
+                                FpgaId::new(f as u32),
+                                PhysicalBlockId::new(b as u32),
+                            );
+                            view.occupant(addr).unwrap_or(0)
+                        })
+                        .collect(),
+                    free: view.free_count_of(f),
+                })
+                .collect()
+        });
         let stats = self.failure_stats();
         let (isa_tenants, isa_tiles_total, isa_tiles_free) = self.isa_status();
         StatusSummary {
+            total_free: fpgas.iter().map(|s| s.free).sum(),
             fpgas,
-            total_free: self.resources.total_free(),
             live_tenants: self.live_tenants().iter().map(|t| t.raw()).collect(),
             suspended_tenants: self.suspended_tenants().iter().map(|t| t.raw()).collect(),
             fpga_failures: stats.fpga_failures,
@@ -611,9 +625,11 @@ mod tests {
     use super::test_support::*;
     use super::*;
 
+    /// The topology matches the cluster and is set before the first
+    /// deployment (the block table is rebuilt for it).
     #[test]
     fn topology_must_match_cluster_size() {
-        let c = SystemController::new(RuntimeConfig::paper_cluster());
+        let c = controller_with(&[("a", 8)]);
         let fpgas = c.resources().fpga_count();
         let err = SystemController::new(RuntimeConfig::paper_cluster())
             .with_topology(Topology::ring(fpgas + 1))
@@ -621,6 +637,49 @@ mod tests {
         assert!(matches!(err, RuntimeError::InvalidConfig(_)));
         let c = c.with_topology(Topology::ring(fpgas)).unwrap();
         assert_eq!(c.topology().len(), fpgas);
+        c.deploy("a").unwrap();
+        let err = c.with_topology(Topology::ring(fpgas)).unwrap_err();
+        assert!(matches!(err, RuntimeError::InvalidConfig(_)));
+    }
+
+    /// Writers deploy and undeploy while a reader polls `Status` across
+    /// 300 generations of the snapshot: every reply's `total_free` must be
+    /// the sum of its per-FPGA `free`, i.e. one reply's block rows are one
+    /// snapshot. 64 FPGAs make each rebuild long enough for a write to
+    /// land inside it.
+    #[test]
+    fn status_block_rows_are_one_snapshot_under_writes() {
+        use std::sync::atomic::AtomicBool;
+        let c = SystemController::with_layout(RuntimeConfig::paper_cluster(), vec![15; 64]);
+        let mut spec = AppSpec::new("a");
+        spec.add_operator("m", vital_netlist::hls::Operator::MacArray { pes: 8 });
+        register_spec(&c, &spec);
+        let stop = AtomicBool::new(false);
+        let (mut generations, mut last, mut torn) = (0, u64::MAX, 0);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    while !stop.load(Ordering::Relaxed) {
+                        let t = c.deploy("a").unwrap().tenant();
+                        c.undeploy(t).unwrap();
+                    }
+                });
+            }
+            while generations < 300 {
+                let gen = c.status_gen.load(Ordering::Acquire);
+                generations += usize::from(gen != last);
+                last = gen;
+                let ControlResponse::Status(s) = c.execute(ControlRequest::Status) else {
+                    panic!("Status answers a status");
+                };
+                torn += usize::from(s.total_free != s.fpgas.iter().map(|f| f.free).sum::<usize>());
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(
+            torn, 0,
+            "{torn} torn Status replies over {generations} generations"
+        );
     }
 
     #[test]

@@ -1,23 +1,75 @@
-//! Placement: planning and claiming blocks through the §3.4 allocator,
-//! and what follows from a block list alone — the binding, the primary
-//! FPGA, the reconfiguration time, channel link classes, the hop cost.
+//! Placement: one-request decisions of the simulator's [`Scheduler`]
+//! policies, claimed under one write guard, and what follows from a block
+//! list alone — the binding, the primary FPGA, the reconfiguration time,
+//! channel link classes, the hop cost.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use vital_checkpoint::TenantCheckpoint;
+use vital_cluster::{AppRequest, ClusterView, Deployment, PendingRequest, Scheduler, Topology};
 use vital_compiler::{RelocationTarget, BLOCK_CONFIG_BITS};
 use vital_fabric::{BlockAddr, FpgaId};
 use vital_interface::{Channel, ChannelPlan, ChannelSpec, LinkClass};
 use vital_periph::TenantId;
 
 use super::SystemController;
-use crate::{allocate_blocks_on, AllocationOutcome, FpgaHealth, RuntimeError};
+use crate::{FpgaHealth, PodScheduler, RuntimeError, VitalScheduler};
 
-/// How many times [`SystemController::place`] plans one placement before
-/// giving up: each further attempt means yet another concurrent request
-/// took a planned block in the microseconds between plan and claim.
-const PLACE_ATTEMPTS: usize = 8;
+/// A placement policy: one [`Scheduler::schedule`] call.
+pub(super) type Policy = fn(&ClusterView, &[PendingRequest]) -> Vec<Deployment>;
+
+/// The policy the simulator's experiments run on `topology`:
+/// [`VitalScheduler`] on a ring, [`PodScheduler`] on pods (which never
+/// spans pods).
+pub(super) fn policy_for(topology: &Topology) -> Policy {
+    if topology.pod_count() > 1 {
+        |view, pending| PodScheduler::new().schedule(view, pending)
+    } else {
+        |view, pending| VitalScheduler::new().schedule(view, pending)
+    }
+}
+
+/// Why no placement fits on `view`: capacity parked on a draining device
+/// ([`RuntimeError::Draining`], a typed retry-after rejection), else a
+/// full cluster ([`RuntimeError::InsufficientResources`]).
+fn refusal(view: &ClusterView, needed: usize) -> RuntimeError {
+    let draining = (0..view.fpga_count())
+        .find(|&f| view.health_of(f) == FpgaHealth::Draining && view.vacant_count_of(f) >= needed);
+    match draining {
+        Some(fpga) => RuntimeError::Draining { fpga, needed },
+        None => RuntimeError::InsufficientResources {
+            needed,
+            free: view.total_free(),
+        },
+    }
+}
+
+/// A placement's blocks per FPGA, as `(fpga, count)` in ascending FPGA
+/// order.
+fn tally(blocks: &[BlockAddr]) -> Vec<(usize, usize)> {
+    let mut tally: Vec<(usize, usize)> = Vec::new();
+    for b in blocks {
+        let fpga = b.fpga.index() as usize;
+        match tally.binary_search_by_key(&fpga, |&(f, _)| f) {
+            Ok(i) => tally[i].1 += 1,
+            Err(i) => tally.insert(i, (fpga, 1)),
+        }
+    }
+    tally
+}
+
+/// The FPGA of a tally hosting the most blocks (lowest index wins ties).
+fn primary(tally: &[(usize, usize)]) -> usize {
+    tally
+        .iter()
+        .max_by_key(|&&(f, n)| (n, std::cmp::Reverse(f)))
+        .map_or(0, |&(f, _)| f)
+}
+
+/// Distinct FPGAs a placement spans.
+pub(super) fn fpgas_of(blocks: &[BlockAddr]) -> usize {
+    tally(blocks).len()
+}
 
 /// The binding of a placement: virtual block `i` lands on `blocks[i]`.
 pub(super) fn targets_for(blocks: &[BlockAddr]) -> Vec<RelocationTarget> {
@@ -32,93 +84,61 @@ pub(super) fn targets_for(blocks: &[BlockAddr]) -> Vec<RelocationTarget> {
 }
 
 impl SystemController {
-    /// Plans `needed` blocks for `tenant` with the §3.4 allocator and makes
-    /// them its holdings. Blocks the tenant already holds on Online
-    /// devices count as free for the plan and are released by the commit
-    /// (a tenant being deployed or restored holds none).
-    ///
-    /// Plan and claim are two steps under two lock acquisitions, so a
-    /// concurrent request can take a planned block in between. That lost
-    /// claim is not the cluster being full: the old holdings are restored
-    /// and the plan is made again over the new free lists. On failure the
-    /// allocator's verdict tells a genuinely full cluster
-    /// ([`RuntimeError::InsufficientResources`]) apart from capacity
-    /// parked on a [`Draining`](FpgaHealth::Draining) device
-    /// ([`RuntimeError::Draining`], a typed retry-after rejection).
+    /// Places `needed` blocks for `tenant` and makes them its holdings,
+    /// all under one write guard of the block table: the tenant's blocks
+    /// on Online devices count as free (a tenant being deployed or
+    /// restored holds none), the controller's policy makes a one-request
+    /// decision on that view, and the decision is claimed — or, if there
+    /// is none, the holdings stay and the view says why
+    /// ([`RuntimeError::Draining`] or
+    /// [`RuntimeError::InsufficientResources`]). Nothing can take a block
+    /// between the decision and the claim.
     pub(super) fn place(
         &self,
         tenant: TenantId,
         needed: usize,
-    ) -> Result<AllocationOutcome, RuntimeError> {
-        for _ in 0..PLACE_ATTEMPTS {
-            let (free_lists, held) = self.free_lists_for(tenant);
-            let Some(alloc) = allocate_blocks_on(&self.topology, &free_lists, needed) else {
-                break;
-            };
-            self.resources.release(tenant);
-            if self.resources.claim(tenant, &alloc.blocks) {
-                return Ok(alloc);
-            }
-            self.telemetry.inc_counter("runtime.claim_replans", 1);
-            let _ = self.resources.claim(tenant, &held);
-        }
-        let draining = (0..self.resources.fpga_count()).find(|&f| {
-            self.resources.health_of(f) == FpgaHealth::Draining
-                && self.resources.idle_count_of(f) >= needed
-        });
-        Err(match draining {
-            Some(fpga) => RuntimeError::Draining { fpga, needed },
-            None => RuntimeError::InsufficientResources {
-                needed,
-                free: self.resources.total_free(),
-            },
+    ) -> Result<Vec<BlockAddr>, RuntimeError> {
+        self.resources.place(tenant, true, |view| {
+            self.decide(view, needed)
+                .ok_or_else(|| refusal(view, needed))
         })
     }
 
-    /// What the allocator may give `tenant`: every device's free blocks
-    /// plus the blocks the tenant itself holds on Online devices (also
-    /// returned on their own).
-    pub(super) fn free_lists_for(&self, tenant: TenantId) -> (Vec<Vec<BlockAddr>>, Vec<BlockAddr>) {
-        let mut free_lists: Vec<_> = (0..self.resources.fpga_count())
-            .map(|f| self.resources.free_blocks_of(f))
-            .collect();
-        let mut held = self.resources.holdings(tenant);
-        held.retain(|b| self.resources.health_of(b.fpga.index() as usize) == FpgaHealth::Online);
-        for b in &held {
-            free_lists[b.fpga.index() as usize].push(*b);
+    /// The blocks [`SystemController::place`] would give `tenant` now;
+    /// nothing changes.
+    pub(super) fn probe(&self, tenant: TenantId, needed: usize) -> Option<Vec<BlockAddr>> {
+        self.resources
+            .place(tenant, false, |view| self.decide(view, needed).ok_or(()))
+            .ok()
+    }
+
+    /// The policy's decision for one request of `needed` blocks on `view`.
+    fn decide(&self, view: &ClusterView, needed: usize) -> Option<Vec<BlockAddr>> {
+        // An `AppRequest` asks for at least one block.
+        if needed == 0 {
+            return Some(Vec::new());
         }
-        if !held.is_empty() {
-            for l in &mut free_lists {
-                l.sort();
-            }
-        }
-        (free_lists, held)
+        let blocks = u32::try_from(needed).unwrap_or(u32::MAX);
+        let request = AppRequest::new(0, String::new(), blocks, 0.0);
+        let pending = PendingRequest {
+            request,
+            arrived_s: view.now_s(),
+        };
+        (self.policy)(view, &[pending]).pop().map(|d| d.blocks)
     }
 
     /// Primary FPGA = the one hosting the most blocks (lowest index wins
     /// ties).
     pub(super) fn primary_of(blocks: &[BlockAddr]) -> usize {
-        let mut counts: HashMap<usize, usize> = HashMap::new();
-        for b in blocks {
-            *counts.entry(b.fpga.index() as usize).or_insert(0) += 1;
-        }
-        counts
-            .into_iter()
-            .max_by_key(|&(f, n)| (n, std::cmp::Reverse(f)))
-            .map(|(f, _)| f)
-            .unwrap_or(0)
+        primary(&tally(blocks))
     }
 
     /// Per-block partial reconfiguration over the FPGA-local ICAPs
     /// (parallel across FPGAs, sequential within one).
     pub(super) fn reconfig_of(&self, blocks: &[BlockAddr]) -> Duration {
         let per_block = BLOCK_CONFIG_BITS as f64 / (self.config.icap_gbps * 1.0e9);
-        let mut per_fpga: HashMap<u32, u32> = HashMap::new();
-        for b in blocks {
-            *per_fpga.entry(b.fpga.index()).or_insert(0) += 1;
-        }
-        let worst = per_fpga.values().copied().max().unwrap_or(0);
-        Duration::from_secs_f64(per_block * f64::from(worst))
+        let worst = tally(blocks).iter().map(|&(_, n)| n).max().unwrap_or(0);
+        Duration::from_secs_f64(per_block * worst as f64)
     }
 
     /// The link class a channel between two virtual blocks rides on under
@@ -181,17 +201,11 @@ impl SystemController {
     /// Total ring-hop distance from every spanned FPGA to the placement's
     /// primary (0 for single-FPGA placements).
     pub(super) fn placement_hop_cost(&self, blocks: &[BlockAddr]) -> usize {
-        if blocks.is_empty() {
-            return 0;
-        }
-        let primary = Self::primary_of(blocks) as u32;
-        let mut fpgas: Vec<u32> = blocks.iter().map(|b| b.fpga.index()).collect();
-        fpgas.sort_unstable();
-        fpgas.dedup();
-        fpgas
-            .into_iter()
-            .filter(|&f| f != primary)
-            .map(|f| self.topology.hops(FpgaId::new(primary), FpgaId::new(f)))
+        let tally = tally(blocks);
+        let primary = FpgaId::new(primary(&tally) as u32);
+        tally
+            .iter()
+            .map(|&(f, _)| self.topology.hops(primary, FpgaId::new(f as u32)))
             .sum()
     }
 }

@@ -4,7 +4,8 @@
 //! The controller owns two databases:
 //!
 //! * the **resource database** ([`ResourceDatabase`]) — the status of every
-//!   physical block of every FPGA,
+//!   physical block of every FPGA: a lock around the simulator's own block
+//!   table, [`vital_cluster::ClusterView`], whose slots hold tenant ids,
 //! * the **bitstream database** ([`BitstreamDatabase`]) — the compiled,
 //!   relocatable [`vital_compiler::AppBitstream`] of every application.
 //!
@@ -21,10 +22,14 @@
 //! applications, each tenant gets a private DRAM address space and virtual
 //! NIC, and undeploy scrubs both.
 //!
-//! [`VitalScheduler`] adapts the same policy to the `vital-cluster`
-//! discrete-event simulator for the paper's §5.5 experiments; its
-//! [`VitalScheduler::time_sliced`] mode oversubscribes the cluster by
-//! swapping tenants on quantum expiry.
+//! The controller and the `vital-cluster` discrete-event simulator (the
+//! paper's §5.5 experiments) place with the same [`vital_cluster::Scheduler`]
+//! policies: [`VitalScheduler`] (this policy) on a ring, [`PodScheduler`]
+//! (best-fit pod, never spanning pods) on a pod topology. The controller
+//! asks for one request at a time and claims the decision under the same
+//! write guard, so `vitald` and a simulation of the same trace pick the
+//! same blocks. [`VitalScheduler::time_sliced`] oversubscribes a simulated
+//! cluster by swapping tenants on quantum expiry.
 //!
 //! Context save/restore: [`SystemController::suspend`] quiesces a tenant's
 //! channels, exports its DRAM, and parks a
@@ -79,8 +84,9 @@ pub use controller::{
 pub use error::RuntimeError;
 pub use farm::{AppResolver, CompileOutcome, FarmStats};
 pub use policy::{allocate_blocks_on, AllocationOutcome};
-pub use resource_db::{BlockState, FpgaHealth, ResourceDatabase};
+pub use resource_db::{BlockState, ResourceDatabase};
 pub use scheduler::{PodScheduler, VitalScheduler};
+pub use vital_cluster::FpgaHealth;
 // The checkpoint capsule types appear in the controller's public API;
 // re-export them so downstream users don't need a direct
 // `vital-checkpoint` dependency.

@@ -1,11 +1,17 @@
 //! The resource database: status of every physical block (paper Fig. 6).
+//!
+//! One lock around the stack's one block table, [`ClusterView`] — the type
+//! the simulator's policies read — plus the tenant → blocks index that
+//! teardown releases by. The view's slots hold tenant ids.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use vital_fabric::{BlockAddr, FpgaId, PhysicalBlockId};
+use vital_cluster::{ClusterView, FpgaHealth, Topology};
+use vital_fabric::BlockAddr;
 use vital_periph::TenantId;
 
 /// The state of one physical block.
@@ -18,32 +24,43 @@ pub enum BlockState {
     Active(TenantId),
 }
 
-/// Operational health of one FPGA (the failure model's state machine).
-///
-/// `Online → Draining` (operator-initiated evacuation) and `Online →
-/// Offline` (crash) both stop new allocations; only `Offline` means the
-/// device — and any tenant logic still on it — is gone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum FpgaHealth {
-    /// Healthy: blocks are allocatable.
-    #[default]
-    Online,
-    /// Being evacuated: existing tenants keep running (and keep their
-    /// DRAM), but no new blocks are handed out.
-    Draining,
-    /// Crashed or removed: nothing on it is usable.
-    Offline,
+struct Table {
+    view: ClusterView,
+    tenants: BTreeMap<TenantId, Vec<BlockAddr>>,
 }
 
-struct Inner {
-    states: Vec<Vec<BlockState>>,
-    tenants: HashMap<TenantId, Vec<BlockAddr>>,
-    health: Vec<FpgaHealth>,
-    /// Per-FPGA index: tenant → number of blocks it holds on that device.
-    /// Maintained on claim/release so `tenants_on` (the hot query behind
-    /// `fail_fpga`/`evacuate`) is O(tenants-on-device), not a scan of
-    /// every tenant's whole holding list.
-    by_fpga: Vec<HashMap<TenantId, usize>>,
+impl Table {
+    /// All-or-nothing: claims nothing unless every block is in range,
+    /// listed once, vacant and on an Online device.
+    fn claim(&mut self, tenant: TenantId, blocks: &[BlockAddr]) -> bool {
+        let valid = blocks
+            .iter()
+            .enumerate()
+            .all(|(i, b)| !blocks[..i].contains(b) && self.view.is_free(*b));
+        if valid {
+            self.hold(tenant, blocks);
+        }
+        valid
+    }
+
+    /// Adds `blocks` to `tenant`'s holdings without validation.
+    fn hold(&mut self, tenant: TenantId, blocks: &[BlockAddr]) {
+        if blocks.is_empty() {
+            return;
+        }
+        for &b in blocks {
+            self.view.occupy(b, tenant.raw());
+        }
+        self.tenants.entry(tenant).or_default().extend(blocks);
+    }
+
+    fn release(&mut self, tenant: TenantId) -> Vec<BlockAddr> {
+        let blocks = self.tenants.remove(&tenant).unwrap_or_default();
+        for &b in &blocks {
+            self.view.vacate(b);
+        }
+        blocks
+    }
 }
 
 /// Thread-safe bookkeeping of the cluster's physical blocks.
@@ -51,158 +68,137 @@ struct Inner {
 /// The invariant the database maintains is ViTAL's isolation guarantee:
 /// **one physical block is never shared between tenants** (§3.4).
 pub struct ResourceDatabase {
-    layout: Vec<usize>,
-    inner: RwLock<Inner>,
+    table: RwLock<Table>,
 }
 
 impl fmt::Debug for ResourceDatabase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let table = self.table.read();
         f.debug_struct("ResourceDatabase")
-            .field("layout", &self.layout)
-            .field("tenants", &self.inner.read().tenants.len())
+            .field("fpgas", &table.view.fpga_count())
+            .field("tenants", &table.tenants.len())
             .finish()
     }
 }
 
 impl ResourceDatabase {
-    /// Creates a database for `fpgas` devices of `blocks_per_fpga` blocks.
+    /// Creates a database for `fpgas` devices of `blocks_per_fpga` blocks
+    /// on a ring.
     ///
     /// # Panics
     ///
     /// Panics if either dimension is zero.
     pub fn new(fpgas: usize, blocks_per_fpga: usize) -> Self {
-        assert!(
-            fpgas > 0 && blocks_per_fpga > 0,
-            "cluster must be non-empty"
-        );
-        Self::with_layout(vec![blocks_per_fpga; fpgas])
+        let ring = Arc::new(Topology::ring(fpgas.max(1)));
+        Self::over(&vec![blocks_per_fpga; fpgas], ring)
     }
 
-    /// Creates a database over a *heterogeneous* cluster: one entry per
-    /// FPGA giving its block count (paper §7 notes ViTAL extends to mixed
-    /// clusters — only the blocks themselves must stay identical).
+    /// Creates a database over `layout` — one entry per FPGA giving its
+    /// block count (paper §7 notes ViTAL extends to mixed clusters — only
+    /// the blocks themselves must stay identical) — wired by `topology`,
+    /// which the view hands to the placement policy.
     ///
     /// # Panics
     ///
     /// Panics if `layout` is empty or any FPGA has zero blocks.
-    pub fn with_layout(layout: Vec<usize>) -> Self {
+    pub(crate) fn over(layout: &[usize], topology: Arc<Topology>) -> Self {
         assert!(
             !layout.is_empty() && layout.iter().all(|&n| n > 0),
             "cluster must be non-empty"
         );
         ResourceDatabase {
-            inner: RwLock::new(Inner {
-                states: layout.iter().map(|&n| vec![BlockState::Free; n]).collect(),
-                tenants: HashMap::new(),
-                health: vec![FpgaHealth::Online; layout.len()],
-                by_fpga: vec![HashMap::new(); layout.len()],
+            table: RwLock::new(Table {
+                view: ClusterView::new(layout, topology),
+                tenants: BTreeMap::new(),
             }),
-            layout,
         }
+    }
+
+    /// Runs `read` on the block table under one read guard: everything it
+    /// reads is one snapshot.
+    pub(crate) fn read<T>(&self, read: impl FnOnce(&ClusterView) -> T) -> T {
+        read(&self.table.read().view)
+    }
+
+    /// Places `tenant` under one write guard: its holdings are released,
+    /// `decide` picks blocks on the resulting view, and with `commit` the
+    /// tenant's holdings become exactly those blocks. Without `commit`, or
+    /// when `decide` refuses, the holdings are restored — a probe of what
+    /// a placement would get, with nothing changed. Blocks on devices that
+    /// are not Online are never free in the view, so only the tenant's
+    /// Online holdings count as free for `decide`.
+    pub(crate) fn place<E>(
+        &self,
+        tenant: TenantId,
+        commit: bool,
+        decide: impl FnOnce(&ClusterView) -> Result<Vec<BlockAddr>, E>,
+    ) -> Result<Vec<BlockAddr>, E> {
+        let mut table = self.table.write();
+        let held = table.release(tenant);
+        let decision = decide(&table.view);
+        match &decision {
+            Ok(blocks) if commit => {
+                let claimed = table.claim(tenant, blocks);
+                assert!(claimed, "a decision names only blocks free in its view");
+            }
+            _ => table.hold(tenant, &held),
+        }
+        decision
     }
 
     /// Number of FPGAs tracked.
     pub fn fpga_count(&self) -> usize {
-        self.layout.len()
+        self.read(ClusterView::fpga_count)
     }
 
     /// Blocks per FPGA (the maximum, for heterogeneous layouts).
     pub fn blocks_per_fpga(&self) -> usize {
-        self.layout.iter().copied().max().unwrap_or(0)
+        self.read(|v| {
+            (0..v.fpga_count())
+                .map(|f| v.blocks_per_fpga_of(f))
+                .max()
+                .unwrap_or(0)
+        })
     }
 
     /// Blocks of one specific FPGA.
     pub fn blocks_of(&self, fpga: usize) -> usize {
-        self.layout.get(fpga).copied().unwrap_or(0)
+        self.read(|v| v.blocks_per_fpga_of(fpga))
     }
 
     /// The state of one block (`None` if out of range).
     pub fn state(&self, addr: BlockAddr) -> Option<BlockState> {
-        self.inner
-            .read()
-            .states
-            .get(addr.fpga.index() as usize)?
-            .get(addr.block.index() as usize)
-            .copied()
+        self.read(|v| {
+            let in_range =
+                (addr.block.index() as usize) < v.blocks_per_fpga_of(addr.fpga.index() as usize);
+            in_range.then(|| {
+                v.occupant(addr)
+                    .map_or(BlockState::Free, |t| BlockState::Active(TenantId::new(t)))
+            })
+        })
     }
 
     /// The health of one FPGA (`Offline` if out of range).
     pub fn health_of(&self, fpga: usize) -> FpgaHealth {
-        self.inner
-            .read()
-            .health
-            .get(fpga)
-            .copied()
-            .unwrap_or(FpgaHealth::Offline)
+        self.read(|v| v.health_of(fpga))
     }
 
     /// Sets the health of one FPGA. Out-of-range indices are ignored.
     /// Blocks already held by tenants are untouched — eviction or
     /// migration is the controller's job, not the database's.
     pub fn set_health(&self, fpga: usize, health: FpgaHealth) {
-        if let Some(slot) = self.inner.write().health.get_mut(fpga) {
-            *slot = health;
-        }
-    }
-
-    /// Free blocks per FPGA, as counts. Non-[`Online`](FpgaHealth::Online)
-    /// devices report zero: their blocks are not allocatable.
-    pub fn free_counts(&self) -> Vec<usize> {
-        let inner = self.inner.read();
-        inner
-            .states
-            .iter()
-            .zip(&inner.health)
-            .map(|(f, h)| {
-                if *h == FpgaHealth::Online {
-                    f.iter().filter(|s| **s == BlockState::Free).count()
-                } else {
-                    0
-                }
-            })
-            .collect()
+        self.table.write().view.set_health(fpga, health);
     }
 
     /// Free block addresses of one FPGA (empty unless the device is
     /// [`Online`](FpgaHealth::Online)).
     pub fn free_blocks_of(&self, fpga: usize) -> Vec<BlockAddr> {
-        let inner = self.inner.read();
-        if inner.health.get(fpga) != Some(&FpgaHealth::Online) {
-            return Vec::new();
-        }
-        inner
-            .states
-            .get(fpga)
-            .map(|blocks| {
-                blocks
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| **s == BlockState::Free)
-                    .map(|(i, _)| {
-                        BlockAddr::new(FpgaId::new(fpga as u32), PhysicalBlockId::new(i as u32))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Unclaimed blocks on one FPGA **regardless of its health**. Where
-    /// [`ResourceDatabase::free_counts`] reports what is allocatable right
-    /// now, this reports raw idle capacity — the number the controller
-    /// uses to tell "the cluster is full" apart from "capacity exists but
-    /// sits on a [`Draining`](FpgaHealth::Draining) device".
-    pub fn idle_count_of(&self, fpga: usize) -> usize {
-        let inner = self.inner.read();
-        inner
-            .states
-            .get(fpga)
-            .map(|blocks| blocks.iter().filter(|s| **s == BlockState::Free).count())
-            .unwrap_or(0)
+        self.read(|v| v.free_blocks_of(fpga))
     }
 
     /// Total free blocks.
     pub fn total_free(&self) -> usize {
-        self.free_counts().iter().sum()
+        self.read(ClusterView::total_free)
     }
 
     /// Atomically claims `blocks` for `tenant`. Either all blocks are
@@ -212,57 +208,17 @@ impl ResourceDatabase {
     /// already active, listed twice, or on a device that is not
     /// [`Online`](FpgaHealth::Online).
     pub fn claim(&self, tenant: TenantId, blocks: &[BlockAddr]) -> bool {
-        let mut inner = self.inner.write();
-        // Validate first.
-        for (i, b) in blocks.iter().enumerate() {
-            if blocks[..i].contains(b) {
-                return false;
-            }
-            if inner.health.get(b.fpga.index() as usize) != Some(&FpgaHealth::Online) {
-                return false;
-            }
-            let ok = inner
-                .states
-                .get(b.fpga.index() as usize)
-                .and_then(|f| f.get(b.block.index() as usize))
-                .is_some_and(|s| *s == BlockState::Free);
-            if !ok {
-                return false;
-            }
-        }
-        for b in blocks {
-            let f = b.fpga.index() as usize;
-            inner.states[f][b.block.index() as usize] = BlockState::Active(tenant);
-            *inner.by_fpga[f].entry(tenant).or_insert(0) += 1;
-        }
-        inner.tenants.entry(tenant).or_default().extend(blocks);
-        true
+        self.table.write().claim(tenant, blocks)
     }
 
     /// Releases every block held by `tenant`, returning them.
     pub fn release(&self, tenant: TenantId) -> Vec<BlockAddr> {
-        let mut inner = self.inner.write();
-        let blocks = inner.tenants.remove(&tenant).unwrap_or_default();
-        for b in &blocks {
-            let f = b.fpga.index() as usize;
-            inner.states[f][b.block.index() as usize] = BlockState::Free;
-            // Invariant: every claimed block has an index entry — claim()
-            // increments the count under the same lock that set the block
-            // Active, so a missing entry means the two structures diverged.
-            match inner.by_fpga[f].get_mut(&tenant) {
-                Some(n) if *n > 1 => *n -= 1,
-                Some(_) => {
-                    inner.by_fpga[f].remove(&tenant);
-                }
-                None => debug_assert!(false, "claimed block missing from per-FPGA tenant index"),
-            }
-        }
-        blocks
+        self.table.write().release(tenant)
     }
 
     /// The blocks currently held by `tenant`.
     pub fn holdings(&self, tenant: TenantId) -> Vec<BlockAddr> {
-        self.inner
+        self.table
             .read()
             .tenants
             .get(&tenant)
@@ -270,41 +226,17 @@ impl ResourceDatabase {
             .unwrap_or_default()
     }
 
-    /// Tenants holding at least one block on `fpga`, sorted.
-    ///
-    /// Served from the per-FPGA index, so the cost scales with the number
-    /// of tenants *on that device* — `fail_fpga`/`evacuate` used to scan
-    /// every tenant's whole holding list here, going quadratic during
-    /// mass evacuations.
+    /// Tenants holding at least one block on `fpga`, sorted: a scan of
+    /// that device's slots.
     pub fn tenants_on(&self, fpga: usize) -> Vec<TenantId> {
-        let inner = self.inner.read();
-        let mut v: Vec<TenantId> = match inner.by_fpga.get(fpga) {
-            Some(idx) => idx.keys().copied().collect(),
-            None => Vec::new(),
-        };
-        v.sort_unstable();
-        v
-    }
-
-    /// Reference implementation of [`tenants_on`](Self::tenants_on) that
-    /// scans every tenant's holdings. Kept for the index equivalence test.
-    #[doc(hidden)]
-    pub fn tenants_on_by_scan(&self, fpga: usize) -> Vec<TenantId> {
-        let inner = self.inner.read();
-        let mut v: Vec<TenantId> = inner
-            .tenants
-            .iter()
-            .filter(|(_, blocks)| blocks.iter().any(|b| b.fpga.index() as usize == fpga))
-            .map(|(&t, _)| t)
-            .collect();
-        v.sort_unstable();
-        v
+        self.read(|v| v.owners_on(fpga).into_iter().map(TenantId::new).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vital_fabric::{FpgaId, PhysicalBlockId};
 
     fn addr(f: u32, b: u32) -> BlockAddr {
         BlockAddr::new(FpgaId::new(f), PhysicalBlockId::new(b))
@@ -342,6 +274,7 @@ mod tests {
         assert!(!db.claim(t, &[addr(0, 0), addr(0, 0)]));
         assert!(!db.claim(t, &[addr(5, 0)]));
         assert_eq!(db.total_free(), 2);
+        assert_eq!(db.state(addr(0, 2)), None);
     }
 
     #[test]
@@ -353,7 +286,7 @@ mod tests {
 
     #[test]
     fn heterogeneous_layout_is_ragged() {
-        let db = ResourceDatabase::with_layout(vec![2, 5, 1]);
+        let db = ResourceDatabase::over(&[2, 5, 1], Arc::new(Topology::ring(3)));
         assert_eq!(db.fpga_count(), 3);
         assert_eq!(db.blocks_of(1), 5);
         assert_eq!(db.total_free(), 8);
@@ -378,7 +311,7 @@ mod tests {
         db.set_health(1, FpgaHealth::Draining);
         // No new allocations on a draining device...
         assert!(db.free_blocks_of(1).is_empty());
-        assert_eq!(db.free_counts(), vec![4, 0]);
+        assert_eq!(db.total_free(), 4);
         assert!(!db.claim(TenantId::new(2), &[addr(1, 2)]));
         // ...but existing holdings are intact and releasable.
         assert_eq!(db.holdings(t).len(), 2);
@@ -387,50 +320,37 @@ mod tests {
         assert_eq!(db.release(t).len(), 2);
         // Recovery restores allocatability.
         db.set_health(1, FpgaHealth::Online);
-        assert_eq!(db.free_counts(), vec![4, 4]);
+        assert_eq!(db.total_free(), 8);
         assert!(db.claim(t, &[addr(1, 3)]));
     }
 
-    /// The per-FPGA tenant index must agree with a full scan of tenant
-    /// holdings at every step of a randomized claim/release churn.
+    /// A probe leaves every holding where it was — including blocks on a
+    /// device that is not Online, which a committed placement gives up.
     #[test]
-    fn tenant_index_matches_scan_under_churn() {
-        let db = ResourceDatabase::with_layout(vec![4, 3, 5, 2]);
-        let mut lcg: u64 = 0x9e37_79b9_7f4a_7c15;
-        let mut next = || {
-            lcg = lcg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (lcg >> 33) as usize
+    fn probes_change_nothing_and_commits_move_every_block() {
+        let db = ResourceDatabase::new(2, 4);
+        let t = TenantId::new(1);
+        assert!(db.claim(t, &[addr(0, 0), addr(1, 0)]));
+        db.set_health(1, FpgaHealth::Draining);
+        let to_first_free = |v: &ClusterView| -> Result<Vec<BlockAddr>, ()> {
+            Ok(v.free_blocks_of(0)[..2].to_vec())
         };
-        let mut live: Vec<TenantId> = Vec::new();
-        for step in 0..200 {
-            if live.is_empty() || next() % 3 != 0 {
-                // Claim 1-3 free blocks for a fresh tenant.
-                let t = TenantId::new(1000 + step);
-                let mut want = Vec::new();
-                for f in 0..db.fpga_count() {
-                    for b in db.free_blocks_of(f) {
-                        if want.len() < 1 + next() % 3 && next() % 2 == 0 {
-                            want.push(b);
-                        }
-                    }
-                }
-                if !want.is_empty() && db.claim(t, &want) {
-                    live.push(t);
-                }
-            } else {
-                let t = live.swap_remove(next() % live.len());
-                assert!(!db.release(t).is_empty());
-            }
-            for f in 0..db.fpga_count() {
-                assert_eq!(
-                    db.tenants_on(f),
-                    db.tenants_on_by_scan(f),
-                    "index diverged from scan on fpga {f} at step {step}"
-                );
-            }
-        }
+        let probe = db.place(t, false, to_first_free);
+        assert_eq!(
+            probe,
+            Ok(vec![addr(0, 0), addr(0, 1)]),
+            "own Online block counts as free"
+        );
+        assert_eq!(db.holdings(t), vec![addr(0, 0), addr(1, 0)]);
+        assert_eq!(
+            db.place(t, true, |_| Err::<Vec<BlockAddr>, _>("full")),
+            Err("full")
+        );
+        assert_eq!(db.holdings(t), vec![addr(0, 0), addr(1, 0)]);
+        assert_eq!(db.place(t, true, to_first_free), probe);
+        assert_eq!(db.holdings(t), vec![addr(0, 0), addr(0, 1)]);
+        assert_eq!(db.read(|v| v.vacant_count_of(1)), 4);
+        assert_eq!(db.total_free(), 2);
     }
 
     #[test]

@@ -156,12 +156,16 @@ impl Scheduler for VitalScheduler {
             };
             match alloc {
                 Some(alloc) => {
-                    // Remove the granted blocks from the local free lists so
-                    // later decisions in this pass stay consistent.
+                    // Remove the granted blocks from the local free lists,
+                    // keeping them in index order: each later decision of
+                    // this pass is then the one a fresh call would make on
+                    // the view with this grant applied (the controller
+                    // places one request at a time and gets the same
+                    // blocks).
                     for b in &alloc.blocks {
                         let list = &mut free_lists[b.fpga.index() as usize];
                         if let Some(pos) = list.iter().position(|x| x == b) {
-                            list.swap_remove(pos);
+                            list.remove(pos);
                         }
                     }
                     free_total -= alloc.blocks.len();
@@ -203,8 +207,8 @@ struct PodState {
 /// O(pods + pod size) instead of O(cluster).
 ///
 /// The sweep consults the thin global layer first — per-pod free-block
-/// counts, one O(FPGAs) pass per call ([`ClusterView::pod_free_counts`]) —
-/// then routes each request to the *best-fit pod* (smallest sufficient
+/// counts, which the view keeps current ([`ClusterView::pod_free_counts`])
+/// — then routes each request to the *best-fit pod* (smallest sufficient
 /// free count, ties to the lowest pod index) and only materializes that
 /// pod's per-FPGA free lists, caching them for the rest of the sweep.
 /// Inside the pod the policy mirrors the single-ring allocator: best-fit
@@ -257,7 +261,7 @@ impl Scheduler for PodScheduler {
 
     fn schedule(&mut self, view: &ClusterView, pending: &[PendingRequest]) -> Vec<Deployment> {
         let topology = view.topology();
-        let mut pod_free = view.pod_free_counts();
+        let mut pod_free = view.pod_free_counts().to_vec();
         let mut free_total: usize = pod_free.iter().sum();
         let mut pods: Vec<Option<PodState>> = (0..pod_free.len()).map(|_| None).collect();
         let mut out = Vec::new();
