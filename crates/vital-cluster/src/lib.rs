@@ -14,6 +14,11 @@
 //! * response time (wait + service), block utilization, concurrency and
 //!   multi-FPGA spanning rate.
 //!
+//! The interconnect is one [`Topology`]: the paper's ring, or pods of
+//! rings joined by switches for the scale-out sweeps. Hop counts and path
+//! bandwidth come from its shape in closed form; a breadth-first search
+//! runs only while a [`FaultPlan`] holds a link down.
+//!
 //! Scheduling policy is pluggable via the [`Scheduler`] trait: ViTAL's
 //! communication-aware controller lives in `vital-runtime`, the per-device
 //! cloud baseline and AmorphOS modes in `vital-baselines`.
@@ -59,7 +64,6 @@
 mod error;
 mod metrics;
 mod request;
-mod ring;
 mod sim;
 mod state;
 mod topology;
@@ -67,10 +71,12 @@ mod topology;
 pub use error::ClusterError;
 pub use metrics::{CompileMetrics, FailedOutcome, RequestOutcome, SimReport};
 pub use request::{AppRequest, RequestId};
-pub use ring::RingNetwork;
 pub use sim::{ClusterSim, INSTRUCTION_SWITCH_S};
 pub use state::{
     ClusterConfig, ClusterView, Deployment, FaultEvent, FaultPlan, FpgaHealth, InstanceId,
     PendingRequest, ReconfigKind, RetryPolicy, Scheduler,
 };
-pub use topology::{LinkSpec, Topology};
+pub use topology::Topology;
+
+#[cfg(test)]
+mod ring;

@@ -1,166 +1,95 @@
-//! The bidirectional ring interconnect of the paper's cluster (§5.2: four
-//! FPGAs sharing a 100 Gb/s bidirectional ring).
+//! Hand-computed hop answers for the paper's bidirectional ring (§5.2: four
+//! FPGAs sharing a 100 Gb/s ring), asked of [`Topology::ring`], and the
+//! ring's two-path formula the topology's unit tests use as a reference.
 
-use serde::{Deserialize, Serialize};
+use crate::Topology;
 use vital_fabric::FpgaId;
 
-/// Topology helper for the bidirectional ring: shortest hop distances and
-/// the worst-case diameter, used by the execution-time model to scale the
-/// spanning penalty with the actual distance between an application's
-/// FPGAs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RingNetwork {
-    fpgas: usize,
+/// The ring's two candidate paths from `a` to `b` on a ring of `n`:
+/// clockwise over links `a, a+1, .., b-1` and counter-clockwise over
+/// `b, .., a-1` (mod `n`). Traffic takes the shorter of those that avoid
+/// every down link; `None` when both cross one.
+pub(crate) fn two_path_hops(n: usize, a: usize, b: usize, down: &[usize]) -> Option<usize> {
+    if a == b {
+        return Some(0);
+    }
+    let clear = |from: usize, len: usize| (0..len).all(|i| !down.contains(&((from + i) % n)));
+    let cw = (b + n - a) % n;
+    [(a, cw), (b, n - cw)]
+        .into_iter()
+        .filter(|&(from, len)| clear(from, len))
+        .map(|(_, len)| len)
+        .min()
 }
 
-impl RingNetwork {
-    /// A ring of `fpgas` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fpgas` is zero.
-    pub fn new(fpgas: usize) -> Self {
-        assert!(fpgas > 0, "a ring needs at least one node");
-        RingNetwork { fpgas }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.fpgas
-    }
-
-    /// `true` for the degenerate single-node ring.
-    pub fn is_empty(&self) -> bool {
-        false // a constructed ring always has at least one node
-    }
-
-    /// Shortest hop count between two FPGAs (0 for the same device); the
-    /// ring is bidirectional so traffic takes the shorter way around.
-    pub fn hops(&self, a: FpgaId, b: FpgaId) -> usize {
-        let a = a.index() as usize % self.fpgas;
-        let b = b.index() as usize % self.fpgas;
-        let d = a.abs_diff(b);
-        d.min(self.fpgas - d)
-    }
-
-    /// The network diameter (worst shortest-path distance).
-    pub fn diameter(&self) -> usize {
-        self.fpgas / 2
-    }
-
-    /// The worst hop distance from `primary` to any FPGA in `used`.
-    pub fn max_hops_from(&self, primary: FpgaId, used: impl IntoIterator<Item = FpgaId>) -> usize {
-        used.into_iter()
-            .map(|f| self.hops(primary, f))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Number of point-to-point links on the ring. Link `i` connects FPGA
-    /// `i` and FPGA `(i + 1) % len`; a two-node ring keeps both cables
-    /// (links 0 and 1), a single-node ring has none.
-    pub fn link_count(&self) -> usize {
-        if self.fpgas < 2 {
-            0
-        } else {
-            self.fpgas
-        }
-    }
-
-    /// Shortest hop count between two FPGAs when the links in `down` are
-    /// out of service, or `None` if every path crosses a down link. On a
-    /// ring there are exactly two candidate paths; traffic reroutes the
-    /// long way around a broken link.
-    pub fn hops_avoiding(&self, a: FpgaId, b: FpgaId, down: &[usize]) -> Option<usize> {
-        let n = self.fpgas;
-        let a = a.index() as usize % n;
-        let b = b.index() as usize % n;
-        if a == b {
-            return Some(0);
-        }
-        let blocked = |link: usize| down.contains(&(link % n));
-        // Clockwise path a -> b uses links a, a+1, .., b-1 (mod n).
-        let cw_len = (b + n - a) % n;
-        let cw_ok = (0..cw_len).all(|i| !blocked((a + i) % n));
-        let ccw_len = n - cw_len;
-        let ccw_ok = (0..ccw_len).all(|i| !blocked((b + i) % n));
-        match (cw_ok, ccw_ok) {
-            (true, true) => Some(cw_len.min(ccw_len)),
-            (true, false) => Some(cw_len),
-            (false, true) => Some(ccw_len),
-            (false, false) => None,
-        }
-    }
-
-    /// The worst rerouted hop distance from `primary` to any FPGA in
-    /// `used`; `None` as soon as one of them is unreachable.
-    pub fn max_hops_from_avoiding(
-        &self,
-        primary: FpgaId,
-        used: impl IntoIterator<Item = FpgaId>,
-        down: &[usize],
-    ) -> Option<usize> {
-        let mut worst = 0;
-        for f in used {
-            worst = worst.max(self.hops_avoiding(primary, f, down)?);
-        }
-        Some(worst)
-    }
+/// The worst shortest-path distance over every pair.
+pub(crate) fn diameter(t: &Topology) -> usize {
+    let all = || (0..t.len() as u32).map(FpgaId::new);
+    all()
+        .flat_map(|a| all().map(move |b| t.hops(a, b)))
+        .max()
+        .unwrap_or(0)
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
 
+    fn f(i: u32) -> FpgaId {
+        FpgaId::new(i)
+    }
+
+    fn hops_avoiding(t: &Topology, a: u32, b: u32, down: &[usize]) -> Option<usize> {
+        let want = two_path_hops(t.len(), a as usize, b as usize, down);
+        let got = t.max_hops_from_avoiding(f(a), [f(b)], down);
+        assert_eq!(got, want, "{a}->{b} avoiding {down:?}");
+        got
+    }
+
     #[test]
     fn hops_take_the_short_way_round() {
-        let ring = RingNetwork::new(4);
-        let f = FpgaId::new;
+        let ring = Topology::ring(4);
         assert_eq!(ring.hops(f(0), f(0)), 0);
         assert_eq!(ring.hops(f(0), f(1)), 1);
         assert_eq!(ring.hops(f(0), f(2)), 2);
         assert_eq!(ring.hops(f(0), f(3)), 1); // wraps
         assert_eq!(ring.hops(f(3), f(0)), 1); // symmetric
-        assert_eq!(ring.diameter(), 2);
+        assert_eq!(diameter(&ring), 2);
     }
 
     #[test]
     fn odd_rings() {
-        let ring = RingNetwork::new(5);
-        let f = FpgaId::new;
+        let ring = Topology::ring(5);
         assert_eq!(ring.hops(f(0), f(3)), 2);
-        assert_eq!(ring.diameter(), 2);
+        assert_eq!(diameter(&ring), 2);
     }
 
     #[test]
     fn single_node_ring() {
-        let ring = RingNetwork::new(1);
-        assert_eq!(ring.hops(FpgaId::new(0), FpgaId::new(0)), 0);
-        assert_eq!(ring.diameter(), 0);
+        let ring = Topology::ring(1);
+        assert_eq!(ring.hops(f(0), f(0)), 0);
+        assert_eq!(diameter(&ring), 0);
     }
 
     #[test]
     fn down_links_reroute_the_long_way() {
-        let ring = RingNetwork::new(4);
-        let f = FpgaId::new;
+        let ring = Topology::ring(4);
         // Link 0 joins FPGAs 0 and 1: traffic must go 0-3-2-1.
-        assert_eq!(ring.hops_avoiding(f(0), f(1), &[0]), Some(3));
-        assert_eq!(ring.hops_avoiding(f(1), f(0), &[0]), Some(3));
+        assert_eq!(hops_avoiding(&ring, 0, 1, &[0]), Some(3));
+        assert_eq!(hops_avoiding(&ring, 1, 0, &[0]), Some(3));
         // An unrelated pair keeps its shortest path.
-        assert_eq!(ring.hops_avoiding(f(2), f(3), &[0]), Some(1));
+        assert_eq!(hops_avoiding(&ring, 2, 3, &[0]), Some(1));
         // Two cuts partition the ring.
-        assert_eq!(ring.hops_avoiding(f(0), f(1), &[0, 2]), None);
-        assert_eq!(ring.hops_avoiding(f(0), f(3), &[0, 2]), Some(1));
+        assert_eq!(hops_avoiding(&ring, 0, 1, &[0, 2]), None);
+        assert_eq!(hops_avoiding(&ring, 0, 3, &[0, 2]), Some(1));
         // Same node is always reachable.
-        assert_eq!(ring.hops_avoiding(f(2), f(2), &[0, 1, 2, 3]), Some(0));
+        assert_eq!(hops_avoiding(&ring, 2, 2, &[0, 1, 2, 3]), Some(0));
         assert_eq!(ring.link_count(), 4);
-        assert_eq!(RingNetwork::new(1).link_count(), 0);
+        assert_eq!(Topology::ring(1).link_count(), 0);
     }
 
     #[test]
     fn max_hops_avoiding_detects_unreachable() {
-        let ring = RingNetwork::new(4);
-        let f = FpgaId::new;
+        let ring = Topology::ring(4);
         assert_eq!(
             ring.max_hops_from_avoiding(f(0), [f(1), f(3)], &[0]),
             Some(3)
@@ -172,12 +101,15 @@ mod tests {
         );
     }
 
+    /// With no link down, the worst distance from the primary.
     #[test]
     fn max_hops_from_primary() {
-        let ring = RingNetwork::new(4);
-        let f = FpgaId::new;
-        assert_eq!(ring.max_hops_from(f(0), [f(0), f(1), f(2)]), 2);
-        assert_eq!(ring.max_hops_from(f(1), [f(1)]), 0);
-        assert_eq!(ring.max_hops_from(f(0), []), 0);
+        let ring = Topology::ring(4);
+        assert_eq!(
+            ring.max_hops_from_avoiding(f(0), [f(0), f(1), f(2)], &[]),
+            Some(2)
+        );
+        assert_eq!(ring.max_hops_from_avoiding(f(1), [f(1)], &[]), Some(0));
+        assert_eq!(ring.max_hops_from_avoiding(f(0), [], &[]), Some(0));
     }
 }

@@ -190,7 +190,7 @@ impl ClusterSim {
     }
 
     /// Like [`ClusterSim::run`] under a scripted [`FaultPlan`]: FPGA
-    /// crashes and ring-link cuts evict the instances they touch, evicted
+    /// crashes and link cuts evict the instances they touch, evicted
     /// requests retry with the plan's backoff until its retry budget runs
     /// out (then they land in [`SimReport::failed`]), and the report
     /// carries failure-aware metrics (interrupted jobs, wasted
@@ -230,10 +230,11 @@ impl ClusterSim {
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::InvalidRequest`] or
-    /// [`ClusterError::InvalidFault`] for the first malformed request or
-    /// plan event (both are checked before anything runs), else a
-    /// [`ClusterError`] describing the first invalid deployment.
+    /// Returns [`ClusterError::InvalidLayout`] for a cluster of no FPGAs,
+    /// [`ClusterError::InvalidRequest`] or [`ClusterError::InvalidFault`]
+    /// for the first malformed request or plan event (all are checked
+    /// before anything runs), else a [`ClusterError`] describing the first
+    /// invalid deployment.
     pub fn try_run_with_plan(
         &self,
         policy: &mut dyn Scheduler,
@@ -243,6 +244,11 @@ impl ClusterSim {
         // Validate the inputs up front: they arrive from outside (traces
         // and plans are `Deserialize`), and a bad index or a NaN time used
         // to be swallowed or to poison every later timestamp.
+        if self.layout.is_empty() {
+            return Err(ClusterError::InvalidLayout(
+                "cluster needs at least one FPGA".to_string(),
+            ));
+        }
         validate_requests(&requests)?;
         self.validate_plan(plan)?;
         run::Run::new(self, policy, requests, plan).run()
@@ -1079,6 +1085,19 @@ mod tests {
     fn topology_fpga_count_must_match_layout() {
         let err = ClusterSim::new(ClusterConfig::paper_cluster())
             .with_topology(crate::Topology::ring(5))
+            .unwrap_err();
+        assert!(matches!(err, ClusterError::InvalidLayout(_)));
+        let empty = ClusterConfig {
+            fpgas: 0,
+            ..ClusterConfig::paper_cluster()
+        };
+        let err = ClusterSim::new(empty)
+            .try_run(
+                &mut FirstFit {
+                    whole_device: false,
+                },
+                Vec::new(),
+            )
             .unwrap_err();
         assert!(matches!(err, ClusterError::InvalidLayout(_)));
     }

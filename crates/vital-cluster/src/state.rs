@@ -119,16 +119,17 @@ pub enum FaultEvent {
         /// When it returns (seconds).
         at_s: f64,
     },
-    /// Ring link `link` (joining FPGA `link` and `link + 1 mod n`) goes
-    /// down: spanning instances whose traffic crossed it are evicted, and
-    /// later deployments pay the rerouted (long-way-around) hop penalty.
+    /// Link `link` of the [`Topology`] goes down (on the ring, link `i`
+    /// joins FPGA `i` and `i + 1 mod n`): spanning instances whose paths
+    /// it lengthens or cuts are evicted, and later deployments pay the
+    /// rerouted hop penalty.
     RingLinkDown {
         /// The failing link.
         link: u32,
         /// When it fails (seconds).
         at_s: f64,
     },
-    /// A downed ring link comes back.
+    /// A downed link comes back.
     RingLinkUp {
         /// The recovering link.
         link: u32,
@@ -262,14 +263,17 @@ impl FaultPlan {
         self
     }
 
-    /// Takes ring link `link` down at `at_s`.
+    /// Takes link `link` down at `at_s`. Links are numbered as
+    /// [`Topology::ring`] and [`Topology::pods`] document: on the ring,
+    /// link `i` joins FPGA `i` and `i + 1 mod n`; on pods, each pod's ring
+    /// cables then its uplinks, pod by pod, then the switch mesh.
     #[must_use]
     pub fn ring_link_down(mut self, link: u32, at_s: f64) -> Self {
         self.events.push(FaultEvent::RingLinkDown { link, at_s });
         self
     }
 
-    /// Brings ring link `link` back at `at_s`.
+    /// Brings link `link` back at `at_s`.
     #[must_use]
     pub fn ring_link_up(mut self, link: u32, at_s: f64) -> Self {
         self.events.push(FaultEvent::RingLinkUp { link, at_s });
@@ -335,7 +339,17 @@ pub struct ClusterView {
 impl ClusterView {
     /// An empty, all-Online table: one entry of `blocks_per_fpga` per FPGA
     /// of `topology`, in FPGA order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `blocks_per_fpga` does not have one entry per FPGA of
+    /// `topology`.
     pub fn new(blocks_per_fpga: &[usize], topology: Arc<Topology>) -> Self {
+        assert_eq!(
+            blocks_per_fpga.len(),
+            topology.len(),
+            "the layout must have one entry per FPGA of the topology"
+        );
         let mut pod_free = vec![0; topology.pod_count()];
         for (f, &n) in blocks_per_fpga.iter().enumerate() {
             pod_free[topology.pod_of(f)] += n;
@@ -407,9 +421,9 @@ impl ClusterView {
         }
     }
 
-    /// Indices of the ring links currently down. Communication-aware
-    /// policies can avoid spanning across them: traffic reroutes the long
-    /// way around, inflating the hop penalty.
+    /// Indices of the links currently down. Communication-aware policies
+    /// can avoid spanning across them: traffic reroutes around them,
+    /// inflating the hop penalty.
     pub fn down_links(&self) -> Vec<usize> {
         self.link_down
             .iter()
@@ -649,6 +663,14 @@ mod tests {
         v.set_health(0, FpgaHealth::Online);
         assert_eq!(v.pod_free_counts(), [7, 5]);
         assert_eq!(v.total_free(), 12);
+    }
+
+    /// A layout longer than its topology would count the extra FPGAs into
+    /// no pod at all.
+    #[test]
+    #[should_panic(expected = "one entry per FPGA")]
+    fn layout_must_match_the_topology() {
+        let _ = ClusterView::new(&[4; 5], Arc::new(Topology::pods(2, 2, 100.0, 25.0)));
     }
 
     #[test]

@@ -1,147 +1,25 @@
-//! Cluster interconnect topologies beyond the single ring (paper §7).
+//! The cluster interconnect: the paper's bidirectional ring (§5.2), or pods
+//! of rings joined by switches (the §7 scale-out).
 //!
-//! The paper evaluates a four-FPGA bidirectional ring, and until this
-//! module everything downstream of [`RingNetwork`] silently assumed that
-//! shape. [`Topology`] generalizes the interconnect to a graph: multiple
-//! ring *pods* joined by switch nodes, with heterogeneous per-link
-//! bandwidths. It exposes the exact query surface communication-aware
-//! policies already use (`hops`, `hops_avoiding`, `max_hops_from*`,
-//! `link_count`, `diameter`), so existing schedulers keep working
-//! unmodified.
-//!
-//! **Bit-identity contract:** [`Topology::ring`] stores a real
-//! [`RingNetwork`] and delegates every query to it verbatim, so a
-//! single-ring cluster behaves bit-identically to the pre-topology
-//! simulator. The graph engine (BFS over explicit links) is only engaged
-//! for [`Topology::pods`] / [`Topology::from_links`] clusters, and a
-//! single ring expressed as an explicit link graph agrees with
-//! [`RingNetwork`] on every query (property-tested in
-//! `tests/topology_scale.rs`).
+//! A [`Topology`] is its shape plus the endpoints of its cables. Every
+//! fault-free query is answered by arithmetic on the shape; one
+//! breadth-first search over the cables still in service runs only while a
+//! link is down. The cable order is the link numbering that
+//! [`FaultPlan`](crate::FaultPlan) link indices name: see
+//! [`Topology::ring`] and [`Topology::pods`].
 
-use std::collections::VecDeque;
+use std::ops::Range;
 
 use vital_fabric::FpgaId;
 
-use crate::RingNetwork;
-
-/// One physical point-to-point cable in a [`Topology`] graph.
+/// The cluster interconnect: the paper's single bidirectional ring, or
+/// pods of rings joined by switches.
 ///
-/// Endpoints are *node* indices: FPGAs occupy `0..fpgas`, switch nodes
-/// follow at `fpgas..fpgas + switches`. Links are bidirectional and may
-/// have heterogeneous bandwidths (e.g. 100 Gb/s intra-pod ring cables vs
-/// slower pod uplinks).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkSpec {
-    /// First endpoint (node index).
-    pub a: usize,
-    /// Second endpoint (node index).
-    pub b: usize,
-    /// Link bandwidth in Gb/s.
-    pub gbps: f64,
-}
-
-impl LinkSpec {
-    /// A link between nodes `a` and `b` at `gbps`.
-    pub fn new(a: usize, b: usize, gbps: f64) -> Self {
-        LinkSpec { a, b, gbps }
-    }
-}
-
-/// Hop sentinel for "unreachable" inside the dense distance matrix.
-const UNREACHABLE: u16 = u16::MAX;
-
-/// The general graph interconnect: FPGA nodes plus switch nodes joined by
-/// explicit links, with a precomputed FPGA-to-FPGA hop matrix.
-#[derive(Debug, Clone, PartialEq)]
-struct Graph {
-    fpgas: usize,
-    nodes: usize,
-    links: Vec<LinkSpec>,
-    /// `adj[node]` = `(peer node, link index)` in link-insertion order.
-    adj: Vec<Vec<(usize, usize)>>,
-    /// Row-major `fpgas x fpgas` all-pairs shortest hop counts.
-    dist: Vec<u16>,
-    /// Bottleneck bandwidth (Gb/s) along the BFS shortest path used for
-    /// `dist`; same shape as `dist`, `f64::INFINITY` on the diagonal.
-    path_gbps: Vec<f64>,
-    /// Pod index of each FPGA.
-    pod_of: Vec<usize>,
-    /// FPGA members of each pod (contiguous for [`Topology::pods`]).
-    pods: Vec<Vec<usize>>,
-    diameter: usize,
-}
-
-impl Graph {
-    /// BFS hop distances from `src` over all nodes, treating the link
-    /// indices in `down` as out of service. `UNREACHABLE` marks
-    /// disconnected nodes. Neighbours are visited in link-insertion
-    /// order, so results are deterministic.
-    fn bfs(&self, src: usize, down: &[usize]) -> Vec<u16> {
-        let mut dist = vec![UNREACHABLE; self.nodes];
-        let mut q = VecDeque::new();
-        dist[src] = 0;
-        q.push_back(src);
-        while let Some(u) = q.pop_front() {
-            let d = dist[u];
-            for &(v, link) in &self.adj[u] {
-                if dist[v] == UNREACHABLE && !down.contains(&link) {
-                    dist[v] = d + 1;
-                    q.push_back(v);
-                }
-            }
-        }
-        dist
-    }
-
-    /// BFS from `src` that also tracks the bottleneck bandwidth of the
-    /// (first-discovered) shortest path to each node.
-    fn bfs_with_bandwidth(&self, src: usize) -> (Vec<u16>, Vec<f64>) {
-        let mut dist = vec![UNREACHABLE; self.nodes];
-        let mut gbps = vec![0.0_f64; self.nodes];
-        let mut q = VecDeque::new();
-        dist[src] = 0;
-        gbps[src] = f64::INFINITY;
-        q.push_back(src);
-        while let Some(u) = q.pop_front() {
-            let d = dist[u];
-            for &(v, link) in &self.adj[u] {
-                if dist[v] == UNREACHABLE {
-                    dist[v] = d + 1;
-                    gbps[v] = gbps[u].min(self.links[link].gbps);
-                    q.push_back(v);
-                }
-            }
-        }
-        (dist, gbps)
-    }
-
-    fn fpga(&self, id: FpgaId) -> usize {
-        id.index() as usize % self.fpgas
-    }
-
-    fn hops(&self, a: FpgaId, b: FpgaId) -> usize {
-        usize::from(self.dist[self.fpga(a) * self.fpgas + self.fpga(b)])
-    }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum Kind {
-    /// The paper's single bidirectional ring; every query delegates to
-    /// [`RingNetwork`] so behaviour is bit-identical to the pre-graph
-    /// simulator.
-    Ring(RingNetwork),
-    Graph(Box<Graph>),
-}
-
-/// The cluster interconnect: either the paper's single bidirectional ring
-/// or a general pod graph (rings of FPGAs joined by switches).
-///
-/// FPGAs are nodes `0..len()`; a graph topology may add switch nodes
-/// after them, but every public query speaks FPGA indices only. The query
-/// surface mirrors [`RingNetwork`], plus a *pod* layer
-/// ([`Topology::pod_count`] / [`Topology::pod_of`] /
-/// [`Topology::pod_members`]) that sharded schedulers use to batch
-/// allocation rounds per pod.
+/// FPGAs are nodes `0..len()`; a pod topology adds one switch node per pod
+/// after them, but every public query speaks FPGA indices only. The *pod*
+/// layer ([`Topology::pod_count`] / [`Topology::pod_of`] /
+/// [`Topology::pod_members`]) is what sharded schedulers batch allocation
+/// rounds by; the bare ring is one pod.
 ///
 /// ```
 /// use vital_cluster::Topology;
@@ -160,19 +38,34 @@ enum Kind {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
-    kind: Kind,
+    fpgas: usize,
+    /// FPGAs per pod; the bare ring is one pod of all of them.
+    pod_size: usize,
+    /// `(ring_gbps, uplink_gbps)` of a pod topology; `None` for the bare
+    /// ring, which has no switches.
+    gbps: Option<(f64, f64)>,
+    /// The endpoints of link `i`. FPGAs are nodes `0..fpgas`; the switch of
+    /// pod `p` is node `fpgas + p`.
+    links: Vec<(usize, usize)>,
 }
 
 impl Topology {
     /// The paper's single bidirectional ring of `fpgas` nodes.
-    /// Bit-identical to [`RingNetwork`] on every query.
+    ///
+    /// Link `i` joins FPGA `i` and FPGA `(i + 1) % fpgas`. A two-FPGA ring
+    /// keeps both cables (links 0 and 1); a single FPGA has none.
     ///
     /// # Panics
     ///
     /// Panics if `fpgas` is zero.
     pub fn ring(fpgas: usize) -> Self {
+        assert!(fpgas > 0, "a ring needs at least one FPGA");
+        let cables = if fpgas < 2 { 0 } else { fpgas };
         Topology {
-            kind: Kind::Ring(RingNetwork::new(fpgas)),
+            fpgas,
+            pod_size: fpgas,
+            gbps: None,
+            links: (0..cables).map(|i| (i, (i + 1) % fpgas)).collect(),
         }
     }
 
@@ -186,7 +79,12 @@ impl Topology {
     /// shortcut on large pods).
     ///
     /// FPGA numbering is contiguous per pod: pod `p` owns FPGAs
-    /// `p * pod_size .. (p + 1) * pod_size`.
+    /// `p * pod_size .. (p + 1) * pod_size`. Links are numbered pod by pod
+    /// — first the pod's ring cables (cable `i` joins its members `i` and
+    /// `(i + 1) % pod_size`; a 2-FPGA pod has one cable, a 1-FPGA pod
+    /// none), then one uplink per member in member order — and after the
+    /// last pod the switch mesh, pair `(p, q)` with `p < q` in
+    /// lexicographic order.
     ///
     /// # Panics
     ///
@@ -195,119 +93,38 @@ impl Topology {
     pub fn pods(pods: usize, pod_size: usize, ring_gbps: f64, uplink_gbps: f64) -> Self {
         assert!(pods > 0, "a cluster needs at least one pod");
         assert!(pod_size > 0, "a pod needs at least one FPGA");
+        assert!(
+            [ring_gbps, uplink_gbps]
+                .iter()
+                .all(|g| g.is_finite() && *g > 0.0),
+            "link bandwidths must be finite and positive"
+        );
         let fpgas = pods * pod_size;
+        let cables = match pod_size {
+            1 => 0,
+            2 => 1,
+            n => n,
+        };
         let mut links = Vec::new();
         for p in 0..pods {
             let base = p * pod_size;
-            // Intra-pod ring cables (a 2-FPGA pod keeps one cable, a
-            // single-FPGA pod none).
-            if pod_size >= 3 {
-                for i in 0..pod_size {
-                    links.push(LinkSpec::new(
-                        base + i,
-                        base + (i + 1) % pod_size,
-                        ring_gbps,
-                    ));
-                }
-            } else if pod_size == 2 {
-                links.push(LinkSpec::new(base, base + 1, ring_gbps));
-            }
-            // Uplinks from every member to the pod switch.
-            let switch = fpgas + p;
-            for i in 0..pod_size {
-                links.push(LinkSpec::new(base + i, switch, uplink_gbps));
-            }
+            links.extend((0..cables).map(|i| (base + i, base + (i + 1) % pod_size)));
+            links.extend((base..base + pod_size).map(|f| (f, fpgas + p)));
         }
-        // Full mesh between pod switches.
         for p in 0..pods {
-            for q in (p + 1)..pods {
-                links.push(LinkSpec::new(fpgas + p, fpgas + q, uplink_gbps));
-            }
+            links.extend((p + 1..pods).map(|q| (fpgas + p, fpgas + q)));
         }
-        let members = (0..pods)
-            .map(|p| (p * pod_size..(p + 1) * pod_size).collect())
-            .collect();
-        Topology::graph(fpgas, pods, links, members)
-    }
-
-    /// A general topology from an explicit link list: `fpgas` FPGA nodes
-    /// (indices `0..fpgas`), `switches` switch nodes (indices
-    /// `fpgas..fpgas + switches`), joined by `links`. Link indices follow
-    /// list order, so a ring expressed as `link i = (i, (i + 1) % n)`
-    /// keeps [`RingNetwork`]'s link numbering. All FPGAs land in one pod.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fpgas` is zero, an endpoint is out of range, a
-    /// bandwidth is not finite and positive, or some FPGA pair is
-    /// disconnected.
-    pub fn from_links(fpgas: usize, switches: usize, links: Vec<LinkSpec>) -> Self {
-        Topology::graph(fpgas, switches, links, vec![(0..fpgas).collect()])
-    }
-
-    fn graph(fpgas: usize, switches: usize, links: Vec<LinkSpec>, pods: Vec<Vec<usize>>) -> Self {
-        assert!(fpgas > 0, "a topology needs at least one FPGA");
-        let nodes = fpgas + switches;
-        let mut adj = vec![Vec::new(); nodes];
-        for (i, l) in links.iter().enumerate() {
-            assert!(
-                l.a < nodes && l.b < nodes,
-                "link {i} endpoint out of range ({} nodes)",
-                nodes
-            );
-            assert!(
-                l.gbps.is_finite() && l.gbps > 0.0,
-                "link {i} bandwidth must be finite and positive"
-            );
-            adj[l.a].push((l.b, i));
-            adj[l.b].push((l.a, i));
-        }
-        let mut pod_of = vec![0; fpgas];
-        for (p, members) in pods.iter().enumerate() {
-            for &f in members {
-                pod_of[f] = p;
-            }
-        }
-        let mut g = Graph {
-            fpgas,
-            nodes,
-            links,
-            adj,
-            dist: Vec::new(),
-            path_gbps: Vec::new(),
-            pod_of,
-            pods,
-            diameter: 0,
-        };
-        let mut dist = Vec::with_capacity(fpgas * fpgas);
-        let mut path_gbps = Vec::with_capacity(fpgas * fpgas);
-        let mut diameter = 0;
-        for src in 0..fpgas {
-            let (d, bw) = g.bfs_with_bandwidth(src);
-            for dst in 0..fpgas {
-                assert!(
-                    d[dst] != UNREACHABLE,
-                    "topology is disconnected: no path from FPGA {src} to FPGA {dst}"
-                );
-                diameter = diameter.max(usize::from(d[dst]));
-                dist.push(d[dst]);
-                path_gbps.push(bw[dst]);
-            }
-        }
-        g.dist = dist;
-        g.path_gbps = path_gbps;
-        g.diameter = diameter;
         Topology {
-            kind: Kind::Graph(Box::new(g)),
+            fpgas,
+            pod_size,
+            gbps: Some((ring_gbps, uplink_gbps)),
+            links,
         }
     }
 
     /// Number of FPGAs (switch nodes are not counted).
     pub fn len(&self) -> usize {
-        match &self.kind {
-            Kind::Ring(r) => r.len(),
-            Kind::Graph(g) => g.fpgas,
-        }
+        self.fpgas
     }
 
     /// `false`: a constructed topology always has at least one FPGA.
@@ -315,98 +132,93 @@ impl Topology {
         false
     }
 
-    /// Number of point-to-point links. For a ring this matches
-    /// [`RingNetwork::link_count`] (link `i` joins FPGA `i` and its
-    /// clockwise neighbour); for a graph it is the explicit link-list
-    /// length, uplinks and switch mesh included.
+    /// Number of point-to-point links, uplinks and switch mesh included:
+    /// the valid [`FaultPlan`](crate::FaultPlan) link indices are
+    /// `0..link_count()`.
     pub fn link_count(&self) -> usize {
-        match &self.kind {
-            Kind::Ring(r) => r.link_count(),
-            Kind::Graph(g) => g.links.len(),
+        self.links.len()
+    }
+
+    /// An FPGA's node index; ids past the end wrap around. Schedulers ask
+    /// for hops in their inner loops, so in-range ids skip the division.
+    fn index(&self, id: FpgaId) -> usize {
+        let i = id.index() as usize;
+        if i < self.fpgas {
+            i
+        } else {
+            i % self.fpgas
         }
     }
 
-    /// The network diameter over FPGA pairs (worst shortest-path
-    /// distance).
-    pub fn diameter(&self) -> usize {
-        match &self.kind {
-            Kind::Ring(r) => r.diameter(),
-            Kind::Graph(g) => g.diameter,
-        }
+    /// The ring distance between two FPGAs of one pod (the bare ring is
+    /// one pod), or `None` across pods.
+    fn ring_distance(&self, a: usize, b: usize) -> Option<usize> {
+        let n = self.pod_size;
+        (a / n == b / n).then(|| {
+            let d = (a % n).abs_diff(b % n);
+            d.min(n - d)
+        })
     }
 
     /// Shortest hop count between two FPGAs (0 for the same device).
     pub fn hops(&self, a: FpgaId, b: FpgaId) -> usize {
-        match &self.kind {
-            Kind::Ring(r) => r.hops(a, b),
-            Kind::Graph(g) => g.hops(a, b),
+        match self.ring_distance(self.index(a), self.index(b)) {
+            Some(r) if self.gbps.is_none() => r,
+            // The pod switch is a 2-hop shortcut across the pod.
+            Some(r) => r.min(2),
+            None => 3,
         }
     }
 
-    /// Shortest hop count between two FPGAs when the links in `down` are
-    /// out of service, or `None` if every path crosses a down link.
-    pub fn hops_avoiding(&self, a: FpgaId, b: FpgaId, down: &[usize]) -> Option<usize> {
-        match &self.kind {
-            Kind::Ring(r) => r.hops_avoiding(a, b, down),
-            Kind::Graph(g) => {
-                let (a, b) = (g.fpga(a), g.fpga(b));
-                if a == b {
-                    return Some(0);
-                }
-                if down.is_empty() {
-                    return Some(usize::from(g.dist[a * g.fpgas + b]));
-                }
-                let d = g.bfs(a, down)[b];
-                (d != UNREACHABLE).then_some(usize::from(d))
-            }
-        }
-    }
-
-    /// The worst hop distance from `primary` to any FPGA in `used`.
-    pub fn max_hops_from(&self, primary: FpgaId, used: impl IntoIterator<Item = FpgaId>) -> usize {
-        match &self.kind {
-            Kind::Ring(r) => r.max_hops_from(primary, used),
-            Kind::Graph(g) => {
-                let p = g.fpga(primary);
-                used.into_iter()
-                    .map(|f| usize::from(g.dist[p * g.fpgas + g.fpga(f)]))
-                    .max()
-                    .unwrap_or(0)
-            }
-        }
-    }
-
-    /// The worst rerouted hop distance from `primary` to any FPGA in
-    /// `used`; `None` as soon as one of them is unreachable.
+    /// The worst hop distance from `primary` to any FPGA in `used` when the
+    /// links in `down` are out of service; `None` as soon as one of them
+    /// is unreachable. With no link down this is arithmetic; otherwise one
+    /// breadth-first search from `primary`.
     pub fn max_hops_from_avoiding(
         &self,
         primary: FpgaId,
         used: impl IntoIterator<Item = FpgaId>,
         down: &[usize],
     ) -> Option<usize> {
-        match &self.kind {
-            Kind::Ring(r) => r.max_hops_from_avoiding(primary, used, down),
-            Kind::Graph(g) => {
-                let p = g.fpga(primary);
-                let dist = if down.is_empty() {
-                    None // use the precomputed matrix
-                } else {
-                    Some(g.bfs(p, down))
-                };
-                let mut worst = 0;
-                for f in used {
-                    let d = match &dist {
-                        Some(live) => live[g.fpga(f)],
-                        None => g.dist[p * g.fpgas + g.fpga(f)],
-                    };
-                    if d == UNREACHABLE {
-                        return None;
-                    }
-                    worst = worst.max(usize::from(d));
+        if down.is_empty() {
+            return Some(
+                used.into_iter()
+                    .map(|f| self.hops(primary, f))
+                    .max()
+                    .unwrap_or(0),
+            );
+        }
+        let dist = self.bfs(self.index(primary), down);
+        used.into_iter()
+            .try_fold(0, |worst, f| Some(worst.max(dist[self.index(f)]?)))
+    }
+
+    /// Hop distances from FPGA `src` to every node over the links not in
+    /// `down` (`None` where unreachable), one level per sweep of the link
+    /// list.
+    fn bfs(&self, src: usize, down: &[usize]) -> Vec<Option<usize>> {
+        // FPGAs, then one switch node per pod of a pod topology.
+        let switches = self.gbps.map_or(0, |_| self.pod_count());
+        let mut dist = vec![None; self.fpgas + switches];
+        dist[src] = Some(0);
+        for level in 0.. {
+            let mut grew = false;
+            for (i, &(a, b)) in self.links.iter().enumerate() {
+                if down.contains(&i) {
+                    continue;
                 }
-                Some(worst)
+                for (u, v) in [(a, b), (b, a)] {
+                    if dist[u] == Some(level) && dist[v].is_none() {
+                        dist[v] = Some(level + 1);
+                        grew = true;
+                    }
+                }
+            }
+            if !grew {
+                break;
             }
         }
+        dist
     }
 
     /// The bandwidth slowdown factor communication from `primary` to the
@@ -414,62 +226,50 @@ impl Topology {
     /// the worst `reference_gbps / bottleneck` over the spanned pairs,
     /// floored at 1.0. A single ring always reports 1.0 (every cable *is*
     /// the reference), so the pre-topology service model is unchanged;
-    /// pod graphs report > 1.0 when a span crosses slower uplinks.
+    /// pod topologies report > 1.0 when a span crosses slower uplinks.
     pub fn bandwidth_slowdown(
         &self,
         primary: FpgaId,
         used: impl IntoIterator<Item = FpgaId>,
         reference_gbps: f64,
     ) -> f64 {
-        match &self.kind {
-            Kind::Ring(_) => 1.0,
-            Kind::Graph(g) => {
-                if !(reference_gbps.is_finite() && reference_gbps > 0.0) {
-                    return 1.0;
-                }
-                let p = g.fpga(primary);
-                let mut worst: f64 = 1.0;
-                for f in used {
-                    let bw = g.path_gbps[p * g.fpgas + g.fpga(f)];
-                    if bw > 0.0 && bw.is_finite() {
-                        worst = worst.max(reference_gbps / bw);
-                    }
-                }
-                worst
-            }
+        let Some((ring_gbps, uplink_gbps)) = self.gbps else {
+            return 1.0;
+        };
+        if !(reference_gbps.is_finite() && reference_gbps > 0.0) {
+            return 1.0;
         }
+        let p = self.index(primary);
+        used.into_iter()
+            .map(|f| self.index(f))
+            .filter(|&f| f != p)
+            .map(|f| {
+                // At ring distance 2 the ring and the switch tie at two
+                // hops; ties go to the ring.
+                let gbps = match self.ring_distance(p, f) {
+                    Some(r) if r <= 2 => ring_gbps,
+                    _ => uplink_gbps,
+                };
+                reference_gbps / gbps
+            })
+            .fold(1.0, f64::max)
     }
 
-    /// Number of pods. A plain ring (and any [`Topology::from_links`]
-    /// graph) is one pod.
+    /// Number of pods; the bare ring is one.
     pub fn pod_count(&self) -> usize {
-        match &self.kind {
-            Kind::Ring(_) => 1,
-            Kind::Graph(g) => g.pods.len().max(1),
-        }
+        self.fpgas / self.pod_size
     }
 
     /// Pod index of an FPGA.
     pub fn pod_of(&self, fpga: usize) -> usize {
-        match &self.kind {
-            Kind::Ring(_) => 0,
-            Kind::Graph(g) => g.pod_of.get(fpga).copied().unwrap_or(0),
-        }
+        fpga / self.pod_size
     }
 
     /// FPGA members of one pod, in index order (empty for an out-of-range
     /// pod).
-    pub fn pod_members(&self, pod: usize) -> Vec<usize> {
-        match &self.kind {
-            Kind::Ring(r) => {
-                if pod == 0 {
-                    (0..r.len()).collect()
-                } else {
-                    Vec::new()
-                }
-            }
-            Kind::Graph(g) => g.pods.get(pod).cloned().unwrap_or_default(),
-        }
+    pub fn pod_members(&self, pod: usize) -> Range<usize> {
+        let start = pod.saturating_mul(self.pod_size).min(self.fpgas);
+        start..(start + self.pod_size).min(self.fpgas)
     }
 }
 
@@ -481,74 +281,50 @@ mod tests {
         FpgaId::new(i)
     }
 
-    /// A ring expressed as an explicit link graph, keeping RingNetwork's
-    /// link numbering (link i joins FPGA i and (i + 1) % n).
-    fn graph_ring(n: usize) -> Topology {
-        let links = if n >= 2 {
-            (0..n)
-                .map(|i| LinkSpec::new(i, (i + 1) % n, 100.0))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        Topology::from_links(n, 0, links)
+    /// On ring links the search agrees with the closed-form distance for
+    /// every pair.
+    #[test]
+    fn graph_ring_matches_ring_network_queries() {
+        for n in 1..=8 {
+            let t = Topology::ring(n);
+            for a in 0..n {
+                for (b, &d) in t.bfs(a, &[]).iter().enumerate() {
+                    assert_eq!(d, Some(t.hops(f(a as u32), f(b as u32))), "n={n}");
+                }
+            }
+        }
     }
 
+    /// The bare-ring shape answers every query like the ring's two-path
+    /// model, one down link at a time.
     #[test]
     fn ring_kind_delegates_to_ring_network() {
         let t = Topology::ring(4);
-        let r = RingNetwork::new(4);
         for a in 0..4 {
             for b in 0..4 {
-                assert_eq!(t.hops(f(a), f(b)), r.hops(f(a), f(b)));
+                let ring = |down: &[usize]| crate::ring::two_path_hops(4, a, b, down);
+                let (fa, fb) = (f(a as u32), f(b as u32));
+                assert_eq!(Some(t.hops(fa, fb)), ring(&[]));
                 for link in 0..4 {
-                    assert_eq!(
-                        t.hops_avoiding(f(a), f(b), &[link]),
-                        r.hops_avoiding(f(a), f(b), &[link])
-                    );
+                    assert_eq!(t.max_hops_from_avoiding(fa, [fb], &[link]), ring(&[link]));
                 }
             }
         }
         assert_eq!(t.link_count(), 4);
-        assert_eq!(t.diameter(), 2);
+        assert_eq!(crate::ring::diameter(&t), 2);
         assert_eq!(t.pod_count(), 1);
-        assert_eq!(t.pod_members(0), vec![0, 1, 2, 3]);
+        assert_eq!(t.pod_members(0), 0..4);
         assert_eq!(t.bandwidth_slowdown(f(0), [f(2)], 100.0), 1.0);
     }
 
     #[test]
-    fn graph_ring_matches_ring_network_queries() {
-        for n in 1..=8 {
-            let t = graph_ring(n);
-            let r = RingNetwork::new(n);
-            assert_eq!(t.diameter(), r.diameter(), "diameter at n={n}");
-            for a in 0..n as u32 {
-                for b in 0..n as u32 {
-                    assert_eq!(t.hops(f(a), f(b)), r.hops(f(a), f(b)), "hops at n={n}");
-                    for link in 0..r.link_count() {
-                        assert_eq!(
-                            t.hops_avoiding(f(a), f(b), &[link]),
-                            r.hops_avoiding(f(a), f(b), &[link]),
-                            "hops_avoiding n={n} a={a} b={b} link={link}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn two_node_graph_ring_keeps_both_cables() {
-        // RingNetwork models a 2-node ring with two parallel cables; the
-        // graph form must too, so losing one cable reroutes over the
-        // other.
-        let t = Topology::from_links(
-            2,
-            0,
-            vec![LinkSpec::new(0, 1, 100.0), LinkSpec::new(1, 0, 100.0)],
-        );
-        assert_eq!(t.hops_avoiding(f(0), f(1), &[0]), Some(1));
-        assert_eq!(t.hops_avoiding(f(0), f(1), &[0, 1]), None);
+        // A 2-node ring has two parallel cables, so losing one cable
+        // reroutes over the other.
+        let t = Topology::ring(2);
+        assert_eq!(t.link_count(), 2);
+        assert_eq!(t.max_hops_from_avoiding(f(0), [f(1)], &[0]), Some(1));
+        assert_eq!(t.max_hops_from_avoiding(f(0), [f(1)], &[0, 1]), None);
     }
 
     #[test]
@@ -558,13 +334,13 @@ mod tests {
         assert_eq!(t.pod_count(), 4);
         assert_eq!(t.pod_of(0), 0);
         assert_eq!(t.pod_of(63), 3);
-        assert_eq!(t.pod_members(1), (16..32).collect::<Vec<_>>());
+        assert_eq!(t.pod_members(1), 16..32);
+        assert!(t.pod_members(4).is_empty());
         // Intra-pod: ring distance, or the 2-hop switch shortcut.
         assert_eq!(t.hops(f(0), f(1)), 1);
         assert_eq!(t.hops(f(0), f(8)), 2); // via the pod switch
                                            // Cross-pod: FPGA -> switch -> switch -> FPGA.
         assert_eq!(t.hops(f(0), f(16)), 3);
-        assert_eq!(t.diameter(), 3);
         // Cross-pod spans are bottlenecked by the 40 Gb/s uplinks.
         assert!((t.bandwidth_slowdown(f(0), [f(1)], 100.0) - 1.0).abs() < 1e-12);
         assert!((t.bandwidth_slowdown(f(0), [f(16)], 100.0) - 2.5).abs() < 1e-12);
@@ -579,33 +355,23 @@ mod tests {
         assert_eq!(t.link_count(), 7);
         assert_eq!(t.hops(f(0), f(1)), 1);
         // With the pod-0 cable down, traffic reroutes over the switch.
-        assert_eq!(t.hops_avoiding(f(0), f(1), &[0]), Some(2));
-        // Cutting the switch mesh partitions the pods.
-        assert_eq!(t.hops_avoiding(f(0), f(2), &[6]), None);
-        assert_eq!(t.max_hops_from_avoiding(f(0), [f(1), f(2)], &[6]), None);
         assert_eq!(t.max_hops_from_avoiding(f(0), [f(1)], &[0]), Some(2));
+        // Cutting the switch mesh partitions the pods.
+        assert_eq!(t.max_hops_from_avoiding(f(0), [f(2)], &[6]), None);
+        assert_eq!(t.max_hops_from_avoiding(f(0), [f(1), f(2)], &[6]), None);
+        // FPGA 3 is still reached through its own pod's cable.
+        assert_eq!(t.max_hops_from_avoiding(f(0), [f(3)], &[5]), Some(4));
     }
 
     #[test]
     fn single_fpga_topologies() {
-        let t = Topology::ring(1);
-        assert_eq!(t.hops(f(0), f(0)), 0);
-        assert_eq!(t.link_count(), 0);
-        let g = graph_ring(1);
-        assert_eq!(g.hops(f(0), f(0)), 0);
-        assert_eq!(g.link_count(), 0);
-        assert_eq!(g.pod_count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "disconnected")]
-    fn disconnected_graph_is_rejected() {
-        let _ = Topology::from_links(2, 0, Vec::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "endpoint out of range")]
-    fn out_of_range_link_is_rejected() {
-        let _ = Topology::from_links(2, 0, vec![LinkSpec::new(0, 5, 100.0)]);
+        for t in [Topology::ring(1), Topology::pods(1, 1, 100.0, 25.0)] {
+            assert_eq!(t.hops(f(0), f(0)), 0);
+            assert_eq!(t.pod_count(), 1);
+            assert_eq!(t.max_hops_from_avoiding(f(0), [f(0)], &[0]), Some(0));
+        }
+        assert_eq!(Topology::ring(1).link_count(), 0);
+        // One uplink to the lone pod switch.
+        assert_eq!(Topology::pods(1, 1, 100.0, 25.0).link_count(), 1);
     }
 }

@@ -333,7 +333,7 @@ mod tests {
         let mut fpgas: Vec<u32> = out.blocks.iter().map(|b| b.fpga.index()).collect();
         fpgas.sort_unstable();
         fpgas.dedup();
-        let ring = vital_cluster::RingNetwork::new(4);
+        let ring = vital_cluster::Topology::ring(4);
         assert_eq!(
             ring.hops(FpgaId::new(fpgas[0]), FpgaId::new(fpgas[1])),
             1,

@@ -1,5 +1,7 @@
 //! ViTAL's policy adapted to the cluster simulator's [`Scheduler`] trait.
 
+use std::ops::Range;
+
 use vital_cluster::{ClusterView, Deployment, PendingRequest, ReconfigKind, Scheduler};
 use vital_fabric::BlockAddr;
 
@@ -195,9 +197,9 @@ impl Scheduler for VitalScheduler {
 }
 
 /// Free-block state of one pod, materialized lazily inside a scheduling
-/// sweep: `free_lists[i]` holds the free blocks of `members[i]`.
+/// sweep: `free_lists[i]` holds the free blocks of FPGA `members.start + i`.
 struct PodState {
-    members: Vec<usize>,
+    members: Range<usize>,
     free_lists: Vec<Vec<BlockAddr>>,
 }
 
@@ -288,7 +290,7 @@ impl Scheduler for PodScheduler {
             };
             let state = pods[pod].get_or_insert_with(|| {
                 let members = topology.pod_members(pod);
-                let free_lists = members.iter().map(|&f| view.free_blocks_of(f)).collect();
+                let free_lists = members.clone().map(|f| view.free_blocks_of(f)).collect();
                 PodState {
                     members,
                     free_lists,
@@ -317,14 +319,16 @@ impl Scheduler for PodScheduler {
                     else {
                         continue;
                     };
-                    let anchor = vital_fabric::FpgaId::new(state.members[primary] as u32);
+                    let anchor = vital_fabric::FpgaId::new((state.members.start + primary) as u32);
                     let mut rest: Vec<usize> = (0..state.members.len())
                         .filter(|&i| i != primary && !state.free_lists[i].is_empty())
                         .collect();
                     rest.sort_by_key(|&i| {
                         (
-                            topology
-                                .hops(anchor, vital_fabric::FpgaId::new(state.members[i] as u32)),
+                            topology.hops(
+                                anchor,
+                                vital_fabric::FpgaId::new((state.members.start + i) as u32),
+                            ),
                             i,
                         )
                     });
