@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use vital_netlist::DataflowGraph;
 
-use crate::{ClusterId, Packing};
+use crate::placer::{ClusterId, Packing};
 
 /// The cluster-level connectivity graph: nodes are packed clusters, edge
 /// weights are accumulated bits between clusters. This is the `w_ij` matrix
@@ -74,7 +74,7 @@ impl ClusterGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{pack, PackingConfig};
+    use crate::placer::{pack, PackingConfig};
     use vital_netlist::hls::{synthesize, AppSpec, Operator};
 
     #[test]

@@ -1,8 +1,8 @@
 //! Compiler configuration.
 
+use crate::placer::PlacerConfig;
 use vital_fabric::{DeviceModel, Floorplan, Resources};
 use vital_interface::InterfaceConfig;
-use vital_placer::PlacerConfig;
 
 use crate::pnr::PnrConfig;
 

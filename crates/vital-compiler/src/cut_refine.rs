@@ -11,7 +11,7 @@
 use vital_fabric::Resources;
 
 use crate::placement::VirtualGrid;
-use crate::{Cluster, ClusterGraph, ClusterId};
+use crate::placer::{Cluster, ClusterGraph, ClusterId};
 
 /// Runs `passes` FM-style sweeps over `assignment`, mutating it in place.
 /// Returns the number of moves applied.
@@ -95,7 +95,7 @@ pub(crate) fn refine_cut(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{pack, PackingConfig};
+    use crate::placer::{pack, PackingConfig};
     use vital_netlist::hls::{synthesize, AppSpec, Operator};
     use vital_netlist::DataflowGraph;
 

@@ -1,10 +1,10 @@
-//! Error type of the compiler crate.
+//! Error types of the compiler crate.
 
 use std::error::Error;
 use std::fmt;
 
+use vital_fabric::Resources;
 use vital_netlist::NetlistError;
-use vital_placer::PlacerError;
 
 /// Errors produced by the compilation flow.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,6 +82,39 @@ impl From<PlacerError> for CompileError {
     }
 }
 
+/// Errors produced by the placement/partition pipeline.
+#[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
+pub enum PlacerError {
+    /// The netlist contains no primitives.
+    EmptyNetlist,
+    /// The netlist does not fit in the virtual-block grid even at full
+    /// utilization.
+    CapacityExceeded {
+        /// Resources the netlist needs.
+        required: Resources,
+        /// Aggregate capacity the grid provides.
+        available: Resources,
+    },
+}
+
+impl fmt::Display for PlacerError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PlacerError::EmptyNetlist => write!(f, "netlist has no primitives to place"),
+            PlacerError::CapacityExceeded {
+                required,
+                available,
+            } => write!(
+                f,
+                "netlist needs {required} but the grid provides only {available}"
+            ),
+        }
+    }
+}
+
+impl Error for PlacerError {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,5 +126,12 @@ mod tests {
         let e = CompileError::Partition(PlacerError::EmptyNetlist);
         assert!(e.source().is_some());
         assert!(!e.to_string().is_empty());
+    }
+
+    #[test]
+    fn error_traits() {
+        fn assert_err<E: Error + Send + Sync + 'static>() {}
+        assert_err::<PlacerError>();
+        assert!(!PlacerError::EmptyNetlist.to_string().is_empty());
     }
 }

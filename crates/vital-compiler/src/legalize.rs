@@ -6,7 +6,7 @@ use rand::Rng;
 use vital_fabric::Resources;
 
 use crate::placement::VirtualGrid;
-use crate::{Cluster, ClusterGraph, ClusterId};
+use crate::placer::{Cluster, ClusterGraph, ClusterId};
 
 /// Simulated-annealing schedule for the legalization step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -290,7 +290,7 @@ impl<'a> Legalizer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{pack, PackingConfig};
+    use crate::placer::{pack, PackingConfig};
     use rand::SeedableRng;
     use vital_netlist::hls::{synthesize, AppSpec, Operator};
     use vital_netlist::DataflowGraph;

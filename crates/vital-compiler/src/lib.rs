@@ -5,7 +5,7 @@
 //!
 //! 1. **Synthesis** — reuses the front-end model of `vital-netlist::hls`
 //!    (standing in for the commercial HLS/synthesis front-end).
-//! 2. **Partition** — the placement-based algorithm of `vital-placer`
+//! 2. **Partition** — the placement-based algorithm of [`placer`]
 //!    (ViTAL's custom tool, paper §4).
 //! 3. **Latency-insensitive interface generation** — `vital-interface`
 //!    plans the channels for every cut edge.
@@ -47,9 +47,20 @@ mod digest;
 mod error;
 mod image;
 mod pipeline;
+pub mod placer;
 pub mod pnr;
 pub mod route;
 mod timing;
+
+// The partition step's stages, re-exported through `placer`.
+mod cluster_graph;
+mod cut_refine;
+mod legalize;
+mod metrics;
+mod packing;
+mod placement;
+mod quadratic;
+mod solver;
 
 pub use config::CompilerConfig;
 pub use digest::NetlistDigest;

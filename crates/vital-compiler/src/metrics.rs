@@ -2,7 +2,7 @@
 
 use vital_fabric::Resources;
 
-use crate::Placement;
+use crate::placer::Placement;
 
 /// Quality summary of a placement-based partition, used for the paper's
 /// §5.4 evaluation (the partition algorithm reduces the required inter-block
@@ -88,7 +88,7 @@ impl PartitionQuality {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{random_assignment, Placer, PlacerConfig, VirtualGrid};
+    use crate::placer::{random_assignment, Placer, PlacerConfig, VirtualGrid};
     use vital_netlist::hls::{synthesize, AppSpec, Operator};
 
     fn pipeline_app(stages: u32) -> vital_netlist::Netlist {

@@ -4,11 +4,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use crate::placer::{Placer, VirtualGrid};
 use vital_fabric::DeviceModel;
 use vital_interface::{plan_channels, ChannelPlan, CutEdge};
 use vital_netlist::hls::{synthesize, AppSpec};
 use vital_netlist::{DataflowGraph, Netlist, PrimitiveId};
-use vital_placer::{Placer, VirtualGrid};
 use vital_telemetry::{Span, Telemetry};
 
 use crate::image::{AppBitstream, BlockImage};

@@ -8,8 +8,8 @@ use vital_fabric::Resources;
 use vital_netlist::{DataflowGraph, Netlist, PortDirection, PrimitiveId, PrimitiveKind};
 
 use crate::legalize::Legalizer;
+use crate::placer::{pack, ClusterGraph, Packing, PackingConfig, PlacerError, SaConfig};
 use crate::quadratic::{solve_quadratic, QuadraticPlacement};
-use crate::{pack, ClusterGraph, Packing, PackingConfig, PlacerError, SaConfig};
 
 /// The pre-defined 2D space of virtual-block slots the application is placed
 /// onto (paper §4.2: each virtual block is assigned a position and an aspect
@@ -320,7 +320,7 @@ fn linear_wirelength(graph: &ClusterGraph, positions: &[(f64, f64)], alpha: f64)
 
 fn check_legal(
     assignment: &[Option<u32>],
-    clusters: &[crate::Cluster],
+    clusters: &[crate::placer::Cluster],
     grid: &VirtualGrid,
 ) -> bool {
     let mut usage = vec![Resources::ZERO; grid.slot_count()];

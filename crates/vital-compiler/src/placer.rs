@@ -21,14 +21,14 @@
 //!    the solved and legalized placements is below 20 %.
 //!
 //! The output assigns every packed cluster to a virtual block, from which
-//! `vital-compiler` builds the per-block sub-netlists and the
+//! the compiler builds the per-block sub-netlists and the
 //! latency-insensitive interface.
 //!
 //! # Example
 //!
 //! ```
 //! use vital_netlist::hls::{AppSpec, Operator};
-//! use vital_placer::{Placer, PlacerConfig, VirtualGrid};
+//! use vital_compiler::placer::{Placer, PlacerConfig, VirtualGrid};
 //! use vital_fabric::Resources;
 //!
 //! let mut spec = AppSpec::new("app");
@@ -43,23 +43,10 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-mod cluster_graph;
-mod cut_refine;
-mod error;
-mod legalize;
-mod metrics;
-mod packing;
-mod placement;
-mod quadratic;
-mod solver;
-
-pub use cluster_graph::ClusterGraph;
-pub use error::PlacerError;
-pub use legalize::SaConfig;
-pub use metrics::{cut_bits, wirelength, PartitionQuality};
-pub use packing::{pack, Cluster, ClusterId, Packing, PackingConfig};
-pub use placement::{random_assignment, Placement, Placer, PlacerConfig, VirtualGrid};
-pub use solver::{CgSolution, SparseSystem};
+pub use crate::cluster_graph::ClusterGraph;
+pub use crate::error::PlacerError;
+pub use crate::legalize::SaConfig;
+pub use crate::metrics::{cut_bits, wirelength, PartitionQuality};
+pub use crate::packing::{pack, Cluster, ClusterId, Packing, PackingConfig};
+pub use crate::placement::{random_assignment, Placement, Placer, PlacerConfig, VirtualGrid};
+pub use crate::solver::{CgSolution, SparseSystem};

@@ -1,6 +1,6 @@
 //! Quadratic global placement (paper §4.2, Eq. 1–2 and Eq. 4).
 
-use crate::{ClusterGraph, SparseSystem};
+use crate::placer::{ClusterGraph, SparseSystem};
 
 /// Continuous cluster positions produced by one quadratic solve.
 #[derive(Debug, Clone)]
@@ -67,11 +67,11 @@ pub(crate) fn solve_quadratic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{pack, PackingConfig};
+    use crate::placer::{pack, PackingConfig};
     use vital_netlist::hls::{synthesize, AppSpec, Operator};
     use vital_netlist::DataflowGraph;
 
-    fn chain_graph() -> (ClusterGraph, crate::Packing) {
+    fn chain_graph() -> (ClusterGraph, crate::placer::Packing) {
         let mut spec = AppSpec::new("t");
         let mut prev = None;
         for i in 0..6 {

@@ -12,7 +12,7 @@
 /// # Example
 ///
 /// ```
-/// use vital_placer::SparseSystem;
+/// use vital_compiler::placer::SparseSystem;
 ///
 /// // Two nodes coupled with weight 1, node 0 anchored to position 3.0.
 /// let mut sys = SparseSystem::new(2);

@@ -7,7 +7,7 @@
 //! * the netlist IR itself — primitives (LUTs/slices, flip-flops, DSP
 //!   slices, BRAMs, I/O ports) connected by multi-bit nets,
 //! * a dataflow-graph view with edge weights in bits, consumed by the
-//!   packing/placement/partition pipeline of `vital-placer`,
+//!   packing/placement/partition pipeline of `vital_compiler::placer`,
 //! * a synthesis front-end model (`hls` module) that lowers a coarse
 //!   operator-level application specification into a primitive netlist —
 //!   standing in for the commercial HLS + logic-synthesis front-end that the

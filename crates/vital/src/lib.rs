@@ -63,12 +63,12 @@ pub use vital_baselines as baselines;
 pub use vital_checkpoint as checkpoint;
 pub use vital_cluster as cluster;
 pub use vital_compiler as compiler;
+pub use vital_compiler::placer;
 pub use vital_fabric as fabric;
 pub use vital_interface as interface;
 pub use vital_isa as isa;
 pub use vital_netlist as netlist;
 pub use vital_periph as periph;
-pub use vital_placer as placer;
 pub use vital_runtime as runtime;
 pub use vital_service as service;
 pub use vital_telemetry as telemetry;
