@@ -120,7 +120,7 @@ impl DeployRequest {
 /// `SameGeometry` is the PR 4 fast path: the parked capsule rebinds the
 /// *same* compiled image to new blocks, so it only works between identical
 /// device geometries. `Portable` lifts the capsule into the
-/// geometry-independent [`PortableCheckpoint`](vital_checkpoint::PortableCheckpoint)
+/// geometry-independent [`PortableCheckpoint`](crate::checkpoint::PortableCheckpoint)
 /// format and restores through recompile-or-cache-hit, so the target may be
 /// a different device model. `Auto` tries the fast path and falls back to
 /// the portable one.

@@ -9,7 +9,7 @@
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use vital_checkpoint::TenantCheckpoint;
+use crate::checkpoint::TenantCheckpoint;
 use vital_compiler::{AppBitstream, PlacedBitstream};
 use vital_fabric::BlockAddr;
 use vital_interface::Channel;

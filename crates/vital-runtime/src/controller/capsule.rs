@@ -2,7 +2,7 @@
 //! geometry-independent portable format (DESIGN.md §11, §17) — plus the
 //! interface-clock model the quiesce protocol runs against.
 
-use vital_checkpoint::{
+use crate::checkpoint::{
     quiesce_all, ChannelCheckpoint, PlacementMeta, PortableCheckpoint, ScanState, TenantCheckpoint,
 };
 use vital_interface::Channel;

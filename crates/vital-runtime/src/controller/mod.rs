@@ -19,9 +19,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::checkpoint::TenantCheckpoint;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use vital_checkpoint::TenantCheckpoint;
 use vital_cluster::Topology;
 use vital_compiler::{AppBitstream, Compiler};
 use vital_fabric::{BlockAddr, FpgaId, PhysicalBlockId};

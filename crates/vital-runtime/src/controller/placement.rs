@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use vital_checkpoint::TenantCheckpoint;
+use crate::checkpoint::TenantCheckpoint;
 use vital_cluster::{AppRequest, ClusterView, Deployment, PendingRequest, Scheduler, Topology};
 use vital_compiler::{RelocationTarget, BLOCK_CONFIG_BITS};
 use vital_fabric::{BlockAddr, FpgaId};

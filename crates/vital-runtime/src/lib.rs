@@ -64,6 +64,7 @@
 
 mod api;
 mod bitstream_db;
+pub mod checkpoint;
 mod controller;
 mod error;
 mod farm;
@@ -87,10 +88,11 @@ pub use policy::{allocate_blocks_on, AllocationOutcome};
 pub use resource_db::{BlockState, ResourceDatabase};
 pub use scheduler::{PodScheduler, VitalScheduler};
 pub use vital_cluster::FpgaHealth;
-// The checkpoint capsule types appear in the controller's public API;
-// re-export them so downstream users don't need a direct
-// `vital-checkpoint` dependency.
-pub use vital_checkpoint::{
+// The checkpoint capsule types appear in the controller's public API.
+pub use checkpoint::{
     quiesce_all, ChannelCheckpoint, CheckpointDigest, PlacementMeta, PortableChannel,
     PortableCheckpoint, ScanState, TenantCheckpoint,
 };
+
+#[cfg(test)]
+mod tests;

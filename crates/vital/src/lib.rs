@@ -60,7 +60,6 @@
 #![warn(missing_docs)]
 
 pub use vital_baselines as baselines;
-pub use vital_checkpoint as checkpoint;
 pub use vital_cluster as cluster;
 pub use vital_compiler as compiler;
 pub use vital_compiler::placer;
@@ -70,6 +69,7 @@ pub use vital_isa as isa;
 pub use vital_netlist as netlist;
 pub use vital_periph as periph;
 pub use vital_runtime as runtime;
+pub use vital_runtime::checkpoint;
 pub use vital_service as service;
 pub use vital_telemetry as telemetry;
 pub use vital_workloads as workloads;
@@ -81,7 +81,6 @@ pub use stack::{StackConfig, VitalError, VitalStack};
 /// The most commonly used items of the whole stack, for glob import.
 pub mod prelude {
     pub use crate::stack::{StackConfig, VitalError, VitalStack};
-    pub use vital_checkpoint::{CheckpointDigest, TenantCheckpoint};
     pub use vital_cluster::{
         AppRequest, ClusterConfig, ClusterSim, FaultPlan, RetryPolicy, Scheduler,
     };
@@ -90,6 +89,7 @@ pub mod prelude {
     pub use vital_isa::{IsaJob, IsaSim, IsaTemplate};
     pub use vital_netlist::hls::{AppSpec, Operator};
     pub use vital_periph::TenantId;
+    pub use vital_runtime::checkpoint::{CheckpointDigest, TenantCheckpoint};
     pub use vital_runtime::{
         ControlRequest, ControlResponse, DeployHandle, DeployRequest, FailureStats, FpgaHealth,
         RuntimeConfig, SystemController, VitalScheduler,
