@@ -36,7 +36,7 @@ use crate::{
 /// Time to repoint one template compute tile at another tenant's
 /// instruction stream: drain the in-flight instruction block and swap the
 /// stream pointer. What a [`ReconfigKind::Instruction`] deployment pays per
-/// block, and the value of `vital_isa::TILE_SWITCH_S`.
+/// block, and the value of `vital_runtime::isa::TILE_SWITCH_S`.
 pub const INSTRUCTION_SWITCH_S: f64 = 10.0e-6;
 
 /// Execution-time model output for one deployment.

@@ -62,7 +62,7 @@ pub enum ReconfigKind {
     /// high-throughput images): co-running applications on the device are
     /// paused for the duration.
     FullDevice,
-    /// ISA-level virtualization (the `vital-isa` backend): the fabric holds
+    /// ISA-level virtualization (the `vital_runtime::isa` backend): the fabric holds
     /// a static accelerator template, so "programming" a block means
     /// pointing its compute tile at the tenant's instruction stream —
     /// micro-seconds per tile, no reconfiguration, no co-runner impact.

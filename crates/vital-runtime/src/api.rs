@@ -31,7 +31,7 @@ use crate::{DeployHandle, TenantCheckpoint};
 ///
 /// The controller runs two backends side by side: ViTAL's spatial
 /// virtualization (tenants own physical blocks, programmed by partial
-/// reconfiguration) and the `vital-isa` instruction-level backend (tenants
+/// reconfiguration) and the [`crate::isa`] instruction-level backend (tenants
 /// own compute tiles of a static accelerator template, switched by
 /// instruction-stream pointer). The request picks per deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
-use vital_isa::{IsaProgram, TilePool, TILE_SWITCH_S};
+use crate::isa::{IsaProgram, TilePool, TILE_SWITCH_S};
 use vital_periph::TenantId;
 
 use super::SystemController;

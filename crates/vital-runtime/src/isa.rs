@@ -11,7 +11,7 @@
 //! boundaries with **zero reconfiguration** — the cost of moving capacity
 //! is rewriting an instruction pointer, not reprogramming fabric.
 //!
-//! This crate models that backend end to end:
+//! This module models that backend end to end:
 //!
 //! * [`IsaTemplate`] — the static template: a pool of identical compute
 //!   tiles calibrated against the `vital-workloads::dnn` Table 2 resource
@@ -36,7 +36,7 @@
 //! # Example
 //!
 //! ```
-//! use vital_isa::{IsaJob, IsaSim, IsaTemplate};
+//! use vital_runtime::isa::{IsaJob, IsaSim, IsaTemplate};
 //!
 //! let template = IsaTemplate::paper_pool();
 //! let jobs = vec![
@@ -49,18 +49,10 @@
 //! assert_eq!(report.reconfigurations, 0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-mod pool;
-mod program;
-mod sched;
-mod template;
-
-pub use pool::{ShareChange, TilePool, TilesUnavailable};
-pub use program::{InstructionBlock, IsaProgram, UnknownIsaApp};
-pub use sched::{IsaJob, IsaJobError, IsaOutcome, IsaReport, IsaSim};
-pub use template::IsaTemplate;
+pub use crate::pool::{ShareChange, TilePool, TilesUnavailable};
+pub use crate::program::{InstructionBlock, IsaProgram, UnknownIsaApp};
+pub use crate::sched::{IsaJob, IsaJobError, IsaOutcome, IsaReport, IsaSim};
+pub use crate::template::IsaTemplate;
 
 /// Time to hand one compute tile to a different tenant's instruction
 /// stream: drain the in-flight instruction block and swap the stream

@@ -68,9 +68,16 @@ pub mod checkpoint;
 mod controller;
 mod error;
 mod farm;
+pub mod isa;
 mod policy;
 mod resource_db;
 mod scheduler;
+
+// The ISA backend's parts, re-exported through `isa`.
+mod pool;
+mod program;
+mod sched;
+mod template;
 
 pub use api::{
     ControlRequest, ControlResponse, DeployBackend, DeployRequest, DeploySummary,

@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{IsaProgram, IsaTemplate, TilePool, UnknownIsaApp, TILE_SWITCH_S};
+use crate::isa::{IsaProgram, IsaTemplate, TilePool, UnknownIsaApp, TILE_SWITCH_S};
 
 /// Why [`IsaSim::try_run`] refused a job set.
 #[derive(Debug, Clone, PartialEq)]

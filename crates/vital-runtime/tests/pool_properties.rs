@@ -4,7 +4,7 @@
 //! assignments (ISSUE 9 satellite).
 
 use proptest::prelude::*;
-use vital_isa::TilePool;
+use vital_runtime::isa::TilePool;
 
 #[derive(Debug, Clone)]
 enum Op {

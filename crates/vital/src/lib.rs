@@ -65,11 +65,10 @@ pub use vital_compiler as compiler;
 pub use vital_compiler::placer;
 pub use vital_fabric as fabric;
 pub use vital_interface as interface;
-pub use vital_isa as isa;
 pub use vital_netlist as netlist;
 pub use vital_periph as periph;
 pub use vital_runtime as runtime;
-pub use vital_runtime::checkpoint;
+pub use vital_runtime::{checkpoint, isa};
 pub use vital_service as service;
 pub use vital_telemetry as telemetry;
 pub use vital_workloads as workloads;
@@ -86,10 +85,10 @@ pub mod prelude {
     };
     pub use vital_compiler::{AppBitstream, CompiledApp, Compiler, CompilerConfig};
     pub use vital_fabric::{DeviceModel, Floorplan, Resources};
-    pub use vital_isa::{IsaJob, IsaSim, IsaTemplate};
     pub use vital_netlist::hls::{AppSpec, Operator};
     pub use vital_periph::TenantId;
     pub use vital_runtime::checkpoint::{CheckpointDigest, TenantCheckpoint};
+    pub use vital_runtime::isa::{IsaJob, IsaSim, IsaTemplate};
     pub use vital_runtime::{
         ControlRequest, ControlResponse, DeployHandle, DeployRequest, FailureStats, FpgaHealth,
         RuntimeConfig, SystemController, VitalScheduler,

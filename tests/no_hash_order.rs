@@ -4,7 +4,7 @@
 //! times because a handler walked a `HashMap` (DESIGN.md §15.3). A
 //! simulator's tables are indexed by position or ordered by id instead —
 //! `Vec`, `BTreeMap` — so there is no iteration order to get wrong, and
-//! this scan keeps it that way: the simulator crates do not name the hash
+//! this scan keeps it that way: the simulators do not name the hash
 //! containers at all, comments included (what a reader greps for is what
 //! the rule says). The controller places through the same block table
 //! and policies (DESIGN.md §15.2), so its block table and placement code
@@ -12,7 +12,16 @@
 
 use std::path::{Path, PathBuf};
 
-const SIMULATOR_CRATES: [&str; 2] = ["vital-cluster", "vital-isa"];
+/// The cluster simulator's crate, whole.
+const SIMULATOR_CRATE: &str = "vital-cluster";
+/// The ISA simulator (`vital_runtime::isa`), under `crates/`.
+const ISA_FILES: [&str; 5] = [
+    "vital-runtime/src/isa.rs",
+    "vital-runtime/src/pool.rs",
+    "vital-runtime/src/program.rs",
+    "vital-runtime/src/sched.rs",
+    "vital-runtime/src/template.rs",
+];
 /// The runtime's block table and placement, under `crates/`.
 const BLOCK_TABLE_FILES: [&str; 2] = [
     "vital-runtime/src/resource_db.rs",
@@ -35,11 +44,17 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 fn simulator_crates_hold_no_hash_ordered_container() {
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
     let mut files = Vec::new();
-    for krate in SIMULATOR_CRATES {
-        rust_files(&crates.join(krate).join("src"), &mut files);
-    }
+    rust_files(&crates.join(SIMULATOR_CRATE).join("src"), &mut files);
     assert!(files.len() >= 10, "the scan found only {files:?}");
+    files.extend(ISA_FILES.iter().map(|f| crates.join(f)));
     files.extend(BLOCK_TABLE_FILES.iter().map(|f| crates.join(f)));
+    // The ISA scheduler and its tile pool hold the simulator's state.
+    for needed in ["vital-runtime/src/sched.rs", "vital-runtime/src/pool.rs"] {
+        assert!(
+            files.iter().any(|f| f.ends_with(needed)),
+            "the scan misses {needed}"
+        );
+    }
 
     let mut hits = Vec::new();
     for file in &files {
@@ -52,7 +67,7 @@ fn simulator_crates_hold_no_hash_ordered_container() {
     }
     assert!(
         hits.is_empty(),
-        "hash-ordered containers in a simulator crate or the block table (use Vec or BTreeMap):\n{}",
+        "hash-ordered containers in a simulator or the block table (use Vec or BTreeMap):\n{}",
         hits.join("\n")
     );
 }
