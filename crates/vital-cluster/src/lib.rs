@@ -21,7 +21,7 @@
 //!
 //! Scheduling policy is pluggable via the [`Scheduler`] trait: ViTAL's
 //! communication-aware controller lives in `vital-runtime`, the per-device
-//! cloud baseline and AmorphOS modes in `vital-baselines`.
+//! cloud baseline and AmorphOS modes in `vital::baselines`.
 //!
 //! # Example
 //!

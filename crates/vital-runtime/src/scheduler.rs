@@ -129,7 +129,7 @@ impl Scheduler for VitalScheduler {
             (true, ReconfigKind::FullDevice) => "vital-fullreconfig",
             (false, ReconfigKind::FullDevice) => "vital-fifo-fullreconfig",
             // The ViTAL policy never emits instruction-switch deployments
-            // (that is the `vital-baselines` IsaElastic policy), but the
+            // (that is the `vital::baselines::IsaElastic` policy), but the
             // knob exists for ablations.
             (true, ReconfigKind::Instruction) => "vital-instr",
             (false, ReconfigKind::Instruction) => "vital-fifo-instr",

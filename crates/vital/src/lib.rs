@@ -59,7 +59,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use vital_baselines as baselines;
 pub use vital_cluster as cluster;
 pub use vital_compiler as compiler;
 pub use vital_compiler::placer;
@@ -73,6 +72,7 @@ pub use vital_service as service;
 pub use vital_telemetry as telemetry;
 pub use vital_workloads as workloads;
 
+pub mod baselines;
 mod stack;
 
 pub use stack::{StackConfig, VitalError, VitalStack};
@@ -96,3 +96,6 @@ pub mod prelude {
     pub use vital_service::{ServiceConfig, Vitald};
     pub use vital_workloads::{benchmarks, generate_workload_set, Size, WorkloadComposition};
 }
+
+#[cfg(test)]
+mod tests;
