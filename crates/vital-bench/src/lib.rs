@@ -26,7 +26,7 @@
 //! `fig8_compile_breakdown` byte for byte with `reports/<name>.txt`.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 use std::path::{Path, PathBuf};
 
@@ -69,7 +69,7 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
 /// The workload parameters used by the Fig. 9 / Fig. 10 experiments: a
 /// loaded cluster, several seeds averaged per condition (the paper also
 /// averages multiple generated sets per condition, §5.1).
-pub fn fig9_params(seed: u64) -> WorkloadParams {
+pub(crate) fn fig9_params(seed: u64) -> WorkloadParams {
     WorkloadParams {
         requests: 60,
         mean_interarrival_s: 0.3,

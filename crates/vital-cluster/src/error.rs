@@ -39,10 +39,7 @@ pub enum ClusterError {
         needed: usize,
     },
     /// The requested cluster shape is unusable (for example an empty
-    /// layout). Raised by [`ClusterSim::try_heterogeneous`] before any
-    /// simulation runs.
-    ///
-    /// [`ClusterSim::try_heterogeneous`]: crate::ClusterSim::try_heterogeneous
+    /// layout). Raised before any simulation runs.
     InvalidLayout(String),
     /// A `FaultPlan` event does not fit the simulated cluster: an FPGA or
     /// link index out of range, or a non-finite/negative timestamp. The

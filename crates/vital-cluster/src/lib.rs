@@ -59,7 +59,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod error;
 mod metrics;
@@ -72,9 +72,10 @@ pub use error::ClusterError;
 pub use metrics::{CompileMetrics, FailedOutcome, RequestOutcome, SimReport};
 pub use request::{AppRequest, RequestId};
 pub use sim::{ClusterSim, INSTRUCTION_SWITCH_S};
+pub(crate) use state::InstanceId;
 pub use state::{
-    ClusterConfig, ClusterView, Deployment, FaultEvent, FaultPlan, FpgaHealth, InstanceId,
-    PendingRequest, ReconfigKind, RetryPolicy, Scheduler,
+    ClusterConfig, ClusterView, Deployment, FaultEvent, FaultPlan, FpgaHealth, PendingRequest,
+    ReconfigKind, RetryPolicy, Scheduler,
 };
 pub use topology::Topology;
 

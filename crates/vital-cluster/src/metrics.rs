@@ -63,7 +63,7 @@ pub struct FailedOutcome {
     /// Arrival time (s).
     pub arrival_s: f64,
     /// When the final attempt was interrupted (s).
-    pub failed_s: f64,
+    pub(crate) failed_s: f64,
     /// Deployment attempts made before giving up.
     pub attempts: u32,
     /// Blocks the request needed.
@@ -105,7 +105,7 @@ pub struct SimReport {
     pub wasted_block_s: f64,
     /// Total block-seconds occupied by any instance (the throughput-side
     /// denominator of [`SimReport::goodput_fraction`]).
-    pub busy_block_s: f64,
+    pub(crate) busy_block_s: f64,
     /// Quantum expiries that actually swapped a tenant out (zero outside
     /// time-sliced runs). Unlike fault evictions, a preemption preserves
     /// the tenant's progress, so it contributes to neither
@@ -173,7 +173,7 @@ impl SimReport {
 
     /// Block-seconds that produced completed work: total occupancy minus
     /// the occupancy of evicted instances.
-    pub fn goodput_block_s(&self) -> f64 {
+    pub(crate) fn goodput_block_s(&self) -> f64 {
         (self.busy_block_s - self.wasted_block_s).max(0.0)
     }
 
@@ -217,28 +217,6 @@ pub struct CompileMetrics {
     pub cache_hits: u64,
     /// Compile-cache misses (deploys that paid for a full compile).
     pub cache_misses: u64,
-}
-
-impl CompileMetrics {
-    /// Observed local-P&R speedup over the serial path (1 when nothing was
-    /// measured).
-    pub fn pnr_speedup(&self) -> f64 {
-        if self.wall_pnr_s <= 0.0 || self.serial_pnr_s <= 0.0 {
-            1.0
-        } else {
-            self.serial_pnr_s / self.wall_pnr_s
-        }
-    }
-
-    /// Fraction of cache probes served from the cache (0 when never probed).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
 }
 
 fn mean(iter: impl Iterator<Item = f64>) -> f64 {
@@ -321,23 +299,5 @@ mod tests {
         assert_eq!(r.avg_response_s(), 0.0);
         assert_eq!(r.spanning_fraction(), 0.0);
         assert_eq!(r.p95_response_s(), 0.0);
-    }
-
-    #[test]
-    fn compile_metrics_derive_rates() {
-        let m = CompileMetrics {
-            designs: 4,
-            workers: 4,
-            serial_pnr_s: 8.0,
-            wall_pnr_s: 2.5,
-            cache_hits: 3,
-            cache_misses: 1,
-        };
-        assert!((m.pnr_speedup() - 3.2).abs() < 1e-12);
-        assert!((m.cache_hit_rate() - 0.75).abs() < 1e-12);
-        // Unmeasured runs degrade gracefully.
-        let zero = CompileMetrics::default();
-        assert_eq!(zero.pnr_speedup(), 1.0);
-        assert_eq!(zero.cache_hit_rate(), 0.0);
     }
 }

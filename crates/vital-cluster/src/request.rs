@@ -36,7 +36,7 @@ pub struct AppRequest {
     pub standalone_ops_per_sec: f64,
     /// How strongly performance degrades when spanning FPGAs: 0 = pure
     /// compute (insensitive), 1 = fully bound by inter-block traffic.
-    pub comm_intensity: f64,
+    pub(crate) comm_intensity: f64,
     /// Arrival time in seconds since the start of the workload.
     pub arrival_s: f64,
 }

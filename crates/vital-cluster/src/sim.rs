@@ -91,8 +91,7 @@ impl ClusterSim {
     ///
     /// # Panics
     ///
-    /// Panics if `blocks_per_fpga` is empty. Use
-    /// [`ClusterSim::try_heterogeneous`] to handle that as an error.
+    /// Panics if `blocks_per_fpga` is empty.
     pub fn heterogeneous(config: ClusterConfig, blocks_per_fpga: Vec<usize>) -> Self {
         Self::try_heterogeneous(config, blocks_per_fpga)
             .unwrap_or_else(|e| panic!("cannot build cluster: {e}"))
@@ -104,7 +103,7 @@ impl ClusterSim {
     ///
     /// Returns [`ClusterError::InvalidLayout`] if `blocks_per_fpga` is
     /// empty.
-    pub fn try_heterogeneous(
+    pub(crate) fn try_heterogeneous(
         config: ClusterConfig,
         blocks_per_fpga: Vec<usize>,
     ) -> Result<Self, ClusterError> {
@@ -235,7 +234,7 @@ impl ClusterSim {
     /// for the first malformed request or plan event (all are checked
     /// before anything runs), else a [`ClusterError`] describing the first
     /// invalid deployment.
-    pub fn try_run_with_plan(
+    pub(crate) fn try_run_with_plan(
         &self,
         policy: &mut dyn Scheduler,
         requests: Vec<AppRequest>,

@@ -73,7 +73,7 @@ pub enum ReconfigKind {
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]
-pub struct InstanceId(pub u64);
+pub(crate) struct InstanceId(pub u64);
 
 impl fmt::Display for InstanceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -157,11 +157,11 @@ impl FaultEvent {
 pub struct RetryPolicy {
     /// Maximum deployment attempts per request (`0` = unbounded). A
     /// request evicted on its `max_attempts`-th attempt is not re-queued.
-    pub max_attempts: u32,
+    pub(crate) max_attempts: u32,
     /// Backoff before the first retry, in seconds.
-    pub base_backoff_s: f64,
+    pub(crate) base_backoff_s: f64,
     /// Multiplier applied to the backoff of each further retry.
-    pub backoff_multiplier: f64,
+    pub(crate) backoff_multiplier: f64,
 }
 
 impl RetryPolicy {
@@ -194,13 +194,13 @@ impl RetryPolicy {
 
     /// `true` if a request evicted on its `attempts`-th deployment attempt
     /// is out of retries.
-    pub fn gives_up_after(&self, attempts: u32) -> bool {
+    pub(crate) fn gives_up_after(&self, attempts: u32) -> bool {
         self.max_attempts != 0 && attempts >= self.max_attempts
     }
 
     /// Backoff before re-queueing a request evicted on its `attempts`-th
     /// attempt.
-    pub fn backoff_s(&self, attempts: u32) -> f64 {
+    pub(crate) fn backoff_s(&self, attempts: u32) -> f64 {
         self.base_backoff_s
             * self
                 .backoff_multiplier
@@ -240,7 +240,7 @@ pub struct FaultPlan {
     /// (the default, matching the pre-checkpoint fault model) an evicted
     /// request restarts from scratch and its partial progress counts as
     /// wasted block-seconds.
-    pub portable_checkpoints: bool,
+    pub(crate) portable_checkpoints: bool,
 }
 
 impl FaultPlan {
@@ -321,7 +321,7 @@ pub enum FpgaHealth {
 /// This is the one block table of the stack: the simulator runs its
 /// policies against one, and `vital-runtime`'s resource database is a
 /// lock around one. A slot holds an owner id — the simulator stores an
-/// [`InstanceId`] there, the runtime a tenant id.
+/// instance id there, the runtime a tenant id.
 #[derive(Debug, Clone)]
 pub struct ClusterView {
     /// `owner[f][b]` = the owner of block `b` of FPGA `f`.
@@ -424,7 +424,7 @@ impl ClusterView {
     /// Indices of the links currently down. Communication-aware policies
     /// can avoid spanning across them: traffic reroutes around them,
     /// inflating the hop penalty.
-    pub fn down_links(&self) -> Vec<usize> {
+    pub(crate) fn down_links(&self) -> Vec<usize> {
         self.link_down
             .iter()
             .enumerate()

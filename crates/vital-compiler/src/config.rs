@@ -52,7 +52,7 @@ impl CompilerConfig {
     /// virtual blocks: the configured [`workers`](Self::workers) (or the
     /// machine's available parallelism for `0`), capped at the number of
     /// blocks and never below one.
-    pub fn effective_workers(&self, blocks: usize) -> usize {
+    pub(crate) fn effective_workers(&self, blocks: usize) -> usize {
         let configured = match self.workers {
             0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             n => n,

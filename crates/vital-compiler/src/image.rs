@@ -16,7 +16,7 @@ pub const BLOCK_CONFIG_BITS: u64 = 79_000_000;
 /// Width of the scan data path the interface generator weaves through each
 /// block's state elements. 64 state bits shift per scan clock; with scan
 /// running at the block clock this sets capture/restore latency.
-pub const SCAN_WIDTH_BITS: u64 = 64;
+pub(crate) const SCAN_WIDTH_BITS: u64 = 64;
 
 /// The state-capture chain of one virtual block (SYNERGY-style, see
 /// DESIGN.md §17): during interface generation the compiler threads every
@@ -60,7 +60,7 @@ pub struct ScanInterface {
 impl ScanInterface {
     /// Derives the chains from per-block images: every flip-flop is one
     /// chain bit, every BRAM kilobit contributes its 1024 data bits.
-    pub fn from_images(images: &[BlockImage]) -> Self {
+    pub(crate) fn from_images(images: &[BlockImage]) -> Self {
         ScanInterface {
             chains: images
                 .iter()
@@ -133,7 +133,7 @@ pub struct AppBitstream {
     digest: NetlistDigest,
     images: Vec<BlockImage>,
     channel_plan: ChannelPlan,
-    routing: RoutingResult,
+    pub(crate) routing: RoutingResult,
     achieved_mhz: f64,
     scan: ScanInterface,
 }
@@ -204,11 +204,6 @@ impl AppBitstream {
         &self.channel_plan
     }
 
-    /// The global-routing result.
-    pub fn routing(&self) -> &RoutingResult {
-        &self.routing
-    }
-
     /// Post-P&R clock estimate (the slowest block governs).
     pub fn achieved_mhz(&self) -> f64 {
         self.achieved_mhz
@@ -226,11 +221,6 @@ impl AppBitstream {
     /// Total resources across all blocks.
     pub fn total_resources(&self) -> Resources {
         self.images.iter().map(|i| i.resources).sum()
-    }
-
-    /// Size of the partial bitstreams to load when deploying, in bits.
-    pub fn config_bits(&self) -> u64 {
-        self.images.len() as u64 * BLOCK_CONFIG_BITS
     }
 
     /// Binds every virtual block to a physical block — the runtime
@@ -431,7 +421,6 @@ mod tests {
         let bs = two_block_bitstream();
         assert_eq!(bs.block_count(), 2);
         assert_eq!(bs.total_resources().lut, 200);
-        assert_eq!(bs.config_bits(), 2 * BLOCK_CONFIG_BITS);
         assert_eq!(bs.achieved_mhz(), 250.0);
     }
 

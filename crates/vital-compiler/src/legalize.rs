@@ -14,13 +14,13 @@ pub struct SaConfig {
     /// Starting temperature.
     pub t0: f64,
     /// Geometric cooling factor per temperature step.
-    pub cooling: f64,
+    pub(crate) cooling: f64,
     /// Proposed moves per cluster per temperature step.
-    pub moves_per_cluster: usize,
+    pub(crate) moves_per_cluster: usize,
     /// Temperature at which annealing stops.
-    pub t_min: f64,
+    pub(crate) t_min: f64,
     /// Refinement (recovery) passes after annealing.
-    pub refine_passes: usize,
+    pub(crate) refine_passes: usize,
 }
 
 impl Default for SaConfig {

@@ -16,7 +16,7 @@
 //! 5. **Relocation** — compiled block images are *position independent*:
 //!    [`AppBitstream`] images can be retargeted to any identical physical
 //!    block in O(1), reproducing the RapidWright-based relocation.
-//! 6. **Global place-and-route** — [`pnr::route_channels`] stitches the
+//! 6. **Global place-and-route** — [`pnr`] stitches the
 //!    per-block images and assigns the planned channels to boundary lanes.
 //!
 //! The compiler records wall-clock time per stage ([`StageTimings`]), which
@@ -40,7 +40,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod config;
 mod digest;
@@ -49,7 +49,7 @@ mod image;
 mod pipeline;
 pub mod placer;
 pub mod pnr;
-pub mod route;
+pub(crate) mod route;
 mod timing;
 
 // The partition step's stages, re-exported through `placer`.
@@ -67,7 +67,7 @@ pub use digest::NetlistDigest;
 pub use error::CompileError;
 pub use image::{
     AppBitstream, BlockImage, PlacedBitstream, RelocationTarget, ScanChain, ScanInterface,
-    BLOCK_CONFIG_BITS, SCAN_WIDTH_BITS,
+    BLOCK_CONFIG_BITS,
 };
 pub use pipeline::{CompiledApp, Compiler};
 pub use timing::{StageTimings, TimingBreakdown};

@@ -1,26 +1,6 @@
 //! Quality metrics of a partition: inter-block bandwidth and wirelength.
 
-use vital_fabric::Resources;
-
 use crate::placer::Placement;
-
-/// Quality summary of a placement-based partition, used for the paper's
-/// §5.4 evaluation (the partition algorithm reduces the required inter-block
-/// bandwidth by ~2.1× versus a naive partition).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartitionQuality {
-    /// Total bits crossing virtual-block boundaries.
-    pub cut_bits: u64,
-    /// The worst per-block boundary traffic (the bandwidth the
-    /// latency-insensitive interface of that block must sustain).
-    pub max_block_cut_bits: u64,
-    /// Number of virtual blocks actually used.
-    pub blocks_used: usize,
-    /// Bottleneck utilization of the fullest block.
-    pub peak_utilization: f64,
-    /// Total linear wirelength of the final placement.
-    pub wirelength: f64,
-}
 
 /// Total bits crossing virtual-block boundaries (edges touching I/O pads are
 /// external traffic, not inter-block traffic, and are excluded).
@@ -51,45 +31,67 @@ pub fn wirelength(placement: &Placement) -> f64 {
         .sum()
 }
 
-impl PartitionQuality {
-    /// Computes the quality summary of a placement.
-    pub fn of(placement: &Placement) -> Self {
-        let mut per_block = vec![0u64; placement.grid().slot_count()];
-        let mut total = 0u64;
-        for (a, b, w) in placement.graph().edges() {
-            let (Some(sa), Some(sb)) = (
-                placement.assignment()[a.index()],
-                placement.assignment()[b.index()],
-            ) else {
-                continue;
-            };
-            if sa != sb {
-                total += w;
-                per_block[sa as usize] += w;
-                per_block[sb as usize] += w;
-            }
-        }
-        let cap = placement.grid().capacity();
-        let peak = placement
-            .slot_usage()
-            .iter()
-            .map(|u: &Resources| u.utilization_of(&cap).bottleneck())
-            .fold(0.0, f64::max);
-        PartitionQuality {
-            cut_bits: total,
-            max_block_cut_bits: per_block.into_iter().max().unwrap_or(0),
-            blocks_used: placement.blocks_used(),
-            peak_utilization: peak,
-            wirelength: wirelength(placement),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::placer::{random_assignment, Placer, PlacerConfig, VirtualGrid};
+    use vital_fabric::Resources;
     use vital_netlist::hls::{synthesize, AppSpec, Operator};
+
+    /// Quality summary of a placement-based partition.
+    #[derive(Debug, Clone, PartialEq)]
+    struct PartitionQuality {
+        /// Total bits crossing virtual-block boundaries.
+        cut_bits: u64,
+        /// The worst per-block boundary traffic (the bandwidth the
+        /// latency-insensitive interface of that block must sustain).
+        max_block_cut_bits: u64,
+        /// Number of virtual blocks actually used.
+        blocks_used: usize,
+        /// Bottleneck utilization of the fullest block.
+        peak_utilization: f64,
+        /// Total linear wirelength of the final placement.
+        wirelength: f64,
+    }
+
+    impl PartitionQuality {
+        /// Computes the quality summary of a placement.
+        fn of(placement: &Placement) -> Self {
+            let mut per_block = vec![0u64; placement.grid().slot_count()];
+            let mut total = 0u64;
+            for (a, b, w) in placement.graph().edges() {
+                let (Some(sa), Some(sb)) = (
+                    placement.assignment()[a.index()],
+                    placement.assignment()[b.index()],
+                ) else {
+                    continue;
+                };
+                if sa != sb {
+                    total += w;
+                    per_block[sa as usize] += w;
+                    per_block[sb as usize] += w;
+                }
+            }
+            let cap = placement.grid().capacity();
+            let mut usage = vec![Resources::ZERO; placement.grid().slot_count()];
+            for (i, slot) in placement.assignment().iter().enumerate() {
+                if let Some(s) = slot {
+                    usage[*s as usize] += placement.packing().clusters()[i].resources();
+                }
+            }
+            let peak = usage
+                .iter()
+                .map(|u| u.utilization_of(&cap).bottleneck())
+                .fold(0.0, f64::max);
+            PartitionQuality {
+                cut_bits: total,
+                max_block_cut_bits: per_block.into_iter().max().unwrap_or(0),
+                blocks_used: usage.iter().filter(|u| !u.is_zero()).count(),
+                peak_utilization: peak,
+                wirelength: wirelength(placement),
+            }
+        }
+    }
 
     fn pipeline_app(stages: u32) -> vital_netlist::Netlist {
         let mut spec = AppSpec::new("pipe");

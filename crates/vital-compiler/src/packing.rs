@@ -102,7 +102,7 @@ impl Packing {
     }
 
     /// Number of clusters.
-    pub fn cluster_count(&self) -> usize {
+    pub(crate) fn cluster_count(&self) -> usize {
         self.clusters.len()
     }
 

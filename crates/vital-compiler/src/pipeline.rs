@@ -27,7 +27,6 @@ pub struct CompiledApp {
     bitstream: AppBitstream,
     timings: StageTimings,
     cut_bits: u64,
-    anchoring_iterations: usize,
 }
 
 impl CompiledApp {
@@ -49,11 +48,6 @@ impl CompiledApp {
     /// Total bits per firing crossing virtual-block boundaries.
     pub fn cut_bits(&self) -> u64 {
         self.cut_bits
-    }
-
-    /// Iterations the pseudo-cluster anchoring loop ran (§4.2 step 4).
-    pub fn anchoring_iterations(&self) -> usize {
-        self.anchoring_iterations
     }
 }
 
@@ -102,11 +96,6 @@ impl Compiler {
     /// The active configuration.
     pub fn config(&self) -> &CompilerConfig {
         &self.config
-    }
-
-    /// The canonical physical-block site geometry.
-    pub fn site_model(&self) -> &SiteModel {
-        &self.site_model
     }
 
     /// Compiles an application through all six steps.
@@ -275,7 +264,6 @@ impl Compiler {
             bitstream,
             timings,
             cut_bits,
-            anchoring_iterations: placement.iterations(),
         })
     }
 
@@ -585,7 +573,7 @@ mod tests {
     fn global_routing_is_attached_and_converged() {
         let compiled = Compiler::default().compile(&spec(64, 40)).unwrap();
         let bs = compiled.bitstream();
-        let routing = bs.routing();
+        let routing = &bs.routing;
         assert_eq!(
             routing.global.routed.len(),
             bs.channel_plan().channel_count()

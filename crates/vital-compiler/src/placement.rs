@@ -39,20 +39,6 @@ impl VirtualGrid {
         }
     }
 
-    /// A 1 x n linear arrangement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_blocks` is zero.
-    pub fn linear(n_blocks: usize, capacity: Resources) -> Self {
-        assert!(n_blocks > 0, "grid needs at least one slot");
-        VirtualGrid {
-            cols: n_blocks,
-            rows: 1,
-            capacity,
-        }
-    }
-
     /// Number of slots. Note this may slightly exceed the requested block
     /// count for non-rectangular `n`; unused slots simply stay empty.
     pub fn slot_count(&self) -> usize {
@@ -85,7 +71,7 @@ impl VirtualGrid {
     }
 
     /// The centre of the whole grid.
-    pub fn center(&self) -> (f64, f64) {
+    pub(crate) fn center(&self) -> (f64, f64) {
         (
             (self.cols as f64 - 1.0) / 2.0,
             (self.rows as f64 - 1.0) / 2.0,
@@ -184,7 +170,6 @@ impl Placer {
 
         let mut beta = self.config.beta0;
         let mut iterations = 0usize;
-        let mut gap = f64::INFINITY;
         let mut assignment: Vec<Option<u32>> = Vec::new();
         while iterations < self.config.max_iterations {
             iterations += 1;
@@ -211,7 +196,7 @@ impl Placer {
             let l_solved = linear_wirelength(&graph, &solved_positions, self.config.alpha);
 
             // Step 4: terminate when the two lengths agree within tolerance.
-            gap = (l_legal - l_solved).abs() / l_solved.max(1e-9);
+            let gap = (l_legal - l_solved).abs() / l_solved.max(1e-9);
             if gap < self.config.gap_tolerance {
                 break;
             }
@@ -247,7 +232,6 @@ impl Placer {
             positions: final_positions,
             legal,
             iterations,
-            final_gap: gap,
             alpha: self.config.alpha,
         })
     }
@@ -344,7 +328,6 @@ pub struct Placement {
     positions: Vec<(f64, f64)>,
     legal: bool,
     iterations: usize,
-    final_gap: f64,
     alpha: f64,
 }
 
@@ -379,7 +362,7 @@ impl Placement {
     }
 
     /// Final (discrete) cluster positions.
-    pub fn positions(&self) -> &[(f64, f64)] {
+    pub(crate) fn positions(&self) -> &[(f64, f64)] {
         &self.positions
     }
 
@@ -393,30 +376,9 @@ impl Placement {
         self.iterations
     }
 
-    /// Final wirelength gap between solved and legalized placements.
-    pub fn final_gap(&self) -> f64 {
-        self.final_gap
-    }
-
     /// The aspect-ratio weight used.
     pub fn alpha(&self) -> f64 {
         self.alpha
-    }
-
-    /// Per-slot resource usage.
-    pub fn slot_usage(&self) -> Vec<Resources> {
-        let mut usage = vec![Resources::ZERO; self.grid.slot_count()];
-        for (i, slot) in self.assignment.iter().enumerate() {
-            if let Some(s) = slot {
-                usage[*s as usize] += self.packing.clusters()[i].resources();
-            }
-        }
-        usage
-    }
-
-    /// Number of slots actually holding logic.
-    pub fn blocks_used(&self) -> usize {
-        self.slot_usage().iter().filter(|u| !u.is_zero()).count()
     }
 }
 
@@ -488,7 +450,6 @@ pub fn random_assignment(
         positions,
         legal,
         iterations: 0,
-        final_gap: f64::NAN,
         alpha: 1.0,
     })
 }

@@ -46,7 +46,6 @@
 pub use crate::cluster_graph::ClusterGraph;
 pub use crate::error::PlacerError;
 pub use crate::legalize::SaConfig;
-pub use crate::metrics::{cut_bits, wirelength, PartitionQuality};
+pub use crate::metrics::{cut_bits, wirelength};
 pub use crate::packing::{pack, Cluster, ClusterId, Packing, PackingConfig};
 pub use crate::placement::{random_assignment, Placement, Placer, PlacerConfig, VirtualGrid};
-pub use crate::solver::{CgSolution, SparseSystem};

@@ -10,7 +10,7 @@
 //! custom tools only manipulate a few hundred clusters.
 //!
 //! Global P&R (step 6) stitches the per-block images together by assigning
-//! every planned channel to a boundary lane ([`route_channels`]).
+//! every planned channel to a boundary lane (`route_channels`).
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -28,15 +28,15 @@ pub struct PnrConfig {
     /// RNG seed.
     pub seed: u64,
     /// Proposed moves per primitive per temperature (split across shards).
-    pub moves_per_primitive: usize,
+    pub(crate) moves_per_primitive: usize,
     /// Number of temperature steps.
-    pub temperatures: usize,
+    pub(crate) temperatures: usize,
     /// Initial temperature (in units of edge-length cost).
     pub t0: f64,
     /// Geometric cooling factor.
-    pub cooling: f64,
+    pub(crate) cooling: f64,
     /// Boundary lanes available per block for global routing.
-    pub lanes_per_block: usize,
+    pub(crate) lanes_per_block: usize,
     /// Independent annealing shards per block. Each shard runs
     /// `moves_per_primitive / shards` of the move budget from its own RNG
     /// stream and the best shard (by wirelength, ties to the lowest shard
@@ -67,7 +67,7 @@ impl Default for PnrConfig {
 
 /// The kind of a physical site inside a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SiteKind {
+pub(crate) enum SiteKind {
     /// A CLB slice site (hosts `Slice`, `Lut` and `FlipFlop` primitives).
     Slice,
     /// A RAMB36 site.
@@ -91,7 +91,7 @@ impl SiteKind {
 
 /// One placeable site of a physical block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Site {
+pub(crate) struct Site {
     /// Column coordinate.
     pub x: u32,
     /// Row coordinate.
@@ -104,7 +104,7 @@ pub struct Site {
 /// column layout. Because all physical blocks are identical, one model
 /// serves every block — which is precisely what makes relocation free.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SiteModel {
+pub(crate) struct SiteModel {
     sites: Vec<Site>,
     slice_sites: Vec<u32>,
     bram_sites: Vec<u32>,
@@ -113,7 +113,7 @@ pub struct SiteModel {
 
 impl SiteModel {
     /// Builds the site model of one `block_rows`-tall block of `device`.
-    pub fn for_block(device: &DeviceModel, block_rows: u64) -> Self {
+    pub(crate) fn for_block(device: &DeviceModel, block_rows: u64) -> Self {
         let mut sites = Vec::new();
         let mut x = 0u32;
         for group in device.user_columns() {
@@ -155,12 +155,12 @@ impl SiteModel {
     }
 
     /// All sites.
-    pub fn sites(&self) -> &[Site] {
+    pub(crate) fn sites(&self) -> &[Site] {
         &self.sites
     }
 
     /// Site indices of one kind.
-    pub fn sites_of(&self, kind: SiteKind) -> &[u32] {
+    pub(crate) fn sites_of(&self, kind: SiteKind) -> &[u32] {
         match kind {
             SiteKind::Slice => &self.slice_sites,
             SiteKind::Bram => &self.bram_sites,
@@ -179,44 +179,9 @@ pub struct LocalPlacement {
     /// Wirelength of the compact initial assignment, before annealing.
     pub initial_wirelength: f64,
     /// Longest single placed edge in Manhattan tiles.
-    pub max_edge: f64,
+    pub(crate) max_edge: f64,
     /// Analytic post-P&R frequency estimate in MHz.
     pub achieved_mhz: f64,
-}
-
-/// Places the primitives `prims` (one virtual block's logic) onto `sites`.
-///
-/// The annealer minimizes bit-weighted Manhattan wirelength over the
-/// block-internal edges of `dfg`; cross-block edges are handled by the
-/// latency-insensitive interface and do not constrain local timing.
-///
-/// # Errors
-///
-/// Returns [`CompileError::PlacementInfeasible`] if the block needs more
-/// sites of some kind than the physical block provides.
-pub fn place_block(
-    netlist: &Netlist,
-    dfg: &DataflowGraph,
-    block: u32,
-    prims: &[PrimitiveId],
-    sites: &SiteModel,
-    cfg: &PnrConfig,
-) -> Result<LocalPlacement, CompileError> {
-    let problem = BlockProblem::build(netlist, dfg, block, prims, sites)?;
-    let mut scratch = PnrScratch::new(sites.sites().len());
-    let shards = cfg.shards.max(1);
-    let mut best: Option<ShardPlacement> = None;
-    for shard in 0..shards {
-        let candidate = anneal_shard(&problem, sites, cfg, shard, &mut scratch);
-        if best
-            .as_ref()
-            .is_none_or(|b| candidate.wirelength < b.wirelength)
-        {
-            best = Some(candidate);
-        }
-    }
-    let best = best.expect("shards >= 1");
-    Ok(finalize_placement(&problem, sites, &best))
 }
 
 /// One virtual block's local P&R problem in dense local indices: the
@@ -610,11 +575,11 @@ fn kind_index(kind: SiteKind) -> usize {
 /// Result of global routing: the lane assignment of every planned channel
 /// plus the congestion-negotiated paths over the virtual-block mesh.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RoutingResult {
+pub(crate) struct RoutingResult {
     /// `(channel index, lane)` per planned channel.
-    pub lane_of: Vec<(usize, u32)>,
+    pub(crate) lane_of: Vec<(usize, u32)>,
     /// Worst per-block lane demand over supply (1.0 = fully subscribed).
-    pub peak_lane_utilization: f64,
+    pub(crate) peak_lane_utilization: f64,
     /// The PathFinder-style mesh routing (paper §3.3 step 6).
     pub global: crate::route::GlobalRouting,
 }
@@ -624,7 +589,7 @@ pub struct RoutingResult {
 /// the channels over the virtual-block mesh with negotiated congestion
 /// (`slot_of_vb` gives each virtual block's mesh slot; `cols x rows` is the
 /// mesh shape).
-pub fn route_channels_on(
+pub(crate) fn route_channels_on(
     plan: &ChannelPlan,
     cfg: &PnrConfig,
     slot_of_vb: &[u32],
@@ -642,7 +607,7 @@ pub fn route_channels_on(
 
 /// Lane assignment only (see [`route_channels_on`] for the full step 6);
 /// channels route on a degenerate 1x1 mesh.
-pub fn route_channels(plan: &ChannelPlan, cfg: &PnrConfig) -> RoutingResult {
+pub(crate) fn route_channels(plan: &ChannelPlan, cfg: &PnrConfig) -> RoutingResult {
     use std::collections::HashMap;
     let lanes = cfg.lanes_per_block.max(1) as u32;
     // (block, lane) -> (accumulated bits, channel count).
@@ -684,6 +649,42 @@ pub fn route_channels(plan: &ChannelPlan, cfg: &PnrConfig) -> RoutingResult {
 mod tests {
     use super::*;
     use vital_netlist::hls::{synthesize, AppSpec, Operator};
+
+    /// Places the primitives `prims` (one virtual block's logic) onto `sites`:
+    /// the compiler's per-block path, run serially over every shard.
+    ///
+    /// The annealer minimizes bit-weighted Manhattan wirelength over the
+    /// block-internal edges of `dfg`; cross-block edges are handled by the
+    /// latency-insensitive interface and do not constrain local timing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError::PlacementInfeasible`] if the block needs more
+    /// sites of some kind than the physical block provides.
+    fn place_block(
+        netlist: &Netlist,
+        dfg: &DataflowGraph,
+        block: u32,
+        prims: &[PrimitiveId],
+        sites: &SiteModel,
+        cfg: &PnrConfig,
+    ) -> Result<LocalPlacement, CompileError> {
+        let problem = BlockProblem::build(netlist, dfg, block, prims, sites)?;
+        let mut scratch = PnrScratch::new(sites.sites().len());
+        let shards = cfg.shards.max(1);
+        let mut best: Option<ShardPlacement> = None;
+        for shard in 0..shards {
+            let candidate = anneal_shard(&problem, sites, cfg, shard, &mut scratch);
+            if best
+                .as_ref()
+                .is_none_or(|b| candidate.wirelength < b.wirelength)
+            {
+                best = Some(candidate);
+            }
+        }
+        let best = best.expect("shards >= 1");
+        Ok(finalize_placement(&problem, sites, &best))
+    }
 
     fn block_prims(n: &Netlist) -> Vec<PrimitiveId> {
         n.primitives()

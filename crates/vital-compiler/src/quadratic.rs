@@ -1,6 +1,7 @@
 //! Quadratic global placement (paper §4.2, Eq. 1–2 and Eq. 4).
 
-use crate::placer::{ClusterGraph, SparseSystem};
+use crate::placer::ClusterGraph;
+use crate::solver::SparseSystem;
 
 /// Continuous cluster positions produced by one quadratic solve.
 #[derive(Debug, Clone)]
@@ -61,7 +62,7 @@ pub(crate) fn solve_quadratic(
     let y0 = warm_start.map(|w| w.y.as_slice()).unwrap_or(&cy);
     let sx = sys_x.solve(x0, 1e-6, 2 * n.max(64));
     let sy = sys_y.solve(y0, 1e-6, 2 * n.max(64));
-    QuadraticPlacement { x: sx.x, y: sy.x }
+    QuadraticPlacement { x: sx, y: sy }
 }
 
 #[cfg(test)]

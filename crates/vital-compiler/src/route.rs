@@ -15,15 +15,15 @@ use vital_interface::ChannelPlan;
 
 /// Router parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RouteConfig {
+pub(crate) struct RouteConfig {
     /// Wire-bundle capacity of one slot-to-slot boundary, in bits.
-    pub edge_capacity_bits: u64,
+    pub(crate) edge_capacity_bits: u64,
     /// Maximum rip-up/re-route iterations.
     pub max_iterations: usize,
     /// Weight of present congestion in the edge cost.
-    pub present_weight: f64,
+    pub(crate) present_weight: f64,
     /// Per-iteration increment of the history cost on overused edges.
-    pub history_increment: f64,
+    pub(crate) history_increment: f64,
 }
 
 impl Default for RouteConfig {
@@ -42,7 +42,7 @@ impl Default for RouteConfig {
 /// (possible after relocation merges neighbours, though plans never emit
 /// self-channels).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RoutedChannel {
+pub(crate) struct RoutedChannel {
     /// Index into the channel plan.
     pub channel: usize,
     /// Slot indices along the path.
@@ -51,26 +51,19 @@ pub struct RoutedChannel {
 
 /// The result of global routing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GlobalRouting {
+pub(crate) struct GlobalRouting {
     /// One routed path per planned channel, in plan order.
-    pub routed: Vec<RoutedChannel>,
+    pub(crate) routed: Vec<RoutedChannel>,
     /// Worst edge load in bits after the final iteration.
-    pub max_edge_load_bits: u64,
+    pub(crate) max_edge_load_bits: u64,
     /// The capacity the router negotiated against.
-    pub edge_capacity_bits: u64,
+    pub(crate) edge_capacity_bits: u64,
     /// Rip-up/re-route iterations performed.
     pub iterations: usize,
     /// `true` if no edge ended over capacity.
-    pub converged: bool,
+    pub(crate) converged: bool,
     /// Total routed wire length in slot hops (bit-weighted).
-    pub wirelength_bit_hops: u64,
-}
-
-impl GlobalRouting {
-    /// Worst edge utilization (load over capacity).
-    pub fn peak_utilization(&self) -> f64 {
-        self.max_edge_load_bits as f64 / self.edge_capacity_bits.max(1) as f64
-    }
+    pub(crate) wirelength_bit_hops: u64,
 }
 
 /// Grid helper: undirected edges of a `cols x rows` 4-neighbour mesh.
@@ -131,7 +124,7 @@ impl Mesh {
 ///
 /// Panics if a channel endpoint has no slot (`slot_of_vb` too short) or a
 /// slot index is outside the mesh.
-pub fn route_global(
+pub(crate) fn route_global(
     plan: &ChannelPlan,
     slot_of_vb: &[u32],
     cols: usize,
@@ -327,7 +320,6 @@ mod tests {
         let routing = route_global(&p, &[0, 1], 2, 1, &RouteConfig::default());
         assert!(!routing.converged);
         assert!(routing.max_edge_load_bits > routing.edge_capacity_bits);
-        assert!(routing.peak_utilization() > 1.0);
     }
 
     #[test]

@@ -8,22 +8,8 @@
 
 /// A sparse symmetric linear system built incrementally from Laplacian
 /// stencils and diagonal anchors.
-///
-/// # Example
-///
-/// ```
-/// use vital_compiler::placer::SparseSystem;
-///
-/// // Two nodes coupled with weight 1, node 0 anchored to position 3.0.
-/// let mut sys = SparseSystem::new(2);
-/// sys.add_coupling(0, 1, 1.0);
-/// sys.add_anchor(0, 10.0, 3.0);
-/// let sol = sys.solve(&[0.0, 0.0], 1e-9, 1000);
-/// assert!((sol.x[0] - 3.0).abs() < 1e-3);
-/// assert!((sol.x[1] - 3.0).abs() < 1e-3);
-/// ```
 #[derive(Debug, Clone)]
-pub struct SparseSystem {
+pub(crate) struct SparseSystem {
     n: usize,
     diag: Vec<f64>,
     /// Off-diagonal entries per row: `(col, value)`.
@@ -31,22 +17,9 @@ pub struct SparseSystem {
     rhs: Vec<f64>,
 }
 
-/// Result of a conjugate-gradient solve.
-#[derive(Debug, Clone)]
-pub struct CgSolution {
-    /// The solution vector.
-    pub x: Vec<f64>,
-    /// Number of iterations performed.
-    pub iterations: usize,
-    /// Final residual norm.
-    pub residual: f64,
-    /// Whether the tolerance was reached.
-    pub converged: bool,
-}
-
 impl SparseSystem {
     /// Creates an empty `n x n` system with zero right-hand side.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         SparseSystem {
             n,
             diag: vec![0.0; n],
@@ -55,23 +28,13 @@ impl SparseSystem {
         }
     }
 
-    /// Number of unknowns.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// `true` if the system has no unknowns.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Adds a quadratic coupling `w (x_i - x_j)^2`: the Laplacian stencil
     /// `+w` on both diagonals and `-w` off-diagonal.
     ///
     /// # Panics
     ///
     /// Panics if `i == j` or either index is out of range.
-    pub fn add_coupling(&mut self, i: usize, j: usize, w: f64) {
+    pub(crate) fn add_coupling(&mut self, i: usize, j: usize, w: f64) {
         assert!(i != j, "coupling requires distinct nodes");
         assert!(i < self.n && j < self.n, "node index out of range");
         self.diag[i] += w;
@@ -87,20 +50,10 @@ impl SparseSystem {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn add_anchor(&mut self, i: usize, w: f64, p: f64) {
+    pub(crate) fn add_anchor(&mut self, i: usize, w: f64, p: f64) {
         assert!(i < self.n, "node index out of range");
         self.diag[i] += w;
         self.rhs[i] += w * p;
-    }
-
-    /// Adds `v` to the right-hand side of row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn add_rhs(&mut self, i: usize, v: f64) {
-        assert!(i < self.n, "node index out of range");
-        self.rhs[i] += v;
     }
 
     fn mat_vec(&self, x: &[f64], out: &mut [f64]) {
@@ -114,19 +67,15 @@ impl SparseSystem {
     }
 
     /// Solves the system with Jacobi-preconditioned conjugate gradient,
-    /// starting from `x0`.
+    /// starting from `x0`, and returns the solution vector: the iterate that
+    /// met `tol`, or the last one after `max_iter` iterations.
     ///
     /// Rows with a zero diagonal (completely unconstrained nodes) are given
     /// a tiny regularization so the iteration stays well-defined.
-    pub fn solve(&self, x0: &[f64], tol: f64, max_iter: usize) -> CgSolution {
+    pub(crate) fn solve(&self, x0: &[f64], tol: f64, max_iter: usize) -> Vec<f64> {
         assert_eq!(x0.len(), self.n, "initial guess has wrong length");
         if self.n == 0 {
-            return CgSolution {
-                x: Vec::new(),
-                iterations: 0,
-                residual: 0.0,
-                converged: true,
-            };
+            return Vec::new();
         }
         let eps = 1e-12;
         let inv_diag: Vec<f64> = self
@@ -149,12 +98,7 @@ impl SparseSystem {
         while iterations < max_iter {
             let res_norm = r.iter().map(|v| v * v).sum::<f64>().sqrt();
             if res_norm <= tol * rhs_norm {
-                return CgSolution {
-                    x,
-                    iterations,
-                    residual: res_norm,
-                    converged: true,
-                };
+                return x;
             }
             self.mat_vec(&p, &mut ap);
             let pap: f64 = p.iter().zip(&ap).map(|(a, b)| a * b).sum();
@@ -177,14 +121,7 @@ impl SparseSystem {
             }
             iterations += 1;
         }
-        let residual = r.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let converged = residual <= tol * rhs_norm;
-        CgSolution {
-            x,
-            iterations,
-            residual,
-            converged,
-        }
+        x
     }
 }
 
@@ -202,9 +139,8 @@ mod tests {
         }
         sys.add_anchor(0, 1e6, 0.0);
         sys.add_anchor(4, 1e6, 4.0);
-        let sol = sys.solve(&[0.0; 5], 1e-10, 10_000);
-        assert!(sol.converged);
-        for (i, &xi) in sol.x.iter().enumerate() {
+        let x = sys.solve(&[0.0; 5], 1e-10, 10_000);
+        for (i, &xi) in x.iter().enumerate() {
             assert!((xi - i as f64).abs() < 1e-3, "x[{i}] = {xi}");
         }
     }
@@ -218,23 +154,21 @@ mod tests {
         sys.add_coupling(1, 2, 1.0);
         sys.add_anchor(0, 1e9, 0.0);
         sys.add_anchor(2, 1e9, 10.0);
-        let sol = sys.solve(&[0.0; 3], 1e-12, 10_000);
-        assert!((sol.x[1] - 1.0).abs() < 1e-4, "x[1] = {}", sol.x[1]);
+        let x = sys.solve(&[0.0; 3], 1e-12, 10_000);
+        assert!((x[1] - 1.0).abs() < 1e-4, "x[1] = {}", x[1]);
     }
 
     #[test]
     fn empty_system() {
         let sys = SparseSystem::new(0);
-        let sol = sys.solve(&[], 1e-9, 10);
-        assert!(sol.converged);
-        assert!(sol.x.is_empty());
+        assert!(sys.solve(&[], 1e-9, 10).is_empty());
     }
 
     #[test]
     fn unconstrained_node_does_not_nan() {
         let sys = SparseSystem::new(2);
-        let sol = sys.solve(&[0.5, -0.5], 1e-9, 100);
-        assert!(sol.x.iter().all(|v| v.is_finite()));
+        let x = sys.solve(&[0.5, -0.5], 1e-9, 100);
+        assert!(x.iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -243,9 +177,8 @@ mod tests {
         sys.add_coupling(0, 1, 1.0);
         sys.add_anchor(0, 1.0, 2.0);
         sys.add_anchor(1, 1.0, 2.0);
-        let sol = sys.solve(&[2.0, 2.0], 1e-9, 100);
-        assert_eq!(sol.iterations, 0);
-        assert!(sol.converged);
+        // Already within tolerance: returned before the first iteration.
+        assert_eq!(sys.solve(&[2.0, 2.0], 1e-9, 100), vec![2.0, 2.0]);
     }
 
     #[test]

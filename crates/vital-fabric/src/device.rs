@@ -88,7 +88,7 @@ impl DeviceModel {
     /// Returns [`FabricError::InvalidGeometry`] if any dimension is zero, if
     /// the die height is not a whole number of clock regions, or if the user
     /// area has no user-consumable resources.
-    pub fn from_geometry(
+    pub(crate) fn from_geometry(
         name: impl Into<String>,
         dies: u32,
         rows_per_die: u64,
@@ -301,7 +301,7 @@ impl DeviceModel {
     }
 
     /// Fabric rows per die.
-    pub fn rows_per_die(&self) -> u64 {
+    pub(crate) fn rows_per_die(&self) -> u64 {
         self.rows_per_die
     }
 
@@ -311,13 +311,8 @@ impl DeviceModel {
     }
 
     /// Height of one clock region in rows.
-    pub fn clock_region_rows(&self) -> u64 {
+    pub(crate) fn clock_region_rows(&self) -> u64 {
         self.clock_region_rows
-    }
-
-    /// Clock regions stacked per die.
-    pub fn clock_regions_per_die(&self) -> u64 {
-        self.rows_per_die / self.clock_region_rows
     }
 
     /// The partitionable (user-area) column layout.
@@ -326,7 +321,7 @@ impl DeviceModel {
     }
 
     /// The permanently reserved edge columns (I/O, transceivers).
-    pub fn edge_columns(&self) -> &[ColumnSpec] {
+    pub(crate) fn edge_columns(&self) -> &[ColumnSpec] {
         &self.edge_columns
     }
 
@@ -336,7 +331,7 @@ impl DeviceModel {
     }
 
     /// Resources of a horizontal band of the user area spanning `rows` rows.
-    pub fn band_resources(&self, rows: u64) -> Resources {
+    pub(crate) fn band_resources(&self, rows: u64) -> Resources {
         self.user_columns.iter().map(|c| c.resources(rows)).sum()
     }
 
@@ -392,7 +387,7 @@ mod tests {
         assert_eq!(total.lut, 1_288_800);
         assert_eq!(d.user_area_resources().lut, 1_188_000);
         assert_eq!(d.user_area_resources().dsp, 8_700);
-        assert_eq!(d.clock_regions_per_die(), 5);
+        assert_eq!(d.rows_per_die() / d.clock_region_rows(), 5);
     }
 
     #[test]

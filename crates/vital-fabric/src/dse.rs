@@ -14,11 +14,11 @@ use crate::{DeviceModel, FabricError, Floorplan};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PartitionObjective {
     /// Weight on the fraction of device resources exposed to users.
-    pub user_fraction_weight: f64,
+    pub(crate) user_fraction_weight: f64,
     /// Weight on management granularity (more, smaller blocks score higher).
-    pub granularity_weight: f64,
+    pub(crate) granularity_weight: f64,
     /// Blocks-per-device count at which the granularity term saturates.
-    pub granularity_saturation: u32,
+    pub(crate) granularity_saturation: u32,
 }
 
 impl Default for PartitionObjective {
@@ -60,11 +60,11 @@ pub struct PartitionCandidate {
 
 /// The search configuration: which block heights and column splits to try.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PartitionSearch {
+pub(crate) struct PartitionSearch {
     /// Candidate block heights in rows.
-    pub block_row_candidates: Vec<u64>,
+    pub(crate) block_row_candidates: Vec<u64>,
     /// Candidate column splits per band.
-    pub column_split_candidates: Vec<u32>,
+    pub(crate) column_split_candidates: Vec<u32>,
 }
 
 impl Default for PartitionSearch {
@@ -78,7 +78,7 @@ impl Default for PartitionSearch {
 
 impl PartitionSearch {
     /// Number of candidates the search will evaluate.
-    pub fn candidate_count(&self) -> usize {
+    pub(crate) fn candidate_count(&self) -> usize {
         self.block_row_candidates.len() * self.column_split_candidates.len()
     }
 }
@@ -116,7 +116,7 @@ pub fn explore_partitions(
 ///
 /// Returns [`FabricError::NoFeasiblePartition`] if no candidate satisfies
 /// the constraints.
-pub fn explore_partitions_with(
+pub(crate) fn explore_partitions_with(
     device: &DeviceModel,
     objective: &PartitionObjective,
     search: &PartitionSearch,

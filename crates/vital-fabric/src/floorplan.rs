@@ -84,11 +84,6 @@ impl PhysicalBlock {
         self.die
     }
 
-    /// Index of the block's row band within its die.
-    pub fn band_index(&self) -> u64 {
-        self.band_index
-    }
-
     /// Absolute first fabric row of the block.
     pub fn row_start(&self) -> u64 {
         self.row_start
@@ -97,12 +92,6 @@ impl PhysicalBlock {
     /// Height of the block in rows.
     pub fn rows(&self) -> u64 {
         self.rows
-    }
-
-    /// Offset of the block's first row within its clock region; identical
-    /// across all blocks of a valid floorplan (clock-skew constraint, §3.2).
-    pub fn clock_region_offset(&self) -> u64 {
-        self.clock_region_offset
     }
 
     /// Programmable resources provided by the block.
@@ -323,11 +312,6 @@ impl Floorplan {
             .ok_or(FabricError::NoFeasiblePartition)
     }
 
-    /// Name of the device this floorplan partitions.
-    pub fn device_name(&self) -> &str {
-        &self.device_name
-    }
-
     /// Height of each physical block in rows.
     pub fn block_rows(&self) -> u64 {
         self.block_rows
@@ -394,32 +378,9 @@ impl Floorplan {
         })
     }
 
-    /// `true` if this floorplan's blocks can host virtual blocks compiled
-    /// for `other`'s blocks: same resources, height and clock-region offset.
-    /// This is the admission check for heterogeneous clusters (paper §7):
-    /// devices may differ, their *blocks* must not.
-    pub fn blocks_compatible(&self, other: &Floorplan) -> bool {
-        match (self.blocks.first(), other.blocks.first()) {
-            (Some(a), Some(b)) => {
-                a.resources == b.resources
-                    && a.rows == b.rows
-                    && a.clock_region_offset == b.clock_region_offset
-            }
-            _ => false,
-        }
-    }
-
     /// Looks up a block by id.
     pub fn block(&self, id: PhysicalBlockId) -> Option<&PhysicalBlock> {
         self.blocks.get(id.index() as usize)
-    }
-
-    /// `true` if two blocks sit on different dies (their communication must
-    /// cross an SLR boundary).
-    ///
-    /// Returns `None` if either id is out of range.
-    pub fn crosses_die(&self, a: PhysicalBlockId, b: PhysicalBlockId) -> Option<bool> {
-        Some(self.block(a)?.die() != self.block(b)?.die())
     }
 }
 
@@ -520,28 +481,36 @@ mod tests {
     #[test]
     fn crosses_die_detection() {
         let plan = Floorplan::builder(&device()).build().unwrap();
-        let a = PhysicalBlockId::new(0); // die 0
-        let b = PhysicalBlockId::new(5); // die 1 (5 bands per die)
-        let c = PhysicalBlockId::new(1); // die 0
-        assert_eq!(plan.crosses_die(a, b), Some(true));
-        assert_eq!(plan.crosses_die(a, c), Some(false));
-        assert_eq!(plan.crosses_die(a, PhysicalBlockId::new(99)), None);
+        let die = |id: u32| plan.block(PhysicalBlockId::new(id)).map(|b| b.die());
+        assert_eq!(die(0), Some(0));
+        assert_eq!(die(1), Some(0));
+        assert_eq!(die(5), Some(1)); // 5 bands per die
+        assert_eq!(die(99), None);
     }
 
     #[test]
     fn compatibility_across_devices() {
+        // Blocks can host each other's virtual blocks when resources, height
+        // and clock-region offset all match (paper §7: devices may differ,
+        // their blocks must not).
+        let compatible = |a: &Floorplan, b: &Floorplan| {
+            let (x, y) = (&a.blocks[0], &b.blocks[0]);
+            x.resources == y.resources
+                && x.rows == y.rows
+                && x.clock_region_offset == y.clock_region_offset
+        };
         let a = Floorplan::builder(&device()).build().unwrap();
         let b = Floorplan::builder(&device()).build().unwrap();
-        assert!(a.blocks_compatible(&b));
+        assert!(compatible(&a, &b));
         // A full-die partition of the same device is NOT compatible.
         let coarse = Floorplan::builder(&device())
             .block_rows(300)
             .build()
             .unwrap();
-        assert!(!a.blocks_compatible(&coarse));
+        assert!(!compatible(&a, &coarse));
         // A different device with a different column mix is not compatible.
         let other = Floorplan::builder(&DeviceModel::vu13p()).build().unwrap();
-        assert!(!a.blocks_compatible(&other));
+        assert!(!compatible(&a, &other));
     }
 
     #[test]

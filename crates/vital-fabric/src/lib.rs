@@ -28,7 +28,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod catalog;
 mod device;
@@ -41,12 +41,9 @@ mod tile;
 
 pub use catalog::{device_generations, DeviceGeneration};
 pub use device::{DeviceModel, LinkTechnology};
-pub use dse::{
-    explore_partitions, explore_partitions_with, PartitionCandidate, PartitionObjective,
-    PartitionSearch,
-};
+pub use dse::{explore_partitions, PartitionCandidate, PartitionObjective};
 pub use error::FabricError;
 pub use floorplan::{Floorplan, FloorplanBuilder, PhysicalBlock, Region, RegionKind};
 pub use ids::{BlockAddr, FpgaId, PhysicalBlockId};
 pub use resources::{ResourceKind, Resources, Utilization};
-pub use tile::{repeat_pattern, ColumnSpec, TileKind};
+pub use tile::{ColumnSpec, TileKind};

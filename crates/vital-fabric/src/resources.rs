@@ -185,15 +185,15 @@ impl Resources {
 
     /// Fill factor applied to DSP columns when sizing block allocations;
     /// hard blocks route point-to-point and tolerate high fill.
-    pub const DSP_FILL: f64 = 0.90;
+    pub(crate) const DSP_FILL: f64 = 0.90;
     /// Fill factor applied to BRAM capacity when sizing block allocations
     /// (the paper's Table 2 designs reach ~72 % BRAM fill per block).
-    pub const BRAM_FILL: f64 = 0.75;
+    pub(crate) const BRAM_FILL: f64 = 0.75;
 
     /// The usable fraction of a block of this capacity under a LUT/FF fill
     /// `margin`: general fabric (LUTs, FFs) is limited by routability to
-    /// `margin`, while hard DSP/BRAM columns fill to [`Resources::DSP_FILL`]
-    /// / [`Resources::BRAM_FILL`].
+    /// `margin`, while hard DSP/BRAM columns fill to `DSP_FILL` /
+    /// `BRAM_FILL` (90 % / 75 %).
     ///
     /// # Panics
     ///

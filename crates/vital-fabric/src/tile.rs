@@ -28,13 +28,13 @@ pub enum TileKind {
 
 impl TileKind {
     /// LUTs per CLB tile row.
-    pub const CLB_LUTS: u64 = 8;
+    pub(crate) const CLB_LUTS: u64 = 8;
     /// Flip-flops per CLB tile row.
-    pub const CLB_FFS: u64 = 16;
+    pub(crate) const CLB_FFS: u64 = 16;
     /// A BRAM column carries one 36 kb RAMB36 every this many rows.
     pub const BRAM_ROW_PERIOD: u64 = 5;
     /// Kilobits per RAMB36.
-    pub const BRAM_KB: u64 = 36;
+    pub(crate) const BRAM_KB: u64 = 36;
     /// A DSP column carries one DSP48 every this many rows.
     pub const DSP_ROW_PERIOD: u64 = 3;
 
@@ -44,7 +44,7 @@ impl TileKind {
     /// Row counts that are not multiples of the BRAM/DSP periods floor the
     /// hard-block count, mirroring how a partial column slice on real silicon
     /// cannot split a hard block.
-    pub fn column_resources(self, rows: u64) -> Resources {
+    pub(crate) fn column_resources(self, rows: u64) -> Resources {
         match self {
             TileKind::Clb => Resources::new(rows * Self::CLB_LUTS, rows * Self::CLB_FFS, 0, 0),
             TileKind::Bram => {
@@ -53,11 +53,6 @@ impl TileKind {
             TileKind::Dsp => Resources::new(0, 0, rows / Self::DSP_ROW_PERIOD, 0),
             TileKind::Transceiver | TileKind::Io => Resources::ZERO,
         }
-    }
-
-    /// `true` if the tile provides resources a user design can consume.
-    pub fn is_user_resource(self) -> bool {
-        matches!(self, TileKind::Clb | TileKind::Bram | TileKind::Dsp)
     }
 }
 
@@ -105,30 +100,6 @@ impl fmt::Display for ColumnSpec {
     }
 }
 
-/// Expands a repeating pattern into a flat column-spec list.
-///
-/// # Example
-///
-/// ```
-/// use vital_fabric::{ColumnSpec, TileKind};
-/// use vital_fabric::repeat_pattern;
-///
-/// // 2 repetitions of [4 CLB, 1 BRAM] -> 10 columns total.
-/// let cols = repeat_pattern(
-///     &[ColumnSpec::new(TileKind::Clb, 4), ColumnSpec::new(TileKind::Bram, 1)],
-///     2,
-/// );
-/// let total: u32 = cols.iter().map(|c| c.count).sum();
-/// assert_eq!(total, 10);
-/// ```
-pub fn repeat_pattern(pattern: &[ColumnSpec], times: u32) -> Vec<ColumnSpec> {
-    let mut out = Vec::with_capacity(pattern.len() * times as usize);
-    for _ in 0..times {
-        out.extend_from_slice(pattern);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,8 +127,6 @@ mod tests {
     fn non_user_tiles_have_no_resources() {
         assert!(TileKind::Transceiver.column_resources(100).is_zero());
         assert!(TileKind::Io.column_resources(100).is_zero());
-        assert!(!TileKind::Io.is_user_resource());
-        assert!(TileKind::Clb.is_user_resource());
     }
 
     #[test]

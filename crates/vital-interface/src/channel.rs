@@ -27,7 +27,7 @@ pub enum LinkClass {
 
 impl LinkClass {
     /// Bandwidth of this link class in Gb/s under the given technology.
-    pub fn bandwidth_gbps(self, links: &LinkTechnology) -> f64 {
+    pub(crate) fn bandwidth_gbps(self, links: &LinkTechnology) -> f64 {
         match self {
             LinkClass::IntraDie => {
                 // On-chip routing is effectively limited by how many wires a
@@ -49,7 +49,7 @@ impl LinkClass {
     }
 
     /// Bits this link can move per user-logic clock cycle.
-    pub fn bits_per_cycle(self, links: &LinkTechnology) -> f64 {
+    pub(crate) fn bits_per_cycle(self, links: &LinkTechnology) -> f64 {
         self.bandwidth_gbps(links) * 1.0e9 / (CLOCK_MHZ * 1.0e6)
     }
 
@@ -84,7 +84,7 @@ impl ChannelSpec {
     }
 
     /// Like [`ChannelSpec::for_link`] with explicit link technology.
-    pub fn for_link_with(link: LinkClass, width_bits: u32, links: &LinkTechnology) -> Self {
+    pub(crate) fn for_link_with(link: LinkClass, width_bits: u32, links: &LinkTechnology) -> Self {
         let latency = link.latency_cycles(links);
         let ser = (f64::from(width_bits) / link.bits_per_cycle(links)).ceil() as u32;
         ChannelSpec {
@@ -105,16 +105,9 @@ impl ChannelSpec {
     }
 
     /// Like [`ChannelSpec::saturating`] with explicit link technology.
-    pub fn saturating_with(link: LinkClass, links: &LinkTechnology) -> Self {
+    pub(crate) fn saturating_with(link: LinkClass, links: &LinkTechnology) -> Self {
         let width = link.bits_per_cycle(links).floor().max(1.0) as u32;
         Self::for_link_with(link, width, links)
-    }
-
-    /// Peak sustainable bandwidth of this channel in Gb/s (width over the
-    /// serialization interval, at the modelled clock).
-    pub fn peak_bandwidth_gbps(&self) -> f64 {
-        f64::from(self.width_bits) / f64::from(self.serialization_interval) * CLOCK_MHZ * 1.0e6
-            / 1.0e9
     }
 }
 
@@ -248,7 +241,7 @@ impl Channel {
     }
 
     /// `true` if the consumer can pop a flit this cycle.
-    pub fn has_data(&self) -> bool {
+    pub(crate) fn has_data(&self) -> bool {
         !self.fifo.is_empty()
     }
 
@@ -524,6 +517,5 @@ mod tests {
         let spec = ChannelSpec::for_link(LinkClass::InterFpga, 512);
         assert!(spec.depth >= 2 * spec.latency_cycles as usize);
         assert!(spec.serialization_interval >= 1);
-        assert!(spec.peak_bandwidth_gbps() > 0.0);
     }
 }

@@ -40,7 +40,7 @@ pub struct InterfaceConfig {
     /// Maximum physical channel width in bits; wider cuts are split.
     pub max_channel_width: u32,
     /// Receiver FIFO depth in flits for buffered channels.
-    pub fifo_depth: usize,
+    pub(crate) fifo_depth: usize,
 }
 
 impl Default for InterfaceConfig {
@@ -248,13 +248,13 @@ pub struct CommRegionModel {
     /// Physical blocks served.
     pub blocks: usize,
     /// Interface ports per block.
-    pub ports_per_block: usize,
+    pub(crate) ports_per_block: usize,
     /// Buffered off-chip gateway endpoints (inter-die lanes + ring lanes).
-    pub offchip_gateways: usize,
+    pub(crate) offchip_gateways: usize,
     /// Gateway FIFO width in bits.
-    pub fifo_width_bits: u32,
+    pub(crate) fifo_width_bits: u32,
     /// Gateway FIFO depth in flits.
-    pub fifo_depth: usize,
+    pub(crate) fifo_depth: usize,
 }
 
 impl CommRegionModel {

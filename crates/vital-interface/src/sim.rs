@@ -149,19 +149,6 @@ impl NetworkSim {
         self.actors[id.index()].firings
     }
 
-    /// The clock-enable duty cycle of an actor: firings per simulated cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn duty_cycle(&self, id: ActorId) -> f64 {
-        if self.cycle == 0 {
-            0.0
-        } else {
-            self.actors[id.index()].firings as f64 / self.cycle as f64
-        }
-    }
-
     fn can_fire(&self, actor: &Actor) -> bool {
         let now = self.cycle;
         match actor.kind {
@@ -284,7 +271,7 @@ impl NetworkSim {
 
     /// `true` if data remains in channels but no actor can ever fire again
     /// (checked conservatively over one full stall period).
-    pub fn is_deadlocked(&self) -> bool {
+    pub(crate) fn is_deadlocked(&self) -> bool {
         let data_left = self.channels.iter().any(|c| !c.is_empty());
         if !data_left {
             return false;
@@ -459,6 +446,11 @@ pub fn measure_channel(spec: &ChannelSpec, cycles: u64) -> ChannelMeasurement {
 mod tests {
     use super::*;
 
+    /// The clock-enable duty cycle of an actor: firings per simulated cycle.
+    fn duty_cycle(sim: &NetworkSim, id: ActorId) -> f64 {
+        sim.actors[id.index()].firings as f64 / sim.cycle as f64
+    }
+
     fn spec(depth: usize, latency: u32) -> ChannelSpec {
         ChannelSpec {
             width_bits: 64,
@@ -488,9 +480,9 @@ mod tests {
         assert!(!stats.deadlocked);
         // After warm-up the relay fires nearly every cycle.
         assert!(
-            sim.duty_cycle(relay) > 0.95,
+            duty_cycle(&sim, relay) > 0.95,
             "duty {}",
-            sim.duty_cycle(relay)
+            duty_cycle(&sim, relay)
         );
     }
 
@@ -509,7 +501,7 @@ mod tests {
             [],
         );
         sim.run(2000);
-        let duty = sim.duty_cycle(src);
+        let duty = duty_cycle(&sim, src);
         assert!((0.4..=0.6).contains(&duty), "source duty {duty}");
     }
 

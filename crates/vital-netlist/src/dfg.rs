@@ -20,7 +20,7 @@ pub struct DfgEdge {
 
 /// Weighted connectivity extracted from a [`Netlist`].
 ///
-/// Both a directed view (`successors`) — needed to generate the
+/// Both a directed view (`succ`) — needed to generate the
 /// latency-insensitive interface for cut edges — and an undirected merged
 /// view (`neighbors`) — needed by the quadratic placer — are provided.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -75,11 +75,6 @@ impl DataflowGraph {
         self.nodes
     }
 
-    /// Directed out-edges of `node` (driver → sink), merged per neighbour.
-    pub fn successors(&self, node: PrimitiveId) -> &[DfgEdge] {
-        &self.succ[node.index()]
-    }
-
     /// Undirected neighbours of `node`, merged per neighbour.
     pub fn neighbors(&self, node: PrimitiveId) -> &[DfgEdge] {
         &self.neighbors[node.index()]
@@ -117,8 +112,8 @@ mod tests {
         assert_eq!(g.neighbors(a).len(), 1);
         assert_eq!(g.neighbors(a)[0].bits, 32);
         assert_eq!(g.degree_bits(b), 32);
-        assert_eq!(g.successors(a).len(), 1);
-        assert!(g.successors(b).is_empty());
+        assert_eq!(g.succ[a.index()].len(), 1);
+        assert!(g.succ[b.index()].is_empty());
     }
 
     #[test]

@@ -99,9 +99,9 @@ impl Operator {
 /// LUTs per synthesized slice primitive.
 pub const SLICE_LUTS: u16 = 8;
 /// Flip-flops per synthesized slice primitive.
-pub const SLICE_FFS: u16 = 16;
+pub(crate) const SLICE_FFS: u16 = 16;
 /// Slices per MAC-array processing element.
-pub const PE_SLICES: u32 = 4;
+pub(crate) const PE_SLICES: u32 = 4;
 
 /// Index of an operator within an [`AppSpec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -235,11 +235,6 @@ impl AppSpec {
             direction,
         });
         Ok(())
-    }
-
-    /// Number of operators.
-    pub fn operator_count(&self) -> usize {
-        self.operators.len()
     }
 
     /// Estimated total resources without synthesis (used by the runtime to

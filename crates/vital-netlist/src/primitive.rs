@@ -81,7 +81,7 @@ impl PrimitiveKind {
     }
 
     /// Convenience constructor for a RAMB36 block RAM.
-    pub fn bram36() -> Self {
+    pub(crate) fn bram36() -> Self {
         PrimitiveKind::Bram { kb: 36 }
     }
 

@@ -20,7 +20,7 @@ pub struct EthernetFrame {
     /// Sending NIC address.
     pub src: u64,
     /// Destination NIC address.
-    pub dst: u64,
+    pub(crate) dst: u64,
     /// Payload bytes.
     pub payload: Vec<u8>,
 }

@@ -54,7 +54,7 @@ pub struct MemoryStats {
     /// Quota in bytes.
     pub quota_bytes: u64,
     /// Pages currently mapped.
-    pub mapped_pages: u64,
+    pub(crate) mapped_pages: u64,
     /// Reads served.
     pub reads: u64,
     /// Writes served.

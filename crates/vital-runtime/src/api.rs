@@ -106,13 +106,6 @@ impl DeployRequest {
         self.quota_bytes = quota_bytes;
         self
     }
-
-    /// Override the target backend (builder style).
-    #[must_use]
-    pub fn with_backend(mut self, backend: DeployBackend) -> Self {
-        self.backend = backend;
-        self
-    }
 }
 
 /// How a [`ControlRequest::Migrate`] is allowed to move the tenant.
@@ -348,7 +341,7 @@ impl SuspendSummary {
     /// Marks the capsule as portable, recording its scan-state footprint
     /// (builder style, used by the controller's checkpoint path).
     #[must_use]
-    pub fn with_portability(mut self, scan_bits: u64) -> Self {
+    pub(crate) fn with_portability(mut self, scan_bits: u64) -> Self {
         self.portable = true;
         self.scan_bits = scan_bits;
         self
@@ -392,7 +385,7 @@ pub struct MigrationSummary {
 impl MigrationSummary {
     /// Records which migration path produced this summary (builder style).
     #[must_use]
-    pub fn with_policy(mut self, policy: MigratePolicy) -> Self {
+    pub(crate) fn with_policy(mut self, policy: MigratePolicy) -> Self {
         self.policy = policy;
         self
     }

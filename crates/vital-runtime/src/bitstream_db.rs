@@ -73,7 +73,7 @@ impl Inner {
 /// must store an image per application *combination*.)
 ///
 /// Entries are additionally indexed by their [`NetlistDigest`], making the
-/// database a compile cache: [`get_by_digest`](Self::get_by_digest) answers
+/// database a compile cache: a digest lookup answers
 /// "has this exact netlist + configuration been compiled before?" so the
 /// system controller can skip place-and-route entirely on repeat deploys.
 pub struct BitstreamDatabase {
@@ -138,7 +138,10 @@ impl BitstreamDatabase {
     ///
     /// Returns [`RuntimeError::AppExists`] if the name is taken by a
     /// different image.
-    pub fn insert_or_get(&self, bitstream: AppBitstream) -> Result<AppBitstream, RuntimeError> {
+    pub(crate) fn insert_or_get(
+        &self,
+        bitstream: AppBitstream,
+    ) -> Result<AppBitstream, RuntimeError> {
         let mut inner = self.inner.write();
         let name = bitstream.name().to_string();
         if let Some(existing) = inner.by_name.get(&name) {
@@ -182,7 +185,7 @@ impl BitstreamDatabase {
     /// Probes the compile cache: a registered image whose compile input had
     /// this digest, whatever name it was registered under. Counts a cache
     /// hit or miss (see [`cache_stats`](Self::cache_stats)).
-    pub fn get_by_digest(&self, digest: NetlistDigest) -> Option<AppBitstream> {
+    pub(crate) fn get_by_digest(&self, digest: NetlistDigest) -> Option<AppBitstream> {
         let inner = self.inner.read();
         let found = inner
             .by_digest
@@ -205,11 +208,11 @@ impl BitstreamDatabase {
     /// single-flight leader uses this to re-check the cache after winning
     /// the election (a previous leader may have published between the
     /// caller's probe and its join) without double-counting the probe.
-    pub fn contains_digest(&self, digest: NetlistDigest) -> bool {
+    pub(crate) fn contains_digest(&self, digest: NetlistDigest) -> bool {
         self.inner.read().by_digest.contains_key(&digest)
     }
 
-    /// Hit/miss counters accumulated by [`get_by_digest`](Self::get_by_digest).
+    /// Hit/miss counters accumulated by digest lookups.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),

@@ -6,7 +6,7 @@
 //! allocator into a hypervisor. This module packages the two halves into a
 //! [`TenantCheckpoint`] *capsule*:
 //!
-//! * **Channels** — [`quiesce_all`] runs the quiesce protocol over a
+//! * **Channels** — `quiesce_all` runs the quiesce protocol over a
 //!   tenant's channels atomically: it refuses (without touching anything)
 //!   unless *every* channel is past its serialization window, then drains
 //!   each wire and captures deterministic
@@ -32,13 +32,14 @@
 //! # Example
 //!
 //! ```
-//! use vital_runtime::checkpoint::quiesce_all;
 //! use vital_interface::{Channel, ChannelSpec, LinkClass};
+//! use vital_runtime::checkpoint::ChannelCheckpoint;
 //!
-//! let mut channels = vec![Channel::new(ChannelSpec::for_link(LinkClass::IntraDie, 64))];
-//! channels[0].push(0);
-//! let snapshots = quiesce_all(&mut channels, 10).expect("windows closed");
-//! assert_eq!(snapshots[0].occupancy(), 1);
+//! let mut channel = Channel::new(ChannelSpec::for_link(LinkClass::IntraDie, 64));
+//! channel.push(0);
+//! let snapshot = channel.quiesce(10).expect("window closed");
+//! let saved = ChannelCheckpoint { from_block: 0, to_block: 1, snapshot };
+//! assert_eq!(saved.snapshot.occupancy(), 1);
 //! ```
 
 use std::fmt;
@@ -257,7 +258,7 @@ pub struct PortableChannel {
 
 impl PortableChannel {
     /// Strips a quiesced channel down to its geometry-independent state.
-    pub fn from_checkpoint(cc: &ChannelCheckpoint) -> Self {
+    pub(crate) fn from_checkpoint(cc: &ChannelCheckpoint) -> Self {
         PortableChannel {
             from_block: cc.from_block,
             to_block: cc.to_block,
@@ -274,7 +275,7 @@ impl PortableChannel {
     /// re-derives the real link from the new placement and re-specs the
     /// channel when the boundary differs, so the placeholder never
     /// survives into a live channel on the wrong link.
-    pub fn to_checkpoint(&self) -> ChannelCheckpoint {
+    pub(crate) fn to_checkpoint(&self) -> ChannelCheckpoint {
         ChannelCheckpoint {
             from_block: self.from_block,
             to_block: self.to_block,
@@ -307,7 +308,7 @@ pub struct PortableCheckpoint {
     pub tenant: TenantId,
     /// Raw netlist digest of the compile input — the geometry-independent
     /// identity the restore side matches a bitstream against.
-    pub app_digest: u64,
+    pub(crate) app_digest: u64,
     /// Device-model name the tenant was running on at capture
     /// (informational; restore does not require it to match).
     pub source_geometry: String,
@@ -329,7 +330,7 @@ impl PortableCheckpoint {
     ///
     /// `app_digest` is the netlist digest of the bitstream the tenant was
     /// running; `scan` is that bitstream's scan-chain map.
-    pub fn from_capsule(
+    pub(crate) fn from_capsule(
         capsule: &TenantCheckpoint,
         app_digest: u64,
         source_geometry: impl Into<String>,
@@ -355,7 +356,7 @@ impl PortableCheckpoint {
     /// path consumes. Channel specs are placeholders (see
     /// [`PortableChannel::to_checkpoint`]); the controller re-derives them
     /// for the placement it allocates.
-    pub fn to_capsule(&self) -> TenantCheckpoint {
+    pub(crate) fn to_capsule(&self) -> TenantCheckpoint {
         TenantCheckpoint {
             tenant: self.tenant,
             placement: self.placement.clone(),
@@ -458,7 +459,7 @@ impl PortableCheckpoint {
 ///
 /// Returns the [`QuiesceError`] of the first channel (in order) still
 /// inside its serialization window.
-pub fn quiesce_all(
+pub(crate) fn quiesce_all(
     channels: &mut [Channel],
     now: u64,
 ) -> Result<Vec<ChannelSnapshot>, QuiesceError> {

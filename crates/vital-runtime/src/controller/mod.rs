@@ -175,7 +175,7 @@ impl SystemController {
     /// # Panics
     ///
     /// Panics if `layout` is empty or contains a zero.
-    pub fn with_layout(config: RuntimeConfig, layout: Vec<usize>) -> Self {
+    pub(crate) fn with_layout(config: RuntimeConfig, layout: Vec<usize>) -> Self {
         let fpgas = layout.len();
         let topology = Arc::new(Topology::ring(fpgas.max(1)));
         SystemController {
@@ -361,7 +361,7 @@ impl SystemController {
     /// retries.
     ///
     /// Registration is idempotent for byte-identical images (see
-    /// [`BitstreamDatabase::insert_or_get`]), so replaying the same spec is
+    /// `BitstreamDatabase::insert_or_get`), so replaying the same spec is
     /// harmless.
     ///
     /// # Errors

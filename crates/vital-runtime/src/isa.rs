@@ -50,7 +50,7 @@
 //! ```
 
 pub use crate::pool::{ShareChange, TilePool, TilesUnavailable};
-pub use crate::program::{InstructionBlock, IsaProgram, UnknownIsaApp};
+pub use crate::program::{IsaProgram, UnknownIsaApp};
 pub use crate::sched::{IsaJob, IsaJobError, IsaOutcome, IsaReport, IsaSim};
 pub use crate::template::IsaTemplate;
 

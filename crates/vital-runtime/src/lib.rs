@@ -60,7 +60,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod api;
 mod bitstream_db;
@@ -97,8 +97,8 @@ pub use scheduler::{PodScheduler, VitalScheduler};
 pub use vital_cluster::FpgaHealth;
 // The checkpoint capsule types appear in the controller's public API.
 pub use checkpoint::{
-    quiesce_all, ChannelCheckpoint, CheckpointDigest, PlacementMeta, PortableChannel,
-    PortableCheckpoint, ScanState, TenantCheckpoint,
+    ChannelCheckpoint, CheckpointDigest, PlacementMeta, PortableChannel, PortableCheckpoint,
+    ScanState, TenantCheckpoint,
 };
 
 #[cfg(test)]

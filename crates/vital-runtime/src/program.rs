@@ -24,38 +24,12 @@ impl fmt::Display for UnknownIsaApp {
 
 impl std::error::Error for UnknownIsaApp {}
 
-/// One compiled instruction block: the tiled execution of one layer.
-///
-/// The compiler tiles a layer's MAC work across however many tiles the
-/// tenant owns at replay time; `ops` is the layer's share of the job's
-/// total work, and [`InstructionBlock::cycles_on`] gives the per-tile
-/// cycle cost for a given tile share.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct InstructionBlock {
-    /// Layer index within the benchmark (0-based).
-    pub layer: u32,
-    /// MAC operations in this block.
-    pub ops: f64,
-}
-
-impl InstructionBlock {
-    /// Cycles each tile spends on this block when the work is tiled
-    /// across `tiles` tiles with `dsp` DSPs each (two MACs/DSP/cycle).
-    pub fn cycles_on(&self, tiles: usize, dsp: u64) -> f64 {
-        let macs_per_cycle = tiles as f64 * dsp as f64 * 2.0;
-        if macs_per_cycle <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.ops / macs_per_cycle
-    }
-}
-
 /// A tenant's instruction stream: the DNN variant it was compiled from and
 /// the layer structure its jobs replay.
 ///
 /// The fabric backend synthesizes `tile_count` chained compute tiles per
 /// variant (`DnnBenchmark::spec`); the ISA compiler maps the same chain to
-/// `tile_count` layers, each becoming one instruction block. The *natural*
+/// `tile_count` layers. The *natural*
 /// tile share of a tenant is therefore the variant's Table 2 block count,
 /// which keeps the two backends' capacity requests directly comparable.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -108,28 +82,10 @@ impl IsaProgram {
         self.size
     }
 
-    /// Number of layers (= instruction blocks per job replay).
-    pub fn layers(&self) -> u32 {
-        self.layers
-    }
-
     /// The variant's natural tile share: its Table 2 block count. Used as
     /// the initial allocation request when the tenant deploys.
     pub fn natural_tiles(&self) -> usize {
         self.layers as usize
-    }
-
-    /// Compile one job of `work_ops` total MAC operations into its
-    /// instruction blocks, one per layer, work split evenly (the suite's
-    /// tiles are homogeneous by construction — see `DnnBenchmark::spec`).
-    pub fn instruction_blocks(&self, work_ops: f64) -> Vec<InstructionBlock> {
-        let per_layer = work_ops / f64::from(self.layers.max(1));
-        (0..self.layers)
-            .map(|layer| InstructionBlock {
-                layer,
-                ops: per_layer,
-            })
-            .collect()
     }
 }
 
@@ -145,7 +101,7 @@ mod tests {
                 let p = IsaProgram::for_app(&app).unwrap();
                 assert_eq!(p.app(), app);
                 assert_eq!(p.natural_tiles(), b.tile_count(s) as usize);
-                assert_eq!(p.layers(), b.tile_count(s));
+                assert_eq!(p.layers, b.tile_count(s));
             }
         }
     }
@@ -157,19 +113,5 @@ mod tests {
         assert!(IsaProgram::for_app("lenet").is_err());
         let err = IsaProgram::for_app("nope").unwrap_err();
         assert!(err.to_string().contains("nope"));
-    }
-
-    #[test]
-    fn instruction_blocks_conserve_work_and_tile_inversely() {
-        let p = IsaProgram::for_app("vgg-L").unwrap();
-        let blocks = p.instruction_blocks(1.0e12);
-        assert_eq!(blocks.len(), p.layers() as usize);
-        let total: f64 = blocks.iter().map(|b| b.ops).sum();
-        assert!((total - 1.0e12).abs() / 1.0e12 < 1e-12);
-        // Doubling the tile share halves every block's per-tile cycles.
-        let one = blocks[0].cycles_on(1, 48);
-        let two = blocks[0].cycles_on(2, 48);
-        assert!((one / two - 2.0).abs() < 1e-9);
-        assert!(blocks[0].cycles_on(0, 48).is_infinite());
     }
 }

@@ -162,7 +162,7 @@ impl ResourceDatabase {
     }
 
     /// Blocks of one specific FPGA.
-    pub fn blocks_of(&self, fpga: usize) -> usize {
+    pub(crate) fn blocks_of(&self, fpga: usize) -> usize {
         self.read(|v| v.blocks_per_fpga_of(fpga))
     }
 

@@ -3,7 +3,7 @@
 //! Level 1 (hardware): at every quantum boundary the tile allocator
 //! recomputes each tenant's share from queued demand — proportional
 //! shares with a one-tile floor per active tenant — and applies the
-//! change through [`TilePool`], charging [`crate::TILE_SWITCH_S`] per
+//! change through [`TilePool`], charging [`crate::isa::TILE_SWITCH_S`] per
 //! moved tile. Level 2 (tenant): each tenant replays its jobs'
 //! instruction blocks FIFO on whatever tiles it currently owns.
 
@@ -50,7 +50,7 @@ impl From<UnknownIsaApp> for IsaJobError {
 /// Default scheduling quantum: 10 ms, three orders of magnitude finer
 /// than ViTAL's 0.5 s time-slice because an ISA-level switch costs µs
 /// instead of ms.
-pub const DEFAULT_QUANTUM_S: f64 = 0.01;
+pub(crate) const DEFAULT_QUANTUM_S: f64 = 0.01;
 
 /// One inference job submitted by a tenant.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -141,11 +141,6 @@ impl IsaReport {
         }
         let sum: f64 = self.outcomes.iter().map(IsaOutcome::response_s).sum();
         sum / self.outcomes.len() as f64
-    }
-
-    /// Modeled cost of moving one unit of capacity (seconds per tile).
-    pub fn realloc_s_per_tile(&self) -> f64 {
-        TILE_SWITCH_S
     }
 }
 

@@ -16,7 +16,7 @@ use crate::allocate_blocks_on;
 /// the queue can wait forever while a stream of small later arrivals keeps
 /// grabbing every block the moment it frees. The scheduler therefore
 /// *reserves* capacity for the oldest unplaceable request once it has
-/// waited [`VitalScheduler::starvation_age_s`] seconds: backfill candidates
+/// waited `starvation_age_s` seconds: backfill candidates
 /// are only granted blocks the reservation does not need.
 /// In preemptive mode ([`VitalScheduler::time_sliced`]) the policy also
 /// declares a scheduling quantum: the simulator swaps a running tenant out
@@ -82,20 +82,6 @@ impl VitalScheduler {
         self.quantum_s
     }
 
-    /// Sets the age (seconds) at which an unplaceable request earns a
-    /// capacity reservation against backfill. `f64::INFINITY` disables the
-    /// guard (the pre-fix behaviour).
-    #[must_use]
-    pub fn with_starvation_age(mut self, age_s: f64) -> Self {
-        self.starvation_age_s = age_s.max(0.0);
-        self
-    }
-
-    /// The configured starvation-guard age in seconds.
-    pub fn starvation_age_s(&self) -> f64 {
-        self.starvation_age_s
-    }
-
     /// Ablation variant: same allocation policy but programming the fabric
     /// with whole-device bitstreams instead of per-block partial
     /// reconfiguration — quantifies how much of ViTAL's win comes from
@@ -104,11 +90,6 @@ impl VitalScheduler {
     pub fn with_reconfig(mut self, reconfig: ReconfigKind) -> Self {
         self.reconfig = reconfig;
         self
-    }
-
-    /// Whether backfilling is enabled.
-    pub fn backfills(&self) -> bool {
-        self.backfill
     }
 }
 
@@ -239,14 +220,6 @@ impl PodScheduler {
             reconfig: ReconfigKind::PartialPerBlock,
             starvation_age_s: DEFAULT_STARVATION_AGE_S,
         }
-    }
-
-    /// Sets the age (seconds) at which an unplaceable request earns a
-    /// capacity reservation against backfill.
-    #[must_use]
-    pub fn with_starvation_age(mut self, age_s: f64) -> Self {
-        self.starvation_age_s = age_s.max(0.0);
-        self
     }
 }
 
@@ -406,11 +379,17 @@ mod tests {
             .collect();
         reqs.push(AppRequest::new(99, "big", 8, 2.0e9).arriving_at(0.5));
 
-        let starved = sim.run(
-            &mut VitalScheduler::new().with_starvation_age(f64::INFINITY),
-            reqs.clone(),
-        );
-        let guarded = sim.run(&mut VitalScheduler::new().with_starvation_age(3.0), reqs);
+        // An infinite age disables the guard (the pre-fix behaviour).
+        let mut unguarded = VitalScheduler {
+            starvation_age_s: f64::INFINITY,
+            ..VitalScheduler::new()
+        };
+        let starved = sim.run(&mut unguarded, reqs.clone());
+        let mut guarded = VitalScheduler {
+            starvation_age_s: 3.0,
+            ..VitalScheduler::new()
+        };
+        let guarded = sim.run(&mut guarded, reqs);
 
         let wait_of = |r: &vital_cluster::SimReport| {
             r.outcomes
@@ -553,7 +532,11 @@ mod tests {
             .map(|i| AppRequest::new(i, format!("small{i}"), 4, 2.0e9).arriving_at(i as f64))
             .collect();
         reqs.push(AppRequest::new(99, "big", 8, 2.0e9).arriving_at(0.5));
-        let report = sim.run(&mut PodScheduler::new().with_starvation_age(3.0), reqs);
+        let mut policy = PodScheduler {
+            starvation_age_s: 3.0,
+            ..PodScheduler::new()
+        };
+        let report = sim.run(&mut policy, reqs);
         assert_eq!(report.completed(), 21);
         let big = report
             .outcomes

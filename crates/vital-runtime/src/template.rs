@@ -1,7 +1,6 @@
 //! The static accelerator template: a pool of identical compute tiles.
 
 use serde::{Deserialize, Serialize};
-use vital_fabric::Resources;
 
 /// Post-P&R clock of the template, matched to the DNN suite's ~265 MHz
 /// (`vital-workloads::DnnBenchmark::throughput_ops` uses the same clock).
@@ -11,12 +10,6 @@ const TEMPLATE_CLOCK_HZ: f64 = 265.0e6;
 /// 42–52, so the shared template provisions the suite median. Calibration
 /// error against any one benchmark is bounded by (52-48)/48 ≈ 8 %.
 const TEMPLATE_TILE_DSP: u64 = 48;
-
-/// LUTs per template tile (suite average of Table 2's tile LUT budgets).
-const TEMPLATE_TILE_LUT: u64 = 25_000;
-
-/// BRAM kilobits per template tile.
-const TEMPLATE_TILE_BRAM_KB: u64 = 2_940;
 
 /// The static multi-tile accelerator template flashed once per FPGA.
 ///
@@ -58,37 +51,29 @@ impl IsaTemplate {
         self.tile_dsp
     }
 
-    /// Template clock in Hz.
-    pub fn clock_hz(&self) -> f64 {
-        self.clock_hz
-    }
-
     /// Peak rate of one tile in MAC ops/s (two MACs per DSP per cycle,
     /// the same model `DnnBenchmark::throughput_ops` uses).
-    pub fn tile_ops_per_s(&self) -> f64 {
+    pub(crate) fn tile_ops_per_s(&self) -> f64 {
         self.tile_dsp as f64 * 2.0 * self.clock_hz
     }
 
     /// Aggregate rate of a tenant owning `tiles` tiles, in ops/s.
-    pub fn tenant_ops_per_s(&self, tiles: usize) -> f64 {
+    pub(crate) fn tenant_ops_per_s(&self, tiles: usize) -> f64 {
         tiles as f64 * self.tile_ops_per_s()
-    }
-
-    /// Fabric resources of one template tile (Table 2 calibration).
-    pub fn tile_resources(&self) -> Resources {
-        Resources::new(
-            TEMPLATE_TILE_LUT,
-            2 * TEMPLATE_TILE_LUT,
-            self.tile_dsp,
-            TEMPLATE_TILE_BRAM_KB,
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vital_fabric::Resources;
     use vital_workloads::{benchmarks, Size};
+
+    /// LUTs per template tile (suite average of Table 2's tile LUT budgets).
+    const TEMPLATE_TILE_LUT: u64 = 25_000;
+
+    /// BRAM kilobits per template tile.
+    const TEMPLATE_TILE_BRAM_KB: u64 = 2_940;
 
     #[test]
     fn tile_matches_one_vital_block_at_routability_fill() {
@@ -97,7 +82,13 @@ mod tests {
         // equal silicon.
         let block = Resources::new(79_200, 158_400, 580, 4_320);
         let t = IsaTemplate::paper_pool();
-        assert_eq!(t.tile_resources().blocks_needed(&block, 0.33), 1);
+        let tile = Resources::new(
+            TEMPLATE_TILE_LUT,
+            2 * TEMPLATE_TILE_LUT,
+            t.tile_dsp(),
+            TEMPLATE_TILE_BRAM_KB,
+        );
+        assert_eq!(tile.blocks_needed(&block, 0.33), 1);
     }
 
     #[test]

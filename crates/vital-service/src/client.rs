@@ -22,7 +22,6 @@ use crate::wire::{
 pub struct RemoteClient {
     io: Mutex<Io>,
     format: WireFormat,
-    max_frame_bytes: usize,
     next_id: std::sync::atomic::AtomicU64,
 }
 
@@ -51,7 +50,6 @@ impl RemoteClient {
                 reader: BufReader::new(stream),
             }),
             format,
-            max_frame_bytes: MAX_FRAME_BYTES,
             next_id: std::sync::atomic::AtomicU64::new(1),
         })
     }
@@ -67,7 +65,7 @@ impl RemoteClient {
         let mut io = self.io.lock().expect("client lock poisoned");
         write_frame(&mut io.writer, &RequestEnvelope { id, req }, self.format)?;
         let (reply, _): (ResponseEnvelope, WireFormat) =
-            read_frame(&mut io.reader, self.max_frame_bytes)?;
+            read_frame(&mut io.reader, MAX_FRAME_BYTES)?;
         if reply.id != id {
             return Err(ServiceError::Protocol(format!(
                 "response id {} does not match request id {id}",

@@ -16,9 +16,6 @@ pub struct ServiceConfig {
     /// [`ServiceServer`](crate::ServiceServer); each thread owns a set of
     /// non-blocking connections.
     pub io_threads: usize,
-    /// Largest wire frame (payload bytes) the server and its clients
-    /// accept; bigger announcements are refused before allocation.
-    pub max_frame_bytes: usize,
     /// Total requests the admission queue holds before new submissions
     /// are rejected with `Overloaded` (split evenly across shards).
     pub queue_capacity: usize,
@@ -28,14 +25,14 @@ pub struct ServiceConfig {
     /// Deadline per request, covering both queue wait and execution. A
     /// request that goes stale in the queue is answered `Timeout` without
     /// ever executing; a caller stops waiting after the same span.
-    pub request_timeout: Duration,
+    pub(crate) request_timeout: Duration,
     /// Most jobs a worker takes from its shard's queue per lock
     /// acquisition; they then execute one by one, in pop order, each
     /// answered as soon as it finishes.
     pub batch_max: usize,
     /// Artificial pause before each executed request — a fault-injection
     /// knob for tests that need a provably full queue. Zero in production.
-    pub worker_delay: Duration,
+    pub(crate) worker_delay: Duration,
 }
 
 impl Default for ServiceConfig {
@@ -44,7 +41,6 @@ impl Default for ServiceConfig {
             workers: 4,
             shards: 4,
             io_threads: 2,
-            max_frame_bytes: crate::wire::MAX_FRAME_BYTES,
             queue_capacity: 256,
             per_session_limit: 32,
             request_timeout: Duration::from_secs(30),
@@ -74,14 +70,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_io_threads(mut self, io_threads: usize) -> Self {
         self.io_threads = io_threads.max(1);
-        self
-    }
-
-    /// Override the per-frame byte ceiling (minimum 1 KiB, so a response
-    /// envelope always fits).
-    #[must_use]
-    pub fn with_max_frame_bytes(mut self, max_frame_bytes: usize) -> Self {
-        self.max_frame_bytes = max_frame_bytes.max(1024);
         self
     }
 
@@ -137,14 +125,12 @@ mod tests {
             .with_workers(0)
             .with_shards(0)
             .with_io_threads(0)
-            .with_max_frame_bytes(0)
             .with_queue_capacity(0)
             .with_per_session_limit(0)
             .with_batch_max(0);
         assert_eq!(c.workers, 1);
         assert_eq!(c.shards, 1);
         assert_eq!(c.io_threads, 1);
-        assert_eq!(c.max_frame_bytes, 1024);
         assert_eq!(c.queue_capacity, 1);
         assert_eq!(c.per_session_limit, 1);
         assert_eq!(c.batch_max, 1);

@@ -53,7 +53,7 @@
 // `deny`, not the workspace's usual `forbid`: the one module below that
 // opts out holds the `poll(2)` declaration (DESIGN.md §13.2).
 #![deny(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod client;
 mod codec;
@@ -74,8 +74,8 @@ pub use error::ServiceError;
 pub use server::ServiceServer;
 pub use service::{PendingCall, ServiceClient, Vitald};
 pub use wire::{
-    encode_frame, read_frame, write_frame, Envelope, FrameDecoder, RequestEnvelope,
-    ResponseEnvelope, WireFormat, MAX_FRAME_BYTES,
+    encode_frame, read_frame, Envelope, FrameDecoder, RequestEnvelope, ResponseEnvelope,
+    WireFormat, MAX_FRAME_BYTES,
 };
 
 pub use vital_compiler::DeviceModel;

@@ -32,7 +32,7 @@ pub(crate) struct PollFd {
 impl PollFd {
     /// Watches `fd` for `events`; `None` is a placeholder the kernel
     /// skips (a negative descriptor), keeping set indices stable.
-    pub fn new(fd: Option<RawFd>, events: i16) -> Self {
+    pub(crate) fn new(fd: Option<RawFd>, events: i16) -> Self {
         PollFd {
             fd: fd.unwrap_or(-1),
             events,
@@ -41,7 +41,7 @@ impl PollFd {
     }
 
     /// What the last [`wait`] reported for this entry.
-    pub fn revents(&self) -> i16 {
+    pub(crate) fn revents(&self) -> i16 {
         self.revents
     }
 }

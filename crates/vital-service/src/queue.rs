@@ -28,7 +28,7 @@ pub(crate) struct Job {
     /// The submitting session.
     pub session: u64,
     /// When the job entered the queue (latency accounting).
-    pub enqueued: Instant,
+    pub(crate) enqueued: Instant,
     /// Deadline after which the job is answered `Timeout` unexecuted.
     pub deadline: Instant,
     /// Completion slot the submitting client waits on.
@@ -58,7 +58,7 @@ pub(crate) struct FairQueue {
 }
 
 impl FairQueue {
-    pub fn new(capacity: usize, per_session: usize) -> Self {
+    pub(crate) fn new(capacity: usize, per_session: usize) -> Self {
         FairQueue {
             capacity,
             per_session,
@@ -74,7 +74,7 @@ impl FairQueue {
     }
 
     /// Admits a job, or rejects it without side effects.
-    pub fn push(&self, job: Job, retry_after_ms: u64) -> Result<(), ServiceError> {
+    pub(crate) fn push(&self, job: Job, retry_after_ms: u64) -> Result<(), ServiceError> {
         let mut inner = self.inner.lock().expect("queue lock poisoned");
         if inner.draining {
             return Err(ServiceError::Draining { retry_after_ms });
@@ -103,7 +103,7 @@ impl FairQueue {
     /// [`FairQueue::pop_many`]; this single-job form remains as the
     /// reference semantics the batched pop is tested against.
     #[cfg(test)]
-    pub fn pop(&self) -> Option<Job> {
+    pub(crate) fn pop(&self) -> Option<Job> {
         let mut inner = self.inner.lock().expect("queue lock poisoned");
         loop {
             if let Some(job) = Self::take_next(&mut inner) {
@@ -124,7 +124,7 @@ impl FairQueue {
     /// [`FairQueue::pop`] calls would produce (round-robin across
     /// sessions, FIFO within one). Returns `None` once draining *and*
     /// empty.
-    pub fn pop_many(&self, max: usize) -> Option<Vec<Job>> {
+    pub(crate) fn pop_many(&self, max: usize) -> Option<Vec<Job>> {
         let mut inner = self.inner.lock().expect("queue lock poisoned");
         loop {
             if let Some(job) = Self::take_next(&mut inner) {
@@ -167,13 +167,13 @@ impl FairQueue {
     /// Flips the queue into draining mode: new pushes are rejected with
     /// `Draining`, queued jobs still execute, and blocked workers wake so
     /// they can observe the exit condition.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         self.inner.lock().expect("queue lock poisoned").draining = true;
         self.not_empty.notify_all();
     }
 
     /// Blocks until every queued job has been taken by a worker.
-    pub fn wait_empty(&self) {
+    pub(crate) fn wait_empty(&self) {
         let mut inner = self.inner.lock().expect("queue lock poisoned");
         while inner.len > 0 {
             inner = self.got_smaller.wait(inner).expect("queue lock poisoned");
@@ -181,13 +181,13 @@ impl FairQueue {
     }
 
     /// Queued jobs right now.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().expect("queue lock poisoned").len
     }
 
     /// `true` while `session` has jobs queued here (the shard layer uses
     /// this to decide whether a session pin may be dropped).
-    pub fn has_session(&self, session: u64) -> bool {
+    pub(crate) fn has_session(&self, session: u64) -> bool {
         self.inner
             .lock()
             .expect("queue lock poisoned")

@@ -33,7 +33,7 @@ use vital_runtime::ControlResponse;
 use crate::poll::{self, PollFd, POLLGONE, POLLIN, POLLOUT};
 use crate::service::{PendingCall, ServiceClient, Vitald};
 use crate::slot::Waker;
-use crate::wire::{FrameDecoder, IncomingRequest, ResponseEnvelope, WireFormat};
+use crate::wire::{FrameDecoder, IncomingRequest, ResponseEnvelope, WireFormat, MAX_FRAME_BYTES};
 use crate::ServiceError;
 
 /// Reads per sweep are bounded by this scratch size per connection.
@@ -67,9 +67,7 @@ impl ServiceServer {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let config = vitald.config();
-        let max_frame_bytes = config.max_frame_bytes;
-        let reactors: Arc<[Reactor]> = (0..config.io_threads.max(1))
+        let reactors: Arc<[Reactor]> = (0..vitald.config().io_threads.max(1))
             .map(|_| Reactor::new())
             .collect::<std::io::Result<_>>()?;
 
@@ -82,9 +80,7 @@ impl ServiceServer {
             io_threads.push(
                 std::thread::Builder::new()
                     .name(format!("vitald-io-{i}"))
-                    .spawn(move || {
-                        reactor_loop(&reactors, i, listener, clients, &stop, max_frame_bytes)
-                    })?,
+                    .spawn(move || reactor_loop(&reactors, i, listener, clients, &stop))?,
             );
         }
 
@@ -203,11 +199,11 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, client: ServiceClient, max_frame_bytes: usize) -> Self {
+    fn new(stream: TcpStream, client: ServiceClient) -> Self {
         Conn {
             stream,
             client,
-            decoder: FrameDecoder::new(max_frame_bytes),
+            decoder: FrameDecoder::new(MAX_FRAME_BYTES),
             owed: VecDeque::new(),
             outbuf: Vec::new(),
             written: 0,
@@ -242,7 +238,7 @@ impl Conn {
     /// Does what the wait reported (`revents`) for this socket, then
     /// writes back whatever has been answered. A connection the wait did
     /// not report costs one look at its head-of-line slot and no syscall.
-    fn serve(&mut self, revents: i16, scratch: &mut [u8], max_frame_bytes: usize) {
+    fn serve(&mut self, revents: i16, scratch: &mut [u8]) {
         // `poll(2)` reports a reset or fully closed peer whatever was
         // asked for, so such a connection must not survive this call (or
         // the wait would spin on it): attempt the I/O and let the error,
@@ -255,7 +251,7 @@ impl Conn {
             let read = self.pump_reads(scratch);
             self.dead |= gone && read == 0;
         }
-        if self.pump_responses(max_frame_bytes) > 0 {
+        if self.pump_responses() > 0 {
             self.flush();
         }
     }
@@ -328,7 +324,7 @@ impl Conn {
 
     /// Serializes every response that is ready, strictly in request
     /// order. Returns responses serialized.
-    fn pump_responses(&mut self, max_frame_bytes: usize) -> usize {
+    fn pump_responses(&mut self) -> usize {
         let mut progressed = 0;
         while let Some(owed) = self.owed.pop_front() {
             let (id, resp) = match owed {
@@ -342,13 +338,13 @@ impl Conn {
                 },
             };
             let reply = ResponseEnvelope { id, resp };
-            if crate::wire::encode_frame(&reply, self.format, max_frame_bytes, &mut self.outbuf)
+            if crate::wire::encode_frame(&reply, self.format, MAX_FRAME_BYTES, &mut self.outbuf)
                 .is_err()
             {
                 // A response too large for the frame limit: answer with a
                 // typed protocol error instead of silence.
                 let e = ServiceError::Protocol(format!(
-                    "response exceeds the {max_frame_bytes} byte frame limit"
+                    "response exceeds the {MAX_FRAME_BYTES} byte frame limit"
                 ));
                 let fallback = ResponseEnvelope {
                     id: reply.id,
@@ -357,7 +353,7 @@ impl Conn {
                 if crate::wire::encode_frame(
                     &fallback,
                     self.format,
-                    max_frame_bytes,
+                    MAX_FRAME_BYTES,
                     &mut self.outbuf,
                 )
                 .is_err()
@@ -380,7 +376,6 @@ fn reactor_loop(
     listener: Option<TcpListener>,
     clients: ServiceClient,
     stop: &AtomicBool,
-    max_frame_bytes: usize,
 ) {
     let Reactor { inbox, load, waker } = &reactors[me];
     let telemetry = clients.telemetry();
@@ -445,7 +440,7 @@ fn reactor_loop(
             }
         }
         for (conn, fd) in conns.iter_mut().zip(&fds[2..]) {
-            conn.serve(fd.revents(), &mut scratch, max_frame_bytes);
+            conn.serve(fd.revents(), &mut scratch);
         }
         let before = conns.len();
         conns.retain(|c| !c.finished());
@@ -459,7 +454,7 @@ fn reactor_loop(
             }
             let _ = stream.set_nodelay(true);
             let client = clients.sibling_waking(Arc::clone(waker));
-            conns.push(Conn::new(stream, client, max_frame_bytes));
+            conns.push(Conn::new(stream, client));
         }
     }
 }

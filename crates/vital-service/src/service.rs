@@ -340,15 +340,10 @@ impl ServiceClient {
         self.session
     }
 
-    /// A client on the same service under a **fresh** session id — the
-    /// sibling gets its own fairness allowance (and its own
-    /// power-of-two-choices shard), exactly like [`Vitald::client`].
-    pub fn sibling(&self) -> ServiceClient {
-        ServiceClient::new(&self.inner, None)
-    }
-
-    /// A [`sibling`](ServiceClient::sibling) for one TCP connection: every
-    /// answer to its submissions wakes the reactor behind `waker`.
+    /// A client on the same service under a **fresh** session id, for one
+    /// TCP connection — it gets its own fairness allowance (and its own
+    /// power-of-two-choices shard), exactly like [`Vitald::client`] — and
+    /// every answer to its submissions wakes the reactor behind `waker`.
     pub(crate) fn sibling_waking(&self, waker: Arc<Waker>) -> ServiceClient {
         ServiceClient::new(&self.inner, Some(waker))
     }
@@ -396,7 +391,7 @@ impl ServiceClient {
 
     /// Like [`ServiceClient::call`], with service-layer failures as a
     /// typed [`ServiceError`] instead of a response value.
-    pub fn try_call(&self, req: ControlRequest) -> Result<ControlResponse, ServiceError> {
+    pub(crate) fn try_call(&self, req: ControlRequest) -> Result<ControlResponse, ServiceError> {
         let slot = self
             .inner
             .submit(self.session, &self.pinned, self.waker.as_ref(), req)?;

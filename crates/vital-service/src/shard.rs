@@ -42,7 +42,7 @@ impl ShardSet {
     /// Builds `shards` queues splitting `total_capacity` evenly (each
     /// shard gets at least one slot); `per_session` applies within the
     /// pinned shard, exactly as it did on the single global queue.
-    pub fn new(shards: usize, total_capacity: usize, per_session: usize) -> Self {
+    pub(crate) fn new(shards: usize, total_capacity: usize, per_session: usize) -> Self {
         let shards = shards.max(1);
         let per_shard = total_capacity.div_ceil(shards).max(1);
         ShardSet {
@@ -55,12 +55,12 @@ impl ShardSet {
     }
 
     /// Number of shards.
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
     /// The queue a worker bound to shard `i` drains.
-    pub fn shard(&self, i: usize) -> &FairQueue {
+    pub(crate) fn shard(&self, i: usize) -> &FairQueue {
         &self.shards[i]
     }
 
@@ -97,7 +97,7 @@ impl ShardSet {
     /// The shard `session` is pinned to, pinning it via two-choices on
     /// first use. Clients cache the answer (placement is a per-session
     /// constant), so steady-state submissions skip this lock entirely.
-    pub fn place(&self, session: u64) -> usize {
+    pub(crate) fn place(&self, session: u64) -> usize {
         let mut pins = self.pins.lock().expect("pin table poisoned");
         if let Some(&shard) = pins.get(&session) {
             return shard;
@@ -119,7 +119,7 @@ impl ShardSet {
     /// [`ShardSet::place`]/[`ShardSet::push_to`] directly; this composed
     /// form is the reference semantics the property tests exercise.
     #[cfg(test)]
-    pub fn push(&self, job: Job, retry_after_ms: u64) -> Result<(), ServiceError> {
+    pub(crate) fn push(&self, job: Job, retry_after_ms: u64) -> Result<(), ServiceError> {
         let session = job.session;
         let shard = self.place(session);
         self.push_to(shard, job, retry_after_ms)
@@ -129,14 +129,19 @@ impl ShardSet {
     /// Admits a job directly into `shard` — the fast path for clients
     /// that cached their placement. The caller owns the affinity
     /// invariant: `shard` must be the session's placed shard.
-    pub fn push_to(&self, shard: usize, job: Job, retry_after_ms: u64) -> Result<(), ServiceError> {
+    pub(crate) fn push_to(
+        &self,
+        shard: usize,
+        job: Job,
+        retry_after_ms: u64,
+    ) -> Result<(), ServiceError> {
         self.shards[shard].push(job, retry_after_ms)
     }
 
     /// Drops `session`'s pin unless it still has work queued in `shard` —
     /// a rejected first submission should not nail the session to a full
     /// shard forever; its next submission re-runs two-choices.
-    pub fn unpin_idle(&self, session: u64, shard: usize) {
+    pub(crate) fn unpin_idle(&self, session: u64, shard: usize) {
         if !self.shards[shard].has_session(session) {
             self.pins
                 .lock()
@@ -146,19 +151,19 @@ impl ShardSet {
     }
 
     /// Queued jobs across all shards.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards.iter().map(FairQueue::len).sum()
     }
 
     /// Flips every shard into draining mode.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         for q in &self.shards {
             q.drain();
         }
     }
 
     /// Blocks until every shard's queue is empty.
-    pub fn wait_empty(&self) {
+    pub(crate) fn wait_empty(&self) {
         for q in &self.shards {
             q.wait_empty();
         }

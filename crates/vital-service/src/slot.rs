@@ -45,7 +45,7 @@ pub(crate) struct Waker {
 }
 
 impl Waker {
-    pub fn new() -> std::io::Result<Arc<Waker>> {
+    pub(crate) fn new() -> std::io::Result<Arc<Waker>> {
         let (tx, rx) = UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
@@ -57,23 +57,23 @@ impl Waker {
     }
 
     /// The descriptor that turns readable when a wake-up was written.
-    pub fn fd(&self) -> RawFd {
+    pub(crate) fn fd(&self) -> RawFd {
         self.rx.as_raw_fd()
     }
 
     /// Announces that the owner is about to block. Everything a waker may
     /// publish must be re-checked *after* this call and before blocking.
-    pub fn arm(&self) {
+    pub(crate) fn arm(&self) {
         self.armed.store(true, Ordering::SeqCst);
     }
 
     /// The owner is awake again: wakers stop paying for the syscall.
-    pub fn disarm(&self) {
+    pub(crate) fn disarm(&self) {
         self.armed.store(false, Ordering::SeqCst);
     }
 
     /// Discards the wake-up bytes written so far; returns how many.
-    pub fn drain(&self) -> u64 {
+    pub(crate) fn drain(&self) -> u64 {
         let mut buf = [0u8; 64];
         let mut drained = 0;
         while let Ok(n @ 1..) = (&self.rx).read(&mut buf) {
@@ -85,7 +85,7 @@ impl Waker {
     /// Call after publishing: ends the owner's wait if it is armed. The
     /// first waker to find the flag set clears it and writes the byte, so
     /// any number of wake-ups between two waits cost one `write`.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         if self.armed.swap(false, Ordering::SeqCst) {
             // A full channel already holds a pending wake-up.
             let _ = (&self.tx).write(&[1]);
@@ -131,7 +131,7 @@ pub(crate) struct SlotPool {
 }
 
 impl SlotPool {
-    pub fn new(max_free: usize) -> Arc<Self> {
+    pub(crate) fn new(max_free: usize) -> Arc<Self> {
         Arc::new(SlotPool {
             free: Mutex::new(Vec::new()),
             max_free,
@@ -139,7 +139,7 @@ impl SlotPool {
     }
 
     /// A slot for one request, recycled from the freelist when possible.
-    pub fn acquire(self: &Arc<Self>) -> SlotHandle {
+    pub(crate) fn acquire(self: &Arc<Self>) -> SlotHandle {
         let slot = self
             .free
             .lock()
@@ -171,7 +171,7 @@ impl SlotPool {
 
     /// Slots currently sitting in the freelist.
     #[cfg(test)]
-    pub fn free_len(&self) -> usize {
+    pub(crate) fn free_len(&self) -> usize {
         self.free.lock().expect("slot pool lock poisoned").len()
     }
 }
@@ -216,7 +216,7 @@ impl SlotHandle {
     /// An unpooled slot (its memory is freed, not recycled, when the last
     /// handle drops). The service path goes through [`SlotPool::acquire`].
     #[cfg(test)]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SlotHandle {
             slot: Some(Arc::new(Slot::new())),
             pool: None,
@@ -229,13 +229,13 @@ impl SlotHandle {
 
     /// Names the reactor to wake when this slot completes. Call before
     /// the job is queued.
-    pub fn set_waker(&self, waker: Arc<Waker>) {
+    pub(crate) fn set_waker(&self, waker: Arc<Waker>) {
         self.slot().state.lock().expect("slot lock poisoned").waker = Some(waker);
     }
 
     /// Publishes the response; wakes the waiter only if one is parked,
     /// and the submitting reactor only if it is armed.
-    pub fn complete(&self, resp: ControlResponse) {
+    pub(crate) fn complete(&self, resp: ControlResponse) {
         let slot = self.slot();
         let mut state = slot.state.lock().expect("slot lock poisoned");
         state.response = Some(resp);
@@ -251,13 +251,13 @@ impl SlotHandle {
     }
 
     /// `true` once the response is published and not yet taken.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         let state = self.slot().state.lock().expect("slot lock poisoned");
         state.response.is_some()
     }
 
     /// Takes the response if it has already arrived, without blocking.
-    pub fn try_take(&self) -> Option<ControlResponse> {
+    pub(crate) fn try_take(&self) -> Option<ControlResponse> {
         self.slot()
             .state
             .lock()
@@ -268,7 +268,7 @@ impl SlotHandle {
 
     /// Blocks until the response arrives or `timeout` elapses. `None`
     /// means the caller gave up — the request may still execute.
-    pub fn wait(&self, timeout: Duration) -> Option<ControlResponse> {
+    pub(crate) fn wait(&self, timeout: Duration) -> Option<ControlResponse> {
         let slot = self.slot();
         let deadline = Instant::now() + timeout;
         let mut state = slot.state.lock().expect("slot lock poisoned");

@@ -34,10 +34,10 @@ use vital_runtime::{ControlRequest, ControlResponse};
 use crate::codec::{decode_value, encode_value};
 use crate::error::ServiceError;
 
-/// Default hard ceiling on one frame's payload — a checkpoint capsule
-/// with a populated DRAM image is the largest legitimate payload.
-/// Tunable per server via
-/// [`ServiceConfig::max_frame_bytes`](crate::ServiceConfig::max_frame_bytes).
+/// Hard ceiling on one frame's payload, on the server and in
+/// [`RemoteClient`](crate::RemoteClient) — a checkpoint capsule with a
+/// populated DRAM image is the largest legitimate payload. Bigger
+/// announcements are refused before allocation.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// Opcode of a binary request envelope.
@@ -146,7 +146,7 @@ pub fn encode_frame<T: Envelope + Serialize>(
 }
 
 /// Writes one framed envelope to a blocking writer.
-pub fn write_frame<W: Write, T: Envelope + Serialize>(
+pub(crate) fn write_frame<W: Write, T: Envelope + Serialize>(
     w: &mut W,
     env: &T,
     format: WireFormat,
@@ -244,11 +244,6 @@ impl FrameDecoder {
             self.consumed = 0;
         }
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Unconsumed bytes currently buffered.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.consumed
     }
 
     /// Takes the next complete envelope, if one is fully buffered.
@@ -430,7 +425,7 @@ mod tests {
             }
         }
         assert_eq!(decoded, vec![1, 2]);
-        assert_eq!(decoder.pending_bytes(), 0);
+        assert_eq!(decoder.consumed, decoder.buf.len(), "every byte consumed");
     }
 
     #[test]

@@ -29,9 +29,8 @@
 //!
 //! # Deterministic in sim time
 //!
-//! A handle created with [`Telemetry::sim`] uses a *manual* clock: time
-//! only moves when the owner calls [`Telemetry::set_now_us`] or records
-//! with an explicit timestamp ([`Telemetry::event_at`]). The sim path
+//! A handle created with [`Telemetry::sim`] uses a *manual* clock: the
+//! owner records with an explicit timestamp ([`Telemetry::event_at`]). The sim path
 //! never reads the wall clock, so the exported trace is a pure function of
 //! the simulation inputs (verified by the `sim_determinism` integration
 //! test).
@@ -55,7 +54,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod export;
 mod metrics;
@@ -66,7 +65,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-pub use metrics::{HistogramSummary, LogHistogram, MetricsSnapshot};
+pub use metrics::{HistogramSummary, MetricsSnapshot};
 
 /// A single typed field value attached to a span or event.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,7 +149,7 @@ pub struct TraceRecord {
     pub start_us: u64,
     /// Display track (`tid` in the Chrome trace): 0 unless the emitter
     /// chose a track, e.g. one per parallel P&R worker slot.
-    pub track: u32,
+    pub(crate) track: u32,
     /// Unique id of this record within the handle.
     pub id: u64,
     /// Id of the enclosing span, if any.
@@ -212,9 +211,9 @@ impl Telemetry {
         Self::with_clock(Clock::Wall(Instant::now()))
     }
 
-    /// A live handle on a *manual* clock starting at 0 µs. Time only moves
-    /// via [`Telemetry::set_now_us`] / explicit-timestamp recording, so
-    /// traces are deterministic. Use for the cluster simulator.
+    /// A live handle on a *manual* clock starting at 0 µs. Events carry
+    /// explicit timestamps ([`Telemetry::event_at`]), so traces are
+    /// deterministic. Use for the cluster simulator.
     pub fn sim() -> Self {
         Self::with_clock(Clock::Manual(AtomicU64::new(0)))
     }
@@ -228,25 +227,6 @@ impl Telemetry {
                 next_id: AtomicU64::new(1),
             })),
         }
-    }
-
-    /// `true` if this handle records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Advances the manual clock (no-op on wall-clock or disabled handles).
-    pub fn set_now_us(&self, now_us: u64) {
-        if let Some(inner) = &self.inner {
-            if let Clock::Manual(us) = &inner.clock {
-                us.store(now_us, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// The handle's current time in microseconds (0 when disabled).
-    pub fn now_us(&self) -> u64 {
-        self.inner.as_ref().map(|i| i.now_us()).unwrap_or(0)
     }
 
     /// Starts a root span. The span records itself when dropped or
@@ -463,13 +443,27 @@ impl Drop for Span {
 }
 
 #[cfg(test)]
+impl Telemetry {
+    /// Advances the manual clock (no-op on wall-clock or disabled handles).
+    /// The simulators stamp their events explicitly ([`Telemetry::event_at`]);
+    /// only the tests move the clock under running spans.
+    pub(crate) fn set_now_us(&self, now_us: u64) {
+        if let Some(inner) = &self.inner {
+            if let Clock::Manual(us) = &inner.clock {
+                us.store(now_us, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn disabled_handle_records_nothing() {
         let tel = Telemetry::disabled();
-        assert!(!tel.is_enabled());
+        assert!(tel.inner.is_none());
         let mut span = tel.span("noop");
         span.field("k", 1u64);
         let child = span.child("noop.child");

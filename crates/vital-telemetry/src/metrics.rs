@@ -21,7 +21,7 @@ const BUCKET_OFFSET: i32 = 40;
 /// the exact observed min/max. Relative quantile error is bounded by the
 /// bucket width (≤ √2×).
 #[derive(Debug, Clone)]
-pub struct LogHistogram {
+pub(crate) struct LogHistogram {
     buckets: Vec<u64>,
     count: u64,
     sum: f64,
@@ -37,7 +37,7 @@ impl Default for LogHistogram {
 
 impl LogHistogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LogHistogram {
             buckets: vec![0; BUCKET_COUNT],
             count: 0,
@@ -57,7 +57,7 @@ impl LogHistogram {
 
     /// Records one observation. Non-finite values are counted in the
     /// underflow bucket but excluded from `sum`/`min`/`max`.
-    pub fn record(&mut self, value: f64) {
+    pub(crate) fn record(&mut self, value: f64) {
         self.buckets[Self::bucket_index(value)] += 1;
         self.count += 1;
         if value.is_finite() {
@@ -67,13 +67,8 @@ impl LogHistogram {
         }
     }
 
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Estimates the `q`-quantile (`q` in `[0, 1]`).
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -95,7 +90,7 @@ impl LogHistogram {
     }
 
     /// A compact summary (count, sum, min, max, p50, p95).
-    pub fn summary(&self) -> HistogramSummary {
+    pub(crate) fn summary(&self) -> HistogramSummary {
         HistogramSummary {
             count: self.count,
             sum: self.sum,
@@ -107,7 +102,7 @@ impl LogHistogram {
     }
 }
 
-/// Point-in-time summary of one [`LogHistogram`].
+/// Point-in-time summary of one log-bucketed histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HistogramSummary {
     /// Number of observations.
@@ -130,7 +125,7 @@ pub struct MetricsSnapshot {
     /// Monotonic counters by name.
     pub counters: BTreeMap<String, u64>,
     /// Last-write-wins gauges by name.
-    pub gauges: BTreeMap<String, f64>,
+    pub(crate) gauges: BTreeMap<String, f64>,
     /// Histogram summaries by name.
     pub histograms: BTreeMap<String, HistogramSummary>,
 }
@@ -208,7 +203,7 @@ mod tests {
         assert!((0.25..=1.0).contains(&p50), "p50 {p50}");
         assert!((0.5..=1.0).contains(&p95), "p95 {p95}");
         assert!(p50 <= p95);
-        assert_eq!(h.count(), 1000);
+        assert_eq!(h.count, 1000);
     }
 
     #[test]

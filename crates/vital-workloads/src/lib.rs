@@ -29,7 +29,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod dnn;
 mod sets;
@@ -41,8 +41,7 @@ pub use sets::{
     generate_bursty_workload_set, generate_workload_set, SizingModel, WorkloadComposition,
     WorkloadParams,
 };
-pub use trace::WorkloadTrace;
 pub use traffic::{
-    burst_timeline, bursty_tenant_arrivals, random_traffic_sinks, tenant_arrivals_as_requests,
-    TenantArrival, TenantTrafficConfig,
+    bursty_tenant_arrivals, random_traffic_sinks, tenant_arrivals_as_requests, TenantArrival,
+    TenantTrafficConfig,
 };

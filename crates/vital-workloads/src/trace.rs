@@ -1,48 +1,45 @@
-//! Workload-trace persistence: serialize generated sets so an experiment's
-//! exact request stream can be archived and replayed (the paper averages
-//! several generated sets per condition, §5.1 — traces make those runs
-//! auditable).
-
-use serde::{Deserialize, Serialize};
-use vital_cluster::AppRequest;
-
-use crate::WorkloadComposition;
-
-/// A workload set plus the provenance needed to regenerate or audit it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WorkloadTrace {
-    /// The Table 3 composition the set was drawn from.
-    pub composition: WorkloadComposition,
-    /// Generator seed.
-    pub seed: u64,
-    /// The request stream.
-    pub requests: Vec<AppRequest>,
-}
-
-impl WorkloadTrace {
-    /// Serializes the trace to pretty JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`serde_json::Error`] if serialization fails.
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self)
-    }
-
-    /// Restores a trace from [`WorkloadTrace::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`serde_json::Error`] on malformed input.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-}
+//! Workload-trace persistence: a generated set, with the provenance needed
+//! to regenerate it, survives JSON exactly, so an experiment's request
+//! stream can be archived and replayed (the paper averages several
+//! generated sets per condition, §5.1 — traces make those runs auditable).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::{generate_workload_set, SizingModel, WorkloadParams};
+    use serde::{Deserialize, Serialize};
+    use vital_cluster::AppRequest;
+
+    use crate::{generate_workload_set, SizingModel, WorkloadComposition, WorkloadParams};
+
+    /// A workload set plus the provenance needed to regenerate or audit it.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    struct WorkloadTrace {
+        /// The Table 3 composition the set was drawn from.
+        composition: WorkloadComposition,
+        /// Generator seed.
+        seed: u64,
+        /// The request stream.
+        requests: Vec<AppRequest>,
+    }
+
+    impl WorkloadTrace {
+        /// Serializes the trace to pretty JSON.
+        ///
+        /// # Errors
+        ///
+        /// Returns a [`serde_json::Error`] if serialization fails.
+        fn to_json(&self) -> Result<String, serde_json::Error> {
+            serde_json::to_string_pretty(self)
+        }
+
+        /// Restores a trace from [`WorkloadTrace::to_json`] output.
+        ///
+        /// # Errors
+        ///
+        /// Returns a [`serde_json::Error`] on malformed input.
+        fn from_json(json: &str) -> Result<Self, serde_json::Error> {
+            serde_json::from_str(json)
+        }
+    }
 
     #[test]
     fn trace_roundtrips_exactly() {

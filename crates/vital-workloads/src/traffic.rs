@@ -49,7 +49,7 @@ pub fn random_traffic_sinks(seed: u64, n: usize) -> Vec<(u32, u32)> {
 /// [`generate_bursty_workload_set`](crate::generate_bursty_workload_set);
 /// it is exposed so other drivers (e.g. the ISA-elasticity benchmark) can
 /// burst-shape their own job lists with the identical seeded process.
-pub fn burst_timeline(seed: u64, n: usize, burst: usize, idle_gap_s: f64) -> Vec<f64> {
+pub(crate) fn burst_timeline(seed: u64, n: usize, burst: usize, idle_gap_s: f64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9));
     let mut t = 0.0f64;
     let mut out = Vec::with_capacity(n);

@@ -72,16 +72,6 @@ impl AmorphOsLowLatency {
         AmorphOsLowLatency { slots_per_fpga: 2 }
     }
 
-    /// Creates the policy with an explicit slot count per FPGA.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots_per_fpga` is zero.
-    pub fn with_slots(slots_per_fpga: usize) -> Self {
-        assert!(slots_per_fpga > 0, "need at least one slot");
-        AmorphOsLowLatency { slots_per_fpga }
-    }
-
     fn slot_blocks(&self, blocks_per_fpga: usize) -> usize {
         blocks_per_fpga.div_ceil(self.slots_per_fpga)
     }
@@ -222,7 +212,7 @@ pub struct IsaElastic {
 
 /// Default ISA scheduling quantum (10 ms): three orders of magnitude
 /// finer than ViTAL's 0.5 s slice because switching costs µs, not ms.
-pub const ISA_QUANTUM_S: f64 = 0.01;
+pub(crate) const ISA_QUANTUM_S: f64 = 0.01;
 
 impl IsaElastic {
     /// Creates the policy with the default 10 ms quantum.

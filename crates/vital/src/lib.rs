@@ -57,7 +57,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub use vital_cluster as cluster;
 pub use vital_compiler as compiler;

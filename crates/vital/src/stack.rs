@@ -8,7 +8,7 @@ use vital_compiler::{CompileError, CompiledApp, Compiler, CompilerConfig};
 use vital_netlist::hls::AppSpec;
 use vital_netlist::NetlistError;
 use vital_periph::TenantId;
-use vital_runtime::{CompileOutcome, DeployHandle, RuntimeConfig, RuntimeError, SystemController};
+use vital_runtime::{DeployHandle, RuntimeConfig, RuntimeError, SystemController};
 
 /// Unified error type of the facade.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,18 +110,6 @@ impl VitalStack {
         Ok(compiled)
     }
 
-    /// Compiles and registers `spec`, reusing a cached image when one with
-    /// the same content digest is already registered — the compile-cache
-    /// fast path (see [`SystemController::register_compiled`]). On a hit,
-    /// no place-and-route runs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation failures and conflicting-name collisions.
-    pub fn compile_or_reuse(&self, spec: &AppSpec) -> Result<CompileOutcome, VitalError> {
-        Ok(self.controller.register_compiled(&self.compiler, spec)?)
-    }
-
     /// Deploys a registered application (see
     /// [`SystemController::deploy`]).
     ///
@@ -213,11 +201,18 @@ mod tests {
         let stack = VitalStack::new();
         let mut spec = AppSpec::new("cold");
         spec.add_operator("m", Operator::MacArray { pes: 12 });
-        let cold = stack.compile_or_reuse(&spec).unwrap();
+        // The compile-cache fast path: on a hit, no place-and-route runs.
+        let cold = stack
+            .controller
+            .register_compiled(&stack.compiler, &spec)
+            .unwrap();
         assert!(!cold.cache_hit);
         let mut same = AppSpec::new("warm");
         same.add_operator("m", Operator::MacArray { pes: 12 });
-        let warm = stack.compile_or_reuse(&same).unwrap();
+        let warm = stack
+            .controller
+            .register_compiled(&stack.compiler, &same)
+            .unwrap();
         assert!(warm.cache_hit);
         assert_eq!(warm.digest, cold.digest);
         assert!(stack.deploy("warm").is_ok());
