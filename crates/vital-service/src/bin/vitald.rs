@@ -90,11 +90,15 @@ fn parse_args() -> Result<Options, String> {
                 );
             }
             "--timeout-ms" => {
-                config = config.with_request_timeout(Duration::from_millis(
-                    value("--timeout-ms")?
-                        .parse()
-                        .map_err(|e| format!("--timeout-ms: {e}"))?,
-                ));
+                let ms: u64 = value("--timeout-ms")?
+                    .parse()
+                    .map_err(|e| format!("--timeout-ms: {e}"))?;
+                if ms == 0 {
+                    // Every job would expire at enqueue and be answered
+                    // `Timeout` without running.
+                    return Err("--timeout-ms: must be at least 1".into());
+                }
+                config = config.with_request_timeout(Duration::from_millis(ms));
             }
             "--batch-max" => {
                 config = config.with_batch_max(

@@ -93,10 +93,11 @@ impl ServiceConfig {
         self
     }
 
-    /// Override the per-request deadline.
+    /// Override the per-request deadline (minimum 1 ms: a zero deadline
+    /// would expire every job at enqueue, before any worker runs it).
     #[must_use]
     pub fn with_request_timeout(mut self, timeout: Duration) -> Self {
-        self.request_timeout = timeout;
+        self.request_timeout = timeout.max(Duration::from_millis(1));
         self
     }
 
@@ -127,13 +128,15 @@ mod tests {
             .with_io_threads(0)
             .with_queue_capacity(0)
             .with_per_session_limit(0)
-            .with_batch_max(0);
+            .with_batch_max(0)
+            .with_request_timeout(Duration::ZERO);
         assert_eq!(c.workers, 1);
         assert_eq!(c.shards, 1);
         assert_eq!(c.io_threads, 1);
         assert_eq!(c.queue_capacity, 1);
         assert_eq!(c.per_session_limit, 1);
         assert_eq!(c.batch_max, 1);
+        assert_eq!(c.request_timeout, Duration::from_millis(1));
     }
 
     #[test]

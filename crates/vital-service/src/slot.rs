@@ -428,4 +428,87 @@ mod tests {
         }
         assert_eq!(pool.free_len(), 1, "one slot served all three requests");
     }
+
+    /// Every order in which `wakers` threads (publish, then `wake`) can
+    /// interleave with the reactor's arm, re-check, then look at the
+    /// descriptor: sequences of thread ids, the reactor being `wakers`.
+    fn interleavings(wakers: usize) -> Vec<Vec<usize>> {
+        fn extend(left: &mut [usize], prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+            if left.iter().all(|&n| n == 0) {
+                out.push(prefix.clone());
+                return;
+            }
+            for thread in 0..left.len() {
+                if left[thread] > 0 {
+                    left[thread] -= 1;
+                    prefix.push(thread);
+                    extend(left, prefix, out);
+                    prefix.pop();
+                    left[thread] += 1;
+                }
+            }
+        }
+        let mut steps = vec![2; wakers];
+        steps.push(3);
+        let mut out = Vec::new();
+        extend(&mut steps, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// Runs one interleaving on a real `Waker`, one step at a time on this
+    /// thread, and checks the protocol's three promises.
+    fn check_interleaving(order: &[usize], wakers: usize) {
+        let waker = Waker::new().unwrap();
+        let published: Vec<AtomicBool> = (0..wakers).map(|_| AtomicBool::new(false)).collect();
+        let mut next_step = vec![0; wakers + 1];
+        let mut rechecked = None;
+        let mut bytes_before_block = None;
+        for &thread in order {
+            let step = next_step[thread];
+            next_step[thread] += 1;
+            if thread < wakers {
+                match step {
+                    0 => published[thread].store(true, Ordering::SeqCst),
+                    _ => waker.wake(),
+                }
+            } else {
+                match step {
+                    0 => waker.arm(),
+                    1 => rechecked = Some(published.iter().any(|p| p.load(Ordering::SeqCst))),
+                    _ => {
+                        let any_published = published.iter().any(|p| p.load(Ordering::SeqCst));
+                        let bytes = waker.drain();
+                        assert!(
+                            bytes == 0 || any_published,
+                            "{order:?}: a wake-up byte without a publication"
+                        );
+                        bytes_before_block = Some(bytes);
+                    }
+                }
+            }
+        }
+        let (saw, before) = (rechecked.unwrap(), bytes_before_block.unwrap());
+        // What a reactor blocked after its last step would find readable.
+        let during_block = waker.drain();
+        assert!(
+            before + during_block <= 1,
+            "{order:?}: {} bytes for one arm",
+            before + during_block
+        );
+        assert!(
+            saw || before > 0 || during_block > 0,
+            "{order:?}: the re-check missed a publication and nothing ends the wait"
+        );
+    }
+
+    #[test]
+    fn waker_protocol_loses_no_wake_up_in_any_interleaving() {
+        for (wakers, expected) in [(1, 10), (2, 210)] {
+            let orders = interleavings(wakers);
+            assert_eq!(orders.len(), expected, "{wakers} waker(s)");
+            for order in &orders {
+                check_interleaving(order, wakers);
+            }
+        }
+    }
 }
