@@ -22,20 +22,10 @@ mod tests {
     }
 
     impl WorkloadTrace {
-        /// Serializes the trace to pretty JSON.
-        ///
-        /// # Errors
-        ///
-        /// Returns a [`serde_json::Error`] if serialization fails.
         fn to_json(&self) -> Result<String, serde_json::Error> {
             serde_json::to_string_pretty(self)
         }
 
-        /// Restores a trace from [`WorkloadTrace::to_json`] output.
-        ///
-        /// # Errors
-        ///
-        /// Returns a [`serde_json::Error`] on malformed input.
         fn from_json(json: &str) -> Result<Self, serde_json::Error> {
             serde_json::from_str(json)
         }
