@@ -277,14 +277,6 @@ impl<'a> Legalizer<'a> {
             })
             .sum()
     }
-
-    /// `true` if no slot is over-utilized.
-    #[cfg(test)]
-    #[allow(dead_code)] // kept as a debugging probe for legalizer tests
-    pub(crate) fn is_feasible(&self) -> bool {
-        let cap = self.grid.capacity();
-        self.usage.iter().all(|u| u.fits_within(&cap))
-    }
 }
 
 #[cfg(test)]

@@ -2,11 +2,11 @@
 //! a fabric tenant's physical resources.
 //!
 //! Every path that puts a tenant on the cluster — a fresh deploy, a
-//! capsule restore, the restore half of a migration — runs the one
-//! transaction in [`SystemController::admit`]; every path that takes one
-//! off runs [`SystemController::teardown`].
+//! capsule restore, the restore half of a migration — acquires its
+//! resources in [`SystemController::admit`] and publishes it with
+//! [`State::go_live`]; every path that takes one off runs
+//! [`SystemController::teardown`].
 
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use crate::checkpoint::TenantCheckpoint;
@@ -17,7 +17,7 @@ use vital_periph::{ShareGrant, TenantId, VirtualNic};
 use vital_telemetry::Span;
 
 use super::placement::{fpgas_of, targets_for};
-use super::SystemController;
+use super::{State, SystemController, Tenant};
 use crate::{FpgaHealth, RuntimeError};
 
 /// A live deployment returned by [`SystemController::deploy`].
@@ -125,31 +125,18 @@ struct TeardownGuard<'a> {
     blocks_claimed: bool,
     memory_fpga: Option<usize>,
     arbiter_fpga: Option<usize>,
-    armed: bool,
 }
 
-impl<'a> TeardownGuard<'a> {
-    fn new(ctl: &'a SystemController, tenant: TenantId) -> Self {
-        TeardownGuard {
-            ctl,
-            tenant,
-            blocks_claimed: false,
-            memory_fpga: None,
-            arbiter_fpga: None,
-            armed: true,
-        }
-    }
-
-    fn commit(mut self) {
-        self.armed = false;
+impl TeardownGuard<'_> {
+    /// Keeps everything acquired: the guard owns nothing, so forgetting
+    /// it only skips the unwind.
+    fn commit(self) {
+        std::mem::forget(self);
     }
 }
 
 impl Drop for TeardownGuard<'_> {
     fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
         // Unwind in reverse acquisition order; each step is independent so
         // one failing never skips the rest.
         if let Some(f) = self.arbiter_fpga.take() {
@@ -194,7 +181,6 @@ impl SystemController {
         name: &str,
         quota_bytes: u64,
     ) -> Result<DeployHandle, RuntimeError> {
-        let _dirty = self.mark_status_dirty();
         let quota_bytes = if quota_bytes == 0 {
             self.config.default_quota_bytes
         } else {
@@ -204,13 +190,16 @@ impl SystemController {
         span.field("app", name);
         self.farm.record_demand(name);
         let bitstream = self.bitstreams().get(name)?;
-        let tenant = TenantId::new(self.next_tenant.fetch_add(1, Ordering::Relaxed));
-        let (handle, hop_cost) = self.admit(
+        let mut state = self.write();
+        let tenant = TenantId::new(state.next_tenant);
+        state.next_tenant += 1;
+        let (admitted, hop_cost) = self.admit(
             tenant,
             &bitstream,
             AdmitFrom::Scratch { quota_bytes },
             &mut span,
         )?;
+        let handle = state.go_live(admitted);
         span.field("tenant", tenant.raw());
         self.telemetry.inc_counter("runtime.deploys", 1);
         self.telemetry
@@ -243,47 +232,57 @@ impl SystemController {
         &self,
         checkpoint: &TenantCheckpoint,
     ) -> Result<DeployHandle, RuntimeError> {
-        let _dirty = self.mark_status_dirty();
+        let bitstream = self.bitstreams().get(&checkpoint.placement.app)?;
+        let mut state = self.write();
+        let admitted = self.restore(&state, checkpoint, &bitstream)?;
+        Ok(state.go_live(admitted))
+    }
+
+    /// Admits `checkpoint`'s tenant under its own id with `bitstream`,
+    /// inside the caller's transaction; the caller publishes it with
+    /// [`State::go_live`], which discharges a capsule parked under the
+    /// same id.
+    pub(super) fn restore(
+        &self,
+        state: &State,
+        checkpoint: &TenantCheckpoint,
+        bitstream: &AppBitstream,
+    ) -> Result<TenantState, RuntimeError> {
         let tenant = checkpoint.tenant;
-        if self.tenants.lock().contains_key(&tenant) {
+        if let Some(Tenant::Fabric(_) | Tenant::Isa { .. }) = state.tenants.get(&tenant) {
             return Err(RuntimeError::TenantActive(tenant));
         }
         let mut span = self.telemetry.span("runtime.resume");
         span.field("tenant", tenant.raw());
         span.field("app", checkpoint.placement.app.as_str());
-        let bitstream = self.bitstreams().get(&checkpoint.placement.app)?;
-        let (handle, _) = self.admit(
-            tenant,
-            &bitstream,
-            AdmitFrom::Capsule(checkpoint),
-            &mut span,
-        )?;
-        // The id is back in circulation: future deploys must not collide.
-        self.next_tenant
-            .fetch_max(tenant.raw() + 1, Ordering::Relaxed);
-        self.suspended.lock().remove(&tenant);
+        let (admitted, _) =
+            self.admit(tenant, bitstream, AdmitFrom::Capsule(checkpoint), &mut span)?;
         self.telemetry.inc_counter("runtime.resumes", 1);
-        Ok(handle)
+        Ok(admitted)
     }
 
     /// The admission transaction: place → bind → DRAM and channels →
-    /// bandwidth (gated on the configured floor) → vNIC → publish the
-    /// tenant.
-    /// Any early return drops the [`TeardownGuard`], which releases
-    /// whatever was acquired up to that point. Returns the live handle
-    /// and the placement's hop cost.
+    /// bandwidth (gated on the configured floor) → vNIC. Any early
+    /// return drops the [`TeardownGuard`], which releases whatever was
+    /// acquired up to that point. Returns the tenant's state, for the
+    /// caller to publish, and the placement's hop cost.
     fn admit(
         &self,
         tenant: TenantId,
         bitstream: &AppBitstream,
         from: AdmitFrom<'_>,
         span: &mut Span,
-    ) -> Result<(DeployHandle, usize), RuntimeError> {
+    ) -> Result<(TenantState, usize), RuntimeError> {
         let needed = bitstream.block_count();
         span.field("needed", needed);
-        let mut guard = TeardownGuard::new(self, tenant);
         let blocks = self.place(tenant, needed)?;
-        guard.blocks_claimed = true;
+        let mut guard = TeardownGuard {
+            ctl: self,
+            tenant,
+            blocks_claimed: true,
+            memory_fpga: None,
+            arbiter_fpga: None,
+        };
         // The §3.4 policy's round number equals the FPGAs admitted.
         let fpgas_used = fpgas_of(&blocks);
         let hop_cost = self.placement_hop_cost(&blocks);
@@ -337,34 +336,30 @@ impl SystemController {
             reconfig: self.reconfig_of(&blocks),
             bandwidth: grant,
         };
-        self.tenants.lock().insert(
-            tenant,
-            TenantState {
-                handle: handle.clone(),
-                channels,
-                clock,
-            },
-        );
         guard.commit();
-        Ok((handle, hop_cost))
+        let state = TenantState {
+            handle,
+            channels,
+            clock,
+        };
+        Ok((state, hop_cost))
     }
 
-    /// The record of one completed move of `tenant` onto `blocks_after`.
+    /// The record of one completed move of `tenant`, which spanned
+    /// `fpgas_before` FPGAs at `hop_cost_before`, onto `blocks`.
     pub(super) fn migration_record(
         &self,
         tenant: TenantId,
         (fpgas_before, hop_cost_before): (usize, usize),
-        fpgas_after: usize,
-        reconfig: Duration,
-        blocks_after: &[BlockAddr],
+        blocks: &[BlockAddr],
     ) -> Migration {
         Migration {
             tenant,
             fpgas_before,
-            fpgas_after,
-            reconfig,
+            fpgas_after: fpgas_of(blocks),
+            reconfig: self.reconfig_of(blocks),
             hop_cost_before,
-            hop_cost_after: self.placement_hop_cost(blocks_after),
+            hop_cost_after: self.placement_hop_cost(blocks),
         }
     }
 
@@ -382,14 +377,18 @@ impl SystemController {
     /// leaks the later ones. The first failure encountered is returned;
     /// the tenant is gone either way.
     pub fn undeploy(&self, tenant: TenantId) -> Result<(), RuntimeError> {
-        let _dirty = self.mark_status_dirty();
         let mut span = self.telemetry.span("runtime.undeploy");
         span.field("tenant", tenant.raw());
-        let live = self.tenants.lock().remove(&tenant);
-        let torn_down = match live {
-            Some(state) => self.teardown(&state.handle),
-            None if self.release_isa(tenant) => Ok(()),
-            None if self.suspended.lock().remove(&tenant).is_some() => Ok(()),
+        let mut state = self.write();
+        let torn_down = match state.tenants.remove(&tenant) {
+            Some(Tenant::Fabric(live)) => self.teardown(&live.handle),
+            Some(Tenant::Isa { .. }) => {
+                if let Some(pool) = state.isa_pool.as_mut() {
+                    pool.release(tenant.raw());
+                }
+                Ok(())
+            }
+            Some(Tenant::Parked(_)) => Ok(()),
             None => return Err(RuntimeError::UnknownTenant(tenant)),
         };
         self.telemetry.inc_counter("runtime.undeploys", 1);
@@ -415,23 +414,20 @@ impl SystemController {
         mem.and(arb).and(nic)
     }
 
-    /// Re-places one tenant using only Online devices (free blocks plus
-    /// the tenant's own still-online blocks) and commits the move. With
-    /// `board_dead`, a DRAM space homed on a non-Online board is moved to
-    /// the new primary (contents lost — the board crashed); otherwise the
-    /// DRAM stays where it is. Returns `None` if no placement fits or the
-    /// new primary has no room for the DRAM space (the caller tears the
-    /// tenant down).
-    pub(super) fn relocate_tenant(&self, tenant: TenantId, board_dead: bool) -> Option<Migration> {
-        let (needed, fpgas_before, old_primary) = {
-            let tenants = self.tenants.lock();
-            let state = tenants.get(&tenant)?;
-            (
-                state.handle.placed.bindings.len(),
-                state.handle.fpga_count(),
-                state.handle.primary_fpga,
-            )
-        };
+    /// Re-places one tenant of a crashed board using only Online devices
+    /// (free blocks plus the tenant's own still-online blocks) and commits
+    /// the move. A DRAM space homed on a board that is not Online is moved
+    /// to the new primary (contents lost — the board crashed); otherwise
+    /// the DRAM stays where it is. Returns `None` if no placement fits or
+    /// the new primary has no room for the DRAM space (the caller tears
+    /// the tenant down).
+    pub(super) fn relocate_tenant(&self, state: &mut State, tenant: TenantId) -> Option<Migration> {
+        let live = &state.fabric(tenant).ok()?.handle;
+        let (needed, fpgas_before, old_primary) = (
+            live.placed.bindings.len(),
+            live.fpga_count(),
+            live.primary_fpga,
+        );
         let hop_cost_before = self.placement_hop_cost(&self.resources.holdings(tenant));
         // Commit the block move first; everything below follows the
         // placement it settled on.
@@ -440,7 +436,7 @@ impl SystemController {
 
         // Move the DRAM home if its board died: quota carries over,
         // contents cannot.
-        let dram_moves = board_dead && self.resources.health_of(old_primary) != FpgaHealth::Online;
+        let dram_moves = self.resources.health_of(old_primary) != FpgaHealth::Online;
         let mut grant = None;
         if dram_moves {
             let quota = self.memory[old_primary]
@@ -461,36 +457,27 @@ impl SystemController {
         }
 
         let reconfig = self.reconfig_of(&blocks);
-        let mut tenants = self.tenants.lock();
-        let state = tenants.get_mut(&tenant)?;
-        state.handle.placed.bindings = targets_for(&blocks);
-        state.handle.reconfig = reconfig;
+        let live = state.fabric(tenant).ok()?;
+        live.handle.placed.bindings = targets_for(&blocks);
+        live.handle.reconfig = reconfig;
         if dram_moves {
-            state.handle.primary_fpga = new_primary;
+            live.handle.primary_fpga = new_primary;
             if let Some(g) = grant {
-                state.handle.bandwidth = g;
+                live.handle.bandwidth = g;
             }
         }
         // The crash path gives the tenant fresh, empty channels on the new
         // placement: in-flight interface state died with the board (use
         // suspend/migrate_live for the state-preserving path).
-        if let Ok(bitstream) = self.bitstreams().get(&state.handle.placed.app) {
-            state.channels = Self::channels_for(bitstream.channel_plan(), &blocks);
+        if let Ok(bitstream) = self.bitstreams().get(&live.handle.placed.app) {
+            live.channels = Self::channels_for(bitstream.channel_plan(), &blocks);
         }
-        Some(self.migration_record(
-            tenant,
-            (fpgas_before, hop_cost_before),
-            fpgas_of(&blocks),
-            reconfig,
-            &blocks,
-        ))
+        Some(self.migration_record(tenant, (fpgas_before, hop_cost_before), &blocks))
     }
 
     /// Live tenant ids, sorted.
     pub fn live_tenants(&self) -> Vec<TenantId> {
-        let mut v: Vec<TenantId> = self.tenants.lock().keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.state.lock().ids(|t| matches!(t, Tenant::Fabric(_)))
     }
 }
 
@@ -855,7 +842,7 @@ mod tests {
                     c.suspend(t).unwrap();
                     t
                 } else {
-                    TenantId::new(c.next_tenant.load(Ordering::Relaxed))
+                    TenantId::new(c.state.lock().next_tenant)
                 };
                 let admit = || match restoring {
                     true => c.resume(tenant),

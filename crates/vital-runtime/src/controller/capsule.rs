@@ -8,9 +8,21 @@ use crate::checkpoint::{
 use vital_interface::Channel;
 use vital_periph::TenantId;
 
-use super::{DeployHandle, Migration, SystemController};
+use super::admission::TenantState;
+use super::{DeployHandle, Migration, State, SystemController, Tenant};
 use crate::api::{MigratePolicy, SuspendSummary};
 use crate::RuntimeError;
+
+impl TenantState {
+    /// Advances the interface clock by `cycles` with the producers
+    /// clock-gated: no flit is injected, in-flight flits keep propagating.
+    fn settle(&mut self, cycles: u64) {
+        self.clock = self.clock.saturating_add(cycles);
+        for ch in &mut self.channels {
+            ch.advance(self.clock);
+        }
+    }
+}
 
 impl SystemController {
     /// Advances a tenant's interface clock by `cycles` of *activity*: the
@@ -23,14 +35,11 @@ impl SystemController {
     ///
     /// Returns [`RuntimeError::UnknownTenant`] for undeployed tenants.
     pub fn run_tenant(&self, tenant: TenantId, cycles: u64) -> Result<(), RuntimeError> {
-        let _dirty = self.mark_status_dirty();
-        let mut tenants = self.tenants.lock();
-        let state = tenants
-            .get_mut(&tenant)
-            .ok_or(RuntimeError::UnknownTenant(tenant))?;
-        let start = state.clock;
+        let mut state = self.write();
+        let live = state.fabric(tenant)?;
+        let start = live.clock;
         for now in start..start.saturating_add(cycles) {
-            for ch in &mut state.channels {
+            for ch in &mut live.channels {
                 if ch.can_push(now) {
                     ch.push(now);
                 }
@@ -40,7 +49,7 @@ impl SystemController {
                 }
             }
         }
-        state.clock = start.saturating_add(cycles);
+        live.clock = start.saturating_add(cycles);
         Ok(())
     }
 
@@ -53,16 +62,7 @@ impl SystemController {
     ///
     /// Returns [`RuntimeError::UnknownTenant`] for undeployed tenants.
     pub fn settle_tenant(&self, tenant: TenantId, cycles: u64) -> Result<(), RuntimeError> {
-        let _dirty = self.mark_status_dirty();
-        let mut tenants = self.tenants.lock();
-        let state = tenants
-            .get_mut(&tenant)
-            .ok_or(RuntimeError::UnknownTenant(tenant))?;
-        state.clock = state.clock.saturating_add(cycles);
-        let now = state.clock;
-        for ch in &mut state.channels {
-            ch.advance(now);
-        }
+        self.write().fabric(tenant)?.settle(cycles);
         Ok(())
     }
 
@@ -73,11 +73,10 @@ impl SystemController {
     ///
     /// Returns [`RuntimeError::UnknownTenant`] for undeployed tenants.
     pub fn channel_occupancy(&self, tenant: TenantId) -> Result<Vec<usize>, RuntimeError> {
-        let tenants = self.tenants.lock();
-        let state = tenants
-            .get(&tenant)
-            .ok_or(RuntimeError::UnknownTenant(tenant))?;
-        Ok(state
+        Ok(self
+            .state
+            .lock()
+            .fabric(tenant)?
             .channels
             .iter()
             .map(|c| c.occupancy() + c.in_flight())
@@ -101,19 +100,24 @@ impl SystemController {
     /// * [`RuntimeError::UnknownApp`] / [`RuntimeError::Periph`] if the
     ///   bitstream or DRAM space vanished out from under the tenant.
     pub fn suspend(&self, tenant: TenantId) -> Result<TenantCheckpoint, RuntimeError> {
-        let _dirty = self.mark_status_dirty();
+        self.suspend_in(&mut self.write(), tenant)
+    }
+
+    /// [`SystemController::suspend`] inside the caller's transaction.
+    fn suspend_in(
+        &self,
+        state: &mut State,
+        tenant: TenantId,
+    ) -> Result<TenantCheckpoint, RuntimeError> {
         let mut span = self.telemetry.span("runtime.suspend");
         span.field("tenant", tenant.raw());
-        let mut tenants = self.tenants.lock();
-        let state = tenants
-            .get_mut(&tenant)
-            .ok_or(RuntimeError::UnknownTenant(tenant))?;
-        let bitstream = self.bitstreams().get(&state.handle.placed().app)?;
+        let live = state.fabric(tenant)?;
+        let bitstream = self.bitstreams().get(&live.handle.placed().app)?;
         let plan = bitstream.channel_plan();
-        let clock = state.clock;
+        let clock = live.clock;
         // Atomic: either every channel drains or none is touched.
-        let snapshots = quiesce_all(&mut state.channels, clock).map_err(RuntimeError::Quiesce)?;
-        let handle = state.handle.clone();
+        let snapshots = quiesce_all(&mut live.channels, clock).map_err(RuntimeError::Quiesce)?;
+        let handle = live.handle.clone();
         let blocks: Vec<_> = handle.placed().addresses().collect();
         let memory = self.memory[handle.primary_fpga()]
             .export_space(tenant)
@@ -142,15 +146,15 @@ impl SystemController {
             channels,
             memory,
         };
-        tenants.remove(&tenant);
-        drop(tenants);
         // The capsule now holds the truth (the DRAM bytes were exported
         // above), so the teardown is best-effort.
         let _ = self.teardown(&handle);
         span.field("flits", checkpoint.total_flits());
         span.field("dram_bytes", checkpoint.dram_bytes());
         self.telemetry.inc_counter("runtime.suspends", 1);
-        self.suspended.lock().insert(tenant, checkpoint.clone());
+        state
+            .tenants
+            .insert(tenant, Tenant::Parked(checkpoint.clone()));
         Ok(checkpoint)
     }
 
@@ -182,27 +186,19 @@ impl SystemController {
     /// * [`RuntimeError::Periph`] / [`RuntimeError::BandwidthUnavailable`]
     ///   for DRAM or bandwidth admission failures.
     pub fn resume(&self, tenant: TenantId) -> Result<DeployHandle, RuntimeError> {
-        self.with_parked(tenant, |capsule| self.restore_capsule(capsule))
-            .unwrap_or(Err(RuntimeError::NotSuspended(tenant)))
+        let mut state = self.write();
+        let admitted = self.resume_in(&state, tenant)?;
+        Ok(state.go_live(admitted))
     }
 
-    /// Runs `restore` on `tenant`'s parked capsule, or returns `None` if
-    /// nothing is parked. The capsule is out of the table while `restore`
-    /// runs, so a resume, the restore half of a migration and an
-    /// [`undeploy`](SystemController::undeploy) of the parked tenant
-    /// cannot all act on it: whoever removes it decides the tenant's fate.
-    /// A failed restore parks it again.
-    fn with_parked<T>(
-        &self,
-        tenant: TenantId,
-        restore: impl FnOnce(&TenantCheckpoint) -> Result<T, RuntimeError>,
-    ) -> Option<Result<T, RuntimeError>> {
-        let capsule = self.suspended.lock().remove(&tenant)?;
-        let restored = restore(&capsule);
-        if restored.is_err() {
-            self.suspended.lock().insert(tenant, capsule);
-        }
-        Some(restored)
+    /// Admits `tenant`'s parked capsule inside the caller's transaction;
+    /// the capsule stays parked until the caller publishes the result.
+    fn resume_in(&self, state: &State, tenant: TenantId) -> Result<TenantState, RuntimeError> {
+        let capsule = state
+            .parked(tenant)
+            .ok_or(RuntimeError::NotSuspended(tenant))?;
+        let bitstream = self.bitstreams().get(&capsule.placement.app)?;
+        self.restore(state, capsule, &bitstream)
     }
 
     /// Migrates `tenant` in one step: wait out any open serialization
@@ -219,6 +215,10 @@ impl SystemController {
     /// allocator sees them as candidates — a migration can therefore both
     /// consolidate (fewer FPGAs) and stay put (same blocks re-chosen).
     ///
+    /// A same-geometry migration is one transaction. A portable one parks
+    /// the tenant, resolves its image through the build farm without the
+    /// lock, and re-admits it in a second transaction.
+    ///
     /// # Errors
     ///
     /// Everything suspend and restore can return. If the restore half
@@ -231,63 +231,75 @@ impl SystemController {
         tenant: TenantId,
         policy: MigratePolicy,
     ) -> Result<Migration, RuntimeError> {
-        let _dirty = self.mark_status_dirty();
-        let portable = policy == MigratePolicy::Portable;
-        let (span, counter) = if portable {
-            ("runtime.migrate_portable", "runtime.portable_migrations")
-        } else {
-            ("runtime.migrate_live", "runtime.live_migrations")
-        };
-        let mut span = self.telemetry.span(span);
-        span.field("tenant", tenant.raw());
-        let (ready, clock) = {
-            let tenants = self.tenants.lock();
-            let state = tenants
-                .get(&tenant)
-                .ok_or(RuntimeError::UnknownTenant(tenant))?;
-            (
-                state
-                    .channels
-                    .iter()
-                    .map(Channel::quiesce_ready_at)
-                    .max()
-                    .unwrap_or(0),
-                state.clock,
-            )
-        };
-        if clock < ready {
-            self.settle_tenant(tenant, ready - clock)?;
+        if policy != MigratePolicy::Portable {
+            return self.migrate_in(&mut self.write(), tenant);
         }
-        self.suspend(tenant)?;
-        let migration = self.readmit(tenant, portable)?;
+        let mut span = self.telemetry.span("runtime.migrate_portable");
+        span.field("tenant", tenant.raw());
+        let capsule = self.suspend_quiesced(&mut self.write(), tenant)?;
+        let migration = self.readmit_portable(&capsule)?;
         span.field("fpgas_before", migration.fpgas_before);
         span.field("fpgas_after", migration.fpgas_after);
-        self.telemetry.inc_counter(counter, 1);
+        self.telemetry.inc_counter("runtime.portable_migrations", 1);
         Ok(migration)
     }
 
-    /// The restore half of a migration, from the capsule the suspend half
-    /// parked; also the [`MigratePolicy::Auto`] fallback when the fast
-    /// path parked a capsule and then failed to re-admit it. A capsule
-    /// that is no longer parked was discarded by an `Undeploy` in between,
-    /// which was answered `Undeployed` — the tenant must not come back.
-    fn readmit(&self, tenant: TenantId, portable: bool) -> Result<Migration, RuntimeError> {
-        self.with_parked(tenant, |capsule| {
-            let handle = if portable {
-                self.restore_portable(&self.lift_portable(capsule)?)?
-            } else {
-                self.restore_capsule(capsule)?
-            };
-            let blocks: Vec<_> = handle.placed().addresses().collect();
-            Ok(self.migration_record(
-                tenant,
-                (capsule.placement.fpgas_spanned, capsule.placement.hop_cost),
-                handle.fpga_count(),
-                handle.reconfig_duration(),
-                &blocks,
-            ))
-        })
-        .unwrap_or(Err(RuntimeError::UnknownTenant(tenant)))
+    /// A same-geometry migration inside the caller's transaction. If the
+    /// restore half fails the tenant stays parked.
+    pub(super) fn migrate_in(
+        &self,
+        state: &mut State,
+        tenant: TenantId,
+    ) -> Result<Migration, RuntimeError> {
+        let mut span = self.telemetry.span("runtime.migrate_live");
+        span.field("tenant", tenant.raw());
+        let capsule = self.suspend_quiesced(state, tenant)?;
+        let admitted = self.resume_in(state, tenant)?;
+        let migration = self.moved(&capsule, &state.go_live(admitted));
+        span.field("fpgas_before", migration.fpgas_before);
+        span.field("fpgas_after", migration.fpgas_after);
+        self.telemetry.inc_counter("runtime.live_migrations", 1);
+        Ok(migration)
+    }
+
+    /// Waits out any open serialization window of `tenant`'s channels,
+    /// then suspends it.
+    fn suspend_quiesced(
+        &self,
+        state: &mut State,
+        tenant: TenantId,
+    ) -> Result<TenantCheckpoint, RuntimeError> {
+        let live = state.fabric(tenant)?;
+        let ready = live
+            .channels
+            .iter()
+            .map(Channel::quiesce_ready_at)
+            .max()
+            .unwrap_or(0);
+        if live.clock < ready {
+            live.settle(ready - live.clock);
+        }
+        self.suspend_in(state, tenant)
+    }
+
+    /// The record of a move that parked `capsule` and came back as
+    /// `handle`.
+    fn moved(&self, capsule: &TenantCheckpoint, handle: &DeployHandle) -> Migration {
+        let before = (capsule.placement.fpgas_spanned, capsule.placement.hop_cost);
+        let blocks: Vec<_> = handle.placed().addresses().collect();
+        self.migration_record(capsule.tenant, before, &blocks)
+    }
+
+    /// The restore half of a portable migration, from the capsule its
+    /// suspend half parked; also the [`MigratePolicy::Auto`] fallback when
+    /// the fast path parked a capsule and then failed to re-admit it. The
+    /// image is resolved without the lock. A capsule that is no longer
+    /// parked was discarded by an `Undeploy` in between, which was
+    /// answered `Undeployed` — the tenant must not come back.
+    fn readmit_portable(&self, parked: &TenantCheckpoint) -> Result<Migration, RuntimeError> {
+        let still_parked = |state: &State| state.parked(parked.tenant) == Some(parked);
+        let handle = self.restore_portable_if(&self.lift_portable(parked)?, still_parked)?;
+        Ok(self.moved(parked, &handle))
     }
 
     /// Lifts the parked capsule of a suspended tenant into the versioned,
@@ -302,7 +314,7 @@ impl SystemController {
     /// checkpoint; [`RuntimeError::UnknownApp`] if its bitstream was
     /// removed while parked.
     pub fn portable_of(&self, tenant: TenantId) -> Result<PortableCheckpoint, RuntimeError> {
-        let capsule = self.suspended.lock().get(&tenant).cloned();
+        let capsule = self.state.lock().parked(tenant).cloned();
         self.lift_portable(&capsule.ok_or(RuntimeError::NotSuspended(tenant))?)
     }
 
@@ -350,6 +362,19 @@ impl SystemController {
         &self,
         portable: &PortableCheckpoint,
     ) -> Result<DeployHandle, RuntimeError> {
+        self.restore_portable_if(portable, |_| true)
+    }
+
+    /// [`SystemController::restore_portable`] in two halves. The farm half
+    /// runs without the lock: it checks the version, resolves the image
+    /// for the capsule's digest — compiling it if need be — and checks its
+    /// scan interface. The transaction half admits the tenant if `still`
+    /// holds by then, and answers [`RuntimeError::UnknownTenant`] if not.
+    fn restore_portable_if(
+        &self,
+        portable: &PortableCheckpoint,
+        still: impl FnOnce(&State) -> bool,
+    ) -> Result<DeployHandle, RuntimeError> {
         portable
             .version
             .check("portable checkpoint")
@@ -376,10 +401,13 @@ impl SystemController {
                 portable.placement.app
             )));
         }
-        let capsule = portable.to_capsule();
-        let handle = self.restore_capsule(&capsule)?;
+        let mut state = self.write();
+        if !still(&state) {
+            return Err(RuntimeError::UnknownTenant(portable.tenant));
+        }
+        let admitted = self.restore(&state, &portable.to_capsule(), &bitstream)?;
         self.telemetry.inc_counter("runtime.portable_restores", 1);
-        Ok(handle)
+        Ok(state.go_live(admitted))
     }
 
     /// Migrates `tenant` under a [`MigratePolicy`], returning the
@@ -407,10 +435,10 @@ impl SystemController {
                 // still live and the full portable migration runs. The
                 // fallback's own error is less informative than the fast
                 // path's, so `first` wins on a double failure.
-                let fallback = if self.suspended.lock().contains_key(&tenant) {
-                    self.readmit(tenant, true)
-                } else {
-                    self.migrate(tenant, MigratePolicy::Portable)
+                let parked = self.state.lock().parked(tenant).cloned();
+                let fallback = match parked {
+                    Some(capsule) => self.readmit_portable(&capsule),
+                    None => self.migrate(tenant, MigratePolicy::Portable),
                 };
                 fallback
                     .map(|m| (m, MigratePolicy::Portable))
@@ -421,9 +449,7 @@ impl SystemController {
 
     /// Tenants currently parked in suspended state, sorted.
     pub fn suspended_tenants(&self) -> Vec<TenantId> {
-        let mut v: Vec<TenantId> = self.suspended.lock().keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.state.lock().ids(|t| matches!(t, Tenant::Parked(_)))
     }
 }
 
@@ -510,10 +536,10 @@ mod tests {
                 "512-bit flits must serialize over the 100 Gb/s ring"
             );
             let mut ch = Channel::new(spec);
-            let mut tenants = c.tenants.lock();
-            let state = tenants.get_mut(&t).unwrap();
-            ch.push(state.clock);
-            state.channels[0] = ch;
+            let mut state = c.state.lock();
+            let live = state.fabric(t).unwrap();
+            ch.push(live.clock);
+            live.channels[0] = ch;
         }
         let err = c.suspend(t).unwrap_err();
         let RuntimeError::Quiesce(vital_interface::QuiesceError::MidSerialization {
@@ -590,24 +616,33 @@ mod tests {
         assert!(matches!(c.undeploy(t), Err(RuntimeError::UnknownTenant(_))));
     }
 
-    /// A migration parks the tenant's capsule between its two halves. An
-    /// `Undeploy` landing in that window is answered `Undeployed`, so the
-    /// restore half must not bring the tenant back.
+    /// A portable migration parks the tenant's capsule while the build
+    /// farm resolves its image (a same-geometry one is one transaction and
+    /// has no such window). An `Undeploy` landing in that window is
+    /// answered `Undeployed`, so the restore half must not bring the
+    /// tenant back — nor overwrite a newer capsule parked in between.
     #[test]
     fn undeploy_between_the_halves_of_a_migration_keeps_the_tenant_gone() {
-        for portable in [false, true] {
-            let c = controller_with(&[("a", 8)]);
-            let free = c.resources().total_free();
-            let t = c.deploy("a").unwrap().tenant();
-            c.suspend(t).unwrap();
-            c.undeploy(t).unwrap();
-            let err = c.readmit(t, portable).unwrap_err();
-            assert!(matches!(err, RuntimeError::UnknownTenant(_)), "got {err}");
-            assert!(c.live_tenants().is_empty());
-            assert!(c.suspended_tenants().is_empty());
-            assert_eq!(c.resources().total_free(), free);
-            assert_eq!(c.switch().nic_count(), 0);
-        }
+        let c = controller_with(&[("a", 8)]);
+        let free = c.resources().total_free();
+        let t = c.deploy("a").unwrap().tenant();
+        let capsule = c.suspend(t).unwrap();
+        c.undeploy(t).unwrap();
+        let err = c.readmit_portable(&capsule).unwrap_err();
+        assert!(matches!(err, RuntimeError::UnknownTenant(_)), "got {err}");
+        assert!(c.live_tenants().is_empty());
+        assert!(c.suspended_tenants().is_empty());
+        assert_eq!(c.resources().total_free(), free);
+        assert_eq!(c.switch().nic_count(), 0);
+
+        let t = c.deploy("a").unwrap().tenant();
+        let stale = c.suspend(t).unwrap();
+        c.resume(t).unwrap();
+        c.run_tenant(t, 5).unwrap();
+        let newer = c.suspend(t).unwrap();
+        let err = c.readmit_portable(&stale).unwrap_err();
+        assert!(matches!(err, RuntimeError::UnknownTenant(_)), "got {err}");
+        assert_eq!(c.portable_of(t).unwrap(), c.lift_portable(&newer).unwrap());
     }
 
     /// The same property under real concurrency: a tenant is migrated
@@ -640,11 +675,9 @@ mod tests {
                 while migrations.load(Ordering::Relaxed) == 0 && !migrator.is_finished() {
                     std::thread::yield_now();
                 }
-                // `UnknownTenant` while the restore half holds the capsule
-                // is retryable; the tenant is then live or parked again.
-                while c.undeploy(t).is_err() {
-                    std::thread::yield_now();
-                }
+                // The tenant is live or parked at every instant, so the
+                // `Undeploy` finds it wherever the migration is.
+                c.undeploy(t).unwrap();
             });
             assert!(c.live_tenants().is_empty());
             assert!(c.suspended_tenants().is_empty());

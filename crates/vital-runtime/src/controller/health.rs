@@ -5,8 +5,7 @@
 use vital_periph::TenantId;
 
 use super::placement::fpgas_of;
-use super::{Migration, SystemController};
-use crate::api::MigratePolicy;
+use super::{Migration, State, SystemController, Tenant};
 use crate::FpgaHealth;
 
 /// What [`SystemController::fail_fpga`] did to the affected tenants.
@@ -69,28 +68,27 @@ impl SystemController {
     /// original binding snapshot — query [`SystemController::resources`]
     /// for the live placement.
     pub fn defragment(&self) -> Vec<Migration> {
-        let _dirty = self.mark_status_dirty();
         let mut span = self.telemetry.span("runtime.defragment");
+        let mut state = self.write();
         let mut migrated = Vec::new();
         loop {
             // Pick the most-spanning tenant that could use fewer FPGAs
             // *without paying more ring hops* — consolidation that spreads
             // a tenant's traffic further around the ring is a regression,
             // not an improvement.
-            let candidates: Vec<(TenantId, usize, usize)> = {
-                let tenants = self.tenants.lock();
-                tenants
-                    .iter()
-                    .map(|(&t, state)| {
-                        (
-                            t,
-                            state.handle.fpga_count(),
-                            state.handle.placed().bindings.len(),
-                        )
-                    })
-                    .filter(|&(_, fpgas, _)| fpgas > 1)
-                    .collect()
-            };
+            let candidates: Vec<(TenantId, usize, usize)> = state
+                .tenants
+                .iter()
+                .filter_map(|(&t, entry)| match entry {
+                    Tenant::Fabric(live) => Some((
+                        t,
+                        live.handle.fpga_count(),
+                        live.handle.placed().bindings.len(),
+                    )),
+                    _ => None,
+                })
+                .filter(|&(_, fpgas, _)| fpgas > 1)
+                .collect();
             let mut best_move: Option<(TenantId, usize, usize)> = None;
             for (tenant, current_fpgas, needed) in candidates {
                 let current_hop = self.placement_hop_cost(&self.resources.holdings(tenant));
@@ -113,7 +111,7 @@ impl SystemController {
             // Suspending frees the tenant's own blocks, so the resume half
             // of the live migration sees exactly the view probed above and
             // lands on the same blocks.
-            match self.migrate(tenant, MigratePolicy::SameGeometry) {
+            match self.migrate_in(&mut state, tenant) {
                 Ok(m) => migrated.push(m),
                 // A failed resume parks the tenant as suspended rather
                 // than losing it; stop consolidating and let the operator
@@ -137,28 +135,31 @@ impl SystemController {
     /// contents died with the board. Tenants whose DRAM lives elsewhere
     /// keep it untouched.
     ///
-    /// Idempotent: failing an already-offline device affects no one.
+    /// Idempotent: failing an already-offline device affects no one and
+    /// counts nothing.
     pub fn fail_fpga(&self, fpga: usize) -> FailureReport {
-        let _dirty = self.mark_status_dirty();
         let mut span = self.telemetry.span("runtime.fail_fpga");
         span.field("fpga", fpga);
-        self.resources.set_health(fpga, FpgaHealth::Offline);
+        let mut state = self.write();
         let mut report = FailureReport::default();
-        for tenant in self.affected_tenants(fpga) {
-            match self.relocate_tenant(tenant, true) {
+        if self.resources.health_of(fpga) == FpgaHealth::Offline {
+            return report;
+        }
+        self.resources.set_health(fpga, FpgaHealth::Offline);
+        for tenant in self.affected_tenants(&state, fpga) {
+            match self.relocate_tenant(&mut state, tenant) {
                 Some(m) => report.migrated.push(m),
                 None => {
-                    let state = self.tenants.lock().remove(&tenant);
-                    if let Some(state) = state {
+                    if let Some(Tenant::Fabric(live)) = state.tenants.remove(&tenant) {
                         // Best-effort: the board is gone, some steps may
                         // already be moot.
-                        let _ = self.teardown(&state.handle);
+                        let _ = self.teardown(&live.handle);
                         report.torn_down.push(tenant);
                     }
                 }
             }
         }
-        let mut stats = self.failure_stats.lock();
+        let stats = &mut state.failure_stats;
         stats.fpga_failures += 1;
         stats.tenants_migrated += report.migrated.len() as u64;
         stats.tenants_torn_down += report.torn_down.len() as u64;
@@ -171,11 +172,13 @@ impl SystemController {
     /// Returns a failed or draining FPGA to service
     /// ([`Online`](FpgaHealth::Online)): its blocks become allocatable
     /// again. Nothing is migrated back — the next deployments simply see
-    /// the capacity.
+    /// the capacity. Recovering an Online device counts nothing.
     pub fn recover_fpga(&self, fpga: usize) {
-        let _dirty = self.mark_status_dirty();
-        self.resources.set_health(fpga, FpgaHealth::Online);
-        self.failure_stats.lock().fpga_recoveries += 1;
+        let mut state = self.write();
+        if self.resources.health_of(fpga) != FpgaHealth::Online {
+            self.resources.set_health(fpga, FpgaHealth::Online);
+            state.failure_stats.fpga_recoveries += 1;
+        }
     }
 
     /// Drains an FPGA for maintenance: the device goes
@@ -188,35 +191,38 @@ impl SystemController {
     /// loss. Tenants that cannot currently be re-placed stay put, fully
     /// running, and are listed in [`EvacuationReport::unmoved`]; call
     /// again once capacity frees up, or [`SystemController::recover_fpga`]
-    /// to cancel the drain.
+    /// to cancel the drain. An Offline device stays Offline: evacuating it
+    /// moves and counts nothing.
     pub fn evacuate(&self, fpga: usize) -> EvacuationReport {
-        let _dirty = self.mark_status_dirty();
         let mut span = self.telemetry.span("runtime.evacuate");
         span.field("fpga", fpga);
-        self.resources.set_health(fpga, FpgaHealth::Draining);
+        let mut state = self.write();
         let mut report = EvacuationReport::default();
+        if self.resources.health_of(fpga) == FpgaHealth::Offline {
+            return report;
+        }
+        self.resources.set_health(fpga, FpgaHealth::Draining);
         for tenant in self.resources.tenants_on(fpga) {
             // Pre-check that a placement on the surviving devices exists:
             // a live migration whose resume half cannot fit would park the
             // tenant suspended, and an evacuation must leave unmovable
             // tenants *running*.
-            let needed = {
-                let tenants = self.tenants.lock();
-                match tenants.get(&tenant) {
-                    Some(state) => state.handle.placed().bindings.len(),
-                    None => continue,
-                }
+            let Ok(live) = state.fabric(tenant) else {
+                continue;
             };
-            if self.probe(tenant, needed).is_none() {
+            if self
+                .probe(tenant, live.handle.placed().bindings.len())
+                .is_none()
+            {
                 report.unmoved.push(tenant);
                 continue;
             }
-            match self.migrate(tenant, MigratePolicy::SameGeometry) {
+            match self.migrate_in(&mut state, tenant) {
                 Ok(m) => report.migrated.push(m),
                 Err(_) => report.unmoved.push(tenant),
             }
         }
-        let mut stats = self.failure_stats.lock();
+        let stats = &mut state.failure_stats;
         stats.evacuations += 1;
         stats.tenants_migrated += report.migrated.len() as u64;
         span.field("migrated", report.migrated.len());
@@ -226,20 +232,18 @@ impl SystemController {
 
     /// The failure/recovery counters accumulated so far.
     pub fn failure_stats(&self) -> FailureStats {
-        *self.failure_stats.lock()
+        self.state.lock().failure_stats
     }
 
     /// Tenants touched by the failure of `fpga`: blocks on it, or DRAM
     /// homed on it.
-    fn affected_tenants(&self, fpga: usize) -> Vec<TenantId> {
+    fn affected_tenants(&self, state: &State, fpga: usize) -> Vec<TenantId> {
         let mut v = self.resources.tenants_on(fpga);
-        let tenants = self.tenants.lock();
-        for (&t, state) in tenants.iter() {
-            if state.handle.primary_fpga() == fpga && !v.contains(&t) {
-                v.push(t);
-            }
-        }
+        v.extend(
+            state.ids(|t| matches!(t, Tenant::Fabric(live) if live.handle.primary_fpga() == fpga)),
+        );
         v.sort_unstable();
+        v.dedup();
         v
     }
 }
@@ -249,6 +253,8 @@ mod tests {
     use super::super::test_support::*;
     use super::super::RuntimeConfig;
     use super::*;
+    use crate::api::{ControlRequest, ControlResponse};
+    use crate::RuntimeError;
     use std::time::Duration;
 
     #[test]
@@ -273,7 +279,7 @@ mod tests {
         // The move charges 10 sequential per-block reconfigurations on the
         // target board, and the stored handle reflects the new cost.
         assert!(m.reconfig > Duration::ZERO);
-        let live = c.tenants.lock().get(&m.tenant).unwrap().handle.clone();
+        let live = c.state.lock().fabric(m.tenant).unwrap().handle.clone();
         assert_eq!(live.reconfig_duration(), m.reconfig);
         assert!(
             live.reconfig_duration() > spanner.reconfig_duration(),
@@ -313,7 +319,7 @@ mod tests {
         assert_eq!(holdings.len(), block_count);
         assert!(holdings.iter().all(|b| b.fpga.index() as usize != home));
         // DRAM moved to the new primary with the same quota, zeroed.
-        let live = c.tenants.lock().get(&h.tenant()).unwrap().handle.clone();
+        let live = c.state.lock().fabric(h.tenant()).unwrap().handle.clone();
         assert_ne!(live.primary_fpga(), home);
         let stats = c.memory_of(live.primary_fpga()).stats(h.tenant()).unwrap();
         assert_eq!(stats.quota_bytes, c.config().default_quota_bytes);
@@ -324,14 +330,39 @@ mod tests {
         assert_eq!(buf, [0u8; 4], "crashed board's contents are lost");
         assert_eq!(c.failure_stats().fpga_failures, 1);
         assert_eq!(c.failure_stats().tenants_migrated, 1);
+        // Failing or evacuating the dead board again changes nothing: it
+        // stays Offline and nothing is counted twice.
+        let report = c.fail_fpga(home);
+        assert!(report.migrated.is_empty() && report.torn_down.is_empty());
+        let report = c.evacuate(home);
+        assert!(report.migrated.is_empty() && report.unmoved.is_empty());
+        assert_eq!(c.resources().health_of(home), FpgaHealth::Offline);
+        let ControlResponse::Status(status) = c.execute(ControlRequest::Status) else {
+            panic!("Status answers a status");
+        };
+        assert_eq!(status.fpgas[home].health, "Offline");
+        assert_eq!((status.fpga_failures, status.evacuations), (1, 0));
+        // So a full cluster refuses a deploy as full: no drain will free
+        // the dead board's blocks.
+        let fillers: Vec<_> = std::iter::from_fn(|| c.deploy("a").ok()).collect();
+        let err = c.deploy("a").unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::InsufficientResources { .. }),
+            "got {err}"
+        );
+        for f in fillers {
+            c.undeploy(f.tenant()).unwrap();
+        }
         // Undeploy still tears everything down cleanly.
         c.undeploy(h.tenant()).unwrap();
         assert_eq!(c.switch().nic_count(), 0);
-        // Recovery restores the board's capacity.
+        // Recovery restores the board's capacity, once.
         assert_eq!(c.resources().health_of(home), FpgaHealth::Offline);
+        c.recover_fpga(home);
         c.recover_fpga(home);
         assert_eq!(c.resources().health_of(home), FpgaHealth::Online);
         assert_eq!(c.resources().total_free(), 60);
+        assert_eq!(c.failure_stats().fpga_recoveries, 1);
     }
 
     #[test]

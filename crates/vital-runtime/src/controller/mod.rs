@@ -8,6 +8,33 @@
 //! recover, evacuate, defragment); [`isa`] (the instruction-level
 //! backend). The build farm lives beside the controller in
 //! [`crate::farm`].
+//!
+//! # One lock
+//!
+//! Everything the controller decides on — the tenant table, the ISA tile
+//! pool, the failure counters, the next tenant id and the cached `Status`
+//! reply — is one [`State`] behind one mutex, and every public operation
+//! is one transaction on it: it takes the lock through
+//! [`SystemController::write`], which also drops the cached `Status`, and
+//! holds it until its last write. A `Status` is served, or rebuilt,
+//! under the same lock, so it is one snapshot by construction.
+//!
+//! * **Lock order:** state → block table ([`ResourceDatabase`]) →
+//!   peripherals ([`MemoryManager`], [`BandwidthArbiter`],
+//!   [`VirtualSwitch`]). The block table is written only while the state
+//!   lock is held; its own lock lets monitors read it through
+//!   [`SystemController::resources`]. The peripherals keep their locks
+//!   because tenants read and write DRAM through them directly.
+//! * **No farm work under the lock:** nothing that compiles, resolves an
+//!   app or persists the farm runs while the state lock is held. A
+//!   deploy resolves its bitstream before locking; a lookup of an image
+//!   that is already registered ([`BitstreamDatabase::get`], an
+//!   in-memory read) may run inside.
+//! * **Split operations:** a portable migration, `Auto`'s portable
+//!   fallback and [`SystemController::restore_portable`] may have to
+//!   compile, so they split at the farm call. The tenant is `Parked` in
+//!   between: an `Undeploy` in that window discards the capsule, and the
+//!   restore half then answers [`RuntimeError::UnknownTenant`].
 
 mod admission;
 mod capsule;
@@ -15,13 +42,13 @@ mod health;
 mod isa;
 mod placement;
 
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::checkpoint::TenantCheckpoint;
-use parking_lot::Mutex;
-use std::collections::HashMap;
+use crate::isa::TilePool;
+use parking_lot::{Mutex, MutexGuard};
 use vital_cluster::Topology;
 use vital_compiler::{AppBitstream, Compiler};
 use vital_fabric::{BlockAddr, FpgaId, PhysicalBlockId};
@@ -35,13 +62,12 @@ use crate::api::{
     FailureSummary, FpgaStatus, MigrationSummary, StatusSummary,
 };
 use crate::farm::{AppResolver, BuildFarm, CompileOutcome};
-use crate::{BitstreamDatabase, FarmStats, FpgaHealth, ResourceDatabase, RuntimeError};
+use crate::{BitstreamDatabase, FarmStats, ResourceDatabase, RuntimeError};
 
 pub use admission::{DeployHandle, Migration};
 pub use health::{EvacuationReport, FailureReport, FailureStats};
 
 use admission::TenantState;
-use isa::IsaBackendState;
 use placement::{policy_for, Policy};
 
 /// Configuration of the runtime: cluster shape plus peripheral capacities.
@@ -97,7 +123,6 @@ impl Default for RuntimeConfig {
 /// See the [crate-level documentation](crate) for an end-to-end example.
 pub struct SystemController {
     config: RuntimeConfig,
-    resources: ResourceDatabase,
     /// Interconnect shape the placement policy and hop-cost accounting
     /// consult. Defaults to the paper's single ring over the cluster's
     /// FPGAs; [`SystemController::with_topology`] swaps in a pod graph.
@@ -107,47 +132,83 @@ pub struct SystemController {
     memory: Vec<MemoryManager>,
     arbiters: Vec<BandwidthArbiter>,
     switch: VirtualSwitch,
-    tenants: Mutex<HashMap<TenantId, TenantState>>,
-    /// Parked checkpoints of suspended tenants, keyed by tenant id.
-    suspended: Mutex<HashMap<TenantId, TenantCheckpoint>>,
-    next_tenant: AtomicU64,
-    failure_stats: Mutex<FailureStats>,
     telemetry: Telemetry,
     /// The build farm: the bitstream database with its single-flight
     /// tables, demand profile, compile hook and persistence (DESIGN.md
     /// §14).
     farm: BuildFarm,
-    /// Bumped at the *end* of every mutation that feeds
-    /// [`ControlRequest::Status`] (via [`StatusDirty`] drop guards, so
-    /// early error returns bump too).
-    status_gen: AtomicU64,
-    /// Memoized snapshot keyed by the generation it was built at. The
-    /// control plane is read-mostly — thousands of `Status` polls per
-    /// mutation — so serving a clone of the cached summary instead of
-    /// re-walking every block turns `Status` from the most expensive
-    /// read into the cheapest.
-    status_cache: Mutex<Option<(u64, StatusSummary)>>,
-    /// The ISA deployment backend (DESIGN.md §16): a static accelerator
-    /// template whose compute tiles are granted to tenants as elastic
-    /// shares. `None` until [`SystemController::with_isa_backend`] runs;
-    /// ISA requests against a disabled backend answer
-    /// [`RuntimeError::IsaBackendDisabled`].
-    isa: Mutex<Option<IsaBackendState>>,
     /// Name of the device model this controller's fabric is built from,
     /// recorded in portable checkpoints as the source geometry. Purely
     /// descriptive — restore never branches on it (DESIGN.md §17).
     geometry: String,
+    /// The controller's one lock (see the module docs).
+    state: Mutex<State>,
+    /// The block table. Written only under `state`; its own lock lets
+    /// monitors read it without waiting for a transaction.
+    resources: ResourceDatabase,
 }
 
-/// Drop guard that marks the status snapshot stale. Bumping on drop —
-/// after the mutation finished — means a concurrent `status_summary`
-/// that observed partial state can never be served past this point: its
-/// cache entry is keyed to the pre-bump generation.
-struct StatusDirty<'a>(&'a AtomicU64);
+/// One tenant id's entry: exactly one of these per tenant.
+enum Tenant {
+    /// Deployed on the fabric: holds blocks, DRAM, a bandwidth share and
+    /// a vNIC.
+    Fabric(TenantState),
+    /// Suspended: its checkpoint capsule, which holds nothing on the
+    /// cluster.
+    Parked(TenantCheckpoint),
+    /// Deployed on the ISA backend, running `app` on a share of the tile
+    /// pool.
+    Isa { app: String },
+}
 
-impl Drop for StatusDirty<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_add(1, Ordering::Release);
+/// Everything the controller decides on, behind its one lock.
+struct State {
+    tenants: BTreeMap<TenantId, Tenant>,
+    /// The ISA backend's tile pool (DESIGN.md §16): a static accelerator
+    /// template whose compute tiles are granted to tenants as elastic
+    /// shares. `None` until [`SystemController::with_isa_backend`] runs;
+    /// ISA requests against a disabled backend answer
+    /// [`RuntimeError::IsaBackendDisabled`].
+    isa_pool: Option<TilePool>,
+    failure_stats: FailureStats,
+    next_tenant: u64,
+    /// The last `Status` reply; every write drops it.
+    status: Option<StatusSummary>,
+}
+
+impl State {
+    /// The live fabric tenant `tenant`.
+    fn fabric(&mut self, tenant: TenantId) -> Result<&mut TenantState, RuntimeError> {
+        match self.tenants.get_mut(&tenant) {
+            Some(Tenant::Fabric(state)) => Ok(state),
+            _ => Err(RuntimeError::UnknownTenant(tenant)),
+        }
+    }
+
+    /// The parked capsule of `tenant`, if it is suspended.
+    fn parked(&self, tenant: TenantId) -> Option<&TenantCheckpoint> {
+        match self.tenants.get(&tenant) {
+            Some(Tenant::Parked(capsule)) => Some(capsule),
+            _ => None,
+        }
+    }
+
+    /// Ids of the tenants `pick` selects, ascending.
+    fn ids(&self, pick: impl Fn(&Tenant) -> bool) -> Vec<TenantId> {
+        self.tenants
+            .iter()
+            .filter(|(_, t)| pick(t))
+            .map(|(&id, _)| id)
+            .collect()
+    }
+
+    /// Publishes an admitted fabric tenant, replacing its parked capsule
+    /// if it had one. Its id is never drawn again.
+    fn go_live(&mut self, state: TenantState) -> DeployHandle {
+        let handle = state.handle.clone();
+        self.next_tenant = self.next_tenant.max(handle.tenant().raw() + 1);
+        self.tenants.insert(handle.tenant(), Tenant::Fabric(state));
+        handle
     }
 }
 
@@ -156,7 +217,7 @@ impl fmt::Debug for SystemController {
         f.debug_struct("SystemController")
             .field("config", &self.config)
             .field("registered_apps", &self.bitstreams().len())
-            .field("live_tenants", &self.tenants.lock().len())
+            .field("live_tenants", &self.live_tenants().len())
             .finish()
     }
 }
@@ -189,16 +250,16 @@ impl SystemController {
                 .map(|_| BandwidthArbiter::new(config.dram_gbps))
                 .collect(),
             switch: VirtualSwitch::new(),
-            tenants: Mutex::new(HashMap::new()),
-            suspended: Mutex::new(HashMap::new()),
-            next_tenant: AtomicU64::new(1),
-            failure_stats: Mutex::new(FailureStats::default()),
             telemetry: Telemetry::disabled(),
             farm: BuildFarm::default(),
-            status_gen: AtomicU64::new(0),
-            status_cache: Mutex::new(None),
-            isa: Mutex::new(None),
             geometry: "XCVU37P".to_string(),
+            state: Mutex::new(State {
+                tenants: BTreeMap::new(),
+                isa_pool: None,
+                failure_stats: FailureStats::default(),
+                next_tenant: 1,
+                status: None,
+            }),
             config,
         }
     }
@@ -255,7 +316,7 @@ impl SystemController {
                 topology.len(),
             )));
         }
-        if !self.tenants.get_mut().is_empty() {
+        if !self.live_tenants().is_empty() {
             return Err(RuntimeError::InvalidConfig(
                 "the topology must be set before the first deployment".to_string(),
             ));
@@ -486,45 +547,37 @@ impl SystemController {
             .unwrap_or_else(|e| ControlResponse::Err(ApiError::from(&e)))
     }
 
-    /// Arms a [`StatusDirty`] guard; hold it across any mutation the
-    /// status snapshot must observe.
-    fn mark_status_dirty(&self) -> StatusDirty<'_> {
-        StatusDirty(&self.status_gen)
+    /// Opens a transaction: takes the one lock and drops the cached
+    /// `Status`, which the transaction may change. Every mutation runs
+    /// under the guard this returns.
+    fn write(&self) -> MutexGuard<'_, State> {
+        let mut state = self.state.lock();
+        state.status = None;
+        state
     }
 
     /// The [`ControlRequest::Status`] snapshot: per-device health and
-    /// block occupancy plus tenancy and failure counters. Served from a
-    /// generation-stamped cache — rebuilding the snapshot walks every
-    /// block in the cluster, which a `Status`-polling control plane does
-    /// thousands of times between mutations.
+    /// block occupancy plus tenancy and failure counters, all read under
+    /// the one lock. The reply is cached until the next write —
+    /// rebuilding it walks every block in the cluster, which a
+    /// `Status`-polling control plane does thousands of times between
+    /// mutations.
     fn status_summary(&self) -> StatusSummary {
-        let generation = self.status_gen.load(Ordering::Acquire);
-        {
-            let cache = self.status_cache.lock();
-            if let Some((cached_gen, cached)) = cache.as_ref() {
-                if *cached_gen == generation {
-                    return cached.clone();
-                }
-            }
+        let mut state = self.state.lock();
+        if let Some(cached) = &state.status {
+            return cached.clone();
         }
-        let summary = self.build_status_summary();
-        *self.status_cache.lock() = Some((generation, summary.clone()));
+        let summary = self.build_status_summary(&state);
+        state.status = Some(summary.clone());
         summary
     }
 
-    fn build_status_summary(&self) -> StatusSummary {
-        // Every block row and free count from one guard, so the reply's
-        // `total_free` is the sum of its rows under any concurrent write.
+    fn build_status_summary(&self, state: &State) -> StatusSummary {
         let fpgas: Vec<FpgaStatus> = self.resources.read(|view| {
             (0..view.fpga_count())
                 .map(|f| FpgaStatus {
                     fpga: f,
-                    health: match view.health_of(f) {
-                        FpgaHealth::Online => "Online",
-                        FpgaHealth::Draining => "Draining",
-                        FpgaHealth::Offline => "Offline",
-                    }
-                    .to_string(),
+                    health: format!("{:?}", view.health_of(f)),
                     blocks: (0..view.blocks_per_fpga_of(f))
                         .map(|b| {
                             let addr = BlockAddr::new(
@@ -538,19 +591,25 @@ impl SystemController {
                 })
                 .collect()
         });
-        let stats = self.failure_stats();
-        let (isa_tenants, isa_tiles_total, isa_tiles_free) = self.isa_status();
+        let raw = |ids: Vec<TenantId>| ids.iter().map(|t| t.raw()).collect();
+        let stats = state.failure_stats;
+        let (isa_tiles_total, isa_tiles_free) = state
+            .isa_pool
+            .as_ref()
+            .map_or((0, 0), |pool| (pool.total(), pool.free_count()));
         StatusSummary {
             total_free: fpgas.iter().map(|s| s.free).sum(),
             fpgas,
-            live_tenants: self.live_tenants().iter().map(|t| t.raw()).collect(),
-            suspended_tenants: self.suspended_tenants().iter().map(|t| t.raw()).collect(),
+            live_tenants: raw(state.ids(|t| matches!(t, Tenant::Fabric(_)))),
+            suspended_tenants: raw(state.ids(|t| matches!(t, Tenant::Parked(_)))),
             fpga_failures: stats.fpga_failures,
             fpga_recoveries: stats.fpga_recoveries,
             evacuations: stats.evacuations,
             tenants_migrated: stats.tenants_migrated,
             tenants_torn_down: stats.tenants_torn_down,
-            isa_tenants,
+            // Tenants scaled to zero tiles are still deployed, so the ids
+            // come from the tenant table, not the pool's owners.
+            isa_tenants: raw(state.ids(|t| matches!(t, Tenant::Isa { .. }))),
             isa_tiles_total,
             isa_tiles_free,
         }
@@ -642,44 +701,142 @@ mod tests {
         assert!(matches!(err, RuntimeError::InvalidConfig(_)));
     }
 
-    /// Writers deploy and undeploy while a reader polls `Status` across
-    /// 300 generations of the snapshot: every reply's `total_free` must be
-    /// the sum of its per-FPGA `free`, i.e. one reply's block rows are one
-    /// snapshot. 64 FPGAs make each rebuild long enough for a write to
+    /// Writers change every part of `Status` while a reader polls it:
+    /// two threads deploy, checkpoint, restore and undeploy fabric
+    /// tenants, a third deploys, scales and undeploys ISA tenants. Every
+    /// reply must be one snapshot: its block rows name exactly its live
+    /// tenants, its three tenant lists are disjoint, `total_free` is the
+    /// sum of its rows, and no Offline board or tile pool shows more free
+    /// than it has. 64 FPGAs make each rebuild long enough for a write to
     /// land inside it.
     #[test]
     fn status_block_rows_are_one_snapshot_under_writes() {
-        use std::sync::atomic::AtomicBool;
-        let c = SystemController::with_layout(RuntimeConfig::paper_cluster(), vec![15; 64]);
+        use std::collections::BTreeSet;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let c = SystemController::with_layout(RuntimeConfig::paper_cluster(), vec![15; 64])
+            .with_isa_backend(16);
         let mut spec = AppSpec::new("a");
         spec.add_operator("m", vital_netlist::hls::Operator::MacArray { pes: 8 });
         register_spec(&c, &spec);
         let stop = AtomicBool::new(false);
-        let (mut generations, mut last, mut torn) = (0, u64::MAX, 0);
+        let (polls, mut torn, mut first_torn) = (2_000, 0, None);
         std::thread::scope(|s| {
             for _ in 0..2 {
                 s.spawn(|| {
                     while !stop.load(Ordering::Relaxed) {
                         let t = c.deploy("a").unwrap().tenant();
+                        c.suspend(t).unwrap();
+                        c.resume(t).unwrap();
                         c.undeploy(t).unwrap();
                     }
                 });
             }
-            while generations < 300 {
-                let gen = c.status_gen.load(Ordering::Acquire);
-                generations += usize::from(gen != last);
-                last = gen;
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    let req = ControlRequest::Deploy(crate::DeployRequest::isa("vgg-S"));
+                    let ControlResponse::Deployed(d) = c.execute(req) else {
+                        panic!("the pool is never exhausted by one tenant");
+                    };
+                    let t = TenantId::new(d.tenant);
+                    assert!(c.execute(ControlRequest::scale(t, 3)).is_ok());
+                    c.undeploy(t).unwrap();
+                }
+            });
+            for _ in 0..polls {
                 let ControlResponse::Status(s) = c.execute(ControlRequest::Status) else {
                     panic!("Status answers a status");
                 };
-                torn += usize::from(s.total_free != s.fpgas.iter().map(|f| f.free).sum::<usize>());
+                let owners: BTreeSet<u64> = s
+                    .fpgas
+                    .iter()
+                    .flat_map(|f| f.blocks.iter().copied())
+                    .filter(|&t| t != 0)
+                    .collect();
+                let [live, parked, isa] = [&s.live_tenants, &s.suspended_tenants, &s.isa_tenants]
+                    .map(|ids| ids.iter().copied().collect::<BTreeSet<u64>>());
+                let broken = [
+                    (owners != live, "block owners differ from live_tenants"),
+                    (!live.is_disjoint(&parked), "a tenant is live and parked"),
+                    (!live.is_disjoint(&isa), "a tenant is live and ISA"),
+                    (!parked.is_disjoint(&isa), "a tenant is parked and ISA"),
+                    (
+                        s.total_free != s.fpgas.iter().map(|f| f.free).sum::<usize>(),
+                        "total_free is not the sum of the rows",
+                    ),
+                    (
+                        s.fpgas.iter().any(|f| f.health == "Offline" && f.free != 0),
+                        "an Offline board has free blocks",
+                    ),
+                    (
+                        s.isa_tiles_free > s.isa_tiles_total,
+                        "more free tiles than tiles",
+                    ),
+                ]
+                .into_iter()
+                .find(|&(broken, _)| broken);
+                if let Some((_, why)) = broken {
+                    torn += 1;
+                    first_torn.get_or_insert(why);
+                }
             }
             stop.store(true, Ordering::Relaxed);
         });
         assert_eq!(
             torn, 0,
-            "{torn} torn Status replies over {generations} generations"
+            "{torn} of {polls} Status replies torn; the first: {first_torn:?}"
         );
+    }
+
+    /// A compile never runs under the controller's lock: while a
+    /// `Prepare` is parked inside the app resolver, `Status`, a `Deploy`
+    /// of a registered app, `Checkpoint` and `Undeploy` all answer.
+    #[test]
+    fn a_compile_never_holds_the_controller_lock() {
+        use std::sync::{mpsc, Arc, Barrier};
+        use std::time::Duration;
+        let c = controller_with(&[("a", 8)]);
+        let (entered, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+        let (e, r) = (entered.clone(), release.clone());
+        c.set_app_resolver(Box::new(move |name| {
+            e.wait();
+            r.wait();
+            Err(RuntimeError::UnknownApp(name.to_string()))
+        }));
+        std::thread::scope(|s| {
+            let prepare = s.spawn(|| c.execute(ControlRequest::Prepare { app: "cold".into() }));
+            entered.wait();
+            // The compile is parked until `release`: each request gets one
+            // second to answer, and a late one releases the compile before
+            // failing so the test ends either way.
+            let answer = |req: ControlRequest| {
+                let what = format!("{req:?}");
+                let (tx, rx) = mpsc::channel();
+                let c = &c;
+                s.spawn(move || tx.send(c.execute(req)).ok());
+                rx.recv_timeout(Duration::from_secs(1)).unwrap_or_else(|_| {
+                    release.wait();
+                    panic!("{what} waited on a compile");
+                })
+            };
+            assert!(matches!(
+                answer(ControlRequest::Status),
+                ControlResponse::Status(_)
+            ));
+            let ControlResponse::Deployed(d) = answer(ControlRequest::deploy("a")) else {
+                panic!("a registered app deploys");
+            };
+            let t = TenantId::new(d.tenant);
+            assert!(matches!(
+                answer(ControlRequest::checkpoint(t)),
+                ControlResponse::Suspended(_)
+            ));
+            assert!(matches!(
+                answer(ControlRequest::undeploy(t)),
+                ControlResponse::Undeployed { .. }
+            ));
+            release.wait();
+            assert!(!prepare.join().unwrap().is_ok(), "the resolver refused");
+        });
     }
 
     #[test]

@@ -4,10 +4,20 @@
 //! The controller owns two databases:
 //!
 //! * the **resource database** ([`ResourceDatabase`]) — the status of every
-//!   physical block of every FPGA: a lock around the simulator's own block
-//!   table, [`vital_cluster::ClusterView`], whose slots hold tenant ids,
+//!   physical block of every FPGA: the simulator's own block table,
+//!   [`vital_cluster::ClusterView`], whose slots hold tenant ids,
 //! * the **bitstream database** ([`BitstreamDatabase`]) — the compiled,
 //!   relocatable [`vital_compiler::AppBitstream`] of every application.
+//!
+//! Everything else the controller decides on — its tenants (live, parked
+//! or on the ISA backend), the ISA tile pool, the failure counters and
+//! the cached `Status` reply — sits behind **one lock**, and every
+//! control operation is one transaction on it. The block table is
+//! written only under that lock (lock order: controller state → block
+//! table → DRAM, bandwidth and vNIC peripherals), so a
+//! [`ControlRequest::Status`] reply is one snapshot. No compile runs
+//! under the lock: a portable migration or restore resolves its image
+//! between two transactions, with the tenant parked in between.
 //!
 //! Deployment uses the **communication-aware multi-round policy**
 //! ([`allocate_blocks_on`]): round 1 looks for a single FPGA with enough free

@@ -1,8 +1,12 @@
 //! The resource database: status of every physical block (paper Fig. 6).
 //!
-//! One lock around the stack's one block table, [`ClusterView`] — the type
-//! the simulator's policies read — plus the tenant → blocks index that
-//! teardown releases by. The view's slots hold tenant ids.
+//! The stack's one block table, [`ClusterView`] — the type the
+//! simulator's policies read — plus the tenant → blocks index that
+//! teardown releases by, behind a reader-writer lock. The view's slots
+//! hold tenant ids. A [`SystemController`](crate::SystemController)
+//! writes its table only while it holds its own state lock, so every
+//! write is part of one controller transaction; the table's lock lets
+//! monitors read it without waiting for one.
 
 use std::collections::BTreeMap;
 use std::fmt;

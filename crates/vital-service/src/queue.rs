@@ -98,25 +98,6 @@ impl FairQueue {
         Ok(())
     }
 
-    /// Takes the next job round-robin, blocking while the queue is empty.
-    /// Returns `None` once the queue is draining *and* empty. Workers use
-    /// [`FairQueue::pop_many`]; this single-job form remains as the
-    /// reference semantics the batched pop is tested against.
-    #[cfg(test)]
-    pub(crate) fn pop(&self) -> Option<Job> {
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
-        loop {
-            if let Some(job) = Self::take_next(&mut inner) {
-                self.got_smaller.notify_all();
-                return Some(job);
-            }
-            if inner.draining {
-                return None;
-            }
-            inner = self.not_empty.wait(inner).expect("queue lock poisoned");
-        }
-    }
-
     /// Takes up to `max` jobs in one lock acquisition, blocking while the
     /// queue is empty — the worker fast path: at high load one
     /// mutex/condvar round trip is amortized over the whole sweep instead
@@ -193,6 +174,27 @@ impl FairQueue {
             .expect("queue lock poisoned")
             .sessions
             .contains_key(&session)
+    }
+}
+
+#[cfg(test)]
+impl FairQueue {
+    /// Takes the next job round-robin, blocking while the queue is empty.
+    /// Returns `None` once the queue is draining *and* empty. Workers use
+    /// [`FairQueue::pop_many`]; this single-job form remains as the
+    /// reference semantics the batched pop is tested against.
+    pub(crate) fn pop(&self) -> Option<Job> {
+        let mut inner = self.inner.lock().expect("queue lock poisoned");
+        loop {
+            if let Some(job) = Self::take_next(&mut inner) {
+                self.got_smaller.notify_all();
+                return Some(job);
+            }
+            if inner.draining {
+                return None;
+            }
+            inner = self.not_empty.wait(inner).expect("queue lock poisoned");
+        }
     }
 }
 

@@ -113,19 +113,6 @@ impl ShardSet {
         shard
     }
 
-    /// Admits a job into its session's shard (power-of-two-choices on the
-    /// session's first submission), or rejects it without side effects.
-    /// The service's submit path caches placement client-side and uses
-    /// [`ShardSet::place`]/[`ShardSet::push_to`] directly; this composed
-    /// form is the reference semantics the property tests exercise.
-    #[cfg(test)]
-    pub(crate) fn push(&self, job: Job, retry_after_ms: u64) -> Result<(), ServiceError> {
-        let session = job.session;
-        let shard = self.place(session);
-        self.push_to(shard, job, retry_after_ms)
-            .inspect_err(|_| self.unpin_idle(session, shard))
-    }
-
     /// Admits a job directly into `shard` — the fast path for clients
     /// that cached their placement. The caller owns the affinity
     /// invariant: `shard` must be the session's placed shard.
@@ -167,6 +154,21 @@ impl ShardSet {
         for q in &self.shards {
             q.wait_empty();
         }
+    }
+}
+
+#[cfg(test)]
+impl ShardSet {
+    /// Admits a job into its session's shard (power-of-two-choices on the
+    /// session's first submission), or rejects it without side effects.
+    /// The service's submit path caches placement client-side and uses
+    /// [`ShardSet::place`]/[`ShardSet::push_to`] directly; this composed
+    /// form is the reference semantics the property tests exercise.
+    pub(crate) fn push(&self, job: Job, retry_after_ms: u64) -> Result<(), ServiceError> {
+        let session = job.session;
+        let shard = self.place(session);
+        self.push_to(shard, job, retry_after_ms)
+            .inspect_err(|_| self.unpin_idle(session, shard))
     }
 }
 

@@ -168,12 +168,6 @@ impl SlotPool {
             free.push(slot);
         }
     }
-
-    /// Slots currently sitting in the freelist.
-    #[cfg(test)]
-    pub(crate) fn free_len(&self) -> usize {
-        self.free.lock().expect("slot pool lock poisoned").len()
-    }
 }
 
 /// A cloneable handle on one request's completion slot. The worker
@@ -213,16 +207,6 @@ impl Drop for SlotHandle {
 }
 
 impl SlotHandle {
-    /// An unpooled slot (its memory is freed, not recycled, when the last
-    /// handle drops). The service path goes through [`SlotPool::acquire`].
-    #[cfg(test)]
-    pub(crate) fn new() -> Self {
-        SlotHandle {
-            slot: Some(Arc::new(Slot::new())),
-            pool: None,
-        }
-    }
-
     fn slot(&self) -> &Slot {
         self.slot.as_ref().expect("slot taken only in drop")
     }
@@ -287,6 +271,26 @@ impl SlotHandle {
                 .expect("slot lock poisoned");
             state = g;
             state.waiters -= 1;
+        }
+    }
+}
+
+#[cfg(test)]
+impl SlotPool {
+    /// Slots currently sitting in the freelist.
+    pub(crate) fn free_len(&self) -> usize {
+        self.free.lock().expect("slot pool lock poisoned").len()
+    }
+}
+
+#[cfg(test)]
+impl SlotHandle {
+    /// An unpooled slot (its memory is freed, not recycled, when the last
+    /// handle drops). The service path goes through [`SlotPool::acquire`].
+    pub(crate) fn new() -> Self {
+        SlotHandle {
+            slot: Some(Arc::new(Slot::new())),
+            pool: None,
         }
     }
 }

@@ -1,15 +1,21 @@
-//! Property test: any interleaving of deploy / undeploy / fail_fpga /
-//! recover_fpga / evacuate / defragment leaves the system controller
-//! consistent — once every FPGA is recovered and every surviving tenant
-//! undeployed, no blocks, DRAM spaces, NICs, or bandwidth shares remain.
+//! Property test: any interleaving of deploy / undeploy / suspend /
+//! resume / ISA deploy / fail_fpga / recover_fpga / evacuate / defragment
+//! leaves the system controller consistent — after every step one
+//! `Status` reply is a consistent snapshot, and once every FPGA is
+//! recovered and every surviving tenant undeployed, no blocks, DRAM
+//! spaces, NICs, bandwidth shares or tiles remain.
 
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use vital::compiler::{AppBitstream, Compiler, CompilerConfig};
 use vital::netlist::hls::{AppSpec, Operator};
 use vital::periph::TenantId;
-use vital::runtime::{RuntimeConfig, SystemController};
+use vital::runtime::{
+    ControlRequest, ControlResponse, DeployRequest, RuntimeConfig, StatusSummary, SystemController,
+};
 
 const NAMES: [&str; 3] = ["small", "medium", "large"];
 
@@ -49,6 +55,9 @@ fn bitstreams() -> &'static Vec<AppBitstream> {
 enum Op {
     Deploy(usize),
     Undeploy(usize),
+    Suspend(usize),
+    Resume(usize),
+    DeployIsa,
     Fail(usize),
     Recover(usize),
     Evacuate(usize),
@@ -62,11 +71,50 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0..NAMES.len()).prop_map(Op::Deploy),
         (0..NAMES.len()).prop_map(Op::Deploy),
         (0..16usize).prop_map(Op::Undeploy),
+        (0..16usize).prop_map(Op::Suspend),
+        (0..16usize).prop_map(Op::Resume),
+        Just(Op::DeployIsa),
         (0..4usize).prop_map(Op::Fail),
         (0..4usize).prop_map(Op::Recover),
         (0..4usize).prop_map(Op::Evacuate),
         Just(Op::Defrag),
     ]
+}
+
+fn status(c: &SystemController) -> StatusSummary {
+    match c.execute(ControlRequest::Status) {
+        ControlResponse::Status(s) => s,
+        other => panic!("Status answered {other:?}"),
+    }
+}
+
+/// What one `Status` reply must satisfy on its own: its block rows name
+/// exactly its live tenants, its three tenant lists are disjoint, its
+/// `total_free` is the sum of its rows, and an Offline board shows no
+/// free block.
+fn check_snapshot(s: &StatusSummary) -> Result<(), TestCaseError> {
+    let owners: BTreeSet<u64> = s
+        .fpgas
+        .iter()
+        .flat_map(|f| f.blocks.iter().copied())
+        .filter(|&t| t != 0)
+        .collect();
+    let set = |ids: &[u64]| ids.iter().copied().collect::<BTreeSet<u64>>();
+    let (live, parked, isa) = (
+        set(&s.live_tenants),
+        set(&s.suspended_tenants),
+        set(&s.isa_tenants),
+    );
+    prop_assert_eq!(&owners, &live, "block owners are the live tenants");
+    prop_assert!(
+        live.is_disjoint(&parked) && live.is_disjoint(&isa) && parked.is_disjoint(&isa),
+        "tenant lists overlap: live {live:?}, parked {parked:?}, isa {isa:?}"
+    );
+    prop_assert_eq!(s.total_free, s.fpgas.iter().map(|f| f.free).sum::<usize>());
+    for f in s.fpgas.iter().filter(|f| f.health == "Offline") {
+        prop_assert_eq!(f.free, 0, "Offline fpga{} shows free blocks", f.fpga);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -76,7 +124,7 @@ proptest! {
     fn any_interleaving_leaves_the_controller_consistent(
         ops in proptest::collection::vec(op_strategy(), 1..30)
     ) {
-        let c = SystemController::new(RuntimeConfig::paper_cluster());
+        let c = SystemController::new(RuntimeConfig::paper_cluster()).with_isa_backend(8);
         for bs in bitstreams() {
             c.register(bs.clone()).unwrap();
         }
@@ -84,7 +132,9 @@ proptest! {
         let total_blocks = c.resources().total_free();
         let free_bytes: Vec<u64> = (0..fpgas).map(|f| c.memory_of(f).free_bytes()).collect();
 
+        // Every tenant ever admitted, on either backend, live or parked.
         let mut deployed: Vec<TenantId> = Vec::new();
+        let pick = |deployed: &[TenantId], i: usize| deployed.get(i % deployed.len().max(1)).copied();
         for op in ops {
             match op {
                 Op::Deploy(i) => {
@@ -101,6 +151,24 @@ proptest! {
                         let _ = c.undeploy(t);
                     }
                 }
+                // Both may fail: the tenant may be parked, live, on the
+                // ISA backend or gone.
+                Op::Suspend(i) => {
+                    if let Some(t) = pick(&deployed, i) {
+                        let _ = c.suspend(t);
+                    }
+                }
+                Op::Resume(i) => {
+                    if let Some(t) = pick(&deployed, i) {
+                        let _ = c.resume(t);
+                    }
+                }
+                Op::DeployIsa => {
+                    let req = ControlRequest::Deploy(DeployRequest::isa("vgg-S"));
+                    if let ControlResponse::Deployed(d) = c.execute(req) {
+                        deployed.push(TenantId::new(d.tenant));
+                    }
+                }
                 Op::Fail(f) => {
                     let _ = c.fail_fpga(f % fpgas);
                 }
@@ -112,15 +180,21 @@ proptest! {
                     let _ = c.defragment();
                 }
             }
+            check_snapshot(&status(&c))?;
         }
 
         // Drain: bring every board back and tear every survivor down.
         for f in 0..fpgas {
             c.recover_fpga(f);
         }
-        for t in c.live_tenants() {
-            prop_assert!(c.undeploy(t).is_ok(), "undeploying survivor {t} failed");
+        let survivors = status(&c);
+        for t in [survivors.live_tenants, survivors.suspended_tenants, survivors.isa_tenants]
+            .concat()
+        {
+            prop_assert!(c.undeploy(TenantId::new(t)).is_ok(), "undeploying survivor {t} failed");
         }
+        let drained = status(&c);
+        prop_assert_eq!(drained.isa_tiles_free, drained.isa_tiles_total, "leaked tiles");
 
         // Nothing may leak.
         prop_assert_eq!(c.resources().total_free(), total_blocks, "leaked blocks");
