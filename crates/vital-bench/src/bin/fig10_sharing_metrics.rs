@@ -34,18 +34,22 @@ fn main() {
     let seeds = &FIG9_SEEDS;
     // Part 1: the Fig. 10 relocation illustration, on the real controller.
     println!("== Fig. 10: flexible sharing through relocation ==\n");
-    let stack = VitalStack::new();
+    let compiler = Compiler::new(CompilerConfig::default());
+    let controller = SystemController::new(RuntimeConfig::paper_cluster());
     let suite = benchmarks();
     for bench in suite.iter().take(4) {
-        let spec = bench.spec(Size::Small);
-        stack
-            .compile_and_register(&spec)
-            .expect("suite compiles and registers");
+        let compiled = compiler.compile(&bench.spec(Size::Small));
+        controller
+            .register(compiled.expect("suite compiles").into_bitstream())
+            .expect("suite registers");
     }
     let mut handles = Vec::new();
     for bench in suite.iter().take(4) {
         let name = format!("{}-S", bench.name());
-        handles.push((name.clone(), stack.deploy(&name).expect("cluster has room")));
+        handles.push((
+            name.clone(),
+            controller.deploy(&name).expect("cluster has room"),
+        ));
     }
     // Free the second app and deploy a new instance of the fourth: its
     // virtual blocks relocate into the freed physical blocks.
@@ -58,8 +62,9 @@ fn main() {
             .map(|a| a.to_string())
             .collect::<Vec<_>>()
     );
-    stack.undeploy(freed.tenant()).expect("tenant is live");
-    let again = stack
+    let undeployed = controller.execute(ControlRequest::undeploy(freed.tenant()));
+    assert!(undeployed.is_ok(), "tenant is live");
+    let again = controller
         .deploy(&handles[2].0)
         .expect("relocation into freed blocks");
     println!(
@@ -74,7 +79,7 @@ fn main() {
 
     // Cluster occupancy map.
     println!("cluster occupancy (one row per FPGA, '.' = free):");
-    let db = stack.controller().resources();
+    let db = controller.resources();
     for f in 0..db.fpga_count() {
         let mut row = String::new();
         for b in 0..db.blocks_per_fpga() {

@@ -112,11 +112,12 @@ fn main() {
         source.run_tenant(tenant, 16 + i as u64).unwrap();
 
         // Fast path: relocation by partial reconfiguration.
-        let (m, ran) = source
-            .migrate_with_policy(tenant, MigratePolicy::SameGeometry)
-            .expect("same-geometry migration");
-        assert_eq!(ran, MigratePolicy::SameGeometry);
-        same_ms.push(m.reconfig.as_secs_f64() * 1.0e3);
+        let req = ControlRequest::migrate_with(tenant, MigratePolicy::SameGeometry);
+        let ControlResponse::Migrated(m) = source.execute(req) else {
+            panic!("same-geometry migration failed");
+        };
+        assert_eq!(m.policy, MigratePolicy::SameGeometry);
+        same_ms.push(m.reconfig_us as f64 / 1.0e3);
 
         // Portable path: scan out, ship, restore on the other layout.
         let target =

@@ -24,7 +24,6 @@ use serde::{Deserialize, Serialize};
 use vital_interface::{ApiError, FormatVersion};
 use vital_periph::TenantId;
 
-use crate::controller::{EvacuationReport, FailureReport, Migration};
 use crate::{DeployHandle, TenantCheckpoint};
 
 /// Which execution substrate a deployment lands on.
@@ -362,7 +361,9 @@ impl From<&TenantCheckpoint> for SuspendSummary {
     }
 }
 
-/// One completed relocation, as reported over the control plane.
+/// One completed relocation — the tenant's logic moved to a new set of
+/// physical blocks by partial reconfiguration, never recompilation — by a
+/// migration, a defragmentation, an evacuation or a failure.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MigrationSummary {
     /// Raw id of the migrated tenant.
@@ -375,34 +376,12 @@ pub struct MigrationSummary {
     pub reconfig_us: u64,
     /// Ring-hop cost before the move.
     pub hop_cost_before: usize,
-    /// Ring-hop cost after the move.
+    /// Ring-hop cost after the move. Defragmentation never lets this
+    /// exceed `hop_cost_before`.
     pub hop_cost_after: usize,
     /// Which migration path actually ran (under [`MigratePolicy::Auto`]
     /// this records the winner, never `Auto` itself).
     pub policy: MigratePolicy,
-}
-
-impl MigrationSummary {
-    /// Records which migration path produced this summary (builder style).
-    #[must_use]
-    pub(crate) fn with_policy(mut self, policy: MigratePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-}
-
-impl From<&Migration> for MigrationSummary {
-    fn from(m: &Migration) -> Self {
-        MigrationSummary {
-            tenant: m.tenant.raw(),
-            fpgas_before: m.fpgas_before,
-            fpgas_after: m.fpgas_after,
-            reconfig_us: duration_us(m.reconfig),
-            hop_cost_before: m.hop_cost_before,
-            hop_cost_after: m.hop_cost_after,
-            policy: MigratePolicy::SameGeometry,
-        }
-    }
 }
 
 /// What an evacuation managed to move.
@@ -416,16 +395,6 @@ pub struct EvacuationSummary {
     pub unmoved: Vec<u64>,
 }
 
-impl EvacuationSummary {
-    pub(crate) fn from_report(fpga: usize, r: &EvacuationReport) -> Self {
-        EvacuationSummary {
-            fpga,
-            migrated: r.migrated.iter().map(MigrationSummary::from).collect(),
-            unmoved: r.unmoved.iter().map(|t| t.raw()).collect(),
-        }
-    }
-}
-
 /// What declaring a device failed did to the affected tenants.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FailureSummary {
@@ -435,16 +404,6 @@ pub struct FailureSummary {
     pub migrated: Vec<MigrationSummary>,
     /// Raw ids of tenants torn down because no placement could hold them.
     pub torn_down: Vec<u64>,
-}
-
-impl FailureSummary {
-    pub(crate) fn from_report(fpga: usize, r: &FailureReport) -> Self {
-        FailureSummary {
-            fpga,
-            migrated: r.migrated.iter().map(MigrationSummary::from).collect(),
-            torn_down: r.torn_down.iter().map(|t| t.raw()).collect(),
-        }
-    }
 }
 
 /// Health and occupancy of one device, from a [`ControlRequest::Status`].
@@ -557,7 +516,7 @@ impl ControlResponse {
     }
 }
 
-fn duration_us(d: Duration) -> u64 {
+pub(crate) fn duration_us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
@@ -721,9 +680,8 @@ mod tests {
             reconfig_us: 90,
             hop_cost_before: 0,
             hop_cost_after: 0,
-            policy: MigratePolicy::SameGeometry,
-        }
-        .with_policy(MigratePolicy::Portable);
+            policy: MigratePolicy::Portable,
+        };
         let json = serde_json::to_string(&m).unwrap();
         let back: MigrationSummary = serde_json::from_str(&json).unwrap();
         assert_eq!(back, m);

@@ -18,6 +18,7 @@ use vital_telemetry::Span;
 
 use super::placement::{fpgas_of, targets_for};
 use super::{State, SystemController, Tenant};
+use crate::api::{duration_us, MigratePolicy, MigrationSummary};
 use crate::{FpgaHealth, RuntimeError};
 
 /// A live deployment returned by [`SystemController::deploy`].
@@ -68,28 +69,6 @@ impl DeployHandle {
     pub fn bandwidth(&self) -> ShareGrant {
         self.bandwidth
     }
-}
-
-/// One completed tenant relocation: the tenant's logic moved to a new set
-/// of physical blocks by partial reconfiguration — never recompilation —
-/// whether triggered by [`SystemController::defragment`],
-/// [`SystemController::evacuate`], or [`SystemController::fail_fpga`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Migration {
-    /// The migrated tenant.
-    pub tenant: TenantId,
-    /// Distinct FPGAs spanned before the move.
-    pub fpgas_before: usize,
-    /// Distinct FPGAs spanned after the move.
-    pub fpgas_after: usize,
-    /// Modelled partial-reconfiguration time to program the new blocks —
-    /// the downtime the move charges the tenant.
-    pub reconfig: Duration,
-    /// Total ring-hop cost of the placement before the move.
-    pub hop_cost_before: usize,
-    /// Total ring-hop cost of the placement after the move. Defragmentation
-    /// never lets this exceed `hop_cost_before`.
-    pub hop_cost_after: usize,
 }
 
 pub(super) struct TenantState {
@@ -345,21 +324,23 @@ impl SystemController {
         Ok((state, hop_cost))
     }
 
-    /// The record of one completed move of `tenant`, which spanned
-    /// `fpgas_before` FPGAs at `hop_cost_before`, onto `blocks`.
+    /// The record of one completed same-geometry move of `tenant`, which
+    /// spanned `fpgas_before` FPGAs at `hop_cost_before`, onto `blocks`:
+    /// partial reconfiguration of the new blocks, never a recompilation.
     pub(super) fn migration_record(
         &self,
         tenant: TenantId,
         (fpgas_before, hop_cost_before): (usize, usize),
         blocks: &[BlockAddr],
-    ) -> Migration {
-        Migration {
-            tenant,
+    ) -> MigrationSummary {
+        MigrationSummary {
+            tenant: tenant.raw(),
             fpgas_before,
             fpgas_after: fpgas_of(blocks),
-            reconfig: self.reconfig_of(blocks),
+            reconfig_us: duration_us(self.reconfig_of(blocks)),
             hop_cost_before,
             hop_cost_after: self.placement_hop_cost(blocks),
+            policy: MigratePolicy::SameGeometry,
         }
     }
 
@@ -376,7 +357,7 @@ impl SystemController {
     /// attempted regardless of earlier failures, so a failing step never
     /// leaks the later ones. The first failure encountered is returned;
     /// the tenant is gone either way.
-    pub fn undeploy(&self, tenant: TenantId) -> Result<(), RuntimeError> {
+    pub(super) fn undeploy(&self, tenant: TenantId) -> Result<(), RuntimeError> {
         let mut span = self.telemetry.span("runtime.undeploy");
         span.field("tenant", tenant.raw());
         let mut state = self.write();
@@ -421,7 +402,11 @@ impl SystemController {
     /// the DRAM stays where it is. Returns `None` if no placement fits or
     /// the new primary has no room for the DRAM space (the caller tears
     /// the tenant down).
-    pub(super) fn relocate_tenant(&self, state: &mut State, tenant: TenantId) -> Option<Migration> {
+    pub(super) fn relocate_tenant(
+        &self,
+        state: &mut State,
+        tenant: TenantId,
+    ) -> Option<MigrationSummary> {
         let live = &state.fabric(tenant).ok()?.handle;
         let (needed, fpgas_before, old_primary) = (
             live.placed.bindings.len(),
@@ -473,11 +458,6 @@ impl SystemController {
             live.channels = Self::channels_for(bitstream.channel_plan(), &blocks);
         }
         Some(self.migration_record(tenant, (fpgas_before, hop_cost_before), &blocks))
-    }
-
-    /// Live tenant ids, sorted.
-    pub fn live_tenants(&self) -> Vec<TenantId> {
-        self.state.lock().ids(|t| matches!(t, Tenant::Fabric(_)))
     }
 }
 
@@ -578,11 +558,11 @@ mod tests {
         let free_before = c.resources().total_free();
         let h = c.deploy("a").unwrap();
         assert!(c.resources().total_free() < free_before);
-        assert_eq!(c.live_tenants(), vec![h.tenant()]);
+        assert_eq!(live(&c), vec![h.tenant()]);
         assert!(h.reconfig_duration() > Duration::ZERO);
         c.undeploy(h.tenant()).unwrap();
         assert_eq!(c.resources().total_free(), free_before);
-        assert!(c.live_tenants().is_empty());
+        assert!(live(&c).is_empty());
     }
 
     #[test]
@@ -673,7 +653,7 @@ mod tests {
         assert_eq!(c.resources().total_free(), free_before);
         assert_eq!(c.switch().nic_count(), 0);
         assert_eq!(c.arbiter_of(h.primary_fpga()).total_demand_gbps(), 0.0);
-        assert!(c.live_tenants().is_empty());
+        assert!(live(&c).is_empty());
         // The tenant is gone: a second undeploy is UnknownTenant.
         assert!(matches!(
             c.undeploy(h.tenant()),
@@ -715,7 +695,7 @@ mod tests {
         assert_eq!(c.memory_of(0).tenant_count(), spaces);
         assert_eq!(c.arbiter_of(0).total_demand_gbps(), demand);
         assert_eq!(c.switch().nic_count(), 4);
-        assert_eq!(c.live_tenants().len(), 4);
+        assert_eq!(live(&c).len(), 4);
         // Freeing one tenant clears the floor again.
         c.undeploy(handles[0].tenant()).unwrap();
         assert!(c.deploy("one").is_ok());
@@ -755,8 +735,8 @@ mod tests {
             dram_free_bytes: c.memory_of(0).free_bytes(),
             share_demand_gbps: c.arbiter_of(0).total_demand_gbps(),
             nics: c.switch().nic_count(),
-            live: c.live_tenants(),
-            parked: c.suspended_tenants(),
+            live: live(c),
+            parked: parked(c),
         }
     }
 
@@ -800,7 +780,7 @@ mod tests {
         fn lift(self, c: &SystemController, tenant: TenantId) {
             match self {
                 FailAt::Claim => {
-                    let filler = *c.live_tenants().last().unwrap();
+                    let filler = *live(c).last().unwrap();
                     c.undeploy(filler).unwrap();
                 }
                 FailAt::Dram => c.memory_of(0).destroy_space(tenant).unwrap(),
@@ -858,8 +838,8 @@ mod tests {
 
                 step.lift(&c, tenant);
                 let handle = admit().unwrap_or_else(|e| panic!("{case}: {e}"));
-                assert!(c.live_tenants().contains(&handle.tenant()), "{case}");
-                assert!(c.suspended_tenants().is_empty(), "{case}");
+                assert!(live(&c).contains(&handle.tenant()), "{case}");
+                assert!(parked(&c).is_empty(), "{case}");
             }
         }
     }

@@ -9,8 +9,8 @@ use vital_interface::Channel;
 use vital_periph::TenantId;
 
 use super::admission::TenantState;
-use super::{DeployHandle, Migration, State, SystemController, Tenant};
-use crate::api::{MigratePolicy, SuspendSummary};
+use super::{DeployHandle, State, SystemController, Tenant};
+use crate::api::{MigratePolicy, MigrationSummary, SuspendSummary};
 use crate::RuntimeError;
 
 impl TenantState {
@@ -201,7 +201,8 @@ impl SystemController {
         self.restore(state, capsule, &bitstream)
     }
 
-    /// Migrates `tenant` in one step: wait out any open serialization
+    /// [`ControlRequest::Migrate`](crate::ControlRequest::Migrate):
+    /// migrates `tenant` in one step — wait out any open serialization
     /// window (the migration machinery may stall the producer, unlike an
     /// explicit [`SystemController::suspend`], which reports it), suspend,
     /// and re-admit — on the same image under
@@ -210,6 +211,8 @@ impl SystemController {
     /// behaviour on one geometry; only logical state crosses, so the
     /// capsule survives a geometry change). Channel contents and DRAM
     /// bytes survive; the blocks (and possibly the primary FPGA) change.
+    /// The summary records the policy that actually ran: `Auto` tries the
+    /// same-geometry path first and resolves to the winner, never itself.
     ///
     /// Because the tenant's own blocks are freed before re-placement, the
     /// allocator sees them as candidates — a migration can therefore both
@@ -221,19 +224,45 @@ impl SystemController {
     ///
     /// # Errors
     ///
-    /// Everything suspend and restore can return. If the restore half
-    /// fails (e.g. the cluster shrank mid-flight), the checkpoint stays
-    /// parked: the tenant is suspended, not lost — resume it once capacity
-    /// returns. [`RuntimeError::UnknownTenant`] if the tenant was
-    /// undeployed while it was in flight: it stays gone.
+    /// Everything suspend and restore can return; under `Auto` the fast
+    /// path's error is reported if the portable fallback cannot help
+    /// either. If the restore half fails (e.g. the cluster shrank
+    /// mid-flight), the checkpoint stays parked: the tenant is suspended,
+    /// not lost — resume it once capacity returns.
+    /// [`RuntimeError::UnknownTenant`] if the tenant was undeployed while
+    /// it was in flight: it stays gone.
     pub(super) fn migrate(
         &self,
         tenant: TenantId,
         policy: MigratePolicy,
-    ) -> Result<Migration, RuntimeError> {
-        if policy != MigratePolicy::Portable {
-            return self.migrate_in(&mut self.write(), tenant);
+    ) -> Result<MigrationSummary, RuntimeError> {
+        if policy == MigratePolicy::Portable {
+            return self.migrate_portable(tenant);
         }
+        // One statement, so the transaction ends before any fallback.
+        let fast = self.migrate_in(&mut self.write(), tenant);
+        match fast {
+            Err(first) if policy == MigratePolicy::Auto => {
+                // The fast path parks the capsule before re-admitting; if
+                // it died after that point, retry the restore half through
+                // the portable format. If it died earlier the tenant is
+                // still live and the full portable migration runs. The
+                // fallback's own error is less informative than the fast
+                // path's, so `first` wins on a double failure.
+                let parked = self.state.lock().parked(tenant).cloned();
+                match parked {
+                    Some(capsule) => self.readmit_portable(&capsule),
+                    None => self.migrate_portable(tenant),
+                }
+                .map_err(|_| first)
+            }
+            fast => fast,
+        }
+    }
+
+    /// A portable migration: suspend in one transaction, resolve the image
+    /// through the build farm, re-admit in a second.
+    fn migrate_portable(&self, tenant: TenantId) -> Result<MigrationSummary, RuntimeError> {
         let mut span = self.telemetry.span("runtime.migrate_portable");
         span.field("tenant", tenant.raw());
         let capsule = self.suspend_quiesced(&mut self.write(), tenant)?;
@@ -250,7 +279,7 @@ impl SystemController {
         &self,
         state: &mut State,
         tenant: TenantId,
-    ) -> Result<Migration, RuntimeError> {
+    ) -> Result<MigrationSummary, RuntimeError> {
         let mut span = self.telemetry.span("runtime.migrate_live");
         span.field("tenant", tenant.raw());
         let capsule = self.suspend_quiesced(state, tenant)?;
@@ -282,9 +311,9 @@ impl SystemController {
         self.suspend_in(state, tenant)
     }
 
-    /// The record of a move that parked `capsule` and came back as
-    /// `handle`.
-    fn moved(&self, capsule: &TenantCheckpoint, handle: &DeployHandle) -> Migration {
+    /// The record of a same-geometry move that parked `capsule` and came
+    /// back as `handle`.
+    fn moved(&self, capsule: &TenantCheckpoint, handle: &DeployHandle) -> MigrationSummary {
         let before = (capsule.placement.fpgas_spanned, capsule.placement.hop_cost);
         let blocks: Vec<_> = handle.placed().addresses().collect();
         self.migration_record(capsule.tenant, before, &blocks)
@@ -296,10 +325,16 @@ impl SystemController {
     /// image is resolved without the lock. A capsule that is no longer
     /// parked was discarded by an `Undeploy` in between, which was
     /// answered `Undeployed` — the tenant must not come back.
-    fn readmit_portable(&self, parked: &TenantCheckpoint) -> Result<Migration, RuntimeError> {
+    fn readmit_portable(
+        &self,
+        parked: &TenantCheckpoint,
+    ) -> Result<MigrationSummary, RuntimeError> {
         let still_parked = |state: &State| state.parked(parked.tenant) == Some(parked);
         let handle = self.restore_portable_if(&self.lift_portable(parked)?, still_parked)?;
-        Ok(self.moved(parked, &handle))
+        Ok(MigrationSummary {
+            policy: MigratePolicy::Portable,
+            ..self.moved(parked, &handle)
+        })
     }
 
     /// Lifts the parked capsule of a suspended tenant into the versioned,
@@ -409,48 +444,6 @@ impl SystemController {
         self.telemetry.inc_counter("runtime.portable_restores", 1);
         Ok(state.go_live(admitted))
     }
-
-    /// Migrates `tenant` under a [`MigratePolicy`], returning the
-    /// migration record together with the policy that actually ran
-    /// (`Auto` resolves to the winner, never itself).
-    ///
-    /// # Errors
-    ///
-    /// Whatever the selected path returns; under `Auto` the fast path's
-    /// error is reported if the portable fallback cannot help either.
-    pub fn migrate_with_policy(
-        &self,
-        tenant: TenantId,
-        policy: MigratePolicy,
-    ) -> Result<(Migration, MigratePolicy), RuntimeError> {
-        if policy != MigratePolicy::Auto {
-            return self.migrate(tenant, policy).map(|m| (m, policy));
-        }
-        match self.migrate(tenant, MigratePolicy::SameGeometry) {
-            Ok(m) => Ok((m, MigratePolicy::SameGeometry)),
-            Err(first) => {
-                // The fast path parks the capsule before re-admitting; if
-                // it died after that point, retry the restore half through
-                // the portable format. If it died earlier the tenant is
-                // still live and the full portable migration runs. The
-                // fallback's own error is less informative than the fast
-                // path's, so `first` wins on a double failure.
-                let parked = self.state.lock().parked(tenant).cloned();
-                let fallback = match parked {
-                    Some(capsule) => self.readmit_portable(&capsule),
-                    None => self.migrate(tenant, MigratePolicy::Portable),
-                };
-                fallback
-                    .map(|m| (m, MigratePolicy::Portable))
-                    .map_err(|_| first)
-            }
-        }
-    }
-
-    /// Tenants currently parked in suspended state, sorted.
-    pub fn suspended_tenants(&self) -> Vec<TenantId> {
-        self.state.lock().ids(|t| matches!(t, Tenant::Parked(_)))
-    }
 }
 
 #[cfg(test)]
@@ -483,8 +476,8 @@ mod tests {
         assert!(checkpoint.total_flits() > 0);
         assert!(checkpoint.dram_bytes() > 0);
         // Fully off the cluster: blocks, DRAM, bandwidth and NIC are free.
-        assert!(c.live_tenants().is_empty());
-        assert_eq!(c.suspended_tenants(), vec![t]);
+        assert!(live(&c).is_empty());
+        assert_eq!(parked(&c), vec![t]);
         assert!(c.resources().total_free() > free_before);
         assert_eq!(c.memory_of(h.primary_fpga()).tenant_count(), 0);
         assert_eq!(c.switch().nic_count(), 0);
@@ -495,8 +488,8 @@ mod tests {
 
         let h2 = c.resume(t).unwrap();
         assert_eq!(h2.tenant(), t, "tenant id survives the round trip");
-        assert_eq!(c.live_tenants(), vec![t]);
-        assert!(c.suspended_tenants().is_empty());
+        assert_eq!(live(&c), vec![t]);
+        assert!(parked(&c).is_empty());
         // Channel occupancy is reproduced exactly, in plan order.
         assert_eq!(c.channel_occupancy(t).unwrap(), occupancy);
         // DRAM contents are reproduced byte-for-byte.
@@ -552,8 +545,8 @@ mod tests {
         assert_eq!(now, 8);
         assert!(ready_at > now);
         // The rejection had no side effects: still deployed, still running.
-        assert_eq!(c.live_tenants(), vec![t]);
-        assert!(c.suspended_tenants().is_empty());
+        assert_eq!(live(&c), vec![t]);
+        assert!(parked(&c).is_empty());
         assert!(c.channel_occupancy(t).is_ok());
         // Clock-gate the producers past the window and retry.
         c.settle_tenant(t, ready_at - now).unwrap();
@@ -582,13 +575,13 @@ mod tests {
 
         c.undeploy(fillers[0].tenant()).unwrap();
         let m = c.migrate(t, MigratePolicy::SameGeometry).unwrap();
-        assert_eq!(m.tenant, t);
+        assert_eq!(m.tenant, t.raw());
         assert_eq!(m.fpgas_after, 1);
         assert!(m.hop_cost_after <= m.hop_cost_before);
         // The tenant is live (not parked) on the new placement with its
         // interface and DRAM state intact.
-        assert!(c.live_tenants().contains(&t));
-        assert!(c.suspended_tenants().is_empty());
+        assert!(live(&c).contains(&t));
+        assert!(parked(&c).is_empty());
         assert_eq!(c.channel_occupancy(t).unwrap(), occupancy);
         let new_primary = SystemController::primary_of(&c.resources().holdings(t));
         let mut buf = [0u8; 7];
@@ -630,8 +623,8 @@ mod tests {
         c.undeploy(t).unwrap();
         let err = c.readmit_portable(&capsule).unwrap_err();
         assert!(matches!(err, RuntimeError::UnknownTenant(_)), "got {err}");
-        assert!(c.live_tenants().is_empty());
-        assert!(c.suspended_tenants().is_empty());
+        assert!(live(&c).is_empty());
+        assert!(parked(&c).is_empty());
         assert_eq!(c.resources().total_free(), free);
         assert_eq!(c.switch().nic_count(), 0);
 
@@ -666,7 +659,7 @@ mod tests {
                 // fails the asserts below instead of migrating forever.
                 let migrator = s.spawn(|| {
                     for _ in 0..10_000 {
-                        if c.migrate_with_policy(t, policy).is_err() {
+                        if c.migrate(t, policy).is_err() {
                             break;
                         }
                         migrations.fetch_add(1, Ordering::Relaxed);
@@ -679,8 +672,8 @@ mod tests {
                 // `Undeploy` finds it wherever the migration is.
                 c.undeploy(t).unwrap();
             });
-            assert!(c.live_tenants().is_empty());
-            assert!(c.suspended_tenants().is_empty());
+            assert!(live(&c).is_empty());
+            assert!(parked(&c).is_empty());
             assert_eq!(c.resources().total_free(), free);
             assert_eq!(c.switch().nic_count(), 0);
         }

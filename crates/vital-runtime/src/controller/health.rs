@@ -1,60 +1,41 @@
 //! Device health: failure, recovery, evacuation and defragmentation —
 //! the operations that move tenants because the *cluster* changed, not
-//! because a tenant asked.
+//! because a tenant asked. Each is reached through
+//! [`SystemController::execute`] and builds its wire summary where the
+//! work happens.
 
 use vital_periph::TenantId;
 
 use super::placement::fpgas_of;
-use super::{Migration, State, SystemController, Tenant};
+use super::{State, SystemController, Tenant};
+use crate::api::{EvacuationSummary, FailureSummary, MigrationSummary};
 use crate::FpgaHealth;
 
-/// What [`SystemController::fail_fpga`] did to the affected tenants.
-#[derive(Debug, Clone, Default)]
-pub struct FailureReport {
-    /// Tenants relocated onto surviving devices. A tenant whose DRAM
-    /// lived on the failed board gets a fresh (zeroed) space on its new
-    /// primary — the contents died with the board.
-    pub migrated: Vec<Migration>,
-    /// Tenants torn down because no surviving placement could hold them.
-    pub torn_down: Vec<TenantId>,
-}
-
-/// What [`SystemController::evacuate`] managed to move.
-#[derive(Debug, Clone, Default)]
-pub struct EvacuationReport {
-    /// Tenants live-migrated off the draining device. Their DRAM contents
-    /// and channel state move with them byte-for-byte, so the drained
-    /// board can be powered down afterwards.
-    pub migrated: Vec<Migration>,
-    /// Tenants left in place because no other placement currently fits;
-    /// retry after capacity frees up.
-    pub unmoved: Vec<TenantId>,
-}
-
-/// Monotonic failure/recovery counters of one controller.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FailureStats {
-    /// Devices declared failed via [`SystemController::fail_fpga`].
-    pub fpga_failures: u64,
-    /// Devices brought back via [`SystemController::recover_fpga`].
-    pub fpga_recoveries: u64,
-    /// Evacuations started via [`SystemController::evacuate`].
-    pub evacuations: u64,
+/// Monotonic failure/recovery counters of one controller, reported in
+/// every [`ControlRequest::Status`](crate::ControlRequest::Status).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FailureStats {
+    /// Devices declared failed.
+    pub(crate) fpga_failures: u64,
+    /// Devices brought back to service.
+    pub(crate) fpga_recoveries: u64,
+    /// Evacuations started.
+    pub(crate) evacuations: u64,
     /// Tenants successfully relocated by failure handling or evacuation.
-    pub tenants_migrated: u64,
+    pub(crate) tenants_migrated: u64,
     /// Tenants torn down because they could not be re-placed.
-    pub tenants_torn_down: u64,
+    pub(crate) tenants_torn_down: u64,
 }
 
 impl SystemController {
     /// Defragments the cluster by *live-migrating* spanning deployments
     /// onto fewer FPGAs when the current free space allows it — something
     /// only possible because bitstreams are relocatable: each move is a
-    /// same-geometry migration ([`SystemController::migrate_with_policy`]:
-    /// quiesce, checkpoint, partial reconfiguration at the new location,
-    /// restore), never a recompilation. Channel contents and DRAM bytes survive every move.
-    /// Returns one [`Migration`] per moved tenant, carrying the recomputed
-    /// per-block partial-reconfiguration cost of the move.
+    /// same-geometry live migration (quiesce, checkpoint, partial
+    /// reconfiguration at the new location, restore), never a
+    /// recompilation. Channel contents and DRAM bytes survive every move.
+    /// Returns one [`MigrationSummary`] per moved tenant, carrying the
+    /// recomputed per-block partial-reconfiguration cost of the move.
     ///
     /// Fragmentation is the failure mode of fine-grained sharing (small
     /// deployments pepper the cluster until large requests must span);
@@ -62,12 +43,13 @@ impl SystemController {
     ///
     /// A move is accepted only if it reduces the FPGAs spanned *and* does
     /// not increase the placement's ring-hop cost
-    /// ([`Migration::hop_cost_after`] ≤ [`Migration::hop_cost_before`]).
+    /// ([`MigrationSummary::hop_cost_after`] ≤
+    /// [`MigrationSummary::hop_cost_before`]).
     /// The tenant's DRAM moves with it to the new primary board, contents
     /// intact; handles returned by earlier `deploy` calls keep their
     /// original binding snapshot — query [`SystemController::resources`]
     /// for the live placement.
-    pub fn defragment(&self) -> Vec<Migration> {
+    pub(super) fn defragment(&self) -> Vec<MigrationSummary> {
         let mut span = self.telemetry.span("runtime.defragment");
         let mut state = self.write();
         let mut migrated = Vec::new();
@@ -137,11 +119,15 @@ impl SystemController {
     ///
     /// Idempotent: failing an already-offline device affects no one and
     /// counts nothing.
-    pub fn fail_fpga(&self, fpga: usize) -> FailureReport {
+    pub(super) fn fail_fpga(&self, fpga: usize) -> FailureSummary {
         let mut span = self.telemetry.span("runtime.fail_fpga");
         span.field("fpga", fpga);
         let mut state = self.write();
-        let mut report = FailureReport::default();
+        let mut report = FailureSummary {
+            fpga,
+            migrated: Vec::new(),
+            torn_down: Vec::new(),
+        };
         if self.resources.health_of(fpga) == FpgaHealth::Offline {
             return report;
         }
@@ -154,7 +140,7 @@ impl SystemController {
                         // Best-effort: the board is gone, some steps may
                         // already be moot.
                         let _ = self.teardown(&live.handle);
-                        report.torn_down.push(tenant);
+                        report.torn_down.push(tenant.raw());
                     }
                 }
             }
@@ -173,7 +159,7 @@ impl SystemController {
     /// ([`Online`](FpgaHealth::Online)): its blocks become allocatable
     /// again. Nothing is migrated back — the next deployments simply see
     /// the capacity. Recovering an Online device counts nothing.
-    pub fn recover_fpga(&self, fpga: usize) {
+    pub(super) fn recover_fpga(&self, fpga: usize) {
         let mut state = self.write();
         if self.resources.health_of(fpga) != FpgaHealth::Online {
             self.resources.set_health(fpga, FpgaHealth::Online);
@@ -183,21 +169,24 @@ impl SystemController {
 
     /// Drains an FPGA for maintenance: the device goes
     /// [`Draining`](FpgaHealth::Draining) (no new allocations) and every
-    /// tenant with blocks on it is **live-migrated** off
-    /// ([`SystemController::migrate_with_policy`]): channels are quiesced, DRAM
-    /// pages are exported, and everything is restored byte-for-byte on the
-    /// surviving devices — the tenant's DRAM home moves *off* the draining
-    /// board, so the board can subsequently be powered down without data
-    /// loss. Tenants that cannot currently be re-placed stay put, fully
-    /// running, and are listed in [`EvacuationReport::unmoved`]; call
-    /// again once capacity frees up, or [`SystemController::recover_fpga`]
-    /// to cancel the drain. An Offline device stays Offline: evacuating it
-    /// moves and counts nothing.
-    pub fn evacuate(&self, fpga: usize) -> EvacuationReport {
+    /// tenant with blocks on it is **live-migrated** off: channels are
+    /// quiesced, DRAM pages are exported, and everything is restored
+    /// byte-for-byte on the surviving devices — the tenant's DRAM home
+    /// moves *off* the draining board, so the board can subsequently be
+    /// powered down without data loss. Tenants that cannot currently be
+    /// re-placed stay put, fully running, and are listed in
+    /// [`EvacuationSummary::unmoved`]; evacuate again once capacity frees
+    /// up, or recover the board to cancel the drain. An Offline device
+    /// stays Offline: evacuating it moves and counts nothing.
+    pub(super) fn evacuate(&self, fpga: usize) -> EvacuationSummary {
         let mut span = self.telemetry.span("runtime.evacuate");
         span.field("fpga", fpga);
         let mut state = self.write();
-        let mut report = EvacuationReport::default();
+        let mut report = EvacuationSummary {
+            fpga,
+            migrated: Vec::new(),
+            unmoved: Vec::new(),
+        };
         if self.resources.health_of(fpga) == FpgaHealth::Offline {
             return report;
         }
@@ -214,12 +203,12 @@ impl SystemController {
                 .probe(tenant, live.handle.placed().bindings.len())
                 .is_none()
             {
-                report.unmoved.push(tenant);
+                report.unmoved.push(tenant.raw());
                 continue;
             }
             match self.migrate_in(&mut state, tenant) {
                 Ok(m) => report.migrated.push(m),
-                Err(_) => report.unmoved.push(tenant),
+                Err(_) => report.unmoved.push(tenant.raw()),
             }
         }
         let stats = &mut state.failure_stats;
@@ -228,11 +217,6 @@ impl SystemController {
         span.field("migrated", report.migrated.len());
         span.field("unmoved", report.unmoved.len());
         report
-    }
-
-    /// The failure/recovery counters accumulated so far.
-    pub fn failure_stats(&self) -> FailureStats {
-        self.state.lock().failure_stats
     }
 
     /// Tenants touched by the failure of `fpga`: blocks on it, or DRAM
@@ -253,9 +237,9 @@ mod tests {
     use super::super::test_support::*;
     use super::super::RuntimeConfig;
     use super::*;
-    use crate::api::{ControlRequest, ControlResponse};
+    use crate::api::{duration_us, ControlRequest};
     use crate::RuntimeError;
-    use std::time::Duration;
+    use vital_interface::ErrorCode;
 
     #[test]
     fn defragment_consolidates_spanning_tenants() {
@@ -273,14 +257,20 @@ mod tests {
         let migrated = c.defragment();
         assert_eq!(migrated.len(), 1);
         let m = &migrated[0];
-        assert_eq!(m.tenant, spanner.tenant());
+        assert_eq!(m.tenant, spanner.tenant().raw());
         assert!(m.fpgas_before > m.fpgas_after);
         assert_eq!(m.fpgas_after, 1);
         // The move charges 10 sequential per-block reconfigurations on the
         // target board, and the stored handle reflects the new cost.
-        assert!(m.reconfig > Duration::ZERO);
-        let live = c.state.lock().fabric(m.tenant).unwrap().handle.clone();
-        assert_eq!(live.reconfig_duration(), m.reconfig);
+        assert!(m.reconfig_us > 0);
+        let live = c
+            .state
+            .lock()
+            .fabric(spanner.tenant())
+            .unwrap()
+            .handle
+            .clone();
+        assert_eq!(duration_us(live.reconfig_duration()), m.reconfig_us);
         assert!(
             live.reconfig_duration() > spanner.reconfig_duration(),
             "10 blocks on one ICAP take longer than the spanning split"
@@ -312,8 +302,8 @@ mod tests {
         assert_eq!(report.migrated.len(), 1);
         assert!(report.torn_down.is_empty());
         let m = &report.migrated[0];
-        assert_eq!(m.tenant, h.tenant());
-        assert!(m.reconfig > Duration::ZERO);
+        assert_eq!(m.tenant, h.tenant().raw());
+        assert!(m.reconfig_us > 0);
         // The live placement avoids the failed board entirely.
         let holdings = c.resources().holdings(h.tenant());
         assert_eq!(holdings.len(), block_count);
@@ -328,8 +318,8 @@ mod tests {
             .read(h.tenant(), 0, &mut buf)
             .unwrap();
         assert_eq!(buf, [0u8; 4], "crashed board's contents are lost");
-        assert_eq!(c.failure_stats().fpga_failures, 1);
-        assert_eq!(c.failure_stats().tenants_migrated, 1);
+        assert_eq!(status(&c).fpga_failures, 1);
+        assert_eq!(status(&c).tenants_migrated, 1);
         // Failing or evacuating the dead board again changes nothing: it
         // stays Offline and nothing is counted twice.
         let report = c.fail_fpga(home);
@@ -337,11 +327,24 @@ mod tests {
         let report = c.evacuate(home);
         assert!(report.migrated.is_empty() && report.unmoved.is_empty());
         assert_eq!(c.resources().health_of(home), FpgaHealth::Offline);
-        let ControlResponse::Status(status) = c.execute(ControlRequest::Status) else {
-            panic!("Status answers a status");
-        };
-        assert_eq!(status.fpgas[home].health, "Offline");
-        assert_eq!((status.fpga_failures, status.evacuations), (1, 0));
+        let after = status(&c);
+        assert_eq!(after.fpgas[home].health, "Offline");
+        assert_eq!((after.fpga_failures, after.evacuations), (1, 0));
+        // A board the cluster does not have is refused, and the refusal
+        // counts nothing and changes no board's health.
+        let fpgas = c.resources().fpga_count();
+        for fpga in [fpgas, fpgas + 95] {
+            for req in [
+                ControlRequest::Fail { fpga },
+                ControlRequest::Recover { fpga },
+                ControlRequest::Evacuate { fpga },
+            ] {
+                let what = format!("{req:?}");
+                let code = c.execute(req).err().map(|e| e.code);
+                assert_eq!(code, Some(ErrorCode::InvalidConfig), "{what}");
+            }
+        }
+        assert_eq!(status(&c), after, "a refused request changed the cluster");
         // So a full cluster refuses a deploy as full: no drain will free
         // the dead board's blocks.
         let fillers: Vec<_> = std::iter::from_fn(|| c.deploy("a").ok()).collect();
@@ -362,7 +365,7 @@ mod tests {
         c.recover_fpga(home);
         assert_eq!(c.resources().health_of(home), FpgaHealth::Online);
         assert_eq!(c.resources().total_free(), 60);
-        assert_eq!(c.failure_stats().fpga_recoveries, 1);
+        assert_eq!(status(&c).fpga_recoveries, 1);
     }
 
     #[test]
@@ -375,12 +378,12 @@ mod tests {
         assert_eq!(h.primary_fpga(), 0);
         let report = c.fail_fpga(0);
         assert!(report.migrated.is_empty());
-        assert_eq!(report.torn_down, vec![h.tenant()]);
-        assert!(c.live_tenants().is_empty());
+        assert_eq!(report.torn_down, vec![h.tenant().raw()]);
+        assert!(live(&c).is_empty());
         assert_eq!(c.switch().nic_count(), 0);
         assert_eq!(c.memory_of(0).tenant_count(), 0);
         assert_eq!(c.arbiter_of(0).total_demand_gbps(), 0.0);
-        assert_eq!(c.failure_stats().tenants_torn_down, 1);
+        assert_eq!(status(&c).tenants_torn_down, 1);
     }
 
     #[test]
@@ -412,7 +415,7 @@ mod tests {
             .holdings(h2.tenant())
             .iter()
             .all(|b| b.fpga.index() as usize != home));
-        assert_eq!(c.failure_stats().evacuations, 1);
+        assert_eq!(status(&c).evacuations, 1);
         c.undeploy(h.tenant()).unwrap();
         c.undeploy(h2.tenant()).unwrap();
         assert_eq!(c.switch().nic_count(), 0);
@@ -429,7 +432,7 @@ mod tests {
         assert_ne!(a.primary_fpga(), b.primary_fpga());
         let report = c.evacuate(a.primary_fpga());
         assert!(report.migrated.is_empty());
-        assert_eq!(report.unmoved, vec![a.tenant()]);
+        assert_eq!(report.unmoved, vec![a.tenant().raw()]);
         // The tenant still runs where it was.
         assert_eq!(c.resources().holdings(a.tenant()).len(), 12);
         // Freeing the other board lets a retry finish the drain.
@@ -465,9 +468,9 @@ mod tests {
             );
             assert!(m.fpgas_after < m.fpgas_before);
             // Consolidation preserved the tenant: still live, never parked.
-            assert!(c.live_tenants().contains(&m.tenant));
+            assert!(status(&c).live_tenants.contains(&m.tenant));
         }
-        assert!(c.suspended_tenants().is_empty());
+        assert!(parked(&c).is_empty());
         drop(spanners);
     }
 }

@@ -29,11 +29,6 @@ impl SystemController {
         self
     }
 
-    /// `true` once [`SystemController::with_isa_backend`] has run.
-    pub fn isa_enabled(&self) -> bool {
-        self.state.lock().isa_pool.is_some()
-    }
-
     /// The ISA half of [`ControlRequest::Deploy`](crate::ControlRequest::Deploy):
     /// compile the app name to an instruction stream and grant tiles from
     /// the shared pool — no bitstream, no reconfiguration, no per-tenant

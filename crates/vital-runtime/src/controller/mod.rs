@@ -58,16 +58,15 @@ use vital_periph::{BandwidthArbiter, MemoryManager, TenantId, VirtualSwitch};
 use vital_telemetry::Telemetry;
 
 use crate::api::{
-    ControlRequest, ControlResponse, DeployBackend, DeploySummary, EvacuationSummary,
-    FailureSummary, FpgaStatus, MigrationSummary, StatusSummary,
+    ControlRequest, ControlResponse, DeployBackend, DeploySummary, FpgaStatus, StatusSummary,
 };
 use crate::farm::{AppResolver, BuildFarm, CompileOutcome};
 use crate::{BitstreamDatabase, FarmStats, ResourceDatabase, RuntimeError};
 
-pub use admission::{DeployHandle, Migration};
-pub use health::{EvacuationReport, FailureReport, FailureStats};
+pub use admission::DeployHandle;
 
 use admission::TenantState;
+use health::FailureStats;
 use placement::{policy_for, Policy};
 
 /// Configuration of the runtime: cluster shape plus peripheral capacities.
@@ -214,10 +213,11 @@ impl State {
 
 impl fmt::Debug for SystemController {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let live = self.state.lock().ids(|t| matches!(t, Tenant::Fabric(_)));
         f.debug_struct("SystemController")
             .field("config", &self.config)
             .field("registered_apps", &self.bitstreams().len())
-            .field("live_tenants", &self.live_tenants().len())
+            .field("live_tenants", &live.len())
             .finish()
     }
 }
@@ -264,10 +264,10 @@ impl SystemController {
         }
     }
 
-    /// Attaches a telemetry handle: `deploy`/`undeploy`/`fail_fpga`/
-    /// `evacuate`/`defragment` then emit spans carrying allocation round,
-    /// fpgas-used and ring-hop-cost fields. The default handle is disabled
-    /// and costs nothing.
+    /// Attaches a telemetry handle: deploys, undeploys, failures,
+    /// evacuations and defragmentations then emit spans carrying
+    /// allocation round, fpgas-used and ring-hop-cost fields. The default
+    /// handle is disabled and costs nothing.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
@@ -316,7 +316,8 @@ impl SystemController {
                 topology.len(),
             )));
         }
-        if !self.live_tenants().is_empty() {
+        let live = self.state.get_mut().ids(|t| matches!(t, Tenant::Fabric(_)));
+        if !live.is_empty() {
             return Err(RuntimeError::InvalidConfig(
                 "the topology must be set before the first deployment".to_string(),
             ));
@@ -474,16 +475,9 @@ impl SystemController {
         }
     }
 
-    /// The unified control-plane entry point: every management operation
-    /// the controller offers, dispatched from one typed
-    /// [`ControlRequest`] to the method that implements it.
-    ///
-    /// # Errors
-    ///
-    /// The union of what the individual operations return, as a typed
-    /// [`RuntimeError`]. Use [`SystemController::execute`] to get failures
-    /// as a [`ControlResponse::Err`] value instead (the wire shape).
-    pub fn try_execute(&self, req: ControlRequest) -> Result<ControlResponse, RuntimeError> {
+    /// [`SystemController::execute`] with failures as the typed
+    /// [`RuntimeError`] the operation returned.
+    fn try_execute(&self, req: ControlRequest) -> Result<ControlResponse, RuntimeError> {
         let resumed = |h: DeployHandle| ControlResponse::Resumed(DeploySummary::from(&h));
         Ok(match req {
             ControlRequest::Deploy(r) => match (r.restore, r.backend) {
@@ -502,18 +496,15 @@ impl SystemController {
             }
             ControlRequest::Restore { tenant } => resumed(self.resume(TenantId::new(tenant))?),
             ControlRequest::Migrate { tenant, policy } => {
-                let (m, ran) = self.migrate_with_policy(TenantId::new(tenant), policy)?;
-                ControlResponse::Migrated(MigrationSummary::from(&m).with_policy(ran))
+                ControlResponse::Migrated(self.migrate(TenantId::new(tenant), policy)?)
             }
             ControlRequest::Evacuate { fpga } => {
                 self.check_fpga(fpga)?;
-                let report = self.evacuate(fpga);
-                ControlResponse::Evacuated(EvacuationSummary::from_report(fpga, &report))
+                ControlResponse::Evacuated(self.evacuate(fpga))
             }
             ControlRequest::Fail { fpga } => {
                 self.check_fpga(fpga)?;
-                let report = self.fail_fpga(fpga);
-                ControlResponse::FpgaFailed(FailureSummary::from_report(fpga, &report))
+                ControlResponse::FpgaFailed(self.fail_fpga(fpga))
             }
             ControlRequest::Recover { fpga } => {
                 self.check_fpga(fpga)?;
@@ -521,11 +512,7 @@ impl SystemController {
                 ControlResponse::Recovered { fpga }
             }
             ControlRequest::Defragment => ControlResponse::Defragmented {
-                migrations: self
-                    .defragment()
-                    .iter()
-                    .map(MigrationSummary::from)
-                    .collect(),
+                migrations: self.defragment(),
             },
             ControlRequest::Status => ControlResponse::Status(self.status_summary()),
             ControlRequest::Prepare { app } => ControlResponse::Prepared {
@@ -538,10 +525,22 @@ impl SystemController {
         })
     }
 
-    /// Like [`SystemController::try_execute`], but failures come back as a
-    /// [`ControlResponse::Err`] carrying the shared [`ApiError`] taxonomy
-    /// — the exact value a remote `vitald` client would receive, so
-    /// in-process and networked callers behave identically.
+    /// The control-plane entry point: every management operation the
+    /// controller offers — deploy, undeploy, checkpoint, restore, migrate,
+    /// evacuate, fail, recover, defragment, status, prepare, scale — is one
+    /// [`ControlRequest`], dispatched here to the method that implements
+    /// it and answered with the summary the wire carries. Failures come
+    /// back as a [`ControlResponse::Err`] carrying the shared [`ApiError`]
+    /// taxonomy — the exact value a remote `vitald` client would receive,
+    /// so in-process and networked callers behave identically.
+    ///
+    /// The typed methods that stay public return what a [`ControlResponse`]
+    /// cannot carry: a live [`DeployHandle`] with its vNIC and placed image
+    /// ([`deploy`](Self::deploy), [`resume`](Self::resume),
+    /// [`restore_portable`](Self::restore_portable)), a checkpoint capsule
+    /// ([`suspend`](Self::suspend), [`portable_of`](Self::portable_of)),
+    /// the data plane, or one ISA tenant's tile share
+    /// ([`isa_tenant`](Self::isa_tenant)).
     pub fn execute(&self, req: ControlRequest) -> ControlResponse {
         self.try_execute(req)
             .unwrap_or_else(|e| ControlResponse::Err(ApiError::from(&e)))
@@ -622,6 +621,33 @@ mod test_support {
     use super::*;
     use vital_compiler::CompilerConfig;
     use vital_netlist::hls::Operator;
+
+    /// `c`'s `Status` snapshot, the one reader of its tenant lists and
+    /// failure counters.
+    pub(super) fn status(c: &SystemController) -> StatusSummary {
+        match c.execute(ControlRequest::Status) {
+            ControlResponse::Status(s) => s,
+            other => panic!("Status answers a status, not {other:?}"),
+        }
+    }
+
+    /// `c`'s live fabric tenants, from its `Status`.
+    pub(super) fn live(c: &SystemController) -> Vec<TenantId> {
+        status(c)
+            .live_tenants
+            .into_iter()
+            .map(TenantId::new)
+            .collect()
+    }
+
+    /// `c`'s parked tenants, from its `Status`.
+    pub(super) fn parked(c: &SystemController) -> Vec<TenantId> {
+        status(c)
+            .suspended_tenants
+            .into_iter()
+            .map(TenantId::new)
+            .collect()
+    }
 
     /// Compiles and registers `spec` on `c`.
     pub(super) fn register_spec(c: &SystemController, spec: &AppSpec) {

@@ -44,13 +44,19 @@
 //! Context save/restore: [`SystemController::suspend`] quiesces a tenant's
 //! channels, exports its DRAM, and parks a
 //! [`TenantCheckpoint`] capsule; [`SystemController::resume`] re-admits it
-//! losslessly, and [`SystemController::migrate_with_policy`] chains the
-//! two so `defragment`/`evacuate` move tenants without dropping state.
+//! losslessly, and a [`ControlRequest::Migrate`] chains the two, as
+//! `Defragment` and `Evacuate` do, to move tenants without dropping state.
+//!
+//! One control surface: every management operation is a
+//! [`ControlRequest`] run by [`SystemController::execute`], which answers
+//! the same [`ControlResponse`] in process as `vitald` sends on the wire.
+//! The typed methods that stay public return what a response cannot
+//! carry — a live [`DeployHandle`], a checkpoint capsule, the data plane.
 //!
 //! # Example
 //!
 //! ```
-//! use vital_runtime::{SystemController, RuntimeConfig};
+//! use vital_runtime::{ControlRequest, ControlResponse, RuntimeConfig, SystemController};
 //! use vital_compiler::{Compiler, CompilerConfig};
 //! use vital_netlist::hls::{AppSpec, Operator};
 //!
@@ -65,7 +71,8 @@
 //! controller.register(bitstream)?;
 //! let handle = controller.deploy("demo")?;
 //! assert!(handle.fpga_count() >= 1);
-//! controller.undeploy(handle.tenant())?;
+//! let done = controller.execute(ControlRequest::undeploy(handle.tenant()));
+//! assert_eq!(done, ControlResponse::Undeployed { tenant: handle.tenant().raw() });
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -95,10 +102,7 @@ pub use api::{
     StatusSummary, SuspendSummary,
 };
 pub use bitstream_db::{BitstreamDatabase, CacheStats};
-pub use controller::{
-    DeployHandle, EvacuationReport, FailureReport, FailureStats, Migration, RuntimeConfig,
-    SystemController,
-};
+pub use controller::{DeployHandle, RuntimeConfig, SystemController};
 pub use error::RuntimeError;
 pub use farm::{AppResolver, CompileOutcome, FarmStats};
 pub use policy::{allocate_blocks_on, AllocationOutcome};

@@ -16,8 +16,17 @@
 //!   infinitely large FPGA (paper §3.1).
 //!
 //! The workspace layers map one-to-one onto the paper's stack; this crate
-//! re-exports them and adds [`VitalStack`], a facade tying the compiler and
-//! the system controller together.
+//! re-exports them. Applications are compiled by a [`Compiler`] and run by
+//! the [`SystemController`], whose one control surface is
+//! [`SystemController::execute`]: every management operation is a
+//! [`ControlRequest`], answered in process with the same
+//! [`ControlResponse`] the `vitald` daemon sends on the wire.
+//!
+//! [`Compiler`]: compiler::Compiler
+//! [`SystemController`]: runtime::SystemController
+//! [`SystemController::execute`]: runtime::SystemController::execute
+//! [`ControlRequest`]: runtime::ControlRequest
+//! [`ControlResponse`]: runtime::ControlResponse
 //!
 //! | Module | Paper layer |
 //! |---|---|
@@ -48,12 +57,16 @@
 //! spec.add_output("out", mac, 128)?;
 //!
 //! // Compile once, deploy anywhere.
-//! let stack = VitalStack::new();
-//! stack.compile_and_register(&spec)?;
-//! let handle = stack.deploy("my-accelerator")?;
+//! let compiler = Compiler::new(CompilerConfig::default());
+//! let controller = SystemController::new(RuntimeConfig::paper_cluster());
+//! controller.register(compiler.compile(&spec)?.into_bitstream())?;
+//! let handle = controller.deploy("my-accelerator")?;
 //! println!("deployed on {} FPGA(s)", handle.fpga_count());
-//! stack.undeploy(handle.tenant())?;
-//! # Ok::<(), vital::VitalError>(())
+//!
+//! // Every other operation is one request through one entry point.
+//! let done = controller.execute(ControlRequest::undeploy(handle.tenant()));
+//! assert!(done.is_ok());
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -73,13 +86,9 @@ pub use vital_telemetry as telemetry;
 pub use vital_workloads as workloads;
 
 pub mod baselines;
-mod stack;
-
-pub use stack::{StackConfig, VitalError, VitalStack};
 
 /// The most commonly used items of the whole stack, for glob import.
 pub mod prelude {
-    pub use crate::stack::{StackConfig, VitalError, VitalStack};
     pub use vital_cluster::{
         AppRequest, ClusterConfig, ClusterSim, FaultPlan, RetryPolicy, Scheduler,
     };
@@ -90,8 +99,8 @@ pub mod prelude {
     pub use vital_runtime::checkpoint::{CheckpointDigest, TenantCheckpoint};
     pub use vital_runtime::isa::{IsaJob, IsaSim, IsaTemplate};
     pub use vital_runtime::{
-        ControlRequest, ControlResponse, DeployHandle, DeployRequest, FailureStats, FpgaHealth,
-        RuntimeConfig, SystemController, VitalScheduler,
+        ControlRequest, ControlResponse, DeployHandle, DeployRequest, FpgaHealth, RuntimeConfig,
+        SystemController, VitalScheduler,
     };
     pub use vital_service::{ServiceConfig, Vitald};
     pub use vital_workloads::{benchmarks, generate_workload_set, Size, WorkloadComposition};

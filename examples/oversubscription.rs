@@ -127,5 +127,11 @@ fn main() {
         String::from_utf8_lossy(&back),
         resumed.bandwidth().granted_gbps
     );
-    controller.undeploy(tenant).unwrap();
+    let undeployed = controller.execute(ControlRequest::undeploy(tenant));
+    assert_eq!(
+        undeployed,
+        ControlResponse::Undeployed {
+            tenant: tenant.raw()
+        }
+    );
 }

@@ -11,7 +11,7 @@
 
 use vital::prelude::*;
 
-fn main() -> Result<(), VitalError> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Programming layer: describe the accelerator as a dataflow graph of
     //    coarse operators — the user never sees FPGAs, dies or boards.
     let mut spec = AppSpec::new("vector-mac");
@@ -25,8 +25,10 @@ fn main() -> Result<(), VitalError> {
 
     // 2. Compilation layer: the six-step flow maps the app onto identical
     //    virtual blocks and reports per-stage compile times (paper Fig. 8).
-    let stack = VitalStack::new();
-    let compiled = stack.compile_and_register(&spec)?;
+    let compiler = Compiler::new(CompilerConfig::default());
+    let controller = SystemController::new(RuntimeConfig::paper_cluster());
+    let compiled = compiler.compile(&spec)?;
+    controller.register(compiled.bitstream().clone())?;
     let bs = compiled.bitstream();
     println!("compiled {:?}:", bs.name());
     println!("  virtual blocks : {}", bs.block_count());
@@ -42,8 +44,8 @@ fn main() -> Result<(), VitalError> {
 
     // 3. System layer: deploy twice — the second instance lands on
     //    different physical blocks, no recompilation involved.
-    let first = stack.deploy("vector-mac")?;
-    let second = stack.deploy("vector-mac")?;
+    let first = controller.deploy("vector-mac")?;
+    let second = controller.deploy("vector-mac")?;
     for (label, handle) in [("first", &first), ("second", &second)] {
         let blocks: Vec<String> = handle.placed().addresses().map(|a| a.to_string()).collect();
         println!(
@@ -54,12 +56,18 @@ fn main() -> Result<(), VitalError> {
         );
     }
 
-    // 4. Tear down.
-    stack.undeploy(first.tenant())?;
-    stack.undeploy(second.tenant())?;
+    // 4. Tear down: every management operation is one request through
+    //    the controller's one entry point, the same one `vitald` serves.
+    for handle in [first, second] {
+        if let ControlResponse::Err(e) =
+            controller.execute(ControlRequest::undeploy(handle.tenant()))
+        {
+            return Err(e.into());
+        }
+    }
     println!(
         "cluster idle again: {} blocks free",
-        stack.controller().resources().total_free()
+        controller.resources().total_free()
     );
     Ok(())
 }

@@ -14,8 +14,9 @@
 use vital::prelude::*;
 use vital::workloads::benchmarks;
 
-fn main() -> Result<(), VitalError> {
-    let stack = VitalStack::new();
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let compiler = Compiler::new(CompilerConfig::default());
+    let controller = SystemController::new(RuntimeConfig::paper_cluster());
 
     // The large AlexNet variant of Table 2: ~269k LUTs, 10 virtual blocks.
     let bench = benchmarks()
@@ -24,7 +25,8 @@ fn main() -> Result<(), VitalError> {
         .expect("alexnet is part of the Table 2 suite");
     let spec = bench.spec(Size::Large);
     println!("compiling {} ...", spec.name());
-    let compiled = stack.compile_and_register(&spec)?;
+    let compiled = compiler.compile(&spec)?;
+    controller.register(compiled.bitstream().clone())?;
     let bs = compiled.bitstream();
     println!(
         "  {} virtual blocks, {} inter-block channels, cut = {} bits/firing",
@@ -36,20 +38,20 @@ fn main() -> Result<(), VitalError> {
     // Fill most of the cluster with the medium variant so the large one
     // cannot fit on a single FPGA and must scale out.
     let filler_spec = bench.spec(Size::Medium);
-    stack.compile_and_register(&filler_spec)?;
+    controller.register(compiler.compile(&filler_spec)?.into_bitstream())?;
     let mut fillers = Vec::new();
     for _ in 0..4 {
-        fillers.push(stack.deploy(filler_spec.name())?);
+        fillers.push(controller.deploy(filler_spec.name())?);
     }
     println!(
         "cluster pre-loaded with {} medium instances; {} blocks free",
         fillers.len(),
-        stack.controller().resources().total_free()
+        controller.resources().total_free()
     );
 
     // Deploy the large design: the communication-aware policy spans FPGAs
     // only because no single device has 10 free blocks left.
-    let handle = stack.deploy(spec.name())?;
+    let handle = controller.deploy(spec.name())?;
     println!(
         "deployed {} across {} FPGA(s):",
         spec.name(),
@@ -68,9 +70,10 @@ fn main() -> Result<(), VitalError> {
          user design is unchanged)"
     );
 
-    stack.undeploy(handle.tenant())?;
-    for f in fillers {
-        stack.undeploy(f.tenant())?;
+    for h in fillers.iter().chain([&handle]) {
+        if let ControlResponse::Err(e) = controller.execute(ControlRequest::undeploy(h.tenant())) {
+            return Err(e.into());
+        }
     }
     Ok(())
 }

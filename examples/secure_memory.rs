@@ -9,17 +9,18 @@ use vital::periph::PeriphError;
 use vital::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let stack = VitalStack::new();
+    let compiler = Compiler::new(CompilerConfig::default());
+    let controller = SystemController::new(RuntimeConfig::paper_cluster());
 
     for name in ["alice-app", "bob-app"] {
         let mut spec = AppSpec::new(name);
         let m = spec.add_operator("m", Operator::MacArray { pes: 8 });
         spec.add_input("i", m, 64)?;
         spec.add_output("o", m, 64)?;
-        stack.compile_and_register(&spec)?;
+        controller.register(compiler.compile(&spec)?.into_bitstream())?;
     }
-    let alice = stack.deploy("alice-app")?;
-    let bob = stack.deploy("bob-app")?;
+    let alice = controller.deploy("alice-app")?;
+    let bob = controller.deploy("bob-app")?;
     println!(
         "alice = {} (primary fpga{}), bob = {} (primary fpga{})",
         alice.tenant(),
@@ -30,10 +31,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Virtual memory: both tenants use the SAME virtual address; the
     // service region translates to disjoint physical pages.
-    let mm_alice = stack.controller().memory_of(alice.primary_fpga());
+    let mm_alice = controller.memory_of(alice.primary_fpga());
     mm_alice.write(alice.tenant(), 0x1000, b"alice's weights")?;
     let pa = mm_alice.translate(alice.tenant(), 0x1000)?;
-    let mm_bob = stack.controller().memory_of(bob.primary_fpga());
+    let mm_bob = controller.memory_of(bob.primary_fpga());
     mm_bob.write(bob.tenant(), 0x1000, b"bob's weights!!")?;
     let pb = mm_bob.translate(bob.tenant(), 0x1000)?;
     println!("vaddr 0x1000 -> alice paddr {pa:#x}, bob paddr {pb:#x}");
@@ -45,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("alice reads back: {:?}", std::str::from_utf8(&buf)?);
 
     // The access monitor blocks out-of-quota accesses.
-    let quota = stack.controller().config().default_quota_bytes;
+    let quota = controller.config().default_quota_bytes;
     match mm_alice.read(alice.tenant(), quota + 4096, &mut buf) {
         Err(PeriphError::ProtectionFault { vaddr, .. }) => {
             println!("monitor blocked alice's stray access at {vaddr:#x} (protection fault)");
@@ -58,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Virtual Ethernet: alice sends bob a frame through the shared port.
-    let sw = stack.controller().switch();
+    let sw = controller.switch();
     sw.send(alice.nic(), bob.nic().mac, b"hello bob".to_vec())?;
     let frame = sw.recv(bob.nic())?.expect("frame queued for bob");
     println!(
@@ -68,14 +69,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // DRAM bandwidth is arbitrated max-min fair.
-    let arb = stack.controller().arbiter_of(alice.primary_fpga());
+    let arb = controller.arbiter_of(alice.primary_fpga());
     println!(
         "alice's DRAM grant: {:?} of {} Gb/s",
         arb.grant(alice.tenant())?,
         arb.capacity_gbps()
     );
 
-    stack.undeploy(alice.tenant())?;
-    stack.undeploy(bob.tenant())?;
+    for tenant in [alice.tenant(), bob.tenant()] {
+        if let ControlResponse::Err(e) = controller.execute(ControlRequest::undeploy(tenant)) {
+            return Err(e.into());
+        }
+    }
     Ok(())
 }

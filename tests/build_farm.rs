@@ -11,6 +11,7 @@ use std::sync::{Arc, Barrier};
 use proptest::prelude::*;
 use vital::compiler::{Compiler, CompilerConfig};
 use vital::netlist::hls::{AppSpec, Operator};
+use vital::periph::TenantId;
 use vital::runtime::{ControlRequest, ControlResponse, RuntimeConfig, SystemController};
 use vital::service::{ServiceConfig, Vitald};
 
@@ -22,6 +23,17 @@ fn small_spec(name: &str, pes: u32, slices: u32) -> AppSpec {
     let p = spec.add_operator("p", Operator::Pipeline { slices });
     spec.add_edge(m, p, 64).unwrap();
     spec
+}
+
+/// Undeploys `tenant`, which must exist.
+fn undeploy(controller: &SystemController, tenant: TenantId) {
+    let resp = controller.execute(ControlRequest::undeploy(tenant));
+    assert_eq!(
+        resp,
+        ControlResponse::Undeployed {
+            tenant: tenant.raw()
+        }
+    );
 }
 
 /// A unique on-disk database path, deleted (with its `.tmp` sibling) when
@@ -149,7 +161,7 @@ fn restarted_controller_serves_warm_cache_with_zero_pnr() {
     assert!(warm.timings.is_none(), "a warm deploy runs zero P&R");
     assert_eq!(reborn.farm_stats().compiles, 0, "nothing recompiled");
     let handle = reborn.deploy("hot").expect("reloaded image deploys");
-    reborn.undeploy(handle.tenant()).unwrap();
+    undeploy(&reborn, handle.tenant());
 }
 
 /// The same warm-restart contract through the whole daemon: a second
@@ -288,7 +300,7 @@ fn speculation_warms_demanded_apps_and_counts_compiles() {
     );
     assert_eq!(stats.speculative_compiles, 1);
     let handle = controller.deploy("wanted").expect("speculation warmed it");
-    controller.undeploy(handle.tenant()).unwrap();
+    undeploy(&controller, handle.tenant());
     assert!(
         controller.speculate_compile(4).is_empty(),
         "nothing left to warm"
@@ -332,7 +344,7 @@ fn speculation_dedupes_against_inflight_prepare() {
     let preparer = {
         let controller = Arc::clone(&controller);
         std::thread::spawn(move || {
-            controller.try_execute(ControlRequest::Prepare { app: "slow".into() })
+            controller.execute(ControlRequest::Prepare { app: "slow".into() })
         })
     };
     entered_rx
@@ -347,11 +359,7 @@ fn speculation_dedupes_against_inflight_prepare() {
     release_tx
         .send(())
         .expect("resolver is parked on the channel");
-    match preparer
-        .join()
-        .expect("prepare thread")
-        .expect("prepare ok")
-    {
+    match preparer.join().expect("prepare thread") {
         ControlResponse::Prepared { cache_hit, .. } => assert!(!cache_hit),
         other => panic!("unexpected prepare answer: {other:?}"),
     }
@@ -408,7 +416,7 @@ fn demand_profile_survives_restart_and_feeds_speculation() {
         "restored demand must drive speculation"
     );
     let handle = reborn.deploy("hot-app").expect("speculation warmed it");
-    reborn.undeploy(handle.tenant()).unwrap();
+    undeploy(&reborn, handle.tenant());
 }
 
 /// A corrupt demand sidecar is surfaced as a typed error, exactly like a

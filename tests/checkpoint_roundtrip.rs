@@ -78,8 +78,11 @@ proptest! {
         let capsule = suspend_settled(&controller, tenant);
         let occ_before: Vec<usize> =
             capsule.channels.iter().map(|ch| ch.snapshot.occupancy()).collect();
-        prop_assert!(!controller.live_tenants().contains(&tenant));
-        prop_assert_eq!(controller.suspended_tenants(), vec![tenant]);
+        let ControlResponse::Status(status) = controller.execute(ControlRequest::Status) else {
+            panic!("Status answers a status");
+        };
+        prop_assert!(!status.live_tenants.contains(&tenant.raw()));
+        prop_assert_eq!(status.suspended_tenants, vec![tenant.raw()]);
         let dram_digest = capsule.memory.content_digest();
         let flits = capsule.total_flits();
 

@@ -1,9 +1,11 @@
 //! Property test: any interleaving of deploy / undeploy / suspend /
-//! resume / ISA deploy / fail_fpga / recover_fpga / evacuate / defragment
-//! leaves the system controller consistent — after every step one
-//! `Status` reply is a consistent snapshot, and once every FPGA is
-//! recovered and every surviving tenant undeployed, no blocks, DRAM
-//! spaces, NICs, bandwidth shares or tiles remain.
+//! resume / ISA deploy / fail / recover / evacuate / defragment leaves the
+//! system controller consistent — every control operation goes through
+//! `execute` and answers its own variant (a board out of range is
+//! refused with `InvalidConfig`), after every step one `Status` reply is a
+//! consistent snapshot, and once every FPGA is recovered and every
+//! surviving tenant undeployed, no blocks, DRAM spaces, NICs, bandwidth
+//! shares or tiles remain.
 
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
@@ -11,6 +13,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use vital::compiler::{AppBitstream, Compiler, CompilerConfig};
+use vital::interface::ErrorCode;
 use vital::netlist::hls::{AppSpec, Operator};
 use vital::periph::TenantId;
 use vital::runtime::{
@@ -64,7 +67,8 @@ enum Op {
     Defrag,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+/// Board indices run two past the cluster, so refusals are drawn too.
+fn op_strategy(fpgas: usize) -> impl Strategy<Value = Op> {
     // The vendored proptest picks arms uniformly; deploys are listed
     // twice so runs actually fill the cluster before faults land.
     prop_oneof![
@@ -74,9 +78,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0..16usize).prop_map(Op::Suspend),
         (0..16usize).prop_map(Op::Resume),
         Just(Op::DeployIsa),
-        (0..4usize).prop_map(Op::Fail),
-        (0..4usize).prop_map(Op::Recover),
-        (0..4usize).prop_map(Op::Evacuate),
+        (0..fpgas + 2).prop_map(Op::Fail),
+        (0..fpgas + 2).prop_map(Op::Recover),
+        (0..fpgas + 2).prop_map(Op::Evacuate),
         Just(Op::Defrag),
     ]
 }
@@ -86,6 +90,22 @@ fn status(c: &SystemController) -> StatusSummary {
         ControlResponse::Status(s) => s,
         other => panic!("Status answered {other:?}"),
     }
+}
+
+/// A board operation's reply: the success variant on a board the cluster
+/// has, `InvalidConfig` on one it does not.
+fn check_board_reply(
+    reply: &ControlResponse,
+    in_range: bool,
+    succeeded: bool,
+) -> Result<(), TestCaseError> {
+    if in_range {
+        prop_assert!(succeeded, "an in-range board operation answered {reply:?}");
+    } else {
+        let code = reply.err().map(|e| e.code);
+        prop_assert_eq!(code, Some(ErrorCode::InvalidConfig), "{:?}", reply);
+    }
+    Ok(())
 }
 
 /// What one `Status` reply must satisfy on its own: its block rows name
@@ -122,7 +142,7 @@ proptest! {
 
     #[test]
     fn any_interleaving_leaves_the_controller_consistent(
-        ops in proptest::collection::vec(op_strategy(), 1..30)
+        ops in proptest::collection::vec(op_strategy(RuntimeConfig::paper_cluster().fpgas), 1..30)
     ) {
         let c = SystemController::new(RuntimeConfig::paper_cluster()).with_isa_backend(8);
         for bs in bitstreams() {
@@ -148,7 +168,13 @@ proptest! {
                         let t = deployed.remove(i % deployed.len());
                         // The tenant may already be gone (torn down by a
                         // failure); only UnknownTenant is acceptable then.
-                        let _ = c.undeploy(t);
+                        let reply = c.execute(ControlRequest::undeploy(t));
+                        let code = reply.err().map(|e| e.code);
+                        prop_assert!(
+                            reply == ControlResponse::Undeployed { tenant: t.raw() }
+                                || code == Some(ErrorCode::UnknownTenant),
+                            "undeploy {} answered {:?}", t, reply
+                        );
                     }
                 }
                 // Both may fail: the tenant may be parked, live, on the
@@ -169,29 +195,41 @@ proptest! {
                         deployed.push(TenantId::new(d.tenant));
                     }
                 }
-                Op::Fail(f) => {
-                    let _ = c.fail_fpga(f % fpgas);
+                Op::Fail(fpga) => {
+                    let reply = c.execute(ControlRequest::Fail { fpga });
+                    let ok = matches!(&reply, ControlResponse::FpgaFailed(r) if r.fpga == fpga);
+                    check_board_reply(&reply, fpga < fpgas, ok)?;
                 }
-                Op::Recover(f) => c.recover_fpga(f % fpgas),
-                Op::Evacuate(f) => {
-                    let _ = c.evacuate(f % fpgas);
+                Op::Recover(fpga) => {
+                    let reply = c.execute(ControlRequest::Recover { fpga });
+                    let ok = reply == ControlResponse::Recovered { fpga };
+                    check_board_reply(&reply, fpga < fpgas, ok)?;
+                }
+                Op::Evacuate(fpga) => {
+                    let reply = c.execute(ControlRequest::Evacuate { fpga });
+                    let ok = matches!(&reply, ControlResponse::Evacuated(r) if r.fpga == fpga);
+                    check_board_reply(&reply, fpga < fpgas, ok)?;
                 }
                 Op::Defrag => {
-                    let _ = c.defragment();
+                    let reply = c.execute(ControlRequest::Defragment);
+                    let ok = matches!(reply, ControlResponse::Defragmented { .. });
+                    prop_assert!(ok, "Defragment answered {:?}", reply);
                 }
             }
             check_snapshot(&status(&c))?;
         }
 
         // Drain: bring every board back and tear every survivor down.
-        for f in 0..fpgas {
-            c.recover_fpga(f);
+        for fpga in 0..fpgas {
+            let reply = c.execute(ControlRequest::Recover { fpga });
+            prop_assert_eq!(reply, ControlResponse::Recovered { fpga });
         }
         let survivors = status(&c);
         for t in [survivors.live_tenants, survivors.suspended_tenants, survivors.isa_tenants]
             .concat()
         {
-            prop_assert!(c.undeploy(TenantId::new(t)).is_ok(), "undeploying survivor {t} failed");
+            let reply = c.execute(ControlRequest::Undeploy { tenant: t });
+            prop_assert_eq!(reply, ControlResponse::Undeployed { tenant: t }, "survivor {}", t);
         }
         let drained = status(&c);
         prop_assert_eq!(drained.isa_tiles_free, drained.isa_tiles_total, "leaked tiles");

@@ -4,7 +4,7 @@
 
 use vital::cluster::{ClusterConfig, ClusterSim};
 use vital::prelude::*;
-use vital::runtime::FpgaHealth;
+use vital::runtime::{FpgaHealth, StatusSummary};
 
 fn app(name: &str, pes: u32) -> AppSpec {
     let mut spec = AppSpec::new(name);
@@ -12,6 +12,35 @@ fn app(name: &str, pes: u32) -> AppSpec {
     spec.add_input("i", m, 64).unwrap();
     spec.add_output("o", m, 64).unwrap();
     spec
+}
+
+/// A paper-cluster controller with every spec compiled and registered.
+fn controller_with(specs: &[AppSpec]) -> SystemController {
+    let compiler = Compiler::new(CompilerConfig::default());
+    let controller = SystemController::new(RuntimeConfig::paper_cluster());
+    for spec in specs {
+        let bitstream = compiler.compile(spec).unwrap().into_bitstream();
+        controller.register(bitstream).unwrap();
+    }
+    controller
+}
+
+fn status(c: &SystemController) -> StatusSummary {
+    match c.execute(ControlRequest::Status) {
+        ControlResponse::Status(s) => s,
+        other => panic!("Status answers a status, not {other:?}"),
+    }
+}
+
+/// Undeploys `tenant`, which must exist.
+fn undeploy(c: &SystemController, tenant: TenantId) {
+    let resp = c.execute(ControlRequest::undeploy(tenant));
+    assert_eq!(
+        resp,
+        ControlResponse::Undeployed {
+            tenant: tenant.raw()
+        }
+    );
 }
 
 /// Acceptance: a single-FPGA failure mid-workload evicts the instances on
@@ -61,24 +90,23 @@ fn bounded_retry_reports_terminal_failures() {
     assert_eq!(report.failed[0].attempts, 1);
 }
 
-/// Acceptance: `fail_fpga` migrates every tenant that still fits onto the
-/// survivors (no holdings remain on the dead board), and `recover_fpga`
+/// Acceptance: `Fail` migrates every tenant that still fits onto the
+/// survivors (no holdings remain on the dead board), and `Recover`
 /// returns the capacity.
 #[test]
 fn controller_failure_migrates_tenants_off_the_dead_board() {
-    let stack = VitalStack::new();
-    for i in 0..4 {
-        stack
-            .compile_and_register(&app(&format!("app{i}"), 8))
-            .unwrap();
-    }
+    let specs: Vec<AppSpec> = (0..4).map(|i| app(&format!("app{i}"), 8)).collect();
+    let c = controller_with(&specs);
     let handles: Vec<DeployHandle> = (0..4)
-        .map(|i| stack.deploy(&format!("app{i}")).unwrap())
+        .map(|i| c.deploy(&format!("app{i}")).unwrap())
         .collect();
     let victim_fpga = handles[0].primary_fpga();
-    let db = stack.controller().resources();
+    let db = c.resources();
 
-    let report = stack.controller().fail_fpga(victim_fpga);
+    let ControlResponse::FpgaFailed(report) = c.execute(ControlRequest::Fail { fpga: victim_fpga })
+    else {
+        panic!("an in-range board fails");
+    };
     assert!(
         report.torn_down.is_empty(),
         "plenty of free capacity: everyone migrates"
@@ -94,41 +122,41 @@ fn controller_failure_migrates_tenants_off_the_dead_board() {
             "no blocks may remain on the dead board"
         );
     }
-    let stats = stack.controller().failure_stats();
-    assert_eq!(stats.fpga_failures, 1);
+    assert_eq!(status(&c).fpga_failures, 1);
 
-    stack.controller().recover_fpga(victim_fpga);
+    let recovered = c.execute(ControlRequest::Recover { fpga: victim_fpga });
+    assert_eq!(recovered, ControlResponse::Recovered { fpga: victim_fpga });
     assert_eq!(db.health_of(victim_fpga), FpgaHealth::Online);
-    assert_eq!(stack.controller().failure_stats().fpga_recoveries, 1);
+    assert_eq!(status(&c).fpga_recoveries, 1);
 
     for h in handles {
-        stack.undeploy(h.tenant()).unwrap();
+        undeploy(&c, h.tenant());
     }
 }
 
-/// Acceptance: `evacuate` empties a draining FPGA by live migration and no
+/// Acceptance: `Evacuate` empties a draining FPGA by live migration and no
 /// tenant loses its DRAM contents — the image travels with the tenant.
 #[test]
 fn evacuation_empties_the_board_and_keeps_dram_contents() {
-    let stack = VitalStack::new();
-    stack.compile_and_register(&app("keeper", 8)).unwrap();
-    let h = stack.deploy("keeper").unwrap();
+    let c = controller_with(&[app("keeper", 8)]);
+    let h = c.deploy("keeper").unwrap();
     let home = h.primary_fpga();
-    stack
-        .controller()
-        .memory_of(home)
+    c.memory_of(home)
         .write(h.tenant(), 0x100, b"survives the drain")
         .unwrap();
 
     // Evacuate every FPGA the tenant has logic on.
-    let db = stack.controller().resources();
+    let db = c.resources();
     let logic_fpgas: Vec<usize> = db
         .holdings(h.tenant())
         .iter()
         .map(|b| b.fpga.index() as usize)
         .collect();
     for f in logic_fpgas {
-        let report = stack.controller().evacuate(f);
+        let ControlResponse::Evacuated(report) = c.execute(ControlRequest::Evacuate { fpga: f })
+        else {
+            panic!("an in-range board evacuates");
+        };
         assert!(report.unmoved.is_empty(), "one small tenant always fits");
         assert!(db.tenants_on(f).is_empty(), "the board must end up empty");
     }
@@ -136,44 +164,39 @@ fn evacuation_empties_the_board_and_keeps_dram_contents() {
     // Evacuation is a live migration through the checkpoint path: the DRAM
     // image moves with the tenant to its new home, so the drained board
     // could be powered down without data loss.
-    assert_eq!(stack.controller().memory_of(home).tenant_count(), 0);
+    assert_eq!(c.memory_of(home).tenant_count(), 0);
     let new_home = db.holdings(h.tenant())[0].fpga.index() as usize;
     assert_ne!(new_home, home, "the tenant must have left its home board");
     let mut buf = [0u8; 18];
-    stack
-        .controller()
-        .memory_of(new_home)
+    c.memory_of(new_home)
         .read(h.tenant(), 0x100, &mut buf)
         .unwrap();
     assert_eq!(&buf, b"survives the drain");
-    stack.undeploy(h.tenant()).unwrap();
+    undeploy(&c, h.tenant());
 }
 
 /// Acceptance: a teardown that hits an error mid-way still completes every
 /// other step — no leaked blocks, NICs, or bandwidth shares.
 #[test]
 fn forced_teardown_error_leaks_nothing() {
-    let stack = VitalStack::new();
-    stack.compile_and_register(&app("leaky", 8)).unwrap();
-    let h = stack.deploy("leaky").unwrap();
-    let held = stack.controller().resources().holdings(h.tenant()).len();
-    let free_before = stack.controller().resources().total_free() + held;
+    let c = controller_with(&[app("leaky", 8)]);
+    let h = c.deploy("leaky").unwrap();
+    let held = c.resources().holdings(h.tenant()).len();
+    let free_before = c.resources().total_free() + held;
 
     // Sabotage: destroy the DRAM space out-of-band so undeploy's memory
     // step fails.
-    stack
-        .controller()
-        .memory_of(h.primary_fpga())
+    c.memory_of(h.primary_fpga())
         .destroy_space(h.tenant())
         .unwrap();
 
-    let err = stack.undeploy(h.tenant());
-    assert!(err.is_err(), "the memory step's failure must surface");
+    let err = c.execute(ControlRequest::undeploy(h.tenant()));
+    assert!(!err.is_ok(), "the memory step's failure must surface");
 
     // ... but everything else was still torn down.
-    assert_eq!(stack.controller().resources().total_free(), free_before);
-    assert_eq!(stack.controller().switch().nic_count(), 0);
+    assert_eq!(c.resources().total_free(), free_before);
+    assert_eq!(c.switch().nic_count(), 0);
     let fpga = h.primary_fpga();
-    assert!(stack.controller().arbiter_of(fpga).total_demand_gbps() < 1e-9);
-    assert!(stack.controller().live_tenants().is_empty());
+    assert!(c.arbiter_of(fpga).total_demand_gbps() < 1e-9);
+    assert!(status(&c).live_tenants.is_empty());
 }

@@ -122,7 +122,10 @@ fn pool_exhaustion_is_typed_and_retryable() {
 #[test]
 fn disabled_backend_is_a_typed_error() {
     let c = SystemController::new(RuntimeConfig::paper_cluster());
-    assert!(!c.isa_enabled());
+    let ControlResponse::Status(status) = c.execute(ControlRequest::Status) else {
+        panic!("Status answers a status");
+    };
+    assert_eq!(status.isa_tiles_total, 0, "no ISA template");
     match c.execute(ControlRequest::Deploy(DeployRequest::isa("lenet-S"))) {
         ControlResponse::Err(e) => {
             assert_eq!(e.code, ErrorCode::IsaBackendDisabled);

@@ -13,13 +13,37 @@ fn small_app(name: &str) -> AppSpec {
     spec
 }
 
+/// A paper-cluster controller with one small app per name registered.
+fn controller_with(names: &[&str]) -> SystemController {
+    let controller = SystemController::new(RuntimeConfig::paper_cluster());
+    for name in names {
+        register(&controller, name);
+    }
+    controller
+}
+
+fn register(controller: &SystemController, name: &str) {
+    let compiler = Compiler::new(CompilerConfig::default());
+    let bitstream = compiler.compile(&small_app(name)).unwrap().into_bitstream();
+    controller.register(bitstream).unwrap();
+}
+
+/// Undeploys `tenant`, which must exist.
+fn undeploy(controller: &SystemController, tenant: TenantId) {
+    let resp = controller.execute(ControlRequest::undeploy(tenant));
+    assert_eq!(
+        resp,
+        ControlResponse::Undeployed {
+            tenant: tenant.raw()
+        }
+    );
+}
+
 #[test]
 fn physical_blocks_are_never_shared() {
-    let stack = VitalStack::new();
-    stack.compile_and_register(&small_app("a")).unwrap();
-    stack.compile_and_register(&small_app("b")).unwrap();
-    let ha = stack.deploy("a").unwrap();
-    let hb = stack.deploy("b").unwrap();
+    let c = controller_with(&["a", "b"]);
+    let ha = c.deploy("a").unwrap();
+    let hb = c.deploy("b").unwrap();
     let a_blocks: Vec<_> = ha.placed().addresses().collect();
     let b_blocks: Vec<_> = hb.placed().addresses().collect();
     for b in &b_blocks {
@@ -29,25 +53,23 @@ fn physical_blocks_are_never_shared() {
 
 #[test]
 fn dram_is_private_and_monitored() {
-    let stack = VitalStack::new();
-    stack.compile_and_register(&small_app("a")).unwrap();
-    stack.compile_and_register(&small_app("b")).unwrap();
-    let ha = stack.deploy("a").unwrap();
-    let hb = stack.deploy("b").unwrap();
+    let c = controller_with(&["a", "b"]);
+    let ha = c.deploy("a").unwrap();
+    let hb = c.deploy("b").unwrap();
 
-    let mm_a = stack.controller().memory_of(ha.primary_fpga());
+    let mm_a = c.memory_of(ha.primary_fpga());
     mm_a.write(ha.tenant(), 0x2000, b"tenant-a-secret").unwrap();
 
     // Tenant B reading the same virtual address sees zeros, whether or not
     // it shares the physical board.
-    let mm_b = stack.controller().memory_of(hb.primary_fpga());
+    let mm_b = c.memory_of(hb.primary_fpga());
     let mut buf = [0u8; 15];
     mm_b.read(hb.tenant(), 0x2000, &mut buf).unwrap();
     assert_eq!(buf, [0u8; 15]);
 
     // Tenant B cannot use tenant A's id on a board where A has no space —
     // and within a board the quota monitor blocks out-of-range access.
-    let quota = stack.controller().config().default_quota_bytes;
+    let quota = c.config().default_quota_bytes;
     assert!(matches!(
         mm_a.read(ha.tenant(), quota, &mut buf),
         Err(PeriphError::ProtectionFault { .. })
@@ -58,24 +80,17 @@ fn dram_is_private_and_monitored() {
 
 #[test]
 fn teardown_scrubs_dram() {
-    let stack = VitalStack::new();
-    stack.compile_and_register(&small_app("a")).unwrap();
-    let ha = stack.deploy("a").unwrap();
+    let c = controller_with(&["a"]);
+    let ha = c.deploy("a").unwrap();
     let fpga = ha.primary_fpga();
-    stack
-        .controller()
-        .memory_of(fpga)
-        .write(ha.tenant(), 0, b"residue")
-        .unwrap();
-    stack.undeploy(ha.tenant()).unwrap();
+    c.memory_of(fpga).write(ha.tenant(), 0, b"residue").unwrap();
+    undeploy(&c, ha.tenant());
 
     // The next tenant on the same board must never observe the residue.
-    stack.compile_and_register(&small_app("b")).unwrap();
-    let hb = stack.deploy("b").unwrap();
+    register(&c, "b");
+    let hb = c.deploy("b").unwrap();
     let mut buf = [0u8; 7];
-    stack
-        .controller()
-        .memory_of(hb.primary_fpga())
+    c.memory_of(hb.primary_fpga())
         .read(hb.tenant(), 0, &mut buf)
         .unwrap();
     assert_eq!(buf, [0u8; 7]);
@@ -83,15 +98,12 @@ fn teardown_scrubs_dram() {
 
 #[test]
 fn ethernet_frames_are_tenant_private() {
-    let stack = VitalStack::new();
-    stack.compile_and_register(&small_app("a")).unwrap();
-    stack.compile_and_register(&small_app("b")).unwrap();
-    stack.compile_and_register(&small_app("c")).unwrap();
-    let ha = stack.deploy("a").unwrap();
-    let hb = stack.deploy("b").unwrap();
-    let hc = stack.deploy("c").unwrap();
+    let c = controller_with(&["a", "b", "c"]);
+    let ha = c.deploy("a").unwrap();
+    let hb = c.deploy("b").unwrap();
+    let hc = c.deploy("c").unwrap();
 
-    let sw = stack.controller().switch();
+    let sw = c.switch();
     sw.send(ha.nic(), hb.nic().mac, b"for-b".to_vec()).unwrap();
     // Only B receives; C sees nothing.
     assert!(sw.recv(hc.nic()).unwrap().is_none());
@@ -107,14 +119,13 @@ fn ethernet_frames_are_tenant_private() {
 
 #[test]
 fn undeploy_releases_every_resource_class() {
-    let stack = VitalStack::new();
-    stack.compile_and_register(&small_app("a")).unwrap();
-    let free_before = stack.controller().resources().total_free();
-    let dram_before = stack.controller().memory_of(0).free_bytes();
-    let h = stack.deploy("a").unwrap();
-    stack.undeploy(h.tenant()).unwrap();
-    assert_eq!(stack.controller().resources().total_free(), free_before);
-    assert_eq!(stack.controller().memory_of(0).free_bytes(), dram_before);
+    let c = controller_with(&["a"]);
+    let free_before = c.resources().total_free();
+    let dram_before = c.memory_of(0).free_bytes();
+    let h = c.deploy("a").unwrap();
+    undeploy(&c, h.tenant());
+    assert_eq!(c.resources().total_free(), free_before);
+    assert_eq!(c.memory_of(0).free_bytes(), dram_before);
     // NIC is gone.
-    assert!(stack.controller().switch().counters(h.nic().mac).is_err());
+    assert!(c.switch().counters(h.nic().mac).is_err());
 }

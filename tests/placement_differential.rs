@@ -18,11 +18,24 @@ use vital::compiler::{AppBitstream, Compiler, CompilerConfig};
 use vital::fabric::BlockAddr;
 use vital::netlist::hls::{AppSpec, Operator};
 use vital::periph::TenantId;
-use vital::runtime::{PodScheduler, RuntimeConfig, SystemController, VitalScheduler};
+use vital::runtime::{
+    ControlRequest, ControlResponse, PodScheduler, RuntimeConfig, SystemController, VitalScheduler,
+};
 use vital::workloads::{generate_workload_set, SizingModel, WorkloadComposition, WorkloadParams};
 
 /// Block counts the Table 3 sizing model asks for.
 const MAX_BLOCKS: usize = 11;
+
+/// Undeploys `tenant`, which must exist.
+fn undeploy(controller: &SystemController, tenant: TenantId) {
+    let resp = controller.execute(ControlRequest::undeploy(tenant));
+    assert_eq!(
+        resp,
+        ControlResponse::Undeployed {
+            tenant: tenant.raw()
+        }
+    );
+}
 
 /// One compiled design per block count `1..=MAX_BLOCKS`, named
 /// `synthetic-<blocks>`. The operator sizes were found by a sweep; the
@@ -92,7 +105,7 @@ impl<S: Scheduler> Scheduler for Mirror<'_, S> {
         self.live.retain(|(tenant, blocks)| {
             let finished = view.is_free(blocks[0]);
             if finished {
-                controller.undeploy(*tenant).unwrap();
+                undeploy(controller, *tenant);
             }
             !finished
         });
@@ -156,7 +169,7 @@ fn run_mirrored<S: Scheduler>(
     );
     assert!(mirror.spanning > 0, "the trace exercises multi-FPGA spans");
     for (tenant, _) in mirror.live {
-        controller.undeploy(tenant).unwrap();
+        undeploy(controller, tenant);
     }
     assert_eq!(
         controller.resources().total_free(),

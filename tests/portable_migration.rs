@@ -131,7 +131,10 @@ proptest! {
         let target = controller_on(&DeviceModel::xcvu37p_alt(), 64);
         let restored = target.restore_portable(&portable).unwrap();
         prop_assert_eq!(restored.tenant(), tenant);
-        prop_assert!(target.live_tenants().contains(&tenant));
+        let ControlResponse::Status(status) = target.execute(ControlRequest::Status) else {
+            panic!("Status answers a status");
+        };
+        prop_assert!(status.live_tenants.contains(&tenant.raw()));
 
         // DRAM pages crossed with their contents.
         let mut read_back = vec![0u8; payload.len()];
@@ -215,7 +218,13 @@ fn migrate_policies_run_and_report_the_winning_path() {
         MigratePolicy::SameGeometry,
         "auto resolves to the fast path when it works"
     );
-    controller.undeploy(tenant).unwrap();
+    let resp = controller.execute(ControlRequest::undeploy(tenant));
+    assert_eq!(
+        resp,
+        ControlResponse::Undeployed {
+            tenant: tenant.raw()
+        }
+    );
 }
 
 /// `Checkpoint` through the request API advertises portability, and the

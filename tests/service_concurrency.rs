@@ -12,7 +12,9 @@ use vital::compiler::{AppBitstream, Compiler, CompilerConfig};
 use vital::interface::ErrorCode;
 use vital::netlist::hls::{AppSpec, Operator};
 use vital::periph::TenantId;
-use vital::runtime::{ControlRequest, ControlResponse, RuntimeConfig, SystemController};
+use vital::runtime::{
+    ControlRequest, ControlResponse, RuntimeConfig, StatusSummary, SystemController,
+};
 use vital::service::{RemoteClient, ServiceConfig, ServiceServer, Vitald, WireFormat};
 
 const NAMES: [&str; 3] = ["small", "medium", "large"];
@@ -99,17 +101,26 @@ impl Baseline {
     }
 }
 
+fn status(c: &SystemController) -> StatusSummary {
+    match c.execute(ControlRequest::Status) {
+        ControlResponse::Status(s) => s,
+        other => panic!("Status answers a status, not {other:?}"),
+    }
+}
+
 /// Tears down every live and suspended tenant through the service API.
 fn drain_tenants(vitald: &Vitald) {
     let client = vitald.client();
-    for t in vitald.controller().suspended_tenants() {
+    let parked = status(vitald.controller()).suspended_tenants;
+    for t in parked.into_iter().map(TenantId::new) {
         let resp = client.call(ControlRequest::restore(t));
         assert!(
             resp.is_ok() || resp.err().is_some(),
             "resume of suspended tenant{t} must answer"
         );
     }
-    for t in vitald.controller().live_tenants() {
+    let live = status(vitald.controller()).live_tenants;
+    for t in live.into_iter().map(TenantId::new) {
         match client.call(ControlRequest::undeploy(t)) {
             ControlResponse::Undeployed { .. } => {}
             other => panic!("undeploying survivor tenant{t} failed: {other:?}"),
@@ -601,7 +612,7 @@ fn deploys_of_different_sessions_execute_on_different_workers() {
     assert!(!prepare_a.wait().is_ok());
     assert!(matches!(deploy_a.wait(), ControlResponse::Deployed(_)));
     assert!(deploy_b.poll().is_none(), "B's deploy ran on A's worker");
-    assert_eq!(vitald.controller().live_tenants().len(), 1);
+    assert_eq!(status(vitald.controller()).live_tenants.len(), 1);
 
     release["park-b"].send(()).unwrap();
     assert!(!prepare_b.wait().is_ok());
