@@ -36,7 +36,7 @@ impl Scheduler for ScatterScheduler {
             .collect();
         let mut out = Vec::new();
         for p in pending {
-            let need = p.request.blocks_needed as usize;
+            let need = p.blocks_needed as usize;
             let total: usize = free.iter().map(Vec::len).sum();
             if total < need {
                 continue;
@@ -52,7 +52,7 @@ impl Scheduler for ScatterScheduler {
                 f += 1;
             }
             out.push(Deployment {
-                request: p.request.id,
+                request: p.id,
                 blocks,
                 reconfig: ReconfigKind::PartialPerBlock,
             });

@@ -47,9 +47,9 @@ pub enum ClusterError {
     /// a misconfigured fault scenario fails loudly instead of silently
     /// testing nothing.
     InvalidFault(String),
-    /// A request's numbers are unusable: a non-finite or negative arrival
-    /// time or amount of work, or a non-finite throughput or communication
-    /// intensity. Requests are checked before the first event fires, so a
+    /// A request's numbers are unusable: zero blocks, a non-finite or
+    /// negative arrival time or amount of work, or a non-finite throughput
+    /// or communication intensity. Requests are checked before the first event fires, so a
     /// malformed trace fails here instead of as NaN timestamps in a report.
     InvalidRequest {
         /// The offending request.

@@ -29,33 +29,36 @@
 //! use vital_cluster::{AppRequest, ClusterConfig, ClusterSim, Scheduler,
 //!                     ClusterView, Deployment, PendingRequest, ReconfigKind};
 //!
-//! /// A trivial policy: first-fit blocks on a single FPGA.
+//! /// A trivial policy: first-fit blocks on a single FPGA. Each grant
+//! /// leaves the pass's own free lists, so one pass places everything that
+//! /// fits, as the simulator requires.
 //! struct FirstFit;
 //! impl Scheduler for FirstFit {
 //!     fn name(&self) -> &str { "first-fit" }
 //!     fn schedule(&mut self, view: &ClusterView, pending: &[PendingRequest]) -> Vec<Deployment> {
+//!         let mut free: Vec<_> = (0..view.fpga_count()).map(|f| view.free_blocks_of(f)).collect();
 //!         let mut out = Vec::new();
 //!         for p in pending {
-//!             for fpga in 0..view.fpga_count() {
-//!                 let free = view.free_blocks_of(fpga);
-//!                 if free.len() >= p.request.blocks_needed as usize {
-//!                     out.push(Deployment {
-//!                         request: p.request.id,
-//!                         blocks: free[..p.request.blocks_needed as usize].to_vec(),
-//!                         reconfig: ReconfigKind::PartialPerBlock,
-//!                     });
-//!                     break;
-//!                 }
+//!             let need = p.blocks_needed as usize;
+//!             if let Some(list) = free.iter_mut().find(|list| list.len() >= need) {
+//!                 out.push(Deployment {
+//!                     request: p.id,
+//!                     blocks: list.drain(..need).collect(),
+//!                     reconfig: ReconfigKind::PartialPerBlock,
+//!                 });
 //!             }
 //!         }
 //!         out
 //!     }
 //! }
 //!
-//! let requests = vec![AppRequest::new(0, "app", 3, 1.0e9).arriving_at(0.0)];
+//! let requests = vec![
+//!     AppRequest::new(0, "app", 3, 1.0e9).arriving_at(0.0),
+//!     AppRequest::new(1, "other", 9, 1.0e9).arriving_at(0.0),
+//! ];
 //! let report = ClusterSim::new(ClusterConfig::paper_cluster())
 //!     .run(&mut FirstFit, requests);
-//! assert_eq!(report.completed(), 1);
+//! assert_eq!(report.completed(), 2);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -17,7 +17,12 @@
 //!   are evicted, and paused co-runners re-armed, in ascending
 //!   [`InstanceId`](crate::InstanceId) (placement order). No hash-ordered
 //!   container exists in this crate (`tests/no_hash_order.rs` scans for
-//!   one), so a faulted run repeats byte for byte like a fault-free one.
+//!   one), so a faulted run repeats byte for byte like a fault-free one;
+//! * after an event that can change a decision, the policy makes one pass
+//!   over the whole queue (a [`Scheduler`] pass is complete), unless fewer
+//!   blocks are free than the smallest queued request needs. The pass's
+//!   decisions apply in the order returned, and the requests it placed
+//!   leave the queue together; the rest keep their order.
 //!
 //! Time stays `f64` seconds: rounding to integer ticks would move every
 //! reported timestamp, and the order above is already total.
@@ -299,15 +304,13 @@ impl ClusterSim {
                 needed: request.blocks_needed as usize,
             });
         }
-        let mut seen: Vec<BlockAddr> = Vec::with_capacity(d.blocks.len());
-        for &b in &d.blocks {
-            if seen.contains(&b) {
+        for (i, &b) in d.blocks.iter().enumerate() {
+            if d.blocks[..i].contains(&b) {
                 return Err(ClusterError::DuplicateBlock {
                     request: d.request,
                     block: b,
                 });
             }
-            seen.push(b);
             if !view.is_free(b) {
                 return Err(ClusterError::BlockUnavailable {
                     request: d.request,
@@ -397,13 +400,14 @@ impl ClusterSim {
     }
 }
 
-/// Checks every request before the first event fires: arrival time and
-/// work must be finite and non-negative, throughput and communication
-/// intensity finite.
+/// Checks every request before the first event fires: it needs at least
+/// one block (policies rely on it), arrival time and work must be finite
+/// and non-negative, throughput and communication intensity finite.
 fn validate_requests(requests: &[AppRequest]) -> Result<(), ClusterError> {
     for r in requests {
         // (field, value, least allowed value)
         let fields = [
+            ("blocks_needed", f64::from(r.blocks_needed), 1.0),
             ("arrival_s", r.arrival_s, 0.0),
             ("work_ops", r.work_ops, 0.0),
             ("standalone_ops_per_sec", r.standalone_ops_per_sec, f64::MIN),
@@ -425,7 +429,7 @@ fn validate_requests(requests: &[AppRequest]) -> Result<(), ClusterError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PendingRequest, RequestOutcome};
+    use crate::{PendingRequest, RequestId, RequestOutcome};
     use vital_fabric::PhysicalBlockId;
 
     /// Minimal policy: first-fit on one FPGA, optionally whole-device.
@@ -443,7 +447,7 @@ mod tests {
                 .map(|f| view.free_blocks_of(f))
                 .collect();
             for p in pending {
-                let need = p.request.blocks_needed as usize;
+                let need = p.blocks_needed as usize;
                 #[allow(clippy::needless_range_loop)] // `f` also selects the FPGA
                 for f in 0..free.len() {
                     let whole = self.whole_device;
@@ -456,7 +460,7 @@ mod tests {
                         let take = if whole { free[f].len() } else { need };
                         let blocks: Vec<BlockAddr> = free[f].drain(..take).collect();
                         out.push(Deployment {
-                            request: p.request.id,
+                            request: p.id,
                             blocks,
                             reconfig: if whole {
                                 ReconfigKind::FullDevice
@@ -545,12 +549,12 @@ mod tests {
                 };
                 self.step += 1;
                 let start = if self.step == 1 { 0 } else { 8 };
-                let blocks: Vec<BlockAddr> = (start..start + p.request.blocks_needed)
+                let blocks: Vec<BlockAddr> = (start..start + p.blocks_needed)
                     .map(|b| BlockAddr::new(FpgaId::new(0), PhysicalBlockId::new(b)))
                     .collect();
                 if blocks.iter().all(|&b| view.is_free(b)) {
                     vec![Deployment {
-                        request: p.request.id,
+                        request: p.id,
                         blocks,
                         reconfig: ReconfigKind::FullDevice,
                     }]
@@ -590,7 +594,7 @@ mod tests {
                     return Vec::new();
                 };
                 // Half the blocks on FPGA 0, half on FPGA 1.
-                let need = p.request.blocks_needed;
+                let need = p.blocks_needed;
                 let mut blocks = Vec::new();
                 for b in 0..need / 2 {
                     blocks.push(BlockAddr::new(FpgaId::new(0), PhysicalBlockId::new(b)));
@@ -600,7 +604,7 @@ mod tests {
                 }
                 if blocks.iter().all(|&b| view.is_free(b)) {
                     vec![Deployment {
-                        request: p.request.id,
+                        request: p.id,
                         blocks,
                         reconfig: ReconfigKind::PartialPerBlock,
                     }]
@@ -640,7 +644,7 @@ mod tests {
                 pending
                     .first()
                     .map(|p| Deployment {
-                        request: p.request.id,
+                        request: p.id,
                         blocks: vec![], // fewer than needed
                         reconfig: ReconfigKind::PartialPerBlock,
                     })
@@ -651,6 +655,45 @@ mod tests {
         let sim = ClusterSim::new(ClusterConfig::paper_cluster());
         let err = sim.try_run(&mut Broken, requests(1, 2, 1.0e9)).unwrap_err();
         assert!(matches!(err, ClusterError::InsufficientBlocks { .. }));
+    }
+
+    #[test]
+    fn deployments_of_requests_not_pending_are_reported() {
+        /// Places the head of the queue, then names it again (`twice`) or
+        /// names a request that was never queued.
+        struct Misnames {
+            twice: bool,
+        }
+        impl Scheduler for Misnames {
+            fn name(&self) -> &str {
+                "misnames"
+            }
+            fn schedule(
+                &mut self,
+                view: &ClusterView,
+                pending: &[PendingRequest],
+            ) -> Vec<Deployment> {
+                let Some(p) = pending.first() else {
+                    return Vec::new();
+                };
+                let mut free = view.free_blocks_of(0);
+                let rest = free.split_off(p.blocks_needed as usize);
+                let deploy = |request, blocks| Deployment {
+                    request,
+                    blocks,
+                    reconfig: ReconfigKind::PartialPerBlock,
+                };
+                let second = if self.twice { p.id } else { RequestId(99) };
+                vec![deploy(p.id, free), deploy(second, rest)]
+            }
+        }
+        let sim = ClusterSim::new(ClusterConfig::paper_cluster());
+        for (twice, named) in [(true, 0), (false, 99)] {
+            let err = sim
+                .try_run(&mut Misnames { twice }, requests(1, 2, 1.0e9))
+                .unwrap_err();
+            assert_eq!(err, ClusterError::NotPending(RequestId(named)));
+        }
     }
 
     #[test]
@@ -866,13 +909,13 @@ mod tests {
                     return Vec::new();
                 };
                 let mut blocks = view.free_blocks_of(0);
-                blocks.truncate(p.request.blocks_needed as usize / 2);
+                blocks.truncate(p.blocks_needed as usize / 2);
                 let mut rest = view.free_blocks_of(1);
-                rest.truncate(p.request.blocks_needed as usize - blocks.len());
+                rest.truncate(p.blocks_needed as usize - blocks.len());
                 blocks.extend(rest);
-                if blocks.len() == p.request.blocks_needed as usize {
+                if blocks.len() == p.blocks_needed as usize {
                     vec![Deployment {
-                        request: p.request.id,
+                        request: p.id,
                         blocks,
                         reconfig: ReconfigKind::PartialPerBlock,
                     }]
@@ -982,9 +1025,17 @@ mod tests {
     fn malformed_requests_are_rejected_not_simulated() {
         // Regression: a NaN arrival or infinite work used to trip a debug
         // assertion on the first timeline stamp, and in release came back
-        // as a report full of NaN/inf.
+        // as a report full of NaN/inf. A zero-block request ran on no
+        // blocks, or vanished from a pod run without a failure.
         let ok = || AppRequest::new(7, "a", 2, 1.0e9);
-        let cases: [(&str, AppRequest); 9] = [
+        let cases: [(&str, AppRequest); 10] = [
+            (
+                "blocks_needed is 0",
+                AppRequest {
+                    blocks_needed: 0,
+                    ..ok()
+                },
+            ),
             ("arrival_s", ok().arriving_at(f64::NAN)),
             ("arrival_s", ok().arriving_at(f64::INFINITY)),
             ("arrival_s", ok().arriving_at(-1.0)),
@@ -1054,7 +1105,7 @@ mod tests {
                 far.truncate(2);
                 blocks.extend(far);
                 vec![Deployment {
-                    request: p.request.id,
+                    request: p.id,
                     blocks,
                     reconfig: ReconfigKind::PartialPerBlock,
                 }]

@@ -1,7 +1,7 @@
 //! One simulated run: the state the event loop owns, and one handler per
 //! event kind.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use vital_fabric::{BlockAddr, FpgaId};
 use vital_telemetry::Field;
@@ -123,9 +123,15 @@ pub(super) struct Run<'a> {
     now: f64,
     events: EventQueue<EventKind>,
     view: ClusterView,
+    /// The queue, in the order requests joined it. An entry the policy
+    /// pass being applied has placed reads `blocks_needed == 0` (no
+    /// request needs zero blocks) until the pass is done.
     pending: Vec<PendingRequest>,
     /// `pending_idx[i]` is the input index of `pending[i]`.
     pending_idx: Vec<usize>,
+    /// The queue as `(blocks_needed, input index)`: the first entry says
+    /// whether any deployment can exist.
+    queued_by_need: BTreeSet<(u32, usize)>,
     /// Per request, by input index.
     state: Vec<RequestState>,
     /// Ids are handed out in placement order, so ascending id is
@@ -183,6 +189,7 @@ impl<'a> Run<'a> {
             events,
             pending: Vec::new(),
             pending_idx: Vec::new(),
+            queued_by_need: BTreeSet::new(),
             instances: BTreeMap::new(),
             next_instance: 0,
             usage: Usage::default(),
@@ -196,7 +203,7 @@ impl<'a> Run<'a> {
     }
 
     /// Drains the queue. After an event that freed blocks or grew the
-    /// pending queue, the policy acts until it has nothing more to deploy.
+    /// pending queue, the policy makes one pass.
     pub(super) fn run(mut self) -> Result<SimReport, ClusterError> {
         while let Some((t, kind)) = self.events.pop() {
             self.usage.advance(t, !self.pending.is_empty());
@@ -265,11 +272,14 @@ impl<'a> Run<'a> {
 
     /// Puts request `idx` at the back of the pending queue.
     fn enqueue(&mut self, idx: usize) {
+        let req = &self.requests[idx];
         self.pending.push(PendingRequest {
-            request: self.requests[idx].clone(),
+            id: req.id,
+            blocks_needed: req.blocks_needed,
             arrived_s: self.now,
         });
         self.pending_idx.push(idx);
+        self.queued_by_need.insert((req.blocks_needed, idx));
     }
 
     /// Takes a live instance out of the cluster: its blocks are vacant and
@@ -548,34 +558,40 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Lets the policy act until it has nothing more to deploy. An empty
-    /// queue short-circuits — at datacenter scale most events leave
-    /// nothing to schedule.
+    /// Lets the policy make one pass, which is complete (see
+    /// [`Scheduler`]), and applies its decisions. The call is skipped when
+    /// fewer blocks are free than the smallest queued request needs — at
+    /// datacenter scale most events leave nothing to schedule.
     fn dispatch(&mut self) -> Result<(), ClusterError> {
-        while !self.pending.is_empty() {
-            let decisions = self.policy.schedule(&self.view, &self.pending);
-            if decisions.is_empty() {
-                break;
-            }
-            for d in decisions {
-                self.place(d)?;
-            }
+        match self.queued_by_need.first() {
+            Some(&(least, _)) if least as usize <= self.view.total_free() => {}
+            _ => return Ok(()),
         }
+        let decisions = self.policy.schedule(&self.view, &self.pending);
+        if decisions.is_empty() {
+            return Ok(());
+        }
+        for d in decisions {
+            self.place(d)?;
+        }
+        // Take the placed requests off the queue in one pass.
+        let mut kept = self.pending.iter().map(|p| p.blocks_needed > 0);
+        self.pending_idx.retain(|_| kept.next() == Some(true));
+        self.pending.retain(|p| p.blocks_needed > 0);
         Ok(())
     }
 
-    /// Validates one scheduling decision and takes its request off the
-    /// pending queue.
+    /// Validates one scheduling decision and marks its request placed.
     fn place(&mut self, d: Deployment) -> Result<(), ClusterError> {
         let pi = self
             .pending
             .iter()
-            .position(|p| p.request.id == d.request)
+            .position(|p| p.id == d.request && p.blocks_needed > 0)
             .ok_or(ClusterError::NotPending(d.request))?;
         let idx = self.pending_idx[pi];
         self.sim.validate(&self.view, &self.requests[idx], &d)?;
-        self.pending.remove(pi);
-        self.pending_idx.remove(pi);
+        let need = std::mem::take(&mut self.pending[pi].blocks_needed);
+        self.queued_by_need.remove(&(need, idx));
         self.deploy(idx, d);
         Ok(())
     }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use vital_fabric::{BlockAddr, FpgaId, PhysicalBlockId};
 
-use crate::{AppRequest, RequestId, Topology};
+use crate::{RequestId, Topology};
 
 /// Static parameters of the simulated cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -93,12 +93,16 @@ pub struct Deployment {
     pub reconfig: ReconfigKind,
 }
 
-/// A request waiting in the scheduler's queue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A request waiting in the scheduler's queue: what a policy reads of it.
+/// `Copy` and 24 bytes, so queueing a request allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PendingRequest {
-    /// The request.
-    pub request: AppRequest,
-    /// When it arrived (seconds).
+    /// The request's id, which a [`Deployment`] names.
+    pub id: RequestId,
+    /// Virtual blocks it needs (at least one).
+    pub blocks_needed: u32,
+    /// When it joined the queue (seconds): its arrival, or its latest
+    /// re-queue after an eviction or a swap-out.
     pub arrived_s: f64,
 }
 
@@ -559,15 +563,28 @@ impl ClusterView {
 
 /// A runtime resource-management policy (paper §3.4).
 ///
-/// The simulator calls [`Scheduler::schedule`] whenever the pending queue or
-/// the free-block set changes; the policy returns zero or more deployments,
-/// which the simulator validates and applies.
+/// The simulator calls [`Scheduler::schedule`] once, with the whole queue,
+/// after each event that can change a decision: an arrival or re-queue, a
+/// completion or swap-out, a fault or a repair. It skips the call when
+/// fewer blocks are free than the smallest queued request needs, since
+/// then no valid deployment exists. The policy returns zero or more
+/// deployments, which the simulator validates and applies in order.
+///
+/// **A pass is complete.** One call is never followed by a second on the
+/// same state, so a pass must deploy everything the policy would deploy:
+/// once its deployments are applied to the view and taken off the queue,
+/// a second call on the result must return nothing. A greedy pass that
+/// takes each grant out of its own copy of the free blocks, and whose
+/// refusals stay refusals on fewer free blocks, has this property
+/// (`tests/cluster_scheduling.rs` checks every policy the workspace
+/// ships).
 pub trait Scheduler {
     /// Human-readable policy name (used in reports).
     fn name(&self) -> &str;
 
     /// Decide which pending requests to deploy, given the current state.
-    /// Requests are provided in arrival order.
+    /// Requests are provided in the order they joined the queue, so
+    /// [`PendingRequest::arrived_s`] never decreases along the slice.
     fn schedule(&mut self, view: &ClusterView, pending: &[PendingRequest]) -> Vec<Deployment>;
 
     /// Time-slice quantum in seconds, if the policy runs the cluster in

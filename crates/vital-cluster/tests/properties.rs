@@ -24,12 +24,12 @@ impl Scheduler for SpanningFirstFit {
             .collect();
         let mut out = Vec::new();
         for p in pending {
-            let need = p.request.blocks_needed as usize;
+            let need = p.blocks_needed as usize;
             // Single FPGA if possible...
             if let Some(f) = (0..free.len()).find(|&f| free[f].len() >= need) {
                 let blocks: Vec<BlockAddr> = free[f].drain(..need).collect();
                 out.push(Deployment {
-                    request: p.request.id,
+                    request: p.id,
                     blocks,
                     reconfig: ReconfigKind::PartialPerBlock,
                 });
@@ -47,7 +47,7 @@ impl Scheduler for SpanningFirstFit {
                     }
                 }
                 out.push(Deployment {
-                    request: p.request.id,
+                    request: p.id,
                     blocks,
                     reconfig: ReconfigKind::PartialPerBlock,
                 });

@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use crate::checkpoint::TenantCheckpoint;
-use vital_cluster::{AppRequest, ClusterView, Deployment, PendingRequest, Scheduler, Topology};
+use vital_cluster::{ClusterView, Deployment, PendingRequest, RequestId, Scheduler, Topology};
 use vital_compiler::{RelocationTarget, BLOCK_CONFIG_BITS};
 use vital_fabric::{BlockAddr, FpgaId};
 use vital_interface::{Channel, ChannelPlan, ChannelSpec, LinkClass};
@@ -114,14 +114,13 @@ impl SystemController {
 
     /// The policy's decision for one request of `needed` blocks on `view`.
     fn decide(&self, view: &ClusterView, needed: usize) -> Option<Vec<BlockAddr>> {
-        // An `AppRequest` asks for at least one block.
+        // Policies assume a request needs at least one block.
         if needed == 0 {
             return Some(Vec::new());
         }
-        let blocks = u32::try_from(needed).unwrap_or(u32::MAX);
-        let request = AppRequest::new(0, String::new(), blocks, 0.0);
         let pending = PendingRequest {
-            request,
+            id: RequestId(0),
+            blocks_needed: u32::try_from(needed).unwrap_or(u32::MAX),
             arrived_s: view.now_s(),
         };
         (self.policy)(view, &[pending]).pop().map(|d| d.blocks)

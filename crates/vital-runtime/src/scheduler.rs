@@ -1,9 +1,7 @@
 //! ViTAL's policy adapted to the cluster simulator's [`Scheduler`] trait.
 
-use std::ops::Range;
-
 use vital_cluster::{ClusterView, Deployment, PendingRequest, ReconfigKind, Scheduler};
-use vital_fabric::BlockAddr;
+use vital_fabric::{BlockAddr, FpgaId};
 
 use crate::allocate_blocks_on;
 
@@ -17,7 +15,8 @@ use crate::allocate_blocks_on;
 /// grabbing every block the moment it frees. The scheduler therefore
 /// *reserves* capacity for the oldest unplaceable request once it has
 /// waited `starvation_age_s` seconds: backfill candidates
-/// are only granted blocks the reservation does not need.
+/// are only granted blocks the reservation does not need, and the pass
+/// ends once the reservation holds every free block.
 /// In preemptive mode ([`VitalScheduler::time_sliced`]) the policy also
 /// declares a scheduling quantum: the simulator swaps a running tenant out
 /// whenever its quantum expires while demand is queued. Because the runtime
@@ -129,7 +128,12 @@ impl Scheduler for VitalScheduler {
         // goes next once capacity accrues.
         let mut reserved: usize = 0;
         for p in pending {
-            let need = p.request.blocks_needed as usize;
+            // Every request needs a block: once the reservation holds every
+            // free one, nothing later can be placed.
+            if free_total <= reserved {
+                break;
+            }
+            let need = p.blocks_needed as usize;
             // Skip candidates that would eat into the reservation.
             let fits_beside_reservation = free_total >= reserved + need;
             let alloc = if fits_beside_reservation {
@@ -153,7 +157,7 @@ impl Scheduler for VitalScheduler {
                     }
                     free_total -= alloc.blocks.len();
                     out.push(Deployment {
-                        request: p.request.id,
+                        request: p.id,
                         blocks: alloc.blocks,
                         reconfig: self.reconfig,
                     });
@@ -164,7 +168,6 @@ impl Scheduler for VitalScheduler {
                     if reserved == 0 && view.now_s() - p.arrived_s >= self.starvation_age_s {
                         reserved = need;
                     }
-                    continue;
                 }
                 None => break,
             }
@@ -175,13 +178,6 @@ impl Scheduler for VitalScheduler {
     fn quantum_s(&self) -> Option<f64> {
         self.quantum_s
     }
-}
-
-/// Free-block state of one pod, materialized lazily inside a scheduling
-/// sweep: `free_lists[i]` holds the free blocks of FPGA `members.start + i`.
-struct PodState {
-    members: Range<usize>,
-    free_lists: Vec<Vec<BlockAddr>>,
 }
 
 /// The pod-sharded variant of the ViTAL policy for datacenter-scale
@@ -200,6 +196,10 @@ struct PodState {
 /// Requests never span pods (a cross-pod span would ride the slow
 /// uplinks); demand that fits no single pod waits, guarded against
 /// starvation by the same count-based reservation as [`VitalScheduler`].
+/// The sweep keeps the largest pod free count, so a request that fits no
+/// pod costs one compare, and it ends once the reservation holds every
+/// free block. Like every [`Scheduler`] pass, a sweep is complete: a
+/// second call on its result places nothing.
 ///
 /// On a single-ring topology the whole cluster is one pod and the policy
 /// degenerates to a plain best-fit — use [`VitalScheduler`] there; this
@@ -238,17 +238,23 @@ impl Scheduler for PodScheduler {
         let topology = view.topology();
         let mut pod_free = view.pod_free_counts().to_vec();
         let mut free_total: usize = pod_free.iter().sum();
-        let mut pods: Vec<Option<PodState>> = (0..pod_free.len()).map(|_| None).collect();
+        let mut largest = pod_free.iter().copied().max().unwrap_or(0);
+        // Per pod, materialized lazily: `pods[g][i]` holds the free blocks
+        // of FPGA `i` of pod `g`.
+        let mut pods: Vec<Option<Vec<Vec<BlockAddr>>>> = vec![None; pod_free.len()];
         let mut out = Vec::new();
         let mut reserved: usize = 0;
         for p in pending {
-            let need = p.request.blocks_needed as usize;
-            if need == 0 {
-                continue;
+            // Every request needs a block: once the reservation holds every
+            // free one, nothing later can be placed.
+            if free_total <= reserved {
+                break;
             }
+            let need = p.blocks_needed as usize;
             // Thin global layer: best-fit pod by free count, leaving the
-            // starvation reservation untouched.
-            let pod = if free_total >= reserved + need {
+            // starvation reservation untouched. A request larger than the
+            // largest pod's free count fits none.
+            let pod = if need <= largest && free_total >= reserved + need {
                 (0..pod_free.len())
                     .filter(|&g| pod_free[g] >= need)
                     .min_by_key(|&g| (pod_free[g], g))
@@ -261,17 +267,11 @@ impl Scheduler for PodScheduler {
                 }
                 continue;
             };
-            let state = pods[pod].get_or_insert_with(|| {
-                let members = topology.pod_members(pod);
-                let free_lists = members.clone().map(|f| view.free_blocks_of(f)).collect();
-                PodState {
-                    members,
-                    free_lists,
-                }
-            });
+            let members = topology.pod_members(pod);
+            let free_lists = pods[pod]
+                .get_or_insert_with(|| members.clone().map(|f| view.free_blocks_of(f)).collect());
             // Best-fit single FPGA within the pod.
-            let single = state
-                .free_lists
+            let single = free_lists
                 .iter()
                 .enumerate()
                 .filter(|(_, free)| free.len() >= need)
@@ -282,35 +282,23 @@ impl Scheduler for PodScheduler {
                 None => {
                     // Span inside the pod: the largest member anchors the
                     // placement, partners join nearest-first.
-                    let Some(primary) = state
-                        .free_lists
+                    let primary = free_lists
                         .iter()
                         .enumerate()
                         .filter(|(_, free)| !free.is_empty())
                         .max_by_key(|(i, free)| (free.len(), std::cmp::Reverse(*i)))
-                        .map(|(i, _)| i)
-                    else {
-                        continue;
-                    };
-                    let anchor = vital_fabric::FpgaId::new((state.members.start + primary) as u32);
-                    let mut rest: Vec<usize> = (0..state.members.len())
-                        .filter(|&i| i != primary && !state.free_lists[i].is_empty())
+                        .map_or(0, |(i, _)| i);
+                    let fpga = |i: usize| FpgaId::new((members.start + i) as u32);
+                    let mut rest: Vec<usize> = (0..members.len())
+                        .filter(|&i| i != primary && !free_lists[i].is_empty())
                         .collect();
-                    rest.sort_by_key(|&i| {
-                        (
-                            topology.hops(
-                                anchor,
-                                vital_fabric::FpgaId::new((state.members.start + i) as u32),
-                            ),
-                            i,
-                        )
-                    });
+                    rest.sort_by_key(|&i| (topology.hops(fpga(primary), fpga(i)), i));
                     std::iter::once(primary).chain(rest).collect()
                 }
             };
             let mut blocks = Vec::with_capacity(need);
             for &i in &order {
-                let list = &mut state.free_lists[i];
+                let list = &mut free_lists[i];
                 let take = list.len().min(need - blocks.len());
                 blocks.extend(list.drain(..take));
                 if blocks.len() == need {
@@ -324,9 +312,10 @@ impl Scheduler for PodScheduler {
                 continue;
             }
             pod_free[pod] -= need;
+            largest = pod_free.iter().copied().max().unwrap_or(0);
             free_total -= need;
             out.push(Deployment {
-                request: p.request.id,
+                request: p.id,
                 blocks,
                 reconfig: self.reconfig,
             });

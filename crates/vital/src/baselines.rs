@@ -51,7 +51,7 @@ impl Scheduler for PerDeviceBaseline {
             // Every request gets a whole device, however small the app is.
             let Some(f) = idle.pop() else { break };
             out.push(Deployment {
-                request: p.request.id,
+                request: p.id,
                 blocks: view.free_blocks_of(f),
                 reconfig: ReconfigKind::FullDevice,
             });
@@ -95,7 +95,7 @@ impl Scheduler for AmorphOsLowLatency {
             .map(|f| view.free_blocks_of(f))
             .collect();
         for p in pending {
-            let need = p.request.blocks_needed as usize;
+            let need = p.blocks_needed as usize;
             let max_slot = (0..view.fpga_count())
                 .map(|f| self.slot_blocks(view.blocks_per_fpga_of(f)))
                 .max()
@@ -106,7 +106,7 @@ impl Scheduler for AmorphOsLowLatency {
                     .find(|&f| view.fpga_idle(f) && taken[f].len() == view.blocks_per_fpga_of(f))
                 {
                     out.push(Deployment {
-                        request: p.request.id,
+                        request: p.id,
                         blocks: std::mem::take(&mut taken[f]),
                         reconfig: ReconfigKind::FullDevice,
                     });
@@ -137,7 +137,7 @@ impl Scheduler for AmorphOsLowLatency {
                     if slot_addrs.len() == hi - lo {
                         taken[f].retain(|b| !slot_addrs.contains(b));
                         out.push(Deployment {
-                            request: p.request.id,
+                            request: p.id,
                             blocks: slot_addrs,
                             reconfig: ReconfigKind::PartialPerBlock,
                         });
@@ -173,7 +173,7 @@ impl Scheduler for AmorphOsHighThroughput {
             .map(|f| view.free_blocks_of(f))
             .collect();
         for p in pending {
-            let need = p.request.blocks_needed as usize;
+            let need = p.blocks_needed as usize;
             // Best fit on a single FPGA — combining with whatever already
             // runs there. No multi-FPGA support: requests larger than any
             // single FPGA's free space wait.
@@ -183,7 +183,7 @@ impl Scheduler for AmorphOsHighThroughput {
             let Some(f) = best else { continue };
             let blocks: Vec<BlockAddr> = free[f].drain(..need).collect();
             out.push(Deployment {
-                request: p.request.id,
+                request: p.id,
                 blocks,
                 // The combined image is a full-device bitstream: deploying
                 // it disturbs the co-running applications on that FPGA.
@@ -254,7 +254,7 @@ impl Scheduler for IsaElastic {
             .map(|f| view.free_blocks_of(f))
             .collect();
         for p in pending {
-            let need = p.request.blocks_needed as usize;
+            let need = p.blocks_needed as usize;
             // Best fit on a single FPGA first (tiles sharing a device share
             // the template's on-chip interconnect)...
             if let Some(f) = (0..free.len())
@@ -263,7 +263,7 @@ impl Scheduler for IsaElastic {
             {
                 let blocks: Vec<BlockAddr> = free[f].drain(..need).collect();
                 out.push(Deployment {
-                    request: p.request.id,
+                    request: p.id,
                     blocks,
                     reconfig: ReconfigKind::Instruction,
                 });
@@ -284,7 +284,7 @@ impl Scheduler for IsaElastic {
                 }
             }
             out.push(Deployment {
-                request: p.request.id,
+                request: p.id,
                 blocks,
                 reconfig: ReconfigKind::Instruction,
             });
