@@ -135,8 +135,16 @@ fn capsule_digest_is_stable_across_serde() {
     controller.register(bitstream).unwrap();
     let handle = controller.deploy("rt").unwrap();
     let tenant = handle.tenant();
+    controller
+        .memory_of(handle.primary_fpga())
+        .write(tenant, 4_100, b"pinned dram page")
+        .unwrap();
     controller.run_tenant(tenant, 32).unwrap();
     let capsule = suspend_settled(&controller, tenant);
+    // Both digests are stable across processes and releases; pinning them
+    // catches any change to the hash or to what it covers.
+    assert_eq!(capsule.memory.content_digest(), 15_383_120_079_243_826_933);
+    assert_eq!(capsule.digest().to_string(), "a038c9bc565aa233");
 
     let json = serde_json::to_string(&capsule).unwrap();
     let back: TenantCheckpoint = serde_json::from_str(&json).unwrap();

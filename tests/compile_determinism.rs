@@ -4,9 +4,10 @@
 //! hit hands back the very images the cold compile produced.
 
 use proptest::prelude::*;
-use vital::compiler::{Compiler, CompilerConfig};
-use vital::netlist::hls::{AppSpec, Operator};
+use vital::compiler::{Compiler, CompilerConfig, NetlistDigest};
+use vital::netlist::hls::{synthesize, AppSpec, Operator};
 use vital::runtime::{RuntimeConfig, SystemController};
+use vital::workloads::{benchmarks, Size};
 
 /// A design spanning >= 4 virtual blocks so step 4 has real fan-out.
 fn multi_block_spec(name: &str) -> AppSpec {
@@ -61,6 +62,17 @@ fn parallel_pnr_is_bit_identical_to_serial() {
         parallel.timings().per_block_pnr.len(),
         parallel.bitstream().block_count()
     );
+}
+
+/// The digest keys the persisted bitstream database, so its value must
+/// not move across hash rewrites or releases: `lenet-S` under the default
+/// configuration is pinned.
+#[test]
+fn lenet_s_digest_is_pinned() {
+    let lenet = benchmarks().into_iter().find(|b| b.name() == "lenet").unwrap();
+    let netlist = synthesize(&lenet.spec(Size::Small)).unwrap();
+    let digest = NetlistDigest::of(&netlist, &CompilerConfig::default());
+    assert_eq!(digest.to_string(), "d49aa317e9b722fe");
 }
 
 proptest! {
