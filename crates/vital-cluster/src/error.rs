@@ -92,31 +92,6 @@ impl fmt::Display for ClusterError {
 
 impl Error for ClusterError {}
 
-impl ClusterError {
-    /// The stable control-plane code of this error (shared taxonomy, see
-    /// [`vital_interface::ErrorCode`]). Every simulator error indicates a
-    /// policy handing back an invalid deployment — [`ErrorCode::PolicyBug`]
-    /// — except [`ClusterError::InvalidLayout`],
-    /// [`ClusterError::InvalidFault`] and [`ClusterError::InvalidRequest`],
-    /// which are problems with the run's inputs.
-    ///
-    /// [`ErrorCode::PolicyBug`]: vital_interface::ErrorCode::PolicyBug
-    pub fn code(&self) -> vital_interface::ErrorCode {
-        match self {
-            ClusterError::InvalidLayout(_)
-            | ClusterError::InvalidFault(_)
-            | ClusterError::InvalidRequest { .. } => vital_interface::ErrorCode::InvalidConfig,
-            _ => vital_interface::ErrorCode::PolicyBug,
-        }
-    }
-}
-
-impl From<&ClusterError> for vital_interface::ApiError {
-    fn from(e: &ClusterError) -> Self {
-        vital_interface::ApiError::new(e.code(), e.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,35 +103,10 @@ mod tests {
         assert!(!ClusterError::NotPending(RequestId(1))
             .to_string()
             .is_empty());
-    }
-
-    #[test]
-    fn errors_map_to_shared_taxonomy() {
-        use vital_interface::ErrorCode;
-        assert_eq!(
-            ClusterError::NotPending(RequestId(1)).code(),
-            ErrorCode::PolicyBug
-        );
-        assert_eq!(
-            ClusterError::InvalidLayout("empty".into()).code(),
-            ErrorCode::InvalidConfig
-        );
-        assert_eq!(
-            ClusterError::InvalidFault("fpga 9 out of range".into()).code(),
-            ErrorCode::InvalidConfig
-        );
         let bad_request = ClusterError::InvalidRequest {
             request: RequestId(2),
             reason: "arrival_s is NaN".into(),
         };
-        assert_eq!(bad_request.code(), ErrorCode::InvalidConfig);
         assert!(bad_request.to_string().contains("req2"), "{bad_request}");
-        let api = vital_interface::ApiError::from(&ClusterError::InsufficientBlocks {
-            request: RequestId(3),
-            allocated: 1,
-            needed: 2,
-        });
-        assert_eq!(api.code, ErrorCode::PolicyBug);
-        assert!(api.message.contains("request3") || api.message.contains('3'));
     }
 }

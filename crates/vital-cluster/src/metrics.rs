@@ -133,6 +133,7 @@ impl SimReport {
         mean(self.outcomes.iter().map(RequestOutcome::wait_s))
     }
 
+    #[cfg(test)]
     /// 95th-percentile response time (s), ceil-based nearest-rank: the
     /// smallest observation with at least 95 % of the sample at or below
     /// it (`rank = ceil(0.95 n)`). The earlier `round()`-based rank
@@ -161,6 +162,7 @@ impl SimReport {
             / self.outcomes.len() as f64
     }
 
+    #[cfg(test)]
     /// Total failure-induced restarts across all requests.
     pub fn total_restarts(&self) -> u64 {
         self.outcomes.iter().map(|o| u64::from(o.restarts)).sum()

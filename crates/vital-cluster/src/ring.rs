@@ -24,7 +24,7 @@ pub(crate) fn two_path_hops(n: usize, a: usize, b: usize, down: &[usize]) -> Opt
 
 /// The worst shortest-path distance over every pair.
 pub(crate) fn diameter(t: &Topology) -> usize {
-    let all = || (0..t.len() as u32).map(FpgaId::new);
+    let all = || (0..t.fpgas() as u32).map(FpgaId::new);
     all()
         .flat_map(|a| all().map(move |b| t.hops(a, b)))
         .max()
@@ -39,7 +39,7 @@ mod tests {
     }
 
     fn hops_avoiding(t: &Topology, a: u32, b: u32, down: &[usize]) -> Option<usize> {
-        let want = two_path_hops(t.len(), a as usize, b as usize, down);
+        let want = two_path_hops(t.fpgas(), a as usize, b as usize, down);
         let got = t.max_hops_from_avoiding(f(a), [f(b)], down);
         assert_eq!(got, want, "{a}->{b} avoiding {down:?}");
         got

@@ -89,43 +89,6 @@ impl ClusterSim {
         }
     }
 
-    /// Creates a simulator over a *heterogeneous* cluster: one entry per
-    /// FPGA giving its block count (the paper's §7 extension — ViTAL's
-    /// abstraction only requires the blocks themselves to be identical, not
-    /// the devices). Link and reconfiguration parameters come from `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks_per_fpga` is empty.
-    pub fn heterogeneous(config: ClusterConfig, blocks_per_fpga: Vec<usize>) -> Self {
-        Self::try_heterogeneous(config, blocks_per_fpga)
-            .unwrap_or_else(|e| panic!("cannot build cluster: {e}"))
-    }
-
-    /// Fallible variant of [`ClusterSim::heterogeneous`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::InvalidLayout`] if `blocks_per_fpga` is
-    /// empty.
-    pub(crate) fn try_heterogeneous(
-        config: ClusterConfig,
-        blocks_per_fpga: Vec<usize>,
-    ) -> Result<Self, ClusterError> {
-        if blocks_per_fpga.is_empty() {
-            return Err(ClusterError::InvalidLayout(
-                "cluster needs at least one FPGA".to_string(),
-            ));
-        }
-        let topology = std::sync::Arc::new(crate::Topology::ring(blocks_per_fpga.len()));
-        Ok(ClusterSim {
-            config,
-            layout: blocks_per_fpga,
-            topology,
-            telemetry: Telemetry::disabled(),
-        })
-    }
-
     /// Replaces the interconnect with an explicit [`Topology`] (pod
     /// graphs, switch fabrics, heterogeneous links). The default is the
     /// paper's single bidirectional ring over the whole layout, which is
@@ -138,20 +101,15 @@ impl ClusterSim {
     ///
     /// [`Topology`]: crate::Topology
     pub fn with_topology(mut self, topology: crate::Topology) -> Result<Self, ClusterError> {
-        if topology.len() != self.layout.len() {
+        if topology.fpgas() != self.layout.len() {
             return Err(ClusterError::InvalidLayout(format!(
                 "topology has {} FPGAs but the cluster layout has {}",
-                topology.len(),
+                topology.fpgas(),
                 self.layout.len()
             )));
         }
         self.topology = std::sync::Arc::new(topology);
         Ok(self)
-    }
-
-    /// The interconnect topology simulated runs use.
-    pub fn topology(&self) -> &crate::Topology {
-        &self.topology
     }
 
     /// Attaches a telemetry handle. Runs then emit a sim-time event
@@ -162,22 +120,6 @@ impl ClusterSim {
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
-    }
-
-    /// The attached telemetry handle (disabled unless
-    /// [`ClusterSim::with_telemetry`] was called).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
-    }
-
-    /// Per-FPGA block counts.
-    pub fn layout(&self) -> &[usize] {
-        &self.layout
     }
 
     /// Runs `requests` under `policy` until every request completes.
@@ -431,6 +373,16 @@ mod tests {
     use super::*;
     use crate::{PendingRequest, RequestId, RequestOutcome};
     use vital_fabric::PhysicalBlockId;
+
+    /// The paper cluster's links and reconfiguration costs on one board
+    /// of `blocks` blocks.
+    fn one_fpga(blocks: usize) -> ClusterConfig {
+        ClusterConfig {
+            fpgas: 1,
+            blocks_per_fpga: blocks,
+            ..ClusterConfig::paper_cluster()
+        }
+    }
 
     /// Minimal policy: first-fit on one FPGA, optionally whole-device.
     struct FirstFit {
@@ -805,41 +757,10 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_layout_is_respected() {
-        let sim = ClusterSim::heterogeneous(ClusterConfig::paper_cluster(), vec![15, 4, 4]);
-        assert_eq!(sim.layout(), &[15, 4, 4]);
-        // A 10-block job only fits the big board; two of them serialize.
-        let reqs = vec![
-            AppRequest::new(0, "big0", 10, 1.0e9),
-            AppRequest::new(1, "big1", 10, 1.0e9),
-            AppRequest::new(2, "small", 4, 1.0e9),
-        ];
-        let report = sim.run(
-            &mut FirstFit {
-                whole_device: false,
-            },
-            reqs,
-        );
-        assert_eq!(report.completed(), 3);
-        // The small job can run on a small board concurrently.
-        let small = report.outcomes.iter().find(|o| o.name == "small").unwrap();
-        assert_eq!(small.wait_s(), 0.0);
-        // The two big jobs cannot overlap on one 15-block board.
-        let mut bigs: Vec<f64> = report
-            .outcomes
-            .iter()
-            .filter(|o| o.name.starts_with("big"))
-            .map(|o| o.scheduled_s)
-            .collect();
-        bigs.sort_by(f64::total_cmp);
-        assert!(bigs[1] > 0.9, "second big job must wait: {bigs:?}");
-    }
-
-    #[test]
     fn bounded_retry_gives_up_and_records_failure() {
-        // The only FPGA that ever has room is 0, and it crashes for good at
-        // t=1; with one attempt allowed the job lands in `failed`.
-        let sim = ClusterSim::heterogeneous(ClusterConfig::paper_cluster(), vec![15, 1, 1, 1]);
+        // The only FPGA is 0, and it crashes for good at t=1; with one
+        // attempt allowed the job lands in `failed`.
+        let sim = ClusterSim::new(one_fpga(15));
         let reqs = vec![AppRequest::new(0, "doomed", 10, 10.0e9)];
         let plan = FaultPlan::new()
             .fpga_crash(0, 1.0)
@@ -871,7 +792,7 @@ mod tests {
     fn backoff_delays_the_requeue() {
         // FPGA 0 crashes at t=1 and recovers at t=2. With a 4 s backoff the
         // victim cannot redeploy before t=5 even though capacity is back.
-        let sim = ClusterSim::heterogeneous(ClusterConfig::paper_cluster(), vec![15]);
+        let sim = ClusterSim::new(one_fpga(15));
         let reqs = vec![AppRequest::new(0, "patient", 4, 2.0e9)];
         let plan = FaultPlan::new()
             .fpga_crash(0, 1.0)
@@ -976,13 +897,6 @@ mod tests {
         assert_eq!(report.wasted_block_s, 0.0);
         assert!(report.busy_block_s > 0.0);
         assert_eq!(report.goodput_fraction(), 1.0);
-    }
-
-    #[test]
-    fn try_heterogeneous_rejects_empty_layout() {
-        let err =
-            ClusterSim::try_heterogeneous(ClusterConfig::paper_cluster(), vec![]).unwrap_err();
-        assert!(matches!(err, ClusterError::InvalidLayout(_)));
     }
 
     #[test]
@@ -1112,7 +1026,7 @@ mod tests {
             }
         }
         let config = ClusterConfig::paper_cluster();
-        let sim = ClusterSim::heterogeneous(config, vec![15; 4])
+        let sim = ClusterSim::new(config)
             .with_topology(crate::Topology::pods(2, 2, config.ring_gbps, 25.0))
             .expect("4-FPGA topology fits the 4-FPGA layout");
         let req = || vec![AppRequest::new(0, "span", 4, 2.0e9).with_comm_intensity(0.5)];
@@ -1216,7 +1130,7 @@ mod tests {
         let reqs: Vec<AppRequest> = (0..3)
             .map(|i| AppRequest::new(i, format!("j{i}"), 4, 2.0e9))
             .collect();
-        let sim = ClusterSim::heterogeneous(ClusterConfig::paper_cluster(), vec![4]);
+        let sim = ClusterSim::new(one_fpga(4));
         let serial = sim.run(
             &mut FirstFit {
                 whole_device: false,
@@ -1294,7 +1208,7 @@ mod tests {
     fn preemption_telemetry_rides_the_sim_timeline() {
         use vital_telemetry::Telemetry;
         let tel = Telemetry::sim();
-        let sim = ClusterSim::heterogeneous(ClusterConfig::paper_cluster(), vec![4])
+        let sim = ClusterSim::new(one_fpga(4))
             .with_telemetry(tel.clone());
         let reqs: Vec<AppRequest> = (0..2)
             .map(|i| AppRequest::new(i, format!("j{i}"), 4, 1.0e9))

@@ -351,7 +351,7 @@ impl ClusterView {
     pub fn new(blocks_per_fpga: &[usize], topology: Arc<Topology>) -> Self {
         assert_eq!(
             blocks_per_fpga.len(),
-            topology.len(),
+            topology.fpgas(),
             "the layout must have one entry per FPGA of the topology"
         );
         let mut pod_free = vec![0; topology.pod_count()];

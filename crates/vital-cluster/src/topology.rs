@@ -15,7 +15,7 @@ use vital_fabric::FpgaId;
 /// The cluster interconnect: the paper's single bidirectional ring, or
 /// pods of rings joined by switches.
 ///
-/// FPGAs are nodes `0..len()`; a pod topology adds one switch node per pod
+/// FPGAs are nodes `0..fpgas()`; a pod topology adds one switch node per pod
 /// after them, but every public query speaks FPGA indices only. The *pod*
 /// layer ([`Topology::pod_count`] / [`Topology::pod_of`] /
 /// [`Topology::pod_members`]) is what sharded schedulers batch allocation
@@ -31,7 +31,7 @@ use vital_fabric::FpgaId;
 ///
 /// // 4 pods x 16 FPGAs: ring cables at 100 Gb/s, pod uplinks at 40 Gb/s.
 /// let pods = Topology::pods(4, 16, 100.0, 40.0);
-/// assert_eq!(pods.len(), 64);
+/// assert_eq!(pods.fpgas(), 64);
 /// assert_eq!(pods.pod_of(17), 1);
 /// // Cross-pod traffic goes FPGA -> pod switch -> pod switch -> FPGA.
 /// assert_eq!(pods.hops(FpgaId::new(0), FpgaId::new(63)), 3);
@@ -123,13 +123,8 @@ impl Topology {
     }
 
     /// Number of FPGAs (switch nodes are not counted).
-    pub fn len(&self) -> usize {
+    pub fn fpgas(&self) -> usize {
         self.fpgas
-    }
-
-    /// `false`: a constructed topology always has at least one FPGA.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Number of point-to-point links, uplinks and switch mesh included:
@@ -330,7 +325,7 @@ mod tests {
     #[test]
     fn pod_topology_shape() {
         let t = Topology::pods(4, 16, 100.0, 40.0);
-        assert_eq!(t.len(), 64);
+        assert_eq!(t.fpgas(), 64);
         assert_eq!(t.pod_count(), 4);
         assert_eq!(t.pod_of(0), 0);
         assert_eq!(t.pod_of(63), 3);

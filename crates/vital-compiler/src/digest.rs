@@ -11,45 +11,10 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+use vital_fabric::Fnv1a;
 use vital_netlist::Netlist;
 
 use crate::CompilerConfig;
-
-/// 64-bit FNV-1a, written out here so the digest is stable across Rust
-/// releases and platforms (`DefaultHasher` guarantees neither).
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Self {
-        Fnv1a(Self::OFFSET)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(Self::PRIME);
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Length-prefixed, so adjacent strings cannot alias.
-    fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        for b in s.bytes() {
-            self.byte(b);
-        }
-    }
-}
 
 /// The content digest of one compile input (netlist + configuration).
 ///
@@ -68,7 +33,7 @@ pub struct NetlistDigest(u64);
 impl NetlistDigest {
     /// Digests a synthesized netlist under a compiler configuration.
     pub fn of(netlist: &Netlist, config: &CompilerConfig) -> Self {
-        let mut h = Fnv1a::new();
+        let mut h = Fnv1a::default();
 
         h.usize(netlist.primitives().len());
         for prim in netlist.primitives() {
@@ -90,7 +55,7 @@ impl NetlistDigest {
         h.str(&format!("{:?}", config.interface));
         h.str(&format!("{:?}", config.pnr));
 
-        NetlistDigest(h.0)
+        NetlistDigest(h.finish())
     }
 
     /// Wraps a raw digest value (deserialized state, test fixtures).

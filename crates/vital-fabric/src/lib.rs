@@ -35,6 +35,7 @@ mod device;
 mod dse;
 mod error;
 mod floorplan;
+mod fnv;
 mod ids;
 mod resources;
 mod tile;
@@ -43,6 +44,7 @@ pub use catalog::{device_generations, DeviceGeneration};
 pub use device::{DeviceModel, LinkTechnology};
 pub use dse::{explore_partitions, PartitionCandidate, PartitionObjective};
 pub use error::FabricError;
+pub use fnv::Fnv1a;
 pub use floorplan::{Floorplan, FloorplanBuilder, PhysicalBlock, Region, RegionKind};
 pub use ids::{BlockAddr, FpgaId, PhysicalBlockId};
 pub use resources::{ResourceKind, Resources, Utilization};

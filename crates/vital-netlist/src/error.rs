@@ -27,16 +27,6 @@ pub enum NetlistError {
     },
     /// Validation found a primitive that is neither driven nor driving.
     DanglingPrimitive(PrimitiveId),
-    /// VNL text could not be parsed.
-    Parse {
-        /// 1-based line number of the offending line (0 for end-of-input).
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
-    /// The netlist cannot be serialized to VNL (e.g. a name contains
-    /// whitespace).
-    Unserializable(String),
 }
 
 impl fmt::Display for NetlistError {
@@ -52,10 +42,6 @@ impl fmt::Display for NetlistError {
             NetlistError::DanglingPrimitive(id) => {
                 write!(f, "primitive {id} is not connected to any net")
             }
-            NetlistError::Parse { line, message } => {
-                write!(f, "VNL parse error at line {line}: {message}")
-            }
-            NetlistError::Unserializable(msg) => write!(f, "cannot serialize to VNL: {msg}"),
         }
     }
 }

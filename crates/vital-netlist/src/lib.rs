@@ -37,7 +37,6 @@ mod error;
 pub mod hls;
 mod netlist;
 mod primitive;
-pub mod text;
 
 pub use dfg::{DataflowGraph, DfgEdge};
 pub use error::NetlistError;

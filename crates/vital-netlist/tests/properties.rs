@@ -93,19 +93,6 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// VNL serialization round-trips every synthesized netlist exactly.
-    #[test]
-    fn vnl_roundtrip(spec in arb_spec()) {
-        let netlist = synthesize(&spec).unwrap();
-        let text = vital_netlist::text::to_vnl(&netlist).unwrap();
-        let back = vital_netlist::text::from_vnl(&text).unwrap();
-        prop_assert_eq!(netlist, back);
-    }
-}
-
-proptest! {
     /// Hand-built netlists: connect never corrupts earlier state on error.
     #[test]
     fn failed_connect_leaves_netlist_unchanged(bits in 0u32..4, n_sinks in 0usize..3) {

@@ -8,6 +8,7 @@ use std::fmt;
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
+use vital_fabric::Fnv1a;
 
 use crate::PeriphError;
 
@@ -63,22 +64,6 @@ pub struct MemoryStats {
     pub faults: u64,
 }
 
-/// 64-bit FNV-1a, written out so the digest is stable across Rust releases
-/// and platforms (the same idiom as the compiler's netlist digest).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_byte(h: &mut u64, b: u8) {
-    *h ^= u64::from(b);
-    *h = h.wrapping_mul(FNV_PRIME);
-}
-
-fn fnv_u64(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        fnv_byte(h, b);
-    }
-}
-
 /// One exported page of a tenant's address space.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PageImage {
@@ -119,18 +104,18 @@ impl MemoryImage {
     /// are deliberately excluded — two images with identical memory
     /// contents digest identically even if one tenant read more often.
     pub fn content_digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        fnv_u64(&mut h, self.page_size);
-        fnv_u64(&mut h, self.quota_bytes);
-        fnv_u64(&mut h, self.pages.len() as u64);
+        let mut h = Fnv1a::default();
+        h.u64(self.page_size);
+        h.u64(self.quota_bytes);
+        h.usize(self.pages.len());
         for page in &self.pages {
-            fnv_u64(&mut h, page.vpn);
-            fnv_u64(&mut h, page.bytes.len() as u64);
+            h.u64(page.vpn);
+            h.usize(page.bytes.len());
             for &b in &page.bytes {
-                fnv_byte(&mut h, b);
+                h.byte(b);
             }
         }
-        h
+        h.finish()
     }
 
     /// Total bytes of page data carried by the image.

@@ -51,9 +51,8 @@ struct Inner {
 }
 
 impl Inner {
-    /// Re-derives the digest index after bulk edits (deserialization,
-    /// removals). First name in sorted order wins, so the index is
-    /// deterministic.
+    /// Re-derives the digest index after deserialization. First name in
+    /// sorted order wins, so the index is deterministic.
     fn rebuild_digest_index(&mut self) {
         self.by_digest.clear();
         let mut names: Vec<&String> = self.by_name.keys().collect();
@@ -158,16 +157,6 @@ impl BitstreamDatabase {
         Ok(bitstream)
     }
 
-    /// Replaces (or inserts) an application image; returns the old image.
-    pub fn replace(&self, bitstream: AppBitstream) -> Option<AppBitstream> {
-        let mut inner = self.inner.write();
-        let old = inner
-            .by_name
-            .insert(bitstream.name().to_string(), bitstream);
-        inner.rebuild_digest_index();
-        old
-    }
-
     /// Fetches a clone of an application's image.
     ///
     /// # Errors
@@ -220,23 +209,6 @@ impl BitstreamDatabase {
         }
     }
 
-    /// Removes an application's image.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::UnknownApp`] if not registered.
-    pub fn remove(&self, name: &str) -> Result<AppBitstream, RuntimeError> {
-        let mut inner = self.inner.write();
-        let removed = inner
-            .by_name
-            .remove(name)
-            .ok_or_else(|| RuntimeError::UnknownApp(name.to_string()))?;
-        // Another entry may share the digest; re-derive the index rather
-        // than leaving it pointing at the removed name.
-        inner.rebuild_digest_index();
-        Ok(removed)
-    }
-
     /// Registered application names, sorted.
     pub fn names(&self) -> Vec<String> {
         let mut v: Vec<String> = self.inner.read().by_name.keys().cloned().collect();
@@ -245,13 +217,8 @@ impl BitstreamDatabase {
     }
 
     /// Number of registered applications.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.read().by_name.len()
-    }
-
-    /// `true` if no applications are registered.
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().by_name.is_empty()
     }
 
     /// Serializes the whole database to versioned JSON (for inspection or
@@ -313,9 +280,9 @@ mod tests {
     }
 
     #[test]
-    fn insert_get_remove() {
+    fn insert_get_and_refuse_a_taken_name() {
         let db = BitstreamDatabase::new();
-        assert!(db.is_empty());
+        assert_eq!(db.len(), 0);
         db.insert(bitstream("a")).unwrap();
         assert_eq!(db.len(), 1);
         assert_eq!(db.get("a").unwrap().name(), "a");
@@ -323,15 +290,7 @@ mod tests {
             db.insert(bitstream("a")),
             Err(RuntimeError::AppExists(_))
         ));
-        db.remove("a").unwrap();
-        assert!(matches!(db.get("a"), Err(RuntimeError::UnknownApp(_))));
-    }
-
-    #[test]
-    fn replace_returns_old() {
-        let db = BitstreamDatabase::new();
-        assert!(db.replace(bitstream("a")).is_none());
-        assert!(db.replace(bitstream("a")).is_some());
+        assert!(matches!(db.get("b"), Err(RuntimeError::UnknownApp(_))));
     }
 
     #[test]
@@ -366,20 +325,6 @@ mod tests {
         let stats = db.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn remove_repoints_digest_index_to_surviving_entry() {
-        let db = BitstreamDatabase::new();
-        let a = bitstream("a");
-        let digest = a.digest();
-        db.insert(a.clone()).unwrap();
-        db.insert(a.renamed("copy")).unwrap();
-        db.remove("a").unwrap();
-        let hit = db.get_by_digest(digest).expect("copy still carries it");
-        assert_eq!(hit.name(), "copy");
-        db.remove("copy").unwrap();
-        assert!(db.get_by_digest(digest).is_none());
     }
 
     #[test]

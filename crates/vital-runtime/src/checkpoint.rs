@@ -17,8 +17,8 @@
 //!   re-place the tenant on any compatible cluster and re-request its
 //!   DRAM share.
 //!
-//! Capsules are content-digested ([`CheckpointDigest`], the same stable
-//! FNV-1a idiom as the compiler's bitstream cache): two capsules with
+//! Capsules are content-digested ([`CheckpointDigest`], the same
+//! `vital_fabric::Fnv1a` as the compiler's bitstream cache): two capsules with
 //! identical state digest identically, so a save → restore → save round
 //! trip can be verified by digest comparison alone.
 //!
@@ -48,43 +48,8 @@ use serde::{Deserialize, Serialize};
 use vital_interface::{
     Channel, ChannelSnapshot, ChannelSpec, FormatVersion, LinkClass, QuiesceError,
 };
+use vital_fabric::Fnv1a;
 use vital_periph::{MemoryImage, TenantId};
-
-/// 64-bit FNV-1a, written out so the digest is stable across Rust releases
-/// and platforms (`DefaultHasher` guarantees neither).
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Self {
-        Fnv1a(Self::OFFSET)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(Self::PRIME);
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Length-prefixed, so adjacent strings cannot alias.
-    fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        for b in s.bytes() {
-            self.byte(b);
-        }
-    }
-}
 
 /// The content digest of one checkpoint capsule.
 ///
@@ -168,7 +133,7 @@ pub struct TenantCheckpoint {
 impl TenantCheckpoint {
     /// The capsule's content digest.
     pub fn digest(&self) -> CheckpointDigest {
-        let mut h = Fnv1a::new();
+        let mut h = Fnv1a::default();
         h.u64(self.tenant.raw());
         h.str(&self.placement.app);
         h.usize(self.placement.needed_blocks);
@@ -193,7 +158,7 @@ impl TenantCheckpoint {
             h.u64(ch.snapshot.latency_sum);
         }
         h.u64(self.memory.content_digest());
-        CheckpointDigest(h.0)
+        CheckpointDigest(h.finish())
     }
 
     /// Total flits captured across all channel snapshots.
@@ -376,7 +341,7 @@ impl PortableCheckpoint {
     /// logical state captured on two different device models digests
     /// identically.
     pub fn digest(&self) -> CheckpointDigest {
-        let mut h = Fnv1a::new();
+        let mut h = Fnv1a::default();
         h.u64(u64::from(self.version.raw()));
         h.u64(self.tenant.raw());
         h.str(&self.placement.app);
@@ -404,7 +369,7 @@ impl PortableCheckpoint {
             h.u64(ch.latency_sum);
         }
         h.u64(self.memory.content_digest());
-        CheckpointDigest(h.0)
+        CheckpointDigest(h.finish())
     }
 
     /// Total state bits across the scan map.

@@ -310,10 +310,10 @@ impl SystemController {
     pub fn with_topology(mut self, topology: Topology) -> Result<Self, RuntimeError> {
         let fpgas = self.resources.fpga_count();
         let layout: Vec<usize> = (0..fpgas).map(|f| self.resources.blocks_of(f)).collect();
-        if topology.len() != fpgas {
+        if topology.fpgas() != fpgas {
             return Err(RuntimeError::InvalidConfig(format!(
                 "topology covers {} FPGAs but the cluster has {fpgas}",
-                topology.len(),
+                topology.fpgas(),
             )));
         }
         let live = self.state.get_mut().ids(|t| matches!(t, Tenant::Fabric(_)));
@@ -721,7 +721,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, RuntimeError::InvalidConfig(_)));
         let c = c.with_topology(Topology::ring(fpgas)).unwrap();
-        assert_eq!(c.topology().len(), fpgas);
+        assert_eq!(c.topology().fpgas(), fpgas);
         c.deploy("a").unwrap();
         let err = c.with_topology(Topology::ring(fpgas)).unwrap_err();
         assert!(matches!(err, RuntimeError::InvalidConfig(_)));

@@ -362,7 +362,11 @@ mod tests {
         // the big request waits until the stream dries up; with the guard,
         // it earns a reservation after `starvation_age_s` and runs as soon
         // as the in-flight jobs drain.
-        let sim = ClusterSim::heterogeneous(ClusterConfig::paper_cluster(), vec![4, 4]);
+        let sim = ClusterSim::new(ClusterConfig {
+            fpgas: 2,
+            blocks_per_fpga: 4,
+            ..ClusterConfig::paper_cluster()
+        });
         let mut reqs: Vec<AppRequest> = (0..20)
             .map(|i| AppRequest::new(i, format!("small{i}"), 4, 2.0e9).arriving_at(i as f64))
             .collect();
@@ -483,7 +487,11 @@ mod tests {
         // 4 pods x 4 FPGAs x 4 blocks (64 blocks). Mixed sizes, including
         // 6-block requests that must span FPGAs inside a pod.
         let topo = vital_cluster::Topology::pods(4, 4, 100.0, 25.0);
-        let sim = ClusterSim::heterogeneous(ClusterConfig::paper_cluster(), vec![4; 16])
+        let sim = ClusterSim::new(ClusterConfig {
+            fpgas: 16,
+            blocks_per_fpga: 4,
+            ..ClusterConfig::paper_cluster()
+        })
             .with_topology(topo)
             .expect("16-FPGA layout matches the pod topology");
         let reqs: Vec<AppRequest> = (0..24)
@@ -514,7 +522,11 @@ mod tests {
         // One pod of 2 FPGAs x 4 blocks; a whole-pod request behind a
         // stream of pod-half jobs must still run once aged.
         let topo = vital_cluster::Topology::pods(1, 2, 100.0, 25.0);
-        let sim = ClusterSim::heterogeneous(ClusterConfig::paper_cluster(), vec![4, 4])
+        let sim = ClusterSim::new(ClusterConfig {
+            fpgas: 2,
+            blocks_per_fpga: 4,
+            ..ClusterConfig::paper_cluster()
+        })
             .with_topology(topo)
             .expect("layout matches");
         let mut reqs: Vec<AppRequest> = (0..20)

@@ -30,9 +30,6 @@ pub struct ServiceConfig {
     /// acquisition; they then execute one by one, in pop order, each
     /// answered as soon as it finishes.
     pub batch_max: usize,
-    /// Artificial pause before each executed request — a fault-injection
-    /// knob for tests that need a provably full queue. Zero in production.
-    pub(crate) worker_delay: Duration,
 }
 
 impl Default for ServiceConfig {
@@ -45,7 +42,6 @@ impl Default for ServiceConfig {
             per_session_limit: 32,
             request_timeout: Duration::from_secs(30),
             batch_max: 8,
-            worker_delay: Duration::ZERO,
         }
     }
 }
@@ -105,13 +101,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_batch_max(mut self, batch_max: usize) -> Self {
         self.batch_max = batch_max.max(1);
-        self
-    }
-
-    /// Inject an artificial pause before each executed request (tests).
-    #[must_use]
-    pub fn with_worker_delay(mut self, delay: Duration) -> Self {
-        self.worker_delay = delay;
         self
     }
 }

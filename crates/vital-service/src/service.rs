@@ -169,9 +169,6 @@ impl ServiceInner {
                     self.expire(job);
                     continue;
                 }
-                if !self.config.worker_delay.is_zero() {
-                    std::thread::sleep(self.config.worker_delay);
-                }
                 self.run(shard, job);
             }
         }

@@ -5,18 +5,21 @@
 //!
 //! The cause of a wake-up is read off `service.reactor.wakeups` (returns
 //! from the wait) and `service.reactor.wake_writes` (bytes written to a
-//! wake channel), so the tests force an interleaving with the worker
-//! delay knob and assert on counts, not on how long things took — except
-//! where the property *is* a latency bound (no sleeping path left).
+//! wake channel), so the tests force an interleaving with a slow app
+//! resolver (a `Prepare` runs it on the worker thread) and assert on
+//! counts, not on how long things took — except where the property *is* a
+//! latency bound (no sleeping path left).
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use vital_compiler::{Compiler, CompilerConfig};
 use vital_interface::ErrorCode;
+use vital_netlist::hls::{AppSpec, Operator};
 use vital_runtime::{
-    ControlRequest, ControlResponse, RuntimeConfig, RuntimeError, SystemController,
+    AppResolver, ControlRequest, ControlResponse, RuntimeConfig, RuntimeError, SystemController,
 };
 use vital_service::{
     encode_frame, FrameDecoder, RemoteClient, RequestEnvelope, ResponseEnvelope, ServiceConfig,
@@ -35,6 +38,26 @@ fn daemon(fpgas: usize, config: ServiceConfig) -> (Vitald, ServiceServer, String
     let server = ServiceServer::serve(&vitald, "127.0.0.1:0").expect("bind loopback");
     let addr = server.local_addr().to_string();
     (vitald, server, addr)
+}
+
+/// A resolver that holds the worker thread for `delay` and then hands back
+/// a one-operator image under the requested name: a `Prepare` of an
+/// unregistered app is then a request that takes `delay` to execute.
+fn slow_resolver(delay: Duration) -> AppResolver {
+    let mut spec = AppSpec::new("slow");
+    spec.add_operator("m", Operator::MacArray { pes: 4 });
+    let image = Compiler::new(CompilerConfig::default())
+        .compile(&spec)
+        .unwrap()
+        .into_bitstream();
+    Box::new(move |name: &str| {
+        std::thread::sleep(delay);
+        Ok(image.renamed(name))
+    })
+}
+
+fn prepare(app: &str) -> ControlRequest {
+    ControlRequest::Prepare { app: app.into() }
 }
 
 fn counter(vitald: &Vitald, name: &str) -> u64 {
@@ -98,15 +121,14 @@ fn read_replies(stream: &mut TcpStream, count: u64) -> Vec<ControlResponse> {
 #[test]
 fn completion_wakes_a_blocked_reactor_and_idle_means_no_wakeups() {
     let delay = Duration::from_millis(100);
-    let config = ServiceConfig::default()
-        .with_io_threads(1)
-        .with_worker_delay(delay);
+    let config = ServiceConfig::default().with_io_threads(1);
     let (vitald, server, addr) = daemon(4, config);
+    vitald.controller().set_app_resolver(slow_resolver(delay));
     let remote = RemoteClient::connect(&addr).expect("connect");
 
     let writes_before = counter(&vitald, "service.reactor.wake_writes");
     let t0 = Instant::now();
-    assert!(remote.call(ControlRequest::Status).expect("call").is_ok());
+    assert!(remote.call(prepare("slow")).expect("call").is_ok());
     let took = t0.elapsed();
     assert!(took >= delay, "answered before the worker ran: {took:?}");
     assert!(
@@ -173,25 +195,24 @@ fn slow_request_does_not_delay_another_connection_of_the_same_reactor() {
 #[test]
 fn vanished_peer_neither_leaks_the_connection_nor_spins_the_reactor() {
     let delay = Duration::from_millis(300);
-    let config = ServiceConfig::default()
-        .with_io_threads(1)
-        .with_worker_delay(delay);
+    let config = ServiceConfig::default().with_io_threads(1);
     let (vitald, server, addr) = daemon(4, config);
+    vitald.controller().set_app_resolver(slow_resolver(delay));
     let before = wakeups(&vitald);
 
     // FIN: served to the end (the answer has nowhere to go), then dropped.
     let mut polite = TcpStream::connect(&addr).expect("connect");
-    polite.write_all(&frame(1, ControlRequest::Status)).unwrap();
+    polite.write_all(&frame(1, prepare("polite"))).unwrap();
     drop(polite);
 
-    // FIN, then RST: two requests (one session, so the second runs a
-    // worker delay after the first), write side closed. Closing with the
+    // FIN, then RST: two requests (one session, so the second runs its
+    // slow resolve after the first), write side closed. Closing with the
     // first reply unread resets the connection while the second request
     // is still executing and the server, having seen EOF, asks poll(2)
     // for nothing on this socket.
     let mut rude = TcpStream::connect(&addr).expect("connect");
-    rude.write_all(&frame(1, ControlRequest::Status)).unwrap();
-    rude.write_all(&frame(2, ControlRequest::Status)).unwrap();
+    rude.write_all(&frame(1, prepare("rude1"))).unwrap();
+    rude.write_all(&frame(2, prepare("rude2"))).unwrap();
     rude.shutdown(Shutdown::Write).unwrap();
     eventually("the first reply", || {
         rude.peek(&mut [0u8; 1]).is_ok_and(|n| n == 1)
@@ -254,13 +275,13 @@ fn timeout_is_synthesized_with_no_traffic() {
     let timeout = Duration::from_millis(200);
     let config = ServiceConfig::default()
         .with_io_threads(1)
-        .with_request_timeout(timeout)
-        .with_worker_delay(4 * timeout);
+        .with_request_timeout(timeout);
     let (vitald, server, addr) = daemon(4, config);
+    vitald.controller().set_app_resolver(slow_resolver(4 * timeout));
     let remote = RemoteClient::connect(&addr).expect("connect");
 
     let t0 = Instant::now();
-    let resp = remote.call(ControlRequest::Status).expect("call");
+    let resp = remote.call(prepare("slow")).expect("call");
     let took = t0.elapsed();
     assert_eq!(resp.err().map(|e| e.code), Some(ErrorCode::Timeout));
     assert!(took >= timeout, "timed out early: {took:?}");

@@ -41,9 +41,7 @@ use vital::runtime::{
     ControlRequest, ControlResponse, DeployRequest, MigratePolicy, PortableCheckpoint,
     RuntimeConfig, SystemController,
 };
-use vital::service::{
-    benchmark_resolver, RemoteClient, ServiceClient, ServiceConfig, Vitald, WireFormat,
-};
+use vital::service::{benchmark_resolver, RemoteClient, ServiceClient, ServiceConfig, Vitald};
 use vital::telemetry::Telemetry;
 
 /// Where commands are executed: an in-process daemon core, or a remote
@@ -304,9 +302,7 @@ fn main() {
     }
 
     let backend = match &connect {
-        // JSON frames: keeps `vitalctl --connect` wire-compatible with
-        // older daemons (the server answers in the request's format).
-        Some(addr) => match RemoteClient::connect_with(addr, WireFormat::Json) {
+        Some(addr) => match RemoteClient::connect(addr) {
             Ok(remote) => {
                 println!("vitalctl: connected to vitald at {addr}");
                 Backend::Remote(remote)
@@ -373,8 +369,16 @@ fn main() {
                     ControlRequest::Deploy(DeployRequest::isa(name))
                 } else {
                     let mut dr = DeployRequest::app(name);
-                    if let Some(mb) = rest.first().and_then(|t| t.parse::<u64>().ok()) {
-                        dr = dr.with_quota_bytes(mb << 20);
+                    if let Some(mb) = rest.first() {
+                        let Some(bytes) = mb
+                            .parse::<u64>()
+                            .ok()
+                            .and_then(|mb| mb.checked_mul(1 << 20))
+                        else {
+                            println!("usage: deploy <name> [quota-mb] [--isa]");
+                            continue;
+                        };
+                        dr = dr.with_quota_bytes(bytes);
                     }
                     ControlRequest::Deploy(dr)
                 }

@@ -172,8 +172,9 @@ fn checkpointed_tenant_resumes_in_another_pod() {
     // entire pod crashes. With portable checkpoints in the fault plan the
     // job resumes in pod 1 with its first 2 s of progress intact — the
     // cross-pod counterpart of `SystemController::migrate_portable`.
+    let pods = Topology::pods(2, 2, 100.0, 25.0);
     let sim = ClusterSim::new(ClusterConfig::paper_cluster())
-        .with_topology(Topology::pods(2, 2, 100.0, 25.0))
+        .with_topology(pods.clone())
         .expect("2 x 2 pods cover the 4-FPGA paper cluster");
     let reqs = vec![AppRequest::new(0, "svc", 15, 10.0e9)];
     // FPGA 1 (the idle half of pod 0) drops first, so the eviction at
@@ -197,7 +198,7 @@ fn checkpointed_tenant_resumes_in_another_pod() {
         let mut pods: Vec<usize> = d
             .blocks
             .iter()
-            .map(|b| sim.topology().pod_of(b.fpga.index() as usize))
+            .map(|b| pods.pod_of(b.fpga.index() as usize))
             .collect();
         pods.sort_unstable();
         pods.dedup();
@@ -303,7 +304,7 @@ impl Lcg {
 /// share of the blocks owned, and about one FPGA in eight draining or
 /// offline.
 fn random_view(rng: &mut Lcg, topology: &Topology, blocks: usize) -> ClusterView {
-    let fpgas = topology.len();
+    let fpgas = topology.fpgas();
     let mut view = ClusterView::new(&vec![blocks; fpgas], Arc::new(topology.clone()));
     let load = rng.below(101);
     for f in 0..fpgas {
@@ -383,7 +384,7 @@ fn one_pass_is_complete() {
                     second.is_empty(),
                     "{} on {} FPGAs, seed {seed}: a second pass placed {:?}",
                     policy.name(),
-                    topology.len(),
+                    topology.fpgas(),
                     second.iter().map(|d| d.request).collect::<Vec<_>>()
                 );
             }

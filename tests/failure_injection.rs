@@ -64,7 +64,7 @@ fn injected_failure_evicts_then_completes_everything() {
         report.interrupted_jobs > 0,
         "the crash lands mid-run and must evict someone"
     );
-    assert!(report.total_restarts() > 0);
+    assert!(report.outcomes.iter().any(|o| o.restarts > 0));
     assert!(
         report.goodput_fraction() < 1.0,
         "evicted work must show up as lost goodput"
@@ -76,9 +76,11 @@ fn injected_failure_evicts_then_completes_everything() {
 /// failures instead of pretending they completed.
 #[test]
 fn bounded_retry_reports_terminal_failures() {
-    // One big FPGA and three tiny ones: a 10-block app only fits on
-    // fpga0, so crashing it permanently strands the request.
-    let sim = ClusterSim::heterogeneous(ClusterConfig::paper_cluster(), vec![15, 1, 1, 1]);
+    // One FPGA: crashing it permanently strands the request.
+    let sim = ClusterSim::new(ClusterConfig {
+        fpgas: 1,
+        ..ClusterConfig::paper_cluster()
+    });
     let reqs = vec![AppRequest::new(0, "big", 10, 20.0e9).arriving_at(0.0)];
     let plan = FaultPlan::new()
         .fpga_crash(0, 1.0)

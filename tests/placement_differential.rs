@@ -173,7 +173,7 @@ fn run_mirrored<S: Scheduler>(
     }
     assert_eq!(
         controller.resources().total_free(),
-        sim.layout().iter().sum()
+        ClusterConfig::paper_cluster().total_blocks()
     );
 }
 

@@ -211,23 +211,32 @@ fn overload_rejects_with_typed_backpressure_and_leaks_nothing() {
             .with_queue_capacity(2)
             .with_per_session_limit(1)
             .with_batch_max(1)
-            .with_worker_delay(Duration::from_millis(25))
             .with_request_timeout(Duration::from_secs(30)),
     ));
+    // The one worker spends 25 ms in every `Prepare`: the resolver runs on
+    // it, and refuses, so no app is registered and nothing is deployed.
+    controller.set_app_resolver(Box::new(|name: &str| {
+        std::thread::sleep(Duration::from_millis(25));
+        Err(vital::runtime::RuntimeError::UnknownApp(name.to_string()))
+    }));
 
     let clients = 24;
     let overloaded = Arc::new(AtomicU64::new(0));
     let handles: Vec<_> = (0..clients)
-        .map(|_| {
+        .map(|i| {
             let vitald = Arc::clone(&vitald);
             let overloaded = Arc::clone(&overloaded);
             std::thread::spawn(move || {
                 let client = vitald.client();
-                // Two back-to-back submissions per session: with a
-                // per-session allowance of one, the second of any pair
-                // racing its own head is also a rejection candidate.
-                for _ in 0..2 {
-                    match client.call(ControlRequest::deploy("small")) {
+                // Two back-to-back submissions per session, a slow one and
+                // a deploy: with a per-session allowance of one, the second
+                // of any pair racing its own head is also a rejection
+                // candidate.
+                let slow = ControlRequest::Prepare {
+                    app: format!("slow{i}"),
+                };
+                for req in [slow, ControlRequest::deploy("small")] {
+                    match client.call(req) {
                         ControlResponse::Err(e) if e.code == ErrorCode::Overloaded => {
                             assert!(e.is_retryable(), "Overloaded must be retryable");
                             assert!(

@@ -113,7 +113,7 @@ impl Links {
 /// Every fault-free answer of `topology` equals the search over `links`.
 fn assert_closed_form_matches_bfs(topology: &Topology, links: &Links, what: &str) {
     assert_eq!(topology.link_count(), links.links.len(), "{what}");
-    let n = topology.len();
+    let n = topology.fpgas();
     for a in 0..n {
         let (dist, gbps) = links.bfs(a, &[]);
         let fa = FpgaId::new(a as u32);
