@@ -1208,8 +1208,7 @@ mod tests {
     fn preemption_telemetry_rides_the_sim_timeline() {
         use vital_telemetry::Telemetry;
         let tel = Telemetry::sim();
-        let sim = ClusterSim::new(one_fpga(4))
-            .with_telemetry(tel.clone());
+        let sim = ClusterSim::new(one_fpga(4)).with_telemetry(tel.clone());
         let reqs: Vec<AppRequest> = (0..2)
             .map(|i| AppRequest::new(i, format!("j{i}"), 4, 1.0e9))
             .collect();

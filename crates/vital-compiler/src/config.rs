@@ -33,14 +33,6 @@ pub struct CompilerConfig {
 }
 
 impl CompilerConfig {
-    /// Configuration for a specific device floorplan.
-    pub fn for_floorplan(plan: &Floorplan) -> Self {
-        CompilerConfig {
-            block_resources: plan.block_resources(),
-            ..CompilerConfig::default()
-        }
-    }
-
     /// The virtual-block capacity the partitioner targets: general fabric
     /// at `fill_margin`, hard DSP/BRAM columns at their own fill factors
     /// (see [`Resources::block_fill`]).
@@ -73,6 +65,17 @@ impl Default for CompilerConfig {
             interface: InterfaceConfig::default(),
             pnr: PnrConfig::default(),
             workers: 0,
+        }
+    }
+}
+
+#[cfg(test)]
+impl CompilerConfig {
+    /// Configuration for a specific device floorplan.
+    pub(crate) fn for_floorplan(plan: &Floorplan) -> Self {
+        CompilerConfig {
+            block_resources: plan.block_resources(),
+            ..CompilerConfig::default()
         }
     }
 }

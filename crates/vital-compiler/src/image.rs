@@ -87,13 +87,6 @@ impl ScanInterface {
             .max()
             .unwrap_or(0)
     }
-
-    /// The chain of one virtual block, if it exists.
-    pub fn chain(&self, virtual_block: u32) -> Option<&ScanChain> {
-        self.chains
-            .iter()
-            .find(|c| c.virtual_block == virtual_block)
-    }
 }
 
 /// The compiled image of one virtual block.
@@ -295,6 +288,16 @@ impl PlacedBitstream {
         fpgas.sort_unstable();
         fpgas.dedup();
         fpgas.len()
+    }
+}
+
+#[cfg(test)]
+impl ScanInterface {
+    /// The chain of one virtual block, if it exists.
+    pub(crate) fn chain(&self, virtual_block: u32) -> Option<&ScanChain> {
+        self.chains
+            .iter()
+            .find(|c| c.virtual_block == virtual_block)
     }
 }
 

@@ -110,11 +110,6 @@ impl Packing {
     pub fn cluster_of(&self, p: PrimitiveId) -> ClusterId {
         self.cluster_of[p.index()]
     }
-
-    /// The full primitive-to-cluster map, indexed by primitive id.
-    pub fn assignment(&self) -> &[ClusterId] {
-        &self.cluster_of
-    }
 }
 
 /// Packs the netlist into clusters per Algorithm 1.
@@ -297,6 +292,14 @@ fn merge_small_clusters(
         *c = remap[c.index()].expect("non-empty clusters survive compaction");
     }
     let _ = netlist; // kept for symmetry with pack(); resources already merged
+}
+
+#[cfg(test)]
+impl Packing {
+    /// The full primitive-to-cluster map, indexed by primitive id.
+    pub(crate) fn assignment(&self) -> &[ClusterId] {
+        &self.cluster_of
+    }
 }
 
 #[cfg(test)]

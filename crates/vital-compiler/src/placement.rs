@@ -133,11 +133,6 @@ impl Placer {
         Placer { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &PlacerConfig {
-        &self.config
-    }
-
     /// Runs the full pipeline on `netlist` over `grid`.
     ///
     /// # Errors
@@ -231,7 +226,6 @@ impl Placer {
             assignment,
             positions: final_positions,
             legal,
-            iterations,
             alpha: self.config.alpha,
         })
     }
@@ -327,7 +321,6 @@ pub struct Placement {
     assignment: Vec<Option<u32>>,
     positions: Vec<(f64, f64)>,
     legal: bool,
-    iterations: usize,
     alpha: f64,
 }
 
@@ -369,11 +362,6 @@ impl Placement {
     /// `true` if no virtual block is over-utilized.
     pub fn is_legal(&self) -> bool {
         self.legal
-    }
-
-    /// Anchoring iterations performed.
-    pub fn iterations(&self) -> usize {
-        self.iterations
     }
 
     /// The aspect-ratio weight used.
@@ -449,7 +437,6 @@ pub fn random_assignment(
         assignment,
         positions,
         legal,
-        iterations: 0,
         alpha: 1.0,
     })
 }

@@ -38,18 +38,6 @@ impl StageTimings {
             + self.global_pnr
     }
 
-    /// Time spent in ViTAL's custom tools (partition + interface generation
-    /// + relocation). The paper measures this at ~1.6 % of the total.
-    pub fn custom_tools(&self) -> Duration {
-        self.partition + self.interface_gen + self.relocation
-    }
-
-    /// Time spent in the reused commercial place-and-route stages. The
-    /// paper measures this at ~83.9 % of the total.
-    pub fn commercial_pnr(&self) -> Duration {
-        self.local_pnr + self.global_pnr
-    }
-
     /// Fractional breakdown of the total.
     pub fn breakdown(&self) -> TimingBreakdown {
         let total = self.total().as_secs_f64().max(1e-12);
@@ -113,6 +101,21 @@ impl TimingBreakdown {
 
     /// Fraction in commercial P&R.
     pub fn commercial_pnr(&self) -> f64 {
+        self.local_pnr + self.global_pnr
+    }
+}
+
+#[cfg(test)]
+impl StageTimings {
+    /// Time spent in ViTAL's custom tools (partition + interface generation
+    /// + relocation). The paper measures this at ~1.6 % of the total.
+    pub(crate) fn custom_tools(&self) -> Duration {
+        self.partition + self.interface_gen + self.relocation
+    }
+
+    /// Time spent in the reused commercial place-and-route stages. The
+    /// paper measures this at ~83.9 % of the total.
+    pub(crate) fn commercial_pnr(&self) -> Duration {
         self.local_pnr + self.global_pnr
     }
 }

@@ -325,11 +325,6 @@ impl DeviceModel {
         &self.edge_columns
     }
 
-    /// Interconnect technology parameters.
-    pub fn links(&self) -> &LinkTechnology {
-        &self.links
-    }
-
     /// Resources of a horizontal band of the user area spanning `rows` rows.
     pub(crate) fn band_resources(&self, rows: u64) -> Resources {
         self.user_columns.iter().map(|c| c.resources(rows)).sum()

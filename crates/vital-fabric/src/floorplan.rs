@@ -312,11 +312,6 @@ impl Floorplan {
             .ok_or(FabricError::NoFeasiblePartition)
     }
 
-    /// Height of each physical block in rows.
-    pub fn block_rows(&self) -> u64 {
-        self.block_rows
-    }
-
     /// Column splits per row band (1 = full-width blocks).
     pub fn column_splits(&self) -> u32 {
         self.column_splits
@@ -377,11 +372,6 @@ impl Floorplan {
                 && b.clock_region_offset == first.clock_region_offset
         })
     }
-
-    /// Looks up a block by id.
-    pub fn block(&self, id: PhysicalBlockId) -> Option<&PhysicalBlock> {
-        self.blocks.get(id.index() as usize)
-    }
 }
 
 impl fmt::Display for Floorplan {
@@ -395,6 +385,14 @@ impl fmt::Display for Floorplan {
             self.column_splits,
             self.reserved_fraction() * 100.0
         )
+    }
+}
+
+#[cfg(test)]
+impl Floorplan {
+    /// Looks up a block by id.
+    pub(crate) fn block(&self, id: PhysicalBlockId) -> Option<&PhysicalBlock> {
+        self.blocks.get(id.index() as usize)
     }
 }
 

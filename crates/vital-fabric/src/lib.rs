@@ -44,8 +44,8 @@ pub use catalog::{device_generations, DeviceGeneration};
 pub use device::{DeviceModel, LinkTechnology};
 pub use dse::{explore_partitions, PartitionCandidate, PartitionObjective};
 pub use error::FabricError;
-pub use fnv::Fnv1a;
 pub use floorplan::{Floorplan, FloorplanBuilder, PhysicalBlock, Region, RegionKind};
+pub use fnv::Fnv1a;
 pub use ids::{BlockAddr, FpgaId, PhysicalBlockId};
 pub use resources::{ResourceKind, Resources, Utilization};
 pub use tile::{ColumnSpec, TileKind};

@@ -104,16 +104,6 @@ impl Resources {
         }
     }
 
-    /// Sets the count for one resource kind.
-    pub fn set(&mut self, kind: ResourceKind, value: u64) {
-        match kind {
-            ResourceKind::Lut => self.lut = value,
-            ResourceKind::Ff => self.ff = value,
-            ResourceKind::Dsp => self.dsp = value,
-            ResourceKind::BramKb => self.bram_kb = value,
-        }
-    }
-
     /// Returns `true` if every component is zero.
     pub fn is_zero(&self) -> bool {
         *self == Resources::ZERO
@@ -352,6 +342,19 @@ impl fmt::Display for Utilization {
             self.dsp * 100.0,
             self.bram_kb * 100.0
         )
+    }
+}
+
+#[cfg(test)]
+impl Resources {
+    /// Sets the count for one resource kind.
+    pub(crate) fn set(&mut self, kind: ResourceKind, value: u64) {
+        match kind {
+            ResourceKind::Lut => self.lut = value,
+            ResourceKind::Ff => self.ff = value,
+            ResourceKind::Dsp => self.dsp = value,
+            ResourceKind::BramKb => self.bram_kb = value,
+        }
     }
 }
 

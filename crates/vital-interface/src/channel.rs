@@ -204,11 +204,6 @@ impl Channel {
         }
     }
 
-    /// The static parameters.
-    pub fn spec(&self) -> &ChannelSpec {
-        &self.spec
-    }
-
     /// `true` if the sender holds a credit and the serialization window is
     /// open: pushing now will not overflow the receiver FIFO.
     pub fn can_push(&self, now: u64) -> bool {

@@ -81,11 +81,6 @@ impl ChannelPlan {
         self.channels.len()
     }
 
-    /// The configuration the plan was built with.
-    pub fn config(&self) -> &InterfaceConfig {
-        &self.config
-    }
-
     /// Total bits per firing crossing block boundaries.
     pub fn total_cut_bits(&self) -> u64 {
         self.channels.iter().map(|c| u64::from(c.width_bits)).sum()

@@ -14,13 +14,6 @@ use crate::{Channel, ChannelSpec, LinkClass, CLOCK_MHZ};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActorId(u32);
 
-impl ActorId {
-    /// The raw index.
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 /// Index of a channel in a [`NetworkSim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChannelId(u32);
@@ -138,15 +131,6 @@ impl NetworkSim {
     /// Panics if `id` is out of range.
     pub fn channel(&self, id: ChannelId) -> &Channel {
         &self.channels[id.index()]
-    }
-
-    /// Firings of one actor so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn firings(&self, id: ActorId) -> u64 {
-        self.actors[id.index()].firings
     }
 
     fn can_fire(&self, actor: &Actor) -> bool {
@@ -448,7 +432,7 @@ mod tests {
 
     /// The clock-enable duty cycle of an actor: firings per simulated cycle.
     fn duty_cycle(sim: &NetworkSim, id: ActorId) -> f64 {
-        sim.actors[id.index()].firings as f64 / sim.cycle as f64
+        sim.actors[id.0 as usize].firings as f64 / sim.cycle as f64
     }
 
     fn spec(depth: usize, latency: u32) -> ChannelSpec {

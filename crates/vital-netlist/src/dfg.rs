@@ -70,19 +70,9 @@ impl DataflowGraph {
         }
     }
 
-    /// Number of nodes (primitives).
-    pub fn node_count(&self) -> usize {
-        self.nodes
-    }
-
     /// Undirected neighbours of `node`, merged per neighbour.
     pub fn neighbors(&self, node: PrimitiveId) -> &[DfgEdge] {
         &self.neighbors[node.index()]
-    }
-
-    /// Total undirected edge weight incident to `node`.
-    pub fn degree_bits(&self, node: PrimitiveId) -> u64 {
-        self.neighbors[node.index()].iter().map(|e| e.bits).sum()
     }
 
     /// Iterates all undirected edges once (`a < b`), with accumulated bits.
@@ -93,6 +83,19 @@ impl DataflowGraph {
                 .filter(move |e| e.other.index() > a)
                 .map(move |e| (PrimitiveId(a as u32), e.other, e.bits))
         })
+    }
+}
+
+#[cfg(test)]
+impl DataflowGraph {
+    /// Number of nodes (primitives).
+    pub(crate) fn node_count(&self) -> usize {
+        self.nodes
+    }
+
+    /// Total undirected edge weight incident to `node`.
+    pub(crate) fn degree_bits(&self, node: PrimitiveId) -> u64 {
+        self.neighbors[node.index()].iter().map(|e| e.bits).sum()
     }
 }
 

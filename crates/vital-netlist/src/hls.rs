@@ -528,7 +528,7 @@ mod tests {
         // Intra-operator nets should far outnumber inter-operator nets, so
         // the placement-based partitioner has real structure to exploit.
         let n = synthesize(&demo_spec()).unwrap();
-        let total_nets = n.net_count();
+        let total_nets = n.nets().len();
         // 2 inter-op edges + 2 port nets = 4 "global" nets.
         assert!(total_nets > 4 * 3);
     }

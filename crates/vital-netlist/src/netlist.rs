@@ -13,13 +13,6 @@ use crate::{NetlistError, PortDirection, Primitive, PrimitiveId, PrimitiveKind};
 )]
 pub struct NetId(pub(crate) u32);
 
-impl NetId {
-    /// The raw index.
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 impl fmt::Display for NetId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
@@ -36,11 +29,6 @@ pub struct Net {
 }
 
 impl Net {
-    /// The net's id.
-    pub fn id(&self) -> NetId {
-        self.id
-    }
-
     /// The primitive driving the net.
     pub fn driver(&self) -> PrimitiveId {
         self.driver
@@ -93,11 +81,6 @@ impl Netlist {
             primitives: Vec::new(),
             nets: Vec::new(),
         }
-    }
-
-    /// The design name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Adds a primitive and returns its id.
@@ -177,11 +160,6 @@ impl Netlist {
         self.primitives.get(id.index())
     }
 
-    /// Looks up a net by id.
-    pub fn net(&self, id: NetId) -> Option<&Net> {
-        self.nets.get(id.index())
-    }
-
     /// All primitives, in id order.
     pub fn primitives(&self) -> &[Primitive] {
         &self.primitives
@@ -195,11 +173,6 @@ impl Netlist {
     /// Number of primitives.
     pub fn primitive_count(&self) -> usize {
         self.primitives.len()
-    }
-
-    /// Number of nets.
-    pub fn net_count(&self) -> usize {
-        self.nets.len()
     }
 
     /// The top-level I/O port primitives.
@@ -278,6 +251,14 @@ impl fmt::Display for Netlist {
 }
 
 #[cfg(test)]
+impl Netlist {
+    /// Looks up a net by id.
+    pub(crate) fn net(&self, id: NetId) -> Option<&Net> {
+        self.nets.get(id.0 as usize)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -293,7 +274,7 @@ mod tests {
     fn build_and_query() {
         let (n, a, b) = two_lut_netlist();
         assert_eq!(n.primitive_count(), 2);
-        assert_eq!(n.net_count(), 1);
+        assert_eq!(n.nets().len(), 1);
         let net = n.net(NetId(0)).unwrap();
         assert_eq!(net.driver(), a);
         assert_eq!(net.sinks(), &[b]);

@@ -173,11 +173,6 @@ impl Primitive {
         self.kind
     }
 
-    /// The hierarchical instance name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Fabric resources consumed by the primitive.
     pub fn resources(&self) -> Resources {
         self.kind.resources()

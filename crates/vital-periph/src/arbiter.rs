@@ -55,11 +55,6 @@ impl BandwidthArbiter {
         }
     }
 
-    /// Total channel capacity in Gb/s.
-    pub fn capacity_gbps(&self) -> f64 {
-        self.capacity_gbps
-    }
-
     /// Registers (or updates) a tenant's bandwidth demand and returns its
     /// current grant.
     pub fn request(&self, tenant: TenantId, gbps: f64) -> ShareGrant {

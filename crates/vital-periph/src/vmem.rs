@@ -174,11 +174,6 @@ impl MemoryManager {
         }
     }
 
-    /// The page size in bytes.
-    pub fn page_size(&self) -> u64 {
-        self.page_size
-    }
-
     /// Unreserved DRAM in bytes.
     pub fn free_bytes(&self) -> u64 {
         self.inner.read().free_pages * self.page_size

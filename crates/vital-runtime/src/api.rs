@@ -211,38 +211,11 @@ impl ControlRequest {
         }
     }
 
-    /// Checkpoint the tenant (quiesce + park its capsule).
-    pub fn checkpoint(tenant: TenantId) -> Self {
-        ControlRequest::Checkpoint {
-            tenant: tenant.raw(),
-        }
-    }
-
-    /// Restore the parked tenant from its capsule.
-    pub fn restore(tenant: TenantId) -> Self {
-        ControlRequest::Restore {
-            tenant: tenant.raw(),
-        }
-    }
-
-    /// Live-migrate the tenant on the identical-geometry fast path.
-    pub fn migrate(tenant: TenantId) -> Self {
-        Self::migrate_with(tenant, MigratePolicy::SameGeometry)
-    }
-
     /// Live-migrate the tenant under an explicit [`MigratePolicy`].
     pub fn migrate_with(tenant: TenantId, policy: MigratePolicy) -> Self {
         ControlRequest::Migrate {
             tenant: tenant.raw(),
             policy,
-        }
-    }
-
-    /// Resize an ISA tenant's tile share.
-    pub fn scale(tenant: TenantId, tiles: u32) -> Self {
-        ControlRequest::Scale {
-            tenant: tenant.raw(),
-            tiles,
         }
     }
 
@@ -518,6 +491,36 @@ impl ControlResponse {
 
 pub(crate) fn duration_us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+#[cfg(test)]
+impl ControlRequest {
+    /// Checkpoint the tenant (quiesce + park its capsule).
+    pub(crate) fn checkpoint(tenant: TenantId) -> Self {
+        ControlRequest::Checkpoint {
+            tenant: tenant.raw(),
+        }
+    }
+
+    /// Restore the parked tenant from its capsule.
+    pub(crate) fn restore(tenant: TenantId) -> Self {
+        ControlRequest::Restore {
+            tenant: tenant.raw(),
+        }
+    }
+
+    /// Live-migrate the tenant on the identical-geometry fast path.
+    pub(crate) fn migrate(tenant: TenantId) -> Self {
+        Self::migrate_with(tenant, MigratePolicy::SameGeometry)
+    }
+
+    /// Resize an ISA tenant's tile share.
+    pub(crate) fn scale(tenant: TenantId, tiles: u32) -> Self {
+        ControlRequest::Scale {
+            tenant: tenant.raw(),
+            tiles,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -45,10 +45,10 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+use vital_fabric::Fnv1a;
 use vital_interface::{
     Channel, ChannelSnapshot, ChannelSpec, FormatVersion, LinkClass, QuiesceError,
 };
-use vital_fabric::Fnv1a;
 use vital_periph::{MemoryImage, TenantId};
 
 /// The content digest of one checkpoint capsule.

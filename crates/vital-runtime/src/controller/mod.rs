@@ -333,11 +333,6 @@ impl SystemController {
         &self.topology
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
-    }
-
     /// The resource database (read access for monitoring).
     pub fn resources(&self) -> &ResourceDatabase {
         &self.resources
@@ -702,6 +697,14 @@ mod test_support {
 
     pub(super) fn register_chained(c: &SystemController, name: &str, pipelines: u32, width: u32) {
         register_spec(c, &chained_spec(name, pipelines, width));
+    }
+}
+
+#[cfg(test)]
+impl SystemController {
+    /// The configuration.
+    pub(crate) fn config(&self) -> &RuntimeConfig {
+        &self.config
     }
 }
 

@@ -72,20 +72,18 @@ impl IsaProgram {
         Ok(IsaProgram::compile(bench, size))
     }
 
-    /// The full app name (`<bench>-<letter>`).
-    pub fn app(&self) -> &str {
-        &self.app
-    }
-
-    /// The variant size this program was compiled for.
-    pub fn size(&self) -> Size {
-        self.size
-    }
-
     /// The variant's natural tile share: its Table 2 block count. Used as
     /// the initial allocation request when the tenant deploys.
     pub fn natural_tiles(&self) -> usize {
         self.layers as usize
+    }
+}
+
+#[cfg(test)]
+impl IsaProgram {
+    /// The full app name (`<bench>-<letter>`).
+    pub(crate) fn app(&self) -> &str {
+        &self.app
     }
 }
 

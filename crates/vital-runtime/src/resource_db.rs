@@ -86,17 +86,6 @@ impl fmt::Debug for ResourceDatabase {
 }
 
 impl ResourceDatabase {
-    /// Creates a database for `fpgas` devices of `blocks_per_fpga` blocks
-    /// on a ring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn new(fpgas: usize, blocks_per_fpga: usize) -> Self {
-        let ring = Arc::new(Topology::ring(fpgas.max(1)));
-        Self::over(&vec![blocks_per_fpga; fpgas], ring)
-    }
-
     /// Creates a database over `layout` — one entry per FPGA giving its
     /// block count (paper §7 notes ViTAL extends to mixed clusters — only
     /// the blocks themselves must stay identical) — wired by `topology`,
@@ -200,21 +189,6 @@ impl ResourceDatabase {
         self.read(|v| v.free_blocks_of(fpga))
     }
 
-    /// Total free blocks.
-    pub fn total_free(&self) -> usize {
-        self.read(ClusterView::total_free)
-    }
-
-    /// Atomically claims `blocks` for `tenant`. Either all blocks are
-    /// claimed or none are.
-    ///
-    /// Returns `false` (claiming nothing) if any block is out of range,
-    /// already active, listed twice, or on a device that is not
-    /// [`Online`](FpgaHealth::Online).
-    pub fn claim(&self, tenant: TenantId, blocks: &[BlockAddr]) -> bool {
-        self.table.write().claim(tenant, blocks)
-    }
-
     /// Releases every block held by `tenant`, returning them.
     pub fn release(&self, tenant: TenantId) -> Vec<BlockAddr> {
         self.table.write().release(tenant)
@@ -238,8 +212,38 @@ impl ResourceDatabase {
 }
 
 #[cfg(test)]
+impl ResourceDatabase {
+    /// Creates a database for `fpgas` devices of `blocks_per_fpga` blocks
+    /// on a ring.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero.
+    pub(crate) fn new(fpgas: usize, blocks_per_fpga: usize) -> Self {
+        let ring = Arc::new(Topology::ring(fpgas.max(1)));
+        Self::over(&vec![blocks_per_fpga; fpgas], ring)
+    }
+
+    /// Total free blocks.
+    pub(crate) fn total_free(&self) -> usize {
+        self.read(ClusterView::total_free)
+    }
+
+    /// Atomically claims `blocks` for `tenant`. Either all blocks are
+    /// claimed or none are.
+    ///
+    /// Returns `false` (claiming nothing) if any block is out of range,
+    /// already active, listed twice, or on a device that is not
+    /// [`Online`](FpgaHealth::Online).
+    pub(crate) fn claim(&self, tenant: TenantId, blocks: &[BlockAddr]) -> bool {
+        self.table.write().claim(tenant, blocks)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use vital_fabric::{FpgaId, PhysicalBlockId};
 
     fn addr(f: u32, b: u32) -> BlockAddr {
@@ -363,5 +367,80 @@ mod tests {
         assert_eq!(db.health_of(7), FpgaHealth::Offline);
         db.set_health(7, FpgaHealth::Online); // ignored, no panic
         assert_eq!(db.health_of(7), FpgaHealth::Offline);
+    }
+
+    /// A randomized claim/release schedule against the resource database.
+    #[derive(Debug, Clone)]
+    enum DbOp {
+        Claim { tenant: u64, blocks: Vec<(u8, u8)> },
+        Release { tenant: u64 },
+    }
+
+    fn arb_db_op() -> impl Strategy<Value = DbOp> {
+        prop_oneof![
+            (0u64..6, prop::collection::vec((0u8..4, 0u8..8), 1..6))
+                .prop_map(|(tenant, blocks)| DbOp::Claim { tenant, blocks }),
+            (0u64..6).prop_map(|tenant| DbOp::Release { tenant }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Under any schedule: free + held always equals the cluster size, no
+        /// block is ever held by two tenants, and claims are all-or-nothing.
+        #[test]
+        fn resource_db_conservation(ops in prop::collection::vec(arb_db_op(), 1..40)) {
+            let db = ResourceDatabase::new(4, 8);
+            let total = 32usize;
+            let mut live: Vec<u64> = Vec::new();
+            for op in ops {
+                match op {
+                    DbOp::Claim { tenant, blocks } => {
+                        let addrs: Vec<BlockAddr> = blocks
+                            .iter()
+                            .map(|&(f, b)| BlockAddr::new(
+                                FpgaId::new(u32::from(f)),
+                                PhysicalBlockId::new(u32::from(b)),
+                            ))
+                            .collect();
+                        let t = TenantId::new(tenant);
+                        let before_free = db.total_free();
+                        let before_held = db.holdings(t).len();
+                        if db.claim(t, &addrs) {
+                            prop_assert_eq!(db.total_free(), before_free - addrs.len());
+                            if !live.contains(&tenant) {
+                                live.push(tenant);
+                            }
+                        } else {
+                            // All-or-nothing: nothing changed.
+                            prop_assert_eq!(db.total_free(), before_free);
+                            prop_assert_eq!(db.holdings(t).len(), before_held);
+                        }
+                    }
+                    DbOp::Release { tenant } => {
+                        let t = TenantId::new(tenant);
+                        let held = db.holdings(t).len();
+                        let before_free = db.total_free();
+                        let released = db.release(t);
+                        prop_assert_eq!(released.len(), held);
+                        prop_assert_eq!(db.total_free(), before_free + held);
+                        live.retain(|&x| x != tenant);
+                    }
+                }
+                // Global conservation and exclusivity.
+                let held_total: usize = (0..6)
+                    .map(|t| db.holdings(TenantId::new(t)).len())
+                    .sum();
+                prop_assert_eq!(db.total_free() + held_total, total);
+                let mut all_held: Vec<BlockAddr> = (0..6)
+                    .flat_map(|t| db.holdings(TenantId::new(t)))
+                    .collect();
+                let n = all_held.len();
+                all_held.sort_unstable();
+                all_held.dedup();
+                prop_assert_eq!(all_held.len(), n, "a block is held twice");
+            }
+        }
     }
 }

@@ -173,17 +173,6 @@ impl IsaSim {
         }
     }
 
-    /// Override the scheduling quantum.
-    pub fn with_quantum(mut self, quantum_s: f64) -> Self {
-        self.quantum_s = quantum_s.max(1.0e-6);
-        self
-    }
-
-    /// The scheduling quantum in seconds.
-    pub fn quantum_s(&self) -> f64 {
-        self.quantum_s
-    }
-
     /// Run the scheduler over `jobs` until all complete.
     ///
     /// # Panics

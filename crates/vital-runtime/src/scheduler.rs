@@ -76,11 +76,6 @@ impl VitalScheduler {
         }
     }
 
-    /// The declared time-slice quantum, if preemptive mode is enabled.
-    pub fn quantum(&self) -> Option<f64> {
-        self.quantum_s
-    }
-
     /// Ablation variant: same allocation policy but programming the fabric
     /// with whole-device bitstreams instead of per-block partial
     /// reconfiguration — quantifies how much of ViTAL's win comes from
@@ -325,6 +320,14 @@ impl Scheduler for PodScheduler {
 }
 
 #[cfg(test)]
+impl VitalScheduler {
+    /// The declared time-slice quantum, if preemptive mode is enabled.
+    pub(crate) fn quantum(&self) -> Option<f64> {
+        self.quantum_s
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use vital_cluster::{AppRequest, ClusterConfig, ClusterSim};
@@ -492,8 +495,8 @@ mod tests {
             blocks_per_fpga: 4,
             ..ClusterConfig::paper_cluster()
         })
-            .with_topology(topo)
-            .expect("16-FPGA layout matches the pod topology");
+        .with_topology(topo)
+        .expect("16-FPGA layout matches the pod topology");
         let reqs: Vec<AppRequest> = (0..24)
             .map(|i| {
                 let blocks = [1u32, 3, 6, 4][i as usize % 4];
@@ -527,8 +530,8 @@ mod tests {
             blocks_per_fpga: 4,
             ..ClusterConfig::paper_cluster()
         })
-            .with_topology(topo)
-            .expect("layout matches");
+        .with_topology(topo)
+        .expect("layout matches");
         let mut reqs: Vec<AppRequest> = (0..20)
             .map(|i| AppRequest::new(i, format!("small{i}"), 4, 2.0e9).arriving_at(i as f64))
             .collect();

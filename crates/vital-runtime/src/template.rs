@@ -46,11 +46,6 @@ impl IsaTemplate {
         self.tiles
     }
 
-    /// DSPs per tile.
-    pub fn tile_dsp(&self) -> u64 {
-        self.tile_dsp
-    }
-
     /// Peak rate of one tile in MAC ops/s (two MACs per DSP per cycle,
     /// the same model `DnnBenchmark::throughput_ops` uses).
     pub(crate) fn tile_ops_per_s(&self) -> f64 {
@@ -60,6 +55,14 @@ impl IsaTemplate {
     /// Aggregate rate of a tenant owning `tiles` tiles, in ops/s.
     pub(crate) fn tenant_ops_per_s(&self, tiles: usize) -> f64 {
         tiles as f64 * self.tile_ops_per_s()
+    }
+}
+
+#[cfg(test)]
+impl IsaTemplate {
+    /// DSPs per tile.
+    pub(crate) fn tile_dsp(&self) -> u64 {
+        self.tile_dsp
     }
 }
 

@@ -82,13 +82,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Override the per-session queued-request allowance (minimum 1).
-    #[must_use]
-    pub fn with_per_session_limit(mut self, limit: usize) -> Self {
-        self.per_session_limit = limit.max(1);
-        self
-    }
-
     /// Override the per-request deadline (minimum 1 ms: a zero deadline
     /// would expire every job at enqueue, before any worker runs it).
     #[must_use]
@@ -116,14 +109,12 @@ mod tests {
             .with_shards(0)
             .with_io_threads(0)
             .with_queue_capacity(0)
-            .with_per_session_limit(0)
             .with_batch_max(0)
             .with_request_timeout(Duration::ZERO);
         assert_eq!(c.workers, 1);
         assert_eq!(c.shards, 1);
         assert_eq!(c.io_threads, 1);
         assert_eq!(c.queue_capacity, 1);
-        assert_eq!(c.per_session_limit, 1);
         assert_eq!(c.batch_max, 1);
         assert_eq!(c.request_timeout, Duration::from_millis(1));
     }

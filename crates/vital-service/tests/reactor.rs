@@ -241,10 +241,10 @@ fn vanished_peer_neither_leaks_the_connection_nor_spins_the_reactor() {
 #[test]
 fn reply_backlog_to_a_slow_reader_completes_on_writability() {
     const REQUESTS: u64 = 1500;
-    let config = ServiceConfig::default()
+    let mut config = ServiceConfig::default()
         .with_io_threads(1)
-        .with_queue_capacity(4 * REQUESTS as usize)
-        .with_per_session_limit(REQUESTS as usize);
+        .with_queue_capacity(4 * REQUESTS as usize);
+    config.per_session_limit = REQUESTS as usize;
     let (vitald, server, addr) = daemon(256, config);
     let mut peer = TcpStream::connect(&addr).expect("connect");
     let burst: Vec<u8> = (1..=REQUESTS)
@@ -277,7 +277,9 @@ fn timeout_is_synthesized_with_no_traffic() {
         .with_io_threads(1)
         .with_request_timeout(timeout);
     let (vitald, server, addr) = daemon(4, config);
-    vitald.controller().set_app_resolver(slow_resolver(4 * timeout));
+    vitald
+        .controller()
+        .set_app_resolver(slow_resolver(4 * timeout));
     let remote = RemoteClient::connect(&addr).expect("connect");
 
     let t0 = Instant::now();

@@ -253,13 +253,6 @@ impl Telemetry {
         }
     }
 
-    /// Records a point event at the current clock reading.
-    pub fn event(&self, name: &'static str, fields: &[Field]) {
-        if let Some(inner) = &self.inner {
-            self.push_event(inner, inner.now_us(), name, fields);
-        }
-    }
-
     /// Records a point event at an explicit timestamp — the sim path's
     /// primitive (no clock read at all).
     pub fn event_at(&self, t_us: u64, name: &'static str, fields: &[Field]) {
@@ -288,13 +281,6 @@ impl Telemetry {
         }
     }
 
-    /// Sets the named gauge to `value`.
-    pub fn set_gauge(&self, name: &'static str, value: f64) {
-        if let Some(inner) = &self.inner {
-            inner.metrics.set_gauge(name, value);
-        }
-    }
-
     /// Records `value` into the named log-scale histogram.
     pub fn record_hist(&self, name: &'static str, value: f64) {
         if let Some(inner) = &self.inner {
@@ -315,14 +301,6 @@ impl Telemetry {
         match &self.inner {
             None => Vec::new(),
             Some(inner) => inner.records.lock().clone(),
-        }
-    }
-
-    /// Drops all records and metrics collected so far.
-    pub fn clear(&self) {
-        if let Some(inner) = &self.inner {
-            inner.records.lock().clear();
-            inner.metrics.clear();
         }
     }
 
@@ -412,11 +390,6 @@ impl Span {
         }
     }
 
-    /// This span's record id (`None` on disabled spans).
-    pub fn id(&self) -> Option<u64> {
-        self.state.as_ref().map(|s| s.id)
-    }
-
     /// Ends the span now, recording it. Equivalent to dropping it, but
     /// reads as intent at call sites.
     pub fn finish(mut self) {
@@ -453,6 +426,39 @@ impl Telemetry {
                 us.store(now_us, Ordering::Relaxed);
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl Telemetry {
+    /// Records a point event at the current clock reading.
+    pub(crate) fn event(&self, name: &'static str, fields: &[Field]) {
+        if let Some(inner) = &self.inner {
+            self.push_event(inner, inner.now_us(), name, fields);
+        }
+    }
+
+    /// Sets the named gauge to `value`.
+    pub(crate) fn set_gauge(&self, name: &'static str, value: f64) {
+        if let Some(inner) = &self.inner {
+            inner.metrics.set_gauge(name, value);
+        }
+    }
+
+    /// Drops all records and metrics collected so far.
+    pub(crate) fn clear(&self) {
+        if let Some(inner) = &self.inner {
+            inner.records.lock().clear();
+            inner.metrics.clear();
+        }
+    }
+}
+
+#[cfg(test)]
+impl Span {
+    /// This span's record id (`None` on disabled spans).
+    pub(crate) fn id(&self) -> Option<u64> {
+        self.state.as_ref().map(|s| s.id)
     }
 }
 

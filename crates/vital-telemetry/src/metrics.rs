@@ -149,10 +149,6 @@ impl Registry {
         *self.counters.lock().entry(name).or_insert(0) += by;
     }
 
-    pub(crate) fn set_gauge(&self, name: &'static str, value: f64) {
-        self.gauges.lock().insert(name, value);
-    }
-
     pub(crate) fn record_hist(&self, name: &'static str, value: f64) {
         self.hists.lock().entry(name).or_default().record(value);
     }
@@ -178,6 +174,13 @@ impl Registry {
                 .map(|(k, h)| (k.to_string(), h.summary()))
                 .collect(),
         }
+    }
+}
+
+#[cfg(test)]
+impl Registry {
+    pub(crate) fn set_gauge(&self, name: &'static str, value: f64) {
+        self.gauges.lock().insert(name, value);
     }
 
     pub(crate) fn clear(&self) {

@@ -70,7 +70,10 @@ fn connect_drives_a_remote_daemon() {
         &["--connect", &addr],
         "status\ndeploy mac 64\nstatus\nundeploy 1\nstatus\nquit\n",
     );
-    assert!(out.contains(&format!("connected to vitald at {addr}")), "{out}");
+    assert!(
+        out.contains(&format!("connected to vitald at {addr}")),
+        "{out}"
+    );
     assert!(!out.contains("error"), "{out}");
     let free: Vec<&str> = out.lines().filter(|l| l.contains("blocks free")).collect();
     assert_eq!(free.len(), 3, "{out}");

@@ -65,9 +65,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             return Err(e.into());
         }
     }
-    println!(
-        "cluster idle again: {} blocks free",
-        controller.resources().total_free()
-    );
+    let ControlResponse::Status(status) = controller.execute(ControlRequest::Status) else {
+        unreachable!("Status answers a status");
+    };
+    println!("cluster idle again: {} blocks free", status.total_free);
     Ok(())
 }

@@ -29,10 +29,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     controller.register(compiled.bitstream().clone())?;
     let bs = compiled.bitstream();
     println!(
-        "  {} virtual blocks, {} inter-block channels, cut = {} bits/firing",
+        "  {} virtual blocks, {} inter-block channels",
         bs.block_count(),
-        bs.channel_plan().channel_count(),
-        compiled.cut_bits()
+        bs.channel_plan().channel_count()
     );
 
     // Fill most of the cluster with the medium variant so the large one
@@ -43,10 +42,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for _ in 0..4 {
         fillers.push(controller.deploy(filler_spec.name())?);
     }
+    let ControlResponse::Status(status) = controller.execute(ControlRequest::Status) else {
+        unreachable!("Status answers a status");
+    };
     println!(
         "cluster pre-loaded with {} medium instances; {} blocks free",
         fillers.len(),
-        controller.resources().total_free()
+        status.total_free
     );
 
     // Deploy the large design: the communication-aware policy spans FPGAs

@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("alice reads back: {:?}", std::str::from_utf8(&buf)?);
 
     // The access monitor blocks out-of-quota accesses.
-    let quota = controller.config().default_quota_bytes;
+    let quota = RuntimeConfig::paper_cluster().default_quota_bytes;
     match mm_alice.read(alice.tenant(), quota + 4096, &mut buf) {
         Err(PeriphError::ProtectionFault { vaddr, .. }) => {
             println!("monitor blocked alice's stray access at {vaddr:#x} (protection fault)");
@@ -70,11 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // DRAM bandwidth is arbitrated max-min fair.
     let arb = controller.arbiter_of(alice.primary_fpga());
-    println!(
-        "alice's DRAM grant: {:?} of {} Gb/s",
-        arb.grant(alice.tenant())?,
-        arb.capacity_gbps()
-    );
+    println!("alice's DRAM grant: {:?}", arb.grant(alice.tenant())?);
 
     for tenant in [alice.tenant(), bob.tenant()] {
         if let ControlResponse::Err(e) = controller.execute(ControlRequest::undeploy(tenant)) {

@@ -69,7 +69,10 @@ fn parallel_pnr_is_bit_identical_to_serial() {
 /// configuration is pinned.
 #[test]
 fn lenet_s_digest_is_pinned() {
-    let lenet = benchmarks().into_iter().find(|b| b.name() == "lenet").unwrap();
+    let lenet = benchmarks()
+        .into_iter()
+        .find(|b| b.name() == "lenet")
+        .unwrap();
     let netlist = synthesize(&lenet.spec(Size::Small)).unwrap();
     let digest = NetlistDigest::of(&netlist, &CompilerConfig::default());
     assert_eq!(digest.to_string(), "d49aa317e9b722fe");

@@ -149,7 +149,7 @@ proptest! {
             c.register(bs.clone()).unwrap();
         }
         let fpgas = c.resources().fpga_count();
-        let total_blocks = c.resources().total_free();
+        let total_blocks = status(&c).total_free;
         let free_bytes: Vec<u64> = (0..fpgas).map(|f| c.memory_of(f).free_bytes()).collect();
 
         // Every tenant ever admitted, on either backend, live or parked.
@@ -235,7 +235,7 @@ proptest! {
         prop_assert_eq!(drained.isa_tiles_free, drained.isa_tiles_total, "leaked tiles");
 
         // Nothing may leak.
-        prop_assert_eq!(c.resources().total_free(), total_blocks, "leaked blocks");
+        prop_assert_eq!(status(&c).total_free, total_blocks, "leaked blocks");
         for (f, &bytes) in free_bytes.iter().enumerate() {
             prop_assert_eq!(c.memory_of(f).tenant_count(), 0, "leaked DRAM space on fpga{}", f);
             prop_assert_eq!(

@@ -184,7 +184,7 @@ fn forced_teardown_error_leaks_nothing() {
     let c = controller_with(&[app("leaky", 8)]);
     let h = c.deploy("leaky").unwrap();
     let held = c.resources().holdings(h.tenant()).len();
-    let free_before = c.resources().total_free() + held;
+    let free_before = status(&c).total_free + held;
 
     // Sabotage: destroy the DRAM space out-of-band so undeploy's memory
     // step fails.
@@ -196,7 +196,7 @@ fn forced_teardown_error_leaks_nothing() {
     assert!(!err.is_ok(), "the memory step's failure must surface");
 
     // ... but everything else was still torn down.
-    assert_eq!(c.resources().total_free(), free_before);
+    assert_eq!(status(&c).total_free, free_before);
     assert_eq!(c.switch().nic_count(), 0);
     let fpga = h.primary_fpga();
     assert!(c.arbiter_of(fpga).total_demand_gbps() < 1e-9);

@@ -40,7 +40,10 @@ fn isa_deploy_scale_undeploy_lifecycle() {
     assert_eq!(c.isa_tenant(tenant), Some(("vgg-L".to_string(), 10)));
 
     // Grow to 20 tiles: ten tiles change hands, 100 us.
-    let resp = c.execute(ControlRequest::scale(tenant, 20));
+    let resp = c.execute(ControlRequest::Scale {
+        tenant: tenant.raw(),
+        tiles: 20,
+    });
     let ControlResponse::Scaled(sc) = resp else {
         panic!("scale failed: {resp:?}");
     };
@@ -48,7 +51,10 @@ fn isa_deploy_scale_undeploy_lifecycle() {
     assert_eq!(sc.realloc_us, 100);
 
     // Shrink to 4: sixteen moved.
-    let resp = c.execute(ControlRequest::scale(tenant, 4));
+    let resp = c.execute(ControlRequest::Scale {
+        tenant: tenant.raw(),
+        tiles: 4,
+    });
     let ControlResponse::Scaled(sc) = resp else {
         panic!("scale failed: {resp:?}");
     };
@@ -101,7 +107,10 @@ fn pool_exhaustion_is_typed_and_retryable() {
     }
 
     // Growing past the pool is refused and the share is untouched.
-    match c.execute(ControlRequest::scale(tenant, 50)) {
+    match c.execute(ControlRequest::Scale {
+        tenant: tenant.raw(),
+        tiles: 50,
+    }) {
         ControlResponse::Err(e) => assert_eq!(e.code, ErrorCode::IsaTilesUnavailable),
         other => panic!("over-grow must refuse: {other:?}"),
     }
@@ -141,7 +150,7 @@ fn disabled_backend_is_a_typed_error() {
 #[test]
 fn fabric_and_isa_tenants_coexist() {
     let c = isa_controller(60);
-    let free_blocks = c.resources().total_free();
+    let free_blocks = total_free(&c);
 
     let mut spec = AppSpec::new("fabric-app");
     spec.add_operator("m", Operator::MacArray { pes: 8 });
@@ -161,7 +170,7 @@ fn fabric_and_isa_tenants_coexist() {
     };
     assert_ne!(fab.tenant, isa.tenant, "tenant ids share one space");
     assert!(
-        c.resources().total_free() < free_blocks,
+        total_free(&c) < free_blocks,
         "the fabric tenant holds physical blocks"
     );
 
@@ -174,7 +183,7 @@ fn fabric_and_isa_tenants_coexist() {
         c.execute(ControlRequest::undeploy(TenantId::new(fab.tenant))),
         ControlResponse::Undeployed { .. }
     ));
-    assert_eq!(c.resources().total_free(), free_blocks, "no leaked blocks");
+    assert_eq!(total_free(&c), free_blocks, "no leaked blocks");
     let ControlResponse::Status(st) = c.execute(ControlRequest::Status) else {
         panic!("status failed");
     };
@@ -203,7 +212,10 @@ fn scale_round_trips_over_the_service_wire() {
         let before = s.blocks as u32;
 
         let resp = remote
-            .call(ControlRequest::scale(tenant, before + 6))
+            .call(ControlRequest::Scale {
+                tenant: tenant.raw(),
+                tiles: before + 6,
+            })
             .expect("wire scale");
         let ControlResponse::Scaled(sc) = resp else {
             panic!("wire scale failed: {resp:?}");
@@ -214,7 +226,10 @@ fn scale_round_trips_over_the_service_wire() {
         assert_eq!(sc.realloc_us, 60, "six tile switches at 10 us");
 
         let resp = remote
-            .call(ControlRequest::scale(tenant, 1))
+            .call(ControlRequest::Scale {
+                tenant: tenant.raw(),
+                tiles: 1,
+            })
             .expect("wire scale");
         assert!(matches!(resp, ControlResponse::Scaled(_)));
 
@@ -235,4 +250,11 @@ fn scale_round_trips_over_the_service_wire() {
 
     server.stop();
     vitald.shutdown();
+}
+
+fn total_free(c: &SystemController) -> usize {
+    match c.execute(ControlRequest::Status) {
+        ControlResponse::Status(s) => s.total_free,
+        other => panic!("Status answers a status, not {other:?}"),
+    }
 }

@@ -69,7 +69,7 @@ fn dram_is_private_and_monitored() {
 
     // Tenant B cannot use tenant A's id on a board where A has no space —
     // and within a board the quota monitor blocks out-of-range access.
-    let quota = c.config().default_quota_bytes;
+    let quota = RuntimeConfig::paper_cluster().default_quota_bytes;
     assert!(matches!(
         mm_a.read(ha.tenant(), quota, &mut buf),
         Err(PeriphError::ProtectionFault { .. })
@@ -120,12 +120,19 @@ fn ethernet_frames_are_tenant_private() {
 #[test]
 fn undeploy_releases_every_resource_class() {
     let c = controller_with(&["a"]);
-    let free_before = c.resources().total_free();
+    let free_before = total_free(&c);
     let dram_before = c.memory_of(0).free_bytes();
     let h = c.deploy("a").unwrap();
     undeploy(&c, h.tenant());
-    assert_eq!(c.resources().total_free(), free_before);
+    assert_eq!(total_free(&c), free_before);
     assert_eq!(c.memory_of(0).free_bytes(), dram_before);
     // NIC is gone.
     assert!(c.switch().counters(h.nic().mac).is_err());
+}
+
+fn total_free(c: &SystemController) -> usize {
+    match c.execute(ControlRequest::Status) {
+        ControlResponse::Status(s) => s.total_free,
+        other => panic!("Status answers a status, not {other:?}"),
+    }
 }

@@ -146,6 +146,7 @@ fn run_mirrored<S: Scheduler>(
     for design in designs() {
         controller.register(design.clone()).unwrap();
     }
+    let all_free = total_free(controller);
     let requests = generate_workload_set(
         &WorkloadComposition::table3()[6],
         &params,
@@ -171,10 +172,14 @@ fn run_mirrored<S: Scheduler>(
     for (tenant, _) in mirror.live {
         undeploy(controller, tenant);
     }
-    assert_eq!(
-        controller.resources().total_free(),
-        ClusterConfig::paper_cluster().total_blocks()
-    );
+    assert_eq!(total_free(controller), all_free);
+}
+
+fn total_free(controller: &SystemController) -> usize {
+    match controller.execute(ControlRequest::Status) {
+        ControlResponse::Status(status) => status.total_free,
+        other => panic!("Status answers a status, got {other:?}"),
+    }
 }
 
 #[test]

@@ -239,7 +239,9 @@ fn checkpoint_response_advertises_portability_and_json_round_trips() {
         .settle_tenant(tenant, 1_024)
         .expect("settle past any serialization window");
 
-    let resp = controller.execute(ControlRequest::checkpoint(tenant));
+    let resp = controller.execute(ControlRequest::Checkpoint {
+        tenant: tenant.raw(),
+    });
     let ControlResponse::Suspended(s) = resp else {
         panic!("checkpoint failed: {resp:?}");
     };

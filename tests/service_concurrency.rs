@@ -13,7 +13,7 @@ use vital::interface::ErrorCode;
 use vital::netlist::hls::{AppSpec, Operator};
 use vital::periph::TenantId;
 use vital::runtime::{
-    ControlRequest, ControlResponse, RuntimeConfig, StatusSummary, SystemController,
+    ControlRequest, ControlResponse, MigratePolicy, RuntimeConfig, StatusSummary, SystemController,
 };
 use vital::service::{RemoteClient, ServiceConfig, ServiceServer, Vitald, WireFormat};
 
@@ -69,18 +69,14 @@ impl Baseline {
     fn capture(c: &SystemController) -> Self {
         let fpgas = c.resources().fpga_count();
         Baseline {
-            total_blocks: c.resources().total_free(),
+            total_blocks: status(c).total_free,
             free_bytes: (0..fpgas).map(|f| c.memory_of(f).free_bytes()).collect(),
         }
     }
 
     /// After every tenant is gone, nothing may remain allocated.
     fn assert_restored(&self, c: &SystemController) {
-        assert_eq!(
-            c.resources().total_free(),
-            self.total_blocks,
-            "leaked blocks"
-        );
+        assert_eq!(status(c).total_free, self.total_blocks, "leaked blocks");
         for (f, &bytes) in self.free_bytes.iter().enumerate() {
             assert_eq!(
                 c.memory_of(f).tenant_count(),
@@ -113,7 +109,7 @@ fn drain_tenants(vitald: &Vitald) {
     let client = vitald.client();
     let parked = status(vitald.controller()).suspended_tenants;
     for t in parked.into_iter().map(TenantId::new) {
-        let resp = client.call(ControlRequest::restore(t));
+        let resp = client.call(ControlRequest::Restore { tenant: t.raw() });
         assert!(
             resp.is_ok() || resp.err().is_some(),
             "resume of suspended tenant{t} must answer"
@@ -160,12 +156,19 @@ fn interleaved_sessions_leave_the_controller_consistent() {
                     };
                     let tenant = TenantId::new(s.tenant);
                     if iter % 3 == 1 {
-                        let suspended = client.call(ControlRequest::checkpoint(tenant));
+                        let suspended = client.call(ControlRequest::Checkpoint {
+                            tenant: tenant.raw(),
+                        });
                         if suspended.is_ok() {
-                            let _ = client.call(ControlRequest::restore(tenant));
+                            let _ = client.call(ControlRequest::Restore {
+                                tenant: tenant.raw(),
+                            });
                         }
                     } else if iter % 3 == 2 {
-                        let _ = client.call(ControlRequest::migrate(tenant));
+                        let _ = client.call(ControlRequest::Migrate {
+                            tenant: tenant.raw(),
+                            policy: MigratePolicy::SameGeometry,
+                        });
                     }
                     // The tenant may have been torn down by a concurrent
                     // defrag losing a race; only a typed answer is required.
@@ -204,15 +207,13 @@ fn interleaved_sessions_leave_the_controller_consistent() {
 fn overload_rejects_with_typed_backpressure_and_leaks_nothing() {
     let controller = controller();
     let baseline = Baseline::capture(&controller);
-    let vitald = Arc::new(Vitald::spawn(
-        Arc::clone(&controller),
-        ServiceConfig::default()
-            .with_workers(1)
-            .with_queue_capacity(2)
-            .with_per_session_limit(1)
-            .with_batch_max(1)
-            .with_request_timeout(Duration::from_secs(30)),
-    ));
+    let mut config = ServiceConfig::default()
+        .with_workers(1)
+        .with_queue_capacity(2)
+        .with_batch_max(1)
+        .with_request_timeout(Duration::from_secs(30));
+    config.per_session_limit = 1;
+    let vitald = Arc::new(Vitald::spawn(Arc::clone(&controller), config));
     // The one worker spends 25 ms in every `Prepare`: the resolver runs on
     // it, and refuses, so no app is registered and nothing is deployed.
     controller.set_app_resolver(Box::new(|name: &str| {
