@@ -12,7 +12,6 @@ use crate::placer::{ClusterId, Packing};
 #[derive(Debug, Clone)]
 pub struct ClusterGraph {
     adj: Vec<Vec<(ClusterId, u64)>>,
-    total_edge_bits: u64,
 }
 
 impl ClusterGraph {
@@ -20,7 +19,6 @@ impl ClusterGraph {
     pub fn from_packing(dfg: &DataflowGraph, packing: &Packing) -> Self {
         let n = packing.cluster_count();
         let mut maps: Vec<HashMap<u32, u64>> = vec![HashMap::new(); n];
-        let mut total = 0u64;
         for (a, b, bits) in dfg.undirected_edges() {
             let ca = packing.cluster_of(a);
             let cb = packing.cluster_of(b);
@@ -29,7 +27,6 @@ impl ClusterGraph {
             }
             *maps[ca.index()].entry(cb.0).or_insert(0) += bits;
             *maps[cb.index()].entry(ca.0).or_insert(0) += bits;
-            total += bits;
         }
         let adj = maps
             .into_iter()
@@ -40,10 +37,7 @@ impl ClusterGraph {
                 v
             })
             .collect();
-        ClusterGraph {
-            adj,
-            total_edge_bits: total,
-        }
+        ClusterGraph { adj }
     }
 
     /// Number of clusters.
@@ -54,11 +48,6 @@ impl ClusterGraph {
     /// Weighted neighbours of cluster `c`.
     pub fn neighbors(&self, c: ClusterId) -> &[(ClusterId, u64)] {
         &self.adj[c.index()]
-    }
-
-    /// Sum of all inter-cluster edge weights (each edge counted once).
-    pub fn total_edge_bits(&self) -> u64 {
-        self.total_edge_bits
     }
 
     /// Iterates all edges once (`a < b`).
@@ -97,9 +86,6 @@ mod tests {
                 .map(|&(_, w)| w);
             assert_eq!(back, Some(w));
         }
-        // total_edge_bits equals the sum over the one-directional iterator.
-        let sum: u64 = g.edges().map(|(_, _, w)| w).sum();
-        assert_eq!(sum, g.total_edge_bits());
     }
 
     #[test]
@@ -117,6 +103,6 @@ mod tests {
             },
         );
         let g = ClusterGraph::from_packing(&dfg, &p);
-        assert_eq!(g.total_edge_bits(), 0);
+        assert_eq!(g.edges().count(), 0);
     }
 }

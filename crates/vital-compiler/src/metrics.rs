@@ -1,4 +1,4 @@
-//! Quality metrics of a partition: inter-block bandwidth and wirelength.
+//! Quality metric of a partition: inter-block bandwidth.
 
 use crate::placer::Placement;
 
@@ -12,21 +12,6 @@ pub fn cut_bits(placement: &Placement) -> u64 {
             let sa = placement.assignment()[a.index()]?;
             let sb = placement.assignment()[b.index()]?;
             (sa != sb).then_some(w)
-        })
-        .sum()
-}
-
-/// Total linear wirelength of the final (discrete) placement.
-pub fn wirelength(placement: &Placement) -> f64 {
-    let positions = placement.positions();
-    let alpha = placement.alpha();
-    placement
-        .graph()
-        .edges()
-        .map(|(a, b, w)| {
-            let (xa, ya) = positions[a.index()];
-            let (xb, yb) = positions[b.index()];
-            w as f64 * (alpha * (xa - xb).abs() + (ya - yb).abs())
         })
         .sum()
 }
@@ -50,14 +35,12 @@ mod tests {
         blocks_used: usize,
         /// Bottleneck utilization of the fullest block.
         peak_utilization: f64,
-        /// Total linear wirelength of the final placement.
-        wirelength: f64,
     }
 
     impl PartitionQuality {
-        /// Computes the quality summary of a placement.
-        fn of(placement: &Placement) -> Self {
-            let mut per_block = vec![0u64; placement.grid().slot_count()];
+        /// Computes the quality summary of a placement on `grid`.
+        fn of(placement: &Placement, grid: &VirtualGrid) -> Self {
+            let mut per_block = vec![0u64; grid.slot_count()];
             let mut total = 0u64;
             for (a, b, w) in placement.graph().edges() {
                 let (Some(sa), Some(sb)) = (
@@ -72,8 +55,8 @@ mod tests {
                     per_block[sb as usize] += w;
                 }
             }
-            let cap = placement.grid().capacity();
-            let mut usage = vec![Resources::ZERO; placement.grid().slot_count()];
+            let cap = grid.capacity();
+            let mut usage = vec![Resources::ZERO; grid.slot_count()];
             for (i, slot) in placement.assignment().iter().enumerate() {
                 if let Some(s) = slot {
                     usage[*s as usize] += placement.packing().clusters()[i].resources();
@@ -88,7 +71,6 @@ mod tests {
                 max_block_cut_bits: per_block.into_iter().max().unwrap_or(0),
                 blocks_used: usage.iter().filter(|u| !u.is_zero()).count(),
                 peak_utilization: peak,
-                wirelength: wirelength(placement),
             }
         }
     }
@@ -132,12 +114,11 @@ mod tests {
         let placed = Placer::new(PlacerConfig::default())
             .run(&netlist, &grid)
             .unwrap();
-        let q = PartitionQuality::of(&placed);
+        let q = PartitionQuality::of(&placed, &grid);
         assert_eq!(q.cut_bits, cut_bits(&placed));
         assert!(q.max_block_cut_bits <= q.cut_bits * 2);
         assert!(q.blocks_used >= 2);
         assert!(q.peak_utilization <= 1.0 + 1e-9 || !placed.is_legal());
-        assert!(q.wirelength.is_finite());
     }
 
     #[test]

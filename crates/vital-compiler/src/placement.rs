@@ -209,24 +209,12 @@ impl Placer {
             );
         }
 
-        let final_positions = positions_of(
-            &assignment,
-            &qp.x
-                .iter()
-                .zip(&qp.y)
-                .map(|(&x, &y)| (x, y))
-                .collect::<Vec<_>>(),
-            grid,
-        );
         let legal = check_legal(&assignment, packing.clusters(), grid);
         Ok(Placement {
             packing,
             graph,
-            grid: grid.clone(),
             assignment,
-            positions: final_positions,
             legal,
-            alpha: self.config.alpha,
         })
     }
 }
@@ -317,27 +305,14 @@ fn check_legal(
 pub struct Placement {
     packing: Packing,
     graph: ClusterGraph,
-    grid: VirtualGrid,
     assignment: Vec<Option<u32>>,
-    positions: Vec<(f64, f64)>,
     legal: bool,
-    alpha: f64,
 }
 
 impl Placement {
-    /// The packing used by this placement.
-    pub fn packing(&self) -> &Packing {
-        &self.packing
-    }
-
     /// The cluster-level connectivity graph.
     pub fn graph(&self) -> &ClusterGraph {
         &self.graph
-    }
-
-    /// The virtual-block grid.
-    pub fn grid(&self) -> &VirtualGrid {
-        &self.grid
     }
 
     /// Cluster-to-slot assignment (`None` for I/O pad clusters).
@@ -354,19 +329,9 @@ impl Placement {
             .flatten()
     }
 
-    /// Final (discrete) cluster positions.
-    pub(crate) fn positions(&self) -> &[(f64, f64)] {
-        &self.positions
-    }
-
     /// `true` if no virtual block is over-utilized.
     pub fn is_legal(&self) -> bool {
         self.legal
-    }
-
-    /// The aspect-ratio weight used.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 }
 
@@ -422,21 +387,19 @@ pub fn random_assignment(
         slot_usage[slot] += need;
         assignment[i] = Some(slot as u32);
     }
-    let positions = assignment
-        .iter()
-        .map(|s| match s {
-            Some(s) => grid.position(*s as usize),
-            None => (0.0, 0.0),
-        })
-        .collect();
     let legal = check_legal(&assignment, packing.clusters(), grid);
     Ok(Placement {
         packing,
         graph,
-        grid: grid.clone(),
         assignment,
-        positions,
         legal,
-        alpha: 1.0,
     })
+}
+
+#[cfg(test)]
+impl Placement {
+    /// The packing used by this placement.
+    pub(crate) fn packing(&self) -> &Packing {
+        &self.packing
+    }
 }

@@ -46,6 +46,6 @@
 pub use crate::cluster_graph::ClusterGraph;
 pub use crate::error::PlacerError;
 pub use crate::legalize::SaConfig;
-pub use crate::metrics::{cut_bits, wirelength};
+pub use crate::metrics::cut_bits;
 pub use crate::packing::{pack, Cluster, ClusterId, Packing, PackingConfig};
 pub use crate::placement::{random_assignment, Placement, Placer, PlacerConfig, VirtualGrid};

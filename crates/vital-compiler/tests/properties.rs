@@ -170,7 +170,7 @@ proptest! {
             .filter(|&(a, b, _)| packing.cluster_of(a) != packing.cluster_of(b))
             .map(|(_, _, w)| w)
             .sum();
-        prop_assert_eq!(graph.total_edge_bits(), expected);
+        prop_assert_eq!(graph.edges().map(|(_, _, w)| w).sum::<u64>(), expected);
     }
 }
 

@@ -339,11 +339,6 @@ impl Floorplan {
             .resources()
     }
 
-    /// Total user-region resources.
-    pub fn user_resources(&self) -> Resources {
-        self.blocks.iter().map(|b| b.resources()).sum()
-    }
-
     /// Total resources reserved by the system (communication + service).
     pub fn reserved_resources(&self) -> Resources {
         self.regions.iter().map(|r| r.resources).sum()

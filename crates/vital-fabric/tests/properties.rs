@@ -90,7 +90,7 @@ proptest! {
         let covered: u64 = plan.user_blocks().iter().map(|b| b.rows()).sum();
         prop_assert_eq!(covered, device.total_rows());
         prop_assert_eq!(
-            plan.user_resources(),
+            plan.user_blocks().iter().map(|b| b.resources()).sum::<Resources>(),
             device.user_area_resources()
         );
     }

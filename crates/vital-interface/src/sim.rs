@@ -119,11 +119,6 @@ impl NetworkSim {
         id
     }
 
-    /// The current cycle.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
     /// Read access to a channel.
     ///
     /// # Panics

@@ -60,18 +60,6 @@ use vital_periph::{MemoryImage, TenantId};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct CheckpointDigest(u64);
 
-impl CheckpointDigest {
-    /// Wraps a raw digest value (deserialized state, test fixtures).
-    pub const fn from_raw(raw: u64) -> Self {
-        CheckpointDigest(raw)
-    }
-
-    /// The raw 64-bit value.
-    pub const fn as_u64(self) -> u64 {
-        self.0
-    }
-}
-
 impl fmt::Display for CheckpointDigest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:016x}", self.0)
@@ -441,4 +429,17 @@ pub(crate) fn quiesce_all(
                 .expect("readiness verified for every channel")
         })
         .collect())
+}
+
+#[cfg(test)]
+impl CheckpointDigest {
+    /// Wraps a raw digest value (deserialized state, test fixtures).
+    pub(crate) const fn from_raw(raw: u64) -> Self {
+        CheckpointDigest(raw)
+    }
+
+    /// The raw 64-bit value.
+    pub(crate) const fn as_u64(self) -> u64 {
+        self.0
+    }
 }
