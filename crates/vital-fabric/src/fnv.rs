@@ -8,7 +8,6 @@
 /// The methods are `#[inline]`: the release profile has no LTO, and a
 /// call across crates per hashed byte would cost more than the hash.
 /// `Fnv1a::default()` starts at the FNV-1a offset basis.
-#[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
 
 impl Default for Fnv1a {

@@ -35,8 +35,8 @@ fn vitalctl(args: &[&str], script: &str) -> String {
 
 #[test]
 fn a_quota_that_does_not_parse_or_overflows_deploys_nothing() {
-    // 2^44 + 1 MiB used to wrap to a 1 MiB quota, 2^44 MiB to the default
-    // quota, and a non-numeric token was ignored.
+    // 2^44 + 1 MiB and 2^44 MiB overflow a byte count (shifted, they
+    // would wrap to 1 MiB and to 0, the default quota); `abc` is no number.
     let out = vitalctl(
         &[],
         "deploy lenet-S 17592186044417\n\
