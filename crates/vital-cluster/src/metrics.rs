@@ -133,6 +133,24 @@ impl SimReport {
         mean(self.outcomes.iter().map(RequestOutcome::wait_s))
     }
 
+    /// 95th-percentile response time (s), ceil-based nearest-rank: the
+    /// smallest observation with at least 95 % of the sample at or below
+    /// it (`rank = ceil(0.95 n)`). The earlier `round()`-based rank
+    /// overshot on small samples (N=2 reported the max as p95).
+    pub fn p95_response_s(&self) -> f64 {
+        if self.outcomes.is_empty() {
+            return 0.0;
+        }
+        let mut v: Vec<f64> = self
+            .outcomes
+            .iter()
+            .map(RequestOutcome::response_s)
+            .collect();
+        v.sort_by(|a, b| a.total_cmp(b));
+        let rank = (0.95 * v.len() as f64).ceil() as usize;
+        v[rank.clamp(1, v.len()) - 1]
+    }
+
     /// Fraction of applications that spanned multiple FPGAs (the paper
     /// observes 5–40 % under ViTAL).
     pub fn spanning_fraction(&self) -> f64 {
@@ -211,24 +229,6 @@ fn mean(iter: impl Iterator<Item = f64>) -> f64 {
 
 #[cfg(test)]
 impl SimReport {
-    /// 95th-percentile response time (s), ceil-based nearest-rank: the
-    /// smallest observation with at least 95 % of the sample at or below
-    /// it (`rank = ceil(0.95 n)`). The earlier `round()`-based rank
-    /// overshot on small samples (N=2 reported the max as p95).
-    pub(crate) fn p95_response_s(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            return 0.0;
-        }
-        let mut v: Vec<f64> = self
-            .outcomes
-            .iter()
-            .map(RequestOutcome::response_s)
-            .collect();
-        v.sort_by(|a, b| a.total_cmp(b));
-        let rank = (0.95 * v.len() as f64).ceil() as usize;
-        v[rank.clamp(1, v.len()) - 1]
-    }
-
     /// Total failure-induced restarts across all requests.
     pub(crate) fn total_restarts(&self) -> u64 {
         self.outcomes.iter().map(|o| u64::from(o.restarts)).sum()

@@ -71,7 +71,6 @@ fn blocks_per_fpga(blocks: &[BlockAddr]) -> Vec<(u32, usize)> {
 #[derive(Debug, Clone)]
 pub struct ClusterSim {
     config: ClusterConfig,
-    layout: Vec<usize>,
     topology: std::sync::Arc<crate::Topology>,
     telemetry: Telemetry,
 }
@@ -79,11 +78,9 @@ pub struct ClusterSim {
 impl ClusterSim {
     /// Creates a simulator over a homogeneous cluster.
     pub fn new(config: ClusterConfig) -> Self {
-        let layout = vec![config.blocks_per_fpga; config.fpgas];
-        let topology = std::sync::Arc::new(crate::Topology::ring(layout.len().max(1)));
+        let topology = std::sync::Arc::new(crate::Topology::ring(config.fpgas.max(1)));
         ClusterSim {
             config,
-            layout,
             topology,
             telemetry: Telemetry::disabled(),
         }
@@ -101,11 +98,11 @@ impl ClusterSim {
     ///
     /// [`Topology`]: crate::Topology
     pub fn with_topology(mut self, topology: crate::Topology) -> Result<Self, ClusterError> {
-        if topology.fpgas() != self.layout.len() {
+        if topology.fpgas() != self.config.fpgas {
             return Err(ClusterError::InvalidLayout(format!(
                 "topology has {} FPGAs but the cluster layout has {}",
                 topology.fpgas(),
-                self.layout.len()
+                self.config.fpgas
             )));
         }
         self.topology = std::sync::Arc::new(topology);
@@ -190,7 +187,7 @@ impl ClusterSim {
         // Validate the inputs up front: they arrive from outside (traces
         // and plans are `Deserialize`), and a bad index or a NaN time used
         // to be swallowed or to poison every later timestamp.
-        if self.layout.is_empty() {
+        if self.config.fpgas == 0 {
             return Err(ClusterError::InvalidLayout(
                 "cluster needs at least one FPGA".to_string(),
             ));
@@ -204,7 +201,7 @@ impl ClusterSim {
     /// FPGA indices must be in range, link indices must name a real
     /// interconnect link, and timestamps must be non-negative and finite.
     fn validate_plan(&self, plan: &FaultPlan) -> Result<(), ClusterError> {
-        let fpgas = self.layout.len();
+        let fpgas = self.config.fpgas;
         let links = self.topology.link_count();
         for (i, ev) in plan.events.iter().enumerate() {
             let at = ev.at_s();
@@ -295,7 +292,7 @@ impl ClusterSim {
         let max_hops = self
             .topology
             .max_hops_from_avoiding(primary_fpga_id, spanned(), down)
-            .unwrap_or(self.layout.len());
+            .unwrap_or(self.config.fpgas);
         // One hop = the calibrated penalty; further hops add 30% each (the
         // traffic occupies more interconnect segments). Spans crossing
         // links slower than the reference ring cable (pod uplinks) pay

@@ -178,7 +178,10 @@ impl<'a> Run<'a> {
         };
         Run {
             quantum: policy.quantum_s().filter(|q| q.is_finite() && *q > 0.0),
-            view: ClusterView::new(&sim.layout, sim.topology.clone()),
+            view: ClusterView::new(
+                &vec![sim.config.blocks_per_fpga; sim.config.fpgas],
+                sim.topology.clone(),
+            ),
             state: vec![fresh; requests.len()],
             sim,
             policy,
@@ -229,7 +232,7 @@ impl<'a> Run<'a> {
 
     fn finish(self) -> SimReport {
         let u = self.usage;
-        let total_blocks = self.sim.layout.iter().sum::<usize>() as f64;
+        let total_blocks = self.sim.config.total_blocks() as f64;
         let denom = (u.active_time * total_blocks).max(f64::MIN_POSITIVE);
         SimReport {
             policy: self.policy.name().to_string(),

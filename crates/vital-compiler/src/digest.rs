@@ -22,8 +22,8 @@ use crate::CompilerConfig;
 /// (driver, sinks, width — also in id order), and the compile-relevant
 /// configuration sub-structures. It deliberately **excludes**:
 ///
-/// - the application and primitive *names* — renaming does not change the
-///   compiled image;
+/// - the application's name — renaming does not change the compiled
+///   image (primitives carry no name);
 /// - [`CompilerConfig::workers`] — the parallel local-P&R fan-out is
 ///   bit-identical for every worker count, so it must not fragment the
 ///   cache.

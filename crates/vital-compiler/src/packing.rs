@@ -397,11 +397,11 @@ mod tests {
         // Two disjoint chains: packing must never mix them into one cluster
         // while unconnected candidates remain scoreless.
         let mut n = Netlist::new("two-chains");
-        let chain = |n: &mut Netlist, tag: &str| {
+        let chain = |n: &mut Netlist| {
             let mut prev = None;
             let mut ids = Vec::new();
-            for i in 0..6 {
-                let id = n.add_primitive(PrimitiveKind::lut(6), format!("{tag}{i}"));
+            for _ in 0..6 {
+                let id = n.add_primitive(PrimitiveKind::lut(6));
                 if let Some(p) = prev {
                     n.connect(p, [id], 1).unwrap();
                 }
@@ -410,8 +410,8 @@ mod tests {
             }
             ids
         };
-        let a = chain(&mut n, "a");
-        let b = chain(&mut n, "b");
+        let a = chain(&mut n);
+        let b = chain(&mut n);
         let dfg = DataflowGraph::from_netlist(&n);
         let cfg = PackingConfig {
             max_primitives: 6,

@@ -78,6 +78,16 @@ impl Compiler {
         }
     }
 
+    /// Attaches a telemetry handle: every compile then emits one span per
+    /// stage (`compile.synthesis` … `compile.global_pnr`) plus one span
+    /// per virtual block under local P&R, and records per-stage duration
+    /// histograms. The default handle is disabled and costs nothing.
+    #[must_use]
+    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.telemetry = telemetry;
+        self
+    }
+
     /// The active configuration.
     pub fn config(&self) -> &CompilerConfig {
         &self.config
@@ -484,19 +494,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 impl Default for Compiler {
     fn default() -> Self {
         Compiler::new(CompilerConfig::default())
-    }
-}
-
-#[cfg(test)]
-impl Compiler {
-    /// Attaches a telemetry handle: every compile then emits one span per
-    /// stage (`compile.synthesis` … `compile.global_pnr`) plus one span
-    /// per virtual block under local P&R, and records per-stage duration
-    /// histograms. The default handle is disabled and costs nothing.
-    #[must_use]
-    pub(crate) fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
     }
 }
 

@@ -107,8 +107,8 @@ mod tests {
     #[test]
     fn merges_parallel_edges() {
         let mut n = Netlist::new("t");
-        let a = n.add_primitive(PrimitiveKind::lut(6), "a");
-        let b = n.add_primitive(PrimitiveKind::lut(6), "b");
+        let a = n.add_primitive(PrimitiveKind::lut(6));
+        let b = n.add_primitive(PrimitiveKind::lut(6));
         n.connect(a, [b], 8).unwrap();
         n.connect(a, [b], 24).unwrap();
         let g = DataflowGraph::from_netlist(&n);
@@ -122,9 +122,9 @@ mod tests {
     #[test]
     fn star_model_for_fanout() {
         let mut n = Netlist::new("t");
-        let d = n.add_primitive(PrimitiveKind::lut(6), "d");
-        let s1 = n.add_primitive(PrimitiveKind::lut(6), "s1");
-        let s2 = n.add_primitive(PrimitiveKind::lut(6), "s2");
+        let d = n.add_primitive(PrimitiveKind::lut(6));
+        let s1 = n.add_primitive(PrimitiveKind::lut(6));
+        let s2 = n.add_primitive(PrimitiveKind::lut(6));
         n.connect(d, [s1, s2], 4).unwrap();
         let g = DataflowGraph::from_netlist(&n);
         assert_eq!(g.neighbors(d).len(), 2);
@@ -136,9 +136,9 @@ mod tests {
     #[test]
     fn undirected_edges_visits_each_pair_once() {
         let mut n = Netlist::new("t");
-        let a = n.add_primitive(PrimitiveKind::lut(6), "a");
-        let b = n.add_primitive(PrimitiveKind::lut(6), "b");
-        let c = n.add_primitive(PrimitiveKind::lut(6), "c");
+        let a = n.add_primitive(PrimitiveKind::lut(6));
+        let b = n.add_primitive(PrimitiveKind::lut(6));
+        let c = n.add_primitive(PrimitiveKind::lut(6));
         n.connect(a, [b, c], 2).unwrap();
         n.connect(b, [c], 3).unwrap();
         let g = DataflowGraph::from_netlist(&n);

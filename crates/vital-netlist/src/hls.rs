@@ -272,16 +272,14 @@ pub fn synthesize(spec: &AppSpec) -> Result<Netlist, NetlistError> {
 
     for inst in &spec.operators {
         let l = match inst.op {
-            Operator::MacArray { pes } => lower_mac_array(&mut n, &inst.name, pes.max(1))?,
-            Operator::Buffer { kb, banks } => {
-                lower_buffer(&mut n, &inst.name, kb.max(1), banks.max(1))?
-            }
-            Operator::Pipeline { slices } => lower_chain(&mut n, &inst.name, slices.max(1), 0, 0)?,
+            Operator::MacArray { pes } => lower_mac_array(&mut n, pes.max(1))?,
+            Operator::Buffer { kb, banks } => lower_buffer(&mut n, kb.max(1), banks.max(1))?,
+            Operator::Pipeline { slices } => lower_chain(&mut n, slices.max(1), 0, 0)?,
             Operator::Custom {
                 slices,
                 dsps,
                 brams,
-            } => lower_chain(&mut n, &inst.name, slices.max(1), dsps, brams)?,
+            } => lower_chain(&mut n, slices.max(1), dsps, brams)?,
         };
         lowered.push(l);
     }
@@ -301,11 +299,11 @@ pub fn synthesize(spec: &AppSpec) -> Result<Netlist, NetlistError> {
             .ok_or(NetlistError::UnknownPrimitive(PrimitiveId(p.op.0)))?;
         match p.direction {
             PortDirection::Input => {
-                let port = n.add_primitive(PrimitiveKind::io(p.direction), p.name.clone());
+                let port = n.add_primitive(PrimitiveKind::io(p.direction));
                 n.connect(port, [op.head], p.bits)?;
             }
             PortDirection::Output => {
-                let port = n.add_primitive(PrimitiveKind::io(p.direction), p.name.clone());
+                let port = n.add_primitive(PrimitiveKind::io(p.direction));
                 n.connect(op.tail, [port], p.bits)?;
             }
         }
@@ -313,19 +311,16 @@ pub fn synthesize(spec: &AppSpec) -> Result<Netlist, NetlistError> {
     Ok(n)
 }
 
-fn lower_mac_array(n: &mut Netlist, name: &str, pes: u32) -> Result<LoweredOp, NetlistError> {
+fn lower_mac_array(n: &mut Netlist, pes: u32) -> Result<LoweredOp, NetlistError> {
     let mut prev_tail: Option<PrimitiveId> = None;
     let mut head = None;
     let mut tail = None;
-    for pe in 0..pes {
+    for _ in 0..pes {
         // One PE: PE_SLICES chained slices feeding one DSP.
         let mut prev_slice: Option<PrimitiveId> = None;
         let mut first_slice = None;
-        for s in 0..PE_SLICES {
-            let id = n.add_primitive(
-                PrimitiveKind::slice(SLICE_LUTS, SLICE_FFS),
-                format!("{name}/pe{pe}/s{s}"),
-            );
+        for _ in 0..PE_SLICES {
+            let id = n.add_primitive(PrimitiveKind::slice(SLICE_LUTS, SLICE_FFS));
             if let Some(p) = prev_slice {
                 n.connect(p, [id], 32)?;
             }
@@ -334,7 +329,7 @@ fn lower_mac_array(n: &mut Netlist, name: &str, pes: u32) -> Result<LoweredOp, N
             }
             prev_slice = Some(id);
         }
-        let dsp = n.add_primitive(PrimitiveKind::Dsp, format!("{name}/pe{pe}/dsp"));
+        let dsp = n.add_primitive(PrimitiveKind::Dsp);
         n.connect(
             prev_slice.expect("PE_SLICES >= 1 guarantees a slice"),
             [dsp],
@@ -357,28 +352,19 @@ fn lower_mac_array(n: &mut Netlist, name: &str, pes: u32) -> Result<LoweredOp, N
     })
 }
 
-fn lower_buffer(
-    n: &mut Netlist,
-    name: &str,
-    kb: u32,
-    banks: u32,
-) -> Result<LoweredOp, NetlistError> {
+fn lower_buffer(n: &mut Netlist, kb: u32, banks: u32) -> Result<LoweredOp, NetlistError> {
     let brams_total = kb.div_ceil(36).max(1);
     let per_bank = brams_total.div_ceil(banks);
     let mut prev_addr: Option<PrimitiveId> = None;
     let mut head = None;
     let mut last_bram = None;
     for bank in 0..banks {
-        let addr = n.add_primitive(
-            PrimitiveKind::slice(SLICE_LUTS, SLICE_FFS),
-            format!("{name}/bank{bank}/addr"),
-        );
+        let addr = n.add_primitive(PrimitiveKind::slice(SLICE_LUTS, SLICE_FFS));
         let remaining = brams_total.saturating_sub(bank * per_bank);
         let count = per_bank.min(remaining);
         let mut sinks = Vec::new();
-        for b in 0..count {
-            let bram =
-                n.add_primitive(PrimitiveKind::bram36(), format!("{name}/bank{bank}/ram{b}"));
+        for _ in 0..count {
+            let bram = n.add_primitive(PrimitiveKind::bram36());
             sinks.push(bram);
             last_bram = Some(bram);
         }
@@ -401,17 +387,13 @@ fn lower_buffer(
 
 fn lower_chain(
     n: &mut Netlist,
-    name: &str,
     slices: u32,
     dsps: u32,
     brams: u32,
 ) -> Result<LoweredOp, NetlistError> {
     let mut ids = Vec::with_capacity(slices as usize);
-    for s in 0..slices {
-        let id = n.add_primitive(
-            PrimitiveKind::slice(SLICE_LUTS, SLICE_FFS),
-            format!("{name}/s{s}"),
-        );
+    for _ in 0..slices {
+        let id = n.add_primitive(PrimitiveKind::slice(SLICE_LUTS, SLICE_FFS));
         if let Some(&prev) = ids.last() {
             n.connect(prev, [id], 32)?;
         }
@@ -426,12 +408,12 @@ fn lower_chain(
         }
     };
     for d in 0..dsps {
-        let dsp = n.add_primitive(PrimitiveKind::Dsp, format!("{name}/dsp{d}"));
+        let dsp = n.add_primitive(PrimitiveKind::Dsp);
         let host = ids[attach(d, dsps, ids.len())];
         n.connect(host, [dsp], 48)?;
     }
     for b in 0..brams {
-        let bram = n.add_primitive(PrimitiveKind::bram36(), format!("{name}/ram{b}"));
+        let bram = n.add_primitive(PrimitiveKind::bram36());
         let host = ids[attach(b, brams, ids.len())];
         n.connect(host, [bram], 32)?;
     }

@@ -19,9 +19,9 @@
 //! use vital_netlist::{Netlist, PrimitiveKind, PortDirection};
 //!
 //! let mut n = Netlist::new("adder");
-//! let a = n.add_primitive(PrimitiveKind::io(PortDirection::Input), "a");
-//! let lut = n.add_primitive(PrimitiveKind::lut(6), "sum");
-//! let q = n.add_primitive(PrimitiveKind::io(PortDirection::Output), "q");
+//! let a = n.add_primitive(PrimitiveKind::io(PortDirection::Input));
+//! let lut = n.add_primitive(PrimitiveKind::lut(6));
+//! let q = n.add_primitive(PrimitiveKind::io(PortDirection::Output));
 //! n.connect(a, [lut], 32)?;
 //! n.connect(lut, [q], 32)?;
 //! assert_eq!(n.resource_usage().lut, 1);

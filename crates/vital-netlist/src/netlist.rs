@@ -22,7 +22,6 @@ impl fmt::Display for NetId {
 /// A multi-bit net: one driver primitive fanning out to one or more sinks.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Net {
-    pub(crate) id: NetId,
     pub(crate) driver: PrimitiveId,
     pub(crate) sinks: Vec<PrimitiveId>,
     pub(crate) bits: u32,
@@ -84,13 +83,9 @@ impl Netlist {
     }
 
     /// Adds a primitive and returns its id.
-    pub fn add_primitive(&mut self, kind: PrimitiveKind, name: impl Into<String>) -> PrimitiveId {
+    pub fn add_primitive(&mut self, kind: PrimitiveKind) -> PrimitiveId {
         let id = PrimitiveId(self.primitives.len() as u32);
-        self.primitives.push(Primitive {
-            id,
-            kind,
-            name: name.into(),
-        });
+        self.primitives.push(Primitive { id, kind });
         id
     }
 
@@ -147,7 +142,6 @@ impl Netlist {
         }
         let id = NetId(self.nets.len() as u32);
         self.nets.push(Net {
-            id,
             driver,
             sinks,
             bits,
@@ -264,8 +258,8 @@ mod tests {
 
     fn two_lut_netlist() -> (Netlist, PrimitiveId, PrimitiveId) {
         let mut n = Netlist::new("t");
-        let a = n.add_primitive(PrimitiveKind::lut(6), "a");
-        let b = n.add_primitive(PrimitiveKind::lut(6), "b");
+        let a = n.add_primitive(PrimitiveKind::lut(6));
+        let b = n.add_primitive(PrimitiveKind::lut(6));
         n.connect(a, [b], 1).unwrap();
         (n, a, b)
     }
@@ -307,9 +301,9 @@ mod tests {
     #[test]
     fn rejects_port_misuse() {
         let mut n = Netlist::new("t");
-        let inp = n.add_primitive(PrimitiveKind::io(PortDirection::Input), "in");
-        let out = n.add_primitive(PrimitiveKind::io(PortDirection::Output), "out");
-        let lut = n.add_primitive(PrimitiveKind::lut(2), "l");
+        let inp = n.add_primitive(PrimitiveKind::io(PortDirection::Input));
+        let out = n.add_primitive(PrimitiveKind::io(PortDirection::Output));
+        let lut = n.add_primitive(PrimitiveKind::lut(2));
         assert!(matches!(
             n.connect(out, [lut], 1),
             Err(NetlistError::PortMisuse { .. })
@@ -327,23 +321,23 @@ mod tests {
     #[test]
     fn validate_finds_dangling_primitives() {
         let (mut n, _, _) = two_lut_netlist();
-        let dangling = n.add_primitive(PrimitiveKind::Dsp, "d");
+        let dangling = n.add_primitive(PrimitiveKind::Dsp);
         assert_eq!(n.validate(), Err(NetlistError::DanglingPrimitive(dangling)));
     }
 
     #[test]
     fn unconnected_io_is_allowed() {
         let mut n = Netlist::new("t");
-        n.add_primitive(PrimitiveKind::io(PortDirection::Input), "unused");
+        n.add_primitive(PrimitiveKind::io(PortDirection::Input));
         n.validate().unwrap();
     }
 
     #[test]
     fn stats_aggregate() {
         let mut n = Netlist::new("t");
-        let a = n.add_primitive(PrimitiveKind::slice(8, 16), "a");
-        let b = n.add_primitive(PrimitiveKind::Dsp, "b");
-        let c = n.add_primitive(PrimitiveKind::bram36(), "c");
+        let a = n.add_primitive(PrimitiveKind::slice(8, 16));
+        let b = n.add_primitive(PrimitiveKind::Dsp);
+        let c = n.add_primitive(PrimitiveKind::bram36());
         n.connect(a, [b, c], 16).unwrap();
         let s = n.stats();
         assert_eq!(s.primitives, 3);

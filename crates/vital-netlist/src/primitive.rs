@@ -159,7 +159,6 @@ impl fmt::Display for PrimitiveId {
 pub struct Primitive {
     pub(crate) id: PrimitiveId,
     pub(crate) kind: PrimitiveKind,
-    pub(crate) name: String,
 }
 
 impl Primitive {

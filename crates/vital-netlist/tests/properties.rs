@@ -97,8 +97,8 @@ proptest! {
     #[test]
     fn failed_connect_leaves_netlist_unchanged(bits in 0u32..4, n_sinks in 0usize..3) {
         let mut n = Netlist::new("t");
-        let a = n.add_primitive(PrimitiveKind::lut(6), "a");
-        let b = n.add_primitive(PrimitiveKind::lut(6), "b");
+        let a = n.add_primitive(PrimitiveKind::lut(6));
+        let b = n.add_primitive(PrimitiveKind::lut(6));
         n.connect(a, [b], 8).unwrap();
         let before_nets = n.nets().len();
         let sinks: Vec<PrimitiveId> = std::iter::repeat_n(b, n_sinks).collect();

@@ -281,6 +281,13 @@ impl Telemetry {
         }
     }
 
+    /// Sets the named gauge to `value`.
+    pub fn set_gauge(&self, name: &'static str, value: f64) {
+        if let Some(inner) = &self.inner {
+            inner.metrics.set_gauge(name, value);
+        }
+    }
+
     /// Records `value` into the named log-scale histogram.
     pub fn record_hist(&self, name: &'static str, value: f64) {
         if let Some(inner) = &self.inner {
@@ -435,13 +442,6 @@ impl Telemetry {
     pub(crate) fn event(&self, name: &'static str, fields: &[Field]) {
         if let Some(inner) = &self.inner {
             self.push_event(inner, inner.now_us(), name, fields);
-        }
-    }
-
-    /// Sets the named gauge to `value`.
-    pub(crate) fn set_gauge(&self, name: &'static str, value: f64) {
-        if let Some(inner) = &self.inner {
-            inner.metrics.set_gauge(name, value);
         }
     }
 

@@ -149,6 +149,10 @@ impl Registry {
         *self.counters.lock().entry(name).or_insert(0) += by;
     }
 
+    pub(crate) fn set_gauge(&self, name: &'static str, value: f64) {
+        self.gauges.lock().insert(name, value);
+    }
+
     pub(crate) fn record_hist(&self, name: &'static str, value: f64) {
         self.hists.lock().entry(name).or_default().record(value);
     }
@@ -179,10 +183,6 @@ impl Registry {
 
 #[cfg(test)]
 impl Registry {
-    pub(crate) fn set_gauge(&self, name: &'static str, value: f64) {
-        self.gauges.lock().insert(name, value);
-    }
-
     pub(crate) fn clear(&self) {
         self.counters.lock().clear();
         self.gauges.lock().clear();

@@ -50,8 +50,8 @@ fn main() {
     ];
 
     println!(
-        "{:<26} {:>10} {:>8} {:>8} {:>8}",
-        "policy", "avg resp", "util", "conc", "span%"
+        "{:<26} {:>10} {:>10} {:>8} {:>8} {:>8}",
+        "policy", "avg resp", "p95 resp", "util", "conc", "span%"
     );
     let mut baseline_resp = None;
     for policy in policies.iter_mut() {
@@ -59,9 +59,10 @@ fn main() {
         let resp = report.avg_response_s();
         let baseline = *baseline_resp.get_or_insert(resp);
         println!(
-            "{:<26} {:>8.2}s {:>7.1}% {:>8.2} {:>7.1}%   ({:+.0}% vs baseline)",
+            "{:<26} {:>8.2}s {:>8.2}s {:>7.1}% {:>8.2} {:>7.1}%   ({:+.0}% vs baseline)",
             report.policy,
             resp,
+            report.p95_response_s(),
             report.effective_utilization * 100.0,
             report.avg_concurrency,
             report.spanning_fraction() * 100.0,

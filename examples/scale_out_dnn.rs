@@ -29,9 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     controller.register(compiled.bitstream().clone())?;
     let bs = compiled.bitstream();
     println!(
-        "  {} virtual blocks, {} inter-block channels",
+        "  {} virtual blocks, {} inter-block channels, cut = {} bits/firing",
         bs.block_count(),
-        bs.channel_plan().channel_count()
+        bs.channel_plan().channel_count(),
+        compiled.cut_bits()
     );
 
     // Fill most of the cluster with the medium variant so the large one

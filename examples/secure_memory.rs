@@ -10,7 +10,8 @@ use vital::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let compiler = Compiler::new(CompilerConfig::default());
-    let controller = SystemController::new(RuntimeConfig::paper_cluster());
+    let config = RuntimeConfig::paper_cluster();
+    let controller = SystemController::new(config);
 
     for name in ["alice-app", "bob-app"] {
         let mut spec = AppSpec::new(name);
@@ -46,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("alice reads back: {:?}", std::str::from_utf8(&buf)?);
 
     // The access monitor blocks out-of-quota accesses.
-    let quota = RuntimeConfig::paper_cluster().default_quota_bytes;
+    let quota = config.default_quota_bytes;
     match mm_alice.read(alice.tenant(), quota + 4096, &mut buf) {
         Err(PeriphError::ProtectionFault { vaddr, .. }) => {
             println!("monitor blocked alice's stray access at {vaddr:#x} (protection fault)");
@@ -70,7 +71,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // DRAM bandwidth is arbitrated max-min fair.
     let arb = controller.arbiter_of(alice.primary_fpga());
-    println!("alice's DRAM grant: {:?}", arb.grant(alice.tenant())?);
+    println!(
+        "alice's DRAM grant: {:?} of {} Gb/s",
+        arb.grant(alice.tenant())?,
+        config.dram_gbps
+    );
 
     for tenant in [alice.tenant(), bob.tenant()] {
         if let ControlResponse::Err(e) = controller.execute(ControlRequest::undeploy(tenant)) {

@@ -20,6 +20,11 @@
 #   cargo +nightly rustdoc -p <crate> -- -Z unstable-options --output-format json
 #
 # Builds under target/census; benchmark/Cargo.lock is put back as it was.
+#
+# Which symbols a debug build emits, and how `nm` demangles them, depend on
+# the toolchain: a diff against tests/unreached.txt with no code change
+# means rustc or binutils changed. The versions go to stderr so that a
+# failing run names them.
 set -euo pipefail
 export LC_ALL=C
 
@@ -28,6 +33,7 @@ cd "$root"
 export CARGO_TARGET_DIR="$root/target/census"
 export RUSTFLAGS="-C symbol-mangling-version=v0"
 mkdir -p "$CARGO_TARGET_DIR"
+{ rustc -V; nm --version | sed -n 1p; } >&2
 
 lock="$CARGO_TARGET_DIR/benchmark-Cargo.lock"
 cp benchmark/Cargo.lock "$lock"

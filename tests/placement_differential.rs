@@ -137,8 +137,11 @@ impl<S: Scheduler> Scheduler for Mirror<'_, S> {
 
 /// Runs a seeded Table 3 trace (set 7: a third each of small, medium and
 /// large designs) through `sim` under `policy`, mirrored onto `controller`.
+/// `sim_blocks` is the simulator's block count; the controller must manage
+/// exactly as many, all free before the trace and again after the drain.
 fn run_mirrored<S: Scheduler>(
     sim: &ClusterSim,
+    sim_blocks: usize,
     controller: &SystemController,
     policy: S,
     params: WorkloadParams,
@@ -146,7 +149,11 @@ fn run_mirrored<S: Scheduler>(
     for design in designs() {
         controller.register(design.clone()).unwrap();
     }
-    let all_free = total_free(controller);
+    assert_eq!(
+        total_free(controller),
+        sim_blocks,
+        "controller and simulator clusters differ in size"
+    );
     let requests = generate_workload_set(
         &WorkloadComposition::table3()[6],
         &params,
@@ -172,7 +179,7 @@ fn run_mirrored<S: Scheduler>(
     for (tenant, _) in mirror.live {
         undeploy(controller, tenant);
     }
-    assert_eq!(total_free(controller), all_free);
+    assert_eq!(total_free(controller), sim_blocks);
 }
 
 fn total_free(controller: &SystemController) -> usize {
@@ -184,7 +191,8 @@ fn total_free(controller: &SystemController) -> usize {
 
 #[test]
 fn controller_places_like_the_simulator_on_the_paper_ring() {
-    let sim = ClusterSim::new(ClusterConfig::paper_cluster());
+    let config = ClusterConfig::paper_cluster();
+    let sim = ClusterSim::new(config);
     let controller = SystemController::new(RuntimeConfig::paper_cluster());
     let params = WorkloadParams {
         requests: 200,
@@ -192,18 +200,23 @@ fn controller_places_like_the_simulator_on_the_paper_ring() {
         mean_service_s: 2.0,
         seed: 28,
     };
-    run_mirrored(&sim, &controller, VitalScheduler::new(), params);
+    run_mirrored(
+        &sim,
+        config.total_blocks(),
+        &controller,
+        VitalScheduler::new(),
+        params,
+    );
 }
 
 #[test]
 fn controller_places_like_the_simulator_on_pods() {
     let topology = || Topology::pods(4, 16, 100.0, 25.0);
-    let sim = ClusterSim::new(ClusterConfig {
+    let config = ClusterConfig {
         fpgas: 64,
         ..ClusterConfig::paper_cluster()
-    })
-    .with_topology(topology())
-    .unwrap();
+    };
+    let sim = ClusterSim::new(config).with_topology(topology()).unwrap();
     let controller = SystemController::new(RuntimeConfig {
         fpgas: 64,
         ..RuntimeConfig::paper_cluster()
@@ -216,5 +229,11 @@ fn controller_places_like_the_simulator_on_pods() {
         mean_service_s: 2.0,
         seed: 28,
     };
-    run_mirrored(&sim, &controller, PodScheduler::new(), params);
+    run_mirrored(
+        &sim,
+        config.total_blocks(),
+        &controller,
+        PodScheduler::new(),
+        params,
+    );
 }
