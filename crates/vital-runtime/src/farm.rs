@@ -19,8 +19,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
+use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use vital_compiler::{AppBitstream, Compiler, NetlistDigest, StageTimings};
 use vital_interface::FormatVersion;
@@ -133,18 +134,18 @@ impl Flight {
     }
 
     fn publish(&self, result: FlightResult) {
-        let mut state = self.state.lock().expect("flight mutex poisoned");
+        let mut state = self.state.lock();
         *state = Some(result);
         self.done.notify_all();
     }
 
     fn wait(&self) -> FlightResult {
-        let mut state = self.state.lock().expect("flight mutex poisoned");
+        let mut state = self.state.lock();
         loop {
             if let Some(result) = state.as_ref() {
                 return result.clone();
             }
-            state = self.done.wait(state).expect("flight mutex poisoned");
+            self.done.wait(&mut state);
         }
     }
 }
@@ -181,7 +182,7 @@ impl<K: Eq + Hash + Clone> SingleFlight<K> {
     /// Joins the flight for `key`: the first caller in becomes the leader,
     /// everyone else a follower of that leader's flight.
     fn join(&self, key: K) -> FlightRole<'_, K> {
-        let mut inflight = self.inflight.lock().expect("singleflight mutex poisoned");
+        let mut inflight = self.inflight.lock();
         if let Some(flight) = inflight.get(&key) {
             return FlightRole::Follower(Arc::clone(flight));
         }
@@ -274,11 +275,7 @@ impl<K: Eq + Hash + Clone> LeaderGuard<'_, K> {
             return;
         }
         self.published = true;
-        self.table
-            .inflight
-            .lock()
-            .expect("singleflight mutex poisoned")
-            .remove(&self.key);
+        self.table.inflight.lock().remove(&self.key);
         self.flight.publish(result);
     }
 }
@@ -331,7 +328,7 @@ impl DemandProfile {
     /// `true` every [`DemandProfile::PERSIST_EVERY_RECORDS`] calls — the
     /// caller's cue to persist the profile if a sidecar path is armed.
     fn record(&self, app: &str) -> bool {
-        let mut inner = self.inner.lock().expect("demand mutex poisoned");
+        let mut inner = self.inner.lock();
         *inner.counts.entry(app.to_string()).or_insert(0) += 1;
         inner.events += 1;
         inner.recorded += 1;
@@ -347,7 +344,7 @@ impl DemandProfile {
 
     /// A serializable copy of the current profile.
     fn snapshot(&self) -> DemandSnapshot {
-        let inner = self.inner.lock().expect("demand mutex poisoned");
+        let inner = self.inner.lock();
         DemandSnapshot {
             format_version: FormatVersion::CURRENT,
             counts: inner.counts.iter().map(|(k, &v)| (k.clone(), v)).collect(),
@@ -358,7 +355,7 @@ impl DemandProfile {
     /// Replaces the profile with a previously saved snapshot (warm
     /// restart). Returns the number of apps restored.
     fn restore(&self, snapshot: DemandSnapshot) -> usize {
-        let mut inner = self.inner.lock().expect("demand mutex poisoned");
+        let mut inner = self.inner.lock();
         let apps = snapshot.counts.len();
         inner.counts = snapshot.counts.into_iter().collect();
         inner.events = snapshot.events;
@@ -370,7 +367,7 @@ impl DemandProfile {
     /// highest count first (ties broken by name, so the ranking is
     /// deterministic).
     fn top(&self, limit: usize, mut keep: impl FnMut(&str) -> bool) -> Vec<String> {
-        let inner = self.inner.lock().expect("demand mutex poisoned");
+        let inner = self.inner.lock();
         let mut ranked: Vec<(&String, u64)> = inner
             .counts
             .iter()
@@ -475,7 +472,7 @@ impl BuildFarm {
     }
 
     pub(crate) fn set_resolver(&self, resolver: AppResolver) {
-        *self.resolver.lock().expect("resolver mutex poisoned") = Some(Arc::new(resolver));
+        *self.resolver.lock() = Some(Arc::new(resolver));
     }
 
     /// Best-effort atomic save of `snapshot()` to `target` (a failure
@@ -484,7 +481,7 @@ impl BuildFarm {
     /// so readers never observe a torn file and a newer save is never
     /// overwritten by an older one.
     fn save(&self, target: &Path, saves: &AtomicU64, snapshot: impl FnOnce() -> Option<String>) {
-        let _serialized = self.persist_lock.lock().expect("persist mutex poisoned");
+        let _serialized = self.persist_lock.lock();
         let saved = snapshot().and_then(|json| {
             let tmp = target.with_extension("tmp");
             std::fs::write(&tmp, json).ok()?;
@@ -588,11 +585,7 @@ impl BuildFarm {
     /// Runs the resolver for `app` and caches what it produced. Counts a
     /// compile only when there is a resolver to run.
     fn resolve(&self, app: &str) -> Result<(), RuntimeError> {
-        let resolver = self
-            .resolver
-            .lock()
-            .expect("resolver mutex poisoned")
-            .clone();
+        let resolver = self.resolver.lock().clone();
         let resolver = resolver.ok_or_else(|| RuntimeError::UnknownApp(app.to_string()))?;
         self.counters.compiles.fetch_add(1, Ordering::Relaxed);
         let bitstream = resolver(app)?;
@@ -626,11 +619,7 @@ impl BuildFarm {
 
     /// See [`SystemController::speculate_compile`](crate::SystemController::speculate_compile).
     pub(crate) fn speculate(&self, limit: usize, telemetry: &Telemetry) -> Vec<String> {
-        let has_resolver = self
-            .resolver
-            .lock()
-            .expect("resolver mutex poisoned")
-            .is_some();
+        let has_resolver = self.resolver.lock().is_some();
         let candidates = if has_resolver {
             self.demand.top(limit, |name| self.db.get(name).is_err())
         } else {

@@ -2,8 +2,8 @@
 
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::Mutex;
 
+use parking_lot::Mutex;
 use vital_runtime::{ControlRequest, ControlResponse};
 
 use crate::error::ServiceError;
@@ -62,7 +62,7 @@ impl RemoteClient {
         let id = self
             .next_id
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut io = self.io.lock().expect("client lock poisoned");
+        let mut io = self.io.lock();
         write_frame(&mut io.writer, &RequestEnvelope { id, req }, self.format)?;
         let (reply, _): (ResponseEnvelope, WireFormat) =
             read_frame(&mut io.reader, MAX_FRAME_BYTES)?;

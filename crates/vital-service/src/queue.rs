@@ -8,13 +8,13 @@
 //! resources, and therefore cannot leak anything. Backpressure is a typed
 //! answer, not a deadlock.
 //!
-//! Built on [`std::sync::Mutex`]/[`Condvar`] (the vendored `parking_lot`
-//! carries no condition variable) — the queue holds the lock only for
-//! pointer shuffling, never across request execution.
+//! The queue holds its lock only for pointer shuffling, never across
+//! request execution.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Condvar, Mutex};
 use std::time::Instant;
+
+use parking_lot::{Condvar, Mutex};
 
 use crate::error::ServiceError;
 use crate::slot::SlotHandle;
@@ -75,7 +75,7 @@ impl FairQueue {
 
     /// Admits a job, or rejects it without side effects.
     pub(crate) fn push(&self, job: Job, retry_after_ms: u64) -> Result<(), ServiceError> {
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
+        let mut inner = self.inner.lock();
         if inner.draining {
             return Err(ServiceError::Draining { retry_after_ms });
         }
@@ -106,7 +106,7 @@ impl FairQueue {
     /// sessions, FIFO within one). Returns `None` once draining *and*
     /// empty.
     pub(crate) fn pop_many(&self, max: usize) -> Option<Vec<Job>> {
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
+        let mut inner = self.inner.lock();
         loop {
             if let Some(job) = Self::take_next(&mut inner) {
                 let mut jobs = vec![job];
@@ -123,7 +123,7 @@ impl FairQueue {
             if inner.draining {
                 return None;
             }
-            inner = self.not_empty.wait(inner).expect("queue lock poisoned");
+            self.not_empty.wait(&mut inner);
         }
     }
 
@@ -149,31 +149,27 @@ impl FairQueue {
     /// `Draining`, queued jobs still execute, and blocked workers wake so
     /// they can observe the exit condition.
     pub(crate) fn drain(&self) {
-        self.inner.lock().expect("queue lock poisoned").draining = true;
+        self.inner.lock().draining = true;
         self.not_empty.notify_all();
     }
 
     /// Blocks until every queued job has been taken by a worker.
     pub(crate) fn wait_empty(&self) {
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
+        let mut inner = self.inner.lock();
         while inner.len > 0 {
-            inner = self.got_smaller.wait(inner).expect("queue lock poisoned");
+            self.got_smaller.wait(&mut inner);
         }
     }
 
     /// Queued jobs right now.
     pub(crate) fn len(&self) -> usize {
-        self.inner.lock().expect("queue lock poisoned").len
+        self.inner.lock().len
     }
 
     /// `true` while `session` has jobs queued here (the shard layer uses
     /// this to decide whether a session pin may be dropped).
     pub(crate) fn has_session(&self, session: u64) -> bool {
-        self.inner
-            .lock()
-            .expect("queue lock poisoned")
-            .sessions
-            .contains_key(&session)
+        self.inner.lock().sessions.contains_key(&session)
     }
 }
 
@@ -184,7 +180,7 @@ impl FairQueue {
     /// [`FairQueue::pop_many`]; this single-job form remains as the
     /// reference semantics the batched pop is tested against.
     pub(crate) fn pop(&self) -> Option<Job> {
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
+        let mut inner = self.inner.lock();
         loop {
             if let Some(job) = Self::take_next(&mut inner) {
                 self.got_smaller.notify_all();
@@ -193,7 +189,7 @@ impl FairQueue {
             if inner.draining {
                 return None;
             }
-            inner = self.not_empty.wait(inner).expect("queue lock poisoned");
+            self.not_empty.wait(&mut inner);
         }
     }
 }

@@ -24,10 +24,11 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use parking_lot::Mutex;
 use vital_runtime::ControlResponse;
 
 use crate::poll::{self, PollFd, POLLGONE, POLLIN, POLLOUT};
@@ -159,7 +160,7 @@ fn accept_ready(listener: &TcpListener, reactors: &[Reactor]) -> std::io::Result
                     .min_by_key(|r| r.load.load(Ordering::Relaxed))
                     .expect("at least one reactor");
                 target.load.fetch_add(1, Ordering::Relaxed);
-                target.inbox.lock().expect("inbox poisoned").push(stream);
+                target.inbox.lock().push(stream);
                 target.waker.wake();
             }
             Err(e) => match e.kind() {
@@ -404,7 +405,7 @@ fn reactor_loop(
         // head-of-line call turns into a synthesized `Timeout`.
         waker.arm();
         let due = stop.load(Ordering::SeqCst)
-            || !inbox.lock().expect("inbox poisoned").is_empty()
+            || !inbox.lock().is_empty()
             || conns
                 .iter()
                 .any(|c| c.head_in_flight().is_some_and(PendingCall::is_published));
@@ -447,7 +448,7 @@ fn reactor_loop(
         load.fetch_sub(before - conns.len(), Ordering::Relaxed);
 
         // Adopt what the accept path dealt; the next wait covers them.
-        for stream in inbox.lock().expect("inbox poisoned").drain(..) {
+        for stream in inbox.lock().drain(..) {
             if stream.set_nonblocking(true).is_err() {
                 load.fetch_sub(1, Ordering::Relaxed);
                 continue;

@@ -29,7 +29,7 @@ use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::queue::Job;
 use crate::shard::ShardSet;
-use crate::slot::{SlotHandle, SlotPool, Waker};
+use crate::slot::{SlotHandle, Waker};
 
 /// Per-endpoint latency histogram name (telemetry metric names must be
 /// `'static`).
@@ -55,11 +55,6 @@ struct ServiceInner {
     shards: ShardSet,
     config: ServiceConfig,
     next_session: AtomicU64,
-    /// Completion slots are recycled here instead of allocated per
-    /// request; the freelist is bounded by the number of requests that
-    /// can be in flight at once (queued everywhere, plus one executing
-    /// per worker).
-    slots: Arc<SlotPool>,
 }
 
 impl ServiceInner {
@@ -88,7 +83,7 @@ impl ServiceInner {
         waker: Option<&Arc<Waker>>,
         req: ControlRequest,
     ) -> Result<SlotHandle, ServiceError> {
-        let slot = self.slots.acquire();
+        let slot = SlotHandle::new();
         if let Some(waker) = waker {
             slot.set_waker(Arc::clone(waker));
         }
@@ -190,18 +185,11 @@ impl Vitald {
     /// round-robin across shards, so every shard has at least one.
     pub fn spawn(controller: Arc<SystemController>, config: ServiceConfig) -> Self {
         let shards = config.effective_shards();
-        // In-flight ceiling: everything queued plus one executing per
-        // worker — recycling beyond that would only hoard memory.
-        let max_free = shards
-            .saturating_mul(config.queue_capacity)
-            .saturating_add(config.workers)
-            .max(64);
         let inner = Arc::new(ServiceInner {
             shards: ShardSet::new(shards, config.queue_capacity, config.per_session_limit),
             controller,
             config,
             next_session: AtomicU64::new(1),
-            slots: SlotPool::new(max_free),
         });
         let workers = (0..inner.config.workers.max(1))
             .map(|i| {

@@ -20,7 +20,8 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+
+use parking_lot::Mutex;
 
 use crate::error::ServiceError;
 use crate::queue::{FairQueue, Job};
@@ -98,7 +99,7 @@ impl ShardSet {
     /// first use. Clients cache the answer (placement is a per-session
     /// constant), so steady-state submissions skip this lock entirely.
     pub(crate) fn place(&self, session: u64) -> usize {
-        let mut pins = self.pins.lock().expect("pin table poisoned");
+        let mut pins = self.pins.lock();
         if let Some(&shard) = pins.get(&session) {
             return shard;
         }
@@ -130,10 +131,7 @@ impl ShardSet {
     /// shard forever; its next submission re-runs two-choices.
     pub(crate) fn unpin_idle(&self, session: u64, shard: usize) {
         if !self.shards[shard].has_session(session) {
-            self.pins
-                .lock()
-                .expect("pin table poisoned")
-                .remove(&session);
+            self.pins.lock().remove(&session);
         }
     }
 

@@ -1,12 +1,12 @@
 //! The completion slot a client waits on: a one-shot rendezvous between
 //! the worker that executes a request and the caller that submitted it.
 //!
-//! Slots are pooled ([`SlotPool`]): the service allocates one
-//! `Mutex`/`Condvar` pair per *concurrent* request, not per request. When
-//! the last handle on a slot drops, the slot is scrubbed and returned to
-//! the pool's freelist instead of being freed — at high request rates
-//! this removes an allocation and a condvar construction from every
-//! submit.
+//! Each request allocates its own slot — one `Arc` holding a
+//! `Mutex`/`Condvar` pair — and the slot is freed when the last of its
+//! two handles (the caller's and the queued job's) drops. Slots are not
+//! recycled: a freelist shared by every session would cost a lock on
+//! each submit, and a scrub and a second freelist lock on the last drop,
+//! to save one allocation.
 //!
 //! A caller learns of a completion one of two ways, and completion pays
 //! for a wake-up only when somebody is actually asleep. A thread blocked
@@ -22,9 +22,10 @@ use std::io::{Read, Write};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use parking_lot::{Condvar, Mutex};
 use vital_runtime::ControlResponse;
 
 /// Gets one TCP reactor out of its `poll(2)` wait: a non-blocking socket
@@ -99,7 +100,7 @@ struct SlotState {
     /// the condvar signal when this is zero.
     waiters: u32,
     /// The submitting reactor's waker, if the caller is one; taken by
-    /// completion, scrubbed on release.
+    /// completion.
     waker: Option<Arc<Waker>>,
 }
 
@@ -108,126 +109,42 @@ struct Slot {
     done: Condvar,
 }
 
-impl Slot {
-    fn new() -> Self {
-        Slot {
+/// A cloneable handle on one request's completion slot. The worker
+/// [`complete`](SlotHandle::complete)s it exactly once; the client
+/// [`wait`](SlotHandle::wait)s with a deadline, or
+/// [`try_take`](SlotHandle::try_take)s once its [`Waker`] said so.
+#[derive(Clone)]
+pub(crate) struct SlotHandle(Arc<Slot>);
+
+impl SlotHandle {
+    /// A fresh slot for one request; freed when the last handle drops.
+    pub(crate) fn new() -> Self {
+        SlotHandle(Arc::new(Slot {
             state: Mutex::new(SlotState {
                 response: None,
                 waiters: 0,
                 waker: None,
             }),
             done: Condvar::new(),
-        }
-    }
-}
-
-/// A bounded freelist of completion slots. `acquire` pops a scrubbed slot
-/// or allocates a fresh one; the last [`SlotHandle`] to drop pushes the
-/// slot back (up to `max_free` — beyond that the slot is simply freed, so
-/// a burst cannot pin memory forever).
-pub(crate) struct SlotPool {
-    free: Mutex<Vec<Arc<Slot>>>,
-    max_free: usize,
-}
-
-impl SlotPool {
-    pub(crate) fn new(max_free: usize) -> Arc<Self> {
-        Arc::new(SlotPool {
-            free: Mutex::new(Vec::new()),
-            max_free,
-        })
-    }
-
-    /// A slot for one request, recycled from the freelist when possible.
-    pub(crate) fn acquire(self: &Arc<Self>) -> SlotHandle {
-        let slot = self
-            .free
-            .lock()
-            .expect("slot pool lock poisoned")
-            .pop()
-            .unwrap_or_else(|| Arc::new(Slot::new()));
-        SlotHandle {
-            slot: Some(slot),
-            pool: Some(Arc::clone(self)),
-        }
-    }
-
-    /// Called by the last handle's drop. `slot` must be sole-owned; it is
-    /// scrubbed (a completed-but-never-taken response and the waker of a
-    /// never-completed request are discarded) and returned to the freelist
-    /// if there is room.
-    fn release(&self, slot: Arc<Slot>) {
-        // Sole ownership established by the caller: nobody can be waiting,
-        // so the lock is uncontended and `waiters` is already zero.
-        let mut state = slot.state.lock().expect("slot lock poisoned");
-        state.response = None;
-        state.waker = None;
-        drop(state);
-        let mut free = self.free.lock().expect("slot pool lock poisoned");
-        if free.len() < self.max_free {
-            free.push(slot);
-        }
-    }
-}
-
-/// A cloneable handle on one request's completion slot. The worker
-/// [`complete`](SlotHandle::complete)s it exactly once; the client
-/// [`wait`](SlotHandle::wait)s with a deadline, or
-/// [`try_take`](SlotHandle::try_take)s once its [`Waker`] said so.
-pub(crate) struct SlotHandle {
-    /// `Some` for the handle's whole life; taken only inside `drop` so the
-    /// backing slot can be moved into the pool's freelist.
-    slot: Option<Arc<Slot>>,
-    /// Pool to return the slot to; `None` for unpooled (test) slots.
-    pool: Option<Arc<SlotPool>>,
-}
-
-impl Clone for SlotHandle {
-    fn clone(&self) -> Self {
-        SlotHandle {
-            slot: self.slot.clone(),
-            pool: self.pool.clone(),
-        }
-    }
-}
-
-impl Drop for SlotHandle {
-    fn drop(&mut self) {
-        let (Some(slot), Some(pool)) = (self.slot.take(), self.pool.take()) else {
-            return;
-        };
-        // Only the last handle recycles: if another handle exists it will
-        // observe count 1 at its own drop. Two handles racing here both
-        // see a count above 1 and neither recycles — safe, just a missed
-        // reuse.
-        if Arc::strong_count(&slot) == 1 {
-            pool.release(slot);
-        }
-    }
-}
-
-impl SlotHandle {
-    fn slot(&self) -> &Slot {
-        self.slot.as_ref().expect("slot taken only in drop")
+        }))
     }
 
     /// Names the reactor to wake when this slot completes. Call before
     /// the job is queued.
     pub(crate) fn set_waker(&self, waker: Arc<Waker>) {
-        self.slot().state.lock().expect("slot lock poisoned").waker = Some(waker);
+        self.0.state.lock().waker = Some(waker);
     }
 
     /// Publishes the response; wakes the waiter only if one is parked,
     /// and the submitting reactor only if it is armed.
     pub(crate) fn complete(&self, resp: ControlResponse) {
-        let slot = self.slot();
-        let mut state = slot.state.lock().expect("slot lock poisoned");
+        let mut state = self.0.state.lock();
         state.response = Some(resp);
         let parked = state.waiters > 0;
         let waker = state.waker.take();
         drop(state);
         if parked {
-            slot.done.notify_all();
+            self.0.done.notify_all();
         }
         if let Some(waker) = waker {
             waker.wake();
@@ -236,61 +153,29 @@ impl SlotHandle {
 
     /// `true` once the response is published and not yet taken.
     pub(crate) fn is_complete(&self) -> bool {
-        let state = self.slot().state.lock().expect("slot lock poisoned");
-        state.response.is_some()
+        self.0.state.lock().response.is_some()
     }
 
     /// Takes the response if it has already arrived, without blocking.
     pub(crate) fn try_take(&self) -> Option<ControlResponse> {
-        self.slot()
-            .state
-            .lock()
-            .expect("slot lock poisoned")
-            .response
-            .take()
+        self.0.state.lock().response.take()
     }
 
     /// Blocks until the response arrives or `timeout` elapses. `None`
     /// means the caller gave up — the request may still execute.
     pub(crate) fn wait(&self, timeout: Duration) -> Option<ControlResponse> {
-        let slot = self.slot();
         let deadline = Instant::now() + timeout;
-        let mut state = slot.state.lock().expect("slot lock poisoned");
+        let mut state = self.0.state.lock();
         loop {
             if let Some(resp) = state.response.take() {
                 return Some(resp);
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if Instant::now() >= deadline {
                 return None;
             }
             state.waiters += 1;
-            let (g, _) = slot
-                .done
-                .wait_timeout(state, deadline - now)
-                .expect("slot lock poisoned");
-            state = g;
+            self.0.done.wait_until(&mut state, deadline);
             state.waiters -= 1;
-        }
-    }
-}
-
-#[cfg(test)]
-impl SlotPool {
-    /// Slots currently sitting in the freelist.
-    pub(crate) fn free_len(&self) -> usize {
-        self.free.lock().expect("slot pool lock poisoned").len()
-    }
-}
-
-#[cfg(test)]
-impl SlotHandle {
-    /// An unpooled slot (its memory is freed, not recycled, when the last
-    /// handle drops). The service path goes through [`SlotPool::acquire`].
-    pub(crate) fn new() -> Self {
-        SlotHandle {
-            slot: Some(Arc::new(Slot::new())),
-            pool: None,
         }
     }
 }
@@ -330,46 +215,6 @@ mod tests {
         t.join().unwrap();
     }
 
-    #[test]
-    fn pool_recycles_on_last_drop() {
-        let pool = SlotPool::new(8);
-        let a = pool.acquire();
-        let b = a.clone();
-        drop(a);
-        assert_eq!(pool.free_len(), 0, "a live clone keeps the slot out");
-        drop(b);
-        assert_eq!(pool.free_len(), 1, "last drop returns the slot");
-        let c = pool.acquire();
-        assert_eq!(pool.free_len(), 0, "acquire reuses the freelist");
-        drop(c);
-        assert_eq!(pool.free_len(), 1);
-    }
-
-    #[test]
-    fn recycled_slot_is_scrubbed() {
-        let pool = SlotPool::new(8);
-        let a = pool.acquire();
-        a.complete(ControlResponse::Undeployed { tenant: 7 });
-        // Dropped with the response never taken: the next user of this
-        // slot must not see a stale answer.
-        drop(a);
-        assert_eq!(pool.free_len(), 1);
-        let b = pool.acquire();
-        assert!(b.try_take().is_none(), "stale response scrubbed");
-        assert!(b.wait(Duration::from_millis(5)).is_none());
-
-        // Dropped with a waker and never completed: the next user of the
-        // slot must not wake a reactor it never belonged to.
-        let waker = Waker::new().unwrap();
-        b.set_waker(Arc::clone(&waker));
-        drop(b);
-        assert_eq!(Arc::strong_count(&waker), 1, "stale waker scrubbed");
-        let c = pool.acquire();
-        waker.arm();
-        c.complete(ControlResponse::Undeployed { tenant: 8 });
-        assert_eq!(waker.drain(), 0, "a stranger's completion wrote a byte");
-    }
-
     fn readable(waker: &Waker, timeout: Duration) -> bool {
         let mut fds = [
             PollFd::new(Some(waker.fd()), POLLIN),
@@ -403,34 +248,6 @@ mod tests {
         waker.disarm();
         assert_eq!(waker.drain(), 1);
         assert_eq!(Arc::strong_count(&waker), 1, "completion takes the waker");
-    }
-
-    #[test]
-    fn pool_capacity_bounds_the_freelist() {
-        let pool = SlotPool::new(1);
-        let a = pool.acquire();
-        let b = pool.acquire();
-        drop(a);
-        drop(b);
-        assert_eq!(pool.free_len(), 1, "overflow is freed, not hoarded");
-    }
-
-    #[test]
-    fn pooled_slot_round_trips_across_threads() {
-        let pool = SlotPool::new(8);
-        for tenant in 0..3 {
-            let slot = pool.acquire();
-            let remote = slot.clone();
-            let t = std::thread::spawn(move || {
-                remote.complete(ControlResponse::Undeployed { tenant });
-            });
-            assert_eq!(
-                slot.wait(Duration::from_secs(5)),
-                Some(ControlResponse::Undeployed { tenant })
-            );
-            t.join().unwrap();
-        }
-        assert_eq!(pool.free_len(), 1, "one slot served all three requests");
     }
 
     /// Every order in which `wakers` threads (publish, then `wake`) can
