@@ -101,12 +101,6 @@ fn metrics_value(m: &MetricsSnapshot) -> Value {
             .map(|(k, v)| (k.clone(), Value::U64(*v)))
             .collect(),
     );
-    let gauges = Value::Map(
-        m.gauges
-            .iter()
-            .map(|(k, v)| (k.clone(), f64_value(*v)))
-            .collect(),
-    );
     let histograms = Value::Map(
         m.histograms
             .iter()
@@ -127,7 +121,6 @@ fn metrics_value(m: &MetricsSnapshot) -> Value {
     );
     Value::Map(vec![
         ("counters".to_string(), counters),
-        ("gauges".to_string(), gauges),
         ("histograms".to_string(), histograms),
     ])
 }
@@ -222,13 +215,5 @@ mod tests {
             (tel.export_jsonl(), tel.export_chrome_trace())
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn non_finite_gauge_renders_as_null() {
-        let tel = Telemetry::recording();
-        tel.set_gauge("bad", f64::NAN);
-        let text = tel.export_jsonl();
-        assert!(text.contains("\"bad\":null"), "{text}");
     }
 }

@@ -1,5 +1,5 @@
 //! Structured telemetry for the ViTAL stack: nestable tracing spans, point
-//! events, a metrics registry (counters, gauges, log-scale histograms) and
+//! events, a metrics registry (counters and log-scale histograms) and
 //! machine-readable exporters.
 //!
 //! The paper's evaluation (§5, Figs. 8–10) is built on being able to
@@ -26,6 +26,14 @@
 //! handles hold no allocation and every operation is a single branch on an
 //! `Option`. The end-to-end benchmark (`benchmark/`) reports what live
 //! tracing costs as `bench.trace_overhead_frac`.
+//!
+//! # Bounded memory
+//!
+//! A live handle keeps the most recent 16,384 records and drops the
+//! oldest beyond that, counting each in the
+//! `telemetry.records_dropped` counter — so a daemon that records every
+//! request holds a constant-size trace, not one that grows per request.
+//! Metrics are aggregates and never dropped.
 //!
 //! # Deterministic in sim time
 //!
@@ -59,6 +67,7 @@
 mod export;
 mod metrics;
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -66,6 +75,11 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 pub use metrics::{HistogramSummary, MetricsSnapshot};
+
+/// Records a live handle keeps; older ones are dropped (and counted in
+/// `telemetry.records_dropped`). Well above the largest simulator trace
+/// the reports and tests export (about 6,200 records).
+const RECORD_CAPACITY: usize = 1 << 14;
 
 /// A single typed field value attached to a span or event.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,7 +179,8 @@ enum Clock {
 
 struct Inner {
     clock: Clock,
-    records: Mutex<Vec<TraceRecord>>,
+    /// The most recent records, oldest first, at most [`RECORD_CAPACITY`].
+    records: Mutex<VecDeque<TraceRecord>>,
     metrics: metrics::Registry,
     next_id: AtomicU64,
 }
@@ -175,6 +190,20 @@ impl Inner {
         match &self.clock {
             Clock::Wall(t0) => t0.elapsed().as_micros() as u64,
             Clock::Manual(us) => us.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Appends `record`, dropping the oldest one if the ring is full.
+    fn push(&self, record: TraceRecord) {
+        let mut records = self.records.lock();
+        let full = records.len() == RECORD_CAPACITY;
+        if full {
+            records.pop_front();
+        }
+        records.push_back(record);
+        drop(records);
+        if full {
+            self.metrics.inc_counter("telemetry.records_dropped", 1);
         }
     }
 }
@@ -222,8 +251,8 @@ impl Telemetry {
         Telemetry {
             inner: Some(Arc::new(Inner {
                 clock,
-                records: Mutex::new(Vec::new()),
-                metrics: metrics::Registry::new(),
+                records: Mutex::new(VecDeque::new()),
+                metrics: metrics::Registry::default(),
                 next_id: AtomicU64::new(1),
             })),
         }
@@ -263,7 +292,7 @@ impl Telemetry {
 
     fn push_event(&self, inner: &Inner, t_us: u64, name: &'static str, fields: &[Field]) {
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        inner.records.lock().push(TraceRecord {
+        inner.push(TraceRecord {
             name,
             kind: RecordKind::Instant,
             start_us: t_us,
@@ -281,13 +310,6 @@ impl Telemetry {
         }
     }
 
-    /// Sets the named gauge to `value`.
-    pub fn set_gauge(&self, name: &'static str, value: f64) {
-        if let Some(inner) = &self.inner {
-            inner.metrics.set_gauge(name, value);
-        }
-    }
-
     /// Records `value` into the named log-scale histogram.
     pub fn record_hist(&self, name: &'static str, value: f64) {
         if let Some(inner) = &self.inner {
@@ -295,7 +317,7 @@ impl Telemetry {
         }
     }
 
-    /// A snapshot of every counter, gauge and histogram.
+    /// A snapshot of every counter and histogram.
     pub fn metrics(&self) -> MetricsSnapshot {
         match &self.inner {
             None => MetricsSnapshot::default(),
@@ -303,11 +325,12 @@ impl Telemetry {
         }
     }
 
-    /// A copy of every record so far, in completion order.
+    /// A copy of the records kept (the most recent 16,384), in completion
+    /// order.
     pub fn records(&self) -> Vec<TraceRecord> {
         match &self.inner {
             None => Vec::new(),
-            Some(inner) => inner.records.lock().clone(),
+            Some(inner) => inner.records.lock().iter().cloned().collect(),
         }
     }
 
@@ -329,7 +352,7 @@ impl Telemetry {
 
     fn finish_span(&self, state: SpanState, end_us: u64) {
         let Some(inner) = &self.inner else { return };
-        inner.records.lock().push(TraceRecord {
+        inner.push(TraceRecord {
             name: state.name,
             kind: RecordKind::Span {
                 dur_us: end_us.saturating_sub(state.start_us),
@@ -525,13 +548,11 @@ mod tests {
         let tel = Telemetry::recording();
         tel.inc_counter("deploys", 2);
         tel.inc_counter("deploys", 3);
-        tel.set_gauge("free", 42.0);
         for v in [1.0, 2.0, 4.0, 8.0] {
             tel.record_hist("lat", v);
         }
         let m = tel.metrics();
         assert_eq!(m.counters["deploys"], 5);
-        assert_eq!(m.gauges["free"], 42.0);
         let h = &m.histograms["lat"];
         assert_eq!(h.count, 4);
         assert!((h.sum - 15.0).abs() < 1e-9);
@@ -547,6 +568,23 @@ mod tests {
         tel.clear();
         assert!(tel.records().is_empty());
         assert!(tel.metrics().counters.is_empty());
+    }
+
+    #[test]
+    fn record_ring_keeps_the_newest_and_counts_the_dropped() {
+        let tel = Telemetry::recording();
+        for _ in 0..2 * RECORD_CAPACITY {
+            tel.span("s").finish();
+        }
+        let recs = tel.records();
+        assert_eq!(recs.len(), RECORD_CAPACITY);
+        let ids: Vec<u64> = recs.iter().map(|r| r.id).collect();
+        let newest = (RECORD_CAPACITY as u64 + 1..=2 * RECORD_CAPACITY as u64).collect::<Vec<_>>();
+        assert_eq!(ids, newest, "the oldest half was dropped, in order");
+        assert_eq!(
+            tel.metrics().counters["telemetry.records_dropped"],
+            RECORD_CAPACITY as u64
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Metrics registry: counters, gauges and base-2 log-scale histograms.
+//! Metrics registry: counters and base-2 log-scale histograms.
 //!
 //! All maps are `BTreeMap`s so snapshots and exports enumerate metrics in
 //! a deterministic (sorted) order regardless of registration order.
@@ -124,56 +124,39 @@ pub struct HistogramSummary {
 pub struct MetricsSnapshot {
     /// Monotonic counters by name.
     pub counters: BTreeMap<String, u64>,
-    /// Last-write-wins gauges by name.
-    pub(crate) gauges: BTreeMap<String, f64>,
     /// Histogram summaries by name.
     pub histograms: BTreeMap<String, HistogramSummary>,
 }
 
-pub(crate) struct Registry {
-    counters: Mutex<BTreeMap<&'static str, u64>>,
-    gauges: Mutex<BTreeMap<&'static str, f64>>,
-    hists: Mutex<BTreeMap<&'static str, LogHistogram>>,
+/// Every counter and histogram of one handle, under one lock.
+#[derive(Default)]
+pub(crate) struct Registry(Mutex<Metrics>);
+
+#[derive(Default)]
+struct Metrics {
+    counters: BTreeMap<&'static str, u64>,
+    hists: BTreeMap<&'static str, LogHistogram>,
 }
 
 impl Registry {
-    pub(crate) fn new() -> Self {
-        Registry {
-            counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
-            hists: Mutex::new(BTreeMap::new()),
-        }
-    }
-
     pub(crate) fn inc_counter(&self, name: &'static str, by: u64) {
-        *self.counters.lock().entry(name).or_insert(0) += by;
-    }
-
-    pub(crate) fn set_gauge(&self, name: &'static str, value: f64) {
-        self.gauges.lock().insert(name, value);
+        *self.0.lock().counters.entry(name).or_insert(0) += by;
     }
 
     pub(crate) fn record_hist(&self, name: &'static str, value: f64) {
-        self.hists.lock().entry(name).or_default().record(value);
+        self.0.lock().hists.entry(name).or_default().record(value);
     }
 
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        let m = self.0.lock();
         MetricsSnapshot {
-            counters: self
+            counters: m
                 .counters
-                .lock()
                 .iter()
                 .map(|(k, v)| (k.to_string(), *v))
                 .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
-            histograms: self
+            histograms: m
                 .hists
-                .lock()
                 .iter()
                 .map(|(k, h)| (k.to_string(), h.summary()))
                 .collect(),
@@ -184,9 +167,7 @@ impl Registry {
 #[cfg(test)]
 impl Registry {
     pub(crate) fn clear(&self) {
-        self.counters.lock().clear();
-        self.gauges.lock().clear();
-        self.hists.lock().clear();
+        *self.0.lock() = Metrics::default();
     }
 }
 

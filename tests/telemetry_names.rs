@@ -1,5 +1,5 @@
-//! Telemetry names cannot drift from the docs: every span, event, counter,
-//! gauge and histogram name the source emits is listed in DESIGN.md §10.2,
+//! Telemetry names cannot drift from the docs: every span, event, counter
+//! and histogram name the source emits is listed in DESIGN.md §10.2,
 //! and every name §10.2 lists is emitted somewhere.
 //!
 //! "Emitted" is read off the source text of `crates/*/src` (the telemetry
@@ -19,14 +19,13 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-const CALLS: [&str; 9] = [
+const CALLS: [&str; 8] = [
     ".span(",
     ".span_on_track(",
     ".child(",
     ".child_on_track(",
     ".inc_counter(",
     ".record_hist(",
-    ".set_gauge(",
     ".event(",
     ".event_at(",
 ];
