@@ -3,14 +3,32 @@
 //! naive partition — paper: 2.1× lower inter-block bandwidth), and the
 //! offline-compilation burden of AmorphOS's high-throughput mode.
 
+use serde::Serialize;
 use vital::baselines::count_feasible_combinations;
-use vital::cluster::CompileMetrics;
 use vital::compiler::{Compiler, CompilerConfig, StageTimings};
 use vital::netlist::hls::synthesize;
 use vital::placer::{cut_bits, random_assignment, Placer, PlacerConfig, VirtualGrid};
 use vital::runtime::{RuntimeConfig, SystemController};
 use vital::workloads::{benchmarks, Size};
 use vital_bench::bar;
+
+/// The suite's local-P&R parallelism and compile-cache counters, printed
+/// as one JSON line.
+#[derive(Serialize)]
+struct CompileMetrics {
+    /// Designs compiled (cache misses included).
+    designs: usize,
+    /// Worker threads the local-P&R stage ran with.
+    workers: usize,
+    /// Sum of per-block local-P&R times (the stage's one-worker cost), s.
+    serial_pnr_s: f64,
+    /// Wall-clock local-P&R time actually observed, s.
+    wall_pnr_s: f64,
+    /// Compile-cache hits (deploys that skipped P&R entirely).
+    cache_hits: u64,
+    /// Compile-cache misses (deploys that paid for a full compile).
+    cache_misses: u64,
+}
 
 fn main() {
     let sizes: Vec<Size> = if std::env::args().any(|a| a == "--full") {

@@ -72,7 +72,7 @@ mod state;
 mod topology;
 
 pub use error::ClusterError;
-pub use metrics::{CompileMetrics, FailedOutcome, RequestOutcome, SimReport};
+pub use metrics::{FailedOutcome, RequestOutcome, SimReport};
 pub use request::{AppRequest, RequestId};
 pub use sim::{ClusterSim, INSTRUCTION_SWITCH_S};
 pub(crate) use state::InstanceId;

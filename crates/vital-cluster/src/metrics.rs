@@ -192,28 +192,6 @@ impl SimReport {
     }
 }
 
-/// Compile-side metrics of a benchmark run: local-P&R parallelism and the
-/// content-addressed compile cache's hit/miss counters. Produced by the
-/// compile-layer reports/benches and carried next to the QoS metrics so a
-/// whole evaluation run serializes as one record. Plain integers/floats
-/// here — the cluster layer sits below the runtime and must not depend on
-/// its types.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct CompileMetrics {
-    /// Designs compiled (cache misses included).
-    pub designs: usize,
-    /// Worker threads the local-P&R stage ran with.
-    pub workers: usize,
-    /// Sum of per-block local-P&R times (the stage's one-worker cost), s.
-    pub serial_pnr_s: f64,
-    /// Wall-clock local-P&R time actually observed, s.
-    pub wall_pnr_s: f64,
-    /// Compile-cache hits (deploys that skipped P&R entirely).
-    pub cache_hits: u64,
-    /// Compile-cache misses (deploys that paid for a full compile).
-    pub cache_misses: u64,
-}
-
 fn mean(iter: impl Iterator<Item = f64>) -> f64 {
     let (mut sum, mut n) = (0.0, 0usize);
     for v in iter {
