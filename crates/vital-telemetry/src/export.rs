@@ -169,7 +169,11 @@ mod tests {
     #[test]
     fn jsonl_lines_are_valid_json() {
         let tel = Telemetry::sim();
-        tel.event_at(10, "sim.arrival", &[("app", "dnn".into())]);
+        tel.event_at(
+            10,
+            "sim.arrival",
+            &[("app", "dnn".into()), ("bad", f64::NAN.into())],
+        );
         let span = tel.span("op");
         tel.set_now_us(25);
         span.finish();
@@ -182,7 +186,7 @@ mod tests {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }
         assert!(lines[0].contains("\"kind\":\"instant\""));
-        assert!(lines[0].contains("\"fields\":{\"app\":\"dnn\"}"));
+        assert!(lines[0].contains("\"fields\":{\"app\":\"dnn\",\"bad\":null}"));
         assert!(lines[1].contains("\"dur_us\":25"));
         assert!(lines[2].contains("\"counters\":{\"arrivals\":1}"));
         assert!(lines[2].contains("\"resp_s\""));
