@@ -281,6 +281,48 @@ impl Channel {
         self.in_flight.is_empty() && self.fifo.is_empty()
     }
 
+    /// Appends the state the simulator's step reads, relative to cycle
+    /// `now`: the wire's `(arrival − now, now − injected)` pairs, the FIFO's
+    /// ages, and the cycles left until the serialization window opens.
+    pub(crate) fn write_relative(&self, now: u64, out: &mut Vec<u64>) {
+        out.push(self.in_flight.len() as u64);
+        for &(arrival, injected) in &self.in_flight {
+            out.extend([arrival.saturating_sub(now), now - injected]);
+        }
+        out.push(self.fifo.len() as u64);
+        out.extend(self.fifo.iter().map(|&injected| now - injected));
+        out.push(self.next_inject_allowed.saturating_sub(now));
+    }
+
+    /// Minimum cycles between two pushes.
+    pub(crate) fn serialization_interval(&self) -> u32 {
+        self.spec.serialization_interval
+    }
+
+    /// The delivered-flit count and the latency sum.
+    pub(crate) fn counters(&self) -> [u64; 2] {
+        [self.delivered, self.latency_sum]
+    }
+
+    /// Jumps the channel `shift` cycles ahead through a stretch that
+    /// repeats its relative state, adding the stretch's deliveries and
+    /// latency. `since` is the start of the last repetition: a window that
+    /// opened no later than `since` saw no push in it and stays put.
+    pub(crate) fn fast_forward(&mut self, since: u64, shift: u64, delivered: u64, latency: u64) {
+        for (arrival, injected) in &mut self.in_flight {
+            *arrival += shift;
+            *injected += shift;
+        }
+        for injected in &mut self.fifo {
+            *injected += shift;
+        }
+        if self.next_inject_allowed > since {
+            self.next_inject_allowed += shift;
+        }
+        self.delivered += delivered;
+        self.latency_sum += latency;
+    }
+
     /// The first cycle at which [`Channel::quiesce`] can succeed: the
     /// close of the serialization window opened by the last push (0 on an
     /// untouched channel). Lets a controller check an entire channel set

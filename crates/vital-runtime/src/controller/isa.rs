@@ -119,7 +119,7 @@ impl SystemController {
             return Err(RuntimeError::UnknownTenant(tenant));
         }
         let before = pool.assignment(tenant_raw).len();
-        let change = pool.set_share(tenant_raw, tiles as usize).map_err(|e| {
+        let moved = pool.set_share(tenant_raw, tiles as usize).map_err(|e| {
             RuntimeError::IsaTilesUnavailable {
                 requested: e.requested,
                 free: e.free,
@@ -130,7 +130,7 @@ impl SystemController {
             tenant: tenant_raw,
             tiles_before: before as u32,
             tiles_after: tiles,
-            realloc_us: switch_us(change.moved()),
+            realloc_us: switch_us(moved),
         })
     }
 }

@@ -49,7 +49,7 @@
 //! assert_eq!(report.reconfigurations, 0);
 //! ```
 
-pub use crate::pool::{ShareChange, TilePool, TilesUnavailable};
+pub use crate::pool::{TilePool, TilesUnavailable};
 pub use crate::program::{IsaProgram, UnknownIsaApp};
 pub use crate::sched::{IsaJob, IsaJobError, IsaOutcome, IsaReport, IsaSim};
 pub use crate::template::IsaTemplate;

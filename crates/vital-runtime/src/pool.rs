@@ -26,22 +26,6 @@ impl fmt::Display for TilesUnavailable {
 
 impl std::error::Error for TilesUnavailable {}
 
-/// The tiles moved by one share change.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ShareChange {
-    /// Tile ids newly assigned to the tenant (ascending).
-    pub added: Vec<u32>,
-    /// Tile ids released back to the pool (ascending).
-    pub removed: Vec<u32>,
-}
-
-impl ShareChange {
-    /// Total tiles that changed hands.
-    pub fn moved(&self) -> usize {
-        self.added.len() + self.removed.len()
-    }
-}
-
 /// The shared pool of template tiles and who owns what.
 ///
 /// All operations are deterministic — growing takes the lowest-numbered
@@ -54,7 +38,8 @@ pub struct TilePool {
     total: usize,
     /// Free tile ids, ascending.
     free: Vec<u32>,
-    /// Owned tile ids per tenant, each ascending.
+    /// Owned tile ids per tenant, each ascending. A share that shrank to
+    /// zero stays, empty, until the tenant is released.
     owned: BTreeMap<u64, Vec<u32>>,
 }
 
@@ -85,64 +70,88 @@ impl TilePool {
 
     /// Tenants currently holding at least one tile, ascending.
     pub fn tenants(&self) -> Vec<u64> {
-        self.owned.keys().copied().collect()
+        self.owned
+            .iter()
+            .filter(|(_, share)| !share.is_empty())
+            .map(|(&tenant, _)| tenant)
+            .collect()
     }
 
     /// Grow `tenant`'s share by `n` tiles, taking the lowest free ids.
     pub fn grow(&mut self, tenant: u64, n: usize) -> Result<Vec<u32>, TilesUnavailable> {
-        if n > self.free.len() {
-            return Err(TilesUnavailable {
-                requested: n,
-                free: self.free.len(),
-            });
-        }
-        let granted: Vec<u32> = self.free.drain(..n).collect();
-        let share = self.owned.entry(tenant).or_default();
-        share.extend_from_slice(&granted);
-        share.sort_unstable();
+        self.check_free(n)?;
+        let granted = self.free[..n].to_vec();
+        self.give(tenant, n);
         Ok(granted)
     }
 
     /// Shrink `tenant`'s share by up to `n` tiles, releasing its
     /// highest-numbered tiles. Returns the released ids (ascending).
     pub fn shrink(&mut self, tenant: u64, n: usize) -> Vec<u32> {
-        let Some(share) = self.owned.get_mut(&tenant) else {
-            return Vec::new();
-        };
-        let keep = share.len().saturating_sub(n);
-        let mut released = share.split_off(keep);
-        if share.is_empty() {
-            self.owned.remove(&tenant);
-        }
-        released.sort_unstable();
-        for id in &released {
-            let at = self.free.partition_point(|f| f < id);
-            self.free.insert(at, *id);
-        }
+        let share = self.assignment(tenant);
+        let released = share[share.len().saturating_sub(n)..].to_vec();
+        self.take_back(tenant, n);
         released
     }
 
     /// Move `tenant`'s share to exactly `target` tiles, growing or
-    /// shrinking as needed.
-    pub fn set_share(
-        &mut self,
-        tenant: u64,
-        target: usize,
-    ) -> Result<ShareChange, TilesUnavailable> {
+    /// shrinking as needed. Returns how many tiles changed hands; moves
+    /// nothing and allocates nothing when the share is already `target`.
+    pub fn set_share(&mut self, tenant: u64, target: usize) -> Result<usize, TilesUnavailable> {
         let current = self.assignment(tenant).len();
-        let mut change = ShareChange::default();
         if target > current {
-            change.added = self.grow(tenant, target - current)?;
-        } else if target < current {
-            change.removed = self.shrink(tenant, current - target);
+            self.check_free(target - current)?;
+            self.give(tenant, target - current);
+        } else {
+            self.take_back(tenant, current - target);
         }
-        Ok(change)
+        Ok(current.abs_diff(target))
     }
 
     /// Release all of `tenant`'s tiles. Returns how many were freed.
     pub fn release(&mut self, tenant: u64) -> usize {
-        let owned = self.assignment(tenant).len();
-        self.shrink(tenant, owned).len()
+        let freed = self.shrink(tenant, usize::MAX).len();
+        self.owned.remove(&tenant);
+        freed
+    }
+
+    fn check_free(&self, n: usize) -> Result<(), TilesUnavailable> {
+        if n > self.free.len() {
+            return Err(TilesUnavailable {
+                requested: n,
+                free: self.free.len(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Moves the `n` lowest free tiles to `tenant` (`n` ≤ free). A share
+    /// is sized for the whole pool when first created and kept, empty,
+    /// when it shrinks to zero, so later moves never allocate.
+    fn give(&mut self, tenant: u64, n: usize) {
+        if n == 0 {
+            return;
+        }
+        let total = self.total;
+        let share = self
+            .owned
+            .entry(tenant)
+            .or_insert_with(|| Vec::with_capacity(total));
+        share.extend(self.free.drain(..n));
+        share.sort_unstable();
+    }
+
+    /// Returns up to `n` of `tenant`'s highest tiles to the free list.
+    fn take_back(&mut self, tenant: u64, n: usize) {
+        let Some(share) = self.owned.get_mut(&tenant) else {
+            return;
+        };
+        let keep = share.len().saturating_sub(n);
+        for &id in &share[keep..] {
+            let at = self.free.partition_point(|&f| f < id);
+            self.free.insert(at, id);
+        }
+        share.truncate(keep);
     }
 
     /// Conservation invariant: free + Σ owned == total, no duplicates.
@@ -193,13 +202,20 @@ mod tests {
     #[test]
     fn set_share_reaches_target_in_both_directions() {
         let mut p = TilePool::new(10);
-        let up = p.set_share(7, 6).unwrap();
-        assert_eq!(up.added.len(), 6);
-        assert!(up.removed.is_empty());
-        let down = p.set_share(7, 2).unwrap();
-        assert_eq!(down.removed.len(), 4);
-        assert_eq!(p.assignment(7).len(), 2);
-        assert_eq!(p.set_share(7, 2).unwrap().moved(), 0);
+        assert_eq!(p.set_share(7, 6), Ok(6));
+        assert_eq!(p.assignment(7), &[0, 1, 2, 3, 4, 5]);
+        assert_eq!(p.set_share(7, 2), Ok(4));
+        assert_eq!(p.assignment(7), &[0, 1]);
+        assert_eq!(p.set_share(7, 2), Ok(0));
+        assert_eq!(p.set_share(7, 0), Ok(2));
+        assert!(p.tenants().is_empty(), "an empty share is not listed");
+        assert_eq!(
+            p.set_share(7, 11),
+            Err(TilesUnavailable {
+                requested: 11,
+                free: 10
+            })
+        );
         assert!(p.is_conserving());
     }
 

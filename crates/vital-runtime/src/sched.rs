@@ -7,7 +7,6 @@
 //! moved tile. Level 2 (tenant): each tenant replays its jobs'
 //! instruction blocks FIFO on whatever tiles it currently owns.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -146,6 +145,7 @@ impl IsaReport {
 
 /// Per-tenant level-2 state: the instruction stream and its FIFO queue.
 struct TenantQueue {
+    id: u64,
     program: IsaProgram,
     /// Jobs admitted but not finished: (job id, arrival, remaining ops).
     queue: Vec<(u64, f64, f64)>,
@@ -210,19 +210,38 @@ impl IsaSim {
         let mut arrivals: Vec<IsaJob> = jobs.to_vec();
         arrivals.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
         // Compile each tenant's instruction stream up front (level 2).
-        let mut tenants: BTreeMap<u64, TenantQueue> = BTreeMap::new();
+        // Tenants are kept in id order.
+        let mut tenants: Vec<TenantQueue> = Vec::new();
         for j in &arrivals {
-            if let std::collections::btree_map::Entry::Vacant(e) = tenants.entry(j.tenant) {
-                e.insert(TenantQueue {
-                    program: IsaProgram::for_app(&j.app)?,
-                    queue: Vec::new(),
-                });
+            if let Err(at) = tenants.binary_search_by_key(&j.tenant, |t| t.id) {
+                let program = IsaProgram::for_app(&j.app)?;
+                tenants.insert(
+                    at,
+                    TenantQueue {
+                        id: j.tenant,
+                        program,
+                        queue: Vec::new(),
+                    },
+                );
             }
+        }
+        let slot: Vec<usize> = arrivals
+            .iter()
+            .map(|j| tenants.partition_point(|t| t.id < j.tenant))
+            .collect();
+        // Every queue is sized for all of its tenant's jobs, so that no
+        // quantum grows one.
+        let mut jobs_of = vec![0usize; tenants.len()];
+        for &i in &slot {
+            jobs_of[i] += 1;
+        }
+        for (t, n) in tenants.iter_mut().zip(jobs_of) {
+            t.queue.reserve_exact(n);
         }
 
         let mut pool = TilePool::new(self.template.tiles());
         let mut report = IsaReport {
-            outcomes: Vec::new(),
+            outcomes: Vec::with_capacity(arrivals.len()),
             makespan_s: 0.0,
             utilization: 0.0,
             reallocations: 0,
@@ -231,42 +250,49 @@ impl IsaSim {
             sched_wall_ns: 0,
             reconfigurations: 0,
         };
+        // Per tenant: tiles held before and after this quantum's level-1
+        // step, and tiles moved by it.
+        let mut held = vec![0usize; tenants.len()];
+        let mut targets = vec![0usize; tenants.len()];
+        let mut moved = vec![0usize; tenants.len()];
+        let mut shares = Vec::with_capacity(tenants.len());
+        let mut queued = 0usize;
         let mut busy_tile_s = 0.0;
         let mut next_arrival = 0usize;
         let mut now = arrivals.first().map_or(0.0, |j| j.arrival_s);
         // Align the first boundary to the quantum grid.
         now = (now / self.quantum_s).floor() * self.quantum_s;
 
-        while next_arrival < arrivals.len() || tenants.values().any(|t| !t.queue.is_empty()) {
+        while next_arrival < arrivals.len() || queued > 0 {
             // Admit everything that has arrived by this boundary.
             while next_arrival < arrivals.len() && arrivals[next_arrival].arrival_s <= now {
                 let j = &arrivals[next_arrival];
-                let q = tenants.get_mut(&j.tenant).expect("tenant pre-registered");
-                q.queue.push((j.id, j.arrival_s, j.work_ops));
+                tenants[slot[next_arrival]]
+                    .queue
+                    .push((j.id, j.arrival_s, j.work_ops));
+                queued += 1;
                 next_arrival += 1;
             }
 
             // Level 1: recompute shares from demand at this boundary.
             let t0 = Instant::now();
-            let targets = proportional_shares(&tenants, pool.total());
-            let mut moved_per_tenant: BTreeMap<u64, usize> = BTreeMap::new();
+            proportional_shares(&tenants, pool.total(), &mut shares, &mut targets);
             let mut moved_total = 0usize;
             // Shrinks run first so their tiles are free by the time the
             // grows execute — targets conserve the pool only in aggregate.
-            let mut ordered: Vec<(u64, usize)> = targets.iter().map(|(&t, &s)| (t, s)).collect();
-            ordered
-                .sort_by_key(|&(tenant, target)| (target > pool.assignment(tenant).len(), tenant));
-            for (tenant, target) in ordered {
-                let change = pool
-                    .set_share(tenant, target)
-                    .expect("conserving targets never exceed the pool");
-                if change.moved() > 0 {
-                    moved_per_tenant.insert(tenant, change.moved());
-                    moved_total += change.moved();
+            for grows in [false, true] {
+                for (i, t) in tenants.iter().enumerate() {
+                    if (targets[i] > held[i]) == grows {
+                        moved[i] = pool
+                            .set_share(t.id, targets[i])
+                            .expect("conserving targets never exceed the pool");
+                        moved_total += moved[i];
+                    }
                 }
             }
+            held.copy_from_slice(&targets);
             report.sched_wall_ns += t0.elapsed().as_nanos() as u64;
-            debug_assert!(pool.is_conserving());
+            debug_assert_eq!(pool.free_count() + held.iter().sum::<usize>(), pool.total());
             if moved_total > 0 {
                 report.reallocations += 1;
                 report.tiles_moved += moved_total as u64;
@@ -275,14 +301,13 @@ impl IsaSim {
 
             // Level 2: each tenant replays instruction blocks on its
             // current share for the rest of the quantum.
-            for (&tenant, tq) in tenants.iter_mut() {
-                let tiles = pool.assignment(tenant).len();
+            for (i, tq) in tenants.iter_mut().enumerate() {
+                let tiles = held[i];
                 if tiles == 0 || tq.queue.is_empty() {
                     continue;
                 }
                 // Tiles that just switched streams drain first.
-                let switch_s =
-                    moved_per_tenant.get(&tenant).copied().unwrap_or(0) as f64 * TILE_SWITCH_S;
+                let switch_s = moved[i] as f64 * TILE_SWITCH_S;
                 let mut budget_s = (self.quantum_s - switch_s).max(0.0);
                 let rate = self.template.tenant_ops_per_s(tiles)
                     * efficiency(tiles, tq.program.natural_tiles());
@@ -298,7 +323,7 @@ impl IsaSim {
                         let completion_s = now + self.quantum_s - budget_s;
                         report.outcomes.push(IsaOutcome {
                             id: *id,
-                            tenant,
+                            tenant: tq.id,
                             arrival_s: *arrival_s,
                             completion_s,
                         });
@@ -310,11 +335,12 @@ impl IsaSim {
                     }
                 }
                 tq.queue.drain(..done);
+                queued -= done;
             }
 
             now += self.quantum_s;
             // If the cluster is idle, jump to the next arrival's boundary.
-            if tenants.values().all(|t| t.queue.is_empty()) {
+            if queued == 0 {
                 if let Some(j) = arrivals.get(next_arrival) {
                     let next = (j.arrival_s / self.quantum_s).floor() * self.quantum_s;
                     if next > now {
@@ -324,6 +350,7 @@ impl IsaSim {
             }
         }
 
+        debug_assert!(pool.is_conserving());
         report.makespan_s = report
             .outcomes
             .iter()
@@ -350,57 +377,67 @@ fn efficiency(tiles: usize, natural: usize) -> f64 {
     (natural as f64 + 0.7 * extra) / tiles as f64
 }
 
+/// One active tenant's share while [`proportional_shares`] builds it.
+struct Share {
+    /// Index of the tenant in id order.
+    tenant: usize,
+    demand: f64,
+    tiles: usize,
+    remainder: f64,
+}
+
 /// Demand-proportional integer shares with a one-tile floor per active
-/// tenant, conserving the pool size. Inactive tenants get zero.
-fn proportional_shares(tenants: &BTreeMap<u64, TenantQueue>, pool: usize) -> BTreeMap<u64, usize> {
-    let mut out: BTreeMap<u64, usize> = BTreeMap::new();
-    let active: Vec<(u64, f64)> = tenants
-        .iter()
-        .filter(|(_, t)| !t.queue.is_empty())
-        .map(|(&id, t)| (id, t.demand_ops().max(1.0)))
-        .collect();
-    for (&id, _) in tenants.iter() {
-        out.insert(id, 0);
+/// tenant, conserving the pool size, written to `out` (one entry per
+/// tenant, in id order). Inactive tenants get zero. `shares` is scratch
+/// space, reused across quanta.
+fn proportional_shares(
+    tenants: &[TenantQueue],
+    pool: usize,
+    shares: &mut Vec<Share>,
+    out: &mut [usize],
+) {
+    out.fill(0);
+    shares.clear();
+    shares.extend(
+        tenants
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| !t.queue.is_empty())
+            .map(|(tenant, t)| Share {
+                tenant,
+                demand: t.demand_ops().max(1.0),
+                tiles: 0,
+                remainder: 0.0,
+            }),
+    );
+    if shares.is_empty() || pool == 0 {
+        return;
     }
-    if active.is_empty() || pool == 0 {
-        return out;
-    }
-    let total_demand: f64 = active.iter().map(|(_, d)| d).sum();
+    let total_demand: f64 = shares.iter().map(|s| s.demand).sum();
     // Floor of one tile per active tenant (first `pool` tenants if the
     // pool is over-subscribed), then largest-remainder on the rest.
-    let floors = active.len().min(pool);
+    let floors = shares.len().min(pool);
     let spare = pool - floors;
-    let mut shares: Vec<(u64, usize, f64)> = active
-        .iter()
-        .enumerate()
-        .map(|(i, &(id, d))| {
-            let floor = usize::from(i < floors);
-            let ideal = spare as f64 * d / total_demand;
-            (id, floor + ideal as usize, ideal - (ideal as usize) as f64)
-        })
-        .collect();
-    let assigned: usize = shares.iter().map(|(_, s, _)| s).sum();
-    let mut leftover = pool.saturating_sub(assigned);
+    for (i, s) in shares.iter_mut().enumerate() {
+        let ideal = spare as f64 * s.demand / total_demand;
+        s.tiles = usize::from(i < floors) + ideal as usize;
+        s.remainder = ideal - (ideal as usize) as f64;
+    }
+    let assigned: usize = shares.iter().map(|s| s.tiles).sum();
+    let leftover = pool.saturating_sub(assigned);
     // Hand leftovers to the largest fractional remainders; ties break on
     // the lower tenant id so the allocation is deterministic.
-    let mut order: Vec<usize> = (0..shares.len()).collect();
-    order.sort_by(|&a, &b| {
-        shares[b]
-            .2
-            .total_cmp(&shares[a].2)
-            .then(shares[a].0.cmp(&shares[b].0))
+    shares.sort_unstable_by(|a, b| {
+        b.remainder
+            .total_cmp(&a.remainder)
+            .then(a.tenant.cmp(&b.tenant))
     });
-    for i in order {
-        if leftover == 0 {
-            break;
-        }
-        shares[i].1 += 1;
-        leftover -= 1;
+    for s in shares.iter_mut().take(leftover) {
+        s.tiles += 1;
     }
-    for (id, s, _) in shares {
-        out.insert(id, s);
+    for s in shares.iter() {
+        out[s.tenant] = s.tiles;
     }
-    out
 }
 
 #[cfg(test)]
@@ -506,20 +543,19 @@ mod tests {
 
     #[test]
     fn proportional_shares_conserve_and_floor() {
-        let mut tenants: BTreeMap<u64, TenantQueue> = BTreeMap::new();
-        for (id, demand) in [(1u64, 9.0e12), (2, 3.0e12), (3, 1.0e12)] {
-            tenants.insert(
-                id,
-                TenantQueue {
-                    program: IsaProgram::for_app("lenet-M").unwrap(),
-                    queue: vec![(0, 0.0, demand)],
-                },
-            );
-        }
-        let shares = proportional_shares(&tenants, 60);
-        let sum: usize = shares.values().sum();
-        assert_eq!(sum, 60);
-        assert!(shares.values().all(|&s| s >= 1));
-        assert!(shares[&1] > shares[&2] && shares[&2] > shares[&3]);
+        let tenants: Vec<TenantQueue> = [9.0e12, 3.0e12, 1.0e12]
+            .into_iter()
+            .enumerate()
+            .map(|(i, demand)| TenantQueue {
+                id: i as u64 + 1,
+                program: IsaProgram::for_app("lenet-M").unwrap(),
+                queue: vec![(0, 0.0, demand)],
+            })
+            .collect();
+        let mut shares = [0usize; 3];
+        proportional_shares(&tenants, 60, &mut Vec::new(), &mut shares);
+        assert_eq!(shares.iter().sum::<usize>(), 60);
+        assert!(shares.iter().all(|&s| s >= 1));
+        assert!(shares[0] > shares[1] && shares[1] > shares[2]);
     }
 }
