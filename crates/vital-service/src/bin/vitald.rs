@@ -153,8 +153,9 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let telemetry = Telemetry::recording();
     let mut controller = SystemController::new(RuntimeConfig::paper_cluster())
-        .with_telemetry(Telemetry::recording())
+        .with_telemetry(telemetry.clone())
         .with_geometry(opts.geometry.name());
     if opts.geometry.name() != "XCVU37P" {
         println!("vitald: fabric geometry {}", opts.geometry.name());
@@ -178,7 +179,7 @@ fn main() {
         );
     }
     let controller = Arc::new(controller);
-    controller.set_app_resolver(benchmark_resolver_for(opts.geometry.clone()));
+    controller.set_app_resolver(benchmark_resolver_for(opts.geometry.clone(), telemetry));
     if let Some(every) = opts.speculate_every {
         let controller = Arc::clone(&controller);
         std::thread::Builder::new()

@@ -82,6 +82,7 @@ pub use vital_compiler::DeviceModel;
 
 use vital_compiler::{Compiler, CompilerConfig};
 use vital_runtime::{AppResolver, RuntimeError};
+use vital_telemetry::Telemetry;
 use vital_workloads::{benchmarks, Size};
 
 /// An [`AppResolver`] over the paper's benchmark suite: resolves names of
@@ -90,7 +91,7 @@ use vital_workloads::{benchmarks, Size};
 /// variant. The `vitald` daemon installs this so remote clients can
 /// `Prepare`/`Deploy` benchmarks by name without shipping netlists.
 pub fn benchmark_resolver() -> AppResolver {
-    benchmark_resolver_for(DeviceModel::xcvu37p())
+    benchmark_resolver_for(DeviceModel::xcvu37p(), Telemetry::disabled())
 }
 
 /// [`benchmark_resolver`] targeting an explicit device model — the
@@ -98,8 +99,9 @@ pub fn benchmark_resolver() -> AppResolver {
 /// restored onto a differently-laid-out fabric recompiles against that
 /// fabric's column geometry (DESIGN.md §17). The netlist digest is
 /// device-independent, so images compiled here still match capsules
-/// exported from other geometries.
-pub fn benchmark_resolver_for(device: DeviceModel) -> AppResolver {
+/// exported from other geometries. Each compile records its
+/// `compile.*` spans on `telemetry` (the daemon passes its own handle).
+pub fn benchmark_resolver_for(device: DeviceModel, telemetry: Telemetry) -> AppResolver {
     Box::new(move |name: &str| {
         let (bench, size) = name
             .rsplit_once('-')
@@ -116,6 +118,7 @@ pub fn benchmark_resolver_for(device: DeviceModel) -> AppResolver {
             .find(|b| b.name() == bench)
             .ok_or_else(|| RuntimeError::UnknownApp(name.to_string()))?;
         let compiled = Compiler::for_device(&device, 60, CompilerConfig::default())
+            .with_telemetry(telemetry.clone())
             .compile(&b.spec(size))
             .map_err(RuntimeError::Compile)?;
         Ok(compiled.into_bitstream())
@@ -137,5 +140,20 @@ mod tests {
             resolve("lenet-X"),
             Err(RuntimeError::UnknownApp(_))
         ));
+    }
+
+    #[test]
+    fn a_recording_resolver_records_compile_spans() {
+        let telemetry = Telemetry::recording();
+        let resolve = benchmark_resolver_for(DeviceModel::xcvu37p(), telemetry.clone());
+        resolve("lenet-S").expect("lenet-S compiles");
+        let names: Vec<&str> = telemetry.records().iter().map(|r| r.name).collect();
+        for stage in [
+            "compile.synthesis",
+            "compile.local_pnr",
+            "compile.global_pnr",
+        ] {
+            assert!(names.contains(&stage), "no {stage} span in {names:?}");
+        }
     }
 }
