@@ -2,8 +2,10 @@
 //! and histogram name the source emits is listed in DESIGN.md §10.2,
 //! and every name §10.2 lists is emitted somewhere.
 //!
-//! "Emitted" is read off the source text of `crates/*/src` (the telemetry
-//! crate itself and the report binaries of `vital-bench` excepted):
+//! "Emitted" is read off the source text of `crates/*/src` (the report
+//! binaries of `vital-bench` excepted, and of `vital-telemetry` only what
+//! precedes each file's first `#[cfg(test)]`, since its unit tests emit
+//! throwaway names):
 //!
 //! * the first string literal among the arguments of each telemetry call
 //!   (`span(`, `child(`, `inc_counter(`, `record_hist(`, `event_at(`, …),
@@ -89,16 +91,22 @@ fn string_literals(text: &str) -> Vec<(usize, &str)> {
 /// The names the source emits (see the module docs for the two rules).
 fn emitted_names(namespaces: &BTreeSet<String>) -> BTreeSet<String> {
     let mut files = Vec::new();
+    let mut telemetry_files = Vec::new();
     for krate in std::fs::read_dir(repo_root().join("crates")).expect("crates/") {
         let krate = krate.expect("directory entry").path();
-        let name = krate.file_name().unwrap().to_string_lossy().into_owned();
-        if name != "vital-telemetry" && name != "vital-bench" {
-            rust_files(&krate.join("src"), &mut files);
+        match krate.file_name().unwrap().to_string_lossy().as_ref() {
+            "vital-bench" => {}
+            "vital-telemetry" => rust_files(&krate.join("src"), &mut telemetry_files),
+            _ => rust_files(&krate.join("src"), &mut files),
         }
     }
     let mut names = BTreeSet::new();
-    for file in files {
-        let text = std::fs::read_to_string(&file).expect("readable source file");
+    let telemetry = telemetry_files.into_iter().map(|f| (f, true));
+    for (file, cut_tests) in files.into_iter().map(|f| (f, false)).chain(telemetry) {
+        let mut text = std::fs::read_to_string(&file).expect("readable source file");
+        if cut_tests {
+            text.truncate(text.find("#[cfg(test)]").unwrap_or(text.len()));
+        }
         let literals = string_literals(&text);
         for call in CALLS {
             for (at, _) in text.match_indices(call) {
