@@ -224,11 +224,11 @@ impl NetworkSim {
     ///
     /// Once per period P (the lcm of the sinks' stall periods and the
     /// channels' serialization intervals, if at most 4,096) the run
-    /// snapshots the relative state a step reads. When it equals the snapshot of one period ago,
-    /// every later period repeats it, so the run jumps whole periods at
-    /// once and adds their firings, deliveries and latency by
-    /// multiplication, stopping short of `cycles` and of any source's
-    /// `limit`. The result equals stepping every cycle.
+    /// snapshots the relative state a step reads. When it equals the
+    /// snapshot of one period ago, every later period repeats it, so the
+    /// run jumps whole periods at once and adds their firings, deliveries
+    /// and latency by multiplication, stopping short of `cycles` and of
+    /// any source's `limit`. The result equals stepping every cycle.
     pub fn run(&mut self, cycles: u64) -> SimStats {
         let end = self.cycle + cycles;
         let period = self.period();
@@ -293,9 +293,9 @@ impl NetworkSim {
         let fired_at = 2 * self.channels.len();
         let mut k = (end - self.cycle) / p;
         for (i, a) in self.actors.iter().enumerate() {
-            let d = delta(fired_at + i);
-            if let (ActorKind::Source { limit }, true) = (a.kind, d > 0) {
-                k = k.min((limit - a.firings) / d);
+            match (a.kind, delta(fired_at + i)) {
+                (ActorKind::Source { limit }, d) if d > 0 => k = k.min((limit - a.firings) / d),
+                _ => {}
             }
         }
         if k == 0 {
@@ -834,6 +834,18 @@ mod tests {
         sim.add_actor(ActorKind::Source { limit: 1_201 }, [], [b]);
         sim.add_actor(sink(5, 2), [a, b], []);
         assert_fast_forward_exact(&sim, &[50_000]);
+        // A source that stops just before or just after a snapshot: its
+        // serialization window ends at every offset from the period.
+        for limit in 1..12 {
+            for (latency, interval) in [(1, 1), (1, 3), (2, 2), (3, 4), (4, 3)] {
+                let spec = ChannelSpec {
+                    serialization_interval: interval,
+                    ..spec(4, latency)
+                };
+                let (sim, _) = one_channel(spec, limit, sink(0, 0));
+                assert_fast_forward_exact(&sim, &[200]);
+            }
+        }
     }
 
     fn arb_spec() -> impl Strategy<Value = ChannelSpec> {

@@ -210,33 +210,22 @@ impl IsaSim {
         let mut arrivals: Vec<IsaJob> = jobs.to_vec();
         arrivals.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
         // Compile each tenant's instruction stream up front (level 2).
-        // Tenants are kept in id order.
+        // Tenants are kept in id order. Queueing every job once and
+        // emptying the queues again sizes each queue for all of its
+        // tenant's jobs, so that no quantum grows one.
         let mut tenants: Vec<TenantQueue> = Vec::new();
         for j in &arrivals {
-            if let Err(at) = tenants.binary_search_by_key(&j.tenant, |t| t.id) {
+            let at = tenants.partition_point(|t| t.id < j.tenant);
+            if tenants.get(at).is_none_or(|t| t.id != j.tenant) {
                 let program = IsaProgram::for_app(&j.app)?;
-                tenants.insert(
-                    at,
-                    TenantQueue {
-                        id: j.tenant,
-                        program,
-                        queue: Vec::new(),
-                    },
-                );
+                let queue = Vec::new();
+                let id = j.tenant;
+                tenants.insert(at, TenantQueue { id, program, queue });
             }
+            tenants[at].queue.push((j.id, j.arrival_s, j.work_ops));
         }
-        let slot: Vec<usize> = arrivals
-            .iter()
-            .map(|j| tenants.partition_point(|t| t.id < j.tenant))
-            .collect();
-        // Every queue is sized for all of its tenant's jobs, so that no
-        // quantum grows one.
-        let mut jobs_of = vec![0usize; tenants.len()];
-        for &i in &slot {
-            jobs_of[i] += 1;
-        }
-        for (t, n) in tenants.iter_mut().zip(jobs_of) {
-            t.queue.reserve_exact(n);
+        for t in &mut tenants {
+            t.queue.clear();
         }
 
         let mut pool = TilePool::new(self.template.tiles());
@@ -267,9 +256,8 @@ impl IsaSim {
             // Admit everything that has arrived by this boundary.
             while next_arrival < arrivals.len() && arrivals[next_arrival].arrival_s <= now {
                 let j = &arrivals[next_arrival];
-                tenants[slot[next_arrival]]
-                    .queue
-                    .push((j.id, j.arrival_s, j.work_ops));
+                let at = tenants.partition_point(|t| t.id < j.tenant);
+                tenants[at].queue.push((j.id, j.arrival_s, j.work_ops));
                 queued += 1;
                 next_arrival += 1;
             }

@@ -18,6 +18,10 @@ thread_local! {
 /// The system allocator, counting allocations and reallocations.
 struct Counting;
 
+// SAFETY: every method passes its arguments to `System` unchanged and
+// returns what `System` returns, so `GlobalAlloc`'s contract holds as it
+// does for `System`. The counter is a const-initialized `Cell` with no
+// destructor, so touching it never allocates or re-enters the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
