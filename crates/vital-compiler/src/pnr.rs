@@ -200,10 +200,12 @@ pub(crate) struct BlockProblem {
     kind_of_local: Vec<u8>,
     /// Block-internal edges `(local a, local b, bit weight)`.
     edges: Vec<(u32, u32, f64)>,
-    /// CSR offsets into `incident_edges`, length `prims.len() + 1`.
+    /// CSR offsets into `adj`, length `prims.len() + 1`.
     incident_start: Vec<u32>,
-    /// Edge indices incident to each local primitive (CSR payload).
-    incident_edges: Vec<u32>,
+    /// `(other endpoint, bit weight)` of each edge incident to each local
+    /// primitive, in edge order (CSR payload): pricing a move reads one
+    /// packed run per moved primitive instead of chasing edge indices.
+    adj: Vec<(u32, f64)>,
     /// Compact initial assignment (site per local primitive).
     initial: Vec<u32>,
     /// Wirelength of `initial`.
@@ -288,11 +290,11 @@ impl BlockProblem {
             incident_start.push(incident_start.last().unwrap() + d);
         }
         let mut cursor: Vec<u32> = incident_start[..prims.len()].to_vec();
-        let mut incident_edges: Vec<u32> = vec![0; edges.len() * 2];
-        for (ei, &(a, b, _)) in edges.iter().enumerate() {
-            incident_edges[cursor[a as usize] as usize] = ei as u32;
+        let mut adj: Vec<(u32, f64)> = vec![(0, 0.0); edges.len() * 2];
+        for &(a, b, w) in &edges {
+            adj[cursor[a as usize] as usize] = (b, w);
             cursor[a as usize] += 1;
-            incident_edges[cursor[b as usize] as usize] = ei as u32;
+            adj[cursor[b as usize] as usize] = (a, w);
             cursor[b as usize] += 1;
         }
 
@@ -324,7 +326,7 @@ impl BlockProblem {
             kind_of_local,
             edges,
             incident_start,
-            incident_edges,
+            adj,
             initial,
             initial_wirelength,
             avg_edge_bits,
@@ -342,6 +344,21 @@ impl BlockProblem {
             .map(|e| e.2 * site_dist(sites, assignment[e.0 as usize], assignment[e.1 as usize]))
             .sum()
     }
+
+    /// Bit-weighted Manhattan length of the edges at `local`, given every
+    /// primitive's coordinates: the same f64 terms as `site_dist` (small
+    /// integers are exact either way), summed in the same order.
+    fn cost_of(&self, local: u32, pos: &[(u32, u32)]) -> f64 {
+        let lo = self.incident_start[local as usize] as usize;
+        let hi = self.incident_start[local as usize + 1] as usize;
+        let (x, y) = pos[local as usize];
+        let mut acc = 0.0;
+        for &(other, w) in &self.adj[lo..hi] {
+            let (ox, oy) = pos[other as usize];
+            acc += w * f64::from(x.abs_diff(ox) + y.abs_diff(oy));
+        }
+        acc
+    }
 }
 
 /// Reusable per-worker annealing buffers. One scratch serves any number of
@@ -349,12 +366,14 @@ impl BlockProblem {
 /// allocates once instead of once per block — the other half of the
 /// parallel-slowdown fix. The `occupant` vector is sized to the site count
 /// with `u32::MAX` marking empty sites; each run restores its entries on
-/// exit, so clearing costs O(primitives), not O(sites).
+/// exit, so clearing costs O(primitives), not O(sites). `pos` mirrors
+/// `site_of_local` as coordinates, and a tentative move writes only `pos`.
 #[derive(Debug)]
 pub(crate) struct PnrScratch {
     site_of_local: Vec<u32>,
     best: Vec<u32>,
     occupant: Vec<u32>,
+    pos: Vec<(u32, u32)>,
 }
 
 /// Occupancy sentinel: no primitive on this site.
@@ -367,6 +386,7 @@ impl PnrScratch {
             site_of_local: Vec::new(),
             best: Vec::new(),
             occupant: vec![EMPTY_SITE; site_count],
+            pos: Vec::new(),
         }
     }
 }
@@ -393,6 +413,20 @@ fn site_dist(sites: &SiteModel, sa: u32, sb: u32) -> f64 {
     (f64::from(a.x) - f64::from(b.x)).abs() + (f64::from(a.y) - f64::from(b.y)).abs()
 }
 
+fn site_xy(sites: &SiteModel, s: u32) -> (u32, u32) {
+    let site = sites.sites[s as usize];
+    (site.x, site.y)
+}
+
+/// Seats every local primitive on its site in `occupant` and `pos`.
+fn seat(sites: &SiteModel, site_of_local: &[u32], occupant: &mut [u32], pos: &mut Vec<(u32, u32)>) {
+    pos.clear();
+    for (local, &s) in site_of_local.iter().enumerate() {
+        occupant[s as usize] = local as u32;
+        pos.push(site_xy(sites, s));
+    }
+}
+
 /// Runs one annealing shard of `problem`: hill-climb at a geometric
 /// temperature schedule followed by two greedy passes, snapshotting the
 /// best placement at every temperature boundary (so a shard can never end
@@ -417,29 +451,12 @@ pub(crate) fn anneal_shard(
         site_of_local,
         best,
         occupant,
+        pos,
     } = scratch;
     site_of_local.clone_from(&problem.initial);
     best.clone_from(&problem.initial);
-    for (local, &s) in site_of_local.iter().enumerate() {
-        occupant[s as usize] = local as u32;
-    }
+    seat(sites, site_of_local, occupant, pos);
     let mut best_wirelength = problem.initial_wirelength;
-
-    let eval = |local: u32, site_of_local: &[u32]| -> f64 {
-        let lo = problem.incident_start[local as usize] as usize;
-        let hi = problem.incident_start[local as usize + 1] as usize;
-        let mut acc = 0.0;
-        for &ei in &problem.incident_edges[lo..hi] {
-            let e = &problem.edges[ei as usize];
-            acc += e.2
-                * site_dist(
-                    sites,
-                    site_of_local[e.0 as usize],
-                    site_of_local[e.1 as usize],
-                );
-        }
-        acc
-    };
 
     let mut rng = StdRng::seed_from_u64(shard_seed(cfg, problem.block, shard));
     let mut t = cfg.t0 * problem.avg_edge_bits;
@@ -452,9 +469,7 @@ pub(crate) fn anneal_shard(
                 occupant[s as usize] = EMPTY_SITE;
             }
             site_of_local.clone_from(best);
-            for (local, &s) in site_of_local.iter().enumerate() {
-                occupant[s as usize] = local as u32;
-            }
+            seat(sites, site_of_local, occupant, pos);
         }
         for _ in 0..moves {
             let a_local = rng.gen_range(0..n) as u32;
@@ -468,24 +483,21 @@ pub(crate) fn anneal_shard(
             if target == from {
                 continue;
             }
-            let swap_with = match occupant[target as usize] {
-                EMPTY_SITE => None,
-                b_local => Some(b_local),
-            };
+            let swap_with = Some(occupant[target as usize]).filter(|&b| b != EMPTY_SITE);
 
             // Cost delta over incident edges of the moved primitive(s).
-            let mut before = eval(a_local, site_of_local);
+            let mut before = problem.cost_of(a_local, pos);
             if let Some(b_local) = swap_with {
-                before += eval(b_local, site_of_local);
+                before += problem.cost_of(b_local, pos);
             }
-            // Apply tentatively.
-            site_of_local[a_local as usize] = target;
+            // Apply tentatively, to the coordinates only.
+            pos[a_local as usize] = site_xy(sites, target);
             if let Some(b_local) = swap_with {
-                site_of_local[b_local as usize] = from;
+                pos[b_local as usize] = site_xy(sites, from);
             }
-            let mut after = eval(a_local, site_of_local);
+            let mut after = problem.cost_of(a_local, pos);
             if let Some(b_local) = swap_with {
-                after += eval(b_local, site_of_local);
+                after += problem.cost_of(b_local, pos);
             }
             let delta = after - before;
             let accept = if greedy {
@@ -494,17 +506,17 @@ pub(crate) fn anneal_shard(
                 delta <= 0.0 || rng.gen::<f64>() < (-delta / t).exp()
             };
             if accept {
-                // Accept: update occupancy.
-                occupant[target as usize] = a_local;
-                occupant[from as usize] = match swap_with {
-                    Some(b_local) => b_local,
-                    None => EMPTY_SITE,
-                };
-            } else {
-                // Revert.
-                site_of_local[a_local as usize] = from;
+                // Accept: update the assignment and occupancy.
+                site_of_local[a_local as usize] = target;
+                occupant.swap(from as usize, target as usize);
                 if let Some(b_local) = swap_with {
-                    site_of_local[b_local as usize] = target;
+                    site_of_local[b_local as usize] = from;
+                }
+            } else {
+                // Revert the coordinates.
+                pos[a_local as usize] = site_xy(sites, from);
+                if let Some(b_local) = swap_with {
+                    pos[b_local as usize] = site_xy(sites, target);
                 }
             }
         }
@@ -749,6 +761,35 @@ mod tests {
             annealed.initial_wirelength
         );
         assert!(annealed.achieved_mhz > 0.0 && annealed.achieved_mhz <= 300.0);
+    }
+
+    #[test]
+    fn packed_cost_equals_edge_list_cost_bit_for_bit() {
+        let n = small_netlist();
+        let dfg = DataflowGraph::from_netlist(&n);
+        let sites = SiteModel::for_block(&DeviceModel::xcvu37p(), 60);
+        let problem = BlockProblem::build(&n, &dfg, 0, &block_prims(&n), &sites).unwrap();
+        assert!(problem.edges.len() > 10, "needs a real edge list");
+        let mut rng = StdRng::seed_from_u64(45);
+        for _ in 0..20 {
+            let assignment: Vec<u32> = (0..problem.len())
+                .map(|_| rng.gen_range(0..sites.sites().len()) as u32)
+                .collect();
+            let pos: Vec<(u32, u32)> = assignment.iter().map(|&s| site_xy(&sites, s)).collect();
+            for local in 0..problem.len() as u32 {
+                // The former form: each incident edge, in edge order,
+                // priced through both endpoints' sites.
+                let mut old = 0.0;
+                for &(a, b, w) in problem
+                    .edges
+                    .iter()
+                    .filter(|e| e.0 == local || e.1 == local)
+                {
+                    old += w * site_dist(&sites, assignment[a as usize], assignment[b as usize]);
+                }
+                assert_eq!(problem.cost_of(local, &pos).to_bits(), f64::to_bits(old));
+            }
+        }
     }
 
     #[test]
