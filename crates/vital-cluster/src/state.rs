@@ -336,6 +336,9 @@ pub struct ClusterView {
     pod_free: Vec<usize>,
     health: Vec<FpgaHealth>,
     link_down: Vec<bool>,
+    /// How many `link_down` flags are set, so the common no-fault case
+    /// answers `down_links` without walking every link.
+    links_down: usize,
     topology: Arc<Topology>,
     now_s: f64,
 }
@@ -364,6 +367,7 @@ impl ClusterView {
             pod_free,
             health: vec![FpgaHealth::Online; blocks_per_fpga.len()],
             link_down: vec![false; topology.link_count()],
+            links_down: 0,
             topology,
             now_s: 0.0,
         }
@@ -421,6 +425,11 @@ impl ClusterView {
 
     pub(crate) fn set_link(&mut self, link: usize, down: bool) {
         if let Some(slot) = self.link_down.get_mut(link) {
+            match (*slot, down) {
+                (false, true) => self.links_down += 1,
+                (true, false) => self.links_down -= 1,
+                _ => {}
+            }
             *slot = down;
         }
     }
@@ -429,6 +438,9 @@ impl ClusterView {
     /// can avoid spanning across them: traffic reroutes around them,
     /// inflating the hop penalty.
     pub(crate) fn down_links(&self) -> Vec<usize> {
+        if self.links_down == 0 {
+            return Vec::new();
+        }
         self.link_down
             .iter()
             .enumerate()
@@ -680,6 +692,32 @@ mod tests {
         v.set_health(0, FpgaHealth::Online);
         assert_eq!(v.pod_free_counts(), [7, 5]);
         assert_eq!(v.total_free(), 12);
+    }
+
+    /// The down-link count that lets `down_links` skip its walk must track
+    /// the flags through downs, ups, repeats and out-of-range links.
+    #[test]
+    fn down_links_follow_every_link_change() {
+        let mut v = paper_view();
+        let scan = |v: &ClusterView| -> Vec<usize> {
+            (0..v.link_down.len()).filter(|&l| v.link_down[l]).collect()
+        };
+        assert!(v.down_links().is_empty());
+        v.set_link(1, true);
+        v.set_link(1, true); // the same state twice
+        v.set_link(3, true);
+        v.set_link(99, true); // ignored
+        assert_eq!(v.down_links(), [1, 3]);
+        assert_eq!(v.down_links(), scan(&v));
+        v.set_link(1, false);
+        v.set_link(1, false);
+        v.set_link(99, false);
+        assert_eq!(v.down_links(), [3]);
+        v.set_link(3, false);
+        assert!(v.down_links().is_empty());
+        assert_eq!(v.down_links(), scan(&v));
+        v.set_link(0, true);
+        assert_eq!(v.down_links(), [0]);
     }
 
     /// A layout longer than its topology would count the extra FPGAs into
