@@ -506,7 +506,8 @@ pub(crate) fn anneal_shard(
                 delta <= 0.0 || rng.gen::<f64>() < (-delta / t).exp()
             };
             if accept {
-                // Accept: update the assignment and occupancy.
+                // Accept. `from` holds `a` and `target` holds `b` or
+                // nothing, so swapping the two occupancy entries is the move.
                 site_of_local[a_local as usize] = target;
                 occupant.swap(from as usize, target as usize);
                 if let Some(b_local) = swap_with {
