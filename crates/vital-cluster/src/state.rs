@@ -699,25 +699,28 @@ mod tests {
     #[test]
     fn down_links_follow_every_link_change() {
         let mut v = paper_view();
-        let scan = |v: &ClusterView| -> Vec<usize> {
-            (0..v.link_down.len()).filter(|&l| v.link_down[l]).collect()
+        // `down_links` equals the filtered flags, and the count that lets
+        // it skip the walk equals their number.
+        let check = |v: &ClusterView, expected: &[usize]| {
+            let scan: Vec<usize> = (0..v.link_down.len()).filter(|&l| v.link_down[l]).collect();
+            assert_eq!(v.down_links(), scan);
+            assert_eq!(v.down_links(), expected);
+            assert_eq!(v.links_down, scan.len());
         };
-        assert!(v.down_links().is_empty());
+        check(&v, &[]);
         v.set_link(1, true);
         v.set_link(1, true); // the same state twice
         v.set_link(3, true);
         v.set_link(99, true); // ignored
-        assert_eq!(v.down_links(), [1, 3]);
-        assert_eq!(v.down_links(), scan(&v));
+        check(&v, &[1, 3]);
         v.set_link(1, false);
         v.set_link(1, false);
         v.set_link(99, false);
-        assert_eq!(v.down_links(), [3]);
+        check(&v, &[3]);
         v.set_link(3, false);
-        assert!(v.down_links().is_empty());
-        assert_eq!(v.down_links(), scan(&v));
+        check(&v, &[]);
         v.set_link(0, true);
-        assert_eq!(v.down_links(), [0]);
+        check(&v, &[0]);
     }
 
     /// A layout longer than its topology would count the extra FPGAs into
