@@ -9,6 +9,7 @@ use vital::compiler::{Compiler, CompilerConfig, StageTimings};
 use vital::netlist::hls::synthesize;
 use vital::placer::{cut_bits, random_assignment, Placer, PlacerConfig, VirtualGrid};
 use vital::runtime::{RuntimeConfig, SystemController};
+use vital::telemetry::Telemetry;
 use vital::workloads::{benchmarks, Size};
 use vital_bench::bar;
 
@@ -37,7 +38,8 @@ fn main() {
         vec![Size::Small, Size::Medium]
     };
 
-    let compiler = Compiler::new(CompilerConfig::default());
+    let telemetry = Telemetry::recording();
+    let compiler = Compiler::new(CompilerConfig::default()).with_telemetry(telemetry.clone());
     let mut total = StageTimings::default();
     let mut cut_ratios = Vec::new();
     let mut compiled_count = 0usize;
@@ -98,6 +100,15 @@ fn main() {
         b.custom_tools() * 100.0
     );
     println!("total compile time   : {:?}", total.total());
+    // The annealer's work as counts: unlike the shares above, these do
+    // not move with the host's speed.
+    let counters = telemetry.metrics().counters;
+    let proposed = counters["compile.pnr.moves_proposed"];
+    let accepted = counters["compile.pnr.moves_accepted"];
+    println!(
+        "local P&R moves      : {proposed} proposed, {accepted} accepted ({:.2}%)",
+        accepted as f64 / proposed.max(1) as f64 * 100.0
+    );
 
     println!("\n== local P&R parallelism ==\n");
     println!("worker threads       : {}", total.workers);

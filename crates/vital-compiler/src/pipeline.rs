@@ -345,6 +345,12 @@ impl Compiler {
                 anneal_shard(problem, &self.site_model, &self.config.pnr, shard, scratch)
             }))
             .map_err(|payload| panic_message(payload.as_ref()));
+            if let Ok(chain) = &result {
+                self.telemetry
+                    .inc_counter("compile.pnr.moves_proposed", chain.proposed);
+                self.telemetry
+                    .inc_counter("compile.pnr.moves_accepted", chain.accepted);
+            }
             span.field("ok", result.is_ok());
             span.finish();
             (result, t.elapsed())

@@ -179,7 +179,7 @@ pub struct LocalPlacement {
     /// Wirelength of the compact initial assignment, before annealing.
     pub initial_wirelength: f64,
     /// Longest single placed edge in Manhattan tiles.
-    pub(crate) max_edge: f64,
+    pub max_edge: f64,
     /// Analytic post-P&R frequency estimate in MHz.
     pub achieved_mhz: f64,
 }
@@ -398,6 +398,10 @@ pub(crate) struct ShardPlacement {
     pub(crate) assignment: Vec<u32>,
     /// Its wirelength.
     pub(crate) wirelength: f64,
+    /// Moves the shard proposed.
+    pub(crate) proposed: u64,
+    /// Moves the shard accepted.
+    pub(crate) accepted: u64,
 }
 
 /// Mixes the shard index into the per-block seed; shard 0 keeps the
@@ -457,6 +461,7 @@ pub(crate) fn anneal_shard(
     best.clone_from(&problem.initial);
     seat(sites, site_of_local, occupant, pos);
     let mut best_wirelength = problem.initial_wirelength;
+    let mut accepted = 0u64;
 
     let mut rng = StdRng::seed_from_u64(shard_seed(cfg, problem.block, shard));
     let mut t = cfg.t0 * problem.avg_edge_bits;
@@ -506,6 +511,7 @@ pub(crate) fn anneal_shard(
                 delta <= 0.0 || rng.gen::<f64>() < (-delta / t).exp()
             };
             if accept {
+                accepted += 1;
                 // Accept. `from` holds `a` and `target` holds `b` or
                 // nothing, so swapping the two occupancy entries is the move.
                 site_of_local[a_local as usize] = target;
@@ -539,6 +545,8 @@ pub(crate) fn anneal_shard(
     ShardPlacement {
         assignment: best.clone(),
         wirelength: best_wirelength,
+        proposed: (moves * (cfg.temperatures + 2)) as u64,
+        accepted,
     }
 }
 
