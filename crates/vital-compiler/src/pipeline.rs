@@ -12,10 +12,7 @@ use vital_netlist::{DataflowGraph, Netlist, PrimitiveId};
 use vital_telemetry::{Span, Telemetry};
 
 use crate::image::{AppBitstream, BlockImage};
-use crate::pnr::{
-    anneal_shard, finalize_placement, BlockProblem, LocalPlacement, PnrScratch, ShardPlacement,
-    SiteModel,
-};
+use crate::pnr::{anneal_block, BlockProblem, LocalPlacement, PnrScratch, SiteModel};
 use crate::{CompileError, CompilerConfig, NetlistDigest, StageTimings};
 
 /// Outcome of local P&R for one virtual block, with its wall time.
@@ -176,13 +173,7 @@ impl Compiler {
                 }
             }
         }
-        // Workers are sized to the (block x shard) work-item count, not the
-        // block count, so a compile with fewer blocks than cores still
-        // parallelizes within each block.
-        let shards = self.config.pnr.shards.max(1);
-        let workers = self
-            .config
-            .effective_workers(prims_per_vb.len().saturating_mul(shards));
+        let workers = self.config.effective_workers(prims_per_vb.len());
         stage.field("blocks", prims_per_vb.len());
         stage.field("workers", workers);
         let placed = self.place_all_blocks(&netlist, &dfg, &prims_per_vb, workers, &stage);
@@ -278,22 +269,20 @@ impl Compiler {
     }
 
     /// Runs local P&R for every virtual block on `workers` threads,
-    /// returning results in virtual-block order with per-block times
-    /// (the sum of a block's shard times, i.e. its one-worker cost).
+    /// returning results in virtual-block order with each block's
+    /// annealing time.
     ///
     /// The stage runs in three phases. Phase 1 builds every block's
     /// [`BlockProblem`] serially — cheap preprocessing that also surfaces
-    /// infeasibility errors deterministically. Phase 2 fans the
-    /// `(block, shard)` work items out over a shared atomic counter, so
-    /// threads stay busy regardless of per-block cost skew and a compile
-    /// with fewer blocks than workers still saturates the pool; each
-    /// worker reuses one [`PnrScratch`] across all items it claims. Phase 3
-    /// reduces each block's shards to the winner (lowest wirelength, ties
-    /// to the lowest shard index) in block order, which makes the output —
+    /// infeasibility errors deterministically. Phase 2 fans the feasible
+    /// blocks out over a shared atomic counter, one annealing chain each,
+    /// so threads stay busy regardless of per-block cost skew; each worker
+    /// reuses one [`PnrScratch`] across all blocks it claims. Phase 3
+    /// collects the results in block order, which makes the output —
     /// including which error surfaces first — independent of thread
     /// scheduling and hence bit-identical to the serial path.
     ///
-    /// A panicking shard is caught per work item ([`catch_unwind`]) and
+    /// A panicking chain is caught per block ([`catch_unwind`]) and
     /// surfaces as [`CompileError::PnrWorkerPanicked`] on its block: one
     /// poisoned block fails that compile, never the process.
     fn place_all_blocks(
@@ -304,7 +293,6 @@ impl Compiler {
         workers: usize,
         pnr_span: &Span,
     ) -> Vec<BlockPnr> {
-        let shards = self.config.pnr.shards.max(1);
         let site_count = self.site_model.sites().len();
 
         // Phase 1: preprocess every block (feasibility + dense adjacency).
@@ -316,76 +304,73 @@ impl Compiler {
             })
             .collect();
 
-        // Phase 2: anneal the (block, shard) items of feasible blocks.
-        let items: Vec<(usize, usize)> = problems
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_ok())
-            .flat_map(|(vb, _)| (0..shards).map(move |s| (vb, s)))
+        // Phase 2: anneal the feasible blocks.
+        let items: Vec<usize> = (0..problems.len())
+            .filter(|&vb| problems[vb].is_ok())
             .collect();
-        // Per item: the shard's placement (or the panic message that killed
-        // it) and its wall time. `None` = the worker thread died before
-        // reporting, which phase 3 also treats as a panicked shard.
-        type ItemOutcome = (Result<ShardPlacement, String>, Duration);
-        let mut outcomes: Vec<Option<ItemOutcome>> = (0..items.len()).map(|_| None).collect();
+        // Per block: its placement (or the panic message that killed its
+        // chain) and its wall time. `None` = the worker thread died before
+        // reporting, which phase 3 also treats as a panicked chain.
+        type Outcome = (Result<LocalPlacement, String>, Duration);
+        let mut outcomes: Vec<Option<Outcome>> = (0..problems.len()).map(|_| None).collect();
         let mut worker_panics: Vec<String> = Vec::new();
 
-        let run_item = |idx: usize, scratch: &mut PnrScratch| -> ItemOutcome {
-            let (vb, shard) = items[idx];
+        let run_block = |vb: usize, scratch: &mut PnrScratch| -> Outcome {
             let problem = problems[vb]
                 .as_ref()
                 .expect("items are built from feasible blocks only");
             let t = Instant::now();
-            // One span per shard, on its own track so parallel shards
+            // One span per block, on its own track so parallel blocks
             // render side by side in the trace viewer.
-            let mut span = pnr_span.child_on_track("compile.pnr_shard", idx as u32);
+            let mut span = pnr_span.child_on_track("compile.block_pnr", vb as u32);
             span.field("block", vb);
-            span.field("shard", shard);
             let result = catch_unwind(AssertUnwindSafe(|| {
-                anneal_shard(problem, &self.site_model, &self.config.pnr, shard, scratch)
+                anneal_block(problem, &self.site_model, &self.config.pnr, scratch)
             }))
+            .map(|(placement, proposed, accepted)| {
+                self.telemetry
+                    .inc_counter("compile.pnr.moves_proposed", proposed);
+                self.telemetry
+                    .inc_counter("compile.pnr.moves_accepted", accepted);
+                placement
+            })
             .map_err(|payload| panic_message(payload.as_ref()));
-            if let Ok(chain) = &result {
-                self.telemetry
-                    .inc_counter("compile.pnr.moves_proposed", chain.proposed);
-                self.telemetry
-                    .inc_counter("compile.pnr.moves_accepted", chain.accepted);
-            }
             span.field("ok", result.is_ok());
             span.finish();
-            (result, t.elapsed())
+            let dur = t.elapsed();
+            self.telemetry
+                .record_hist("compile.block_pnr_s", dur.as_secs_f64());
+            (result, dur)
         };
 
         if workers <= 1 {
             let mut scratch = PnrScratch::new(site_count);
-            for (idx, slot) in outcomes.iter_mut().enumerate() {
-                let outcome = run_item(idx, &mut scratch);
+            for &vb in &items {
+                let outcome = run_block(vb, &mut scratch);
                 if outcome.0.is_err() {
                     // The scratch may hold stale occupancy from the
-                    // aborted run; start the next item from a fresh one.
+                    // aborted run; start the next block from a fresh one.
                     scratch = PnrScratch::new(site_count);
                 }
-                *slot = Some(outcome);
+                outcomes[vb] = Some(outcome);
             }
         } else {
             let next = AtomicUsize::new(0);
-            let per_worker: Vec<Result<Vec<(usize, ItemOutcome)>, String>> =
+            let per_worker: Vec<Result<Vec<(usize, Outcome)>, String>> =
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = (0..workers)
                         .map(|_| {
                             scope.spawn(|| {
                                 let mut scratch = PnrScratch::new(site_count);
                                 let mut out = Vec::new();
-                                loop {
-                                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                                    if idx >= items.len() {
-                                        break;
-                                    }
-                                    let outcome = run_item(idx, &mut scratch);
+                                while let Some(&vb) =
+                                    items.get(next.fetch_add(1, Ordering::Relaxed))
+                                {
+                                    let outcome = run_block(vb, &mut scratch);
                                     if outcome.0.is_err() {
                                         scratch = PnrScratch::new(site_count);
                                     }
-                                    out.push((idx, outcome));
+                                    out.push((vb, outcome));
                                 }
                                 out
                             })
@@ -399,89 +384,44 @@ impl Compiler {
             for result in per_worker {
                 match result {
                     Ok(done) => {
-                        for (idx, outcome) in done {
-                            outcomes[idx] = Some(outcome);
+                        for (vb, outcome) in done {
+                            outcomes[vb] = Some(outcome);
                         }
                     }
                     // A worker died outside catch_unwind; its unreported
-                    // items fail their blocks in phase 3. Every dead
-                    // worker's message is kept — attribution per item is
-                    // lost with the thread, so unreported items carry the
-                    // union of them rather than silently dropping any.
+                    // blocks fail in phase 3. Every dead worker's message
+                    // is kept — attribution per block is lost with the
+                    // thread, so unreported blocks carry the union of them
+                    // rather than silently dropping any.
                     Err(msg) => worker_panics.push(msg),
                 }
             }
         }
-        let worker_panic = if worker_panics.is_empty() {
-            None
-        } else {
-            Some(worker_panics.join("; "))
-        };
 
-        // Phase 3: reduce shards to one placement per block, in order.
-        let mut out = Vec::with_capacity(prims_per_vb.len());
-        let mut cursor = 0usize;
-        for (vb, problem) in problems.iter().enumerate() {
-            let mut span = pnr_span.child_on_track("compile.block_pnr", vb as u32);
-            span.field("block", vb);
-            let (result, dur) = match problem {
-                Err(e) => (Err(e.clone()), Duration::ZERO),
-                Ok(problem) => {
-                    let mut best: Option<ShardPlacement> = None;
-                    let mut dur = Duration::ZERO;
-                    let mut panicked: Option<String> = None;
-                    for _ in 0..shards {
-                        match outcomes[cursor].take() {
-                            Some((Ok(placement), d)) => {
-                                dur += d;
-                                if best
-                                    .as_ref()
-                                    .is_none_or(|b| placement.wirelength < b.wirelength)
-                                {
-                                    best = Some(placement);
-                                }
-                            }
-                            Some((Err(msg), d)) => {
-                                dur += d;
-                                panicked.get_or_insert(msg);
-                            }
-                            None => {
-                                let msg = worker_panic
-                                    .clone()
-                                    .unwrap_or_else(|| "P&R worker exited early".to_string());
-                                panicked.get_or_insert(msg);
-                            }
-                        }
-                        cursor += 1;
-                    }
-                    match panicked {
-                        // Any panicked shard fails the whole block: picking
-                        // the best *surviving* shard would make the output
-                        // depend on which thread crashed.
-                        Some(message) => (
-                            Err(CompileError::PnrWorkerPanicked {
-                                block: vb as u32,
-                                message,
-                            }),
-                            dur,
-                        ),
-                        None => {
-                            let best = best.expect("shards >= 1 and none panicked");
-                            (
-                                Ok(finalize_placement(problem, &self.site_model, &best)),
-                                dur,
-                            )
-                        }
+        // Phase 3: one result per block, in order.
+        problems
+            .into_iter()
+            .zip(outcomes)
+            .enumerate()
+            .map(|(vb, (problem, outcome))| {
+                let panicked = |message| CompileError::PnrWorkerPanicked {
+                    block: vb as u32,
+                    message,
+                };
+                match (problem, outcome) {
+                    (Err(e), _) => (Err(e), Duration::ZERO),
+                    (Ok(_), Some((result, dur))) => (result.map_err(panicked), dur),
+                    (Ok(_), None) => {
+                        let message = if worker_panics.is_empty() {
+                            "P&R worker exited early".to_string()
+                        } else {
+                            worker_panics.join("; ")
+                        };
+                        (Err(panicked(message)), Duration::ZERO)
                     }
                 }
-            };
-            span.field("ok", result.is_ok());
-            span.finish();
-            self.telemetry
-                .record_hist("compile.block_pnr_s", dur.as_secs_f64());
-            out.push((result, dur));
-        }
-        out
+            })
+            .collect()
     }
 }
 

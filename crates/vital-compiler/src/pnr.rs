@@ -27,40 +27,24 @@ use crate::CompileError;
 pub struct PnrConfig {
     /// RNG seed.
     pub seed: u64,
-    /// Proposed moves per primitive per temperature (split across shards).
+    /// Proposed moves per primitive per temperature step.
     pub(crate) moves_per_primitive: usize,
-    /// Number of temperature steps.
+    /// Most annealing temperature steps before the greedy finish.
     pub(crate) temperatures: usize,
-    /// Initial temperature (in units of edge-length cost).
-    pub t0: f64,
     /// Geometric cooling factor.
     pub(crate) cooling: f64,
     /// Boundary lanes available per block for global routing.
     pub(crate) lanes_per_block: usize,
-    /// Independent annealing shards per block. Each shard runs
-    /// `moves_per_primitive / shards` of the move budget from its own RNG
-    /// stream and the best shard (by wirelength, ties to the lowest shard
-    /// index) wins, so the result is identical whether shards run serially
-    /// or spread over worker threads — this is what lets the pipeline
-    /// parallelize *within* a block when there are fewer blocks than
-    /// workers. `1` reproduces the unsharded annealer exactly.
-    pub shards: usize,
-}
-
-fn default_shards() -> usize {
-    4
 }
 
 impl Default for PnrConfig {
     fn default() -> Self {
         PnrConfig {
             seed: 0x9a7,
-            moves_per_primitive: 24,
-            temperatures: 10,
-            t0: 40.0,
+            moves_per_primitive: 20,
+            temperatures: 5,
             cooling: 0.6,
             lanes_per_block: 6,
-            shards: default_shards(),
         }
     }
 }
@@ -103,31 +87,70 @@ pub(crate) struct Site {
 /// The site geometry of one physical block, derived from the device's
 /// column layout. Because all physical blocks are identical, one model
 /// serves every block — which is precisely what makes relocation free.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SiteModel {
     sites: Vec<Site>,
-    slice_sites: Vec<u32>,
-    bram_sites: Vec<u32>,
-    dsp_sites: Vec<u32>,
+    /// The sites of each kind, indexed by `kind_index`.
+    lattices: [Lattice; 3],
+}
+
+/// The sites of one kind as a lattice. Every column of a kind holds the
+/// same rows, so `pool` (site indices, column by column) puts lattice point
+/// `(c, k)`, the `k`-th site of the kind's `c`-th column, at
+/// `c * per_col + k`. Move windows are measured in lattice steps, so a
+/// window of 1 reaches the neighbouring DSP column however many CLB
+/// columns lie between.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct Lattice {
+    pool: Vec<u32>,
+    /// Lattice column of each device column of this kind (`u32::MAX` for
+    /// the device's other columns).
+    col_of_x: Vec<u32>,
+    cols: u32,
+    per_col: u32,
+    /// Rows between two sites of a column.
+    period: u32,
+}
+
+impl Lattice {
+    /// The lattice point of the site at `(x, y)`, which holds this kind.
+    fn point(&self, (x, y): (u32, u32)) -> (u32, u32) {
+        (self.col_of_x[x as usize], y / self.period)
+    }
 }
 
 impl SiteModel {
     /// Builds the site model of one `block_rows`-tall block of `device`.
     pub(crate) fn for_block(device: &DeviceModel, block_rows: u64) -> Self {
         let mut sites = Vec::new();
+        let mut lattices: [Lattice; 3] = Default::default();
+        for (kind, period) in [
+            (SiteKind::Slice, 1),
+            (SiteKind::Bram, TileKind::BRAM_ROW_PERIOD),
+            (SiteKind::Dsp, TileKind::DSP_ROW_PERIOD),
+        ] {
+            let lattice = &mut lattices[kind_index(kind)];
+            lattice.period = period as u32;
+            lattice.per_col = block_rows.div_ceil(period) as u32;
+        }
         let mut x = 0u32;
         for group in device.user_columns() {
+            let kind = match group.kind {
+                TileKind::Clb => Some(SiteKind::Slice),
+                TileKind::Bram => Some(SiteKind::Bram),
+                TileKind::Dsp => Some(SiteKind::Dsp),
+                _ => None,
+            };
             for _ in 0..group.count {
-                for y in 0..block_rows {
-                    let site = match group.kind {
-                        TileKind::Clb => Some(SiteKind::Slice),
-                        TileKind::Bram if y % TileKind::BRAM_ROW_PERIOD == 0 => {
-                            Some(SiteKind::Bram)
-                        }
-                        TileKind::Dsp if y % TileKind::DSP_ROW_PERIOD == 0 => Some(SiteKind::Dsp),
-                        _ => None,
-                    };
-                    if let Some(kind) = site {
+                for lattice in &mut lattices {
+                    lattice.col_of_x.push(u32::MAX);
+                }
+                if let Some(kind) = kind {
+                    let lattice = &mut lattices[kind_index(kind)];
+                    lattice.col_of_x[x as usize] = lattice.cols;
+                    lattice.cols += 1;
+                    for y in (0..block_rows).step_by(lattice.period as usize) {
+                        lattice.pool.push(sites.len() as u32);
                         sites.push(Site {
                             x,
                             y: y as u32,
@@ -138,20 +161,7 @@ impl SiteModel {
                 x += 1;
             }
         }
-        let mut model = SiteModel {
-            sites,
-            slice_sites: Vec::new(),
-            bram_sites: Vec::new(),
-            dsp_sites: Vec::new(),
-        };
-        for (i, s) in model.sites.iter().enumerate() {
-            match s.kind {
-                SiteKind::Slice => model.slice_sites.push(i as u32),
-                SiteKind::Bram => model.bram_sites.push(i as u32),
-                SiteKind::Dsp => model.dsp_sites.push(i as u32),
-            }
-        }
-        model
+        SiteModel { sites, lattices }
     }
 
     /// All sites.
@@ -161,11 +171,32 @@ impl SiteModel {
 
     /// Site indices of one kind.
     pub(crate) fn sites_of(&self, kind: SiteKind) -> &[u32] {
-        match kind {
-            SiteKind::Slice => &self.slice_sites,
-            SiteKind::Bram => &self.bram_sites,
-            SiteKind::Dsp => &self.dsp_sites,
-        }
+        &self.lattices[kind_index(kind)].pool
+    }
+
+    /// The widest move window any kind can use: its lattice's longer side,
+    /// less one, and at least 1.
+    fn extent(&self) -> u32 {
+        self.lattices
+            .iter()
+            .map(|l| l.cols.max(l.per_col))
+            .max()
+            .unwrap_or(0)
+            .saturating_sub(1)
+            .max(1)
+    }
+
+    /// Draws a site uniformly from the window of half-width `w` lattice
+    /// steps around the site at `(x, y)`, in the lattice of `kind` (a
+    /// `kind_index`), which that site belongs to.
+    fn draw_in_window(&self, kind: u8, at: (u32, u32), w: u32, rng: &mut StdRng) -> u32 {
+        let l = &self.lattices[kind as usize];
+        let (c, k) = l.point(at);
+        let (c0, k0) = (c.saturating_sub(w), k.saturating_sub(w));
+        let rows = (k + w).min(l.per_col - 1) - k0 + 1;
+        let cells = ((c + w).min(l.cols - 1) - c0 + 1) * rows;
+        let cell = rng.gen_range(0..cells);
+        l.pool[((c0 + cell / rows) * l.per_col + k0 + cell % rows) as usize]
     }
 }
 
@@ -185,8 +216,7 @@ pub struct LocalPlacement {
 }
 
 /// One virtual block's local P&R problem in dense local indices: the
-/// feasibility-checked, preprocessed form the annealing shards share
-/// read-only. Building it once per block (instead of re-deriving site
+/// feasibility-checked, preprocessed form its annealing chain reads. Building it once per block (instead of re-deriving site
 /// kinds and adjacency from the netlist inside the move loop) is what
 /// removes the per-move hash lookups and allocation churn that made the
 /// parallel path slower than serial.
@@ -210,8 +240,6 @@ pub(crate) struct BlockProblem {
     initial: Vec<u32>,
     /// Wirelength of `initial`.
     pub(crate) initial_wirelength: f64,
-    /// Mean edge bit weight; scales the annealing temperature.
-    avg_edge_bits: f64,
 }
 
 impl BlockProblem {
@@ -315,11 +343,6 @@ impl BlockProblem {
             .iter()
             .map(|e| e.2 * site_dist(sites, initial[e.0 as usize], initial[e.1 as usize]))
             .sum();
-        let avg_edge_bits = if edges.is_empty() {
-            1.0
-        } else {
-            edges.iter().map(|e| e.2).sum::<f64>() / edges.len() as f64
-        };
         Ok(BlockProblem {
             block,
             prims: prims.to_vec(),
@@ -329,7 +352,6 @@ impl BlockProblem {
             adj,
             initial,
             initial_wirelength,
-            avg_edge_bits,
         })
     }
 
@@ -362,12 +384,12 @@ impl BlockProblem {
 }
 
 /// Reusable per-worker annealing buffers. One scratch serves any number of
-/// `anneal_shard` calls (across blocks and shards), so a worker thread
-/// allocates once instead of once per block — the other half of the
-/// parallel-slowdown fix. The `occupant` vector is sized to the site count
-/// with `u32::MAX` marking empty sites; each run restores its entries on
-/// exit, so clearing costs O(primitives), not O(sites). `pos` mirrors
-/// `site_of_local` as coordinates, and a tentative move writes only `pos`.
+/// `anneal_block` calls, so a worker thread allocates once instead of once
+/// per block — the other half of the parallel-slowdown fix. The `occupant`
+/// vector is sized to the site count with `u32::MAX` marking empty sites;
+/// each run restores its entries on exit, so clearing costs O(primitives),
+/// not O(sites). `pos` mirrors `site_of_local` as coordinates, and a
+/// tentative move writes only `pos`.
 #[derive(Debug)]
 pub(crate) struct PnrScratch {
     site_of_local: Vec<u32>,
@@ -379,6 +401,22 @@ pub(crate) struct PnrScratch {
 /// Occupancy sentinel: no primitive on this site.
 const EMPTY_SITE: u32 = u32::MAX;
 
+/// Passes at zero temperature that finish every chain.
+const GREEDY_STEPS: usize = 2;
+
+/// A step that lowers the chain's best wirelength by less than this
+/// fraction ends its phase: the last annealing step hands over to the
+/// greedy finish, and the last greedy pass ends the chain.
+const STOP_FRACTION: f64 = 0.02;
+
+/// The acceptance rate the move window is steered toward (VPR's 0.44).
+const TARGET_ACCEPTANCE: f64 = 0.44;
+
+/// The starting temperature, as a multiple of the mean cost rise of the
+/// uphill moves sampled on the initial assignment: a cool start, since
+/// the compact initial assignment is already good.
+const T0_OF_MEAN_RISE: f64 = 0.1;
+
 impl PnrScratch {
     /// A scratch for blocks placed on a geometry of `site_count` sites.
     pub(crate) fn new(site_count: usize) -> Self {
@@ -389,26 +427,6 @@ impl PnrScratch {
             pos: Vec::new(),
         }
     }
-}
-
-/// The best placement one annealing shard found.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardPlacement {
-    /// Site per local primitive.
-    pub(crate) assignment: Vec<u32>,
-    /// Its wirelength.
-    pub(crate) wirelength: f64,
-    /// Moves the shard proposed.
-    pub(crate) proposed: u64,
-    /// Moves the shard accepted.
-    pub(crate) accepted: u64,
-}
-
-/// Mixes the shard index into the per-block seed; shard 0 keeps the
-/// unsharded seed so `shards: 1` reproduces the original annealer bit for
-/// bit.
-fn shard_seed(cfg: &PnrConfig, block: u32, shard: usize) -> u64 {
-    cfg.seed ^ u64::from(block) ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 fn site_dist(sites: &SiteModel, sa: u32, sb: u32) -> f64 {
@@ -431,142 +449,249 @@ fn seat(sites: &SiteModel, site_of_local: &[u32], occupant: &mut [u32], pos: &mu
     }
 }
 
-/// Runs one annealing shard of `problem`: hill-climb at a geometric
-/// temperature schedule followed by two greedy passes, snapshotting the
-/// best placement at every temperature boundary (so a shard can never end
-/// worse than the compact initial assignment). The shard's RNG stream and
-/// move budget depend only on `(cfg, problem.block, shard)`, never on the
-/// thread that runs it.
-pub(crate) fn anneal_shard(
-    problem: &BlockProblem,
-    sites: &SiteModel,
-    cfg: &PnrConfig,
-    shard: usize,
-    scratch: &mut PnrScratch,
-) -> ShardPlacement {
-    let n = problem.len();
-    let shards = cfg.shards.max(1);
-    // Split the block's move budget across shards, remainder to the low
-    // shards, so the total annealing work is independent of `shards`.
-    let total_moves = n * cfg.moves_per_primitive;
-    let moves = total_moves / shards + usize::from(shard < total_moves % shards);
-
-    let PnrScratch {
-        site_of_local,
-        best,
-        occupant,
-        pos,
-    } = scratch;
-    site_of_local.clone_from(&problem.initial);
-    best.clone_from(&problem.initial);
-    seat(sites, site_of_local, occupant, pos);
-    let mut best_wirelength = problem.initial_wirelength;
-    let mut accepted = 0u64;
-
-    let mut rng = StdRng::seed_from_u64(shard_seed(cfg, problem.block, shard));
-    let mut t = cfg.t0 * problem.avg_edge_bits;
-    // The final two schedule entries run greedy (temperature zero).
-    for step in 0..cfg.temperatures + 2 {
-        let greedy = step >= cfg.temperatures;
-        if greedy {
-            // Start the greedy finish from the best placement seen so far.
-            for &s in site_of_local.iter() {
-                occupant[s as usize] = EMPTY_SITE;
-            }
-            site_of_local.clone_from(best);
-            seat(sites, site_of_local, occupant, pos);
-        }
-        for _ in 0..moves {
-            let a_local = rng.gen_range(0..n) as u32;
-            let pool = match problem.kind_of_local[a_local as usize] {
-                0 => &sites.slice_sites,
-                1 => &sites.bram_sites,
-                _ => &sites.dsp_sites,
-            };
-            let target = pool[rng.gen_range(0..pool.len())];
-            let from = site_of_local[a_local as usize];
-            if target == from {
-                continue;
-            }
-            let swap_with = Some(occupant[target as usize]).filter(|&b| b != EMPTY_SITE);
-
-            // Cost delta over incident edges of the moved primitive(s).
-            let mut before = problem.cost_of(a_local, pos);
-            if let Some(b_local) = swap_with {
-                before += problem.cost_of(b_local, pos);
-            }
-            // Apply tentatively, to the coordinates only.
-            pos[a_local as usize] = site_xy(sites, target);
-            if let Some(b_local) = swap_with {
-                pos[b_local as usize] = site_xy(sites, from);
-            }
-            let mut after = problem.cost_of(a_local, pos);
-            if let Some(b_local) = swap_with {
-                after += problem.cost_of(b_local, pos);
-            }
-            let delta = after - before;
-            let accept = if greedy {
-                delta < 0.0
-            } else {
-                delta <= 0.0 || rng.gen::<f64>() < (-delta / t).exp()
-            };
-            if accept {
-                accepted += 1;
-                // Accept. `from` holds `a` and `target` holds `b` or
-                // nothing, so swapping the two occupancy entries is the move.
-                site_of_local[a_local as usize] = target;
-                occupant.swap(from as usize, target as usize);
-                if let Some(b_local) = swap_with {
-                    site_of_local[b_local as usize] = from;
-                }
-            } else {
-                // Revert the coordinates.
-                pos[a_local as usize] = site_xy(sites, from);
-                if let Some(b_local) = swap_with {
-                    pos[b_local as usize] = site_xy(sites, target);
-                }
-            }
-        }
-        t *= cfg.cooling;
-        // Snapshot at every temperature boundary: the shard can never end
-        // worse than the best placement it visited.
-        let wl = problem.wirelength_of(sites, site_of_local);
-        if wl <= best_wirelength {
-            best_wirelength = wl;
-            best.clone_from(site_of_local);
-        }
-    }
-
-    // Leave the scratch clean (all occupancy entries back to empty) for
-    // whatever block or shard this worker anneals next.
-    for &s in site_of_local.iter() {
+/// Empties the sites `site_of_local` holds in `occupant`.
+fn unseat(site_of_local: &[u32], occupant: &mut [u32]) {
+    for &s in site_of_local {
         occupant[s as usize] = EMPTY_SITE;
-    }
-    ShardPlacement {
-        assignment: best.clone(),
-        wirelength: best_wirelength,
-        proposed: (moves * (cfg.temperatures + 2)) as u64,
-        accepted,
     }
 }
 
-/// Expands the winning shard's assignment into the public
-/// [`LocalPlacement`] with its analytic timing estimate.
-pub(crate) fn finalize_placement(
+/// The next move window: VPR's range-limit update, which widens the
+/// window while more than `TARGET_ACCEPTANCE` of the last moves were
+/// accepted and narrows it while fewer were, kept within `[1, extent]`.
+fn next_window(window: f64, accepted: u64, proposed: u64, extent: u32) -> f64 {
+    let rate = accepted as f64 / proposed.max(1) as f64;
+    (window * (1.0 - TARGET_ACCEPTANCE + rate)).clamp(1.0, f64::from(extent))
+}
+
+/// A proposed move, applied to the coordinates only: `a` from `from` to
+/// `target`, and `b`, the occupant of `target` (or `EMPTY_SITE`), back to
+/// `from`.
+struct Move {
+    a: u32,
+    b: u32,
+    from: u32,
+    target: u32,
+    delta: f64,
+}
+
+/// One block's annealing chain over a scratch.
+struct Chain<'a> {
+    problem: &'a BlockProblem,
+    sites: &'a SiteModel,
+    scratch: &'a mut PnrScratch,
+    rng: StdRng,
+    /// Half-width of the move window in lattice steps.
+    window: f64,
+    proposed: u64,
+    accepted: u64,
+}
+
+impl Chain<'_> {
+    /// Draws a primitive and a target in its window and prices the move.
+    /// `None` if the target is the primitive's own site.
+    fn draw(&mut self) -> Option<Move> {
+        self.proposed += 1;
+        let (problem, sites) = (self.problem, self.sites);
+        let a = self.rng.gen_range(0..problem.len()) as u32;
+        let PnrScratch {
+            site_of_local,
+            occupant,
+            pos,
+            ..
+        } = &mut *self.scratch;
+        let from = site_of_local[a as usize];
+        let target = sites.draw_in_window(
+            problem.kind_of_local[a as usize],
+            pos[a as usize],
+            self.window as u32,
+            &mut self.rng,
+        );
+        if target == from {
+            return None;
+        }
+        let b = occupant[target as usize];
+        let cost = |pos: &[(u32, u32)]| {
+            let mut c = problem.cost_of(a, pos);
+            if b != EMPTY_SITE {
+                c += problem.cost_of(b, pos);
+            }
+            c
+        };
+        let before = cost(pos);
+        pos[a as usize] = site_xy(sites, target);
+        if b != EMPTY_SITE {
+            pos[b as usize] = site_xy(sites, from);
+        }
+        let delta = cost(pos) - before;
+        Some(Move {
+            a,
+            b,
+            from,
+            target,
+            delta,
+        })
+    }
+
+    /// Makes a drawn move. `from` holds `a` and `target` holds `b` or
+    /// nothing, so swapping the two occupancy entries is the move.
+    fn accept(&mut self, m: &Move) {
+        self.accepted += 1;
+        let s = &mut *self.scratch;
+        s.site_of_local[m.a as usize] = m.target;
+        s.occupant.swap(m.from as usize, m.target as usize);
+        if m.b != EMPTY_SITE {
+            s.site_of_local[m.b as usize] = m.from;
+        }
+    }
+
+    /// Puts back the coordinates a drawn move changed.
+    fn reject(&mut self, m: &Move) {
+        let pos = &mut self.scratch.pos;
+        pos[m.a as usize] = site_xy(self.sites, m.from);
+        if m.b != EMPTY_SITE {
+            pos[m.b as usize] = site_xy(self.sites, m.target);
+        }
+    }
+
+    /// Prices `count` moves without making any and returns the mean cost
+    /// rise of the uphill ones (0 if none rises).
+    fn mean_rise(&mut self, count: usize) -> f64 {
+        let (mut sum, mut uphill) = (0.0, 0u32);
+        for _ in 0..count {
+            if let Some(m) = self.draw() {
+                if m.delta > 0.0 {
+                    sum += m.delta;
+                    uphill += 1;
+                }
+                self.reject(&m);
+            }
+        }
+        if uphill == 0 {
+            0.0
+        } else {
+            sum / f64::from(uphill)
+        }
+    }
+
+    /// Proposes `moves` moves at temperature `t` (0: only strict
+    /// improvements), steering the window after every sweep of one
+    /// proposal per primitive.
+    fn step(&mut self, moves: usize, t: f64) {
+        let sweep = self.problem.len() as u64;
+        let extent = self.sites.extent();
+        let mut mark = (self.proposed, self.accepted);
+        for _ in 0..moves {
+            if let Some(m) = self.draw() {
+                let accept = m.delta < 0.0
+                    || (t > 0.0
+                        && (m.delta == 0.0 || self.rng.gen::<f64>() < (-m.delta / t).exp()));
+                if accept {
+                    self.accept(&m);
+                } else {
+                    self.reject(&m);
+                }
+            }
+            if self.proposed - mark.0 == sweep {
+                self.window = next_window(
+                    self.window,
+                    self.accepted - mark.1,
+                    self.proposed - mark.0,
+                    extent,
+                );
+                mark = (self.proposed, self.accepted);
+            }
+        }
+    }
+}
+
+/// Runs `problem`'s annealing chain and returns its placement with the
+/// moves the chain proposed and accepted.
+///
+/// The chain starts cool, at a temperature taken from the uphill moves it
+/// samples on the compact initial assignment. It then runs up to
+/// `cfg.temperatures` geometrically cooled steps and `GREEDY_STEPS` passes
+/// at zero temperature from the best placement seen, each proposing
+/// `moves_per_primitive` moves per primitive. A move's target lies in a
+/// window around the primitive's site: one lattice step wide at the start,
+/// then steered after every sweep to hold the acceptance rate near
+/// `TARGET_ACCEPTANCE`. A step that improves the best placement
+/// by less than `STOP_FRACTION` ends its phase. The best placement is
+/// snapshotted at every step boundary, so a chain never ends worse than
+/// the initial assignment. Every draw comes from one RNG seeded by
+/// `(cfg.seed, problem.block)`, never from the thread that runs it.
+pub(crate) fn anneal_block(
     problem: &BlockProblem,
     sites: &SiteModel,
-    best: &ShardPlacement,
+    cfg: &PnrConfig,
+    scratch: &mut PnrScratch,
+) -> (LocalPlacement, u64, u64) {
+    let n = problem.len();
+    let moves = n * cfg.moves_per_primitive;
+    scratch.site_of_local.clone_from(&problem.initial);
+    scratch.best.clone_from(&problem.initial);
+    seat(
+        sites,
+        &scratch.site_of_local,
+        &mut scratch.occupant,
+        &mut scratch.pos,
+    );
+    let mut chain = Chain {
+        problem,
+        sites,
+        scratch: &mut *scratch,
+        rng: StdRng::seed_from_u64(cfg.seed ^ u64::from(problem.block)),
+        window: 1.0,
+        proposed: 0,
+        accepted: 0,
+    };
+    let mut best_wirelength = problem.initial_wirelength;
+    let mut t = T0_OF_MEAN_RISE * chain.mean_rise(n);
+    let mut step = 0;
+    while step < cfg.temperatures + GREEDY_STEPS {
+        let greedy = step >= cfg.temperatures;
+        chain.step(moves, if greedy { 0.0 } else { t });
+        t *= cfg.cooling;
+        step += 1;
+        let s = &mut *chain.scratch;
+        let wl = problem.wirelength_of(sites, &s.site_of_local);
+        let stalled = best_wirelength - wl < STOP_FRACTION * best_wirelength;
+        if wl <= best_wirelength {
+            best_wirelength = wl;
+            s.best.clone_from(&s.site_of_local);
+        }
+        if stalled && !greedy {
+            step = cfg.temperatures;
+        } else if stalled {
+            break;
+        }
+        if step == cfg.temperatures {
+            // The greedy finish starts from the best placement seen.
+            unseat(&s.site_of_local, &mut s.occupant);
+            s.site_of_local.clone_from(&s.best);
+            seat(sites, &s.site_of_local, &mut s.occupant, &mut s.pos);
+        }
+    }
+    let (proposed, accepted) = (chain.proposed, chain.accepted);
+    // Leave the scratch clean (all occupancy entries back to empty) for
+    // whatever block this worker anneals next.
+    unseat(&scratch.site_of_local, &mut scratch.occupant);
+    let placement = finalize_placement(problem, sites, &scratch.best, best_wirelength);
+    (placement, proposed, accepted)
+}
+
+/// Expands a chain's best assignment into the public [`LocalPlacement`]
+/// with its analytic timing estimate.
+fn finalize_placement(
+    problem: &BlockProblem,
+    sites: &SiteModel,
+    assignment: &[u32],
+    wirelength: f64,
 ) -> LocalPlacement {
     let max_edge = problem
         .edges
         .iter()
-        .map(|e| {
-            site_dist(
-                sites,
-                best.assignment[e.0 as usize],
-                best.assignment[e.1 as usize],
-            )
-        })
+        .map(|e| site_dist(sites, assignment[e.0 as usize], assignment[e.1 as usize]))
         .fold(0.0, f64::max);
     // Analytic timing: base logic delay plus ~12 ps per routed tile of the
     // longest edge, capped at the shell clock.
@@ -575,10 +700,10 @@ pub(crate) fn finalize_placement(
         site_of: problem
             .prims
             .iter()
-            .zip(&best.assignment)
+            .zip(assignment)
             .map(|(&p, &s)| (p, s))
             .collect(),
-        wirelength: best.wirelength,
+        wirelength,
         initial_wirelength: problem.initial_wirelength,
         max_edge,
         achieved_mhz,
@@ -672,7 +797,7 @@ mod tests {
     use vital_netlist::hls::{synthesize, AppSpec, Operator};
 
     /// Places the primitives `prims` (one virtual block's logic) onto `sites`:
-    /// the compiler's per-block path, run serially over every shard.
+    /// the compiler's per-block path, run serially.
     ///
     /// The annealer minimizes bit-weighted Manhattan wirelength over the
     /// block-internal edges of `dfg`; cross-block edges are handled by the
@@ -692,19 +817,7 @@ mod tests {
     ) -> Result<LocalPlacement, CompileError> {
         let problem = BlockProblem::build(netlist, dfg, block, prims, sites)?;
         let mut scratch = PnrScratch::new(sites.sites().len());
-        let shards = cfg.shards.max(1);
-        let mut best: Option<ShardPlacement> = None;
-        for shard in 0..shards {
-            let candidate = anneal_shard(&problem, sites, cfg, shard, &mut scratch);
-            if best
-                .as_ref()
-                .is_none_or(|b| candidate.wirelength < b.wirelength)
-            {
-                best = Some(candidate);
-            }
-        }
-        let best = best.expect("shards >= 1");
-        Ok(finalize_placement(&problem, sites, &best))
+        Ok(anneal_block(&problem, sites, cfg, &mut scratch).0)
     }
 
     fn block_prims(n: &Netlist) -> Vec<PrimitiveId> {
@@ -799,6 +912,127 @@ mod tests {
                 assert_eq!(problem.cost_of(local, &pos).to_bits(), f64::to_bits(old));
             }
         }
+    }
+
+    /// A chain of two to five random operators with random edge widths.
+    fn random_netlist(rng: &mut StdRng) -> Netlist {
+        let mut spec = AppSpec::new("random");
+        let ops: Vec<_> = (0..rng.gen_range(2..6))
+            .map(|i| {
+                let op = match rng.gen_range(0..3) {
+                    0 => Operator::MacArray {
+                        pes: rng.gen_range(1..24),
+                    },
+                    1 => Operator::Buffer {
+                        kb: 36 * rng.gen_range(1..8u32),
+                        banks: rng.gen_range(1..4),
+                    },
+                    _ => Operator::Pipeline {
+                        slices: rng.gen_range(1..60),
+                    },
+                };
+                spec.add_operator(format!("o{i}"), op)
+            })
+            .collect();
+        for pair in ops.windows(2) {
+            spec.add_edge(pair[0], pair[1], 8 * rng.gen_range(1..32u32))
+                .unwrap();
+        }
+        synthesize(&spec).unwrap()
+    }
+
+    #[test]
+    fn random_blocks_never_end_worse_than_initial() {
+        let sites = SiteModel::for_block(&DeviceModel::xcvu37p(), 60);
+        let mut rng = StdRng::seed_from_u64(46);
+        for seed in 0..20u64 {
+            let n = random_netlist(&mut rng);
+            let dfg = DataflowGraph::from_netlist(&n);
+            let cfg = PnrConfig {
+                seed,
+                ..PnrConfig::default()
+            };
+            let p = place_block(&n, &dfg, seed as u32, &block_prims(&n), &sites, &cfg).unwrap();
+            assert!(
+                p.wirelength <= p.initial_wirelength,
+                "block {seed}: {} vs initial {}",
+                p.wirelength,
+                p.initial_wirelength
+            );
+        }
+    }
+
+    #[test]
+    fn targets_are_sites_of_the_kind_inside_the_window() {
+        let sites = SiteModel::for_block(&DeviceModel::xcvu37p(), 60);
+        let extent = sites.extent();
+        let mut rng = StdRng::seed_from_u64(46);
+        for kind in [SiteKind::Slice, SiteKind::Bram, SiteKind::Dsp] {
+            let lattice = &sites.lattices[kind_index(kind)];
+            let pool = sites.sites_of(kind);
+            for _ in 0..5_000 {
+                let at = site_xy(&sites, pool[rng.gen_range(0..pool.len())]);
+                let w = [1, 2, 3, 8, extent][rng.gen_range(0..5usize)];
+                let target = sites.draw_in_window(kind_index(kind) as u8, at, w, &mut rng);
+                let site = sites.sites()[target as usize];
+                assert_eq!(site.kind, kind);
+                let (c, k) = lattice.point(at);
+                let (tc, tk) = lattice.point((site.x, site.y));
+                assert!(
+                    c.abs_diff(tc) <= w && k.abs_diff(tk) <= w,
+                    "{kind:?} ({c}, {k}) -> ({tc}, {tk}) outside window {w}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn window_stays_between_one_and_the_block_extent() {
+        let extent = SiteModel::for_block(&DeviceModel::xcvu37p(), 60).extent();
+        let in_range = |w: f64| (1.0..=f64::from(extent)).contains(&w);
+        let mut rng = StdRng::seed_from_u64(46);
+        let mut w = f64::from(extent);
+        for _ in 0..10_000 {
+            let proposed = rng.gen_range(1..500u64);
+            let accepted = [0, proposed, rng.gen_range(0..=proposed)][rng.gen_range(0..3usize)];
+            w = next_window(w, accepted, proposed, extent);
+            assert!(in_range(w), "window {w} outside [1, {extent}]");
+        }
+        for _ in 0..100 {
+            w = next_window(w, 0, 100, extent);
+        }
+        assert_eq!(w, 1.0);
+        for _ in 0..100 {
+            w = next_window(w, 100, 100, extent);
+        }
+        assert_eq!(w, f64::from(extent));
+    }
+
+    #[test]
+    fn an_optimal_block_stops_before_its_budget() {
+        let sites = SiteModel::for_block(&DeviceModel::xcvu37p(), 60);
+        let slices = sites.sites_of(SiteKind::Slice);
+        // Two connected slices on vertically adjacent sites: no move can
+        // shorten their edge.
+        let problem = BlockProblem {
+            block: 0,
+            prims: vec![PrimitiveId::new(0), PrimitiveId::new(1)],
+            kind_of_local: vec![0, 0],
+            edges: vec![(0, 1, 8.0)],
+            incident_start: vec![0, 1, 2],
+            adj: vec![(1, 8.0), (0, 8.0)],
+            initial: vec![slices[0], slices[1]],
+            initial_wirelength: 8.0,
+        };
+        assert_eq!(problem.wirelength_of(&sites, &problem.initial), 8.0);
+        let cfg = PnrConfig::default();
+        let mut scratch = PnrScratch::new(sites.sites().len());
+        let (placement, proposed, _) = anneal_block(&problem, &sites, &cfg, &mut scratch);
+        let budget =
+            problem.len() * (1 + (cfg.temperatures + GREEDY_STEPS) * cfg.moves_per_primitive);
+        assert!(proposed < budget as u64, "{proposed} of {budget}");
+        assert_eq!(placement.wirelength, 8.0);
+        assert_eq!(placement.site_of.len(), 2);
     }
 
     #[test]

@@ -75,7 +75,7 @@ fn lenet_s_digest_is_pinned() {
         .unwrap();
     let netlist = synthesize(&lenet.spec(Size::Small)).unwrap();
     let digest = NetlistDigest::of(&netlist, &CompilerConfig::default());
-    assert_eq!(digest.to_string(), "d49aa317e9b722fe");
+    assert_eq!(digest.to_string(), "678e9abe10157de5");
 }
 
 proptest! {
