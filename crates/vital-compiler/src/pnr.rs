@@ -13,8 +13,8 @@
 //! every planned channel to a boundary lane (`route_channels`).
 
 use rand::rngs::StdRng;
-use rand::Rng;
 use rand::SeedableRng;
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 use vital_fabric::{DeviceModel, TileKind};
 use vital_interface::ChannelPlan;
@@ -187,16 +187,23 @@ impl SiteModel {
     }
 
     /// Draws a site uniformly from the window of half-width `w` lattice
-    /// steps around the site at `(x, y)`, in the lattice of `kind` (a
-    /// `kind_index`), which that site belongs to.
+    /// steps around the site at `at`, other than that site, in the lattice
+    /// of `kind` (a `kind_index`), which that site belongs to. Returns the
+    /// site itself only when the window holds no other.
     fn draw_in_window(&self, kind: u8, at: (u32, u32), w: u32, rng: &mut StdRng) -> u32 {
         let l = &self.lattices[kind as usize];
         let (c, k) = l.point(at);
         let (c0, k0) = (c.saturating_sub(w), k.saturating_sub(w));
+        let cols = (c + w).min(l.cols - 1) - c0 + 1;
         let rows = (k + w).min(l.per_col - 1) - k0 + 1;
-        let cells = ((c + w).min(l.cols - 1) - c0 + 1) * rows;
-        let cell = rng.gen_range(0..cells);
-        l.pool[((c0 + cell / rows) * l.per_col + k0 + cell % rows) as usize]
+        let (mut tc, mut tk) = (c, k);
+        while cols * rows > 1 && (tc, tk) == (c, k) {
+            // One draw, split into two multiply-shift picks.
+            let r = rng.next_u64();
+            tc = c0 + ((r >> 32) * u64::from(cols) >> 32) as u32;
+            tk = k0 + ((r & 0xFFFF_FFFF) * u64::from(rows) >> 32) as u32;
+        }
+        l.pool[(tc * l.per_col + tk) as usize]
     }
 }
 
@@ -963,7 +970,7 @@ mod tests {
     }
 
     #[test]
-    fn targets_are_sites_of_the_kind_inside_the_window() {
+    fn targets_are_other_sites_of_the_kind_inside_the_window() {
         let sites = SiteModel::for_block(&DeviceModel::xcvu37p(), 60);
         let extent = sites.extent();
         let mut rng = StdRng::seed_from_u64(46);
@@ -976,6 +983,7 @@ mod tests {
                 let target = sites.draw_in_window(kind_index(kind) as u8, at, w, &mut rng);
                 let site = sites.sites()[target as usize];
                 assert_eq!(site.kind, kind);
+                assert_ne!((site.x, site.y), at, "a window of {w} holds other sites");
                 let (c, k) = lattice.point(at);
                 let (tc, tk) = lattice.point((site.x, site.y));
                 assert!(

@@ -34,7 +34,7 @@ fn image_digest(name: &str, size: Size) -> (usize, u64) {
 fn lstm_s_one_block_is_pinned() {
     assert_eq!(
         image_digest("lstm", Size::Small),
-        (1, 0x324c_c570_b394_b39c)
+        (1, 0x7f4a_10ff_9792_2b2d)
     );
 }
 
@@ -42,7 +42,7 @@ fn lstm_s_one_block_is_pinned() {
 fn svhn_s_two_blocks_is_pinned() {
     assert_eq!(
         image_digest("svhn", Size::Small),
-        (2, 0xd8ce_59ec_3bfe_c6f7)
+        (2, 0xd123_6a2f_f178_dcc7)
     );
 }
 
@@ -50,7 +50,7 @@ fn svhn_s_two_blocks_is_pinned() {
 fn lenet_m_four_blocks_is_pinned() {
     assert_eq!(
         image_digest("lenet", Size::Medium),
-        (4, 0x2d40_55e6_2fa0_7441)
+        (4, 0x43a5_9d34_acb0_83be)
     );
 }
 
@@ -58,7 +58,7 @@ fn lenet_m_four_blocks_is_pinned() {
 fn alexnet_s_four_blocks_is_pinned() {
     assert_eq!(
         image_digest("alexnet", Size::Small),
-        (4, 0x0638_578d_081d_349b)
+        (4, 0x8b88_216d_ede5_294e)
     );
 }
 
@@ -66,7 +66,7 @@ fn alexnet_s_four_blocks_is_pinned() {
 fn cifar10_l_nine_blocks_is_pinned() {
     assert_eq!(
         image_digest("cifar10", Size::Large),
-        (9, 0x38b0_73ed_71f8_2e4d)
+        (9, 0x6412_a199_a40b_1211)
     );
 }
 
@@ -74,6 +74,6 @@ fn cifar10_l_nine_blocks_is_pinned() {
 fn alexnet_l_twelve_blocks_is_pinned() {
     assert_eq!(
         image_digest("alexnet", Size::Large),
-        (12, 0x4467_03ed_e5e3_4de5)
+        (12, 0x788c_a2ee_00b4_d764)
     );
 }
