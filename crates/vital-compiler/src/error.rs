@@ -25,9 +25,9 @@ pub enum CompileError {
     },
     /// A relocation target is incompatible with the compiled image.
     IncompatibleRelocation(String),
-    /// A local P&R annealing shard panicked. The panic is caught per work
-    /// item, so one poisoned block fails its compile instead of aborting
-    /// the process hosting the compiler.
+    /// A block's local P&R annealing chain panicked. The panic is caught
+    /// per block, so one poisoned block fails its compile instead of
+    /// aborting the process hosting the compiler.
     PnrWorkerPanicked {
         /// The virtual block whose annealing panicked.
         block: u32,

@@ -305,25 +305,18 @@ impl Compiler {
             .collect();
 
         // Phase 2: anneal the feasible blocks.
-        let items: Vec<usize> = (0..problems.len())
-            .filter(|&vb| problems[vb].is_ok())
-            .collect();
         // Per block: its placement (or the panic message that killed its
         // chain) and its wall time. `None` = the worker thread died before
         // reporting, which phase 3 also treats as a panicked chain.
         type Outcome = (Result<LocalPlacement, String>, Duration);
         let mut outcomes: Vec<Option<Outcome>> = (0..problems.len()).map(|_| None).collect();
-        let mut worker_panics: Vec<String> = Vec::new();
 
-        let run_block = |vb: usize, scratch: &mut PnrScratch| -> Outcome {
-            let problem = problems[vb]
-                .as_ref()
-                .expect("items are built from feasible blocks only");
+        let run_block = |problem: &BlockProblem, scratch: &mut PnrScratch| -> Outcome {
             let t = Instant::now();
             // One span per block, on its own track so parallel blocks
             // render side by side in the trace viewer.
-            let mut span = pnr_span.child_on_track("compile.block_pnr", vb as u32);
-            span.field("block", vb);
+            let mut span = pnr_span.child_on_track("compile.block_pnr", problem.block);
+            span.field("block", problem.block);
             let result = catch_unwind(AssertUnwindSafe(|| {
                 anneal_block(problem, &self.site_model, &self.config.pnr, scratch)
             }))
@@ -343,58 +336,48 @@ impl Compiler {
             (result, dur)
         };
 
-        if workers <= 1 {
+        // One worker's loop: claim blocks until none is left. A chain that
+        // panicked may leave stale occupancy in its scratch, so the next
+        // block starts from a fresh one.
+        let next = AtomicUsize::new(0);
+        let work = || {
             let mut scratch = PnrScratch::new(site_count);
-            for &vb in &items {
-                let outcome = run_block(vb, &mut scratch);
+            let mut out = Vec::new();
+            while let Some(problem) = problems.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let Ok(problem) = problem else { continue };
+                let outcome = run_block(problem, &mut scratch);
                 if outcome.0.is_err() {
-                    // The scratch may hold stale occupancy from the
-                    // aborted run; start the next block from a fresh one.
                     scratch = PnrScratch::new(site_count);
                 }
-                outcomes[vb] = Some(outcome);
+                out.push((problem.block as usize, outcome));
             }
+            out
+        };
+        let per_worker: Vec<Result<Vec<(usize, Outcome)>, String>> = if workers <= 1 {
+            vec![Ok(work())]
         } else {
-            let next = AtomicUsize::new(0);
-            let per_worker: Vec<Result<Vec<(usize, Outcome)>, String>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|_| {
-                            scope.spawn(|| {
-                                let mut scratch = PnrScratch::new(site_count);
-                                let mut out = Vec::new();
-                                while let Some(&vb) =
-                                    items.get(next.fetch_add(1, Ordering::Relaxed))
-                                {
-                                    let outcome = run_block(vb, &mut scratch);
-                                    if outcome.0.is_err() {
-                                        scratch = PnrScratch::new(site_count);
-                                    }
-                                    out.push((vb, outcome));
-                                }
-                                out
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().map_err(|p| panic_message(p.as_ref())))
-                        .collect()
-                });
-            for result in per_worker {
-                match result {
-                    Ok(done) => {
-                        for (vb, outcome) in done {
-                            outcomes[vb] = Some(outcome);
-                        }
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().map_err(|p| panic_message(p.as_ref())))
+                    .collect()
+            })
+        };
+        let mut worker_panics: Vec<String> = Vec::new();
+        for result in per_worker {
+            match result {
+                Ok(done) => {
+                    for (vb, outcome) in done {
+                        outcomes[vb] = Some(outcome);
                     }
-                    // A worker died outside catch_unwind; its unreported
-                    // blocks fail in phase 3. Every dead worker's message
-                    // is kept — attribution per block is lost with the
-                    // thread, so unreported blocks carry the union of them
-                    // rather than silently dropping any.
-                    Err(msg) => worker_panics.push(msg),
                 }
+                // A worker died outside catch_unwind; its unreported
+                // blocks fail in phase 3. Every dead worker's message is
+                // kept — attribution per block is lost with the thread, so
+                // unreported blocks carry the union of them rather than
+                // silently dropping any.
+                Err(msg) => worker_panics.push(msg),
             }
         }
 

@@ -104,7 +104,7 @@ pub(crate) struct SiteModel {
 struct Lattice {
     pool: Vec<u32>,
     /// Lattice column of each device column of this kind (`u32::MAX` for
-    /// the device's other columns).
+    /// the device's other columns left of the last one).
     col_of_x: Vec<u32>,
     cols: u32,
     per_col: u32,
@@ -124,39 +124,27 @@ impl SiteModel {
     pub(crate) fn for_block(device: &DeviceModel, block_rows: u64) -> Self {
         let mut sites = Vec::new();
         let mut lattices: [Lattice; 3] = Default::default();
-        for (kind, period) in [
-            (SiteKind::Slice, 1),
-            (SiteKind::Bram, TileKind::BRAM_ROW_PERIOD),
-            (SiteKind::Dsp, TileKind::DSP_ROW_PERIOD),
-        ] {
+        let mut x = 0u32;
+        for group in device.user_columns() {
+            let (kind, period) = match group.kind {
+                TileKind::Clb => (SiteKind::Slice, 1),
+                TileKind::Bram => (SiteKind::Bram, TileKind::BRAM_ROW_PERIOD),
+                TileKind::Dsp => (SiteKind::Dsp, TileKind::DSP_ROW_PERIOD),
+                _ => {
+                    x += group.count;
+                    continue;
+                }
+            };
             let lattice = &mut lattices[kind_index(kind)];
             lattice.period = period as u32;
             lattice.per_col = block_rows.div_ceil(period) as u32;
-        }
-        let mut x = 0u32;
-        for group in device.user_columns() {
-            let kind = match group.kind {
-                TileKind::Clb => Some(SiteKind::Slice),
-                TileKind::Bram => Some(SiteKind::Bram),
-                TileKind::Dsp => Some(SiteKind::Dsp),
-                _ => None,
-            };
             for _ in 0..group.count {
-                for lattice in &mut lattices {
-                    lattice.col_of_x.push(u32::MAX);
-                }
-                if let Some(kind) = kind {
-                    let lattice = &mut lattices[kind_index(kind)];
-                    lattice.col_of_x[x as usize] = lattice.cols;
-                    lattice.cols += 1;
-                    for y in (0..block_rows).step_by(lattice.period as usize) {
-                        lattice.pool.push(sites.len() as u32);
-                        sites.push(Site {
-                            x,
-                            y: y as u32,
-                            kind,
-                        });
-                    }
+                lattice.col_of_x.resize(x as usize + 1, u32::MAX);
+                lattice.col_of_x[x as usize] = lattice.cols;
+                lattice.cols += 1;
+                for y in (0..block_rows as u32).step_by(period as usize) {
+                    lattice.pool.push(sites.len() as u32);
+                    sites.push(Site { x, y, kind });
                 }
                 x += 1;
             }
@@ -179,11 +167,7 @@ impl SiteModel {
     fn extent(&self) -> u32 {
         self.lattices
             .iter()
-            .map(|l| l.cols.max(l.per_col))
-            .max()
-            .unwrap_or(0)
-            .saturating_sub(1)
-            .max(1)
+            .fold(1, |e, l| e.max(l.cols.max(l.per_col).saturating_sub(1)))
     }
 
     /// Draws a site uniformly from the window of half-width `w` lattice
@@ -200,8 +184,8 @@ impl SiteModel {
         while cols * rows > 1 && (tc, tk) == (c, k) {
             // One draw, split into two multiply-shift picks.
             let r = rng.next_u64();
-            tc = c0 + ((r >> 32) * u64::from(cols) >> 32) as u32;
-            tk = k0 + ((r & 0xFFFF_FFFF) * u64::from(rows) >> 32) as u32;
+            tc = c0 + (((r >> 32) * u64::from(cols)) >> 32) as u32;
+            tk = k0 + (((r & 0xFFFF_FFFF) * u64::from(rows)) >> 32) as u32;
         }
         l.pool[(tc * l.per_col + tk) as usize]
     }
@@ -270,9 +254,9 @@ impl BlockProblem {
             local_of.insert(p, i as u32);
         }
 
-        // Partition primitives by site kind and check feasibility.
+        // Partition primitives by site kind.
         let mut kind_of_local = Vec::with_capacity(prims.len());
-        let mut by_kind: [Vec<u32>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+        let mut by_kind: [Vec<u32>; 3] = Default::default();
         for (i, &p) in prims.iter().enumerate() {
             let kind = netlist
                 .primitive(p)
@@ -286,19 +270,28 @@ impl BlockProblem {
             kind_of_local.push(kind_index(kind) as u8);
             by_kind[kind_index(kind)].push(i as u32);
         }
+
+        // Initial assignment: k-th primitive of a kind onto the k-th site
+        // of that kind (sites are in column-major order — a compact start),
+        // if the block has enough sites of every kind.
+        let mut initial: Vec<u32> = vec![0; prims.len()];
         for (ki, kind) in [SiteKind::Slice, SiteKind::Bram, SiteKind::Dsp]
             .into_iter()
             .enumerate()
         {
-            if by_kind[ki].len() > sites.sites_of(kind).len() {
+            let pool = sites.sites_of(kind);
+            if by_kind[ki].len() > pool.len() {
                 return Err(CompileError::PlacementInfeasible {
                     block,
                     reason: format!(
                         "needs {} {kind:?} sites but the block has {}",
                         by_kind[ki].len(),
-                        sites.sites_of(kind).len()
+                        pool.len()
                     ),
                 });
+            }
+            for (k, &local) in by_kind[ki].iter().enumerate() {
+                initial[local as usize] = pool[k];
             }
         }
 
@@ -333,24 +326,7 @@ impl BlockProblem {
             cursor[b as usize] += 1;
         }
 
-        // Initial assignment: k-th primitive of a kind onto the k-th site
-        // of that kind (sites are in column-major order — a compact start).
-        let mut initial: Vec<u32> = vec![0; prims.len()];
-        for (ki, kind) in [SiteKind::Slice, SiteKind::Bram, SiteKind::Dsp]
-            .into_iter()
-            .enumerate()
-        {
-            let pool = sites.sites_of(kind);
-            for (k, &local) in by_kind[ki].iter().enumerate() {
-                initial[local as usize] = pool[k];
-            }
-        }
-
-        let initial_wirelength: f64 = edges
-            .iter()
-            .map(|e| e.2 * site_dist(sites, initial[e.0 as usize], initial[e.1 as usize]))
-            .sum();
-        Ok(BlockProblem {
+        let mut problem = BlockProblem {
             block,
             prims: prims.to_vec(),
             kind_of_local,
@@ -358,8 +334,10 @@ impl BlockProblem {
             incident_start,
             adj,
             initial,
-            initial_wirelength,
-        })
+            initial_wirelength: 0.0,
+        };
+        problem.initial_wirelength = problem.wirelength_of(sites, &problem.initial);
+        Ok(problem)
     }
 
     /// Number of primitives to place.
@@ -434,6 +412,25 @@ impl PnrScratch {
             pos: Vec::new(),
         }
     }
+
+    /// Empties the sites `site_of_local` holds.
+    fn unseat(&mut self) {
+        for &s in &self.site_of_local {
+            self.occupant[s as usize] = EMPTY_SITE;
+        }
+    }
+
+    /// Seats every local primitive on its site in `best`, in
+    /// `site_of_local`, `occupant` and `pos`.
+    fn seat_best(&mut self, sites: &SiteModel) {
+        self.unseat();
+        self.site_of_local.clone_from(&self.best);
+        self.pos.clear();
+        for (local, &s) in self.site_of_local.iter().enumerate() {
+            self.occupant[s as usize] = local as u32;
+            self.pos.push(site_xy(sites, s));
+        }
+    }
 }
 
 fn site_dist(sites: &SiteModel, sa: u32, sb: u32) -> f64 {
@@ -447,27 +444,11 @@ fn site_xy(sites: &SiteModel, s: u32) -> (u32, u32) {
     (site.x, site.y)
 }
 
-/// Seats every local primitive on its site in `occupant` and `pos`.
-fn seat(sites: &SiteModel, site_of_local: &[u32], occupant: &mut [u32], pos: &mut Vec<(u32, u32)>) {
-    pos.clear();
-    for (local, &s) in site_of_local.iter().enumerate() {
-        occupant[s as usize] = local as u32;
-        pos.push(site_xy(sites, s));
-    }
-}
-
-/// Empties the sites `site_of_local` holds in `occupant`.
-fn unseat(site_of_local: &[u32], occupant: &mut [u32]) {
-    for &s in site_of_local {
-        occupant[s as usize] = EMPTY_SITE;
-    }
-}
-
 /// The next move window: VPR's range-limit update, which widens the
-/// window while more than `TARGET_ACCEPTANCE` of the last moves were
-/// accepted and narrows it while fewer were, kept within `[1, extent]`.
-fn next_window(window: f64, accepted: u64, proposed: u64, extent: u32) -> f64 {
-    let rate = accepted as f64 / proposed.max(1) as f64;
+/// window while the acceptance `rate` of the last moves is above
+/// `TARGET_ACCEPTANCE` and narrows it while it is below, kept within
+/// `[1, extent]`.
+fn next_window(window: f64, rate: f64, extent: u32) -> f64 {
     (window * (1.0 - TARGET_ACCEPTANCE + rate)).clamp(1.0, f64::from(extent))
 }
 
@@ -540,45 +521,40 @@ impl Chain<'_> {
         })
     }
 
-    /// Makes a drawn move. `from` holds `a` and `target` holds `b` or
-    /// nothing, so swapping the two occupancy entries is the move.
-    fn accept(&mut self, m: &Move) {
-        self.accepted += 1;
+    /// Makes a drawn move, or puts back the coordinates it changed. `from`
+    /// holds `a` and `target` holds `b` or nothing, so swapping the two
+    /// occupancy entries is the move.
+    fn settle(&mut self, m: &Move, accept: bool) {
         let s = &mut *self.scratch;
-        s.site_of_local[m.a as usize] = m.target;
-        s.occupant.swap(m.from as usize, m.target as usize);
-        if m.b != EMPTY_SITE {
-            s.site_of_local[m.b as usize] = m.from;
-        }
-    }
-
-    /// Puts back the coordinates a drawn move changed.
-    fn reject(&mut self, m: &Move) {
-        let pos = &mut self.scratch.pos;
-        pos[m.a as usize] = site_xy(self.sites, m.from);
-        if m.b != EMPTY_SITE {
-            pos[m.b as usize] = site_xy(self.sites, m.target);
+        if accept {
+            self.accepted += 1;
+            s.site_of_local[m.a as usize] = m.target;
+            s.occupant.swap(m.from as usize, m.target as usize);
+            if m.b != EMPTY_SITE {
+                s.site_of_local[m.b as usize] = m.from;
+            }
+        } else {
+            s.pos[m.a as usize] = site_xy(self.sites, m.from);
+            if m.b != EMPTY_SITE {
+                s.pos[m.b as usize] = site_xy(self.sites, m.target);
+            }
         }
     }
 
     /// Prices `count` moves without making any and returns the mean cost
     /// rise of the uphill ones (0 if none rises).
     fn mean_rise(&mut self, count: usize) -> f64 {
-        let (mut sum, mut uphill) = (0.0, 0u32);
+        let (mut sum, mut uphill) = (0.0, 0.0);
         for _ in 0..count {
             if let Some(m) = self.draw() {
                 if m.delta > 0.0 {
                     sum += m.delta;
-                    uphill += 1;
+                    uphill += 1.0;
                 }
-                self.reject(&m);
+                self.settle(&m, false);
             }
         }
-        if uphill == 0 {
-            0.0
-        } else {
-            sum / f64::from(uphill)
-        }
+        sum / f64::max(uphill, 1.0)
     }
 
     /// Proposes `moves` moves at temperature `t` (0: only strict
@@ -586,26 +562,17 @@ impl Chain<'_> {
     /// proposal per primitive.
     fn step(&mut self, moves: usize, t: f64) {
         let sweep = self.problem.len() as u64;
-        let extent = self.sites.extent();
         let mut mark = (self.proposed, self.accepted);
         for _ in 0..moves {
             if let Some(m) = self.draw() {
                 let accept = m.delta < 0.0
                     || (t > 0.0
                         && (m.delta == 0.0 || self.rng.gen::<f64>() < (-m.delta / t).exp()));
-                if accept {
-                    self.accept(&m);
-                } else {
-                    self.reject(&m);
-                }
+                self.settle(&m, accept);
             }
             if self.proposed - mark.0 == sweep {
-                self.window = next_window(
-                    self.window,
-                    self.accepted - mark.1,
-                    self.proposed - mark.0,
-                    extent,
-                );
+                let rate = (self.accepted - mark.1) as f64 / sweep as f64;
+                self.window = next_window(self.window, rate, self.sites.extent());
                 mark = (self.proposed, self.accepted);
             }
         }
@@ -635,14 +602,8 @@ pub(crate) fn anneal_block(
 ) -> (LocalPlacement, u64, u64) {
     let n = problem.len();
     let moves = n * cfg.moves_per_primitive;
-    scratch.site_of_local.clone_from(&problem.initial);
     scratch.best.clone_from(&problem.initial);
-    seat(
-        sites,
-        &scratch.site_of_local,
-        &mut scratch.occupant,
-        &mut scratch.pos,
-    );
+    scratch.seat_best(sites);
     let mut chain = Chain {
         problem,
         sites,
@@ -674,15 +635,13 @@ pub(crate) fn anneal_block(
         }
         if step == cfg.temperatures {
             // The greedy finish starts from the best placement seen.
-            unseat(&s.site_of_local, &mut s.occupant);
-            s.site_of_local.clone_from(&s.best);
-            seat(sites, &s.site_of_local, &mut s.occupant, &mut s.pos);
+            s.seat_best(sites);
         }
     }
     let (proposed, accepted) = (chain.proposed, chain.accepted);
     // Leave the scratch clean (all occupancy entries back to empty) for
     // whatever block this worker anneals next.
-    unseat(&scratch.site_of_local, &mut scratch.occupant);
+    scratch.unseat();
     let placement = finalize_placement(problem, sites, &scratch.best, best_wirelength);
     (placement, proposed, accepted)
 }
@@ -1001,17 +960,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(46);
         let mut w = f64::from(extent);
         for _ in 0..10_000 {
-            let proposed = rng.gen_range(1..500u64);
-            let accepted = [0, proposed, rng.gen_range(0..=proposed)][rng.gen_range(0..3usize)];
-            w = next_window(w, accepted, proposed, extent);
+            let rate = [0.0, 1.0, rng.gen::<f64>()][rng.gen_range(0..3usize)];
+            w = next_window(w, rate, extent);
             assert!(in_range(w), "window {w} outside [1, {extent}]");
         }
         for _ in 0..100 {
-            w = next_window(w, 0, 100, extent);
+            w = next_window(w, 0.0, extent);
         }
         assert_eq!(w, 1.0);
         for _ in 0..100 {
-            w = next_window(w, 100, 100, extent);
+            w = next_window(w, 1.0, extent);
         }
         assert_eq!(w, f64::from(extent));
     }
