@@ -207,7 +207,8 @@ pub struct LocalPlacement {
 }
 
 /// One virtual block's local P&R problem in dense local indices: the
-/// feasibility-checked, preprocessed form its annealing chain reads. Building it once per block (instead of re-deriving site
+/// feasibility-checked, preprocessed form its annealing chain reads.
+/// Building it once per block (instead of re-deriving site
 /// kinds and adjacency from the netlist inside the move loop) is what
 /// removes the per-move hash lookups and allocation churn that made the
 /// parallel path slower than serial.
@@ -352,17 +353,22 @@ impl BlockProblem {
             .sum()
     }
 
-    /// Bit-weighted Manhattan length of the edges at `local`, given every
-    /// primitive's coordinates: the same f64 terms as `site_dist` (small
-    /// integers are exact either way), summed in the same order.
-    fn cost_of(&self, local: u32, pos: &[(u32, u32)]) -> f64 {
+    /// How much the bit-weighted Manhattan length of the edges at `local`
+    /// changes if it moves to `to` while `swap` (`EMPTY_SITE` for none)
+    /// moves onto its site, given every primitive's coordinates. Each term
+    /// is an integer far below 2^53, so the sum is exact in any order: the
+    /// same f64 as the length after the move less the length before.
+    fn delta_of(&self, local: u32, to: (u32, u32), swap: u32, pos: &[(u32, u32)]) -> f64 {
         let lo = self.incident_start[local as usize] as usize;
         let hi = self.incident_start[local as usize + 1] as usize;
         let (x, y) = pos[local as usize];
         let mut acc = 0.0;
         for &(other, w) in &self.adj[lo..hi] {
             let (ox, oy) = pos[other as usize];
-            acc += w * f64::from(x.abs_diff(ox) + y.abs_diff(oy));
+            let (nx, ny) = if other == swap { (x, y) } else { (ox, oy) };
+            let before = x.abs_diff(ox) + y.abs_diff(oy);
+            let after = to.0.abs_diff(nx) + to.1.abs_diff(ny);
+            acc += w * (f64::from(after) - f64::from(before));
         }
         acc
     }
@@ -373,8 +379,8 @@ impl BlockProblem {
 /// per block — the other half of the parallel-slowdown fix. The `occupant`
 /// vector is sized to the site count with `u32::MAX` marking empty sites;
 /// each run restores its entries on exit, so clearing costs O(primitives),
-/// not O(sites). `pos` mirrors `site_of_local` as coordinates, and a
-/// tentative move writes only `pos`.
+/// not O(sites). `pos` mirrors `site_of_local` as coordinates, and a move
+/// is priced from `pos` alone, without writing anything.
 #[derive(Debug)]
 pub(crate) struct PnrScratch {
     site_of_local: Vec<u32>,
@@ -452,9 +458,8 @@ fn next_window(window: f64, rate: f64, extent: u32) -> f64 {
     (window * (1.0 - TARGET_ACCEPTANCE + rate)).clamp(1.0, f64::from(extent))
 }
 
-/// A proposed move, applied to the coordinates only: `a` from `from` to
-/// `target`, and `b`, the occupant of `target` (or `EMPTY_SITE`), back to
-/// `from`.
+/// A proposed move, priced but not made: `a` from `from` to `target`, and
+/// `b`, the occupant of `target` (or `EMPTY_SITE`), back to `from`.
 struct Move {
     a: u32,
     b: u32,
@@ -476,8 +481,8 @@ struct Chain<'a> {
 }
 
 impl Chain<'_> {
-    /// Draws a primitive and a target in its window and prices the move.
-    /// `None` if the target is the primitive's own site.
+    /// Draws a primitive and a target in its window and prices the move
+    /// without making it. `None` if the target is the primitive's own site.
     fn draw(&mut self) -> Option<Move> {
         self.proposed += 1;
         let (problem, sites) = (self.problem, self.sites);
@@ -499,19 +504,11 @@ impl Chain<'_> {
             return None;
         }
         let b = occupant[target as usize];
-        let cost = |pos: &[(u32, u32)]| {
-            let mut c = problem.cost_of(a, pos);
-            if b != EMPTY_SITE {
-                c += problem.cost_of(b, pos);
-            }
-            c
-        };
-        let before = cost(pos);
-        pos[a as usize] = site_xy(sites, target);
+        let to = site_xy(sites, target);
+        let mut delta = problem.delta_of(a, to, b, pos);
         if b != EMPTY_SITE {
-            pos[b as usize] = site_xy(sites, from);
+            delta += problem.delta_of(b, pos[a as usize], a, pos);
         }
-        let delta = cost(pos) - before;
         Some(Move {
             a,
             b,
@@ -521,23 +518,17 @@ impl Chain<'_> {
         })
     }
 
-    /// Makes a drawn move, or puts back the coordinates it changed. `from`
-    /// holds `a` and `target` holds `b` or nothing, so swapping the two
-    /// occupancy entries is the move.
-    fn settle(&mut self, m: &Move, accept: bool) {
+    /// Makes a drawn move. `from` holds `a` and `target` holds `b` or
+    /// nothing, so swapping the two occupancy entries is the move.
+    fn make(&mut self, m: &Move) {
+        self.accepted += 1;
         let s = &mut *self.scratch;
-        if accept {
-            self.accepted += 1;
-            s.site_of_local[m.a as usize] = m.target;
-            s.occupant.swap(m.from as usize, m.target as usize);
-            if m.b != EMPTY_SITE {
-                s.site_of_local[m.b as usize] = m.from;
-            }
-        } else {
-            s.pos[m.a as usize] = site_xy(self.sites, m.from);
-            if m.b != EMPTY_SITE {
-                s.pos[m.b as usize] = site_xy(self.sites, m.target);
-            }
+        s.site_of_local[m.a as usize] = m.target;
+        s.occupant.swap(m.from as usize, m.target as usize);
+        s.pos[m.a as usize] = site_xy(self.sites, m.target);
+        if m.b != EMPTY_SITE {
+            s.site_of_local[m.b as usize] = m.from;
+            s.pos[m.b as usize] = site_xy(self.sites, m.from);
         }
     }
 
@@ -551,7 +542,6 @@ impl Chain<'_> {
                     sum += m.delta;
                     uphill += 1.0;
                 }
-                self.settle(&m, false);
             }
         }
         sum / f64::max(uphill, 1.0)
@@ -568,7 +558,9 @@ impl Chain<'_> {
                 let accept = m.delta < 0.0
                     || (t > 0.0
                         && (m.delta == 0.0 || self.rng.gen::<f64>() < (-m.delta / t).exp()));
-                self.settle(&m, accept);
+                if accept {
+                    self.make(&m);
+                }
             }
             if self.proposed - mark.0 == sweep {
                 let rate = (self.accepted - mark.1) as f64 / sweep as f64;
@@ -864,18 +856,30 @@ mod tests {
                 .map(|_| rng.gen_range(0..sites.sites().len()) as u32)
                 .collect();
             let pos: Vec<(u32, u32)> = assignment.iter().map(|&s| site_xy(&sites, s)).collect();
-            for local in 0..problem.len() as u32 {
-                // The former form: each incident edge, in edge order,
-                // priced through both endpoints' sites.
-                let mut old = 0.0;
-                for &(a, b, w) in problem
-                    .edges
-                    .iter()
-                    .filter(|e| e.0 == local || e.1 == local)
-                {
-                    old += w * site_dist(&sites, assignment[a as usize], assignment[b as usize]);
+            for a in 0..problem.len() as u32 {
+                // Move `a` to a random site, or swap it with another
+                // primitive, and price it both ways: the packed delta
+                // against the whole edge list before and after.
+                let swap = match rng.gen_range(0..2u32) {
+                    0 => EMPTY_SITE,
+                    _ => rng.gen_range(0..problem.len() as u32),
+                };
+                if swap == a {
+                    continue;
                 }
-                assert_eq!(problem.cost_of(local, &pos).to_bits(), f64::to_bits(old));
+                let mut after = assignment.clone();
+                after[a as usize] = match swap {
+                    EMPTY_SITE => rng.gen_range(0..sites.sites().len()) as u32,
+                    b => assignment[b as usize],
+                };
+                let mut delta = problem.delta_of(a, site_xy(&sites, after[a as usize]), swap, &pos);
+                if swap != EMPTY_SITE {
+                    after[swap as usize] = assignment[a as usize];
+                    delta += problem.delta_of(swap, pos[a as usize], a, &pos);
+                }
+                let exact = problem.wirelength_of(&sites, &after)
+                    - problem.wirelength_of(&sites, &assignment);
+                assert_eq!(delta.to_bits(), exact.to_bits(), "move of {a}");
             }
         }
     }
