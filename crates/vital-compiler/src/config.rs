@@ -2,9 +2,6 @@
 
 use crate::placer::PlacerConfig;
 use vital_fabric::{DeviceModel, Floorplan, Resources};
-use vital_interface::InterfaceConfig;
-
-use crate::pnr::PnrConfig;
 
 /// Configuration of the six-step compilation flow.
 ///
@@ -13,6 +10,11 @@ use crate::pnr::PnrConfig;
 /// paper's Table 2 block counts (~30 % effective LUT fill, which is the
 /// routability/packing headroom commercial P&R needs inside a partially
 /// reconfigurable region).
+///
+/// The block size, the fill margin and the worker count are the settings.
+/// The stand-ins' tuning values (the partition engine's, the interface
+/// planner's and local P&R's) are fixed constants: [`PlacerConfig`] has no
+/// value but its default outside this crate.
 #[derive(Debug, Clone)]
 pub struct CompilerConfig {
     /// Resources of one physical (and hence virtual) block.
@@ -21,14 +23,10 @@ pub struct CompilerConfig {
     pub fill_margin: f64,
     /// The §4 partition engine's parameters.
     pub placer: PlacerConfig,
-    /// Channel-planning parameters for the latency-insensitive interface.
-    pub interface: InterfaceConfig,
-    /// Local place-and-route effort.
-    pub pnr: PnrConfig,
     /// Worker threads for step 4 (per-block local P&R): `0` uses the
     /// machine's available parallelism, `1` forces the serial path. The
     /// produced bitstream is bit-identical for every worker count because
-    /// each block's P&R is seeded independently (`pnr.seed ^ block`).
+    /// each block's P&R is seeded independently (`PNR.seed ^ block`).
     pub workers: usize,
 }
 
@@ -62,8 +60,6 @@ impl Default for CompilerConfig {
             block_resources: plan.block_resources(),
             fill_margin: 0.33,
             placer: PlacerConfig::default(),
-            interface: InterfaceConfig::default(),
-            pnr: PnrConfig::default(),
             workers: 0,
         }
     }

@@ -5,14 +5,15 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use vital_fabric::Resources;
 
-use crate::placement::VirtualGrid;
+use crate::placement::{VirtualGrid, PLACER};
 use crate::placer::{Cluster, ClusterGraph, ClusterId};
 
-/// Simulated-annealing schedule for the legalization step.
+/// Simulated-annealing schedule for the legalization step. Its one value
+/// is `PLACER.sa`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SaConfig {
+pub(crate) struct SaConfig {
     /// Starting temperature.
-    pub t0: f64,
+    pub(crate) t0: f64,
     /// Geometric cooling factor per temperature step.
     pub(crate) cooling: f64,
     /// Proposed moves per cluster per temperature step.
@@ -21,18 +22,6 @@ pub struct SaConfig {
     pub(crate) t_min: f64,
     /// Refinement (recovery) passes after annealing.
     pub(crate) refine_passes: usize,
-}
-
-impl Default for SaConfig {
-    fn default() -> Self {
-        SaConfig {
-            t0: 2.0,
-            cooling: 0.70,
-            moves_per_cluster: 4,
-            t_min: 0.02,
-            refine_passes: 2,
-        }
-    }
 }
 
 /// Penalty magnitude for an over-utilized block: the "large positive number"
@@ -140,9 +129,10 @@ impl<'a> Legalizer<'a> {
         }
     }
 
-    /// Runs the annealing schedule followed by refinement; returns the final
-    /// assignment (cluster -> slot; `None` for I/O pads).
-    pub(crate) fn run(mut self, sa: &SaConfig, rng: &mut StdRng) -> Vec<Option<u32>> {
+    /// Runs the annealing schedule `PLACER.sa` followed by refinement;
+    /// returns the final assignment (cluster -> slot; `None` for I/O pads).
+    pub(crate) fn run(mut self, rng: &mut StdRng) -> Vec<Option<u32>> {
+        let sa = &PLACER.sa;
         let movable: Vec<usize> = (0..self.clusters.len())
             .filter(|&i| !self.clusters[i].is_io())
             .collect();
@@ -321,7 +311,7 @@ mod tests {
         let start: Vec<(f64, f64)> = (0..clusters.len()).map(|_| (0.0, 0.0)).collect();
         let legalizer = Legalizer::new(&clusters, &graph, &grid, &start, 1.0);
         let mut rng = StdRng::seed_from_u64(1);
-        let assignment = legalizer.run(&SaConfig::default(), &mut rng);
+        let assignment = legalizer.run(&mut rng);
         // Recompute usage and verify feasibility.
         let mut usage = vec![Resources::ZERO; grid.slot_count()];
         for (i, slot) in assignment.iter().enumerate() {
@@ -340,7 +330,7 @@ mod tests {
         let start = vec![(0.0, 0.0); clusters.len()];
         let legalizer = Legalizer::new(&clusters, &graph, &grid, &start, 1.0);
         let mut rng = StdRng::seed_from_u64(1);
-        let assignment = legalizer.run(&SaConfig::default(), &mut rng);
+        let assignment = legalizer.run(&mut rng);
         assert!(assignment
             .iter()
             .enumerate()

@@ -66,25 +66,22 @@ impl Cluster {
     }
 }
 
-/// Configuration of the packing pass.
+/// Configuration of the packing pass. Outside this crate its only value is
+/// the default, `PLACER.packing`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PackingConfig {
     /// RNG seed for the random seed-primitive selection; packing is fully
     /// deterministic for a fixed seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Capacity of one cluster in primitives.
-    pub max_primitives: usize,
+    pub(crate) max_primitives: usize,
     /// Clusters smaller than this are merged into a connected neighbour.
-    pub merge_below: usize,
+    pub(crate) merge_below: usize,
 }
 
 impl Default for PackingConfig {
     fn default() -> Self {
-        PackingConfig {
-            seed: 0x5eed,
-            max_primitives: 32,
-            merge_below: 8,
-        }
+        crate::placement::PLACER.packing
     }
 }
 
@@ -117,12 +114,7 @@ impl Packing {
 /// Top-level I/O ports are kept as singleton clusters (they serve as fixed
 /// pads in the quadratic placement); all other primitives are packed
 /// greedily by attraction score.
-///
-/// # Panics
-///
-/// Panics if `cfg.max_primitives` is zero.
 pub fn pack(netlist: &Netlist, dfg: &DataflowGraph, cfg: &PackingConfig) -> Packing {
-    assert!(cfg.max_primitives > 0, "cluster capacity must be non-zero");
     let n = netlist.primitive_count();
     let mut cluster_of: Vec<Option<ClusterId>> = vec![None; n];
     let mut clusters: Vec<Cluster> = Vec::new();
@@ -449,5 +441,55 @@ mod tests {
             },
         );
         assert!(merged.cluster_count() <= unmerged.cluster_count());
+    }
+
+    /// A chain of `ops` operators, each a pipeline of `slices` slices or a
+    /// MAC array as bit `i` of `seed` says.
+    fn chain_spec(ops: usize, slices: u32, seed: u64) -> AppSpec {
+        let mut spec = AppSpec::new("prop");
+        let mut prev = None;
+        for i in 0..ops {
+            let op = if (seed >> (i % 60)) & 1 == 0 {
+                Operator::Pipeline { slices }
+            } else {
+                Operator::MacArray {
+                    pes: slices / 4 + 1,
+                }
+            };
+            let id = spec.add_operator(format!("o{i}"), op);
+            if let Some(p) = prev {
+                spec.add_edge(p, id, 32).unwrap();
+            }
+            prev = Some(id);
+        }
+        spec
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Packing is a partition: complete, consistent, resource-conserving,
+        /// for any seed and capacity.
+        #[test]
+        fn packing_is_a_partition(
+            ops in 2usize..7,
+            slices in 10u32..60,
+            seed in proptest::prelude::any::<u64>(),
+            cap in 4usize..64,
+        ) {
+            let netlist = synthesize(&chain_spec(ops, slices, seed)).unwrap();
+            let dfg = DataflowGraph::from_netlist(&netlist);
+            let cfg = PackingConfig { seed, max_primitives: cap, merge_below: cap / 4 };
+            let packing = pack(&netlist, &dfg, &cfg);
+            let members: usize = packing.clusters().iter().map(|c| c.members().len()).sum();
+            proptest::prop_assert_eq!(members, netlist.primitive_count());
+            // Membership is consistent with the assignment map.
+            proptest::prop_assert!(packing
+                .clusters()
+                .iter()
+                .all(|c| c.members().iter().all(|&m| packing.cluster_of(m) == c.id())));
+            let packed: Resources = packing.clusters().iter().map(|c| c.resources()).sum();
+            proptest::prop_assert_eq!(packed, netlist.resource_usage());
+        }
     }
 }

@@ -6,13 +6,15 @@ use std::time::{Duration, Instant};
 
 use crate::placer::{Placer, VirtualGrid};
 use vital_fabric::DeviceModel;
-use vital_interface::{plan_channels, ChannelPlan, CutEdge};
+use vital_interface::{plan_channels, ChannelPlan, CutEdge, InterfaceConfig};
 use vital_netlist::hls::{synthesize, AppSpec};
 use vital_netlist::{DataflowGraph, Netlist, PrimitiveId};
 use vital_telemetry::{Span, Telemetry};
 
 use crate::image::{AppBitstream, BlockImage};
-use crate::pnr::{anneal_block, BlockProblem, LocalPlacement, PnrScratch, SiteModel};
+use crate::pnr::{
+    anneal_block, route_channels, BlockProblem, LocalPlacement, PnrScratch, SiteModel,
+};
 use crate::{CompileError, CompilerConfig, NetlistDigest, StageTimings};
 
 /// Outcome of local P&R for one virtual block, with its wall time.
@@ -150,13 +152,13 @@ impl Compiler {
                 });
             }
         }
-        let plan: ChannelPlan = plan_channels(&cuts, &self.config.interface);
+        let plan: ChannelPlan = plan_channels(&cuts, &InterfaceConfig::default());
         let cut_bits: u64 = cuts.iter().map(|c| c.bits).sum();
         stage.finish();
         timings.interface_gen = t.elapsed();
 
         // Step 4: local place-and-route per virtual block. Blocks are
-        // independent (each seeds its own RNG from `pnr.seed ^ block`), so
+        // independent (each seeds its own RNG from `PNR.seed ^ block`), so
         // they fan out across a scoped thread pool; results are collected
         // in block order and are bit-identical to the serial path.
         let t = Instant::now();
@@ -231,13 +233,7 @@ impl Compiler {
                 slot_of_vb[*vb as usize] = slot as u32;
             }
         }
-        let routing = crate::pnr::route_channels_on(
-            &plan,
-            &self.config.pnr,
-            &slot_of_vb,
-            grid.cols(),
-            grid.rows(),
-        );
+        let routing = route_channels(&plan, &slot_of_vb, grid.cols(), grid.rows());
         stage.finish();
         timings.global_pnr = t.elapsed();
 
@@ -318,7 +314,7 @@ impl Compiler {
             let mut span = pnr_span.child_on_track("compile.block_pnr", problem.block);
             span.field("block", problem.block);
             let result = catch_unwind(AssertUnwindSafe(|| {
-                anneal_block(problem, &self.site_model, &self.config.pnr, scratch)
+                anneal_block(problem, &self.site_model, scratch)
             }))
             .map(|(placement, proposed, accepted)| {
                 self.telemetry

@@ -7,8 +7,8 @@ use rand::SeedableRng;
 use vital_fabric::Resources;
 use vital_netlist::{DataflowGraph, Netlist, PortDirection, PrimitiveId, PrimitiveKind};
 
-use crate::legalize::Legalizer;
-use crate::placer::{pack, ClusterGraph, Packing, PackingConfig, PlacerError, SaConfig};
+use crate::legalize::{Legalizer, SaConfig};
+use crate::placer::{pack, ClusterGraph, Packing, PackingConfig, PlacerError};
 use crate::quadratic::{solve_quadratic, QuadraticPlacement};
 
 /// The pre-defined 2D space of virtual-block slots the application is placed
@@ -79,45 +79,63 @@ impl VirtualGrid {
     }
 }
 
-/// Configuration of the full placement/partition pipeline.
+/// Configuration of the full placement/partition pipeline. Its values tune
+/// the partition engine, not ViTAL: outside this crate the only value is the
+/// default, `PLACER`. [`NetlistDigest`](crate::NetlistDigest) hashes its
+/// `Debug` text, so the names, fields and field order here and in the
+/// nested configs are part of every stored image's key.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacerConfig {
     /// RNG seed; the pipeline is deterministic for a fixed seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Packing parameters (§4.1).
-    pub packing: PackingConfig,
+    pub(crate) packing: PackingConfig,
     /// Aspect-ratio weight `α` of Eq. 1/Eq. 3.
-    pub alpha: f64,
-    /// Annealing schedule of the legalization step.
-    pub sa: SaConfig,
+    pub(crate) alpha: f64,
+    /// Annealing schedule of the legalization step (the legalizer reads
+    /// `PLACER.sa`).
+    pub(crate) sa: SaConfig,
     /// Initial pseudo-cluster anchor weight `β` (Eq. 4).
-    pub beta0: f64,
+    pub(crate) beta0: f64,
     /// Multiplicative growth of `β` per iteration ("slowly increased").
-    pub beta_growth: f64,
+    pub(crate) beta_growth: f64,
     /// Termination threshold on the wirelength gap between the solved and
     /// legalized placements (paper: 20 %).
-    pub gap_tolerance: f64,
+    pub(crate) gap_tolerance: f64,
     /// Hard cap on anchoring iterations.
-    pub max_iterations: usize,
+    pub(crate) max_iterations: usize,
     /// FM-style cut-refinement sweeps applied to the final assignment
     /// (the partition step's explicit objective is minimizing inter-block
-    /// connections, §3.3); 0 disables.
-    pub cut_refine_passes: usize,
+    /// connections, §3.3).
+    pub(crate) cut_refine_passes: usize,
 }
+
+/// The one partition configuration.
+pub(crate) const PLACER: PlacerConfig = PlacerConfig {
+    seed: 0x71741,
+    packing: PackingConfig {
+        seed: 0x5eed,
+        max_primitives: 32,
+        merge_below: 8,
+    },
+    alpha: 1.0,
+    sa: SaConfig {
+        t0: 2.0,
+        cooling: 0.70,
+        moves_per_cluster: 4,
+        t_min: 0.02,
+        refine_passes: 2,
+    },
+    beta0: 0.05,
+    beta_growth: 3.0,
+    gap_tolerance: 0.20,
+    max_iterations: 5,
+    cut_refine_passes: 2,
+};
 
 impl Default for PlacerConfig {
     fn default() -> Self {
-        PlacerConfig {
-            seed: 0x71741,
-            packing: PackingConfig::default(),
-            alpha: 1.0,
-            sa: SaConfig::default(),
-            beta0: 0.05,
-            beta_growth: 3.0,
-            gap_tolerance: 0.20,
-            max_iterations: 5,
-            cut_refine_passes: 2,
-        }
+        PLACER
     }
 }
 
@@ -172,7 +190,7 @@ impl Placer {
             let start: Vec<(f64, f64)> = qp.x.iter().zip(&qp.y).map(|(&x, &y)| (x, y)).collect();
             let legalizer =
                 Legalizer::new(packing.clusters(), &graph, grid, &start, self.config.alpha);
-            assignment = legalizer.run(&self.config.sa, &mut rng);
+            assignment = legalizer.run(&mut rng);
             let legal_positions = positions_of(&assignment, &start, grid);
             let l_legal = linear_wirelength(&graph, &legal_positions, self.config.alpha);
 
@@ -199,15 +217,13 @@ impl Placer {
         }
 
         // Cut-driven FM refinement on the final assignment.
-        if self.config.cut_refine_passes > 0 {
-            crate::cut_refine::refine_cut(
-                packing.clusters(),
-                &graph,
-                grid,
-                &mut assignment,
-                self.config.cut_refine_passes,
-            );
-        }
+        crate::cut_refine::refine_cut(
+            packing.clusters(),
+            &graph,
+            grid,
+            &mut assignment,
+            self.config.cut_refine_passes,
+        );
 
         let legal = check_legal(&assignment, packing.clusters(), grid);
         Ok(Placement {

@@ -10,7 +10,8 @@
 //! custom tools only manipulate a few hundred clusters.
 //!
 //! Global P&R (step 6) stitches the per-block images together by assigning
-//! every planned channel to a boundary lane (`route_channels`).
+//! every planned channel to a boundary lane and routes the channels over
+//! the virtual-block mesh (`route_channels`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,35 +23,37 @@ use vital_netlist::{DataflowGraph, Netlist, PrimitiveId, PrimitiveKind};
 
 use crate::CompileError;
 
-/// Effort knobs of the local P&R annealer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PnrConfig {
+/// The local P&R annealer's schedule and step 6's boundary lanes. They tune
+/// this stand-in for the vendor P&R, not ViTAL, so there is one value,
+/// [`PNR`]. [`NetlistDigest`](crate::NetlistDigest) hashes its `Debug`
+/// text, so the struct's name, fields and field order are part of every
+/// stored image's key: a changed value moves the digest, a renamed field
+/// would too.
+#[derive(Debug)]
+pub(crate) struct PnrConfig {
     /// RNG seed.
-    pub seed: u64,
+    seed: u64,
     /// Proposed moves per primitive per temperature step.
-    pub(crate) moves_per_primitive: usize,
+    moves_per_primitive: usize,
     /// Most annealing temperature steps before the greedy finish.
-    pub(crate) temperatures: usize,
+    temperatures: usize,
     /// Geometric cooling factor.
-    pub(crate) cooling: f64,
+    cooling: f64,
     /// Boundary lanes available per block for global routing.
-    pub(crate) lanes_per_block: usize,
+    lanes_per_block: usize,
 }
 
-impl Default for PnrConfig {
-    fn default() -> Self {
-        PnrConfig {
-            seed: 0x9a7,
-            moves_per_primitive: 20,
-            temperatures: 5,
-            cooling: 0.6,
-            lanes_per_block: 6,
-        }
-    }
-}
+/// The one local P&R configuration.
+pub(crate) const PNR: PnrConfig = PnrConfig {
+    seed: 0x9a7,
+    moves_per_primitive: 20,
+    temperatures: 5,
+    cooling: 0.6,
+    lanes_per_block: 6,
+};
 
 /// The kind of a physical site inside a block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SiteKind {
     /// A CLB slice site (hosts `Slice`, `Lut` and `FlipFlop` primitives).
     Slice,
@@ -74,7 +77,7 @@ impl SiteKind {
 }
 
 /// One placeable site of a physical block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Site {
     /// Column coordinate.
     pub x: u32,
@@ -576,31 +579,30 @@ impl Chain<'_> {
 ///
 /// The chain starts cool, at a temperature taken from the uphill moves it
 /// samples on the compact initial assignment. It then runs up to
-/// `cfg.temperatures` geometrically cooled steps and `GREEDY_STEPS` passes
+/// `PNR.temperatures` geometrically cooled steps and `GREEDY_STEPS` passes
 /// at zero temperature from the best placement seen, each proposing
-/// `moves_per_primitive` moves per primitive. A move's target lies in a
+/// `PNR.moves_per_primitive` moves per primitive. A move's target lies in a
 /// window around the primitive's site: one lattice step wide at the start,
 /// then steered after every sweep to hold the acceptance rate near
 /// `TARGET_ACCEPTANCE`. A step that improves the best placement
 /// by less than `STOP_FRACTION` ends its phase. The best placement is
 /// snapshotted at every step boundary, so a chain never ends worse than
 /// the initial assignment. Every draw comes from one RNG seeded by
-/// `(cfg.seed, problem.block)`, never from the thread that runs it.
+/// `(PNR.seed, problem.block)`, never from the thread that runs it.
 pub(crate) fn anneal_block(
     problem: &BlockProblem,
     sites: &SiteModel,
-    cfg: &PnrConfig,
     scratch: &mut PnrScratch,
 ) -> (LocalPlacement, u64, u64) {
     let n = problem.len();
-    let moves = n * cfg.moves_per_primitive;
+    let moves = n * PNR.moves_per_primitive;
     scratch.best.clone_from(&problem.initial);
     scratch.seat_best(sites);
     let mut chain = Chain {
         problem,
         sites,
         scratch: &mut *scratch,
-        rng: StdRng::seed_from_u64(cfg.seed ^ u64::from(problem.block)),
+        rng: StdRng::seed_from_u64(PNR.seed ^ u64::from(problem.block)),
         window: 1.0,
         proposed: 0,
         accepted: 0,
@@ -608,10 +610,10 @@ pub(crate) fn anneal_block(
     let mut best_wirelength = problem.initial_wirelength;
     let mut t = T0_OF_MEAN_RISE * chain.mean_rise(n);
     let mut step = 0;
-    while step < cfg.temperatures + GREEDY_STEPS {
-        let greedy = step >= cfg.temperatures;
+    while step < PNR.temperatures + GREEDY_STEPS {
+        let greedy = step >= PNR.temperatures;
         chain.step(moves, if greedy { 0.0 } else { t });
-        t *= cfg.cooling;
+        t *= PNR.cooling;
         step += 1;
         let s = &mut *chain.scratch;
         let wl = problem.wirelength_of(sites, &s.site_of_local);
@@ -621,11 +623,11 @@ pub(crate) fn anneal_block(
             s.best.clone_from(&s.site_of_local);
         }
         if stalled && !greedy {
-            step = cfg.temperatures;
+            step = PNR.temperatures;
         } else if stalled {
             break;
         }
-        if step == cfg.temperatures {
+        if step == PNR.temperatures {
             // The greedy finish starts from the best placement seen.
             s.seat_best(sites);
         }
@@ -690,30 +692,18 @@ pub(crate) struct RoutingResult {
 
 /// Global place-and-route (step 6): assigns every planned channel to the
 /// least-loaded (by bits) boundary lane of its producing block, then routes
-/// the channels over the virtual-block mesh with negotiated congestion
+/// the channels over the virtual-block mesh with negotiated congestion,
+/// each slot-to-slot boundary carrying one 512-bit bundle per lane
 /// (`slot_of_vb` gives each virtual block's mesh slot; `cols x rows` is the
 /// mesh shape).
-pub(crate) fn route_channels_on(
+pub(crate) fn route_channels(
     plan: &ChannelPlan,
-    cfg: &PnrConfig,
     slot_of_vb: &[u32],
     cols: usize,
     rows: usize,
 ) -> RoutingResult {
-    let mut result = route_channels(plan, cfg);
-    let route_cfg = crate::route::RouteConfig {
-        edge_capacity_bits: cfg.lanes_per_block.max(1) as u64 * 512,
-        ..crate::route::RouteConfig::default()
-    };
-    result.global = crate::route::route_global(plan, slot_of_vb, cols, rows, &route_cfg);
-    result
-}
-
-/// Lane assignment only (see [`route_channels_on`] for the full step 6);
-/// channels route on a degenerate 1x1 mesh.
-pub(crate) fn route_channels(plan: &ChannelPlan, cfg: &PnrConfig) -> RoutingResult {
     use std::collections::HashMap;
-    let lanes = cfg.lanes_per_block.max(1) as u32;
+    let lanes = PNR.lanes_per_block as u32;
     // (block, lane) -> (accumulated bits, channel count).
     let mut load: HashMap<(u32, u32), (u64, u32)> = HashMap::new();
     let mut lane_of = Vec::with_capacity(plan.channel_count());
@@ -730,22 +720,11 @@ pub(crate) fn route_channels(plan: &ChannelPlan, cfg: &PnrConfig) -> RoutingResu
         lane_of.push((i, lane));
     }
     let peak = load.values().map(|&(_, count)| count).max().unwrap_or(0);
-    let vb_count = plan
-        .channels()
-        .iter()
-        .map(|c| c.from_block.max(c.to_block) as usize + 1)
-        .max()
-        .unwrap_or(0);
+    let edge_capacity_bits = u64::from(lanes) * 512;
     RoutingResult {
         lane_of,
         peak_lane_utilization: f64::from(peak),
-        global: crate::route::route_global(
-            plan,
-            &vec![0u32; vb_count],
-            1,
-            1,
-            &crate::route::RouteConfig::default(),
-        ),
+        global: crate::route::route_global(plan, slot_of_vb, cols, rows, edge_capacity_bits),
     }
 }
 
@@ -771,11 +750,10 @@ mod tests {
         block: u32,
         prims: &[PrimitiveId],
         sites: &SiteModel,
-        cfg: &PnrConfig,
     ) -> Result<LocalPlacement, CompileError> {
         let problem = BlockProblem::build(netlist, dfg, block, prims, sites)?;
         let mut scratch = PnrScratch::new(sites.sites().len());
-        Ok(anneal_block(&problem, sites, cfg, &mut scratch).0)
+        Ok(anneal_block(&problem, sites, &mut scratch).0)
     }
 
     fn block_prims(n: &Netlist) -> Vec<PrimitiveId> {
@@ -813,7 +791,7 @@ mod tests {
         let device = DeviceModel::xcvu37p();
         let sites = SiteModel::for_block(&device, 60);
         let prims = block_prims(&n);
-        let p = place_block(&n, &dfg, 0, &prims, &sites, &PnrConfig::default()).unwrap();
+        let p = place_block(&n, &dfg, 0, &prims, &sites).unwrap();
         assert_eq!(p.site_of.len(), prims.len());
         let mut used: Vec<u32> = p.site_of.iter().map(|&(_, s)| s).collect();
         used.sort_unstable();
@@ -833,7 +811,7 @@ mod tests {
         let device = DeviceModel::xcvu37p();
         let sites = SiteModel::for_block(&device, 60);
         let prims = block_prims(&n);
-        let annealed = place_block(&n, &dfg, 0, &prims, &sites, &PnrConfig::default()).unwrap();
+        let annealed = place_block(&n, &dfg, 0, &prims, &sites).unwrap();
         assert!(
             annealed.wirelength <= annealed.initial_wirelength,
             "annealed {} vs initial {}",
@@ -915,17 +893,14 @@ mod tests {
     fn random_blocks_never_end_worse_than_initial() {
         let sites = SiteModel::for_block(&DeviceModel::xcvu37p(), 60);
         let mut rng = StdRng::seed_from_u64(46);
-        for seed in 0..20u64 {
+        // Each block number seeds its own chain.
+        for block in 0..20u32 {
             let n = random_netlist(&mut rng);
             let dfg = DataflowGraph::from_netlist(&n);
-            let cfg = PnrConfig {
-                seed,
-                ..PnrConfig::default()
-            };
-            let p = place_block(&n, &dfg, seed as u32, &block_prims(&n), &sites, &cfg).unwrap();
+            let p = place_block(&n, &dfg, block, &block_prims(&n), &sites).unwrap();
             assert!(
                 p.wirelength <= p.initial_wirelength,
-                "block {seed}: {} vs initial {}",
+                "block {block}: {} vs initial {}",
                 p.wirelength,
                 p.initial_wirelength
             );
@@ -995,11 +970,10 @@ mod tests {
             initial_wirelength: 8.0,
         };
         assert_eq!(problem.wirelength_of(&sites, &problem.initial), 8.0);
-        let cfg = PnrConfig::default();
         let mut scratch = PnrScratch::new(sites.sites().len());
-        let (placement, proposed, _) = anneal_block(&problem, &sites, &cfg, &mut scratch);
+        let (placement, proposed, _) = anneal_block(&problem, &sites, &mut scratch);
         let budget =
-            problem.len() * (1 + (cfg.temperatures + GREEDY_STEPS) * cfg.moves_per_primitive);
+            problem.len() * (1 + (PNR.temperatures + GREEDY_STEPS) * PNR.moves_per_primitive);
         assert!(proposed < budget as u64, "{proposed} of {budget}");
         assert_eq!(placement.wirelength, 8.0);
         assert_eq!(placement.site_of.len(), 2);
@@ -1014,7 +988,7 @@ mod tests {
         let device = DeviceModel::xcvu37p();
         let sites = SiteModel::for_block(&device, 60);
         let prims = block_prims(&n);
-        let err = place_block(&n, &dfg, 3, &prims, &sites, &PnrConfig::default()).unwrap_err();
+        let err = place_block(&n, &dfg, 3, &prims, &sites).unwrap_err();
         assert!(matches!(
             err,
             CompileError::PlacementInfeasible { block: 3, .. }
@@ -1033,7 +1007,7 @@ mod tests {
         let device = DeviceModel::xcvu37p();
         let sites = SiteModel::for_block(&device, 60);
         let all: Vec<PrimitiveId> = n.primitives().iter().map(|p| p.id()).collect();
-        assert!(place_block(&n, &dfg, 0, &all, &sites, &PnrConfig::default()).is_err());
+        assert!(place_block(&n, &dfg, 0, &all, &sites).is_err());
     }
 
     #[test]
@@ -1047,9 +1021,12 @@ mod tests {
             })
             .collect();
         let plan = plan_channels(&cuts, &InterfaceConfig::default());
-        let routing = route_channels(&plan, &PnrConfig::default());
+        let routing = route_channels(&plan, &[0, 1, 2, 3], 2, 2);
         assert_eq!(routing.lane_of.len(), plan.channel_count());
         // 12 channels from block 0 over 6 lanes -> at most 2 per lane.
         assert!(routing.peak_lane_utilization <= 2.0);
+        // Six lanes of 512 bits per boundary.
+        assert_eq!(routing.global.edge_capacity_bits, 3_072);
+        assert_eq!(routing.global.routed.len(), plan.channel_count());
     }
 }

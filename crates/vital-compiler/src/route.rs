@@ -13,29 +13,14 @@
 use serde::{Deserialize, Serialize};
 use vital_interface::ChannelPlan;
 
-/// Router parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub(crate) struct RouteConfig {
-    /// Wire-bundle capacity of one slot-to-slot boundary, in bits.
-    pub(crate) edge_capacity_bits: u64,
-    /// Maximum rip-up/re-route iterations.
-    pub max_iterations: usize,
-    /// Weight of present congestion in the edge cost.
-    pub(crate) present_weight: f64,
-    /// Per-iteration increment of the history cost on overused edges.
-    pub(crate) history_increment: f64,
-}
+/// Most rip-up/re-route iterations.
+const MAX_ITERATIONS: usize = 8;
 
-impl Default for RouteConfig {
-    fn default() -> Self {
-        RouteConfig {
-            edge_capacity_bits: 2048,
-            max_iterations: 8,
-            present_weight: 4.0,
-            history_increment: 1.0,
-        }
-    }
-}
+/// Weight of present congestion in the edge cost.
+const PRESENT_WEIGHT: f64 = 4.0;
+
+/// Per-iteration increment of the history cost on overused edges.
+const HISTORY_INCREMENT: f64 = 1.0;
 
 /// The route of one planned channel: slot indices from producer to consumer
 /// (inclusive). Single-slot entries mean producer and consumer share a slot
@@ -117,7 +102,8 @@ impl Mesh {
     }
 }
 
-/// Routes every channel of `plan` over a `cols x rows` slot mesh.
+/// Routes every channel of `plan` over a `cols x rows` slot mesh whose
+/// slot-to-slot boundaries carry `edge_capacity_bits` each.
 /// `slot_of_vb[v]` gives the mesh slot of virtual block `v`.
 ///
 /// # Panics
@@ -129,7 +115,7 @@ pub(crate) fn route_global(
     slot_of_vb: &[u32],
     cols: usize,
     rows: usize,
-    cfg: &RouteConfig,
+    edge_capacity_bits: u64,
 ) -> GlobalRouting {
     let mesh = Mesh {
         cols: cols.max(1),
@@ -154,23 +140,23 @@ pub(crate) fn route_global(
     let mut load = vec![0u64; mesh.edge_count()];
     let mut iterations = 0usize;
 
-    for iter in 0..cfg.max_iterations.max(1) {
+    for iter in 0..MAX_ITERATIONS {
         iterations = iter + 1;
         load.iter_mut().for_each(|l| *l = 0);
         for (i, &(s, t, bits)) in demands.iter().enumerate() {
-            let path = dijkstra(&mesh, s, t, bits, &load, &history, cfg);
+            let path = dijkstra(&mesh, s, t, bits, &load, &history, edge_capacity_bits);
             for w in path.windows(2) {
                 load[mesh.edge_id(w[0] as usize, w[1] as usize)] += bits;
             }
             paths[i] = path;
         }
-        let overused = load.iter().any(|&l| l > cfg.edge_capacity_bits);
+        let overused = load.iter().any(|&l| l > edge_capacity_bits);
         if !overused {
             break;
         }
         for (e, &l) in load.iter().enumerate() {
-            if l > cfg.edge_capacity_bits {
-                history[e] += cfg.history_increment;
+            if l > edge_capacity_bits {
+                history[e] += HISTORY_INCREMENT;
             }
         }
     }
@@ -188,15 +174,15 @@ pub(crate) fn route_global(
             .map(|(channel, path)| RoutedChannel { channel, path })
             .collect(),
         max_edge_load_bits,
-        edge_capacity_bits: cfg.edge_capacity_bits,
+        edge_capacity_bits,
         iterations,
-        converged: max_edge_load_bits <= cfg.edge_capacity_bits,
+        converged: max_edge_load_bits <= edge_capacity_bits,
         wirelength_bit_hops,
     }
 }
 
 /// Dijkstra under the PathFinder cost: each edge costs
-/// `(1 + history) * (1 + present_weight * overuse_after)`.
+/// `(1 + history) * (1 + PRESENT_WEIGHT * overuse_after)`.
 fn dijkstra(
     mesh: &Mesh,
     s: usize,
@@ -204,7 +190,7 @@ fn dijkstra(
     bits: u64,
     load: &[u64],
     history: &[f64],
-    cfg: &RouteConfig,
+    capacity: u64,
 ) -> Vec<u32> {
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
@@ -242,9 +228,8 @@ fn dijkstra(
         for nb in mesh.neighbors(node) {
             let e = mesh.edge_id(node, nb);
             let after = load[e] + bits;
-            let overuse = after.saturating_sub(cfg.edge_capacity_bits) as f64
-                / cfg.edge_capacity_bits.max(1) as f64;
-            let cost = (1.0 + history[e]) * (1.0 + cfg.present_weight * overuse);
+            let overuse = after.saturating_sub(capacity) as f64 / capacity as f64;
+            let cost = (1.0 + history[e]) * (1.0 + PRESENT_WEIGHT * overuse);
             let nd = d + cost;
             if nd < dist[nb] {
                 dist[nb] = nd;
@@ -286,7 +271,7 @@ mod tests {
     fn straight_line_routes_take_the_manhattan_path() {
         // 1x4 mesh, channel 0 -> 3: path length 4 nodes.
         let p = plan(&[(0, 3, 64)]);
-        let routing = route_global(&p, &[0, 1, 2, 3], 4, 1, &RouteConfig::default());
+        let routing = route_global(&p, &[0, 1, 2, 3], 4, 1, 2048);
         assert!(routing.converged);
         assert_eq!(routing.routed[0].path, vec![0, 1, 2, 3]);
         assert_eq!(routing.wirelength_bit_hops, 64 * 3);
@@ -299,7 +284,7 @@ mod tests {
         let cuts: Vec<(u32, u32, u64)> = (0..8).map(|_| (0u32, 1u32, 512u64)).collect();
         let p = plan(&cuts);
         // 8 channels x 512 bits = 4096 bits > 2048 capacity on edge 0-1.
-        let routing = route_global(&p, &[0, 1], 3, 2, &RouteConfig::default());
+        let routing = route_global(&p, &[0, 1], 3, 2, 2048);
         assert!(
             routing.converged,
             "peak {} over {}",
@@ -317,7 +302,7 @@ mod tests {
         // detour available.
         let cuts: Vec<(u32, u32, u64)> = (0..10).map(|_| (0u32, 1u32, 512u64)).collect();
         let p = plan(&cuts);
-        let routing = route_global(&p, &[0, 1], 2, 1, &RouteConfig::default());
+        let routing = route_global(&p, &[0, 1], 2, 1, 2048);
         assert!(!routing.converged);
         assert!(routing.max_edge_load_bits > routing.edge_capacity_bits);
     }
@@ -325,7 +310,7 @@ mod tests {
     #[test]
     fn empty_plan_routes_trivially() {
         let p = plan(&[]);
-        let routing = route_global(&p, &[], 2, 2, &RouteConfig::default());
+        let routing = route_global(&p, &[], 2, 2, 2048);
         assert!(routing.converged);
         assert!(routing.routed.is_empty());
         assert_eq!(routing.wirelength_bit_hops, 0);
@@ -335,7 +320,7 @@ mod tests {
     fn paths_connect_their_endpoints() {
         let p = plan(&[(0, 3, 100), (1, 2, 200), (3, 0, 50)]);
         let slots = [0u32, 1, 2, 3];
-        let routing = route_global(&p, &slots, 2, 2, &RouteConfig::default());
+        let routing = route_global(&p, &slots, 2, 2, 2048);
         for (r, c) in routing.routed.iter().zip(p.channels()) {
             assert_eq!(r.path.first().copied(), Some(slots[c.from_block as usize]));
             assert_eq!(r.path.last().copied(), Some(slots[c.to_block as usize]));

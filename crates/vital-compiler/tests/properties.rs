@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use vital_compiler::placer::{
-    cut_bits, pack, ClusterGraph, Packing, PackingConfig, Placer, PlacerConfig, VirtualGrid,
+    cut_bits, pack, ClusterGraph, PackingConfig, Placer, PlacerConfig, VirtualGrid,
 };
 use vital_compiler::{Compiler, CompilerConfig, RelocationTarget};
 use vital_fabric::{BlockAddr, FpgaId, PhysicalBlockId};
@@ -117,40 +117,8 @@ fn app(ops: usize, slices: u32, seed: u64) -> AppSpec {
     spec
 }
 
-fn check_packing_complete(netlist: &vital_netlist::Netlist, packing: &Packing) -> bool {
-    let total: usize = packing.clusters().iter().map(|c| c.members().len()).sum();
-    if total != netlist.primitive_count() {
-        return false;
-    }
-    // Membership is consistent with the assignment map.
-    packing
-        .clusters()
-        .iter()
-        .all(|c| c.members().iter().all(|&m| packing.cluster_of(m) == c.id()))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Packing is a partition: complete, consistent, resource-conserving,
-    /// for any seed and capacity.
-    #[test]
-    fn packing_is_a_partition(
-        ops in 2usize..7,
-        slices in 10u32..60,
-        seed in any::<u64>(),
-        cap in 4usize..64,
-    ) {
-        let spec = app(ops, slices, seed);
-        let netlist = synthesize(&spec).unwrap();
-        let dfg = DataflowGraph::from_netlist(&netlist);
-        let cfg = PackingConfig { seed, max_primitives: cap, merge_below: cap / 4 };
-        let packing = pack(&netlist, &dfg, &cfg);
-        prop_assert!(check_packing_complete(&netlist, &packing));
-        let packed: vital_fabric::Resources =
-            packing.clusters().iter().map(|c| c.resources()).sum();
-        prop_assert_eq!(packed, netlist.resource_usage());
-    }
 
     /// The contracted cluster graph never loses or invents edge weight:
     /// its total equals the netlist's inter-cluster bits.
@@ -188,7 +156,7 @@ proptest! {
         let netlist = synthesize(&spec).unwrap();
         let total = netlist.resource_usage();
         let grid = VirtualGrid::uniform(4, total.scale(0.6));
-        let placement = Placer::new(PlacerConfig { seed, ..PlacerConfig::default() })
+        let placement = Placer::new(PlacerConfig::default())
             .run(&netlist, &grid)
             .unwrap();
         prop_assert!(placement.is_legal());

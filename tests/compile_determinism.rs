@@ -1,10 +1,10 @@
 //! Determinism contract of the parallel compile path and the compile
 //! cache: every worker count produces bit-identical bitstreams (each
-//! block's P&R seeds its own RNG from `pnr.seed ^ block`), and a cache
+//! block's P&R seeds its own RNG from `PNR.seed ^ block`), and a cache
 //! hit hands back the very images the cold compile produced.
 
 use proptest::prelude::*;
-use vital::compiler::{Compiler, CompilerConfig, NetlistDigest};
+use vital::compiler::{Compiler, CompilerConfig, DeviceModel, NetlistDigest};
 use vital::netlist::hls::{synthesize, AppSpec, Operator};
 use vital::runtime::{RuntimeConfig, SystemController};
 use vital::workloads::{benchmarks, Size};
@@ -76,6 +76,20 @@ fn lenet_s_digest_is_pinned() {
     let netlist = synthesize(&lenet.spec(Size::Small)).unwrap();
     let digest = NetlistDigest::of(&netlist, &CompilerConfig::default());
     assert_eq!(digest.to_string(), "678e9abe10157de5");
+}
+
+/// The digest leaves out the target geometry: a portable capsule exported
+/// from one geometry is restored on another by looking its digest up in
+/// that geometry's build farm (`BuildFarm::image_for_digest`).
+#[test]
+fn digest_is_the_same_on_every_geometry() {
+    let spec = multi_block_spec("geo");
+    let default = Compiler::new(CompilerConfig::default());
+    let alt = Compiler::for_device(&DeviceModel::xcvu37p_alt(), 60, CompilerConfig::default());
+    assert_eq!(
+        default.digest_of(&spec).unwrap(),
+        alt.digest_of(&spec).unwrap()
+    );
 }
 
 proptest! {
