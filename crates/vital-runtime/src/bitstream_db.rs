@@ -12,10 +12,9 @@ use vital_interface::FormatVersion;
 
 use crate::RuntimeError;
 
-/// On-disk envelope of the persisted database: the entry map wrapped in
-/// a [`FormatVersion`] header, so a daemon refuses (instead of
-/// misreading) files written by an incompatible build. The demand
-/// sidecar carries the same header (DESIGN.md §17).
+/// Envelope of [`BitstreamDatabase::to_json`]: the entry map wrapped in
+/// a [`FormatVersion`] header, so a reader refuses (instead of
+/// misreading) output of an incompatible build (DESIGN.md §17).
 #[derive(Serialize, Deserialize)]
 struct PersistEnvelope {
     format_version: FormatVersion,
@@ -221,8 +220,9 @@ impl BitstreamDatabase {
         self.inner.read().by_name.len()
     }
 
-    /// Serializes the whole database to versioned JSON (for inspection or
-    /// persistence).
+    /// Serializes the whole database to versioned JSON, for inspection or
+    /// export. The build farm persists each image on its own instead
+    /// (DESIGN.md §14.2) and refuses a file in this layout.
     ///
     /// # Errors
     ///

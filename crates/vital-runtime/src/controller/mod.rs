@@ -376,19 +376,23 @@ impl SystemController {
     }
 
     /// Arms bitstream-database persistence on `path` (the build farm's
-    /// across-restart cache, DESIGN.md §14). If the file exists its
-    /// contents are loaded immediately — a restarted daemon then serves
-    /// deploys of previously compiled apps with **zero** place-and-route —
-    /// and every subsequent mutation of the database re-saves it
-    /// atomically (temp file + rename). Save failures are counted in
-    /// [`FarmStats::persist_errors`] but never fail the mutation that
-    /// triggered them.
+    /// across-restart cache, DESIGN.md §14.2). `path` holds a manifest
+    /// naming one object file per image under `path.objects/`. If the
+    /// manifest exists, it and every image it names are loaded
+    /// immediately — a restarted daemon then serves deploys of previously
+    /// compiled apps with **zero** place-and-route — and every
+    /// subsequent mutation writes the new images once and rewrites the
+    /// manifest, each atomically (temp file + rename). Save failures are
+    /// counted in [`FarmStats::persist_errors`] but never fail the
+    /// mutation that triggered them.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::InvalidConfig`] if the file exists but
-    /// cannot be read or parsed — a corrupt cache should be surfaced (and
-    /// deleted by the operator), not silently rebuilt from scratch.
+    /// Returns [`RuntimeError::InvalidConfig`] if the manifest or an
+    /// image it names cannot be read, parsed or matched to its id, or
+    /// if `path` holds the old one-file layout — a corrupt cache should
+    /// be surfaced (and deleted by the operator), not silently rebuilt
+    /// from scratch.
     pub fn with_persistence(
         mut self,
         path: impl Into<std::path::PathBuf>,

@@ -7,16 +7,18 @@
 //!   prepares) elect one leader; everyone else blocks until the leader
 //!   publishes, then serves the result from the cache. N identical
 //!   requests cost one place-and-route.
-//! * **Persistence**: the bitstream database is loaded from a JSON file
-//!   at startup and re-saved (atomically, via a temp file + rename) after
-//!   every mutation, so a restarted `vitald` serves warm-cache deploys
-//!   with zero P&R.
+//! * **Persistence**: every image is written once, as an immutable
+//!   content-addressed object file, and a small manifest naming the
+//!   objects is rewritten (atomically, via a temp file + rename) after
+//!   every mutation. Both are loaded at startup, so a restarted `vitald`
+//!   serves warm-cache deploys with zero P&R.
 //! * **Demand profile** ([`DemandProfile`]): an exponentially decayed
 //!   per-app deploy counter that ranks which footprints the speculative
 //!   compile hook should pre-compile next.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,6 +26,7 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use vital_compiler::{AppBitstream, Compiler, NetlistDigest, StageTimings};
+use vital_fabric::Fnv1a;
 use vital_interface::FormatVersion;
 use vital_netlist::hls::AppSpec;
 use vital_telemetry::Telemetry;
@@ -310,8 +313,8 @@ struct DemandInner {
 /// Serializable image of the demand profile. `BTreeMap` keeps the JSON
 /// byte-deterministic for a given state, so repeated saves of an unchanged
 /// profile write identical files. The sidecar carries the same
-/// [`FormatVersion`] header as the bitstream database; the loader checks
-/// it before restoring.
+/// [`FormatVersion`] header as the image manifest; the loader checks it
+/// before restoring.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 struct DemandSnapshot {
     format_version: FormatVersion,
@@ -399,20 +402,65 @@ pub(crate) struct BuildFarm {
     /// of different apps compile in parallel, and same-app prepares
     /// dedupe through `by_name` instead of serializing on this mutex.
     resolver: Mutex<Option<Arc<AppResolver>>>,
-    /// Where the bitstream database is saved after every mutation; `None`
+    /// Where the image manifest is saved after every mutation; `None`
     /// disables persistence.
     persist_path: Option<PathBuf>,
-    /// Serializes saves. Held across snapshot + temp write + rename, so
-    /// overlapping saves from concurrent mutators can neither tear the
-    /// temp file nor rename an older snapshot over a newer one.
-    persist_lock: Mutex<()>,
+    /// The manifest as it is (or is about to be) on disk. Held across a
+    /// whole save, so overlapping saves from concurrent mutators can
+    /// neither tear a temp file nor rename an older manifest over a newer
+    /// one.
+    persist_lock: Mutex<Manifest>,
+}
+
+/// The file at the persistence path: every persisted image's name and
+/// object id under a [`FormatVersion`] header. `BTreeMap` keeps its bytes
+/// deterministic.
+#[derive(Debug, Default, Serialize, Deserialize)]
+struct Manifest {
+    format_version: FormatVersion,
+    objects: BTreeMap<String, String>,
+}
+
+/// The manifest's header alone, checked before the rest is parsed, so a
+/// file from another build is refused by its version whatever its layout.
+#[derive(Deserialize)]
+struct ManifestHeader {
+    format_version: FormatVersion,
+}
+
+impl Manifest {
+    /// Parses a manifest, refusing another version and the old layout (one
+    /// file holding the whole database, which is not converted).
+    fn parse(json: &str) -> Result<Manifest, String> {
+        let corrupt = |e: serde_json::Error| format!("bitstream manifest is corrupt: {e}");
+        let header: ManifestHeader = serde_json::from_str(json).map_err(corrupt)?;
+        header.format_version.check("bitstream database")?;
+        match serde_json::from_str(json) {
+            Ok(manifest) => Ok(manifest),
+            Err(_) if BitstreamDatabase::from_json(json).is_ok() => Err(
+                "this is a whole-database snapshot, a layout this build does not read; \
+                 delete it and the farm recompiles its images on demand"
+                    .to_string(),
+            ),
+            Err(e) => Err(corrupt(e)),
+        }
+    }
+}
+
+/// An image object's id: the FNV-1a of its bytes, as 16 hex digits.
+fn object_id(json: &str) -> String {
+    let mut h = Fnv1a::default();
+    for b in json.bytes() {
+        h.byte(b);
+    }
+    format!("{:016x}", h.finish())
 }
 
 /// Reads a persisted file; `None` if it does not exist yet.
 fn read_persisted(path: &Path, what: &str) -> Result<Option<String>, RuntimeError> {
     match std::fs::read_to_string(path) {
         Ok(json) => Ok(Some(json)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) if e.kind() == ErrorKind::NotFound => Ok(None),
         Err(e) => Err(RuntimeError::InvalidConfig(format!(
             "cannot read persisted {what} {}: {e}",
             path.display()
@@ -420,29 +468,72 @@ fn read_persisted(path: &Path, what: &str) -> Result<Option<String>, RuntimeErro
     }
 }
 
-/// The demand profile's sidecar file: the persistence path with `.demand`
-/// appended (not substituted), so `cache.json` pairs with
-/// `cache.json.demand`.
-fn demand_sidecar(path: &Path) -> PathBuf {
+/// Writes `contents` to a sibling temp file and renames it over `target`,
+/// so a reader (or a crash) never sees a torn file.
+fn write_atomic(target: &Path, contents: &str) -> Option<()> {
+    let tmp = target.with_extension("tmp");
+    std::fs::write(&tmp, contents).ok()?;
+    std::fs::rename(&tmp, target).ok()
+}
+
+/// A file next to the persistence path: `suffix` appended (not
+/// substituted), so `cache.json` pairs with `cache.json.demand` (the
+/// demand profile) and `cache.json.objects` (the image objects).
+fn beside(path: &Path, suffix: &str) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
-    os.push(".demand");
+    os.push(suffix);
     PathBuf::from(os)
 }
 
+/// The demand profile's sidecar file.
+fn demand_sidecar(path: &Path) -> PathBuf {
+    beside(path, ".demand")
+}
+
+/// The directory of image objects, `<id>.json` each.
+fn objects_dir(path: &Path) -> PathBuf {
+    beside(path, ".objects")
+}
+
 impl BuildFarm {
-    /// Arms persistence on `path`, loading the database and the demand
-    /// profile's sidecar if they exist. A file that exists but cannot be
-    /// read or parsed is an [`RuntimeError::InvalidConfig`]: a corrupt
-    /// cache should be surfaced, not silently rebuilt from scratch.
+    /// Arms persistence on `path`, loading the manifest, every image it
+    /// names and the demand profile's sidecar if they exist. A file that
+    /// exists but cannot be read or parsed, and an image the manifest
+    /// names that is missing or does not hash to its id, is an
+    /// [`RuntimeError::InvalidConfig`] naming the file: a corrupt cache
+    /// should be surfaced, not silently rebuilt from scratch. Objects the
+    /// manifest does not name (left by a save that crashed before its
+    /// manifest landed) and stale temp files are ignored.
     pub(crate) fn arm_persistence(&mut self, path: PathBuf) -> Result<(), RuntimeError> {
         let corrupt = |file: &Path, e: String| {
             RuntimeError::InvalidConfig(format!("persisted {}: {e}", file.display()))
         };
-        if let Some(json) = read_persisted(&path, "bitstream database")? {
-            self.db = BitstreamDatabase::from_json(&json).map_err(|e| corrupt(&path, e))?;
+        if let Some(json) = read_persisted(&path, "bitstream manifest")? {
+            let manifest = Manifest::parse(&json).map_err(|e| corrupt(&path, e))?;
+            let dir = objects_dir(&path);
+            for (name, id) in &manifest.objects {
+                // The id becomes a file name: nothing but the 16 hex
+                // digits a save writes may reach the file system.
+                if id.len() != 16 || !id.bytes().all(|b| b.is_ascii_hexdigit()) {
+                    return Err(corrupt(&path, format!("{name:?} has no object id: {id:?}")));
+                }
+                let file = dir.join(format!("{id}.json"));
+                let json = read_persisted(&file, "bitstream image")?
+                    .ok_or_else(|| corrupt(&file, format!("image of {name:?} is missing")))?;
+                if object_id(&json) != *id {
+                    return Err(corrupt(&file, "image does not hash to its id".to_string()));
+                }
+                let image: AppBitstream = serde_json::from_str(&json)
+                    .map_err(|e| corrupt(&file, format!("image is corrupt: {e}")))?;
+                if image.name() != name {
+                    return Err(corrupt(&file, format!("image is not {name:?}")));
+                }
+                self.db.insert(image)?;
+            }
             self.counters
                 .persist_loaded
                 .store(self.db.len() as u64, Ordering::Relaxed);
+            *self.persist_lock.get_mut() = manifest;
         }
         let sidecar = demand_sidecar(&path);
         if let Some(json) = read_persisted(&sidecar, "demand profile")? {
@@ -475,30 +566,44 @@ impl BuildFarm {
         *self.resolver.lock() = Some(Arc::new(resolver));
     }
 
-    /// Best-effort atomic save of `snapshot()` to `target` (a failure
-    /// bumps `persist_errors`, never fails the caller): the snapshot, the
-    /// sibling temp file and the rename all happen under `persist_lock`,
-    /// so readers never observe a torn file and a newer save is never
-    /// overwritten by an older one.
-    fn save(&self, target: &Path, saves: &AtomicU64, snapshot: impl FnOnce() -> Option<String>) {
-        let _serialized = self.persist_lock.lock();
-        let saved = snapshot().and_then(|json| {
-            let tmp = target.with_extension("tmp");
-            std::fs::write(&tmp, json).ok()?;
-            std::fs::rename(&tmp, target).ok()
-        });
-        let counter = match saved {
+    /// Best-effort save (a failure bumps `persist_errors`, never fails
+    /// the caller): `write` runs under `persist_lock`, so saves never
+    /// interleave and a newer file is never overwritten by an older one.
+    fn save(&self, saves: &AtomicU64, write: impl FnOnce(&mut Manifest) -> Option<()>) {
+        let counter = match write(&mut self.persist_lock.lock()) {
             Some(()) => saves,
             None => &self.counters.persist_errors,
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Saves the bitstream database (no-op when persistence is off).
+    /// Saves the bitstream database (no-op when persistence is off): an
+    /// object for each image the manifest lacks, then the manifest. An
+    /// object on disk is never rewritten, so a save writes what changed
+    /// plus the small manifest. A crash between the two leaves the old
+    /// manifest, which names only objects already on disk.
     fn save_db(&self) {
         if let Some(path) = self.persist_path.as_ref() {
-            self.save(path, &self.counters.persist_saves, || {
-                self.db.to_json().ok()
+            self.save(&self.counters.persist_saves, |manifest| {
+                let dir = objects_dir(path);
+                for name in self.db.names() {
+                    if manifest.objects.contains_key(&name) {
+                        continue;
+                    }
+                    let json = serde_json::to_string(&self.db.get(&name).ok()?).ok()?;
+                    let id = object_id(&json);
+                    let object = dir.join(format!("{id}.json"));
+                    if !object.exists() {
+                        // Only the directory itself: a persistence path in
+                        // a missing directory stays a counted error.
+                        match std::fs::create_dir(&dir) {
+                            Err(e) if e.kind() != ErrorKind::AlreadyExists => return None,
+                            _ => write_atomic(&object, &json)?,
+                        }
+                    }
+                    manifest.objects.insert(name, id);
+                }
+                write_atomic(path, &serde_json::to_string(&*manifest).ok()?)
             });
         }
     }
@@ -508,8 +613,9 @@ impl BuildFarm {
     /// asked for in its previous life.
     fn save_demand(&self) {
         if let Some(path) = self.persist_path.as_ref() {
-            self.save(&demand_sidecar(path), &self.counters.demand_saves, || {
-                serde_json::to_string(&self.demand.snapshot()).ok()
+            self.save(&self.counters.demand_saves, |_| {
+                let json = serde_json::to_string(&self.demand.snapshot()).ok()?;
+                write_atomic(&demand_sidecar(path), &json)
             });
         }
     }

@@ -20,7 +20,8 @@
 //! partial reconfiguration (DESIGN.md §16).
 //!
 //! `--persist PATH` makes the bitstream database durable (DESIGN.md §14):
-//! every compiled bitstream is saved to `PATH` and reloaded on the next
+//! every compiled bitstream is written once to `PATH.objects/`, `PATH`
+//! holds the manifest naming them, and both are reloaded on the next
 //! start, so a daemon restart serves warm deploys with zero P&R.
 //! `--speculate-ms MS` (0 = off) runs the build farm's speculative
 //! compile hook on that period, pre-compiling the hottest not-yet-cached

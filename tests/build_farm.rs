@@ -36,8 +36,8 @@ fn undeploy(controller: &SystemController, tenant: TenantId) {
     );
 }
 
-/// A unique on-disk database path, deleted (with its `.tmp` sibling) when
-/// the guard drops.
+/// A unique on-disk database path, deleted (with its `.tmp` sibling, its
+/// demand sidecar and its image objects) when the guard drops.
 struct TempDb(PathBuf);
 
 impl TempDb {
@@ -59,8 +59,18 @@ impl TempDb {
     /// The demand-profile sidecar `with_persistence` pairs with the
     /// database path.
     fn demand_path(&self) -> PathBuf {
+        self.beside(".demand")
+    }
+
+    /// The directory of image objects `with_persistence` pairs with the
+    /// database path.
+    fn objects_path(&self) -> PathBuf {
+        self.beside(".objects")
+    }
+
+    fn beside(&self, suffix: &str) -> PathBuf {
         let mut os = self.0.as_os_str().to_os_string();
-        os.push(".demand");
+        os.push(suffix);
         PathBuf::from(os)
     }
 }
@@ -72,6 +82,7 @@ impl Drop for TempDb {
         let demand = self.demand_path();
         let _ = std::fs::remove_file(demand.with_extension("tmp"));
         let _ = std::fs::remove_file(demand);
+        let _ = std::fs::remove_dir_all(self.objects_path());
     }
 }
 
@@ -462,6 +473,172 @@ fn wrong_format_version_headers_are_rejected() {
         vital::runtime::RuntimeError::InvalidConfig(_)
     ));
     assert!(err.to_string().contains("version 99"), "{err}");
+}
+
+/// The image objects a persisted store holds, sorted by path.
+fn objects(db: &TempDb) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(db.objects_path())
+        .map(|dir| dir.map(|entry| entry.unwrap().path()).collect())
+        .unwrap_or_default();
+    files.retain(|file| file.extension().is_some_and(|ext| ext == "json"));
+    files.sort();
+    files
+}
+
+/// A controller persisted at `db` holding one compiled design, dropped
+/// again: what a store looks like after a clean shutdown.
+fn persist_one(db: &TempDb) {
+    let controller = SystemController::new(RuntimeConfig::paper_cluster())
+        .with_persistence(db.path())
+        .unwrap();
+    controller
+        .register_compiled(
+            &Compiler::new(CompilerConfig::default()),
+            &small_spec("one", 6, 90),
+        )
+        .unwrap();
+    assert_eq!(controller.farm_stats().persist_errors, 0);
+}
+
+/// Starts a controller on `db`, which must fail with `InvalidConfig`; the
+/// error's message is returned.
+fn refused(db: &TempDb) -> String {
+    let err = SystemController::new(RuntimeConfig::paper_cluster())
+        .with_persistence(db.path())
+        .expect_err("a damaged store must fail startup");
+    assert!(
+        matches!(err, vital::runtime::RuntimeError::InvalidConfig(_)),
+        "{err}"
+    );
+    err.to_string()
+}
+
+/// Each image is written once: the k-th registration adds the k-th object
+/// and leaves the earlier ones untouched, so the store's write volume is
+/// the images' size plus a small manifest per save, not the whole
+/// database per save.
+#[test]
+fn each_image_is_written_once() {
+    let db = TempDb::new("write_once");
+    let compiler = Compiler::new(CompilerConfig::default());
+    let controller = SystemController::new(RuntimeConfig::paper_cluster())
+        .with_persistence(db.path())
+        .unwrap();
+    let contents = |file: &PathBuf| {
+        let modified = std::fs::metadata(file).unwrap().modified().unwrap();
+        (std::fs::read(file).unwrap(), modified)
+    };
+    let names = ["first", "second", "third"];
+    let mut first = None;
+    for (k, name) in names.iter().enumerate() {
+        let spec = small_spec(name, 4 + 2 * k as u32, 60 + 30 * k as u32);
+        controller.register_compiled(&compiler, &spec).unwrap();
+        let files = objects(&db);
+        assert_eq!(files.len(), k + 1, "one object per registered image");
+        let (file, seen) = first.get_or_insert_with(|| (files[0].clone(), contents(&files[0])));
+        assert!(
+            *seen == contents(file),
+            "an object on disk is never rewritten"
+        );
+    }
+    let stats = controller.farm_stats();
+    assert_eq!((stats.persist_saves, stats.persist_errors), (3, 0));
+    let written: u64 = objects(&db)
+        .iter()
+        .map(|file| std::fs::metadata(file).unwrap().len())
+        .sum();
+    let images: u64 = names
+        .iter()
+        .map(|name| {
+            let image = controller.bitstreams().get(name).unwrap();
+            serde_json::to_string(&image).unwrap().len() as u64
+        })
+        .sum();
+    assert_eq!(written, images, "the objects are the images, once each");
+}
+
+/// What a crash can leave behind. An object the manifest does not name
+/// (its save died before the manifest landed) and stale temp files load
+/// cleanly; a manifest naming a missing object, or an object whose bytes
+/// no longer hash to its id, fails startup naming that file.
+#[test]
+fn crash_leftovers_load_and_damaged_objects_are_named() {
+    let db = TempDb::new("leftovers");
+    persist_one(&db);
+    std::fs::write(db.objects_path().join("0123456789abcdef.json"), "{}").unwrap();
+    std::fs::write(db.objects_path().join("0123456789abcdef.tmp"), "{tor").unwrap();
+    std::fs::write(db.path().with_extension("tmp"), "{tor").unwrap();
+    let reborn = SystemController::new(RuntimeConfig::paper_cluster())
+        .with_persistence(db.path())
+        .expect("orphans and temp files are ignored");
+    assert_eq!(reborn.farm_stats().persist_loaded, 1);
+
+    let db = TempDb::new("missing_object");
+    persist_one(&db);
+    let [object] = objects(&db).try_into().unwrap();
+    std::fs::remove_file(&object).unwrap();
+    let msg = refused(&db);
+    assert!(msg.contains(&object.display().to_string()), "{msg}");
+    assert!(msg.contains("missing"), "{msg}");
+
+    let db = TempDb::new("mismatched_object");
+    persist_one(&db);
+    let [object] = objects(&db).try_into().unwrap();
+    let mut bytes = std::fs::read(&object).unwrap();
+    bytes.push(b' ');
+    std::fs::write(&object, bytes).unwrap();
+    let msg = refused(&db);
+    assert!(msg.contains(&object.display().to_string()), "{msg}");
+    assert!(msg.contains("hash"), "{msg}");
+
+    // An id is a file name: one that is not 16 hex digits never reaches
+    // the file system.
+    let db = TempDb::new("bad_id");
+    let manifest = "{\"format_version\":1,\"objects\":{\"x\":\"../x\"}}";
+    std::fs::write(db.path(), manifest).unwrap();
+    let msg = refused(&db);
+    assert!(msg.contains("no object id"), "{msg}");
+}
+
+/// A file in the old layout (the whole database in one file, as
+/// `BitstreamDatabase::to_json` writes it) is refused, not converted: the
+/// operator deletes it and the farm recompiles.
+#[test]
+fn old_single_file_layout_is_refused() {
+    let db = TempDb::new("old_layout");
+    let old = vital::runtime::BitstreamDatabase::new();
+    old.insert(
+        Compiler::new(CompilerConfig::default())
+            .compile(&small_spec("old", 6, 90))
+            .unwrap()
+            .into_bitstream(),
+    )
+    .unwrap();
+    std::fs::write(db.path(), old.to_json().unwrap()).unwrap();
+    let msg = refused(&db);
+    assert!(msg.contains(&db.path().display().to_string()), "{msg}");
+    assert!(msg.contains("delete it"), "{msg}");
+}
+
+/// A persistence path in a directory that does not exist: registrations
+/// still succeed, every save is a counted error, and the store creates
+/// no directory but its own objects directory.
+#[test]
+fn a_missing_directory_counts_errors_and_creates_nothing() {
+    let dir = TempDb::new("missing_dir");
+    let controller = SystemController::new(RuntimeConfig::paper_cluster())
+        .with_persistence(dir.path().join("db.json"))
+        .expect("nothing to load");
+    controller
+        .register_compiled(
+            &Compiler::new(CompilerConfig::default()),
+            &small_spec("homeless", 6, 90),
+        )
+        .expect("a failed save never fails the registration");
+    let stats = controller.farm_stats();
+    assert!(stats.persist_errors >= 1, "{stats:?}");
+    assert_eq!(stats.persist_saves, 0, "{stats:?}");
+    assert!(!dir.path().exists(), "the missing directory stays missing");
 }
 
 proptest! {
