@@ -1,7 +1,10 @@
 //! Hermetic stand-in for `serde_derive`.
 //!
 //! Implements `#[derive(Serialize)]` and `#[derive(Deserialize)]` against
-//! the compat `serde` crate's value-tree data model. The input item is
+//! the compat `serde` crate's streaming data model: each derive emits one
+//! method, `serialize` (events into a `Sink`) or `deserialize` (events
+//! pulled from a `Source`), and every format — the `Value` tree behind
+//! JSON as well as the binary wire codec — goes through it. The input item is
 //! parsed directly from the `proc_macro` token stream (the environment has
 //! no `syn`/`quote`), which restricts derives to non-generic structs and
 //! enums — exactly the shapes this workspace uses. Representation follows
@@ -248,77 +251,122 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
 
 // ---- code generation -------------------------------------------------
 
-fn serialize_struct(name: &str, shape: &Shape) -> String {
-    let body = match shape {
-        Shape::Unit => "::serde::Value::Null".to_string(),
-        Shape::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Shape::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Seq(vec![{}])", items.join(", "))
-        }
-        Shape::Named(fields) => {
-            let entries: Vec<String> = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "(::std::string::String::from(\"{f}\"), \
-                         ::serde::Serialize::to_value(&self.{f}))"
-                    )
-                })
-                .collect();
-            format!("::serde::Value::Map(vec![{}])", entries.join(", "))
-        }
-    };
+/// Statements that emit `values` (expressions borrowing each field) as a
+/// map keyed by `names`.
+fn emit_map(names: &[String], values: &[String]) -> String {
+    let mut code = format!("::serde::Sink::map(__sink, {});\n", names.len());
+    for (name, value) in names.iter().zip(values) {
+        code.push_str(&format!(
+            "::serde::Sink::key(__sink, \"{name}\");\n::serde::Serialize::serialize({value}, __sink);\n"
+        ));
+    }
+    code
+}
+
+/// Statements that emit `values` as a sequence.
+fn emit_seq(values: &[String]) -> String {
+    let mut code = format!("::serde::Sink::seq(__sink, {});\n", values.len());
+    for value in values {
+        code.push_str(&format!(
+            "::serde::Serialize::serialize({value}, __sink);\n"
+        ));
+    }
+    code
+}
+
+fn serialize_impl(name: &str, body: &str) -> String {
     format!(
         "#[automatically_derived]\n\
          #[allow(unused_variables, clippy::all)]\n\
          impl ::serde::Serialize for {name} {{\n\
-         fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+         fn serialize<__S: ::serde::Sink>(&self, __sink: &mut __S) {{\n{body}\n}}\n\
          }}"
     )
 }
 
-fn deserialize_struct(name: &str, shape: &Shape) -> String {
-    let body = match shape {
-        Shape::Unit => format!("::std::result::Result::Ok({name})"),
-        Shape::Tuple(1) => {
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
-        }
-        Shape::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                .collect();
-            format!(
-                "match v {{\n\
-                 ::serde::Value::Seq(items) if items.len() == {n} => \
-                 ::std::result::Result::Ok({name}({fields})),\n\
-                 other => ::std::result::Result::Err(::serde::DeError(format!(\
-                 \"expected {n}-element sequence for {name}, got {{}}\", other.kind()))),\n\
-                 }}",
-                fields = items.join(", ")
-            )
-        }
-        Shape::Named(fields) => {
-            let items: Vec<String> = fields
-                .iter()
-                .map(|f| format!("{f}: ::serde::Deserialize::from_value(v.field(\"{f}\")?)?"))
-                .collect();
-            format!(
-                "::std::result::Result::Ok({name} {{ {} }})",
-                items.join(", ")
-            )
-        }
-    };
+fn deserialize_impl(name: &str, body: &str) -> String {
     format!(
         "#[automatically_derived]\n\
          #[allow(unused_variables, clippy::all)]\n\
          impl ::serde::Deserialize for {name} {{\n\
-         fn from_value(v: &::serde::Value) -> \
-         ::std::result::Result<Self, ::serde::DeError> {{ {body} }}\n\
+         fn deserialize<__S: ::serde::Source>(__src: &mut __S) -> \
+         ::std::result::Result<Self, ::serde::DeError> {{\n{body}\n}}\n\
          }}"
     )
+}
+
+fn serialize_struct(name: &str, shape: &Shape) -> String {
+    let body = match shape {
+        Shape::Unit => "::serde::Sink::null(__sink);".to_string(),
+        Shape::Tuple(1) => "::serde::Serialize::serialize(&self.0, __sink);".to_string(),
+        Shape::Tuple(n) => emit_seq(&(0..*n).map(|i| format!("&self.{i}")).collect::<Vec<_>>()),
+        Shape::Named(fields) => emit_map(
+            fields,
+            &fields
+                .iter()
+                .map(|f| format!("&self.{f}"))
+                .collect::<Vec<_>>(),
+        ),
+    };
+    serialize_impl(name, &body)
+}
+
+/// An expression reading `n` sequence elements into `ctor(..)`.
+fn read_tuple(ctor: &str, n: usize) -> String {
+    let fields = vec!["::serde::Deserialize::deserialize(__src)?"; n].join(", ");
+    format!(
+        "{{\n\
+         let __len = ::serde::Source::seq(__src)?;\n\
+         if __len != {n} {{\n\
+         return ::std::result::Result::Err(::serde::DeError(::std::format!(\
+         \"expected {n}-element sequence for {ctor}, got {{__len}} elements\")));\n\
+         }}\n\
+         ::std::result::Result::Ok({ctor}({fields}))\n\
+         }}"
+    )
+}
+
+/// An expression reading a map into `ctor { fields }`: keys in any
+/// order, the first of duplicate keys wins, unknown keys are skipped and
+/// a missing field is an error naming it.
+fn read_named(ctor: &str, fields: &[String]) -> String {
+    let mut code = String::from("{\n");
+    for i in 0..fields.len() {
+        code.push_str(&format!("let mut __f{i} = ::std::option::Option::None;\n"));
+    }
+    code.push_str(
+        "for _ in 0..::serde::Source::map(__src)? {\n\
+         match ::serde::Source::key(__src)? {\n",
+    );
+    for (i, f) in fields.iter().enumerate() {
+        code.push_str(&format!(
+            "\"{f}\" if __f{i}.is_none() => \
+             __f{i} = ::std::option::Option::Some(::serde::Deserialize::deserialize(__src)?),\n"
+        ));
+    }
+    code.push_str("_ => ::serde::Source::skip(__src)?,\n}\n}\n");
+    let inits: Vec<String> = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| format!("{f}: __f{i}.ok_or_else(|| ::serde::DeError::missing(\"{f}\"))?"))
+        .collect();
+    code.push_str(&format!(
+        "::std::result::Result::Ok({ctor} {{ {} }})\n}}",
+        inits.join(", ")
+    ));
+    code
+}
+
+fn deserialize_struct(name: &str, shape: &Shape) -> String {
+    let body = match shape {
+        Shape::Unit => format!("::serde::Source::skip(__src)?;\n::std::result::Result::Ok({name})"),
+        Shape::Tuple(1) => {
+            format!("::std::result::Result::Ok({name}(::serde::Deserialize::deserialize(__src)?))")
+        }
+        Shape::Tuple(n) => read_tuple(name, *n),
+        Shape::Named(fields) => read_named(name, fields),
+    };
+    deserialize_impl(name, &body)
 }
 
 fn serialize_enum(name: &str, variants: &[Variant]) -> String {
@@ -326,58 +374,34 @@ fn serialize_enum(name: &str, variants: &[Variant]) -> String {
         .iter()
         .map(|v| {
             let vname = &v.name;
+            let tag = format!(
+                "::serde::Sink::map(__sink, 1);\n::serde::Sink::key(__sink, \"{vname}\");\n"
+            );
             match &v.shape {
-                Shape::Unit => format!(
-                    "{name}::{vname} => \
-                     ::serde::Value::Str(::std::string::String::from(\"{vname}\")),"
-                ),
+                Shape::Unit => {
+                    format!("{name}::{vname} => ::serde::Sink::str(__sink, \"{vname}\"),")
+                }
                 Shape::Tuple(1) => format!(
-                    "{name}::{vname}(f0) => ::serde::Value::Map(vec![(\
-                     ::std::string::String::from(\"{vname}\"), \
-                     ::serde::Serialize::to_value(f0))]),"
+                    "{name}::{vname}(f0) => {{\n{tag}\
+                     ::serde::Serialize::serialize(f0, __sink);\n}}"
                 ),
                 Shape::Tuple(n) => {
                     let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
-                    let items: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Serialize::to_value(f{i})"))
-                        .collect();
                     format!(
-                        "{name}::{vname}({binds}) => ::serde::Value::Map(vec![(\
-                         ::std::string::String::from(\"{vname}\"), \
-                         ::serde::Value::Seq(vec![{items}]))]),",
-                        binds = binds.join(", "),
-                        items = items.join(", ")
+                        "{name}::{vname}({}) => {{\n{tag}{}}}",
+                        binds.join(", "),
+                        emit_seq(&binds)
                     )
                 }
-                Shape::Named(fields) => {
-                    let binds = fields.join(", ");
-                    let entries: Vec<String> = fields
-                        .iter()
-                        .map(|f| {
-                            format!(
-                                "(::std::string::String::from(\"{f}\"), \
-                                 ::serde::Serialize::to_value({f}))"
-                            )
-                        })
-                        .collect();
-                    format!(
-                        "{name}::{vname} {{ {binds} }} => ::serde::Value::Map(vec![(\
-                         ::std::string::String::from(\"{vname}\"), \
-                         ::serde::Value::Map(vec![{entries}]))]),",
-                        entries = entries.join(", ")
-                    )
-                }
+                Shape::Named(fields) => format!(
+                    "{name}::{vname} {{ {} }} => {{\n{tag}{}}}",
+                    fields.join(", "),
+                    emit_map(fields, fields)
+                ),
             }
         })
         .collect();
-    format!(
-        "#[automatically_derived]\n\
-         #[allow(unused_variables, clippy::all)]\n\
-         impl ::serde::Serialize for {name} {{\n\
-         fn to_value(&self) -> ::serde::Value {{\n\
-         match self {{\n{}\n}}\n}}\n}}",
-        arms.join("\n")
-    )
+    serialize_impl(name, &format!("match self {{\n{}\n}}", arms.join("\n")))
 }
 
 fn deserialize_enum(name: &str, variants: &[Variant]) -> String {
@@ -395,66 +419,31 @@ fn deserialize_enum(name: &str, variants: &[Variant]) -> String {
         .iter()
         .filter_map(|v| {
             let vname = &v.name;
-            match &v.shape {
-                Shape::Unit => None,
-                Shape::Tuple(1) => Some(format!(
-                    "\"{vname}\" => ::std::result::Result::Ok({name}::{vname}(\
-                     ::serde::Deserialize::from_value(inner)?)),"
-                )),
-                Shape::Tuple(n) => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                        .collect();
-                    Some(format!(
-                        "\"{vname}\" => match inner {{\n\
-                         ::serde::Value::Seq(items) if items.len() == {n} => \
-                         ::std::result::Result::Ok({name}::{vname}({fields})),\n\
-                         other => ::std::result::Result::Err(::serde::DeError(format!(\
-                         \"expected {n}-element sequence for {name}::{vname}, got {{}}\", \
-                         other.kind()))),\n\
-                         }},",
-                        fields = items.join(", ")
-                    ))
-                }
-                Shape::Named(fields) => {
-                    let items: Vec<String> = fields
-                        .iter()
-                        .map(|f| {
-                            format!("{f}: ::serde::Deserialize::from_value(inner.field(\"{f}\")?)?")
-                        })
-                        .collect();
-                    Some(format!(
-                        "\"{vname}\" => ::std::result::Result::Ok({name}::{vname} {{ {} }}),",
-                        items.join(", ")
-                    ))
-                }
-            }
+            let ctor = format!("{name}::{vname}");
+            let read = match &v.shape {
+                Shape::Unit => return None,
+                Shape::Tuple(1) => format!(
+                    "::std::result::Result::Ok({ctor}(::serde::Deserialize::deserialize(__src)?))"
+                ),
+                Shape::Tuple(n) => read_tuple(&ctor, *n),
+                Shape::Named(fields) => read_named(&ctor, fields),
+            };
+            Some(format!("\"{vname}\" => {read},"))
         })
         .collect();
-    format!(
-        "#[automatically_derived]\n\
-         #[allow(unused_variables, clippy::all)]\n\
-         impl ::serde::Deserialize for {name} {{\n\
-         fn from_value(v: &::serde::Value) -> \
-         ::std::result::Result<Self, ::serde::DeError> {{\n\
-         match v {{\n\
-         ::serde::Value::Str(s) => match s.as_str() {{\n\
-         {unit}\n\
-         other => ::std::result::Result::Err(::serde::DeError(format!(\
-         \"unknown variant {{other}} of {name}\"))),\n\
-         }},\n\
-         ::serde::Value::Map(entries) if entries.len() == 1 => {{\n\
-         let (tag, inner) = &entries[0];\n\
-         match tag.as_str() {{\n\
-         {data}\n\
-         other => ::std::result::Result::Err(::serde::DeError(format!(\
-         \"unknown variant {{other}} of {name}\"))),\n\
-         }}\n\
-         }},\n\
-         other => ::std::result::Result::Err(::serde::DeError(format!(\
-         \"expected variant of {name}, got {{}}\", other.kind()))),\n\
-         }}\n}}\n}}",
+    let unknown = format!(
+        "__other => ::std::result::Result::Err(::serde::DeError(::std::format!(\
+         \"unknown variant {{__other}} of {name}\"))),"
+    );
+    let body = format!(
+        "match ::serde::Source::next(__src)? {{\n\
+         ::serde::Event::Str(__tag) => match __tag {{\n{unit}\n{unknown}\n}},\n\
+         ::serde::Event::Map(1) => match ::serde::Source::key(__src)? {{\n{data}\n{unknown}\n}},\n\
+         __other => ::std::result::Result::Err(::serde::DeError::expected(\
+         \"variant of {name}\", &__other)),\n\
+         }}",
         unit = unit_arms.join("\n"),
-        data = data_arms.join("\n")
-    )
+        data = data_arms.join("\n"),
+    );
+    deserialize_impl(name, &body)
 }

@@ -191,6 +191,10 @@ impl Placer {
             let legalizer =
                 Legalizer::new(packing.clusters(), &graph, grid, &start, self.config.alpha);
             assignment = legalizer.run(&mut rng);
+            if grid.slot_count() == 1 {
+                // Every cluster is in the only slot: nothing to re-anchor.
+                break;
+            }
             let legal_positions = positions_of(&assignment, &start, grid);
             let l_legal = linear_wirelength(&graph, &legal_positions, self.config.alpha);
 

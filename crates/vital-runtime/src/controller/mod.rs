@@ -171,8 +171,9 @@ struct State {
     isa_pool: Option<TilePool>,
     failure_stats: FailureStats,
     next_tenant: u64,
-    /// The last `Status` reply; every write drops it.
-    status: Option<StatusSummary>,
+    /// The last `Status` reply; every write drops it. Shared, so that a
+    /// reader copies it out after releasing the lock.
+    status: Option<Arc<StatusSummary>>,
 }
 
 impl State {
@@ -559,15 +560,22 @@ impl SystemController {
     /// the one lock. The reply is cached until the next write —
     /// rebuilding it walks every block in the cluster, which a
     /// `Status`-polling control plane does thousands of times between
-    /// mutations.
+    /// mutations. Only the cache's `Arc` is taken under the lock; the deep
+    /// copy the reply owns is made after releasing it, so writers do not
+    /// wait for it.
     fn status_summary(&self) -> StatusSummary {
-        let mut state = self.state.lock();
-        if let Some(cached) = &state.status {
-            return cached.clone();
-        }
-        let summary = self.build_status_summary(&state);
-        state.status = Some(summary.clone());
-        summary
+        let cached = {
+            let mut state = self.state.lock();
+            match &state.status {
+                Some(cached) => Arc::clone(cached),
+                None => {
+                    let summary = Arc::new(self.build_status_summary(&state));
+                    state.status = Some(Arc::clone(&summary));
+                    summary
+                }
+            }
+        };
+        StatusSummary::clone(&cached)
     }
 
     fn build_status_summary(&self, state: &State) -> StatusSummary {

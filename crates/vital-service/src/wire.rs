@@ -5,8 +5,10 @@
 //!
 //! * `0x01` / `0x02` — a **binary** request / response envelope: the
 //!   opcode byte followed by the compact tagged encoding of the envelope
-//!   (see [`codec`](crate::codec)). This is the default format; it is
-//!   roughly 2–3× smaller than JSON and parses without text scanning.
+//!   (see [`codec`](crate::codec)), written straight from the DTO and
+//!   read straight back into it. This is the default format; it is
+//!   roughly 2–3× smaller than JSON and parses without text scanning or
+//!   an intermediate value tree.
 //! * `b'{'` — a **JSON** envelope: the payload is the envelope rendered
 //!   as UTF-8 JSON (what `vitalctl --connect` speaks); the server answers
 //!   each request in the format it arrived in.
@@ -28,10 +30,10 @@
 
 use std::io::{Read, Write};
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Source};
 use vital_runtime::{ControlRequest, ControlResponse};
 
-use crate::codec::{decode_value, encode_value};
+use crate::codec::{Reader, Writer};
 use crate::error::ServiceError;
 
 /// Hard ceiling on one frame's payload, on the server and in
@@ -77,17 +79,28 @@ pub struct ResponseEnvelope {
 
 /// A request envelope as the server reads it: the id decodes on its own,
 /// so a request that does not parse can still be answered — with a typed
-/// [`ServiceError::Protocol`] — at the id its sender is waiting on.
+/// [`ServiceError::Protocol`] — at the id its sender is waiting on. A
+/// well-formed `req` that is not a [`ControlRequest`] is read past, so
+/// the rest of the envelope, and the connection, stay readable.
 pub(crate) struct IncomingRequest {
     pub id: u64,
     pub req: Result<ControlRequest, ServiceError>,
 }
 
 impl Deserialize for IncomingRequest {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
+    fn deserialize<S: Source>(src: &mut S) -> Result<Self, DeError> {
+        let (mut id, mut req) = (None, None);
+        for _ in 0..src.map()? {
+            match src.key()? {
+                "id" if id.is_none() => id = Some(u64::deserialize(src)?),
+                "req" if req.is_none() => req = Some(src.value_or_skip::<ControlRequest>()?),
+                _ => src.skip()?,
+            }
+        }
         Ok(IncomingRequest {
-            id: Deserialize::from_value(v.field("id")?)?,
-            req: ControlRequest::from_value(v.field("req")?)
+            id: id.ok_or_else(|| DeError::missing("id"))?,
+            req: req
+                .ok_or_else(|| DeError::missing("req"))?
                 .map_err(|e| ServiceError::Protocol(format!("bad request: {e}"))),
         })
     }
@@ -126,7 +139,7 @@ pub fn encode_frame<T: Envelope + Serialize>(
     match format {
         WireFormat::Binary => {
             out.push(T::OPCODE);
-            encode_value(&env.to_value(), out);
+            env.serialize(&mut Writer(out));
         }
         WireFormat::Json => {
             let text =
@@ -171,8 +184,9 @@ fn decode_payload<T: Envelope>(payload: &[u8]) -> Result<(T, WireFormat), Servic
             Ok((env, WireFormat::Json))
         }
         Some(&op) if op == T::OPCODE => {
-            let value = decode_value(&payload[1..])?;
-            let env = T::from_value(&value)
+            let mut reader = Reader::new(&payload[1..]);
+            let env = T::deserialize(&mut reader)
+                .and_then(|env| reader.finish().map(|()| env))
                 .map_err(|e| ServiceError::Protocol(format!("bad envelope: {e}")))?;
             Ok((env, WireFormat::Binary))
         }

@@ -4,26 +4,15 @@
 //! they produce byte-identical output, which the simulator-determinism
 //! test relies on.
 
-use serde::{Serialize, Value};
+use serde::Value;
 
 use crate::metrics::MetricsSnapshot;
 use crate::{FieldValue, RecordKind, TraceRecord};
 
-/// Local wrapper so a hand-built [`Value`] tree can be fed to
-/// `serde_json::to_string` (the compat `Value` itself has no `Serialize`
-/// impl, and the orphan rule forbids adding one here).
-struct Raw(Value);
-
-impl Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
 fn render(v: Value) -> String {
     // Non-finite floats are mapped to null before we get here, so the
     // tree is always serializable.
-    serde_json::to_string(&Raw(v)).expect("sanitized value tree serializes")
+    serde_json::to_string(&v).expect("sanitized value tree serializes")
 }
 
 fn f64_value(v: f64) -> Value {

@@ -502,3 +502,142 @@ fn unparseable_requests_over_tcp_get_typed_errors_and_the_connection_survives() 
     server.stop();
     vitald.shutdown();
 }
+
+/// Every golden binary payload, request frames first.
+fn golden_binary_payloads() -> Vec<Vec<u8>> {
+    REQUEST_FRAMES
+        .iter()
+        .chain(RESPONSE_FRAMES)
+        .map(|(_, bin)| unhex(bin))
+        .collect()
+}
+
+/// A frame cut short at any byte — the length prefix announcing only the
+/// bytes that are there — is a typed protocol error, never a panic, to
+/// the blocking reader and to the incremental decoder alike.
+#[test]
+fn every_prefix_of_every_golden_binary_frame_is_a_protocol_error() {
+    for payload in golden_binary_payloads() {
+        for cut in 0..payload.len() {
+            let mut frame = (cut as u32).to_be_bytes().to_vec();
+            frame.extend_from_slice(&payload[..cut]);
+            let err = if payload[0] == 0x01 {
+                read_frame::<_, RequestEnvelope>(&mut frame.as_slice(), MAX_FRAME_BYTES).err()
+            } else {
+                read_frame::<_, ResponseEnvelope>(&mut frame.as_slice(), MAX_FRAME_BYTES).err()
+            };
+            assert!(
+                matches!(err, Some(ServiceError::Protocol(_))),
+                "{} cut at {cut}: {err:?}",
+                hex(&payload)
+            );
+            let mut decoder = FrameDecoder::new(MAX_FRAME_BYTES);
+            decoder.extend(&frame);
+            let err = if payload[0] == 0x01 {
+                decoder.next_frame::<RequestEnvelope>().err()
+            } else {
+                decoder.next_frame::<ResponseEnvelope>().err()
+            };
+            assert!(
+                matches!(err, Some(ServiceError::Protocol(_))),
+                "{} cut at {cut}: {err:?}",
+                hex(&payload)
+            );
+        }
+    }
+}
+
+/// A hand-built request envelope tree, sent as it is.
+struct RawRequest(serde::Value);
+
+impl Serialize for RawRequest {
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) {
+        self.0.serialize(sink);
+    }
+}
+
+impl Deserialize for RawRequest {
+    fn deserialize<S: serde::Source>(_: &mut S) -> Result<Self, serde::DeError> {
+        Err(serde::DeError("only ever sent".to_string()))
+    }
+}
+
+impl Envelope for RawRequest {
+    const OPCODE: u8 = 0x01;
+}
+
+/// `map`'s entries reversed, with a second `key` entry holding `dup`
+/// after the first and an unknown key in front.
+fn shuffled(map: &serde::Value, key: &str, dup: serde::Value) -> serde::Value {
+    use serde::Value;
+    let Value::Map(entries) = map else {
+        panic!("expected a map, got {map:?}");
+    };
+    let mut entries: Vec<(String, Value)> = entries.iter().rev().cloned().collect();
+    let first = entries
+        .iter()
+        .position(|(k, _)| k == key)
+        .expect("key present");
+    entries.insert(first + 1, (key.to_string(), dup));
+    let unknown = Value::Seq(vec![
+        Value::Map(vec![("deep".to_string(), Value::Seq(vec![Value::Null]))]),
+        Value::F64(1.5),
+        Value::Str("ignored".to_string()),
+    ]);
+    entries.insert(0, ("unknown".to_string(), unknown));
+    Value::Map(entries)
+}
+
+/// Struct keys are read in any order, the first of two duplicate keys
+/// wins and unknown keys are skipped, at every level, in both framings.
+#[test]
+fn reordered_duplicate_and_unknown_keys_decode_to_the_canonical_value() {
+    use serde::Value;
+    let env = RequestEnvelope {
+        id: 103,
+        req: requests()[3].clone(),
+    };
+    let Value::Map(top) = env.to_value() else {
+        panic!("an envelope is a map");
+    };
+    let Value::Map(variant) = &top[1].1 else {
+        panic!("a data variant is a single-entry map");
+    };
+    let (tag, deploy) = &variant[0];
+    let Value::Map(deploy_entries) = deploy else {
+        panic!("a deploy request is a map");
+    };
+    let capsule = &deploy_entries
+        .iter()
+        .find(|(k, _)| k == "restore")
+        .expect("restore field")
+        .1;
+    let mut deploy = shuffled(deploy, "app", Value::Str("not-lenet".to_string()));
+    if let Value::Map(entries) = &mut deploy {
+        let restore = entries.iter_mut().find(|(k, _)| k == "restore").unwrap();
+        restore.1 = shuffled(capsule, "tenant", Value::U64(99));
+    }
+    let req = Value::Map(vec![(tag.clone(), deploy)]);
+    let raw = shuffled(
+        &Value::Map(vec![
+            ("id".to_string(), top[0].1.clone()),
+            ("req".to_string(), req),
+        ]),
+        "id",
+        Value::U64(1),
+    );
+    for format in [WireFormat::Binary, WireFormat::Json] {
+        let mut frame = Vec::new();
+        encode_frame(
+            &RawRequest(raw.clone()),
+            format,
+            MAX_FRAME_BYTES,
+            &mut frame,
+        )
+        .expect("encode");
+        let (back, got): (RequestEnvelope, _) =
+            read_frame(&mut frame.as_slice(), MAX_FRAME_BYTES).expect("shuffled frame decodes");
+        assert_eq!(back, env, "{format:?}");
+        assert_eq!(got, format);
+    }
+}
